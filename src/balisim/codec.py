@@ -10,17 +10,23 @@ additive LFSR keystream seeded by S, substitutes 10-bit groups with
 11-bit alphabet words, and appends the 85-bit polynomial remainder of
 the prefix as check bits.  Decoding slides a window of n + r bits over
 a repeated stream one bit at a time until the divisibility, extra-bit
-coincidence and word-validity checks all pass, then verifies the
-control bits, desubstitutes and descrambles.
+coincidence, word-validity and control-bit checks all pass, then
+desubstitutes and descrambles.
 
 Two standard-owned constants are not public and are replaced by fixed,
 documented surrogates, both loadable from JSON files for conformance
 with real telegrams: the 11-bit substitution alphabet (default: the
 1024 numerically smallest 11-bit words with 4..7 ones, ascending) and
 the degree-85 generator polynomial (default: GEN_POLY below, an
-arbitrary fixed polynomial with constant term 1 chosen coprime to
-x^1023 + 1 and x^341 + 1 so that misaligned windows cannot pass the
-divisibility check structurally).
+arbitrary fixed polynomial with constant term 1, coprime to x^1023 + 1
+and x^341 + 1).
+
+Coprimality does not keep misaligned windows from passing the
+divisibility check.  A codeword rotated by k <= 85 bits is divisible by
+g exactly when the k bits carried round are all 0, so a codeword whose
+last bit is 0, read one bit early, is the codeword divided by x and
+still divisible.  The control bits 001 read differently one or two bits
+either side of alignment, which is why they are an alignment check.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ class TelegramFormat:
     n: int           # total telegram length in bits
     shaped_bits: int # scrambled + substituted user region
     user_bits: int   # raw user payload
-    r_init: int      # initial extra-bit window width for decoding
+    r_init: int      # extra-bit window width for decoding
 
     @property
     def check_prefix_bits(self) -> int:
@@ -84,9 +90,6 @@ ESB_BITS = (0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
 
 # Degree-85 generator polynomial, constant term 1 (see module docstring).
 GEN_POLY = 0x238F4D950C4193589DFF83
-
-# After this many one-bit shifts without alignment, widen r to n.
-R_FALLBACK_SHIFTS = 7500
 
 WORD_WIDTH = 11
 GROUP_WIDTH = 10
@@ -282,12 +285,34 @@ class DecodeResult:
     inverted: bool   # stream polarity was inverted
 
 
-def _shaped_words_valid(window: list[int], fmt: TelegramFormat,
-                        table: SubstitutionTable) -> bool:
-    for i in range(0, fmt.shaped_bits, WORD_WIDTH):
-        if bits_to_int(window[i : i + WORD_WIDTH]) not in table:
-            return False
-    return True
+def _telegram_at(bits: list[int], j: int, rem: int, ones: int,
+                 fmt: TelegramFormat, r: int,
+                 table: SubstitutionTable) -> tuple[list[int], bool] | None:
+    """The telegram in bits[j : j + n + r] as (its n bits, inverted), or None.
+
+    rem is the remainder of bits[j : j + n] modulo g, and ones that of
+    the all-ones n-bit word, so the inverted bits leave rem ^ ones.  The
+    window holds a telegram when its leading n bits, read as they are or
+    inverted, are divisible by g, the r extra bits repeat the first r
+    bits, every shaped word is in the alphabet, and the control bits
+    equal CB_BITS.  A window that fails only on its control bits raises
+    ControlBitError.
+    """
+    n = fmt.n
+    for inverted, target in ((False, 0), (True, ones)):
+        if rem != target or bits[j + n : j + n + r] != bits[j : j + r]:
+            continue
+        window = bits[j : j + n]
+        if inverted:
+            window = [1 - b for b in window]
+        base = fmt.shaped_bits
+        if all(bits_to_int(window[i : i + WORD_WIDTH]) in table
+               for i in range(0, base, WORD_WIDTH)):
+            cb = tuple(window[base : base + CB_WIDTH])
+            if cb != CB_BITS:
+                raise ControlBitError(f"control bits {cb} at shift {j}")
+            return window, inverted
+    return None
 
 
 def window_checks(
@@ -297,42 +322,16 @@ def window_checks(
     g: int = GEN_POLY,
     table: SubstitutionTable = DEFAULT_TABLE,
 ) -> bool:
-    """The three alignment checks on one n+r-bit window, cheapest first.
-
-    True iff the r extra bits coincide with the leading r bits, all
-    shaped 11-bit words are alphabet members, and the leading n bits
-    are divisible by g.
-    """
+    """True iff one n+r-bit window holds a telegram (see _telegram_at)."""
     n = fmt.n
     if len(window) != n + r:
         raise FormatError(f"window must be {n + r} bits, got {len(window)}")
-    if window[n:] != window[:r]:
+    rem = poly_mod(bits_to_int(window[:n]), g)
+    ones = poly_mod((1 << n) - 1, g)
+    try:
+        return _telegram_at(window, 0, rem, ones, fmt, r, table) is not None
+    except ControlBitError:
         return False
-    if not _shaped_words_valid(window, fmt, table):
-        return False
-    return poly_mod(bits_to_int(window[:n]), g) == 0
-
-
-def _roll_remainder(rem: int, b_out: int, b_in: int, rot: int, g: int) -> int:
-    # rem' = ((rem + b_out * x^{n-1}) * x + b_in) mod g, with rot = x^{n-1} mod g
-    if b_out:
-        rem ^= rot
-    rem <<= 1
-    if rem >> CHECK_WIDTH:
-        rem ^= g
-    return rem ^ b_in
-
-
-def _extract(window: list[int], fmt: TelegramFormat, shift: int, inverted: bool,
-             s_from_sb, table: SubstitutionTable) -> DecodeResult:
-    base = fmt.shaped_bits
-    cb = tuple(window[base : base + CB_WIDTH])
-    if cb != CB_BITS:
-        raise ControlBitError(f"control bits {cb} at shift {shift}")
-    sb = bits_to_int(window[base + CB_WIDTH : base + CB_WIDTH + SB_WIDTH])
-    scrambled = desubstitute(window[:base], table)
-    user = scramble(scrambled, s_from_sb(sb))
-    return DecodeResult(user_bits=user, sb=sb, shift=shift, inverted=inverted)
 
 
 def decode_stream(
@@ -344,44 +343,41 @@ def decode_stream(
 ) -> DecodeResult:
     """Find and decode one telegram in a bit stream.
 
-    The stream is scanned with a window of n + r bits advancing one bit
-    per step; a window is accepted when the leading n bits are divisible
-    by g, the trailing r bits repeat the leading r bits, and every
-    shaped word is in the alphabet.  Both polarities are tried; only the
-    polarity whose control bits validate is accepted.  After 7500
-    fruitless shifts r is widened to n.  S is recovered from sb through
-    s_from_sb, which is the legacy rule or a key-derivation hook.
+    A window of n + r bits advances one bit per step, and the first
+    window that holds a telegram in either polarity (see _telegram_at)
+    is decoded.  One remainder modulo g is rolled along the stream for
+    both polarities.  S is recovered from sb through s_from_sb, which
+    is the legacy rule or a key-derivation hook.  When no window holds
+    a telegram, raises ControlBitError if some window failed only on
+    its control bits, and NoTelegramFound otherwise.
     """
     n = fmt.n
     r = fmt.r_init
-    L = len(stream)
-    if L < n + r:
-        raise NoTelegramFound(f"stream of {L} bits is shorter than one window")
-    inverse = [1 - b for b in stream]
+    windows = len(stream) - n - r + 1
+    if windows < 1:
+        raise NoTelegramFound(f"stream of {len(stream)} bits is shorter than one window")
     rot = poly_mod(1 << (n - 1), g)
+    ones = poly_mod((1 << n) - 1, g)
     rem = poly_mod(bits_to_int(stream[:n]), g)
-    rem_inv = poly_mod(bits_to_int(inverse[:n]), g)
-    j = 0
-    shifts = 0
-    while j + n + r <= L:
-        hit = None
-        if rem == 0 and stream[j + n : j + n + r] == stream[j : j + r]:
-            if _shaped_words_valid(stream[j : j + n], fmt, table):
-                hit = False
-        if hit is None and rem_inv == 0 \
-                and stream[j + n : j + n + r] == stream[j : j + r]:
-            if _shaped_words_valid(inverse[j : j + n], fmt, table):
-                hit = True
+    cb_error = None
+    for j in range(windows):
+        try:
+            hit = _telegram_at(stream, j, rem, ones, fmt, r, table)
+        except ControlBitError as exc:
+            cb_error = cb_error or exc
+            hit = None
         if hit is not None:
-            window = inverse[j : j + n] if hit else stream[j : j + n]
-            return _extract(window, fmt, j, hit, s_from_sb, table)
-        if j + n >= L:
-            break
-        b_out, b_in = stream[j], stream[j + n]
-        rem = _roll_remainder(rem, b_out, b_in, rot, g)
-        rem_inv = _roll_remainder(rem_inv, 1 - b_out, 1 - b_in, rot, g)
-        j += 1
-        shifts += 1
-        if shifts == R_FALLBACK_SHIFTS:
-            r = n
-    raise NoTelegramFound(f"no aligned window in {shifts} shifts")
+            window, inverted = hit
+            base = fmt.shaped_bits
+            sb = bits_to_int(window[base + CB_WIDTH : base + CB_WIDTH + SB_WIDTH])
+            user = scramble(desubstitute(window[:base], table), s_from_sb(sb))
+            return DecodeResult(user_bits=user, sb=sb, shift=j, inverted=inverted)
+        # rem' = ((rem + b_out * x^{n-1}) * x + b_in) mod g, rot = x^{n-1} mod g
+        if stream[j]:
+            rem ^= rot
+        rem = (rem << 1) | stream[j + n]
+        if rem >> CHECK_WIDTH:
+            rem ^= g
+    if cb_error is not None:
+        raise cb_error
+    raise NoTelegramFound(f"no aligned window in {windows} windows")

@@ -95,6 +95,12 @@ class ScenarioConfig:
             raise ConfigError("balise ids must be unique")
         if self.max_time_s <= 0:
             raise ConfigError("max_time_s must be positive")
+        m = len(self.balises)
+        for attack in self.attacks:
+            indexes = ((attack.src, attack.dst) if isinstance(attack, Clone)
+                       else (attack.balise,))
+            if not all(1 <= i <= m for i in indexes):
+                raise ConfigError(f"attack {attack!r} names a balise outside 1..{m}")
 
 
 def _parse_attack(raw: dict) -> AttackSpec:

@@ -195,3 +195,11 @@ def test_simulate_bad_config_exit_code(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"controller": "mpc"}))
     assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2
+
+
+def test_simulate_attack_on_missing_balise_exit_code(tmp_path):
+    raw = json.loads(open(os.path.join(SCENARIO_DIR, "no_attack.json")).read())
+    raw["attacks"] = [{"type": "tamper", "balise": 7, "new_loc": -1.0}]
+    config = tmp_path / "b7.json"
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2

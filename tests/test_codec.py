@@ -207,8 +207,11 @@ def test_gen_poly_structure():
     g = codec.GEN_POLY
     assert g.bit_length() - 1 == 85
     assert g & 1  # constant term, so x does not divide g
-    # coprime to x^n + 1 for both block lengths: a misaligned rotation of
-    # a valid telegram cannot be structurally divisible
+    # coprime to x^n + 1 for both block lengths.  This does not make
+    # misaligned windows fail the divisibility check: a codeword rotated
+    # by k <= 85 bits stays divisible when the k bits carried round are 0,
+    # e.g. one ending in 0 read one bit early.  The decoder therefore
+    # checks the control bits as part of alignment.
     for n in (LONG.n, SHORT.n):
         assert poly_gcd((1 << n) | 1, g) == 1
 
@@ -317,6 +320,40 @@ def test_decode_detects_single_bit_flip():
         codec.decode_stream(corrupted * 3, SHORT)
 
 
+def test_decode_skips_window_that_fails_only_on_control_bits():
+    # The 690th telegram drawn ends in 0, so read one bit early it is the
+    # codeword divided by x: that window passes divisibility, extra bits
+    # and alphabet, and only its control bits (0, 0, 0) show it misaligned.
+    rng = random.Random(2024)
+    for _ in range(690):
+        user = random_user(rng, SHORT)
+        sb = rng.randrange(1 << codec.SB_WIDTH)
+    assert sb == 1321
+    telegram = codec.encode_legacy(user, sb, SHORT)
+    assert telegram[-1] == 0
+    stream = telegram * 3
+    k = SHORT.n - 1
+    rotated = stream[k:] + stream[:k]
+    for inverted, bits in ((False, rotated), (True, [1 - b for b in rotated])):
+        result = codec.decode_stream(bits, SHORT)
+        assert result.user_bits == user
+        assert result.sb == sb
+        assert result.shift == 1
+        assert result.inverted == inverted
+
+
+def test_decode_reports_control_bit_error_only_when_nothing_aligns():
+    rng = random.Random(15)
+    telegram = codec.encode_legacy(random_user(rng, SHORT), 0x2A5, SHORT)
+    base = SHORT.shaped_bits
+    bad_cb = telegram[:base] + [1, 1, 0] + telegram[base + 3 : SHORT.check_prefix_bits]
+    bad_cb += codec.compute_check_bits(bad_cb)
+    with pytest.raises(codec.ControlBitError):
+        codec.decode_stream(bad_cb * 3, SHORT)
+    window = bad_cb + bad_cb[:SHORT.r_init]
+    assert not codec.window_checks(window, SHORT, SHORT.r_init)
+
+
 def test_decode_rejects_garbage():
     rng = random.Random(11)
     stream = [rng.randrange(2) for _ in range(3 * SHORT.n)]
@@ -335,6 +372,7 @@ def test_window_checks_pass_on_aligned_window():
         telegram = codec.encode_legacy(random_user(rng, fmt), 0x70E, fmt)
         window = telegram + telegram[:r]
         assert codec.window_checks(window, fmt, r)
+        assert codec.window_checks([1 - b for b in window], fmt, r)
 
 
 def test_window_checks_reject_random_windows():

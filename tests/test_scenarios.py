@@ -191,6 +191,12 @@ def test_config_from_dict_round_trip():
     {"type": "clone", "src": 1},              # missing dst
     {"type": "tamper", "balise": "one", "new_loc": -1.0},
     {},
+    # balise numbers are 1-based; 0 would wrap to the stop marker
+    {"type": "tamper", "balise": 0, "new_loc": -1.0},
+    {"type": "tamper", "balise": 4, "new_loc": -1.0},
+    {"type": "unavailable", "balise": 0},
+    {"type": "clone", "src": 4, "dst": 2},
+    {"type": "clone", "src": 1, "dst": -1},
 ])
 def test_config_from_dict_rejects_bad_attacks(attack):
     with pytest.raises(ConfigError):
