@@ -91,29 +91,23 @@ def encode_authenticated(
     user_bits: list[int],
     keys: BaliseKeyPair,
     fmt: codec.TelegramFormat = codec.LONG,
-    g: int = codec.GEN_POLY,
-    table: codec.SubstitutionTable = codec.DEFAULT_TABLE,
 ) -> list[int]:
     """Encode a telegram whose sb field is the authentication tag."""
     sb, s = generate_tag(user_bits, keys, fmt)
-    return codec.encode(user_bits, sb, s, fmt, g, table)
+    return codec.encode(user_bits, sb, s, fmt)
 
 
 def verify_and_decode(
     stream: list[int],
     keys: BaliseKeyPair,
     fmt: codec.TelegramFormat = codec.LONG,
-    g: int = codec.GEN_POLY,
-    table: codec.SubstitutionTable = codec.DEFAULT_TABLE,
 ) -> list[int]:
     """Decode a stream and verify its tag; returns the user bits.
 
     Raises codec.NoTelegramFound when no window aligns and AuthFailure
     when the recomputed tag differs from the received sb.
     """
-    result = codec.decode_stream(
-        stream, fmt, s_from_sb=lambda sb: prf_s(keys.k1, sb), g=g, table=table
-    )
+    result = codec.decode_stream(stream, fmt, s_from_sb=lambda sb: prf_s(keys.k1, sb))
     if tag_sb(keys.k0, result.user_bits, fmt) != result.sb:
         raise AuthFailure(f"tag mismatch for balise id {keys.id}")
     return result.user_bits
@@ -150,7 +144,14 @@ def save_keystore(store: Keystore, path: str) -> None:
 def load_keystore(path: str) -> Keystore:
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
-    mk = bytes.fromhex(raw["mk_hex"])
+    try:
+        mk = bytes.fromhex(raw["mk_hex"])
+        ver = raw["ver"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed keystore file {path}: {exc}") from exc
     if len(mk) != 32:
         raise ValueError("mk_hex must encode 32 bytes")
-    return Keystore(mk=mk, ver=int(raw["ver"]))
+    if type(ver) is not int or not 0 <= ver < (1 << VER_BITS):
+        raise ValueError(
+            f"malformed keystore file {path}: ver must be an integer in 0..65535")
+    return Keystore(mk=mk, ver=ver)

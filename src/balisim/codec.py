@@ -13,13 +13,13 @@ a repeated stream one bit at a time until the divisibility, extra-bit
 coincidence, word-validity and control-bit checks all pass, then
 desubstitutes and descrambles.
 
-Two standard-owned constants are not public and are replaced by fixed,
-documented surrogates, both loadable from JSON files for conformance
-with real telegrams: the 11-bit substitution alphabet (default: the
-1024 numerically smallest 11-bit words with 4..7 ones, ascending) and
-the degree-85 generator polynomial (default: GEN_POLY below, an
+The standard owns two constants that are not public, and this module
+fixes documented surrogates for them: ALPHABET, the 11-bit substitution
+alphabet (the 1024 numerically smallest 11-bit words with 4..7 ones,
+ascending), and GEN_POLY, the degree-85 generator polynomial (an
 arbitrary fixed polynomial with constant term 1, coprime to x^1023 + 1
-and x^341 + 1).
+and x^341 + 1).  Neither is a parameter: conformance with real
+telegrams means replacing ALPHABET and GEN_POLY here.
 
 Coprimality does not keep misaligned windows from passing the
 divisibility check.  A codeword rotated by k <= 85 bits is divisible by
@@ -31,7 +31,6 @@ either side of alignment, which is why they are an alignment check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .bits import bits_to_int, int_to_bits
@@ -99,60 +98,11 @@ GROUP_WIDTH = 10
 # Substitution alphabet
 # ---------------------------------------------------------------------------
 
-class SubstitutionTable:
-    """Bijection between 10-bit groups and 1024 valid 11-bit words."""
-
-    __slots__ = ("words", "_index")
-
-    def __init__(self, words: list[int]):
-        if len(words) != 1 << GROUP_WIDTH:
-            raise FormatError(f"substitution table needs 1024 words, got {len(words)}")
-        for w in words:
-            if not 0 <= w < (1 << WORD_WIDTH):
-                raise FormatError(f"table word {w} is not an 11-bit value")
-        if len(set(words)) != len(words):
-            raise FormatError("substitution table words must be distinct")
-        self.words = tuple(words)
-        self._index = {w: i for i, w in enumerate(self.words)}
-
-    def word(self, group: int) -> int:
-        return self.words[group]
-
-    def index(self, word: int) -> int:
-        idx = self._index.get(word)
-        if idx is None:
-            raise AlphabetError(f"word {word:#05x} is not in the alphabet")
-        return idx
-
-    def __contains__(self, word: int) -> bool:
-        return word in self._index
-
-    @classmethod
-    def from_file(cls, path: str) -> "SubstitutionTable":
-        with open(path, encoding="utf-8") as f:
-            return cls(json.load(f))
-
-
-def _default_words() -> list[int]:
-    words = [w for w in range(1 << WORD_WIDTH) if 4 <= bin(w).count("1") <= 7]
-    return words[: 1 << GROUP_WIDTH]
-
-
-DEFAULT_TABLE = SubstitutionTable(_default_words())
-
-
-def load_gen_poly(path: str) -> int:
-    """Load a generator polynomial from a JSON list of nonzero exponents."""
-    with open(path, encoding="utf-8") as f:
-        exponents = json.load(f)
-    g = 0
-    for e in exponents:
-        g |= 1 << e
-    if g.bit_length() - 1 != CHECK_WIDTH:
-        raise FormatError(f"generator polynomial must have degree {CHECK_WIDTH}")
-    if not g & 1:
-        raise FormatError("generator polynomial must have constant term 1")
-    return g
+# Word i encodes the 10-bit group i (see module docstring).
+ALPHABET: tuple[int, ...] = tuple(
+    w for w in range(1 << WORD_WIDTH) if 4 <= bin(w).count("1") <= 7
+)[: 1 << GROUP_WIDTH]
+_GROUP_OF = {w: i for i, w in enumerate(ALPHABET)}
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +119,15 @@ def poly_mod(value: int, g: int) -> int:
     return value
 
 
-def compute_check_bits(prefix_bits: list[int], g: int = GEN_POLY) -> list[int]:
+# Per block length n: x^(n-1) mod g rolls a window's remainder on by one
+# bit, and (2^n - 1) mod g is what inverting the window adds to it.
+_ROT = {f.n: poly_mod(1 << (f.n - 1), GEN_POLY) for f in FORMATS.values()}
+_ONES = {f.n: poly_mod((1 << f.n) - 1, GEN_POLY) for f in FORMATS.values()}
+
+
+def compute_check_bits(prefix_bits: list[int]) -> list[int]:
     """85 check bits: remainder of prefix * x^85 modulo g."""
-    rem = poly_mod(bits_to_int(prefix_bits) << CHECK_WIDTH, g)
+    rem = poly_mod(bits_to_int(prefix_bits) << CHECK_WIDTH, GEN_POLY)
     return int_to_bits(rem, CHECK_WIDTH)
 
 
@@ -214,24 +170,27 @@ def legacy_s_from_sb(sb: int) -> int:
 # Substitution
 # ---------------------------------------------------------------------------
 
-def substitute(bits: list[int], table: SubstitutionTable = DEFAULT_TABLE) -> list[int]:
+def substitute(bits: list[int]) -> list[int]:
     """Map each 10-bit group to its 11-bit alphabet word, MSB-first."""
     if len(bits) % GROUP_WIDTH:
         raise FormatError("substitute input must be a multiple of 10 bits")
     out: list[int] = []
     for i in range(0, len(bits), GROUP_WIDTH):
-        word = table.word(bits_to_int(bits[i : i + GROUP_WIDTH]))
+        word = ALPHABET[bits_to_int(bits[i : i + GROUP_WIDTH])]
         out.extend(int_to_bits(word, WORD_WIDTH))
     return out
 
 
-def desubstitute(bits: list[int], table: SubstitutionTable = DEFAULT_TABLE) -> list[int]:
+def desubstitute(bits: list[int]) -> list[int]:
     """Inverse of substitute; raises AlphabetError on any invalid word."""
     if len(bits) % WORD_WIDTH:
         raise FormatError("desubstitute input must be a multiple of 11 bits")
     out: list[int] = []
     for i in range(0, len(bits), WORD_WIDTH):
-        group = table.index(bits_to_int(bits[i : i + WORD_WIDTH]))
+        word = bits_to_int(bits[i : i + WORD_WIDTH])
+        group = _GROUP_OF.get(word)
+        if group is None:
+            raise AlphabetError(f"word {word:#05x} is not in the alphabet")
         out.extend(int_to_bits(group, GROUP_WIDTH))
     return out
 
@@ -240,14 +199,8 @@ def desubstitute(bits: list[int], table: SubstitutionTable = DEFAULT_TABLE) -> l
 # Encoding
 # ---------------------------------------------------------------------------
 
-def encode(
-    user_bits: list[int],
-    sb: int,
-    s: int,
-    fmt: TelegramFormat = LONG,
-    g: int = GEN_POLY,
-    table: SubstitutionTable = DEFAULT_TABLE,
-) -> list[int]:
+def encode(user_bits: list[int], sb: int, s: int,
+           fmt: TelegramFormat = LONG) -> list[int]:
     """Assemble a complete n-bit telegram from user bits, sb and S."""
     if len(user_bits) != fmt.user_bits:
         raise FormatError(
@@ -257,20 +210,15 @@ def encode(
         raise FormatError("sb must be a 12-bit value")
     if not 0 <= s < (1 << 32):
         raise FormatError("S must be a 32-bit value")
-    shaped = substitute(scramble(user_bits, s), table)
+    shaped = substitute(scramble(user_bits, s))
     prefix = shaped + list(CB_BITS) + int_to_bits(sb, SB_WIDTH) + list(ESB_BITS)
-    return prefix + compute_check_bits(prefix, g)
+    return prefix + compute_check_bits(prefix)
 
 
-def encode_legacy(
-    user_bits: list[int],
-    sb: int,
-    fmt: TelegramFormat = LONG,
-    g: int = GEN_POLY,
-    table: SubstitutionTable = DEFAULT_TABLE,
-) -> list[int]:
+def encode_legacy(user_bits: list[int], sb: int,
+                  fmt: TelegramFormat = LONG) -> list[int]:
     """Encode with S derived from sb by the public legacy rule."""
-    return encode(user_bits, sb, legacy_s_from_sb(sb), fmt, g, table)
+    return encode(user_bits, sb, legacy_s_from_sb(sb), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +233,26 @@ class DecodeResult:
     inverted: bool   # stream polarity was inverted
 
 
-def _telegram_at(bits: list[int], j: int, rem: int, ones: int,
-                 fmt: TelegramFormat, r: int,
-                 table: SubstitutionTable) -> tuple[list[int], bool] | None:
+def _telegram_at(bits: list[int], j: int, rem: int,
+                 fmt: TelegramFormat) -> tuple[list[int], bool] | None:
     """The telegram in bits[j : j + n + r] as (its n bits, inverted), or None.
 
-    rem is the remainder of bits[j : j + n] modulo g, and ones that of
-    the all-ones n-bit word, so the inverted bits leave rem ^ ones.  The
-    window holds a telegram when its leading n bits, read as they are or
-    inverted, are divisible by g, the r extra bits repeat the first r
-    bits, every shaped word is in the alphabet, and the control bits
-    equal CB_BITS.  A window that fails only on its control bits raises
-    ControlBitError.
+    rem is the remainder of bits[j : j + n] modulo g; the inverted bits
+    leave rem ^ ((2^n - 1) mod g).  The window holds a telegram when its
+    leading n bits, read as they are or inverted, are divisible by g, the
+    r = fmt.r_init extra bits repeat the first r bits, every shaped word
+    is in the alphabet, and the control bits equal CB_BITS.  A window
+    that fails only on its control bits raises ControlBitError.
     """
-    n = fmt.n
-    for inverted, target in ((False, 0), (True, ones)):
+    n, r = fmt.n, fmt.r_init
+    for inverted, target in ((False, 0), (True, _ONES[n])):
         if rem != target or bits[j + n : j + n + r] != bits[j : j + r]:
             continue
         window = bits[j : j + n]
         if inverted:
             window = [1 - b for b in window]
         base = fmt.shaped_bits
-        if all(bits_to_int(window[i : i + WORD_WIDTH]) in table
+        if all(bits_to_int(window[i : i + WORD_WIDTH]) in _GROUP_OF
                for i in range(0, base, WORD_WIDTH)):
             cb = tuple(window[base : base + CB_WIDTH])
             if cb != CB_BITS:
@@ -315,21 +261,14 @@ def _telegram_at(bits: list[int], j: int, rem: int, ones: int,
     return None
 
 
-def window_checks(
-    window: list[int],
-    fmt: TelegramFormat,
-    r: int,
-    g: int = GEN_POLY,
-    table: SubstitutionTable = DEFAULT_TABLE,
-) -> bool:
+def window_checks(window: list[int], fmt: TelegramFormat) -> bool:
     """True iff one n+r-bit window holds a telegram (see _telegram_at)."""
-    n = fmt.n
+    n, r = fmt.n, fmt.r_init
     if len(window) != n + r:
         raise FormatError(f"window must be {n + r} bits, got {len(window)}")
-    rem = poly_mod(bits_to_int(window[:n]), g)
-    ones = poly_mod((1 << n) - 1, g)
+    rem = poly_mod(bits_to_int(window[:n]), GEN_POLY)
     try:
-        return _telegram_at(window, 0, rem, ones, fmt, r, table) is not None
+        return _telegram_at(window, 0, rem, fmt) is not None
     except ControlBitError:
         return False
 
@@ -338,8 +277,6 @@ def decode_stream(
     stream: list[int],
     fmt: TelegramFormat = LONG,
     s_from_sb=legacy_s_from_sb,
-    g: int = GEN_POLY,
-    table: SubstitutionTable = DEFAULT_TABLE,
 ) -> DecodeResult:
     """Find and decode one telegram in a bit stream.
 
@@ -352,17 +289,15 @@ def decode_stream(
     its control bits, and NoTelegramFound otherwise.
     """
     n = fmt.n
-    r = fmt.r_init
-    windows = len(stream) - n - r + 1
+    windows = len(stream) - n - fmt.r_init + 1
     if windows < 1:
         raise NoTelegramFound(f"stream of {len(stream)} bits is shorter than one window")
-    rot = poly_mod(1 << (n - 1), g)
-    ones = poly_mod((1 << n) - 1, g)
-    rem = poly_mod(bits_to_int(stream[:n]), g)
+    rot = _ROT[n]
+    rem = poly_mod(bits_to_int(stream[:n]), GEN_POLY)
     cb_error = None
     for j in range(windows):
         try:
-            hit = _telegram_at(stream, j, rem, ones, fmt, r, table)
+            hit = _telegram_at(stream, j, rem, fmt)
         except ControlBitError as exc:
             cb_error = cb_error or exc
             hit = None
@@ -370,14 +305,14 @@ def decode_stream(
             window, inverted = hit
             base = fmt.shaped_bits
             sb = bits_to_int(window[base + CB_WIDTH : base + CB_WIDTH + SB_WIDTH])
-            user = scramble(desubstitute(window[:base], table), s_from_sb(sb))
+            user = scramble(desubstitute(window[:base]), s_from_sb(sb))
             return DecodeResult(user_bits=user, sb=sb, shift=j, inverted=inverted)
         # rem' = ((rem + b_out * x^{n-1}) * x + b_in) mod g, rot = x^{n-1} mod g
         if stream[j]:
             rem ^= rot
         rem = (rem << 1) | stream[j + n]
         if rem >> CHECK_WIDTH:
-            rem ^= g
+            rem ^= GEN_POLY
     if cb_error is not None:
         raise cb_error
     raise NoTelegramFound(f"no aligned window in {windows} windows")

@@ -12,6 +12,7 @@ suppresses transmission entirely.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .. import auth, codec
@@ -34,6 +35,8 @@ class BaliseSpec:
     def __post_init__(self):
         if not 0 <= self.id < (1 << auth.ID_BITS):
             raise ValueError("balise id must be a 14-bit value")
+        if not math.isfinite(self.loc):
+            raise ValueError("balise loc must be finite")
         if self.kind not in _KIND_CODE:
             raise ValueError(f"unknown balise kind {self.kind!r}")
 

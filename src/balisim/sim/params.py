@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -16,6 +17,8 @@ class TrainParams:
     dt: float = 0.01        # integration step, seconds
 
     def __post_init__(self):
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError("train parameters must be finite")
         if self.alpha_max >= 0:
             raise ValueError("alpha_max must be negative")
         if self.gamma <= 0 or self.dt <= 0:

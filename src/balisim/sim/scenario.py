@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -93,10 +94,22 @@ class ScenarioConfig:
             raise ConfigError("exactly one controlled balise at location 0 required")
         if len({b.id for b in self.balises}) != len(self.balises):
             raise ConfigError("balise ids must be unique")
-        if self.max_time_s <= 0:
-            raise ConfigError("max_time_s must be positive")
+        if self.p_est0 is not None and not math.isfinite(self.p_est0):
+            raise ConfigError("p_est0 must be finite")
+        for name in ("delta0", "growth_k"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative")
+        for name in ("eta0", "v_con", "max_time_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive")
+        if type(self.seed) is not int or not 0 <= self.seed < (1 << 64):
+            raise ConfigError("seed must be an integer in 0..2^64-1")
         m = len(self.balises)
         for attack in self.attacks:
+            if isinstance(attack, Tamper) and not math.isfinite(attack.new_loc):
+                raise ConfigError(f"attack {attack!r} has a non-finite new_loc")
             indexes = ((attack.src, attack.dst) if isinstance(attack, Clone)
                        else (attack.balise,))
             if not all(1 <= i <= m for i in indexes):
@@ -361,6 +374,7 @@ def summary_dict(result: SimResult) -> dict:
         "stop_time_s": result.stop_time,
         "mode_switches": result.mode_switches,
         "auth_failures": result.auth_failures,
+        "balise_missing_events": result.balise_missing_events,
     }
 
 

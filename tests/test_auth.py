@@ -6,14 +6,18 @@ other than the module's own hmac calls.
 """
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from balisim import auth, codec
-from balisim.bits import bits_to_bytes
+from balisim.bits import bits_to_bytes, str_to_bits
 
 LONG = codec.LONG
 SHORT = codec.SHORT
@@ -241,8 +245,50 @@ def test_keystore_file_round_trip(tmp_path):
     assert loaded.keys_for(9) == store.keys_for(9)
 
 
+MK_HEX = "00" * 32
+
+
+@pytest.mark.parametrize("raw", [
+    [1, 2],
+    "mk",
+    {"ver": 0},
+    {"mk_hex": 7, "ver": 0},
+    {"mk_hex": MK_HEX},
+    {"mk_hex": MK_HEX, "ver": "0"},
+    {"mk_hex": MK_HEX, "ver": 1.5},
+    {"mk_hex": MK_HEX, "ver": True},
+    {"mk_hex": MK_HEX, "ver": -1},
+    {"mk_hex": MK_HEX, "ver": 1 << 16},
+])
+def test_keystore_rejects_malformed_file(tmp_path, raw):
+    path = tmp_path / "ks.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError):
+        auth.load_keystore(str(path))
+
+
 def test_keystore_rejects_short_mk(tmp_path):
     path = tmp_path / "ks.json"
     path.write_text('{"mk_hex": "abcd", "ver": 0}')
     with pytest.raises(ValueError):
         auth.load_keystore(str(path))
+
+
+def test_emit_tag_vectors_script_matches_auth():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "emit_tag_vectors.py"),
+         "--count", "3", "--format", "short"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == 3
+    for vec in lines:
+        assert vec["format"] == "short"
+        user = str_to_bits(vec["user_bits"])
+        assert len(user) == SHORT.user_bits
+        keys = auth.derive_keys(bytes.fromhex(vec["mk_hex"]), vec["id"], vec["ver"])
+        sb = auth.tag_sb(keys.k0, user, SHORT)
+        assert vec["sb_hex"] == f"{sb:03x}"
+        assert vec["S_hex"] == f"{auth.prf_s(keys.k1, sb):08x}"

@@ -122,6 +122,14 @@ def test_verify_missing_keystore(tmp_path, keystore):
     assert main(["verify", telegram, "--keystore", missing, "--id", "3"]) == 2
 
 
+@pytest.mark.parametrize("text", ['{"ver": 0}', '[1, 2]'])
+def test_verify_malformed_keystore_exits_2(tmp_path, keystore, text):
+    telegram = _program(tmp_path, keystore)
+    bad = tmp_path / "bad_keys.json"
+    bad.write_text(text)
+    assert main(["verify", telegram, "--keystore", str(bad), "--id", "3"]) == 2
+
+
 def test_program_rejects_out_of_range_id(tmp_path, keystore):
     argv = ["program", "--id", "99999", "--loc", "0.0",
             "--keystore", keystore, "--out", str(tmp_path / "t.json")]
@@ -202,4 +210,24 @@ def test_simulate_attack_on_missing_balise_exit_code(tmp_path):
     raw["attacks"] = [{"type": "tamper", "balise": 7, "new_loc": -1.0}]
     config = tmp_path / "b7.json"
     config.write_text(json.dumps(raw))
+    assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("text", ['{"ver": 0}', '[1, 2]'])
+def test_simulate_malformed_keystore_exit_code(tmp_path, text):
+    (tmp_path / "keys.json").write_text(text)
+    raw = json.loads(open(os.path.join(SCENARIO_DIR, "no_attack.json")).read())
+    raw["auth_mode"] = "authenticated"
+    raw["keystore"] = "keys.json"
+    config = tmp_path / "keyed.json"
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2
+
+
+def test_simulate_non_finite_config_exit_code(tmp_path):
+    raw = json.loads(open(os.path.join(SCENARIO_DIR, "no_attack.json")).read())
+    raw.setdefault("train", {})["v0"] = float("nan")
+    config = tmp_path / "nan.json"
+    config.write_text(json.dumps(raw))  # written as the JSON token NaN
+    assert "NaN" in config.read_text()
     assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2

@@ -113,7 +113,7 @@ def test_legacy_s_deterministic_and_nonzero():
 # ---------------------------------------------------------------------------
 
 def test_table_structure():
-    words = codec.DEFAULT_TABLE.words
+    words = codec.ALPHABET
     assert len(words) == 1024
     assert list(words) == sorted(words)
     assert all(bin(w).count("1") in (4, 5, 6, 7) for w in words)
@@ -121,7 +121,7 @@ def test_table_structure():
 
 
 def test_table_frozen_spot_values():
-    words = codec.DEFAULT_TABLE.words
+    words = codec.ALPHABET
     assert list(words[:8]) == [15, 23, 27, 29, 30, 31, 39, 43]
     assert words[512] == 689
     assert words[1023] == 1307
@@ -148,20 +148,6 @@ def test_desubstitute_rejects_non_alphabet_words():
         codec.desubstitute([0] * 11)  # popcount 0
     with pytest.raises(codec.AlphabetError):
         codec.desubstitute([1] * 11)  # popcount 11
-
-
-def test_table_loadable_from_file(tmp_path):
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps(list(codec.DEFAULT_TABLE.words)))
-    table = codec.SubstitutionTable.from_file(str(path))
-    assert table.words == codec.DEFAULT_TABLE.words
-
-
-def test_table_file_must_have_1024_entries(tmp_path):
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps([1, 2, 3]))
-    with pytest.raises(codec.FormatError):
-        codec.SubstitutionTable.from_file(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +200,6 @@ def test_gen_poly_structure():
     # checks the control bits as part of alignment.
     for n in (LONG.n, SHORT.n):
         assert poly_gcd((1 << n) | 1, g) == 1
-
-
-def test_gen_poly_loadable_from_file(tmp_path):
-    exponents = [i for i in range(86) if (codec.GEN_POLY >> i) & 1]
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(exponents))
-    assert codec.load_gen_poly(str(path)) == codec.GEN_POLY
-
-
-def test_gen_poly_file_validation(tmp_path):
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps([0, 1, 84]))  # degree 84: too small
-    with pytest.raises(codec.FormatError):
-        codec.load_gen_poly(str(path))
-    path.write_text(json.dumps([1, 85]))  # constant term 0
-    with pytest.raises(codec.FormatError):
-        codec.load_gen_poly(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +320,7 @@ def test_decode_reports_control_bit_error_only_when_nothing_aligns():
     with pytest.raises(codec.ControlBitError):
         codec.decode_stream(bad_cb * 3, SHORT)
     window = bad_cb + bad_cb[:SHORT.r_init]
-    assert not codec.window_checks(window, SHORT, SHORT.r_init)
+    assert not codec.window_checks(window, SHORT)
 
 
 def test_decode_rejects_garbage():
@@ -368,24 +337,23 @@ def test_decode_short_stream():
 
 def test_window_checks_pass_on_aligned_window():
     rng = random.Random(12)
-    for fmt, r in ((LONG, LONG.r_init), (SHORT, SHORT.r_init)):
+    for fmt in (LONG, SHORT):
         telegram = codec.encode_legacy(random_user(rng, fmt), 0x70E, fmt)
-        window = telegram + telegram[:r]
-        assert codec.window_checks(window, fmt, r)
-        assert codec.window_checks([1 - b for b in window], fmt, r)
+        window = telegram + telegram[:fmt.r_init]
+        assert codec.window_checks(window, fmt)
+        assert codec.window_checks([1 - b for b in window], fmt)
 
 
 def test_window_checks_reject_random_windows():
     rng = random.Random(13)
-    r = LONG.r_init
     for _ in range(1000):
-        window = [rng.randrange(2) for _ in range(LONG.n + r)]
-        assert not codec.window_checks(window, LONG, r)
+        window = [rng.randrange(2) for _ in range(LONG.n + LONG.r_init)]
+        assert not codec.window_checks(window, LONG)
 
 
 def test_window_checks_validate_length():
     with pytest.raises(codec.FormatError):
-        codec.window_checks([0] * 10, LONG, LONG.r_init)
+        codec.window_checks([0] * 10, LONG)
 
 
 @settings(max_examples=25, deadline=None)

@@ -210,6 +210,37 @@ def test_config_from_dict_rejects_bad_train_and_balise_keys():
         config_from_dict({"balises": [{"id": 1, "loc": 0.0, "kind": "beacon"}]})
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("raw", [
+    {"train": {"v0": NAN}},
+    {"train": {"dt": INF}},
+    {"train": {"p0": NAN}},
+    {"train": {"alpha_max": -INF}},
+    {"controller": "resilient", "p_est0": NAN},
+    {"p_est0": INF},
+    {"delta0": -1.0},
+    {"delta0": NAN},
+    {"growth_k": INF},
+    {"eta0": NAN},
+    {"eta0": 0.0},
+    {"v_con": NAN},
+    {"max_time_s": INF},
+    {"max_time_s": NAN},
+    {"seed": "x"},
+    {"seed": 1.5},
+    {"seed": -1},
+    {"balises": [{"id": 1, "loc": NAN, "kind": "fixed"},
+                 {"id": 2, "loc": 0.0, "kind": "controlled"}]},
+    {"balises": _balises(),
+     "attacks": [{"type": "tamper", "balise": 1, "new_loc": NAN}]},
+])
+def test_config_from_dict_rejects_non_finite_and_out_of_range(raw):
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)
+
+
 def test_load_config_rejects_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -282,6 +313,7 @@ def test_summary_dict_contents():
     result = run_scenario(bundled("no_attack"))
     summary = summary_dict(result)
     assert set(summary) == {"stop_error_m", "stop_time_s", "mode_switches",
-                            "auth_failures"}
+                            "auth_failures", "balise_missing_events"}
     assert summary["stop_error_m"] == result.stop_error
     assert summary["auth_failures"] == 0
+    assert summary["balise_missing_events"] == result.balise_missing_events
