@@ -130,6 +130,8 @@ def new_keystore(seed: int | None = None, ver: int = 0) -> Keystore:
     """Fresh keystore; a seed makes mk reproducible for tests."""
     if seed is None:
         mk = secrets.token_bytes(32)
+    elif not 0 <= seed < (1 << 64):
+        raise ValueError("keystore seed must be in 0..2^64-1")
     else:
         mk = hashlib.sha256(b"balisim-keygen" + seed.to_bytes(8, "big")).digest()
     return Keystore(mk=mk, ver=ver)

@@ -1,13 +1,17 @@
 """Bit-vector helpers shared by the codec and the authentication layer.
 
-Bits are handled as lists of 0/1 ints, most significant bit first.  The
-leftmost list element is the highest-order bit; in telegram position
-notation (b_{n-1} .. b_0, left to right) list index k corresponds to
-position b_{n-1-k}.  Lengths such as 1023 are not byte multiples, so
-telegrams are serialized as explicit '0'/'1' character strings.
+Bits cross public interfaces as lists of 0/1 ints, most significant bit
+first: in telegram position notation (b_{n-1} .. b_0, left to right)
+list index k is position b_{n-1-k}.  Inside, the codec holds a bit
+string as one int; these helpers convert between the two in C.  Lengths
+such as 1023 are not byte multiples, so telegrams are serialized as
+explicit '0'/'1' character strings.
 """
 
 from __future__ import annotations
+
+_TO_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_CHARS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def int_to_bits(value: int, width: int) -> list[int]:
@@ -16,45 +20,33 @@ def int_to_bits(value: int, width: int) -> list[int]:
         raise ValueError("value must be non-negative")
     if value >> width:
         raise ValueError(f"value {value:#x} does not fit in {width} bits")
-    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
+    # The leading 1 fixes the digit count, so width 0 gives [].
+    return list(format(value | (1 << width), "b")[1:].encode().translate(_FROM_CHARS))
 
 
 def bits_to_int(bits: list[int]) -> int:
-    """Interpret a big-endian bit list as an unsigned int."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | (b & 1)
-    return value
+    """Interpret a big-endian list of 0/1 values as an unsigned int."""
+    return int(bytearray(bits).translate(_TO_CHARS) or b"0", 2)
 
 
 def bits_to_bytes(bits: list[int]) -> bytes:
     """Pack bits MSB-first, zero-padding the final byte on the right."""
-    padded = bits + [0] * (-len(bits) % 8)
-    return bytes(
-        bits_to_int(padded[i : i + 8]) for i in range(0, len(padded), 8)
-    )
+    pad = -len(bits) % 8
+    return (bits_to_int(bits) << pad).to_bytes((len(bits) + pad) // 8, "big")
 
 
 def bytes_to_bits(data: bytes) -> list[int]:
     """Unpack bytes into bits, MSB-first."""
-    out: list[int] = []
-    for byte in data:
-        out.extend((byte >> (7 - i)) & 1 for i in range(8))
-    return out
+    return int_to_bits(int.from_bytes(data, "big"), 8 * len(data))
 
 
 def bits_to_str(bits: list[int]) -> str:
-    return "".join("1" if b else "0" for b in bits)
+    return bytearray(bits).translate(_TO_CHARS).decode()
 
 
 def str_to_bits(text: str) -> list[int]:
     """Parse a '0'/'1' string; rejects any other character."""
-    bits = []
-    for ch in text:
-        if ch == "0":
-            bits.append(0)
-        elif ch == "1":
-            bits.append(1)
-        else:
-            raise ValueError(f"invalid bit character {ch!r}")
-    return bits
+    bad = set(text) - {"0", "1"}
+    if bad:
+        raise ValueError(f"invalid bit character {min(bad)!r}")
+    return list(text.encode().translate(_FROM_CHARS))

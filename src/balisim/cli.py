@@ -29,7 +29,10 @@ def _fail(message: str) -> int:
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
-    keystore = auth.new_keystore(seed=args.seed)
+    try:
+        keystore = auth.new_keystore(seed=args.seed)
+    except ValueError as exc:
+        return _fail(str(exc))
     try:
         auth.save_keystore(keystore, args.out)
     except OSError as exc:

@@ -27,6 +27,15 @@ g exactly when the k bits carried round are all 0, so a codeword whose
 last bit is 0, read one bit early, is the codeword divided by x and
 still divisible.  The control bits 001 read differently one or two bits
 either side of alignment, which is why they are an alignment check.
+
+Inside the codec a bit string is an int, first bit most significant;
+lists exist only at the public boundary.  The keystream is linear in the
+seed over GF(2): four 256-entry tables, one per seed byte, hold blocks
+of keystream, and a seed's block is the XOR of four of them.  The last
+32 bits of a block are the register state that seeds the next block.
+Check bits and the decoder's first remainder take a byte per step from
+a 256-entry remainder table (Sarwate, "Computation of Cyclic Redundancy
+Checks via Table Look-Up", CACM 31(8), 1988).
 """
 
 from __future__ import annotations
@@ -119,6 +128,20 @@ def poly_mod(value: int, g: int) -> int:
     return value
 
 
+_CHECK_MASK = (1 << CHECK_WIDTH) - 1
+# (t * x^85) mod g for every byte t.
+_BYTE_REM = [poly_mod(t << CHECK_WIDTH, GEN_POLY) for t in range(256)]
+
+
+def _mod_g(value: int) -> int:
+    """value mod GEN_POLY, a byte at a time above the low 85 bits."""
+    high = value >> CHECK_WIDTH
+    rem = 0
+    for byte in high.to_bytes((high.bit_length() + 7) // 8, "big"):
+        rem = ((rem << 8) & _CHECK_MASK) ^ _BYTE_REM[(rem >> (CHECK_WIDTH - 8)) ^ byte]
+    return rem ^ (value & _CHECK_MASK)
+
+
 # Per block length n: x^(n-1) mod g rolls a window's remainder on by one
 # bit, and (2^n - 1) mod g is what inverting the window adds to it.
 _ROT = {f.n: poly_mod(1 << (f.n - 1), GEN_POLY) for f in FORMATS.values()}
@@ -127,8 +150,7 @@ _ONES = {f.n: poly_mod((1 << f.n) - 1, GEN_POLY) for f in FORMATS.values()}
 
 def compute_check_bits(prefix_bits: list[int]) -> list[int]:
     """85 check bits: remainder of prefix * x^85 modulo g."""
-    rem = poly_mod(bits_to_int(prefix_bits) << CHECK_WIDTH, GEN_POLY)
-    return int_to_bits(rem, CHECK_WIDTH)
+    return int_to_bits(_mod_g(bits_to_int(prefix_bits) << CHECK_WIDTH), CHECK_WIDTH)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +158,47 @@ def compute_check_bits(prefix_bits: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 _LFSR_MASK = 0xFFFFFFFF
+# A table entry is one block of keystream: _KS_STEP bits, then the 32
+# bits that are the register state after them.
+_KS_STEP = LONG.user_bits
+
+
+def _keystream_tables() -> list[list[int]]:
+    """Per seed byte, the block of keystream of each value of that byte."""
+    # The keystream of seed 1, 31 bits longer than a block; the taps give
+    # bit k = bit k-32 ^ bit k-22 ^ bit k-2 ^ bit k-1.  Dropping the first
+    # bit of the keystream of seed 1 << j gives that of the next state,
+    # (1 << (j + 1)) ^ fb, so the keystream of seed 1 << (j + 1) is the
+    # shortened stream XOR fb times the keystream of seed 1.  Each step
+    # spoils one more low bit, and >> 31 drops the spoiled bits.
+    length = _KS_STEP + 32 + 31
+    bits = [0] * 31 + [1]
+    for k in range(32, length):
+        bits.append(bits[k - 32] ^ bits[k - 22] ^ bits[k - 2] ^ bits[k - 1])
+    first = stream = bits_to_int(bits)
+    tables = [[0] for _ in range(4)]
+    for j in range(32):
+        block = stream >> 31
+        tables[j // 8] += [t ^ block for t in tables[j // 8]]
+        fb = (stream >> (length - 33)) & 1
+        stream = ((stream << 1) & ((1 << length) - 1)) ^ (first * fb)
+    return tables
+
+
+_KS0, _KS1, _KS2, _KS3 = _keystream_tables()
+
+
+def _keystream_int(seed: int, nbits: int) -> int:
+    """The first nbits of keystream(seed, ...) as an int."""
+    state = (seed & _LFSR_MASK) or 1
+    out = have = 0
+    while have < nbits:
+        block = (_KS0[state & 0xFF] ^ _KS1[(state >> 8) & 0xFF]
+                 ^ _KS2[(state >> 16) & 0xFF] ^ _KS3[state >> 24])
+        out = (out << _KS_STEP) | (block >> 32)
+        state = block & _LFSR_MASK
+        have += _KS_STEP
+    return out >> (have - nbits)
 
 
 def keystream(seed: int, nbits: int) -> list[int]:
@@ -144,20 +207,12 @@ def keystream(seed: int, nbits: int) -> list[int]:
     Output bit = register MSB; feedback enters at the LSB.  A zero seed
     is replaced by 1 so the register never locks up.
     """
-    state = seed & _LFSR_MASK
-    if state == 0:
-        state = 1
-    out = []
-    for _ in range(nbits):
-        out.append((state >> 31) & 1)
-        fb = ((state >> 31) ^ (state >> 21) ^ (state >> 1) ^ state) & 1
-        state = ((state << 1) | fb) & _LFSR_MASK
-    return out
+    return int_to_bits(_keystream_int(seed, nbits), nbits)
 
 
 def scramble(bits: list[int], s: int) -> list[int]:
     """XOR bits with the keystream seeded by S; self-inverse."""
-    return [b ^ k for b, k in zip(bits, keystream(s, len(bits)))]
+    return int_to_bits(bits_to_int(bits) ^ _keystream_int(s, len(bits)), len(bits))
 
 
 def legacy_s_from_sb(sb: int) -> int:
@@ -170,34 +225,49 @@ def legacy_s_from_sb(sb: int) -> int:
 # Substitution
 # ---------------------------------------------------------------------------
 
+def _substitute_int(groups: int, count: int) -> int:
+    """The count 10-bit groups of an int, each replaced by its word."""
+    words = 0
+    for shift in range(GROUP_WIDTH * (count - 1), -1, -GROUP_WIDTH):
+        words = (words << WORD_WIDTH) | ALPHABET[(groups >> shift) & 0x3FF]
+    return words
+
+
+def _desubstitute_int(words: int, count: int) -> int:
+    """Inverse of _substitute_int; AlphabetError on an invalid word."""
+    groups = 0
+    for shift in range(WORD_WIDTH * (count - 1), -1, -WORD_WIDTH):
+        word = (words >> shift) & 0x7FF
+        group = _GROUP_OF.get(word)
+        if group is None:
+            raise AlphabetError(f"word {word:#05x} is not in the alphabet")
+        groups = (groups << GROUP_WIDTH) | group
+    return groups
+
+
 def substitute(bits: list[int]) -> list[int]:
     """Map each 10-bit group to its 11-bit alphabet word, MSB-first."""
-    if len(bits) % GROUP_WIDTH:
+    count, rest = divmod(len(bits), GROUP_WIDTH)
+    if rest:
         raise FormatError("substitute input must be a multiple of 10 bits")
-    out: list[int] = []
-    for i in range(0, len(bits), GROUP_WIDTH):
-        word = ALPHABET[bits_to_int(bits[i : i + GROUP_WIDTH])]
-        out.extend(int_to_bits(word, WORD_WIDTH))
-    return out
+    return int_to_bits(_substitute_int(bits_to_int(bits), count), count * WORD_WIDTH)
 
 
 def desubstitute(bits: list[int]) -> list[int]:
     """Inverse of substitute; raises AlphabetError on any invalid word."""
-    if len(bits) % WORD_WIDTH:
+    count, rest = divmod(len(bits), WORD_WIDTH)
+    if rest:
         raise FormatError("desubstitute input must be a multiple of 11 bits")
-    out: list[int] = []
-    for i in range(0, len(bits), WORD_WIDTH):
-        word = bits_to_int(bits[i : i + WORD_WIDTH])
-        group = _GROUP_OF.get(word)
-        if group is None:
-            raise AlphabetError(f"word {word:#05x} is not in the alphabet")
-        out.extend(int_to_bits(group, GROUP_WIDTH))
-    return out
+    return int_to_bits(_desubstitute_int(bits_to_int(bits), count), count * GROUP_WIDTH)
 
 
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
+
+_CB = bits_to_int(CB_BITS)
+_ESB = bits_to_int(ESB_BITS)
+
 
 def encode(user_bits: list[int], sb: int, s: int,
            fmt: TelegramFormat = LONG) -> list[int]:
@@ -210,9 +280,11 @@ def encode(user_bits: list[int], sb: int, s: int,
         raise FormatError("sb must be a 12-bit value")
     if not 0 <= s < (1 << 32):
         raise FormatError("S must be a 32-bit value")
-    shaped = substitute(scramble(user_bits, s))
-    prefix = shaped + list(CB_BITS) + int_to_bits(sb, SB_WIDTH) + list(ESB_BITS)
-    return prefix + compute_check_bits(prefix)
+    data = bits_to_int(user_bits) ^ _keystream_int(s, fmt.user_bits)
+    prefix = _substitute_int(data, fmt.user_bits // GROUP_WIDTH)
+    prefix = (((prefix << CB_WIDTH | _CB) << SB_WIDTH | sb) << ESB_WIDTH) | _ESB
+    prefix <<= CHECK_WIDTH
+    return int_to_bits(prefix | _mod_g(prefix), fmt.n)
 
 
 def encode_legacy(user_bits: list[int], sb: int,
@@ -234,31 +306,32 @@ class DecodeResult:
 
 
 def _telegram_at(bits: list[int], j: int, rem: int,
-                 fmt: TelegramFormat) -> tuple[list[int], bool] | None:
-    """The telegram in bits[j : j + n + r] as (its n bits, inverted), or None.
+                 fmt: TelegramFormat) -> tuple[int, int, bool] | None:
+    """The telegram in bits[j : j + n + r] as (data, sb, inverted), or None.
 
-    rem is the remainder of bits[j : j + n] modulo g; the inverted bits
-    leave rem ^ ((2^n - 1) mod g).  The window holds a telegram when its
+    data is the desubstituted, still scrambled user data.  rem is the
+    remainder of bits[j : j + n] modulo g; the inverted bits leave
+    rem ^ ((2^n - 1) mod g).  The window holds a telegram when its
     leading n bits, read as they are or inverted, are divisible by g, the
     r = fmt.r_init extra bits repeat the first r bits, every shaped word
     is in the alphabet, and the control bits equal CB_BITS.  A window
     that fails only on its control bits raises ControlBitError.
     """
     n, r = fmt.n, fmt.r_init
-    for inverted, target in ((False, 0), (True, _ONES[n])):
-        if rem != target or bits[j + n : j + n + r] != bits[j : j + r]:
-            continue
-        window = bits[j : j + n]
-        if inverted:
-            window = [1 - b for b in window]
-        base = fmt.shaped_bits
-        if all(bits_to_int(window[i : i + WORD_WIDTH]) in _GROUP_OF
-               for i in range(0, base, WORD_WIDTH)):
-            cb = tuple(window[base : base + CB_WIDTH])
-            if cb != CB_BITS:
-                raise ControlBitError(f"control bits {cb} at shift {j}")
-            return window, inverted
-    return None
+    if rem not in (0, _ONES[n]) or bits[j + n : j + n + r] != bits[j : j + r]:
+        return None
+    inverted = rem != 0
+    window = bits_to_int(bits[j : j + n]) ^ ((1 << n) - 1) * inverted
+    tail = n - fmt.shaped_bits
+    try:
+        data = _desubstitute_int(window >> tail, fmt.shaped_bits // WORD_WIDTH)
+    except AlphabetError:
+        return None
+    cb = (window >> (tail - CB_WIDTH)) & ((1 << CB_WIDTH) - 1)
+    if cb != _CB:
+        raise ControlBitError(f"control bits {tuple(int_to_bits(cb, CB_WIDTH))} at shift {j}")
+    sb = (window >> (tail - CB_WIDTH - SB_WIDTH)) & ((1 << SB_WIDTH) - 1)
+    return data, sb, inverted
 
 
 def window_checks(window: list[int], fmt: TelegramFormat) -> bool:
@@ -266,9 +339,8 @@ def window_checks(window: list[int], fmt: TelegramFormat) -> bool:
     n, r = fmt.n, fmt.r_init
     if len(window) != n + r:
         raise FormatError(f"window must be {n + r} bits, got {len(window)}")
-    rem = poly_mod(bits_to_int(window[:n]), GEN_POLY)
     try:
-        return _telegram_at(window, 0, rem, fmt) is not None
+        return _telegram_at(window, 0, _mod_g(bits_to_int(window[:n])), fmt) is not None
     except ControlBitError:
         return False
 
@@ -292,21 +364,20 @@ def decode_stream(
     windows = len(stream) - n - fmt.r_init + 1
     if windows < 1:
         raise NoTelegramFound(f"stream of {len(stream)} bits is shorter than one window")
-    rot = _ROT[n]
-    rem = poly_mod(bits_to_int(stream[:n]), GEN_POLY)
+    rot, ones = _ROT[n], _ONES[n]
+    rem = _mod_g(bits_to_int(stream[:n]))
     cb_error = None
     for j in range(windows):
-        try:
-            hit = _telegram_at(stream, j, rem, fmt)
-        except ControlBitError as exc:
-            cb_error = cb_error or exc
-            hit = None
-        if hit is not None:
-            window, inverted = hit
-            base = fmt.shaped_bits
-            sb = bits_to_int(window[base + CB_WIDTH : base + CB_WIDTH + SB_WIDTH])
-            user = scramble(desubstitute(window[:base]), s_from_sb(sb))
-            return DecodeResult(user_bits=user, sb=sb, shift=j, inverted=inverted)
+        if rem == 0 or rem == ones:  # as _telegram_at does; spares a call
+            try:
+                hit = _telegram_at(stream, j, rem, fmt)
+            except ControlBitError as exc:
+                cb_error = cb_error or exc
+                hit = None
+            if hit is not None:
+                data, sb, inverted = hit
+                user = data ^ _keystream_int(s_from_sb(sb), fmt.user_bits)
+                return DecodeResult(int_to_bits(user, fmt.user_bits), sb, j, inverted)
         # rem' = ((rem + b_out * x^{n-1}) * x + b_in) mod g, rot = x^{n-1} mod g
         if stream[j]:
             rem ^= rot

@@ -35,18 +35,28 @@ class BaliseSpec:
     def __post_init__(self):
         if not 0 <= self.id < (1 << auth.ID_BITS):
             raise ValueError("balise id must be a 14-bit value")
-        if not math.isfinite(self.loc):
-            raise ValueError("balise loc must be finite")
+        location_mm(self.loc)
         if self.kind not in _KIND_CODE:
             raise ValueError(f"unknown balise kind {self.kind!r}")
+
+
+def location_mm(loc: float) -> int:
+    """loc in whole millimetres; ValueError unless the payload can hold it."""
+    if not math.isfinite(loc):
+        raise ValueError(f"location {loc!r} must be finite")
+    half = 1 << (_LOC_BITS - 1)
+    # loc * 1000 can overflow to inf, which round() rejects; a product that
+    # large is out of range anyway.
+    loc_mm = round(loc * 1000.0) if abs(loc * 1000.0) < 2 * half else half
+    if not -half <= loc_mm < half:
+        raise ValueError(f"location {loc!r} is out of range")
+    return loc_mm
 
 
 def pack_payload(balise_id: int, kind: str, loc: float,
                  fmt: codec.TelegramFormat) -> list[int]:
     """User bits: id (14) | kind (2) | loc in signed mm (48) | zero pad."""
-    loc_mm = round(loc * 1000.0)
-    if not -(1 << (_LOC_BITS - 1)) <= loc_mm < (1 << (_LOC_BITS - 1)):
-        raise ValueError("location out of range")
+    loc_mm = location_mm(loc)
     bits = int_to_bits(balise_id, auth.ID_BITS)
     bits += int_to_bits(_KIND_CODE[kind], 2)
     bits += int_to_bits(loc_mm & ((1 << _LOC_BITS) - 1), _LOC_BITS)

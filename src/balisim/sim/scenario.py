@@ -27,7 +27,8 @@ from .anomaly import AnomalyState, PositionEstimate, balise_missing, \
 from .conservative import ConservativeController
 from .deployment import AUTH_AUTHENTICATED, AUTH_LEGACY, AttackSpec, \
     BaliseSpec, Clone, DeployedBalise, KIND_CONTROLLED, KIND_FIXED, Tamper, \
-    Unavailable, apply_attacks, build_deployment, load_telegram, parse_payload
+    Unavailable, apply_attacks, build_deployment, load_telegram, location_mm, \
+    parse_payload
 from .hoa import FULL_BRAKE, HoaController, IGNORE
 from . import params
 from .params import TrainParams
@@ -108,8 +109,11 @@ class ScenarioConfig:
             raise ConfigError("seed must be an integer in 0..2^64-1")
         m = len(self.balises)
         for attack in self.attacks:
-            if isinstance(attack, Tamper) and not math.isfinite(attack.new_loc):
-                raise ConfigError(f"attack {attack!r} has a non-finite new_loc")
+            if isinstance(attack, Tamper):
+                try:
+                    location_mm(attack.new_loc)
+                except ValueError as exc:
+                    raise ConfigError(f"attack {attack!r}: {exc}") from exc
             indexes = ((attack.src, attack.dst) if isinstance(attack, Clone)
                        else (attack.balise,))
             if not all(1 <= i <= m for i in indexes):

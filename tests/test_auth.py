@@ -232,6 +232,14 @@ def test_keystore_seeded_reproducible():
     assert auth.new_keystore(seed=42).mk != auth.new_keystore(seed=43).mk
 
 
+def test_keystore_rejects_out_of_range_seed():
+    auth.new_keystore(seed=0)
+    auth.new_keystore(seed=(1 << 64) - 1)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError):
+            auth.new_keystore(seed=seed)
+
+
 def test_keystore_unseeded_distinct():
     assert auth.new_keystore().mk != auth.new_keystore().mk
 

@@ -12,6 +12,7 @@ def test_int_to_bits_msb_first():
     assert int_to_bits(0b1011, 4) == [1, 0, 1, 1]
     assert int_to_bits(1, 4) == [0, 0, 0, 1]
     assert int_to_bits(0, 3) == [0, 0, 0]
+    assert int_to_bits(0, 0) == []
 
 
 def test_bits_to_int_examples():
@@ -23,6 +24,14 @@ def test_bits_to_bytes_pads_right():
     # 10 bits pack into 2 bytes, low 6 bits of the tail zero-filled
     assert bits_to_bytes([1] * 10) == bytes([0xFF, 0xC0])
     assert bits_to_bytes([0, 0, 0, 0, 0, 0, 0, 1]) == bytes([0x01])
+
+
+@given(st.lists(st.integers(0, 1), max_size=100))
+def test_bits_to_bytes_matches_per_byte_oracle(bits):
+    padded = bits + [0] * (-len(bits) % 8)
+    expected = bytes(sum(b << (7 - i) for i, b in enumerate(padded[k : k + 8]))
+                     for k in range(0, len(padded), 8))
+    assert bits_to_bytes(bits) == expected
 
 
 def test_bytes_to_bits():

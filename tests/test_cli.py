@@ -60,6 +60,14 @@ def test_keygen_unwritable_path_fails(tmp_path):
     assert main(["keygen", "--out", str(tmp_path / "no" / "ks.json")]) == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_keygen_out_of_range_seed_exits_2(tmp_path, seed, capsys):
+    path = tmp_path / "ks.json"
+    assert main(["keygen", "--out", str(path), "--seed", seed]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # program / verify
 # ---------------------------------------------------------------------------
@@ -134,6 +142,14 @@ def test_program_rejects_out_of_range_id(tmp_path, keystore):
     argv = ["program", "--id", "99999", "--loc", "0.0",
             "--keystore", keystore, "--out", str(tmp_path / "t.json")]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("loc", ["inf", "-inf", "nan", "1e306"])
+def test_program_rejects_non_finite_or_huge_loc(tmp_path, keystore, loc):
+    argv = ["program", "--id", "1", f"--loc={loc}",
+            "--keystore", keystore, "--out", str(tmp_path / "t.json")]
+    assert main(argv) == 2
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_program_authenticated_needs_keystore(tmp_path):

@@ -78,6 +78,16 @@ def test_keystream_matches_reference_lfsr(seed):
     assert codec.keystream(seed, 100) == lfsr_reference(seed, 100)
 
 
+def test_keystream_matches_reference_across_block_boundaries():
+    # 830 bits is one table block; 831 and 2000 chain blocks.
+    rng = random.Random(16)
+    seeds = [0, 1, 0xFFFFFFFF] + [rng.randrange(1 << 32) for _ in range(8)]
+    for seed in seeds:
+        reference = lfsr_reference(seed, 2000)
+        for nbits in (0, 1, 32, 210, 830, 831, 2000):
+            assert codec.keystream(seed, nbits) == reference[:nbits]
+
+
 def test_keystream_pair_collisions():
     rng = random.Random(2)
     seen = set()

@@ -65,6 +65,10 @@ def test_payload_rejects_out_of_range_location():
     with pytest.raises(ValueError):
         pack_payload(1, KIND_FIXED, too_far, SHORT)
     pack_payload(1, KIND_FIXED, -too_far, SHORT)  # lower bound is inclusive
+    # non-finite, and so large that loc * 1000 overflows to inf
+    for loc in (float("inf"), float("-inf"), float("nan"), 1e306):
+        with pytest.raises(ValueError):
+            pack_payload(1, KIND_FIXED, loc, SHORT)
 
 
 def test_parse_rejects_unknown_kind_code():

@@ -235,6 +235,15 @@ NAN, INF = float("nan"), float("inf")
                  {"id": 2, "loc": 0.0, "kind": "controlled"}]},
     {"balises": _balises(),
      "attacks": [{"type": "tamper", "balise": 1, "new_loc": NAN}]},
+    # locations the 48-bit millimetre payload cannot hold
+    {"balises": [{"id": 1, "loc": -1e12, "kind": "fixed"},
+                 {"id": 2, "loc": 0.0, "kind": "controlled"}]},
+    {"balises": [{"id": 1, "loc": -1e306, "kind": "fixed"},
+                 {"id": 2, "loc": 0.0, "kind": "controlled"}]},
+    {"balises": _balises(),
+     "attacks": [{"type": "tamper", "balise": 1, "new_loc": -1e12}]},
+    {"balises": _balises(),
+     "attacks": [{"type": "tamper", "balise": 1, "new_loc": 1e306}]},
 ])
 def test_config_from_dict_rejects_non_finite_and_out_of_range(raw):
     with pytest.raises(ConfigError):
