@@ -1,0 +1,74 @@
+"""Measure how often the multi-key reader accepts a keyless forgery.
+
+A forger without keys writes a telegram with a random sb and a random
+scrambling key S.  The authenticated reader (sim.scenario._read_balise)
+aligns it once and tries the key of every balise on the track map.  A
+key passes the tag check when the 12-bit tag of the data it descrambles
+equals sb, with probability 2**-12, so a forged crossing gets past the
+tag check under some key with probability about m * 2**-12 on an
+m-balise map.  parse_payload then rejects the half of those whose 2-bit
+kind code is not a valid kind, and the reader goes on to the next key, so
+about m * 2**-13 of the forged crossings are accepted.
+
+The map is 50 balises evenly spaced from -100 m to 0 m, as in the
+auth_track_50 benchmark, with the scenario's default keystore (seed 1).
+
+Usage: python3 scripts/keyless_forgery.py [--crossings N] [--seed N]
+"""
+
+import argparse
+import random
+
+from balisim import auth, codec
+from balisim.sim import deployment, scenario
+
+BALISES = 50
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--crossings", type=int, default=20000)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+
+    fmt = codec.LONG
+    rng = random.Random(args.seed)
+    keystore = auth.new_keystore(seed=1)
+    track_ids = list(range(1, BALISES + 1))
+
+    tag_passes = 0
+    verify = auth.verify_and_decode
+
+    def counted(*call):
+        nonlocal tag_passes
+        user = verify(*call)
+        tag_passes += 1
+        return user
+
+    accepted = 0
+    auth.verify_and_decode = counted
+    try:
+        for _ in range(args.crossings):
+            spec = deployment.BaliseSpec(
+                id=rng.choice(track_ids), loc=rng.randrange(-100000, 0) / 1000.0,
+                kind=deployment.KIND_FIXED)
+            user = deployment.pack_payload(spec.id, spec.kind, spec.loc, fmt)
+            telegram = codec.encode(user, rng.randrange(1 << codec.SB_WIDTH),
+                                    rng.randrange(1 << 32), fmt)
+            forged = deployment.DeployedBalise(spec, telegram)
+            if scenario._read_balise(forged, deployment.AUTH_AUTHENTICATED,
+                                     keystore, track_ids, fmt) is not None:
+                accepted += 1
+    finally:
+        auth.verify_and_decode = verify
+
+    n = args.crossings
+    print(f"crossings N = {n}, keys per crossing m = {BALISES}")
+    print(f"tag passes: {tag_passes} ({tag_passes / n:.4%} per crossing, "
+          f"expected m * 2^-12 = {BALISES / 4096:.4%})")
+    print(f"accepted:   {accepted} ({accepted / n:.4%} per crossing, "
+          f"expected 1 - (1 - 2^-13)^m = {1 - (1 - 2 ** -13) ** BALISES:.4%})")
+
+
+if __name__ == "__main__":
+    main()

@@ -98,12 +98,14 @@ def encode_authenticated(
 
 
 def verify_and_decode(
-    stream: list[int],
+    stream: list[int] | codec.Aligned,
     keys: BaliseKeyPair,
     fmt: codec.TelegramFormat = codec.LONG,
 ) -> list[int]:
-    """Decode a stream and verify its tag; returns the user bits.
+    """Decode a stream and verify its tag under one key pair.
 
+    The stream may be raw bits or the codec.Aligned of codec.align, so a
+    reader that tries several keys aligns once.  Returns the user bits.
     Raises codec.NoTelegramFound when no window aligns and AuthFailure
     when the recomputed tag differs from the received sb.
     """

@@ -63,7 +63,7 @@ def _cmd_program(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        keystore = auth.load_keystore(args.keystore)
+        keys = auth.load_keystore(args.keystore).keys_for(args.id)
         fmt, bits = deployment.load_telegram(args.telegram)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
@@ -71,8 +71,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = {"decode": "fail", "auth": "fail", "fields": None}
     code = EXIT_VERIFY_FAIL
     try:
-        user = auth.verify_and_decode(
-            bits * 3, keystore.keys_for(args.id), fmt)
+        user = auth.verify_and_decode(bits * 3, keys, fmt)
         balise_id, kind, loc = deployment.parse_payload(user)
         report = {
             "decode": "ok",

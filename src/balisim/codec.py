@@ -8,10 +8,13 @@ with n = 1023 (long, 913 shaped / 830 user bits) or n = 341 (short,
 231 shaped / 210 user bits).  Encoding scrambles the user bits with an
 additive LFSR keystream seeded by S, substitutes 10-bit groups with
 11-bit alphabet words, and appends the 85-bit polynomial remainder of
-the prefix as check bits.  Decoding slides a window of n + r bits over
-a repeated stream one bit at a time until the divisibility, extra-bit
-coincidence, word-validity and control-bit checks all pass, then
-desubstitutes and descrambles.
+the prefix as check bits.  Decoding is two steps.  align slides a
+window of n + r bits over a repeated stream one bit at a time until the
+divisibility, extra-bit coincidence, word-validity and control-bit
+checks all pass, and returns the desubstituted, still scrambled user
+data with sb; it needs no key.  decode_stream then descrambles with the
+S that a hook derives from sb, so a reader that tries several keys
+aligns a stream once and descrambles it once per key.
 
 The standard owns two constants that are not public, and this module
 fixes documented surrogates for them: ALPHABET, the 11-bit substitution
@@ -305,6 +308,14 @@ class DecodeResult:
     inverted: bool   # stream polarity was inverted
 
 
+@dataclass(frozen=True)
+class Aligned:
+    data: int        # desubstituted, still scrambled user bits, first bit MSB
+    sb: int
+    shift: int       # window offset at which alignment was found
+    inverted: bool   # stream polarity was inverted
+
+
 def _telegram_at(bits: list[int], j: int, rem: int,
                  fmt: TelegramFormat) -> tuple[int, int, bool] | None:
     """The telegram in bits[j : j + n + r] as (data, sb, inverted), or None.
@@ -345,20 +356,15 @@ def window_checks(window: list[int], fmt: TelegramFormat) -> bool:
         return False
 
 
-def decode_stream(
-    stream: list[int],
-    fmt: TelegramFormat = LONG,
-    s_from_sb=legacy_s_from_sb,
-) -> DecodeResult:
-    """Find and decode one telegram in a bit stream.
+def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
+    """Find the first telegram in a bit stream, without descrambling it.
 
     A window of n + r bits advances one bit per step, and the first
     window that holds a telegram in either polarity (see _telegram_at)
-    is decoded.  One remainder modulo g is rolled along the stream for
-    both polarities.  S is recovered from sb through s_from_sb, which
-    is the legacy rule or a key-derivation hook.  When no window holds
-    a telegram, raises ControlBitError if some window failed only on
-    its control bits, and NoTelegramFound otherwise.
+    is returned.  One remainder modulo g is rolled along the stream for
+    both polarities.  When no window holds a telegram, raises
+    ControlBitError if some window failed only on its control bits, and
+    NoTelegramFound otherwise.
     """
     n = fmt.n
     windows = len(stream) - n - fmt.r_init + 1
@@ -376,8 +382,7 @@ def decode_stream(
                 hit = None
             if hit is not None:
                 data, sb, inverted = hit
-                user = data ^ _keystream_int(s_from_sb(sb), fmt.user_bits)
-                return DecodeResult(int_to_bits(user, fmt.user_bits), sb, j, inverted)
+                return Aligned(data, sb, j, inverted)
         # rem' = ((rem + b_out * x^{n-1}) * x + b_in) mod g, rot = x^{n-1} mod g
         if stream[j]:
             rem ^= rot
@@ -387,3 +392,21 @@ def decode_stream(
     if cb_error is not None:
         raise cb_error
     raise NoTelegramFound(f"no aligned window in {windows} windows")
+
+
+def decode_stream(
+    stream: list[int] | Aligned,
+    fmt: TelegramFormat = LONG,
+    s_from_sb=legacy_s_from_sb,
+) -> DecodeResult:
+    """Find and decode one telegram in a bit stream.
+
+    The stream is aligned (see align) unless it already is an Aligned
+    from align with the same fmt.  S is recovered from sb through
+    s_from_sb, which is the legacy rule or a key-derivation hook, and
+    descrambles the user data.  Raises what align raises.
+    """
+    aligned = stream if isinstance(stream, Aligned) else align(stream, fmt)
+    user = aligned.data ^ _keystream_int(s_from_sb(aligned.sb), fmt.user_bits)
+    return DecodeResult(int_to_bits(user, fmt.user_bits), aligned.sb,
+                        aligned.shift, aligned.inverted)

@@ -33,8 +33,8 @@ class BaliseSpec:
     kind: str
 
     def __post_init__(self):
-        if not 0 <= self.id < (1 << auth.ID_BITS):
-            raise ValueError("balise id must be a 14-bit value")
+        if type(self.id) is not int or not 0 <= self.id < (1 << auth.ID_BITS):
+            raise ValueError("balise id must be a 14-bit integer")
         location_mm(self.loc)
         if self.kind not in _KIND_CODE:
             raise ValueError(f"unknown balise kind {self.kind!r}")

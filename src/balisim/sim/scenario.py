@@ -4,9 +4,10 @@ A scenario deploys telegrams on a balise sequence, optionally attacks
 them, and integrates the train from p0 until standstill.  Balise
 crossings are processed at the step in which the train position passes
 the balise; the onboard reader decodes the transmitted stream through
-the real codec (and, in authenticated deployments, verifies the tag by
-trying the keys of every balise id in the track map, which is what lets
-a cloned telegram verify under its source identity).  The controller is
+the real codec.  In authenticated deployments it aligns the stream once
+per crossing and then verifies the tag under the key of every balise id
+in the track map in turn, which is what lets a cloned telegram verify
+under its source identity.  The controller is
 either the plain online braking controller, which consumes reports
 as-is, or the resilient hybrid, which filters every encounter through
 derive_trustworthy_info and falls back to the conservative controller
@@ -39,6 +40,11 @@ CONTROLLER_RESILIENT = "resilient"
 
 MODE_HOA = "hoa"
 MODE_MAX_BRAKE = "max_brake"
+
+
+# The run loop keeps one trajectory row per step; a longer run is refused
+# at config time rather than left to fill memory.
+MAX_STEPS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -107,29 +113,46 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be finite and positive")
         if type(self.seed) is not int or not 0 <= self.seed < (1 << 64):
             raise ConfigError("seed must be an integer in 0..2^64-1")
+        if self.max_time_s / self.train.dt > MAX_STEPS:
+            raise ConfigError(f"max_time_s / train.dt exceeds {MAX_STEPS} steps")
         m = len(self.balises)
         for attack in self.attacks:
             if isinstance(attack, Tamper):
                 try:
-                    location_mm(attack.new_loc)
+                    loc_mm = location_mm(attack.new_loc)
                 except ValueError as exc:
                     raise ConfigError(f"attack {attack!r}: {exc}") from exc
+                # A fixed balise reporting the stop point has no braking
+                # law (hoa.DegenerateReference).
+                if loc_mm == 0:
+                    raise ConfigError(f"attack {attack!r} reports the stop point")
             indexes = ((attack.src, attack.dst) if isinstance(attack, Clone)
                        else (attack.balise,))
             if not all(1 <= i <= m for i in indexes):
                 raise ConfigError(f"attack {attack!r} names a balise outside 1..{m}")
 
 
+def _balise_number(value) -> int:
+    # int() would turn 2.5 into balise 2 and raise OverflowError on inf.
+    if type(value) is not int:
+        raise TypeError(f"balise number {value!r} is not an integer")
+    return value
+
+
 def _parse_attack(raw: dict) -> AttackSpec:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"attack spec must be an object, got {raw!r}")
     kind = raw.get("type")
     try:
         if kind == "tamper":
-            return Tamper(balise=int(raw["balise"]), new_loc=float(raw["new_loc"]))
+            return Tamper(balise=_balise_number(raw["balise"]),
+                          new_loc=float(raw["new_loc"]))
         if kind == "clone":
-            return Clone(src=int(raw["src"]), dst=int(raw["dst"]))
+            return Clone(src=_balise_number(raw["src"]),
+                         dst=_balise_number(raw["dst"]))
         if kind == "unavailable":
-            return Unavailable(balise=int(raw["balise"]))
-    except (KeyError, TypeError, ValueError) as exc:
+            return Unavailable(balise=_balise_number(raw["balise"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad attack spec {raw!r}") from exc
     raise ConfigError(f"unknown attack type {kind!r}")
 
@@ -222,11 +245,15 @@ def _read_balise(
             return parse_payload(result.user_bits)
         except (codec.CodecError, ValueError):
             return None
+    try:
+        aligned = codec.align(stream, fmt)
+    except codec.CodecError:
+        return None  # no key can verify a stream that does not align
     for balise_id in track_ids:
         try:
-            user = auth.verify_and_decode(stream, keystore.keys_for(balise_id), fmt)
+            user = auth.verify_and_decode(aligned, keystore.keys_for(balise_id), fmt)
             return parse_payload(user)
-        except (auth.AuthFailure, codec.CodecError, ValueError):
+        except (auth.AuthFailure, ValueError):
             continue
     return None
 

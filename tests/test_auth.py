@@ -146,6 +146,20 @@ def test_wrong_id_fails():
         auth.verify_and_decode(stream, other, SHORT)
 
 
+def test_aligned_stream_verifies_under_right_key_only():
+    rng = random.Random(29)
+    keys = auth.derive_keys(MK, 70)
+    other = auth.derive_keys(MK, 71)
+    for fmt in (LONG, SHORT):
+        user = [rng.randrange(2) for _ in range(fmt.user_bits)]
+        stream = auth.encode_authenticated(user, keys, fmt) * 3
+        k = rng.randrange(fmt.n)
+        aligned = codec.align(stream[k:] + stream[:k], fmt)
+        assert auth.verify_and_decode(aligned, keys, fmt) == user
+        with pytest.raises(auth.AuthFailure):
+            auth.verify_and_decode(aligned, other, fmt)
+
+
 def test_wrong_version_fails():
     rng = random.Random(25)
     k0 = auth.derive_keys(MK, 50, ver=0)

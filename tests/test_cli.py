@@ -138,6 +138,17 @@ def test_verify_malformed_keystore_exits_2(tmp_path, keystore, text):
     assert main(["verify", telegram, "--keystore", str(bad), "--id", "3"]) == 2
 
 
+@pytest.mark.parametrize("balise_id", ["20000", "-1"])
+def test_verify_out_of_range_id_exits_2(tmp_path, keystore, balise_id, capsys):
+    telegram = _program(tmp_path, keystore)
+    capsys.readouterr()
+    argv = ["verify", telegram, "--keystore", keystore, "--id", balise_id]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_program_rejects_out_of_range_id(tmp_path, keystore):
     argv = ["program", "--id", "99999", "--loc", "0.0",
             "--keystore", keystore, "--out", str(tmp_path / "t.json")]

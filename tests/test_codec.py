@@ -400,6 +400,44 @@ def test_decode_result_reports_shift():
     assert result.shift == SHORT.n - k
 
 
+def test_decode_of_aligned_stream_equals_decode_of_stream():
+    rng = random.Random(16)
+
+    def s_from_sb(sb):
+        return (sb * 0x9E3779B1) & 0xFFFFFFFF
+
+    for i in range(40):
+        fmt = (LONG, SHORT)[i % 2]
+        user = random_user(rng, fmt)
+        sb = rng.randrange(1 << codec.SB_WIDTH)
+        stream = codec.encode(user, sb, s_from_sb(sb), fmt) * 3
+        k = rng.randrange(fmt.n)
+        stream = stream[k:] + stream[:k]
+        if i % 4 >= 2:
+            stream = [1 - b for b in stream]
+        aligned = codec.align(stream, fmt)
+        result = codec.decode_stream(stream, fmt, s_from_sb)
+        assert codec.decode_stream(aligned, fmt, s_from_sb) == result
+        assert (aligned.sb, aligned.shift, aligned.inverted) == \
+            (result.sb, result.shift, result.inverted)
+        assert result.user_bits == user
+        assert result.inverted == (i % 4 >= 2)
+
+
+def test_align_raises_as_decode_does():
+    rng = random.Random(17)
+    with pytest.raises(codec.NoTelegramFound):
+        codec.align([rng.randrange(2) for _ in range(3 * SHORT.n)], SHORT)
+    with pytest.raises(codec.NoTelegramFound):
+        codec.align([0, 1] * 100, SHORT)
+    telegram = codec.encode_legacy(random_user(rng, SHORT), 0x2A5, SHORT)
+    base = SHORT.shaped_bits
+    bad_cb = telegram[:base] + [1, 1, 0] + telegram[base + 3 : SHORT.check_prefix_bits]
+    bad_cb += codec.compute_check_bits(bad_cb)
+    with pytest.raises(codec.ControlBitError):
+        codec.align(bad_cb * 3, SHORT)
+
+
 def test_formats_registry():
     assert codec.FORMATS["long"] is LONG
     assert codec.FORMATS["short"] is SHORT

@@ -2,9 +2,12 @@
 
 import csv
 import json
+import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+import hypothesis.strategies as st
 
 import balisim
 from balisim.codec import LONG, SHORT
@@ -21,9 +24,10 @@ from balisim.sim import (
     summary_dict,
     write_trajectory_csv,
 )
-from balisim.sim.deployment import LEGACY_SB, pack_payload
-from balisim.sim.scenario import CSV_HEADER
-from balisim import codec
+from balisim.sim.deployment import AUTH_AUTHENTICATED, LEGACY_SB, \
+    build_deployment, pack_payload
+from balisim.sim.scenario import CSV_HEADER, _read_balise
+from balisim import auth, codec
 
 SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
 
@@ -109,6 +113,25 @@ def test_conservative_overshoot_within_worst_case_bound():
     assert 0.0 <= travel <= bound
 
 
+def test_reader_tries_no_key_on_a_stream_that_does_not_align(monkeypatch):
+    keystore = auth.new_keystore(seed=1)
+    spec = BaliseSpec(id=2, loc=-64.0, kind="fixed")
+    deployed = build_deployment([spec], AUTH_AUTHENTICATED, keystore, LONG)[0]
+    trials = []
+    keys_for = auth.Keystore.keys_for
+    monkeypatch.setattr(auth.Keystore, "keys_for",
+                        lambda self, i: trials.append(i) or keys_for(self, i))
+    track_ids = [1, 2, 3]
+    assert _read_balise(deployed, AUTH_AUTHENTICATED, keystore,
+                        track_ids, LONG) == (2, "fixed", -64.0)
+    assert trials == [1, 2]
+    trials.clear()
+    deployed.telegram[100] ^= 1
+    assert _read_balise(deployed, AUTH_AUTHENTICATED, keystore,
+                        track_ids, LONG) is None
+    assert trials == []
+
+
 def test_timeout_raises():
     cfg = bundled("no_attack")
     cfg.max_time_s = 0.05
@@ -119,6 +142,9 @@ def test_timeout_raises():
 # ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
 
 def _balises(**overrides):
     specs = [
@@ -197,6 +223,14 @@ def test_config_from_dict_round_trip():
     {"type": "unavailable", "balise": 0},
     {"type": "clone", "src": 4, "dst": 2},
     {"type": "clone", "src": 1, "dst": -1},
+    # int() would read these as balise 1 or overflow
+    {"type": "unavailable", "balise": 1.5},
+    {"type": "tamper", "balise": INF, "new_loc": -1.0},
+    {"type": "clone", "src": True, "dst": 2},
+    "tamper",
+    # the stop point, also after rounding to millimetres
+    {"type": "tamper", "balise": 1, "new_loc": 0.0},
+    {"type": "tamper", "balise": 1, "new_loc": 0.0004},
 ])
 def test_config_from_dict_rejects_bad_attacks(attack):
     with pytest.raises(ConfigError):
@@ -208,9 +242,6 @@ def test_config_from_dict_rejects_bad_train_and_balise_keys():
         config_from_dict({"train": {"mass": 1.0}})
     with pytest.raises(ConfigError):
         config_from_dict({"balises": [{"id": 1, "loc": 0.0, "kind": "beacon"}]})
-
-
-NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("raw", [
@@ -244,10 +275,91 @@ NAN, INF = float("nan"), float("inf")
      "attacks": [{"type": "tamper", "balise": 1, "new_loc": -1e12}]},
     {"balises": _balises(),
      "attacks": [{"type": "tamper", "balise": 1, "new_loc": 1e306}]},
+    {"balises": [{"id": 1.5, "loc": -1.0, "kind": "fixed"},
+                 {"id": 2, "loc": 0.0, "kind": "controlled"}]},
+    {"attacks": "x"},
+    # more steps than MAX_STEPS
+    {"max_time_s": 1e306},
+    {"train": {"dt": 1e-300}},
 ])
 def test_config_from_dict_rejects_non_finite_and_out_of_range(raw):
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+# Values of the wrong kind, non-finite or out of range.
+_ODD = st.sampled_from([NAN, INF, -INF, 1e306, -1e12, 2**64, None, True, "x", [], {}])
+_GRID = st.integers(-480, 480).map(lambda k: k / 4)
+
+
+def _config_dicts(wild):
+    """Scenario config dicts with plausible values; with wild, any key may
+    also take an extra value of its own or one from _GRID or _ODD.  No dt
+    is below 0.01 s, and every max_time_s that passes the MAX_STEPS check
+    is at most 40 s, so every run is short."""
+    def num(lo, hi):
+        s = st.integers(int(lo * 4), int(hi * 4)).map(lambda k: k / 4)
+        return st.one_of(s, _GRID, _ODD) if wild else s
+
+    def pick(*plausible, extra=()):
+        return st.one_of(st.sampled_from(plausible + extra), _ODD) if wild \
+            else st.sampled_from(plausible)
+
+    index = st.one_of(st.integers(-1, 8), _ODD) if wild else st.integers(1, 3)
+    train = st.fixed_dictionaries({}, optional={
+        "p0": num(-150, -101), "v0": num(0, 20), "alpha_max": num(-2, -0.25),
+        "gamma": num(0.25, 1), "Td": num(0, 1), "Tp": num(0, 1),
+        "dt": pick(0.01, 0.05, extra=(-0.25, 0.0, 0.25)),
+    })
+    attack = st.fixed_dictionaries({
+        "type": pick("tamper", "clone", "unavailable", extra=("derail",)),
+    }, optional={"balise": index, "src": index, "dst": index,
+                 "new_loc": num(-120, 10)})
+    balise = st.fixed_dictionaries({
+        "id": st.one_of(st.integers(-1, 20), st.just(2.5), _ODD),
+        "loc": num(-120, 0),
+        "kind": st.sampled_from(["fixed", "controlled", "beacon"]),
+    })
+    layouts = st.just(_balises())
+    if wild:
+        layouts = st.one_of(layouts, st.lists(balise, max_size=4), _ODD)
+    return st.fixed_dictionaries({
+        # A run that never stops ends in SimTimeout.
+        "max_time_s": pick(40.0, extra=(0.05, 2.0)),
+    }, optional={
+        "train": st.one_of(train, _ODD) if wild else train,
+        "balises": layouts,
+        "attacks": st.one_of(st.lists(attack, max_size=2), _ODD) if wild
+                   else st.lists(attack, max_size=2),
+        "controller": pick("hoa", "resilient", extra=("mpc",)),
+        "dbz_strategy": pick("full_brake", "ignore", extra=("panic",)),
+        "auth_mode": pick("legacy", "authenticated", extra=("signed",)),
+        "telegram_format": pick("long", "short", extra=("medium",)),
+        "p_est0": num(-150, -50),
+        "delta0": num(0, 40),
+        "growth_k": num(0, 0.5),
+        "eta0": num(0.25, 2),
+        "v_con": num(0.25, 2),
+        "seed": st.one_of(st.integers(-1, 2**64), _ODD) if wild
+                else st.integers(0, 1000),
+    })
+
+
+_CONFIG = st.one_of(_config_dicts(wild=False), _config_dicts(wild=True))
+
+
+@settings(max_examples=60, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(_CONFIG)
+def test_config_fuzz_ends_in_config_error_or_a_finite_result(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    try:
+        result = run_scenario(cfg)
+    except SimTimeout:
+        return
+    assert math.isfinite(result.stop_error)
 
 
 def test_load_config_rejects_invalid_json(tmp_path):
