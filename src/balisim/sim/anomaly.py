@@ -5,10 +5,13 @@ position estimate (p_est, delta) whose error bound delta grows with
 distance traveled since the last trusted reference, and an unverified
 record list for encounters it could not attribute to a unique balise.
 
-balise_missing implements the published detection condition verbatim,
-including its second disjunct (which triggers earlier, not later, than
-the first; each evaluation that fires records which clause fired so the
-interpretation stays inspectable).  derive_trustworthy_info implements
+balise_missing implements the published detection condition, including
+its second disjunct (which triggers earlier, not later, than the first;
+each evaluation that fires records which clause fired so the
+interpretation stays inspectable).  The condition is still the published
+one; it is evaluated from the first unreceived balise, behind a guard on
+the suffix maxima of |loc|, so a step on which no clause can fire costs
+O(1) instead of a walk over the map.  derive_trustworthy_info implements
 the published two-branch correction: authenticated reports are accepted
 when plausible against (p_est, delta); unauthenticated encounters are
 recovered from the track map by unique-candidate matching or by
@@ -22,6 +25,7 @@ untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 # Tolerance when matching inter-record distances against map distances;
@@ -65,8 +69,21 @@ class Record:
 @dataclass
 class AnomalyState:
     known_locs: list[float]     # fixed balise locations, ascending
-    received: set[int] = field(default_factory=set)
+    received: set[int] = field(default_factory=set)   # only ever grows
     records: list[Record] = field(default_factory=list)
+    # Every index below first_open is in received.
+    first_open: int = field(default=0, init=False, repr=False,
+                            compare=False)
+    # max(|loc_k| for k >= i), padded with -inf at len and len + 1, so
+    # suffix_abs[i + 1] is also the largest |loc_{k+1}| for k >= i.
+    suffix_abs: list[float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        suffix = [-math.inf, -math.inf]
+        for loc in reversed(self.known_locs):
+            suffix.append(max(abs(loc), suffix[-1]))
+        suffix.reverse()
+        self.suffix_abs = suffix
 
     def mark_received(self, loc: float) -> None:
         for i, known in enumerate(self.known_locs):
@@ -76,19 +93,34 @@ class AnomalyState:
 
 
 def balise_missing(est: PositionEstimate, state: AnomalyState) -> str | None:
-    """Published missing-balise condition, verbatim.
+    """Published missing-balise condition.
 
     Returns a description of the clause that fired ("loc_i" or
     "loc_i+1" with the index), or None.  A balise i counts as missing
     when no position reference for it has been received and either
     |p_est| < |loc_i| - delta or |p_est| < |loc_{i+1}| + delta.
+
+    The clauses are evaluated verbatim in map order, starting at the
+    first unreceived balise j.  Before that, a guard returns None when
+    |p_est| is at least max(|loc_k|, k >= j) - delta and at least
+    max(|loc_{k+1}|, k >= j) + delta: no clause can then fire, because
+    rounding x - delta and x + delta is monotone in x.
     """
+    received = state.received
+    j = state.first_open
+    while j in received:
+        j += 1
+    state.first_open = j
     a_est = abs(est.p_est)
     delta = est.delta
+    suffix = state.suffix_abs
+    if a_est >= suffix[j] - delta and a_est >= suffix[j + 1] + delta:
+        return None
     locs = state.known_locs
-    for i, loc in enumerate(locs):
-        if i in state.received:
+    for i in range(j, len(locs)):
+        if i in received:
             continue
+        loc = locs[i]
         if a_est < abs(loc) - delta:
             return f"B{i + 1}: |p_est| < |loc_i| - delta"
         if i + 1 < len(locs) and a_est < abs(locs[i + 1]) + delta:

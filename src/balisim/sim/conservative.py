@@ -57,4 +57,7 @@ class ConservativeController:
         if self.alpha_max <= raw <= 0.0:
             self._integral = integral
             return raw
-        return min(0.0, max(self.alpha_max, raw))
+        # min(0.0, max(alpha_max, raw)), as comparisons that return the
+        # same operand min/max would.
+        raw = raw if raw > self.alpha_max else self.alpha_max
+        return raw if raw < 0.0 else 0.0

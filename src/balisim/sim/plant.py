@@ -27,18 +27,28 @@ class BrakePlant:
     def step(self, alpha_cmd: float) -> None:
         """Advance one dt with the given commanded acceleration."""
         par = self.params
-        if self._delay:
-            self._delay.append(alpha_cmd)
-            delayed = self._delay.popleft()
+        dt = par.dt
+        delay = self._delay
+        if delay:
+            delay.append(alpha_cmd)
+            delayed = delay.popleft()
         else:
             delayed = alpha_cmd
+        alpha = self.alpha
         if par.Tp > 0:
-            self.alpha += par.dt * (delayed - self.alpha) / par.Tp
+            alpha += dt * (delayed - alpha) / par.Tp
         else:
-            self.alpha = delayed
-        self.alpha = min(0.0, max(par.alpha_max, self.alpha))
-        self.v = max(0.0, self.v + self.alpha * par.dt)
-        self.p += self.v * par.dt
+            alpha = delayed
+        # Each comparison returns the operand min/max would, -0.0 included:
+        # min(0.0, max(alpha_max, alpha)) and max(0.0, v).
+        alpha_max = par.alpha_max
+        alpha = alpha if alpha > alpha_max else alpha_max
+        alpha = alpha if alpha < 0.0 else 0.0
+        self.alpha = alpha
+        v = self.v + alpha * dt
+        v = v if v > 0.0 else 0.0
+        self.v = v
+        self.p += v * dt
 
     @property
     def stopped(self) -> bool:

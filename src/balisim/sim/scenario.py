@@ -21,6 +21,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .. import auth, codec
 from .anomaly import AnomalyState, PositionEstimate, balise_missing, \
@@ -99,6 +100,12 @@ class ScenarioConfig:
         controlled = [b for b in self.balises if b.kind == KIND_CONTROLLED]
         if len(controlled) != 1 or controlled[0].loc != 0.0:
             raise ConfigError("exactly one controlled balise at location 0 required")
+        # A fixed balise reporting the stop point has no braking law
+        # (hoa.DegenerateReference); its telegram carries whole millimetres.
+        for b in self.balises:
+            if b.kind == KIND_FIXED and location_mm(b.loc) == 0:
+                raise ConfigError(f"fixed balise {b.id} at {b.loc} m "
+                                  "reports the stop point")
         if len({b.id for b in self.balises}) != len(self.balises):
             raise ConfigError("balise ids must be unique")
         if self.p_est0 is not None and not math.isfinite(self.p_est0):
@@ -209,8 +216,7 @@ def load_config(path: str) -> ScenarioConfig:
 # Run loop
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrajectoryRow:
+class TrajectoryRow(NamedTuple):
     t: float
     p: float
     v: float
@@ -264,6 +270,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
         keystore = auth.load_keystore(cfg.keystore_path)
     else:
         keystore = auth.new_keystore(seed=cfg.seed)
+    track_ids = [b.id for b in cfg.balises]
     deployment = build_deployment(cfg.balises, cfg.auth_mode, keystore, fmt)
     for deployed in deployment:
         path = cfg.telegram_files.get(deployed.spec.id)
@@ -274,6 +281,14 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
                     f"telegram file {path} is {file_fmt.name}, "
                     f"scenario uses {fmt.name}")
             deployed.telegram = bits
+            # The reader is deterministic, so this is what every crossing
+            # of the file's telegram (cloned or not) will read.
+            fields = _read_balise(deployed, cfg.auth_mode, keystore,
+                                  track_ids, fmt)
+            if fields is not None and fields[1] == KIND_FIXED \
+                    and fields[2] == 0.0:
+                raise ConfigError(f"telegram file {path} reports the stop "
+                                  "point from a fixed balise")
     apply_attacks(deployment, cfg.attacks, fmt)
 
     train = cfg.train
@@ -287,26 +302,31 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     est = PositionEstimate(p_est0, cfg.delta0, cfg.growth_k)
     state = AnomalyState(
         known_locs=[b.loc for b in cfg.balises if b.kind == KIND_FIXED])
-    track_ids = [b.id for b in cfg.balises]
 
     cmd = 0.0
     marker_seen = False
     conservative_active = False
     auth_failures = 0
     missing_events = 0
+    mode_switches = 0
     next_idx = 0
+    next_loc = deployment[0].spec.loc
     mode = MODE_HOA
+    dt = train.dt
     rows = [TrajectoryRow(0.0, plant.p, plant.v, cmd, plant.alpha, mode, "")]
-    max_steps = int(round(cfg.max_time_s / train.dt))
+    append_row = rows.append
+    max_steps = int(round(cfg.max_time_s / dt))
 
     for step in range(max_steps):
         events: list[str] = []
 
         # Balise crossings at the current position, in track order.
-        while next_idx < len(deployment) \
-                and plant.p >= deployment[next_idx].spec.loc:
+        while plant.p >= next_loc:
             deployed = deployment[next_idx]
             next_idx += 1
+            # NaN past the last balise: no position compares >= to it.
+            next_loc = (deployment[next_idx].spec.loc
+                        if next_idx < len(deployment) else math.nan)
             label = f"B{next_idx}"
             if deployed.telegram is None:
                 events.append(f"{label}:no_telegram")
@@ -354,26 +374,29 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
                 events.append(f"balise_missing({trigger})")
 
         # Command selection.
-        if resilient and conservative_active:
-            cmd = conservative.step(plant.v, marker_seen, train.dt)
-            mode = conservative.mode
+        if conservative_active:
+            cmd = conservative.step(plant.v, marker_seen, dt)
+            new_mode = conservative.mode
         elif marker_seen:
             cmd = train.alpha_max
-            mode = MODE_MAX_BRAKE
+            new_mode = MODE_MAX_BRAKE
         else:
-            mode = MODE_HOA
+            new_mode = MODE_HOA
+        if new_mode != mode:
+            mode = new_mode
+            mode_switches += 1
 
         plant.step(cmd)
-        est.advance(plant.v * train.dt)
-        rows.append(TrajectoryRow((step + 1) * train.dt, plant.p, plant.v,
-                                  cmd, plant.alpha, mode, ";".join(events)))
+        est.advance(plant.v * dt)
+        append_row(TrajectoryRow((step + 1) * dt, plant.p, plant.v, cmd,
+                                 plant.alpha, mode,
+                                 ";".join(events) if events else ""))
         if plant.stopped:
             return SimResult(
                 stop_error=plant.p,
-                stop_time=(step + 1) * train.dt,
+                stop_time=(step + 1) * dt,
                 trajectory=rows,
-                mode_switches=sum(
-                    1 for a, b in zip(rows, rows[1:]) if a.mode != b.mode),
+                mode_switches=mode_switches,
                 auth_failures=auth_failures,
                 balise_missing_events=missing_events,
             )

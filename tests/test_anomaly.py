@@ -1,6 +1,8 @@
 """Missing-balise detection and trustworthy-information derivation."""
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from balisim.sim import AnomalyState, PositionEstimate, Record, \
     balise_missing, derive_trustworthy_info
@@ -73,6 +75,51 @@ def test_missing_skips_received_balises():
     est, state = make(-50.0, 5.0, received=(0,))
     # B2 unreceived: 50 < 64 - 5
     assert balise_missing(est, state) == "B2: |p_est| < |loc_i| - delta"
+
+
+def published_loop(est, state):
+    """The published condition walked over every fixed balise (oracle)."""
+    a_est = abs(est.p_est)
+    delta = est.delta
+    locs = state.known_locs
+    for i, loc in enumerate(locs):
+        if i in state.received:
+            continue
+        if a_est < abs(loc) - delta:
+            return f"B{i + 1}: |p_est| < |loc_i| - delta"
+        if i + 1 < len(locs) and a_est < abs(locs[i + 1]) + delta:
+            return f"B{i + 1}: |p_est| < |loc_i+1| + delta"
+    return None
+
+
+# Whole metres make |p_est| land exactly on a clause boundary now and then.
+_metres = st.one_of(st.integers(-150, 40).map(float),
+                    st.floats(-150.0, 40.0, allow_nan=False))
+
+
+@settings(max_examples=300)
+@given(
+    # Maps of 0..8 balises; the range reaches past 0, where |loc| rises
+    # again along the map and the guard must fall through to the loop.
+    locs=st.lists(_metres, max_size=8, unique=True).map(sorted),
+    p_est0=_metres,
+    delta0=st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 30.0)),
+    growth_k=st.sampled_from([0.0, 0.02, 0.5]),
+    steps=st.lists(st.tuples(st.floats(0.0, 40.0),
+                             st.sets(st.integers(0, 7), max_size=3),
+                             st.booleans()), max_size=12),
+)
+def test_missing_matches_published_loop(locs, p_est0, delta0, growth_k, steps):
+    est = PositionEstimate(p_est0, delta0, growth_k)
+    state = AnomalyState(known_locs=locs)
+    assert balise_missing(est, state) == published_loop(est, state)
+    for ds, newly_received, reference in steps:
+        est.advance(ds)
+        if reference:
+            est.set_reference(est.p_est)
+        # received only grows across calls on one state
+        state.received.update(i for i in newly_received if i < len(locs))
+        assert balise_missing(est, state) == published_loop(est, state)
 
 
 # ---------------------------------------------------------------------------

@@ -258,3 +258,18 @@ def test_simulate_non_finite_config_exit_code(tmp_path):
     config.write_text(json.dumps(raw))  # written as the JSON token NaN
     assert "NaN" in config.read_text()
     assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("mode", ["legacy", "authenticated"])
+def test_simulate_zero_metre_telegram_file_exit_code(tmp_path, keystore, mode):
+    # A fixed balise whose telegram reports 0 m has no braking law.
+    path = _program(tmp_path, keystore, id=1, loc=0, mode=mode, name="t0.txt")
+    raw = json.loads(open(os.path.join(SCENARIO_DIR,
+                                       "tamper_b1_legacy.json")).read())
+    del raw["attacks"]
+    raw["auth_mode"] = mode
+    raw["keystore"] = keystore
+    raw["balises"][0]["telegram"] = path
+    config = tmp_path / "zero.json"
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2

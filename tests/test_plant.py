@@ -1,6 +1,9 @@
 """Brake plant: dead time, first-order lag, clamping."""
 
 import math
+import random
+
+import pytest
 
 from balisim.sim import BrakePlant, TrainParams
 
@@ -92,3 +95,47 @@ def test_position_integrates_velocity():
         assert abs(plant.v - (v + plant.alpha * par.dt)) < 1e-12
         assert abs(plant.p - (p + plant.v * par.dt)) < 1e-12
         p, v = plant.p, plant.v
+
+
+def min_max_step(plant, alpha_cmd):
+    """BrakePlant.step with the clamps written as min/max (oracle)."""
+    par = plant.params
+    if plant._delay:
+        plant._delay.append(alpha_cmd)
+        delayed = plant._delay.popleft()
+    else:
+        delayed = alpha_cmd
+    if par.Tp > 0:
+        plant.alpha += par.dt * (delayed - plant.alpha) / par.Tp
+    else:
+        plant.alpha = delayed
+    plant.alpha = min(0.0, max(par.alpha_max, plant.alpha))
+    plant.v = max(0.0, plant.v + plant.alpha * par.dt)
+    plant.p += plant.v * par.dt
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    {"Td": 0.0},                   # empty delay line
+    {"Tp": 0.0},                   # no lag: the command passes through
+    {"Td": 0.0, "Tp": 0.0},
+    {"Td": 0.0, "Tp": 0.0, "v0": 0.0},
+    {"Td": 0.0, "Tp": 0.0, "v0": -0.0},
+    {"v0": 0.3, "alpha_max": -0.5},
+])
+def test_step_matches_min_max_form(kw):
+    par = TrainParams(**kw)
+    plant, oracle = BrakePlant(par), BrakePlant(par)
+    rng = random.Random(606)
+    # First in line: a subnormal command takes a resting v0 = -0.0 to
+    # v + alpha * dt = -0.0, and -0.0 itself is the lag's result at Tp = 0.
+    edge = [-5e-324, -0.0, 0.0, 5e-324, par.alpha_max,
+            par.alpha_max - 1e-12, -1e-300, 1.0]
+    cmds = edge + [rng.choice(edge) if rng.random() < 0.3
+                   else rng.uniform(-2.0, 1.0) for _ in range(3000)]
+    for cmd in cmds:
+        plant.step(cmd)
+        min_max_step(oracle, cmd)
+        # repr tells -0.0 from 0.0, which the %.6f CSV columns would show
+        assert repr((plant.p, plant.v, plant.alpha)) \
+            == repr((oracle.p, oracle.v, oracle.alpha))

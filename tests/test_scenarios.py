@@ -193,6 +193,9 @@ def test_config_rejects_bad_balise_layouts():
         ScenarioConfig(balises=[base[0],
                                 BaliseSpec(id=1, loc=-64.0, kind="fixed"),
                                 base[2]])
+    with pytest.raises(ConfigError):  # fixed balise reporting 0 mm
+        ScenarioConfig(balises=base[:2] + [
+            BaliseSpec(id=4, loc=-0.0004, kind="fixed"), base[2]])
 
 
 def test_config_from_dict_round_trip():
