@@ -98,15 +98,20 @@ def _run_one(config_path: str, out_dir: str,
         return name, None, EXIT_TIMEOUT, str(exc)
     except (scenario.ConfigError, OSError, ValueError) as exc:
         return name, None, EXIT_INPUT_ERROR, str(exc)
-    os.makedirs(out_dir, exist_ok=True)
-    scenario.write_trajectory_csv(result, os.path.join(out_dir, csv_name))
-    scenario.write_summary(result, os.path.join(out_dir, summary_name))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        scenario.write_trajectory_csv(result, os.path.join(out_dir, csv_name))
+        scenario.write_summary(result, os.path.join(out_dir, summary_name))
+    except OSError as exc:
+        return name, None, EXIT_INPUT_ERROR, f"cannot write output: {exc}"
     return name, result.stop_error, EXIT_OK, ""
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.batch is None and args.config is None:
         return _fail("either a config path or --batch is required")
+    if os.path.normpath(args.csv) == os.path.normpath(args.summary):
+        return _fail("--csv and --summary name the same file")
 
     if args.batch is None:
         name, err, code, message = _run_one(
@@ -117,13 +122,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"{err:.6f}")
         return EXIT_OK
 
+    # Each scenario writes its own pair of files; a name that leaves the
+    # scenario's directory would have every scenario write the same file.
+    for name in (args.csv, args.summary):
+        norm = os.path.normpath(name)
+        if os.path.isabs(norm) or norm.split(os.sep)[0] == os.pardir:
+            return _fail(f"with --batch, {name} must be a path inside "
+                         "each scenario's directory")
     configs = sorted(glob.glob(os.path.join(args.batch, "*.json")))
     if not configs:
         return _fail(f"no scenario configs in {args.batch}")
     jobs = [
         (path, os.path.join(args.out,
                             os.path.splitext(os.path.basename(path))[0]),
-         "trajectory.csv", "summary.json")
+         args.csv, args.summary)
         for path in configs
     ]
     workers = min(len(jobs), os.cpu_count() or 1)
@@ -182,9 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", help="directory of scenario configs to run")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--csv", default="trajectory.csv",
-                   help="trajectory file name")
+                   help="trajectory file name (in each scenario's directory "
+                        "with --batch)")
     p.add_argument("--summary", default="summary.json",
-                   help="summary file name")
+                   help="summary file name (in each scenario's directory "
+                        "with --batch)")
     p.set_defaults(func=_cmd_simulate)
 
     return parser

@@ -16,7 +16,6 @@ when balise_missing fires.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -409,17 +408,32 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
 
 CSV_HEADER = ["t", "p", "v", "alpha_cmd", "alpha_actual", "mode", "event"]
 
+# trajectory.csv is written byte for byte as csv.writer's default dialect
+# would: "\r\n" line ends and minimal quoting.  A TrajectoryRow is a tuple,
+# so it formats straight into this line.  The mode names contain no
+# character that needs quoting; an event is checked by _csv_text.
+_CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\r\n"
+_CSV_ROW = "%.2f,%.6f,%.6f,%.6f,%.6f,%s,%s\r\n"
+# Rows are joined and written in blocks of this many, which bounds the
+# memory of the formatted text.
+_CSV_BLOCK_ROWS = 1024
+
+
+def _csv_text(text: str) -> str:
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
 
 def write_trajectory_csv(result: SimResult, path: str) -> None:
+    rows = result.trajectory
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_HEADER)
-        for row in result.trajectory:
-            writer.writerow([
-                f"{row.t:.2f}", f"{row.p:.6f}", f"{row.v:.6f}",
-                f"{row.alpha_cmd:.6f}", f"{row.alpha_actual:.6f}",
-                row.mode, row.event,
-            ])
+        f.write(_CSV_HEADER_LINE)
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            f.write("".join([
+                _CSV_ROW % (row if not row.event
+                            else (*row[:6], _csv_text(row.event)))
+                for row in rows[start:start + _CSV_BLOCK_ROWS]]))
 
 
 def summary_dict(result: SimResult) -> dict:

@@ -196,12 +196,17 @@ def test_simulate_single_scenario(tmp_path, capsys):
     assert csv_text.splitlines()[0] == "t,p,v,alpha_cmd,alpha_actual,mode,event"
 
 
-def test_simulate_batch(tmp_path, capsys):
+def _batch_dir(tmp_path, names):
     batch = tmp_path / "configs"
     batch.mkdir()
-    for name in ("no_attack", "availability_b1_resilient"):
+    for name in names:
         src = os.path.join(SCENARIO_DIR, name + ".json")
         (batch / (name + ".json")).write_text(open(src).read())
+    return batch
+
+
+def test_simulate_batch(tmp_path, capsys):
+    batch = _batch_dir(tmp_path, ("no_attack", "availability_b1_resilient"))
     out = tmp_path / "results"
     assert main(["simulate", "--batch", str(batch), "--out", str(out)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -210,6 +215,67 @@ def test_simulate_batch(tmp_path, capsys):
     for name in table:
         assert (out / name / "trajectory.csv").exists()
         assert (out / name / "summary.json").exists()
+
+
+def test_simulate_batch_uses_csv_and_summary_names(tmp_path, capsys):
+    batch = _batch_dir(tmp_path, ("no_attack",))
+    out = tmp_path / "results"
+    assert main(["simulate", "--batch", str(batch), "--out", str(out),
+                 "--csv", "traj.csv", "--summary", "s.json"]) == 0
+    assert sorted(os.listdir(out / "no_attack")) == ["s.json", "traj.csv"]
+
+
+@pytest.mark.parametrize("name", [os.path.abspath("traj.csv"),
+                                  os.path.join("..", "traj.csv"),
+                                  os.path.join("sub", "..", "..", "traj.csv")])
+def test_simulate_batch_rejects_names_outside_the_scenario_dir(
+        tmp_path, capsys, name):
+    batch = _batch_dir(tmp_path, ("no_attack",))
+    out = tmp_path / "results"
+    assert main(["simulate", "--batch", str(batch), "--out", str(out),
+                 "--csv", name]) == 2
+    assert "error: with --batch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+def test_simulate_rejects_csv_and_summary_of_the_same_name(
+        tmp_path, capsys, batch):
+    configs = _batch_dir(tmp_path, ("no_attack",))
+    target = (["--batch", str(configs)] if batch
+              else [str(configs / "no_attack.json")])
+    assert main(["simulate", *target, "--out", str(tmp_path / "results"),
+                 "--csv", "out.txt", "--summary", "./out.txt"]) == 2
+    assert "name the same file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+@pytest.mark.parametrize("case", ["out_is_a_file", "csv_dir_missing"])
+def test_simulate_unwritable_output_exits_2(tmp_path, capsys, batch, case):
+    configs = _batch_dir(tmp_path, ("no_attack",))
+    out = tmp_path / "results"
+    options = ["--out", str(out)]
+    if case == "out_is_a_file":
+        out.write_text("")
+    else:
+        options += ["--csv", os.path.join("sub", "x.csv")]
+    target = (["--batch", str(configs)] if batch
+              else [str(configs / "no_attack.json")])
+    assert main(["simulate", *target, *options]) == 2
+    assert "error: cannot write output" in capsys.readouterr().err
+
+
+def test_simulate_batch_reports_successes_beside_an_unwritable_output(
+        tmp_path, capsys):
+    batch = _batch_dir(tmp_path, ("no_attack", "availability_b1_resilient"))
+    out = tmp_path / "results"
+    out.mkdir()
+    (out / "no_attack").write_text("")  # blocks that scenario's directory
+    assert main(["simulate", "--batch", str(batch), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("availability_b1_resilient\t")
+    assert "no_attack\terror: cannot write output" in captured.err
+    assert (out / "availability_b1_resilient" / "trajectory.csv").exists()
 
 
 def test_simulate_timeout_exit_code(tmp_path):

@@ -26,7 +26,9 @@ from balisim.sim import (
 )
 from balisim.sim.deployment import AUTH_AUTHENTICATED, LEGACY_SB, \
     build_deployment, pack_payload
-from balisim.sim.scenario import CSV_HEADER, _read_balise
+from balisim.sim.conservative import MODE_PID1, MODE_PID2
+from balisim.sim.scenario import CSV_HEADER, MODE_HOA, MODE_MAX_BRAKE, \
+    SimResult, TrajectoryRow, _read_balise
 from balisim import auth, codec
 
 SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
@@ -431,6 +433,66 @@ def test_trajectory_csv_layout(tmp_path):
     assert float(rows[1][0]) == 0.0
     assert float(rows[-1][2]) == 0.0  # final speed
     assert rows[-1][5] == "max_brake"
+
+
+def _csv_writer_oracle(result, path):
+    # The csv.writer loop that wrote trajectory.csv before rows were
+    # formatted in blocks, kept verbatim as the byte-for-byte reference.
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(CSV_HEADER)
+        for row in result.trajectory:
+            writer.writerow([
+                f"{row.t:.2f}", f"{row.p:.6f}", f"{row.v:.6f}",
+                f"{row.alpha_cmd:.6f}", f"{row.alpha_actual:.6f}",
+                row.mode, row.event,
+            ])
+
+
+def _assert_csv_matches_oracle(result, tmp_path):
+    write_trajectory_csv(result, str(tmp_path / "written.csv"))
+    _csv_writer_oracle(result, str(tmp_path / "oracle.csv"))
+    assert (tmp_path / "written.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
+
+
+BUNDLED = sorted(os.path.splitext(name)[0] for name in os.listdir(SCENARIO_DIR)
+                 if name.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_trajectory_csv_matches_csv_writer_on_bundled(name, tmp_path):
+    _assert_csv_matches_oracle(run_scenario(bundled(name)), tmp_path)
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
+                1e300, 2.675, 0.125]
+_EDGE_EVENTS = ["", "B1:marker", "B1:x,y", 'say "go"', 'a""b', "x\ny",
+                "x\rz", "B2:auth_fail;balise_missing(order)"]
+_MODES = [MODE_HOA, MODE_MAX_BRAKE, MODE_PID1, MODE_PID2]
+
+
+def _edge_row(i):
+    floats = [_EDGE_FLOATS[(i + k) % len(_EDGE_FLOATS)] for k in range(4)]
+    # p differs on every row, so a row dropped or repeated is seen.
+    return TrajectoryRow(floats[0], i * 0.01, *floats[1:],
+                         _MODES[i % len(_MODES)],
+                         _EDGE_EVENTS[i % len(_EDGE_EVENTS)])
+
+
+@pytest.mark.parametrize("n_rows", [1, 1023, 1024, 1025, 2049])
+def test_trajectory_csv_matches_csv_writer_on_edge_rows(n_rows, tmp_path):
+    result = SimResult(stop_error=0.0, stop_time=0.0,
+                       trajectory=[_edge_row(i) for i in range(n_rows)],
+                       mode_switches=0, auth_failures=0,
+                       balise_missing_events=0)
+    _assert_csv_matches_oracle(result, tmp_path)
+
+
+def test_mode_names_need_no_csv_quoting():
+    # write_trajectory_csv checks only the event field for quoting.
+    for mode in _MODES:
+        assert not set(mode) & set(',"\r\n'), mode
 
 
 def test_summary_dict_contents():
