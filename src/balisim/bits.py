@@ -35,11 +35,6 @@ def bits_to_bytes(bits: list[int]) -> bytes:
     return (bits_to_int(bits) << pad).to_bytes((len(bits) + pad) // 8, "big")
 
 
-def bytes_to_bits(data: bytes) -> list[int]:
-    """Unpack bytes into bits, MSB-first."""
-    return int_to_bits(int.from_bytes(data, "big"), 8 * len(data))
-
-
 def bits_to_str(bits: list[int]) -> str:
     return bytearray(bits).translate(_TO_CHARS).decode()
 

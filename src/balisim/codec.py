@@ -31,14 +31,18 @@ last bit is 0, read one bit early, is the codeword divided by x and
 still divisible.  The control bits 001 read differently one or two bits
 either side of alignment, which is why they are an alignment check.
 
-Inside the codec a bit string is an int, first bit most significant;
-lists exist only at the public boundary.  The keystream is linear in the
-seed over GF(2): four 256-entry tables, one per seed byte, hold blocks
-of keystream, and a seed's block is the XOR of four of them.  The last
-32 bits of a block are the register state that seeds the next block.
-Check bits and the decoder's first remainder take a byte per step from
-a 256-entry remainder table (Sarwate, "Computation of Cyclic Redundancy
-Checks via Table Look-Up", CACM 31(8), 1988).
+Inside the codec a bit string is an int, first bit most significant.
+encode, encode_legacy, align and decode_stream take and return lists;
+the steps they call, keystream, substitute, desubstitute and
+compute_check_bits, take and return ints, as poly_mod does.
+
+The keystream is linear in the seed over GF(2): four 256-entry tables,
+one per seed byte, hold blocks of keystream, and a seed's block is the
+XOR of four of them.  The last 32 bits of a block are the register
+state that seeds the next block.  Check bits and the decoder's first
+remainder take a byte per step from a 256-entry remainder table
+(Sarwate, "Computation of Cyclic Redundancy Checks via Table Look-Up",
+CACM 31(8), 1988).
 """
 
 from __future__ import annotations
@@ -151,9 +155,9 @@ _ROT = {f.n: poly_mod(1 << (f.n - 1), GEN_POLY) for f in FORMATS.values()}
 _ONES = {f.n: poly_mod((1 << f.n) - 1, GEN_POLY) for f in FORMATS.values()}
 
 
-def compute_check_bits(prefix_bits: list[int]) -> list[int]:
+def compute_check_bits(prefix: int) -> int:
     """85 check bits: remainder of prefix * x^85 modulo g."""
-    return int_to_bits(_mod_g(bits_to_int(prefix_bits) << CHECK_WIDTH), CHECK_WIDTH)
+    return _mod_g(prefix << CHECK_WIDTH)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +195,13 @@ def _keystream_tables() -> list[list[int]]:
 _KS0, _KS1, _KS2, _KS3 = _keystream_tables()
 
 
-def _keystream_int(seed: int, nbits: int) -> int:
-    """The first nbits of keystream(seed, ...) as an int."""
+def keystream(seed: int, nbits: int) -> int:
+    """Additive keystream from a 32-bit Fibonacci LFSR, taps 32, 22, 2, 1.
+
+    Returns the first nbits, the first bit most significant.  Output
+    bit = register MSB; feedback enters at the LSB.  A zero seed is
+    replaced by 1 so the register never locks up.
+    """
     state = (seed & _LFSR_MASK) or 1
     out = have = 0
     while have < nbits:
@@ -202,20 +211,6 @@ def _keystream_int(seed: int, nbits: int) -> int:
         state = block & _LFSR_MASK
         have += _KS_STEP
     return out >> (have - nbits)
-
-
-def keystream(seed: int, nbits: int) -> list[int]:
-    """Additive keystream from a 32-bit Fibonacci LFSR, taps 32, 22, 2, 1.
-
-    Output bit = register MSB; feedback enters at the LSB.  A zero seed
-    is replaced by 1 so the register never locks up.
-    """
-    return int_to_bits(_keystream_int(seed, nbits), nbits)
-
-
-def scramble(bits: list[int], s: int) -> list[int]:
-    """XOR bits with the keystream seeded by S; self-inverse."""
-    return int_to_bits(bits_to_int(bits) ^ _keystream_int(s, len(bits)), len(bits))
 
 
 def legacy_s_from_sb(sb: int) -> int:
@@ -228,16 +223,16 @@ def legacy_s_from_sb(sb: int) -> int:
 # Substitution
 # ---------------------------------------------------------------------------
 
-def _substitute_int(groups: int, count: int) -> int:
-    """The count 10-bit groups of an int, each replaced by its word."""
+def substitute(groups: int, count: int) -> int:
+    """The count 10-bit groups of an int, each replaced by its 11-bit word."""
     words = 0
     for shift in range(GROUP_WIDTH * (count - 1), -1, -GROUP_WIDTH):
         words = (words << WORD_WIDTH) | ALPHABET[(groups >> shift) & 0x3FF]
     return words
 
 
-def _desubstitute_int(words: int, count: int) -> int:
-    """Inverse of _substitute_int; AlphabetError on an invalid word."""
+def desubstitute(words: int, count: int) -> int:
+    """Inverse of substitute; raises AlphabetError on any invalid word."""
     groups = 0
     for shift in range(WORD_WIDTH * (count - 1), -1, -WORD_WIDTH):
         word = (words >> shift) & 0x7FF
@@ -246,22 +241,6 @@ def _desubstitute_int(words: int, count: int) -> int:
             raise AlphabetError(f"word {word:#05x} is not in the alphabet")
         groups = (groups << GROUP_WIDTH) | group
     return groups
-
-
-def substitute(bits: list[int]) -> list[int]:
-    """Map each 10-bit group to its 11-bit alphabet word, MSB-first."""
-    count, rest = divmod(len(bits), GROUP_WIDTH)
-    if rest:
-        raise FormatError("substitute input must be a multiple of 10 bits")
-    return int_to_bits(_substitute_int(bits_to_int(bits), count), count * WORD_WIDTH)
-
-
-def desubstitute(bits: list[int]) -> list[int]:
-    """Inverse of substitute; raises AlphabetError on any invalid word."""
-    count, rest = divmod(len(bits), WORD_WIDTH)
-    if rest:
-        raise FormatError("desubstitute input must be a multiple of 11 bits")
-    return int_to_bits(_desubstitute_int(bits_to_int(bits), count), count * GROUP_WIDTH)
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +262,10 @@ def encode(user_bits: list[int], sb: int, s: int,
         raise FormatError("sb must be a 12-bit value")
     if not 0 <= s < (1 << 32):
         raise FormatError("S must be a 32-bit value")
-    data = bits_to_int(user_bits) ^ _keystream_int(s, fmt.user_bits)
-    prefix = _substitute_int(data, fmt.user_bits // GROUP_WIDTH)
+    data = bits_to_int(user_bits) ^ keystream(s, fmt.user_bits)
+    prefix = substitute(data, fmt.user_bits // GROUP_WIDTH)
     prefix = (((prefix << CB_WIDTH | _CB) << SB_WIDTH | sb) << ESB_WIDTH) | _ESB
-    prefix <<= CHECK_WIDTH
-    return int_to_bits(prefix | _mod_g(prefix), fmt.n)
+    return int_to_bits(prefix << CHECK_WIDTH | compute_check_bits(prefix), fmt.n)
 
 
 def encode_legacy(user_bits: list[int], sb: int,
@@ -335,7 +313,7 @@ def _telegram_at(bits: list[int], j: int, rem: int,
     window = bits_to_int(bits[j : j + n]) ^ ((1 << n) - 1) * inverted
     tail = n - fmt.shaped_bits
     try:
-        data = _desubstitute_int(window >> tail, fmt.shaped_bits // WORD_WIDTH)
+        data = desubstitute(window >> tail, fmt.shaped_bits // WORD_WIDTH)
     except AlphabetError:
         return None
     cb = (window >> (tail - CB_WIDTH)) & ((1 << CB_WIDTH) - 1)
@@ -343,17 +321,6 @@ def _telegram_at(bits: list[int], j: int, rem: int,
         raise ControlBitError(f"control bits {tuple(int_to_bits(cb, CB_WIDTH))} at shift {j}")
     sb = (window >> (tail - CB_WIDTH - SB_WIDTH)) & ((1 << SB_WIDTH) - 1)
     return data, sb, inverted
-
-
-def window_checks(window: list[int], fmt: TelegramFormat) -> bool:
-    """True iff one n+r-bit window holds a telegram (see _telegram_at)."""
-    n, r = fmt.n, fmt.r_init
-    if len(window) != n + r:
-        raise FormatError(f"window must be {n + r} bits, got {len(window)}")
-    try:
-        return _telegram_at(window, 0, _mod_g(bits_to_int(window[:n])), fmt) is not None
-    except ControlBitError:
-        return False
 
 
 def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
@@ -407,6 +374,6 @@ def decode_stream(
     descrambles the user data.  Raises what align raises.
     """
     aligned = stream if isinstance(stream, Aligned) else align(stream, fmt)
-    user = aligned.data ^ _keystream_int(s_from_sb(aligned.sb), fmt.user_bits)
+    user = aligned.data ^ keystream(s_from_sb(aligned.sb), fmt.user_bits)
     return DecodeResult(int_to_bits(user, fmt.user_bits), aligned.sb,
                         aligned.shift, aligned.inverted)

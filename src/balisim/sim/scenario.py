@@ -204,7 +204,7 @@ def load_config(path: str) -> ScenarioConfig:
     with open(path, encoding="utf-8") as f:
         try:
             raw = json.load(f)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or not UTF-8
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scenario config must be a JSON object")
@@ -263,10 +263,18 @@ def _read_balise(
     return None
 
 
+def _load_file(what: str, load, path: str):
+    """load(path), with a missing or malformed file as a ConfigError."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what} file {path}: {exc}") from exc
+
+
 def run_scenario(cfg: ScenarioConfig) -> SimResult:
     fmt = codec.FORMATS[cfg.telegram_format]
     if cfg.keystore_path is not None:
-        keystore = auth.load_keystore(cfg.keystore_path)
+        keystore = _load_file("keystore", auth.load_keystore, cfg.keystore_path)
     else:
         keystore = auth.new_keystore(seed=cfg.seed)
     track_ids = [b.id for b in cfg.balises]
@@ -274,7 +282,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     for deployed in deployment:
         path = cfg.telegram_files.get(deployed.spec.id)
         if path is not None:
-            file_fmt, bits = load_telegram(path)
+            file_fmt, bits = _load_file("telegram", load_telegram, path)
             if file_fmt.name != fmt.name:
                 raise ConfigError(
                     f"telegram file {path} is {file_fmt.name}, "

@@ -94,9 +94,9 @@ def test_criterion_03_check_bit_oracle():
     mismatches = 0
     for i in range(500):
         fmt = LONG if i % 2 == 0 else SHORT
-        prefix = int_to_bits(rng.getrandbits(fmt.check_prefix_bits),
-                             fmt.check_prefix_bits)
-        if codec.compute_check_bits(prefix) != longdiv_check_bits(prefix):
+        prefix = rng.getrandbits(fmt.check_prefix_bits)
+        expected = longdiv_check_bits(int_to_bits(prefix, fmt.check_prefix_bits))
+        if int_to_bits(codec.compute_check_bits(prefix), codec.CHECK_WIDTH) != expected:
             mismatches += 1
     report(3, mismatches == 0, f"500 random prefixes, {mismatches} mismatches")
 
@@ -265,11 +265,11 @@ def test_criterion_11_property_suites():
     alphabet = set(codec.ALPHABET)
     closure = 0
     for _ in range(1000):
-        shaped = codec.substitute(codec.scramble(
-            random_user(rng, SHORT), rng.getrandbits(32)))
-        for i in range(0, len(shaped), codec.WORD_WIDTH):
-            word = bits_to_int(shaped[i:i + codec.WORD_WIDTH])
-            assert word in alphabet
+        data = bits_to_int(random_user(rng, SHORT)) \
+            ^ codec.keystream(rng.getrandbits(32), SHORT.user_bits)
+        shaped = codec.substitute(data, SHORT.user_bits // codec.GROUP_WIDTH)
+        for i in range(0, SHORT.shaped_bits, codec.WORD_WIDTH):
+            assert (shaped >> i) & 0x7FF in alphabet
         closure += 1
     counts["alphabet_closure"] = closure
 

@@ -9,6 +9,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from balisim import auth, codec
-from balisim.bits import bits_to_bytes, str_to_bits
+from balisim.bits import bits_to_bytes, bits_to_int, int_to_bits, str_to_bits
 
 LONG = codec.LONG
 SHORT = codec.SHORT
@@ -222,7 +223,9 @@ def test_key_separation_sampled():
         keys_b = auth.derive_keys(MK, id_b, ver_b)
         s_a = auth.prf_s(keys_a.k1, sb)
         s_b = auth.prf_s(keys_b.k1, sb)
-        u_prime = codec.scramble(codec.scramble(user, s_a), s_b)
+        n = fmt.user_bits
+        u_prime = int_to_bits(bits_to_int(user) ^ codec.keystream(s_a, n)
+                              ^ codec.keystream(s_b, n), n)
         assert auth.tag_sb(keys_b.k0, u_prime, fmt) != sb
 
 
@@ -230,7 +233,6 @@ def test_key_separation_sampled():
 @given(st.integers(min_value=0, max_value=2**210 - 1),
        st.integers(min_value=0, max_value=(1 << auth.ID_BITS) - 1))
 def test_round_trip_property(user_int, balise_id):
-    from balisim.bits import int_to_bits
     user = int_to_bits(user_int, SHORT.user_bits)
     keys = auth.derive_keys(MK, balise_id)
     stream = auth.encode_authenticated(user, keys, SHORT) * 3
@@ -314,3 +316,19 @@ def test_emit_tag_vectors_script_matches_auth():
         sb = auth.tag_sb(keys.k0, user, SHORT)
         assert vec["sb_hex"] == f"{sb:03x}"
         assert vec["S_hex"] == f"{auth.prf_s(keys.k1, sb):08x}"
+
+
+def test_keyless_forgery_script_counts_are_consistent():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "keyless_forgery.py"),
+         "--crossings", "200", "--seed", "0"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    n, m = map(int, re.search(r"crossings N = (\d+), keys per crossing m = (\d+)",
+                              out).groups())
+    tag_passes = int(re.search(r"^tag passes: (\d+) \(", out, re.M).group(1))
+    accepted = int(re.search(r"^accepted: +(\d+) \(", out, re.M).group(1))
+    assert n == 200
+    assert 0 <= accepted <= tag_passes <= n * m

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -375,6 +376,47 @@ def test_load_config_rejects_invalid_json(tmp_path):
     path.write_text("[1, 2, 3]")
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"controller": "hoa", "x": "caf\xe9"}'.encode("latin-1"))
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    b"{not json",
+    b'{"mk_hex": "00", "ver": 0}',
+    b'{"mk_hex": "' + b"\xff" * 64 + b'", "ver": 0}',
+], ids=["missing", "bad_json", "short_key", "not_utf8"])
+def test_bad_keystore_file_is_a_config_error(tmp_path, content):
+    path = tmp_path / "keys.json"
+    if content is not None:
+        path.write_bytes(content)
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps({"auth_mode": "authenticated",
+                                    "keystore": "keys.json"}))
+    cfg = load_config(str(cfg_path))
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        run_scenario(cfg)
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    b"{not json",
+    b'{"format": "long", "bits": "0101"}',
+    b'{"format": "medium", "bits": ""}',
+], ids=["missing", "bad_json", "too_short", "bad_format"])
+def test_bad_telegram_file_is_a_config_error(tmp_path, content):
+    path = tmp_path / "b1.json"
+    if content is not None:
+        path.write_bytes(content)
+    cfg = bundled("no_attack")
+    cfg.telegram_files = {1: str(path)}
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        run_scenario(cfg)
 
 
 # ---------------------------------------------------------------------------
