@@ -32,8 +32,7 @@ def main():
         balise_id = rng.randrange(1 << auth.ID_BITS)
         user = [rng.randrange(2) for _ in range(fmt.user_bits)]
         keys = keystore.keys_for(balise_id)
-        sb = auth.tag_sb(keys.k0, user, fmt)
-        s = auth.prf_s(keys.k1, sb)
+        sb, s = auth.generate_tag(user, keys, fmt)
         print(json.dumps({
             "id": balise_id,
             "ver": keys.ver,

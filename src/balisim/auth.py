@@ -11,8 +11,12 @@ domain-separating leading message bytes:
     0x53 | sb left-aligned in 2 bytes                  scrambling PRF
 
 "first k bits" always means the k most significant bits of the digest
-read big-endian.  Per-balise keys are re-derived from the master key on
-demand and never persisted; the keystore holds only mk and a version.
+read big-endian.  Packed U is the user data MSB-first, zero-padded on
+the right to whole bytes (830 bits to 104 bytes, 210 bits to 27).
+tag_sb takes the user data as an int, as codec.DecodeResult.user holds
+it, so a reader's failed key trial builds no bit list.  Per-balise keys
+are re-derived from the master key on demand and never persisted; the
+keystore holds only mk and a version.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import secrets
 from dataclasses import dataclass
 
 from . import codec
-from .bits import bits_to_bytes
+from .bits import bits_to_int
 
 KEY_BYTES = 16
 ID_BITS = 14
@@ -48,7 +52,7 @@ class BaliseKeyPair:
 
 
 def _hmac256(key: bytes, msg: bytes) -> bytes:
-    return hmac.new(key, msg, hashlib.sha256).digest()
+    return hmac.digest(key, msg, "sha256")
 
 
 def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
@@ -65,9 +69,14 @@ def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
     return BaliseKeyPair(k0=k0, k1=k1, id=balise_id, ver=ver)
 
 
-def tag_sb(k0: bytes, user_bits: list[int], fmt: codec.TelegramFormat) -> int:
-    """12-bit tag: leading bits of MAC(k0, format byte | packed user data)."""
-    digest = _hmac256(k0, _FORMAT_BYTE[fmt.name] + bits_to_bytes(user_bits))
+def tag_sb(k0: bytes, user: int, fmt: codec.TelegramFormat) -> int:
+    """12-bit tag: leading bits of MAC(k0, format byte | packed user data).
+
+    user is the fmt.user_bits user bits as an int, first bit MSB.
+    """
+    pad = -fmt.user_bits % 8
+    packed = (user << pad).to_bytes((fmt.user_bits + pad) // 8, "big")
+    digest = _hmac256(k0, _FORMAT_BYTE[fmt.name] + packed)
     return (digest[0] << 4) | (digest[1] >> 4)
 
 
@@ -83,7 +92,7 @@ def generate_tag(
     fmt: codec.TelegramFormat = codec.LONG,
 ) -> tuple[int, int]:
     """Return (sb, S) binding the user data to the balise keys."""
-    sb = tag_sb(keys.k0, user_bits, fmt)
+    sb = tag_sb(keys.k0, bits_to_int(user_bits), fmt)
     return sb, prf_s(keys.k1, sb)
 
 
@@ -105,12 +114,13 @@ def verify_and_decode(
     """Decode a stream and verify its tag under one key pair.
 
     The stream may be raw bits or the codec.Aligned of codec.align, so a
-    reader that tries several keys aligns once.  Returns the user bits.
+    reader that tries several keys aligns once.  Returns the user bits;
+    the tag is checked on the int, so a failed trial builds no list.
     Raises codec.NoTelegramFound when no window aligns and AuthFailure
     when the recomputed tag differs from the received sb.
     """
     result = codec.decode_stream(stream, fmt, s_from_sb=lambda sb: prf_s(keys.k1, sb))
-    if tag_sb(keys.k0, result.user_bits, fmt) != result.sb:
+    if tag_sb(keys.k0, result.user, fmt) != result.sb:
         raise AuthFailure(f"tag mismatch for balise id {keys.id}")
     return result.user_bits
 

@@ -29,12 +29,6 @@ def bits_to_int(bits: list[int]) -> int:
     return int(bytearray(bits).translate(_TO_CHARS) or b"0", 2)
 
 
-def bits_to_bytes(bits: list[int]) -> bytes:
-    """Pack bits MSB-first, zero-padding the final byte on the right."""
-    pad = -len(bits) % 8
-    return (bits_to_int(bits) << pad).to_bytes((len(bits) + pad) // 8, "big")
-
-
 def bits_to_str(bits: list[int]) -> str:
     return bytearray(bits).translate(_TO_CHARS).decode()
 

@@ -32,9 +32,13 @@ still divisible.  The control bits 001 read differently one or two bits
 either side of alignment, which is why they are an alignment check.
 
 Inside the codec a bit string is an int, first bit most significant.
-encode, encode_legacy, align and decode_stream take and return lists;
-the steps they call, keystream, substitute, desubstitute and
-compute_check_bits, take and return ints, as poly_mod does.
+encode and encode_legacy take a list and return one, align and
+decode_stream take a list; the steps they call, keystream, substitute,
+desubstitute and compute_check_bits, take and return ints, as poly_mod
+does.  decode_stream returns a DecodeResult whose user field is the
+descrambled user data as an int; its user_bits property expands that
+int into a list on access, so a caller that only needs the int, such as
+the authenticated reader's tag check, builds no list.
 
 The keystream is linear in the seed over GF(2): four 256-entry tables,
 one per seed byte, hold blocks of keystream, and a seed's block is the
@@ -280,10 +284,16 @@ def encode_legacy(user_bits: list[int], sb: int,
 
 @dataclass(frozen=True)
 class DecodeResult:
-    user_bits: list[int]
+    user: int        # descrambled user data, first bit MSB
+    width: int       # number of user bits in user
     sb: int
     shift: int       # window offset at which alignment was found
     inverted: bool   # stream polarity was inverted
+
+    @property
+    def user_bits(self) -> list[int]:
+        """The user data as a list of bits, expanded from user."""
+        return int_to_bits(self.user, self.width)
 
 
 @dataclass(frozen=True)
@@ -375,5 +385,5 @@ def decode_stream(
     """
     aligned = stream if isinstance(stream, Aligned) else align(stream, fmt)
     user = aligned.data ^ keystream(s_from_sb(aligned.sb), fmt.user_bits)
-    return DecodeResult(int_to_bits(user, fmt.user_bits), aligned.sb,
-                        aligned.shift, aligned.inverted)
+    return DecodeResult(user, fmt.user_bits, aligned.sb, aligned.shift,
+                        aligned.inverted)

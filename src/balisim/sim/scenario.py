@@ -200,12 +200,14 @@ def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path: str) -> ScenarioConfig:
+def _read_json(path: str):
     with open(path, encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except ValueError as exc:  # bad JSON or not UTF-8
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        return json.load(f)
+
+
+def load_config(path: str) -> ScenarioConfig:
+    """The scenario in a JSON file; an unreadable file is a ConfigError."""
+    raw = _load_file("scenario", _read_json, path)
     if not isinstance(raw, dict):
         raise ConfigError("scenario config must be a JSON object")
     return config_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))

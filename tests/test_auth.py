@@ -18,7 +18,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from balisim import auth, codec
-from balisim.bits import bits_to_bytes, bits_to_int, int_to_bits, str_to_bits
+from balisim.bits import bits_to_int, int_to_bits, str_to_bits
 
 LONG = codec.LONG
 SHORT = codec.SHORT
@@ -33,6 +33,13 @@ def hmac_oracle(key, msg):
     key = key + b"\x00" * (64 - len(key))
     inner = hashlib.sha256(bytes(k ^ 0x36 for k in key) + msg).digest()
     return hashlib.sha256(bytes(k ^ 0x5C for k in key) + inner).digest()
+
+
+def pack_bits(bits):
+    """Bits MSB-first into bytes, one byte at a time, the last zero-padded."""
+    padded = bits + [0] * (-len(bits) % 8)
+    return bytes(sum(b << (7 - i) for i, b in enumerate(padded[k : k + 8]))
+                 for k in range(0, len(padded), 8))
 
 
 def test_hmac_oracle_agrees_with_stdlib():
@@ -81,7 +88,7 @@ def test_tag_and_prf_match_oracle():
     keys = auth.derive_keys(MK, 99)
     for fmt, fmt_byte in ((LONG, b"\x01"), (SHORT, b"\x02")):
         user = [rng.randrange(2) for _ in range(fmt.user_bits)]
-        digest = hmac_oracle(keys.k0, fmt_byte + bits_to_bytes(user))
+        digest = hmac_oracle(keys.k0, fmt_byte + pack_bits(user))
         expected_sb = (digest[0] << 4) | (digest[1] >> 4)
         sb, s = auth.generate_tag(user, keys, fmt)
         assert sb == expected_sb
@@ -89,6 +96,44 @@ def test_tag_and_prf_match_oracle():
         prf_digest = hmac_oracle(keys.k1, b"\x53" + (sb << 4).to_bytes(2, "big"))
         assert s == int.from_bytes(prf_digest[:4], "big")
         assert 0 <= s < (1 << 32)
+
+
+# The user data at the pad edges: none set, all set, only the first bit
+# and only the last bit, the one next to the 2 (long) or 6 (short) pad
+# bits.  The tags under derive_keys(MK, 98) were computed by packing a
+# bit list, before tag_sb took an int.
+PAD_EDGE_TAGS = {
+    "long": (0x9FA, 0x476, 0x248, 0x12F),
+    "short": (0x71F, 0x070, 0xF98, 0xA72),
+}
+
+
+def pad_edge_users(fmt):
+    n = fmt.user_bits
+    return (0, (1 << n) - 1, 1 << (n - 1), 1)
+
+
+@pytest.mark.parametrize("fmt, fmt_byte", [(LONG, b"\x01"), (SHORT, b"\x02")])
+def test_tag_on_int_matches_oracle_at_pad_edges(fmt, fmt_byte):
+    keys = auth.derive_keys(MK, 98)
+    n = fmt.user_bits
+    users = pad_edge_users(fmt) + (random.Random(n).getrandbits(n),)
+    for user in users:
+        digest = hmac_oracle(keys.k0, fmt_byte + pack_bits(int_to_bits(user, n)))
+        assert auth.tag_sb(keys.k0, user, fmt) == (digest[0] << 4) | (digest[1] >> 4)
+    assert tuple(auth.tag_sb(keys.k0, u, fmt) for u in pad_edge_users(fmt)) == \
+        PAD_EDGE_TAGS[fmt.name]
+
+
+def test_decode_result_user_bits_expand_user():
+    rng = random.Random(32)
+    for fmt in (LONG, SHORT):
+        for user_int in pad_edge_users(fmt) + (rng.getrandbits(fmt.user_bits),):
+            user = int_to_bits(user_int, fmt.user_bits)
+            stream = codec.encode_legacy(user, 0x3C5, fmt) * 3
+            result = codec.decode_stream(stream, fmt)
+            assert (result.user, result.width) == (user_int, fmt.user_bits)
+            assert result.user_bits == int_to_bits(result.user, fmt.user_bits) == user
 
 
 def test_tag_is_deterministic():
@@ -103,10 +148,9 @@ def test_single_bit_flip_changes_tag_mostly():
     unchanged = 0
     trials = 1000
     for _ in range(trials):
-        user = [rng.randrange(2) for _ in range(SHORT.user_bits)]
+        user = bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)])
         sb = auth.tag_sb(keys.k0, user, SHORT)
-        flipped = list(user)
-        flipped[rng.randrange(SHORT.user_bits)] ^= 1
+        flipped = user ^ (1 << rng.randrange(SHORT.user_bits))
         if auth.tag_sb(keys.k0, flipped, SHORT) == sb:
             unchanged += 1
     # unchanged-tag probability is ~2^-12 per trial
@@ -152,13 +196,16 @@ def test_aligned_stream_verifies_under_right_key_only():
     keys = auth.derive_keys(MK, 70)
     other = auth.derive_keys(MK, 71)
     for fmt in (LONG, SHORT):
-        user = [rng.randrange(2) for _ in range(fmt.user_bits)]
-        stream = auth.encode_authenticated(user, keys, fmt) * 3
-        k = rng.randrange(fmt.n)
-        aligned = codec.align(stream[k:] + stream[:k], fmt)
-        assert auth.verify_and_decode(aligned, keys, fmt) == user
-        with pytest.raises(auth.AuthFailure):
-            auth.verify_and_decode(aligned, other, fmt)
+        users = [[rng.randrange(2) for _ in range(fmt.user_bits)]]
+        users += [int_to_bits(u, fmt.user_bits) for u in pad_edge_users(fmt)]
+        for user in users:
+            stream = auth.encode_authenticated(user, keys, fmt) * 3
+            k = rng.randrange(fmt.n)
+            aligned = codec.align(stream[k:] + stream[:k], fmt)
+            got = auth.verify_and_decode(aligned, keys, fmt)
+            assert type(got) is list and got == user
+            with pytest.raises(auth.AuthFailure):
+                auth.verify_and_decode(aligned, other, fmt)
 
 
 def test_wrong_version_fails():
@@ -186,7 +233,7 @@ def test_altered_user_data_with_reused_sb_fails():
     keys = auth.derive_keys(MK, 61)
     user = [rng.randrange(2) for _ in range(SHORT.user_bits)]
     telegram = auth.encode_authenticated(user, keys, SHORT)
-    sb = auth.tag_sb(keys.k0, user, SHORT)
+    sb = auth.tag_sb(keys.k0, bits_to_int(user), SHORT)
     altered = list(user)
     altered[17] ^= 1
     forged = codec.encode(altered, sb, auth.prf_s(keys.k1, sb), SHORT)
@@ -214,7 +261,7 @@ def test_key_separation_sampled():
     for _ in range(10_000):
         id_a = rng.randrange(1 << auth.ID_BITS)
         keys_a = auth.derive_keys(MK, id_a, rng.randrange(4))
-        user = [rng.randrange(2) for _ in range(fmt.user_bits)]
+        user = bits_to_int([rng.randrange(2) for _ in range(fmt.user_bits)])
         sb = auth.tag_sb(keys_a.k0, user, fmt)
         id_b = rng.randrange(1 << auth.ID_BITS)
         ver_b = rng.randrange(4)
@@ -224,8 +271,7 @@ def test_key_separation_sampled():
         s_a = auth.prf_s(keys_a.k1, sb)
         s_b = auth.prf_s(keys_b.k1, sb)
         n = fmt.user_bits
-        u_prime = int_to_bits(bits_to_int(user) ^ codec.keystream(s_a, n)
-                              ^ codec.keystream(s_b, n), n)
+        u_prime = user ^ codec.keystream(s_a, n) ^ codec.keystream(s_b, n)
         assert auth.tag_sb(keys_b.k0, u_prime, fmt) != sb
 
 
@@ -313,7 +359,7 @@ def test_emit_tag_vectors_script_matches_auth():
         user = str_to_bits(vec["user_bits"])
         assert len(user) == SHORT.user_bits
         keys = auth.derive_keys(bytes.fromhex(vec["mk_hex"]), vec["id"], vec["ver"])
-        sb = auth.tag_sb(keys.k0, user, SHORT)
+        sb = auth.tag_sb(keys.k0, bits_to_int(user), SHORT)
         assert vec["sb_hex"] == f"{sb:03x}"
         assert vec["S_hex"] == f"{auth.prf_s(keys.k1, sb):08x}"
 

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from balisim.bits import bits_to_bytes, bits_to_int, bits_to_str, \
-    int_to_bits, str_to_bits
+from balisim.bits import bits_to_int, bits_to_str, int_to_bits, str_to_bits
 
 
 def test_int_to_bits_msb_first():
@@ -18,20 +17,6 @@ def test_int_to_bits_msb_first():
 def test_bits_to_int_examples():
     assert bits_to_int([1, 0, 1, 1]) == 0b1011
     assert bits_to_int([]) == 0
-
-
-def test_bits_to_bytes_pads_right():
-    # 10 bits pack into 2 bytes, low 6 bits of the tail zero-filled
-    assert bits_to_bytes([1] * 10) == bytes([0xFF, 0xC0])
-    assert bits_to_bytes([0, 0, 0, 0, 0, 0, 0, 1]) == bytes([0x01])
-
-
-@given(st.lists(st.integers(0, 1), max_size=100))
-def test_bits_to_bytes_matches_per_byte_oracle(bits):
-    padded = bits + [0] * (-len(bits) % 8)
-    expected = bytes(sum(b << (7 - i) for i, b in enumerate(padded[k : k + 8]))
-                     for k in range(0, len(padded), 8))
-    assert bits_to_bytes(bits) == expected
 
 
 def test_str_round_trip():
@@ -52,8 +37,3 @@ def test_int_round_trip(value):
 @given(st.lists(st.integers(0, 1), max_size=200))
 def test_str_bits_round_trip(bits):
     assert str_to_bits(bits_to_str(bits)) == bits
-
-
-@given(st.binary(max_size=64))
-def test_bytes_round_trip(data):
-    assert bits_to_bytes(int_to_bits(int.from_bytes(data, "big"), 8 * len(data))) == data

@@ -288,6 +288,7 @@ def test_simulate_timeout_exit_code(tmp_path):
 
 def test_simulate_missing_config(tmp_path):
     assert main(["simulate", str(tmp_path / "none.json")]) == 2
+    assert main(["simulate", str(tmp_path)]) == 2  # a directory
     assert main(["simulate", "--batch", str(tmp_path)]) == 2  # empty dir
     assert main(["simulate"]) == 2  # neither config nor --batch
 

@@ -378,6 +378,13 @@ def test_load_config_rejects_invalid_json(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_load_config_rejects_an_unreadable_path(tmp_path, name):
+    path = str(tmp_path / name)
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        load_config(path)
+
+
 def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"controller": "hoa", "x": "caf\xe9"}'.encode("latin-1"))
