@@ -17,12 +17,19 @@ tag_sb takes the user data as an int, as codec.DecodeResult.user holds
 it, so a reader's failed key trial builds no bit list.  Per-balise keys
 are re-derived from the master key on demand and never persisted; the
 keystore holds only mk and a version.
+
+HMAC follows RFC 2104 on hashlib.sha256 objects.  A key's pad states are
+two hashes that have already absorbed K^ipad and K^opad (section 4 of
+the RFC); a MAC copies each state instead of hashing the padded key
+again.  The master key's pad states are cached, one entry per
+process, so a key derivation costs two MACs from ready states; tag and
+PRF keys differ per balise and build fresh pads on each call.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import hmac
 import json
 import secrets
 from dataclasses import dataclass
@@ -51,8 +58,30 @@ class BaliseKeyPair:
     ver: int
 
 
-def _hmac256(key: bytes, msg: bytes) -> bytes:
-    return hmac.digest(key, msg, "sha256")
+_BLOCK_BYTES = 64  # SHA-256 block size
+_IPAD = bytes(x ^ 0x36 for x in range(256))  # translate tables for K^ipad
+_OPAD = bytes(x ^ 0x5C for x in range(256))  # and K^opad
+
+
+def _pads(key: bytes) -> tuple:
+    """The key's pad states: SHA-256 after K^ipad and after K^opad."""
+    if len(key) > _BLOCK_BYTES:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK_BYTES, b"\0")
+    return (hashlib.sha256(key.translate(_IPAD)),
+            hashlib.sha256(key.translate(_OPAD)))
+
+
+_master_pads = functools.lru_cache(maxsize=1)(_pads)
+
+
+def _hmac256(pads: tuple, msg: bytes) -> bytes:
+    """HMAC-SHA256 of msg from a key's pad states, which stay unchanged."""
+    inner = pads[0].copy()
+    inner.update(msg)
+    outer = pads[1].copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
@@ -64,8 +93,9 @@ def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
     if not 0 <= ver < (1 << VER_BITS):
         raise ValueError("ver must be a 16-bit value")
     base = _KDF_PREFIX + balise_id.to_bytes(2, "big") + ver.to_bytes(2, "big")
-    k0 = _hmac256(mk, base + b"\x00")[:KEY_BYTES]
-    k1 = _hmac256(mk, base + b"\x01")[:KEY_BYTES]
+    pads = _master_pads(mk)
+    k0 = _hmac256(pads, base + b"\x00")[:KEY_BYTES]
+    k1 = _hmac256(pads, base + b"\x01")[:KEY_BYTES]
     return BaliseKeyPair(k0=k0, k1=k1, id=balise_id, ver=ver)
 
 
@@ -76,14 +106,14 @@ def tag_sb(k0: bytes, user: int, fmt: codec.TelegramFormat) -> int:
     """
     pad = -fmt.user_bits % 8
     packed = (user << pad).to_bytes((fmt.user_bits + pad) // 8, "big")
-    digest = _hmac256(k0, _FORMAT_BYTE[fmt.name] + packed)
+    digest = _hmac256(_pads(k0), _FORMAT_BYTE[fmt.name] + packed)
     return (digest[0] << 4) | (digest[1] >> 4)
 
 
 def prf_s(k1: bytes, sb: int) -> int:
     """32-bit scrambling key: leading bits of PRF(k1, sb)."""
     msg = _PRF_PREFIX + (sb << 4).to_bytes(2, "big")
-    return int.from_bytes(_hmac256(k1, msg)[:4], "big")
+    return int.from_bytes(_hmac256(_pads(k1), msg)[:4], "big")
 
 
 def generate_tag(

@@ -121,6 +121,9 @@ class ScenarioConfig:
             raise ConfigError("seed must be an integer in 0..2^64-1")
         if self.max_time_s / self.train.dt > MAX_STEPS:
             raise ConfigError(f"max_time_s / train.dt exceeds {MAX_STEPS} steps")
+        # The plant's dead-time delay line holds round(Td / dt) entries.
+        if self.train.Td / self.train.dt > MAX_STEPS:
+            raise ConfigError(f"train.Td / train.dt exceeds {MAX_STEPS} steps")
         m = len(self.balises)
         for attack in self.attacks:
             if isinstance(attack, Tamper):
@@ -324,6 +327,9 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     dt = train.dt
     rows = [TrajectoryRow(0.0, plant.p, plant.v, cmd, plant.alpha, mode, "")]
     append_row = rows.append
+    # tuple.__new__ builds the same TrajectoryRow without the NamedTuple's
+    # Python-level __new__, once per step.
+    new_row = tuple.__new__
     max_steps = int(round(cfg.max_time_s / dt))
 
     for step in range(max_steps):
@@ -397,9 +403,9 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
 
         plant.step(cmd)
         est.advance(plant.v * dt)
-        append_row(TrajectoryRow((step + 1) * dt, plant.p, plant.v, cmd,
-                                 plant.alpha, mode,
-                                 ";".join(events) if events else ""))
+        append_row(new_row(TrajectoryRow, ((step + 1) * dt, plant.p, plant.v,
+                                           cmd, plant.alpha, mode,
+                                           ";".join(events) if events else "")))
         if plant.stopped:
             return SimResult(
                 stop_error=plant.p,

@@ -28,8 +28,8 @@ from balisim.sim import (
 from balisim.sim.deployment import AUTH_AUTHENTICATED, LEGACY_SB, \
     build_deployment, pack_payload
 from balisim.sim.conservative import MODE_PID1, MODE_PID2
-from balisim.sim.scenario import CSV_HEADER, MODE_HOA, MODE_MAX_BRAKE, \
-    SimResult, TrajectoryRow, _read_balise
+from balisim.sim.scenario import CSV_HEADER, MAX_STEPS, MODE_HOA, \
+    MODE_MAX_BRAKE, SimResult, TrajectoryRow, _read_balise
 from balisim import auth, codec
 
 SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
@@ -287,10 +287,22 @@ def test_config_from_dict_rejects_bad_train_and_balise_keys():
     # more steps than MAX_STEPS
     {"max_time_s": 1e306},
     {"train": {"dt": 1e-300}},
+    # a dead-time delay line longer than MAX_STEPS
+    {"train": {"Td": 1e9}},
+    {"train": {"Td": 1e306}},
+    {"train": {"Td": 1.0, "dt": 1e-300}, "max_time_s": 1e-300},
 ])
 def test_config_from_dict_rejects_non_finite_and_out_of_range(raw):
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+def test_config_from_dict_accepts_a_delay_line_of_max_steps():
+    # Checked at config time only: a run would allocate the delay line.
+    cfg = config_from_dict({"train": {"Td": MAX_STEPS * 0.01}})
+    assert round(cfg.train.Td / cfg.train.dt) == MAX_STEPS
+    with pytest.raises(ConfigError, match="Td"):
+        config_from_dict({"train": {"Td": (MAX_STEPS + 1) * 0.01}})
 
 
 # Values of the wrong kind, non-finite or out of range.
