@@ -6,9 +6,11 @@ aligns it once and tries the key of every balise on the track map.  A
 key passes the tag check when the 12-bit tag of the data it descrambles
 equals sb, with probability 2**-12, so a forged crossing gets past the
 tag check under some key with probability about m * 2**-12 on an
-m-balise map.  parse_payload then rejects the half of those whose 2-bit
-kind code is not a valid kind, and the reader goes on to the next key, so
-about m * 2**-13 of the forged crossings are accepted.
+m-balise map.  The data a wrong key descrambles is random: parse_payload
+rejects the half whose 2-bit kind code is not a valid kind, and the
+reader rejects a payload whose 14-bit id is not the id of the key.  It
+goes on to the next key after either, so about m * 2**-27 of the forged
+crossings are accepted, 3.7e-7 at m = 50.
 
 The map is 50 balises evenly spaced from -100 m to 0 m, as in the
 auth_track_50 benchmark, with the scenario's default keystore (seed 1).
@@ -67,7 +69,7 @@ def main():
     print(f"tag passes: {tag_passes} ({tag_passes / n:.4%} per crossing, "
           f"expected m * 2^-12 = {BALISES / 4096:.4%})")
     print(f"accepted:   {accepted} ({accepted / n:.4%} per crossing, "
-          f"expected 1 - (1 - 2^-13)^m = {1 - (1 - 2 ** -13) ** BALISES:.4%})")
+          f"expected 1 - (1 - 2^-27)^m = {1 - (1 - 2 ** -27) ** BALISES:.6%})")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,13 @@ it, so a reader's failed key trial builds no bit list.  Per-balise keys
 are re-derived from the master key on demand and never persisted; the
 keystore holds only mk and a version.
 
+A 12-bit tag passes under a wrong key once in 4,096 trials, and the user
+data that key descrambles is random.  A reader that tries several keys
+must therefore accept a payload only under the key of the id the
+payload names, as sim.scenario's reader and `balisim verify` do; a
+keyless forgery then passes about m * 2^-27 of its crossings on an
+m-balise map (m * 2^-12 tags, half the kind codes, 2^-14 for the id).
+
 HMAC follows RFC 2104 on hashlib.sha256 objects.  A key's pad states are
 two hashes that have already absorbed K^ipad and K^opad (section 4 of
 the RFC); a MAC copies each state instead of hashing the padded key
@@ -187,14 +194,14 @@ def save_keystore(store: Keystore, path: str) -> None:
 
 def load_keystore(path: str) -> Keystore:
     with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    try:
-        mk = bytes.fromhex(raw["mk_hex"])
-        ver = raw["ver"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed keystore file {path}: {exc}") from exc
+        try:
+            raw = json.load(f)
+            mk = bytes.fromhex(raw["mk_hex"])
+            ver = raw["ver"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed keystore file {path}: {exc}") from exc
     if len(mk) != 32:
-        raise ValueError("mk_hex must encode 32 bytes")
+        raise ValueError(f"malformed keystore file {path}: mk_hex must encode 32 bytes")
     if type(ver) is not int or not 0 <= ver < (1 << VER_BITS):
         raise ValueError(
             f"malformed keystore file {path}: ver must be an integer in 0..65535")

@@ -73,16 +73,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         user = auth.verify_and_decode(bits * 3, keys, fmt)
         balise_id, kind, loc = deployment.parse_payload(user)
+        if balise_id != args.id:
+            raise auth.AuthFailure(f"payload names id {balise_id}")
         report = {
             "decode": "ok",
             "auth": "pass",
             "fields": {"id": balise_id, "kind": kind, "loc_m": loc},
         }
         code = EXIT_OK
-    except auth.AuthFailure:
-        report["decode"] = "ok"  # telegram aligned; tag did not match
     except codec.CodecError:
         pass
+    except (auth.AuthFailure, ValueError):
+        # Aligned, but the tag did not match, or it matched under a key
+        # that does not own the payload: a wrong key passes 1 tag in 2^12.
+        report["decode"] = "ok"
     print(json.dumps(report))
     return code
 

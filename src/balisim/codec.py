@@ -9,11 +9,11 @@ with n = 1023 (long, 913 shaped / 830 user bits) or n = 341 (short,
 additive LFSR keystream seeded by S, substitutes 10-bit groups with
 11-bit alphabet words, and appends the 85-bit polynomial remainder of
 the prefix as check bits.  Decoding is two steps.  align slides a
-window of n + r bits over a repeated stream one bit at a time until the
-divisibility, extra-bit coincidence, word-validity and control-bit
-checks all pass, and returns the desubstituted, still scrambled user
-data with sb; it needs no key.  decode_stream then descrambles with the
-S that a hook derives from sb, so a reader that tries several keys
+window of n + r bits over a repeated stream and returns, from the first
+window that passes the divisibility, extra-bit coincidence,
+word-validity and control-bit checks, the desubstituted, still scrambled
+user data with sb; it needs no key.  decode_stream then descrambles with
+the S that a hook derives from sb, so a reader that tries several keys
 aligns a stream once and descrambles it once per key.
 
 The standard owns two constants that are not public, and this module
@@ -46,11 +46,18 @@ XOR of four of them.  The last 32 bits of a block are the register
 state that seeds the next block.  Check bits and the decoder's first
 remainder take a byte per step from a 256-entry remainder table
 (Sarwate, "Computation of Cyclic Redundancy Checks via Table Look-Up",
-CACM 31(8), 1988).
+CACM 31(8), 1988).  align carries that idea over to a sliding window:
+it rolls the window's remainder six shifts per step, by table, with the
+six bits that leave and the six that enter cut from the stream in C
+(base64).  Only from the 2,048 remainders per format from which one of
+the next six windows can be divisible does it roll bit by bit and test
+each window, so it tests the same windows in the same order as a
+per-bit scan, in about a sixth of the Python steps.
 """
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 
 from .bits import bits_to_int, int_to_bits
@@ -304,23 +311,30 @@ class Aligned:
     inverted: bool   # stream polarity was inverted
 
 
-def _telegram_at(bits: list[int], j: int, rem: int,
+def _telegram_at(value: int, width: int, j: int, rem: int,
                  fmt: TelegramFormat) -> tuple[int, int, bool] | None:
-    """The telegram in bits[j : j + n + r] as (data, sb, inverted), or None.
+    """The telegram in the window at shift j as (data, sb, inverted), or None.
 
-    data is the desubstituted, still scrambled user data.  rem is the
-    remainder of bits[j : j + n] modulo g; the inverted bits leave
-    rem ^ ((2^n - 1) mod g).  The window holds a telegram when its
-    leading n bits, read as they are or inverted, are divisible by g, the
-    r = fmt.r_init extra bits repeat the first r bits, every shaped word
-    is in the alphabet, and the control bits equal CB_BITS.  A window
-    that fails only on its control bits raises ControlBitError.
+    value holds the first width >= j + n + r bits of the stream, first
+    bit most significant, and the window is bits j .. j + n + r - 1 of
+    it.  data is the desubstituted, still scrambled user data.  rem is
+    the remainder of the window's leading n bits modulo g; the inverted
+    bits leave rem ^ ((2^n - 1) mod g).  The window holds a telegram when
+    its leading n bits, read as they are or inverted, are divisible by
+    g, the r = fmt.r_init extra bits repeat the first r bits, every
+    shaped word is in the alphabet, and the control bits equal CB_BITS.
+    A window that fails only on its control bits raises ControlBitError.
     """
     n, r = fmt.n, fmt.r_init
-    if rem not in (0, _ONES[n]) or bits[j + n : j + n + r] != bits[j : j + r]:
+    if rem not in (0, _ONES[n]):
+        return None
+    window = (value >> (width - j - n - r)) & ((1 << (n + r)) - 1)
+    extra = window & ((1 << r) - 1)
+    window >>= r
+    if extra != window >> (n - r):
         return None
     inverted = rem != 0
-    window = bits_to_int(bits[j : j + n]) ^ ((1 << n) - 1) * inverted
+    window ^= ((1 << n) - 1) * inverted
     tail = n - fmt.shaped_bits
     try:
         data = desubstitute(window >> tail, fmt.shaped_bits // WORD_WIDTH)
@@ -333,39 +347,128 @@ def _telegram_at(bits: list[int], j: int, rem: int,
     return data, sb, inverted
 
 
+# The scan strides six bits, one base64 character of the stream.
+_STRIDE = 6
+_SEXTET = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(64)),
+)
+
+
+def _sextets(value: int, width: int) -> bytes:
+    """A width-bit value as 6-bit chunks, first chunk first, the last one
+    padded with zeros."""
+    pad = -width % 24
+    raw = (value << pad).to_bytes((width + pad) // 8, "big")
+    return binascii.b2a_base64(raw, newline=False).translate(_SEXTET)
+
+
+def _out_table(n: int) -> list[int]:
+    """(o * x^n) mod g for every 6-bit o: what o adds to a remainder as it
+    leaves the window over six shifts."""
+    table, term = [0], _ROT[n]
+    for _ in range(_STRIDE):
+        term <<= 1
+        if term >> CHECK_WIDTH:
+            term ^= GEN_POLY
+        table += [t ^ term for t in table]
+    return table
+
+
+def _candidates(n: int) -> frozenset[int]:
+    """The remainders from which, for some stream bits, one of the next
+    six windows is divisible in either polarity.
+
+    A shift with outgoing bit o and incoming bit b maps rem to
+    rem * x + o * x^n + b mod g, so 0 stays 0 when o = b = 0 and
+    (2^n - 1) mod g stays so when o = b = 1.  The set is thus the
+    remainders that five shifts can take to one of the two: x^-5 times
+    each of them, plus any sum of x^(n-1) .. x^(n-5) and x^-1 .. x^-5.
+    As x^-1 * (2^n - 1) is (2^n - 1) + x^(n-1) + x^-1, that is 0 and
+    (2^n - 1) mod g plus the 2^10 sums.  x is invertible mod g because g
+    has constant term 1.
+    """
+    sums = [0]
+    for term in (_ROT[n], GEN_POLY >> 1):  # x^(n-1) and x^-1 mod g
+        for _ in range(_STRIDE - 1):
+            sums += [t ^ term for t in sums]
+            term = (term ^ GEN_POLY) >> 1 if term & 1 else term >> 1
+    return frozenset(sums + [t ^ _ONES[n] for t in sums])
+
+
+_OUT = {n: _out_table(n) for n in _ROT}
+_CAND = {n: _candidates(n) for n in _ROT}
+
+
 def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
     """Find the first telegram in a bit stream, without descrambling it.
 
-    A window of n + r bits advances one bit per step, and the first
-    window that holds a telegram in either polarity (see _telegram_at)
-    is returned.  One remainder modulo g is rolled along the stream for
-    both polarities.  When no window holds a telegram, raises
-    ControlBitError if some window failed only on its control bits, and
-    NoTelegramFound otherwise.
+    The first window that holds a telegram in either polarity (see
+    _telegram_at) is returned with its shift.  One remainder modulo g,
+    that of the window's leading n bits, is rolled along the stream for
+    both polarities.  While it is not in _CAND[n], none of the next six
+    windows can be divisible, whatever the stream holds, and it advances
+    six shifts in one step: rem' = (rem * x^6 + o * x^n + b) mod g, with
+    o the six bits that leave the window and b the six that enter.  From
+    a remainder in _CAND[n] it rolls one bit per shift and tests each
+    window.  So windows are tested at the same shifts, in the same
+    order, as a per-bit scan.  A stride may end past the last window;
+    the bits it takes are still in the stream, as r > 5.  When no window
+    holds a telegram, raises ControlBitError if some window failed only
+    on its control bits, and NoTelegramFound otherwise.
     """
-    n = fmt.n
-    windows = len(stream) - n - fmt.r_init + 1
+    n, r = fmt.n, fmt.r_init
+    length = len(stream)
+    windows = length - n - r + 1
     if windows < 1:
-        raise NoTelegramFound(f"stream of {len(stream)} bits is shorter than one window")
+        raise NoTelegramFound(f"stream of {length} bits is shorter than one window")
     rot, ones = _ROT[n], _ONES[n]
-    rem = _mod_g(bits_to_int(stream[:n]))
+    out_n, cand = _OUT[n], _CAND[n]
+    strides = -(-windows // _STRIDE)
+    # value holds the stream's first width bits.  The first six windows
+    # need only n + r + 5 of them; the rest is converted when the scan
+    # leaves those windows.
+    width = min(length, n + r + _STRIDE - 1)
+    value = bits_to_int(stream[:width])
+    rem = _mod_g(value >> (width - n))
+    outs = ins = None
     cb_error = None
-    for j in range(windows):
-        if rem == 0 or rem == ones:  # as _telegram_at does; spares a call
-            try:
-                hit = _telegram_at(stream, j, rem, fmt)
-            except ControlBitError as exc:
-                cb_error = cb_error or exc
-                hit = None
-            if hit is not None:
-                data, sb, inverted = hit
-                return Aligned(data, sb, j, inverted)
-        # rem' = ((rem + b_out * x^{n-1}) * x + b_in) mod g, rot = x^{n-1} mod g
-        if stream[j]:
-            rem ^= rot
-        rem = (rem << 1) | stream[j + n]
-        if rem >> CHECK_WIDTH:
-            rem ^= GEN_POLY
+    j = 0
+    while j < windows:
+        if outs is None and (j or rem not in cand):
+            value = (value << (length - width)) | bits_to_int(stream[width:])
+            width = length
+            outs = _sextets(value, length)
+            ins = _sextets(value & ((1 << (length - n)) - 1), length - n)
+        if rem not in cand:
+            # j is a multiple of 6: chunk j // 6 leaves, n + j enters.
+            k = j // _STRIDE
+            for o, b in zip(outs[k:strides], ins[k:strides]):
+                # _BYTE_REM[h] for h < 64 is h * x^85 mod g: it folds back
+                # the six bits that rem * x^6 pushes out of the low 85.
+                rem = (((rem << _STRIDE) & _CHECK_MASK)
+                       ^ _BYTE_REM[rem >> (CHECK_WIDTH - _STRIDE)] ^ out_n[o] ^ b)
+                j += _STRIDE
+                if rem in cand:
+                    break
+            continue
+        for j in range(j, min(j + _STRIDE, windows)):
+            if rem == 0 or rem == ones:  # as _telegram_at does; spares a call
+                try:
+                    hit = _telegram_at(value, width, j, rem, fmt)
+                except ControlBitError as exc:
+                    cb_error = cb_error or exc
+                    hit = None
+                if hit is not None:
+                    data, sb, inverted = hit
+                    return Aligned(data, sb, j, inverted)
+            # rem' = ((rem + b_out * x^{n-1}) * x + b_in) mod g, rot = x^{n-1} mod g
+            if stream[j]:
+                rem ^= rot
+            rem = (rem << 1) | stream[j + n]
+            if rem >> CHECK_WIDTH:
+                rem ^= GEN_POLY
+        j += 1
     if cb_error is not None:
         raise cb_error
     raise NoTelegramFound(f"no aligned window in {windows} windows")

@@ -128,12 +128,12 @@ def save_telegram(path: str, bits: list[int],
 
 def load_telegram(path: str) -> tuple[codec.TelegramFormat, list[int]]:
     with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    try:
-        fmt = codec.FORMATS[raw["format"]]
-        bits = str_to_bits(raw["bits"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed telegram file {path}: {exc}") from exc
+        try:
+            raw = json.load(f)
+            fmt = codec.FORMATS[raw["format"]]
+            bits = str_to_bits(raw["bits"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed telegram file {path}: {exc}") from exc
     if len(bits) != fmt.n:
         raise ValueError(
             f"telegram file {path}: {len(bits)} bits, {fmt.name} needs {fmt.n}")

@@ -6,9 +6,11 @@ crossings are processed at the step in which the train position passes
 the balise; the onboard reader decodes the transmitted stream through
 the real codec.  In authenticated deployments it aligns the stream once
 per crossing and then verifies the tag under the key of every balise id
-in the track map in turn, which is what lets a cloned telegram verify
-under its source identity.  The controller is
-either the plain online braking controller, which consumes reports
+in the track map in turn.  It accepts the first payload that verifies
+and names the id of its key: a wrong key passes the 12-bit tag once in
+4,096 trials and descrambles a random payload.  A cloned telegram still
+verifies under its source key and names its source id.  The controller
+is either the plain online braking controller, which consumes reports
 as-is, or the resilient hybrid, which filters every encounter through
 derive_trustworthy_info and falls back to the conservative controller
 when balise_missing fires.
@@ -262,9 +264,11 @@ def _read_balise(
     for balise_id in track_ids:
         try:
             user = auth.verify_and_decode(aligned, keystore.keys_for(balise_id), fmt)
-            return parse_payload(user)
+            fields = parse_payload(user)
         except (auth.AuthFailure, ValueError):
             continue
+        if fields[0] == balise_id:  # a wrong key's tag pass names another id
+            return fields
     return None
 
 

@@ -406,6 +406,7 @@ def test_keyless_forgery_script_counts_are_consistent():
     accepted = int(re.search(r"^accepted: +(\d+) \(", out, re.M).group(1))
     assert n == 200
     assert 0 <= accepted <= tag_passes <= n * m
-    # The exact counts of this seeded run, frozen from the one-shot
-    # hmac.digest implementation.
-    assert (m, tag_passes, accepted) == (50, 3, 1)
+    # The exact counts of this seeded run.  One of the three tag passes
+    # parsed to a payload under a key whose id it does not name; the
+    # reader that binds the key to the payload id accepts none of them.
+    assert (m, tag_passes, accepted) == (50, 3, 0)

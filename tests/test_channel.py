@@ -5,13 +5,18 @@ authenticated, in the long or the short format.  It flips 1 to 4
 telegram bits, repeats the telegram three times (so every copy carries
 the same flips), rotates the stream and inverts it half the time.  A
 read that returns a payload other than the one sent is an undetected
-error, and there must be none; a rejection is a detected error.
+error, and there must be none; a rejection is a detected error.  The
+same holds over channel model v2 (channel_model.py), which adds
+independent flips per copy, bursts, slipped bits, truncation, random
+streams and wrong control bits.
 """
 
 import random
 
 from balisim import auth, codec
 from balisim.bits import int_to_bits
+
+import channel_model
 
 N = 2000
 
@@ -46,3 +51,36 @@ def test_bit_flip_channel_2000_streams_no_undetected_error():
         undetected += got != user
     print(f"bit-flip channel: N={N}, detected={detected}, undetected={undetected}")
     assert undetected == 0
+
+
+def test_channel_model_v2_returns_no_payload_that_was_not_sent():
+    # Each case is read twice over the same impairment: a legacy telegram
+    # through decode_stream and an authenticated one through
+    # verify_and_decode.  Any exception is a rejection.
+    keys = auth.derive_keys(bytes(range(32)), balise_id=9)
+    tally = {}
+    for fmt, impairment, inverted, rng in channel_model.corpus(seed=2027, per_case=100):
+        user = int_to_bits(rng.getrandbits(fmt.user_bits), fmt.user_bits)
+        legacy = codec.encode_legacy(user, rng.randrange(1 << codec.SB_WIDTH), fmt)
+        channel = rng.getstate()
+        for path, telegram in (("legacy", legacy),
+                               ("auth", auth.encode_authenticated(user, keys, fmt))):
+            rng.setstate(channel)
+            stream = channel_model.receive(telegram, fmt, impairment, inverted, rng)
+            try:
+                if path == "legacy":
+                    got = codec.decode_stream(stream, fmt).user_bits
+                else:
+                    got = auth.verify_and_decode(stream, keys, fmt)
+                outcome = "sent" if got == user else "wrong"
+            except (codec.CodecError, auth.AuthFailure) as exc:
+                outcome = type(exc).__name__
+            key = (impairment, fmt.name, path, outcome)
+            tally[key] = tally.get(key, 0) + 1
+    for key in sorted(tally):
+        print("channel v2:", *key, tally[key])
+    assert not any(key[-1] == "wrong" for key in tally)
+    # Impairments that leave no clean window are always rejected.
+    for impairment, _, _, outcome in tally:
+        if impairment in ("flips_same", "burst", "random", "bad_cb"):
+            assert outcome != "sent"

@@ -118,6 +118,41 @@ def test_verify_rejects_wrong_id(tmp_path, keystore, capsys):
     assert json.loads(capsys.readouterr().out)["auth"] == "fail"
 
 
+@pytest.mark.parametrize("balise_id,loc,verify_id", [
+    # Under keystore seed 1, the key of 2778 passes the tag of balise 1's
+    # telegram and descrambles a payload that names id 11348; the key of
+    # 6757 passes that of balise 2 and descrambles an unknown kind code.
+    (1, "-100.0", "2778"),
+    (2, "-50.0", "6757"),
+])
+def test_verify_fails_a_tag_pass_under_a_key_that_does_not_own_the_payload(
+        tmp_path, keystore, capsys, balise_id, loc, verify_id):
+    telegram = _program(tmp_path, keystore, id=balise_id, loc=loc)
+    capsys.readouterr()
+    assert main(["verify", telegram, "--keystore", keystore, "--id", verify_id]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"decode": "ok", "auth": "fail", "fields": None}
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("which", ["telegram", "keystore"])
+@pytest.mark.parametrize("content", [b"", b"not json", b'{"bits": "\xff"}'],
+                         ids=["empty", "not-json", "not-utf8"])
+def test_verify_names_a_file_that_is_not_json(tmp_path, keystore, capsys,
+                                              which, content):
+    paths = {"telegram": _program(tmp_path, keystore), "keystore": keystore}
+    bad = tmp_path / f"bad_{which}.json"
+    bad.write_bytes(content)
+    paths[which] = str(bad)
+    capsys.readouterr()
+    argv = ["verify", paths["telegram"], "--keystore", paths["keystore"], "--id", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert str(bad) in captured.err
+    assert captured.out == ""
+
+
 def test_verify_malformed_telegram_file(tmp_path, keystore):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "long"}')

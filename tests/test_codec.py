@@ -17,6 +17,8 @@ import hypothesis.strategies as st
 from balisim import codec
 from balisim.bits import bits_to_int, int_to_bits
 
+import channel_model
+
 LONG = codec.LONG
 SHORT = codec.SHORT
 
@@ -441,3 +443,134 @@ def test_formats_registry():
     for fmt in (LONG, SHORT):
         assert fmt.shaped_bits + 3 + 12 + 10 + 85 == fmt.n
         assert fmt.shaped_bits * 10 == fmt.user_bits * 11
+
+
+# ---------------------------------------------------------------------------
+# Stride-6 scan against the per-bit scan
+# ---------------------------------------------------------------------------
+
+def oracle_telegram_at(bits, j, rem, fmt):
+    """codec._telegram_at of the per-bit scan, on a bit list, verbatim."""
+    n, r = fmt.n, fmt.r_init
+    if rem not in (0, codec._ONES[n]) or bits[j + n : j + n + r] != bits[j : j + r]:
+        return None
+    inverted = rem != 0
+    window = bits_to_int(bits[j : j + n]) ^ ((1 << n) - 1) * inverted
+    tail = n - fmt.shaped_bits
+    try:
+        data = codec.desubstitute(window >> tail, fmt.shaped_bits // codec.WORD_WIDTH)
+    except codec.AlphabetError:
+        return None
+    cb = (window >> (tail - codec.CB_WIDTH)) & ((1 << codec.CB_WIDTH) - 1)
+    if cb != codec._CB:
+        raise codec.ControlBitError(
+            f"control bits {tuple(int_to_bits(cb, codec.CB_WIDTH))} at shift {j}")
+    sb = (window >> (tail - codec.CB_WIDTH - codec.SB_WIDTH)) & ((1 << codec.SB_WIDTH) - 1)
+    return data, sb, inverted
+
+
+def oracle_align(stream, fmt):
+    """codec.align as the per-bit scan, verbatim: one shift per step."""
+    n = fmt.n
+    windows = len(stream) - n - fmt.r_init + 1
+    if windows < 1:
+        raise codec.NoTelegramFound(f"stream of {len(stream)} bits is shorter than one window")
+    rot, ones = codec._ROT[n], codec._ONES[n]
+    rem = codec._mod_g(bits_to_int(stream[:n]))
+    cb_error = None
+    for j in range(windows):
+        if rem == 0 or rem == ones:  # as _telegram_at does; spares a call
+            try:
+                hit = oracle_telegram_at(stream, j, rem, fmt)
+            except codec.ControlBitError as exc:
+                cb_error = cb_error or exc
+                hit = None
+            if hit is not None:
+                data, sb, inverted = hit
+                return codec.Aligned(data, sb, j, inverted)
+        # rem' = ((rem + b_out * x^{n-1}) * x + b_in) mod g, rot = x^{n-1} mod g
+        if stream[j]:
+            rem ^= rot
+        rem = (rem << 1) | stream[j + n]
+        if rem >> codec.CHECK_WIDTH:
+            rem ^= codec.GEN_POLY
+    if cb_error is not None:
+        raise cb_error
+    raise codec.NoTelegramFound(f"no aligned window in {windows} windows")
+
+
+def align_outcome(align, stream, fmt):
+    try:
+        return align(stream, fmt)
+    except codec.CodecError as exc:
+        return type(exc), str(exc)
+
+
+def test_align_matches_per_bit_scan_under_channel_model_v2():
+    outcomes = {}
+    for fmt, impairment, inverted, rng in channel_model.corpus(seed=611, per_case=30):
+        telegram = codec.encode_legacy(random_user(rng, fmt),
+                                       rng.randrange(1 << codec.SB_WIDTH), fmt)
+        stream = channel_model.receive(telegram, fmt, impairment, inverted, rng)
+        got = align_outcome(codec.align, stream, fmt)
+        assert got == align_outcome(oracle_align, stream, fmt), (fmt.name, impairment)
+        kind = "ok" if isinstance(got, codec.Aligned) else got[0].__name__
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    # The corpus reaches every outcome of the scan.
+    assert set(outcomes) == {"ok", "NoTelegramFound", "ControlBitError"}
+
+
+def test_align_matches_per_bit_scan_on_stream_lengths_around_a_stride():
+    # Every window count from 1 to 25 on a rotated telegram and on a
+    # codeword with bad control bits: the per-bit tail takes each length.
+    rng = random.Random(612)
+    for fmt in (LONG, SHORT):
+        telegram = codec.encode_legacy(random_user(rng, fmt), 0x3C3, fmt)
+        bad = channel_model.with_control_bits(telegram, fmt, rng)
+        for bits in (telegram, bad):
+            for k in (0, 1, 5, 6, 7, fmt.n - 13, fmt.n - 1):
+                rotated = (bits[k:] + bits[:k]) * 3
+                for windows in range(1, 26):
+                    stream = rotated[: fmt.n + fmt.r_init - 1 + windows]
+                    for s in (stream, [1 - b for b in stream]):
+                        assert align_outcome(codec.align, s, fmt) == \
+                            align_outcome(oracle_align, s, fmt)
+
+
+def hit_within_stride(rem, n):
+    """Whether some outgoing and incoming bits take rem to 0 or
+    (2^n - 1) mod g within 5 per-bit shifts, by trying them all."""
+    ones = codec._ONES[n]
+    level = {rem}
+    for shift in range(6):
+        if 0 in level or ones in level:
+            return True
+        if shift == 5:
+            return False
+        nxt = set()
+        for value in level:
+            for out_bit in (0, 1):
+                rolled = (value ^ codec._ROT[n] * out_bit) << 1
+                if rolled >> codec.CHECK_WIDTH:
+                    rolled ^= codec.GEN_POLY
+                nxt.update((rolled, rolled ^ 1))
+        level = nxt
+
+
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+def test_candidate_set_holds_exactly_the_remainders_that_can_hit(fmt):
+    n = fmt.n
+    cand = codec._CAND[n]
+    assert len(cand) == 2048
+    rng = random.Random(613)
+    # The windows 0 to 5 shifts before a telegram, in both polarities.
+    stream = codec.encode_legacy(random_user(rng, fmt), 0x1E1, fmt) * 2
+    before = [codec._mod_g(bits_to_int(bits[j : j + n]))
+              for bits in (stream, [1 - b for b in stream])
+              for j in range(n - 5, n + 1)]
+    members = rng.sample(sorted(cand), 60)
+    near = [m ^ (1 << rng.randrange(codec.CHECK_WIDTH)) for m in members]
+    randoms = [rng.getrandbits(codec.CHECK_WIDTH) for _ in range(60)]
+    assert all(hit_within_stride(rem, n) for rem in before)
+    for rem in before + members + near + randoms:
+        assert hit_within_stride(rem, n) == (rem in cand)

@@ -28,8 +28,8 @@ from balisim.sim import (
 from balisim.sim.deployment import AUTH_AUTHENTICATED, LEGACY_SB, \
     build_deployment, pack_payload
 from balisim.sim.conservative import MODE_PID1, MODE_PID2
-from balisim.sim.scenario import CSV_HEADER, MAX_STEPS, MODE_HOA, \
-    MODE_MAX_BRAKE, SimResult, TrajectoryRow, _read_balise
+from balisim.sim.scenario import CONTROLLER_RESILIENT, CSV_HEADER, MAX_STEPS, \
+    MODE_HOA, MODE_MAX_BRAKE, SimResult, TrajectoryRow, _read_balise
 from balisim import auth, codec
 
 SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
@@ -133,6 +133,23 @@ def test_reader_tries_no_key_on_a_stream_that_does_not_align(monkeypatch):
     assert _read_balise(deployed, AUTH_AUTHENTICATED, keystore,
                         track_ids, LONG) is None
     assert trials == []
+
+
+def test_reader_accepts_a_payload_only_under_the_key_of_its_id():
+    # With keystore seed 45 on a 50-balise track, an honest telegram
+    # passes the 12-bit tag under a wrong key, and the payload that key
+    # descrambles parses.  A reader that took it stopped at -7.835 m.
+    balises = [BaliseSpec(id=i, loc=round(-100.0 * (50 - i) / 49, 3),
+                          kind="fixed" if i < 50 else "controlled")
+               for i in range(1, 51)]
+    stops = {}
+    for seed in (1, 45):
+        cfg = ScenarioConfig(balises=balises, controller=CONTROLLER_RESILIENT,
+                             auth_mode=AUTH_AUTHENTICATED,
+                             telegram_format=LONG.name, seed=seed)
+        stops[seed] = run_scenario(cfg).stop_error
+    assert stops[45] == stops[1]
+    assert round(stops[45], 6) == -0.022299
 
 
 def test_timeout_raises():
