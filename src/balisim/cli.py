@@ -8,7 +8,6 @@ failure, 2 input error, 3 simulation timeout.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import glob
 import json
 import os
@@ -142,6 +141,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
          args.csv, args.summary)
         for path in configs
     ]
+    # Imported here: it loads logging, which no other command needs.
+    import concurrent.futures
+
     workers = min(len(jobs), os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_run_one, *zip(*jobs)))

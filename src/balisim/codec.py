@@ -44,20 +44,25 @@ The keystream is linear in the seed over GF(2): four 256-entry tables,
 one per seed byte, hold blocks of keystream, and a seed's block is the
 XOR of four of them.  The last 32 bits of a block are the register
 state that seeds the next block.  Check bits and the decoder's first
-remainder take a byte per step from a 256-entry remainder table
-(Sarwate, "Computation of Cyclic Redundancy Checks via Table Look-Up",
-CACM 31(8), 1988).  align carries that idea over to a sliding window:
-it rolls the window's remainder six shifts per step, by table, with the
-six bits that leave and the six that enter cut from the stream in C
-(base64).  Only from the 2,048 remainders per format from which one of
-the next six windows can be divisible does it roll bit by bit and test
-each window, so it tests the same windows in the same order as a
-per-bit scan, in about a sixth of the Python steps.
+remainder are the table reduction of Sarwate ("Computation of Cyclic
+Redundancy Checks via Table Look-Up", CACM 31(8), 1988) widened to
+eight 256-entry tables, one per byte of a 64-bit word ("slicing-by-8",
+Kounavis and Berry, ISCC 2005): a 1,023-bit value takes 15 Python steps.
+align carries the table idea over to a sliding window: it rolls the
+window's remainder six shifts per step, by table, with the six bits
+that leave and the six that enter cut from the stream in C (base64).
+Only from the 2,048 remainders per format from which one of the next
+six windows can be divisible does it roll bit by bit and test each
+window, so it tests the same windows in the same order as a per-bit
+scan, in about a sixth of the Python steps.  It converts the stream
+from a list in three stages, so a read whose clean copy aligns early
+converts only the first n + r + 5 or 2n + r + 5 bits.
 """
 
 from __future__ import annotations
 
 import binascii
+import struct
 from dataclasses import dataclass
 
 from .bits import bits_to_int, int_to_bits
@@ -147,16 +152,41 @@ def poly_mod(value: int, g: int) -> int:
 
 
 _CHECK_MASK = (1 << CHECK_WIDTH) - 1
-# (t * x^85) mod g for every byte t.
-_BYTE_REM = [poly_mod(t << CHECK_WIDTH, GEN_POLY) for t in range(256)]
+_WORD = 64
+_CARRY_MASK = (1 << (CHECK_WIDTH - _WORD)) - 1
+
+
+def _remainder_tables() -> tuple[list[int], ...]:
+    """T_k[t] = (t * x^(85 + 8k)) mod g for every byte t, k = 0 .. 7."""
+    tables = [[poly_mod(t << CHECK_WIDTH, GEN_POLY) for t in range(256)]]
+    t0 = tables[0]
+    for _ in range(_WORD // 8 - 1):
+        # One byte step multiplies an entry by x^8.
+        tables.append([((v << 8) & _CHECK_MASK) ^ t0[v >> (CHECK_WIDTH - 8)]
+                       for v in tables[-1]])
+    return tuple(tables)
+
+
+_REM_TABLES = _remainder_tables()
 
 
 def _mod_g(value: int) -> int:
-    """value mod GEN_POLY, a byte at a time above the low 85 bits."""
+    """value mod GEN_POLY, a 64-bit word at a time above the low 85 bits.
+
+    The part above the low 85 bits is cut into big-endian words in C,
+    the top word padded with leading zeros.  With rem the remainder so
+    far times x^85, a word d gives rem * x^64 + d * x^85: the 21 low bits
+    of rem move up by 64, and the 64-bit h = (rem >> 21) ^ d is folded
+    back as h * x^85 mod g, one table T_k per byte of h.
+    """
+    t0, t1, t2, t3, t4, t5, t6, t7 = _REM_TABLES
     high = value >> CHECK_WIDTH
+    count = (high.bit_length() + _WORD - 1) // _WORD
     rem = 0
-    for byte in high.to_bytes((high.bit_length() + 7) // 8, "big"):
-        rem = ((rem << 8) & _CHECK_MASK) ^ _BYTE_REM[(rem >> (CHECK_WIDTH - 8)) ^ byte]
+    for d in struct.unpack(f">{count}Q", high.to_bytes(count * 8, "big")):
+        h7, h6, h5, h4, h3, h2, h1, h0 = ((rem >> (CHECK_WIDTH - _WORD)) ^ d).to_bytes(8, "big")
+        rem = (((rem & _CARRY_MASK) << _WORD) ^ t7[h7] ^ t6[h6] ^ t5[h5] ^ t4[h4]
+               ^ t3[h3] ^ t2[h2] ^ t1[h1] ^ t0[h0])
     return rem ^ (value & _CHECK_MASK)
 
 
@@ -355,12 +385,11 @@ _SEXTET = bytes.maketrans(
 )
 
 
-def _sextets(value: int, width: int) -> bytes:
-    """A width-bit value as 6-bit chunks, first chunk first, the last one
-    padded with zeros."""
-    pad = -width % 24
-    raw = (value << pad).to_bytes((width + pad) // 8, "big")
-    return binascii.b2a_base64(raw, newline=False).translate(_SEXTET)
+def _sextets(value: int, count: int) -> bytes:
+    """The 6 * count bits of value as count 6-bit chunks, first chunk first."""
+    pad = -count % 4 * _STRIDE  # base64 takes 24 bits at a time
+    raw = (value << pad).to_bytes((count * _STRIDE + pad) // 8, "big")
+    return binascii.b2a_base64(raw, newline=False)[:count].translate(_SEXTET)
 
 
 def _out_table(n: int) -> list[int]:
@@ -416,6 +445,12 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
     the bits it takes are still in the stream, as r > 5.  When no window
     holds a telegram, raises ControlBitError if some window failed only
     on its control bits, and NoTelegramFound otherwise.
+
+    The stream is converted to an int in up to three stages, each when
+    the scan first needs it: the first n + r + 5 bits, which windows 0
+    .. 5 need; up to 2n + r + 5 bits, which cover every shift below
+    n + 6, where a repeated telegram with a clean copy aligns; and the
+    rest, for corrupted or garbage streams.
     """
     n, r = fmt.n, fmt.r_init
     length = len(stream)
@@ -423,31 +458,39 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
     if windows < 1:
         raise NoTelegramFound(f"stream of {length} bits is shorter than one window")
     rot, ones = _ROT[n], _ONES[n]
-    out_n, cand = _OUT[n], _CAND[n]
+    out_n, cand, fold = _OUT[n], _CAND[n], _REM_TABLES[0]
     strides = -(-windows // _STRIDE)
-    # value holds the stream's first width bits.  The first six windows
-    # need only n + r + 5 of them; the rest is converted when the scan
-    # leaves those windows.
+    # value holds the stream's first width bits; windows j .. j + 5 need
+    # j + n + r + 5 of them.  outs[k] and ins[k] are the chunks that leave
+    # and enter the window in the stride from shift 6k, for every stride
+    # whose bits are within width.
     width = min(length, n + r + _STRIDE - 1)
+    second = min(length, 2 * n + r + _STRIDE - 1)
     value = bits_to_int(stream[:width])
     rem = _mod_g(value >> (width - n))
-    outs = ins = None
+    outs = ins = b""
     cb_error = None
     j = 0
     while j < windows:
-        if outs is None and (j or rem not in cand):
-            value = (value << (length - width)) | bits_to_int(stream[width:])
-            width = length
-            outs = _sextets(value, length)
-            ins = _sextets(value & ((1 << (length - n)) - 1), length - n)
-        if rem not in cand:
+        scan = rem not in cand
+        if (j // _STRIDE >= len(outs) if scan
+                else j + n + r + _STRIDE - 1 > width < length):
+            grown = second if width < second else length
+            value = (value << (grown - width)) | bits_to_int(stream[width:grown])
+            width = grown
+            lim = min(strides, (width - n) // _STRIDE)
+            count = lim - len(outs)
+            cut = (1 << (_STRIDE * count)) - 1
+            outs += _sextets((value >> (width - _STRIDE * lim)) & cut, count)
+            ins += _sextets((value >> (width - n - _STRIDE * lim)) & cut, count)
+        if scan:
             # j is a multiple of 6: chunk j // 6 leaves, n + j enters.
             k = j // _STRIDE
-            for o, b in zip(outs[k:strides], ins[k:strides]):
-                # _BYTE_REM[h] for h < 64 is h * x^85 mod g: it folds back
-                # the six bits that rem * x^6 pushes out of the low 85.
+            for o, b in zip(outs[k:], ins[k:]):
+                # fold[h] for h < 64 is h * x^85 mod g: it folds back the
+                # six bits that rem * x^6 pushes out of the low 85.
                 rem = (((rem << _STRIDE) & _CHECK_MASK)
-                       ^ _BYTE_REM[rem >> (CHECK_WIDTH - _STRIDE)] ^ out_n[o] ^ b)
+                       ^ fold[rem >> (CHECK_WIDTH - _STRIDE)] ^ out_n[o] ^ b)
                 j += _STRIDE
                 if rem in cand:
                     break

@@ -56,11 +56,13 @@ def location_mm(loc: float) -> int:
 def pack_payload(balise_id: int, kind: str, loc: float,
                  fmt: codec.TelegramFormat) -> list[int]:
     """User bits: id (14) | kind (2) | loc in signed mm (48) | zero pad."""
+    if not 0 <= balise_id < (1 << auth.ID_BITS):
+        raise ValueError("balise id must be a 14-bit integer")
     loc_mm = location_mm(loc)
-    bits = int_to_bits(balise_id, auth.ID_BITS)
-    bits += int_to_bits(_KIND_CODE[kind], 2)
-    bits += int_to_bits(loc_mm & ((1 << _LOC_BITS) - 1), _LOC_BITS)
-    return bits + [0] * (fmt.user_bits - len(bits))
+    fields = (balise_id << 2 | _KIND_CODE[kind]) << _LOC_BITS
+    fields |= loc_mm & ((1 << _LOC_BITS) - 1)
+    pad = fmt.user_bits - auth.ID_BITS - 2 - _LOC_BITS
+    return int_to_bits(fields << pad, fmt.user_bits)
 
 
 def parse_payload(user_bits: list[int]) -> tuple[int, str, float]:

@@ -6,6 +6,8 @@ contract: 0 success, 1 verification failure, 2 input error, 3 timeout.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -250,6 +252,19 @@ def test_simulate_batch(tmp_path, capsys):
     for name in table:
         assert (out / name / "trajectory.csv").exists()
         assert (out / name / "summary.json").exists()
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # concurrent.futures loads logging; only simulate --batch needs it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(balisim.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, balisim.cli; print(sorted({'concurrent.futures', 'logging'}"
+         " & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_simulate_batch_uses_csv_and_summary_names(tmp_path, capsys):

@@ -191,6 +191,16 @@ def test_poly_mod_matches_oracle(value):
     assert codec.poly_mod(value, codec.GEN_POLY) == expected
 
 
+def test_word_reduction_matches_poly_mod_at_every_length():
+    # Every length from 0 to 1,200 bits, so the part above the low 85
+    # bits fills its top 64-bit word to every depth; 63, 64 and 65 bits
+    # long (lengths 148 to 150) among them.
+    rng = random.Random(18)
+    for length in range(1201):
+        for value in (rng.getrandbits(length) | (1 << length) >> 1, (1 << length) - 1):
+            assert codec._mod_g(value) == codec.poly_mod(value, codec.GEN_POLY), length
+
+
 def poly_gcd(a, b):
     while b:
         while a.bit_length() >= b.bit_length():
@@ -476,7 +486,7 @@ def oracle_align(stream, fmt):
     if windows < 1:
         raise codec.NoTelegramFound(f"stream of {len(stream)} bits is shorter than one window")
     rot, ones = codec._ROT[n], codec._ONES[n]
-    rem = codec._mod_g(bits_to_int(stream[:n]))
+    rem = codec.poly_mod(bits_to_int(stream[:n]), codec.GEN_POLY)
     cb_error = None
     for j in range(windows):
         if rem == 0 or rem == ones:  # as _telegram_at does; spares a call
@@ -535,6 +545,104 @@ def test_align_matches_per_bit_scan_on_stream_lengths_around_a_stride():
                     for s in (stream, [1 - b for b in stream]):
                         assert align_outcome(codec.align, s, fmt) == \
                             align_outcome(oracle_align, s, fmt)
+
+
+def assert_aligns_as_per_bit_scan(stream, fmt):
+    """align and oracle_align agree on stream and on its inverse; returns
+    the outcome on stream."""
+    got = align_outcome(codec.align, stream, fmt)
+    assert got == align_outcome(oracle_align, stream, fmt)
+    inverse = [1 - b for b in stream]
+    assert align_outcome(codec.align, inverse, fmt) == align_outcome(oracle_align, inverse, fmt)
+    return got
+
+
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+def test_align_matches_per_bit_scan_around_the_conversion_stages(fmt):
+    # align converts the first n + r + 5 bits, then up to 2n + r + 5, then
+    # the rest.  Hits at shifts n - 8 .. n + 8 straddle the second
+    # boundary; a hit past n needs a broken first copy.  Stream lengths
+    # around 2n + r + 5 make the second stage the last, or not.  A
+    # telegram that ends in six 0s keeps the six windows before the hit
+    # divisible, so the scan tests them one by one across the boundary.
+    n, r = fmt.n, fmt.r_init
+    rng = random.Random(614)
+    user = random_user(rng, fmt)
+    zero_tail = next(t for t in (codec.encode_legacy(user, sb, fmt) for sb in range(4096))
+                     if not any(t[-6:]))
+    lengths = [2 * n + r + 5 + d for d in (-6, -1, 0, 1, 6)] + [3 * n]
+    for telegram in (codec.encode_legacy(user, 0x5A6, fmt), zero_tail):
+        for shift in range(n - 8, n + 9):
+            k = (n - shift) % n
+            rotated = (telegram[k:] + telegram[:k]) * 3
+            if shift >= n:
+                rotated[shift - n] ^= 1  # breaks the copy at shift - n only
+            for length in lengths:
+                got = assert_aligns_as_per_bit_scan(rotated[:length], fmt)
+                if length >= shift + n + r:
+                    assert got.shift == shift
+
+
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+def test_align_matches_per_bit_scan_after_an_early_control_bit_error(fmt):
+    # A codeword with bad control bits, then a clean telegram: the first
+    # ControlBitError comes before the end of the second stage, and the
+    # scan goes on to the telegram past it.
+    n, r = fmt.n, fmt.r_init
+    rng = random.Random(615)
+    telegram = codec.encode_legacy(random_user(rng, fmt), 0x2B4, fmt)
+    bad = channel_model.with_control_bits(telegram, fmt, rng)
+    for k in (0, 1, 6, 7, n // 2, n - 7, n - 1):
+        head = (bad[k:] + bad[:k]) * 3
+        head = head[: (n - k) % n + n + r]  # ends just after a whole bad window
+        for gap in (0, 5, 6, 13):
+            stream = head + [rng.randrange(2) for _ in range(gap)] + telegram * 2
+            got = assert_aligns_as_per_bit_scan(stream, fmt)
+            assert got.sb == 0x2B4 and got.shift == len(head) + gap
+            tail = stream[: len(head) + gap + n]  # no whole clean window
+            assert assert_aligns_as_per_bit_scan(tail, fmt)[0] is codec.ControlBitError
+
+
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+def test_align_matches_per_bit_scan_on_corrupted_streams_into_the_last_stage(fmt):
+    # Four rotated copies with a bit flipped in every aligned window, or in
+    # every one but the last: the scan passes the second stage and
+    # converts the whole stream.
+    n, r = fmt.n, fmt.r_init
+    rng = random.Random(616)
+    for trial in range(8):
+        telegram = codec.encode_legacy(random_user(rng, fmt), rng.randrange(1 << 12), fmt)
+        k = rng.randrange(n)
+        stream = (telegram[k:] + telegram[:k]) * 4
+        starts = range((n - k) % n, len(stream) - n - r + 1, n)
+        for start in starts[: len(starts) - trial % 2]:
+            stream[start + rng.randrange(n)] ^= 1
+        got = assert_aligns_as_per_bit_scan(stream, fmt)
+        if trial % 2:
+            assert got.shift == starts[-1] > n + 5
+        else:
+            assert got[0] is codec.NoTelegramFound
+
+
+def test_align_converts_only_the_stages_a_read_needs(monkeypatch):
+    converted = []
+
+    def counting_bits_to_int(bits):
+        converted.append(len(bits))
+        return bits_to_int(bits)
+
+    monkeypatch.setattr(codec, "bits_to_int", counting_bits_to_int)
+    rng = random.Random(617)
+    for fmt in (LONG, SHORT):
+        n, r = fmt.n, fmt.r_init
+        stream = codec.encode_legacy(random_user(rng, fmt), 0x1A2, fmt) * 3
+        garbage = [rng.randrange(2) for _ in range(3 * n)]
+        for k, bits, expected in ((0, stream, n + r + 5), (n - 1, stream, n + r + 5),
+                                  (1, stream, 2 * n + r + 5), (n - 6, stream, 2 * n + r + 5),
+                                  (0, garbage, 3 * n)):
+            converted.clear()
+            align_outcome(codec.align, bits[k:] + bits[:k], fmt)
+            assert sum(converted) == expected, (fmt.name, k)
 
 
 def hit_within_stride(rem, n):

@@ -60,6 +60,12 @@ def test_payload_zero_padding():
     assert all(b == 0 for b in user[14 + 2 + 48 :])
 
 
+@pytest.mark.parametrize("bid", [-1, 1 << auth.ID_BITS])
+def test_payload_rejects_out_of_range_id(bid):
+    with pytest.raises(ValueError):
+        pack_payload(bid, KIND_FIXED, 0.0, SHORT)
+
+
 def test_payload_rejects_out_of_range_location():
     too_far = float(1 << 47) / 1000.0  # one mm past the signed 48-bit range
     with pytest.raises(ValueError):
