@@ -25,12 +25,13 @@ payload names, as sim.scenario's reader and `balisim verify` do; a
 keyless forgery then passes about m * 2^-27 of its crossings on an
 m-balise map (m * 2^-12 tags, half the kind codes, 2^-14 for the id).
 
-HMAC follows RFC 2104 on hashlib.sha256 objects.  A key's pad states are
-two hashes that have already absorbed K^ipad and K^opad (section 4 of
-the RFC); a MAC copies each state instead of hashing the padded key
-again.  The master key's pad states are cached, one entry per
-process, so a key derivation costs two MACs from ready states; tag and
-PRF keys differ per balise and build fresh pads on each call.
+HMAC-SHA256 follows RFC 2104 in two forms.  The master key signs every
+key derivation, so its pad states, two hashes that have already
+absorbed K^ipad and K^opad (section 4 of the RFC), are cached, one
+entry per process, and each MAC copies them instead of hashing the
+padded key again.  A tag or PRF key is derived afresh for each trial
+and used once, so its MAC is one-shot: sha256(K^ipad | msg), then
+sha256(K^opad | inner), with no hash state built or copied.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import hashlib
 import json
 import secrets
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import codec
 from .bits import bits_to_int
@@ -57,8 +59,7 @@ class AuthFailure(Exception):
     """Tag verification failed: tampered data or wrong keys."""
 
 
-@dataclass(frozen=True)
-class BaliseKeyPair:
+class BaliseKeyPair(NamedTuple):
     k0: bytes  # tag MAC key
     k1: bytes  # scrambling PRF key
     id: int
@@ -70,11 +71,16 @@ _IPAD = bytes(x ^ 0x36 for x in range(256))  # translate tables for K^ipad
 _OPAD = bytes(x ^ 0x5C for x in range(256))  # and K^opad
 
 
-def _pads(key: bytes) -> tuple:
-    """The key's pad states: SHA-256 after K^ipad and after K^opad."""
+def _block(key: bytes) -> bytes:
+    """K as one SHA-256 block: hashed first if longer, then zero-padded."""
     if len(key) > _BLOCK_BYTES:
         key = hashlib.sha256(key).digest()
-    key = key.ljust(_BLOCK_BYTES, b"\0")
+    return key.ljust(_BLOCK_BYTES, b"\0")
+
+
+def _pads(key: bytes) -> tuple:
+    """The key's pad states: SHA-256 after K^ipad and after K^opad."""
+    key = _block(key)
     return (hashlib.sha256(key.translate(_IPAD)),
             hashlib.sha256(key.translate(_OPAD)))
 
@@ -91,6 +97,13 @@ def _hmac256(pads: tuple, msg: bytes) -> bytes:
     return outer.digest()
 
 
+def _hmac256_once(key: bytes, msg: bytes) -> bytes:
+    """HMAC-SHA256 of msg under a key used once: two hashes, no states."""
+    key = _block(key)
+    inner = hashlib.sha256(key.translate(_IPAD) + msg).digest()
+    return hashlib.sha256(key.translate(_OPAD) + inner).digest()
+
+
 def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
     """Derive the per-balise key pair from the 256-bit master key."""
     if len(mk) != 32:
@@ -103,7 +116,7 @@ def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
     pads = _master_pads(mk)
     k0 = _hmac256(pads, base + b"\x00")[:KEY_BYTES]
     k1 = _hmac256(pads, base + b"\x01")[:KEY_BYTES]
-    return BaliseKeyPair(k0=k0, k1=k1, id=balise_id, ver=ver)
+    return BaliseKeyPair(k0, k1, balise_id, ver)
 
 
 def tag_sb(k0: bytes, user: int, fmt: codec.TelegramFormat) -> int:
@@ -113,14 +126,14 @@ def tag_sb(k0: bytes, user: int, fmt: codec.TelegramFormat) -> int:
     """
     pad = -fmt.user_bits % 8
     packed = (user << pad).to_bytes((fmt.user_bits + pad) // 8, "big")
-    digest = _hmac256(_pads(k0), _FORMAT_BYTE[fmt.name] + packed)
+    digest = _hmac256_once(k0, _FORMAT_BYTE[fmt.name] + packed)
     return (digest[0] << 4) | (digest[1] >> 4)
 
 
 def prf_s(k1: bytes, sb: int) -> int:
     """32-bit scrambling key: leading bits of PRF(k1, sb)."""
     msg = _PRF_PREFIX + (sb << 4).to_bytes(2, "big")
-    return int.from_bytes(_hmac256(_pads(k1), msg)[:4], "big")
+    return int.from_bytes(_hmac256_once(k1, msg)[:4], "big")
 
 
 def generate_tag(
@@ -198,7 +211,7 @@ def load_keystore(path: str) -> Keystore:
             raw = json.load(f)
             mk = bytes.fromhex(raw["mk_hex"])
             ver = raw["ver"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"malformed keystore file {path}: {exc}") from exc
     if len(mk) != 32:
         raise ValueError(f"malformed keystore file {path}: mk_hex must encode 32 bytes")

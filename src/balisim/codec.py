@@ -64,6 +64,7 @@ from __future__ import annotations
 import binascii
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bits import bits_to_int, int_to_bits
 
@@ -319,8 +320,7 @@ def encode_legacy(user_bits: list[int], sb: int,
 # Decoding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     user: int        # descrambled user data, first bit MSB
     width: int       # number of user bits in user
     sb: int

@@ -134,7 +134,7 @@ def load_telegram(path: str) -> tuple[codec.TelegramFormat, list[int]]:
             raw = json.load(f)
             fmt = codec.FORMATS[raw["format"]]
             bits = str_to_bits(raw["bits"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"malformed telegram file {path}: {exc}") from exc
     if len(bits) != fmt.n:
         raise ValueError(

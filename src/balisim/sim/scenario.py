@@ -207,7 +207,10 @@ def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
 
 def _read_json(path: str):
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except RecursionError as exc:  # nested deeper than the parser goes
+            raise ValueError(f"malformed JSON: {exc}") from exc
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -52,18 +52,33 @@ def test_hmac_oracle_agrees_with_stdlib():
 # Key lengths around the 64-byte block (longer keys are hashed first) and
 # message lengths around the SHA-256 padding edges of one and two blocks
 # after the 64-byte pad.
-@pytest.mark.parametrize("key_len", [0, 1, 16, 32, 63, 64, 65, 100, 200])
+KEY_LENS = [0, 1, 16, 32, 63, 64, 65, 100, 200]
+MSG_LENS = (0, 3, 55, 56, 63, 64, 65, 105, 119, 120, 200)
+
+
+@pytest.mark.parametrize("key_len", KEY_LENS)
 def test_hmac_from_pads_matches_stdlib(key_len):
     import hmac as hmac_std
     rng = random.Random(key_len)
     key = rng.randbytes(key_len)
     pads = auth._pads(key)
-    for msg_len in (0, 3, 55, 56, 63, 64, 65, 105, 119, 120, 200):
+    for msg_len in MSG_LENS:
         msg = rng.randbytes(msg_len)
         expected = hmac_std.digest(key, msg, "sha256")
         assert auth._hmac256(pads, msg) == expected, msg_len
         # The pad states are copied, never consumed: a second MAC agrees.
         assert auth._hmac256(pads, msg) == expected, msg_len
+
+
+@pytest.mark.parametrize("key_len", KEY_LENS)
+def test_one_shot_hmac_matches_stdlib(key_len):
+    import hmac as hmac_std
+    rng = random.Random(key_len)
+    key = rng.randbytes(key_len)
+    for msg_len in MSG_LENS:
+        msg = rng.randbytes(msg_len)
+        assert auth._hmac256_once(key, msg) == \
+            hmac_std.digest(key, msg, "sha256"), msg_len
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +177,21 @@ def test_decode_result_user_bits_expand_user():
             result = codec.decode_stream(stream, fmt)
             assert (result.user, result.width) == (user_int, fmt.user_bits)
             assert result.user_bits == int_to_bits(result.user, fmt.user_bits) == user
+
+
+@pytest.mark.parametrize("field", ["k0", "k1", "id", "ver"])
+def test_balise_key_pair_is_immutable(field):
+    keys = auth.derive_keys(MK, 5)
+    with pytest.raises(AttributeError):
+        setattr(keys, field, getattr(keys, field))
+
+
+@pytest.mark.parametrize("field", ["user", "width", "sb", "shift", "inverted"])
+def test_decode_result_is_immutable(field):
+    user = int_to_bits(0x2A, LONG.user_bits)
+    result = codec.decode_stream(codec.encode_legacy(user, 0x3C5) * 3)
+    with pytest.raises(AttributeError):
+        setattr(result, field, getattr(result, field))
 
 
 def test_tag_is_deterministic():

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,7 +239,7 @@ def _batch_dir(tmp_path, names):
     batch.mkdir()
     for name in names:
         src = os.path.join(SCENARIO_DIR, name + ".json")
-        (batch / (name + ".json")).write_text(open(src).read())
+        (batch / (name + ".json")).write_text(Path(src).read_text())
     return batch
 
 
@@ -329,7 +330,7 @@ def test_simulate_batch_reports_successes_beside_an_unwritable_output(
 
 
 def test_simulate_timeout_exit_code(tmp_path):
-    raw = json.loads(open(os.path.join(SCENARIO_DIR, "no_attack.json")).read())
+    raw = json.loads(Path(SCENARIO_DIR, "no_attack.json").read_text())
     raw["max_time_s"] = 0.05
     config = tmp_path / "stuck.json"
     config.write_text(json.dumps(raw))
@@ -350,7 +351,7 @@ def test_simulate_bad_config_exit_code(tmp_path):
 
 
 def test_simulate_attack_on_missing_balise_exit_code(tmp_path):
-    raw = json.loads(open(os.path.join(SCENARIO_DIR, "no_attack.json")).read())
+    raw = json.loads(Path(SCENARIO_DIR, "no_attack.json").read_text())
     raw["attacks"] = [{"type": "tamper", "balise": 7, "new_loc": -1.0}]
     config = tmp_path / "b7.json"
     config.write_text(json.dumps(raw))
@@ -360,7 +361,7 @@ def test_simulate_attack_on_missing_balise_exit_code(tmp_path):
 @pytest.mark.parametrize("text", ['{"ver": 0}', '[1, 2]'])
 def test_simulate_malformed_keystore_exit_code(tmp_path, text):
     (tmp_path / "keys.json").write_text(text)
-    raw = json.loads(open(os.path.join(SCENARIO_DIR, "no_attack.json")).read())
+    raw = json.loads(Path(SCENARIO_DIR, "no_attack.json").read_text())
     raw["auth_mode"] = "authenticated"
     raw["keystore"] = "keys.json"
     config = tmp_path / "keyed.json"
@@ -369,7 +370,7 @@ def test_simulate_malformed_keystore_exit_code(tmp_path, text):
 
 
 def test_simulate_non_finite_config_exit_code(tmp_path):
-    raw = json.loads(open(os.path.join(SCENARIO_DIR, "no_attack.json")).read())
+    raw = json.loads(Path(SCENARIO_DIR, "no_attack.json").read_text())
     raw.setdefault("train", {})["v0"] = float("nan")
     config = tmp_path / "nan.json"
     config.write_text(json.dumps(raw))  # written as the JSON token NaN
@@ -381,8 +382,8 @@ def test_simulate_non_finite_config_exit_code(tmp_path):
 def test_simulate_zero_metre_telegram_file_exit_code(tmp_path, keystore, mode):
     # A fixed balise whose telegram reports 0 m has no braking law.
     path = _program(tmp_path, keystore, id=1, loc=0, mode=mode, name="t0.txt")
-    raw = json.loads(open(os.path.join(SCENARIO_DIR,
-                                       "tamper_b1_legacy.json")).read())
+    raw = json.loads(
+        Path(SCENARIO_DIR, "tamper_b1_legacy.json").read_text())
     del raw["attacks"]
     raw["auth_mode"] = mode
     raw["keystore"] = keystore
@@ -390,3 +391,65 @@ def test_simulate_zero_metre_telegram_file_exit_code(tmp_path, keystore, mode):
     config = tmp_path / "zero.json"
     config.write_text(json.dumps(raw))
     assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# JSON nested deeper than the parser's recursion limit
+# ---------------------------------------------------------------------------
+
+# 100,000 levels exceed the JSON parser's recursion guard on every
+# supported Python; 3,000 already do on 3.11.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def _assert_names_bad_file(code, err, bad):
+    assert code == 2
+    assert str(bad) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+def test_simulate_deeply_nested_scenario_exits_2(tmp_path, capsys, batch):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    bad = configs / "deep.json"
+    bad.write_text(DEEP_JSON)
+    target = ["--batch", str(configs)] if batch else [str(bad)]
+    code = main(["simulate", *target, "--out", str(tmp_path / "out")])
+    _assert_names_bad_file(code, capsys.readouterr().err, bad)
+
+
+def test_deeply_nested_keystore_exits_2(tmp_path, keystore, capsys):
+    telegram = _program(tmp_path, keystore)
+    bad = tmp_path / "deep_keys.json"
+    bad.write_text(DEEP_JSON)
+    raw = json.loads(Path(SCENARIO_DIR, "no_attack.json").read_text())
+    raw["auth_mode"] = "authenticated"
+    raw["keystore"] = str(bad)
+    config = tmp_path / "keyed.json"
+    config.write_text(json.dumps(raw))
+    capsys.readouterr()
+    for argv in (["verify", telegram, "--keystore", str(bad), "--id", "3"],
+                 ["program", "--id", "3", "--loc", "-36.0", "--keystore",
+                  str(bad), "--out", str(tmp_path / "t.json")],
+                 ["simulate", str(config), "--out", str(tmp_path)]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        _assert_names_bad_file(code, err, bad)
+        assert "malformed keystore file" in err
+
+
+def test_deeply_nested_telegram_file_exits_2(tmp_path, keystore, capsys):
+    bad = tmp_path / "deep_telegram.json"
+    bad.write_text(DEEP_JSON)
+    raw = json.loads(Path(SCENARIO_DIR, "no_attack.json").read_text())
+    raw["balises"][0]["telegram"] = str(bad)
+    config = tmp_path / "with_file.json"
+    config.write_text(json.dumps(raw))
+    capsys.readouterr()
+    for argv in (["verify", str(bad), "--keystore", keystore, "--id", "3"],
+                 ["simulate", str(config), "--out", str(tmp_path)]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        _assert_names_bad_file(code, err, bad)
+        assert "malformed telegram file" in err
