@@ -6,7 +6,9 @@ speed of the conservative fallback and with it the post-marker
 overshoot.  The shipped defaults (params.ETA0, params.V_CREEP) were
 chosen from these grids.
 
-Usage: python3 scripts/calibrate_controller.py
+Usage, from a checkout (or drop PYTHONPATH=src with balisim installed):
+
+    PYTHONPATH=src python3 scripts/calibrate_controller.py
 """
 
 from balisim.sim import Clone, Tamper, Unavailable

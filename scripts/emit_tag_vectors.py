@@ -4,8 +4,10 @@ Each line carries a balise id, key version, random user payload, the
 derived 12-bit tag sb, and the 32-bit scrambling key S, so another
 implementation can replay the KDF/tag/PRF chain bit for bit.
 
-Usage: python3 scripts/emit_tag_vectors.py [--count N] [--seed N]
-                                           [--format long|short]
+Usage, from a checkout (or drop PYTHONPATH=src with balisim installed):
+
+    PYTHONPATH=src python3 scripts/emit_tag_vectors.py [--count N] [--seed N]
+                                                       [--format long|short]
 """
 
 import argparse
@@ -13,7 +15,7 @@ import json
 import random
 
 from balisim import auth, codec
-from balisim.bits import bits_to_str
+from balisim.bits import bits_to_int
 
 
 def main():
@@ -30,7 +32,7 @@ def main():
 
     for _ in range(args.count):
         balise_id = rng.randrange(1 << auth.ID_BITS)
-        user = [rng.randrange(2) for _ in range(fmt.user_bits)]
+        user = bits_to_int([rng.randrange(2) for _ in range(fmt.user_bits)])
         keys = keystore.keys_for(balise_id)
         sb, s = auth.generate_tag(user, keys, fmt)
         print(json.dumps({
@@ -38,7 +40,7 @@ def main():
             "ver": keys.ver,
             "format": fmt.name,
             "mk_hex": keystore.mk.hex(),
-            "user_bits": bits_to_str(user),
+            "user_bits": f"{user:0{fmt.user_bits}b}",
             "sb_hex": f"{sb:03x}",
             "S_hex": f"{s:08x}",
         }))

@@ -15,7 +15,9 @@ crossings are accepted, 3.7e-7 at m = 50.
 The map is 50 balises evenly spaced from -100 m to 0 m, as in the
 auth_track_50 benchmark, with the scenario's default keystore (seed 1).
 
-Usage: python3 scripts/keyless_forgery.py [--crossings N] [--seed N]
+Usage, from a checkout (or drop PYTHONPATH=src with balisim installed):
+
+    PYTHONPATH=src python3 scripts/keyless_forgery.py [--crossings N] [--seed N]
 """
 
 import argparse

@@ -12,11 +12,13 @@ domain-separating leading message bytes:
 
 "first k bits" always means the k most significant bits of the digest
 read big-endian.  Packed U is the user data MSB-first, zero-padded on
-the right to whole bytes (830 bits to 104 bytes, 210 bits to 27).
-tag_sb takes the user data as an int, as codec.DecodeResult.user holds
-it, so a reader's failed key trial builds no bit list.  Per-balise keys
-are re-derived from the master key on demand and never persisted; the
-keystore holds only mk and a version.
+the right to whole bytes (830 bits to 104 bytes, 210 bits to 27).  The
+user data is an int of fmt.user_bits bits, first bit most significant,
+as codec.encode takes it and codec.DecodeResult.user holds it:
+generate_tag, tag_sb and encode_authenticated take it, and
+verify_and_decode returns it, so neither a write nor a key trial builds
+a bit list.  Per-balise keys are re-derived from the master key on
+demand and never persisted; the keystore holds only mk and a version.
 
 A 12-bit tag passes under a wrong key once in 4,096 trials, and the user
 data that key descrambles is random.  A reader that tries several keys
@@ -44,7 +46,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import codec
-from .bits import bits_to_int
 
 KEY_BYTES = 16
 ID_BITS = 14
@@ -137,42 +138,48 @@ def prf_s(k1: bytes, sb: int) -> int:
 
 
 def generate_tag(
-    user_bits: list[int],
+    user: int,
     keys: BaliseKeyPair,
     fmt: codec.TelegramFormat = codec.LONG,
 ) -> tuple[int, int]:
-    """Return (sb, S) binding the user data to the balise keys."""
-    sb = tag_sb(keys.k0, bits_to_int(user_bits), fmt)
+    """Return (sb, S) binding the user data to the balise keys.
+
+    user is the fmt.user_bits user bits as an int, first bit MSB; any
+    other value raises codec.FormatError.
+    """
+    codec.check_user(user, fmt)
+    sb = tag_sb(keys.k0, user, fmt)
     return sb, prf_s(keys.k1, sb)
 
 
 def encode_authenticated(
-    user_bits: list[int],
+    user: int,
     keys: BaliseKeyPair,
     fmt: codec.TelegramFormat = codec.LONG,
 ) -> list[int]:
     """Encode a telegram whose sb field is the authentication tag."""
-    sb, s = generate_tag(user_bits, keys, fmt)
-    return codec.encode(user_bits, sb, s, fmt)
+    sb, s = generate_tag(user, keys, fmt)
+    return codec.encode(user, sb, s, fmt)
 
 
 def verify_and_decode(
     stream: list[int] | codec.Aligned,
     keys: BaliseKeyPair,
     fmt: codec.TelegramFormat = codec.LONG,
-) -> list[int]:
+) -> int:
     """Decode a stream and verify its tag under one key pair.
 
     The stream may be raw bits or the codec.Aligned of codec.align, so a
-    reader that tries several keys aligns once.  Returns the user bits;
-    the tag is checked on the int, so a failed trial builds no list.
-    Raises codec.NoTelegramFound when no window aligns and AuthFailure
-    when the recomputed tag differs from the received sb.
+    reader that tries several keys aligns once.  Returns the user data
+    as an int, first bit MSB.  Raises codec.NoTelegramFound when no
+    window aligns, codec.FormatError for a stream element that is not a
+    bit, and AuthFailure when the recomputed tag differs from the
+    received sb.
     """
     result = codec.decode_stream(stream, fmt, s_from_sb=lambda sb: prf_s(keys.k1, sb))
     if tag_sb(keys.k0, result.user, fmt) != result.sb:
         raise AuthFailure(f"tag mismatch for balise id {keys.id}")
-    return result.user_bits
+    return result.user
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     code = EXIT_VERIFY_FAIL
     try:
         user = auth.verify_and_decode(bits * 3, keys, fmt)
-        balise_id, kind, loc = deployment.parse_payload(user)
+        balise_id, kind, loc = deployment.parse_payload(user, fmt)
         if balise_id != args.id:
             raise auth.AuthFailure(f"payload names id {balise_id}")
         report = {

@@ -32,13 +32,22 @@ still divisible.  The control bits 001 read differently one or two bits
 either side of alignment, which is why they are an alignment check.
 
 Inside the codec a bit string is an int, first bit most significant.
-encode and encode_legacy take a list and return one, align and
-decode_stream take a list; the steps they call, keystream, substitute,
-desubstitute and compute_check_bits, take and return ints, as poly_mod
-does.  decode_stream returns a DecodeResult whose user field is the
-descrambled user data as an int; its user_bits property expands that
-int into a list on access, so a caller that only needs the int, such as
-the authenticated reader's tag check, builds no list.
+The user data is one too: encode and encode_legacy take it as an int of
+fmt.user_bits bits (check_user rejects anything else with FormatError)
+and decode_stream returns it as DecodeResult.user.  The telegram is a
+list of 0/1 at encode's output and at the input of align and
+decode_stream, and an element that is not 0 or 1 is a FormatError.  The
+steps they call, keystream, substitute, desubstitute and
+compute_check_bits, take and return ints, as poly_mod does.
+
+substitute and desubstitute map all of a telegram's 83 (or 21) groups
+or words in C: the int's binary text is cut into fields by one struct
+format, each field is looked up in a dict from the field's text to its
+image's text, and the joined text is read back as an int.
+desubstitute looks the first word up on its own first, so a false
+candidate window whose first word is invalid is rejected without
+splitting the rest; one that fails later is rejected at the first
+invalid field of the split.
 
 The keystream is linear in the seed over GF(2): four 256-entry tables,
 one per seed byte, hold blocks of keystream, and a seed's block is the
@@ -62,6 +71,7 @@ converts only the first n + r + 5 or 2n + r + 5 bits.
 from __future__ import annotations
 
 import binascii
+import functools
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -265,24 +275,44 @@ def legacy_s_from_sb(sb: int) -> int:
 # Substitution
 # ---------------------------------------------------------------------------
 
+# The alphabet as binary text: group text to word text and back.
+_WORD_TEXT = {format(g, f"0{GROUP_WIDTH}b").encode(): format(w, f"0{WORD_WIDTH}b").encode()
+              for g, w in enumerate(ALPHABET)}
+_GROUP_TEXT = dict(zip(_WORD_TEXT.values(), _WORD_TEXT))
+
+
+@functools.lru_cache(maxsize=16)
+def _fields(width: int, count: int):
+    """Unpacks count width-digit fields from a binary text led by one pad."""
+    return struct.Struct("x" + f"{width}s" * count).unpack
+
+
+def _map_fields(value: int, width: int, count: int, table: dict[bytes, bytes]) -> int:
+    """The count width-bit fields of value's low bits, each mapped through
+    table as binary text, joined into an int.  Raises KeyError with the
+    text of the first field that table lacks."""
+    top = 1 << (width * count)
+    # The leading 1 fixes the digit count, and the struct format skips it.
+    text = format(value & (top - 1) | top, "b").encode()
+    return int(b"".join(map(table.__getitem__, _fields(width, count)(text))) or b"0", 2)
+
+
 def substitute(groups: int, count: int) -> int:
     """The count 10-bit groups of an int, each replaced by its 11-bit word."""
-    words = 0
-    for shift in range(GROUP_WIDTH * (count - 1), -1, -GROUP_WIDTH):
-        words = (words << WORD_WIDTH) | ALPHABET[(groups >> shift) & 0x3FF]
-    return words
+    return _map_fields(groups, GROUP_WIDTH, count, _WORD_TEXT)
 
 
 def desubstitute(words: int, count: int) -> int:
-    """Inverse of substitute; raises AlphabetError on any invalid word."""
-    groups = 0
-    for shift in range(WORD_WIDTH * (count - 1), -1, -WORD_WIDTH):
-        word = (words >> shift) & 0x7FF
-        group = _GROUP_OF.get(word)
-        if group is None:
+    """Inverse of substitute; raises AlphabetError on the first invalid word."""
+    if count:
+        word = (words >> (WORD_WIDTH * (count - 1))) & 0x7FF
+        if word not in _GROUP_OF:  # fails before the rest is split
             raise AlphabetError(f"word {word:#05x} is not in the alphabet")
-        groups = (groups << GROUP_WIDTH) | group
-    return groups
+    try:
+        return _map_fields(words, WORD_WIDTH, count, _GROUP_TEXT)
+    except KeyError as exc:
+        word = int(exc.args[0], 2)
+        raise AlphabetError(f"word {word:#05x} is not in the alphabet") from None
 
 
 # ---------------------------------------------------------------------------
@@ -293,27 +323,34 @@ _CB = bits_to_int(CB_BITS)
 _ESB = bits_to_int(ESB_BITS)
 
 
-def encode(user_bits: list[int], sb: int, s: int,
+def check_user(user: int, fmt: TelegramFormat) -> None:
+    """Raise FormatError unless user is fmt.user_bits bits of user data as
+    an int, first bit most significant."""
+    if type(user) is not int:
+        raise FormatError(f"user data must be an int, not {type(user).__name__}")
+    if user < 0 or user >> fmt.user_bits:
+        raise FormatError(f"{fmt.name} format takes user data as a non-negative "
+                          f"int of at most {fmt.user_bits} bits")
+
+
+def encode(user: int, sb: int, s: int,
            fmt: TelegramFormat = LONG) -> list[int]:
-    """Assemble a complete n-bit telegram from user bits, sb and S."""
-    if len(user_bits) != fmt.user_bits:
-        raise FormatError(
-            f"{fmt.name} format takes {fmt.user_bits} user bits, got {len(user_bits)}"
-        )
+    """Assemble a complete n-bit telegram from the user data, sb and S."""
+    check_user(user, fmt)
     if not 0 <= sb < (1 << SB_WIDTH):
         raise FormatError("sb must be a 12-bit value")
     if not 0 <= s < (1 << 32):
         raise FormatError("S must be a 32-bit value")
-    data = bits_to_int(user_bits) ^ keystream(s, fmt.user_bits)
+    data = user ^ keystream(s, fmt.user_bits)
     prefix = substitute(data, fmt.user_bits // GROUP_WIDTH)
     prefix = (((prefix << CB_WIDTH | _CB) << SB_WIDTH | sb) << ESB_WIDTH) | _ESB
     return int_to_bits(prefix << CHECK_WIDTH | compute_check_bits(prefix), fmt.n)
 
 
-def encode_legacy(user_bits: list[int], sb: int,
+def encode_legacy(user: int, sb: int,
                   fmt: TelegramFormat = LONG) -> list[int]:
     """Encode with S derived from sb by the public legacy rule."""
-    return encode(user_bits, sb, legacy_s_from_sb(sb), fmt)
+    return encode(user, sb, legacy_s_from_sb(sb), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +363,6 @@ class DecodeResult(NamedTuple):
     sb: int
     shift: int       # window offset at which alignment was found
     inverted: bool   # stream polarity was inverted
-
-    @property
-    def user_bits(self) -> list[int]:
-        """The user data as a list of bits, expanded from user."""
-        return int_to_bits(self.user, self.width)
 
 
 @dataclass(frozen=True)
@@ -375,6 +407,15 @@ def _telegram_at(value: int, width: int, j: int, rem: int,
         raise ControlBitError(f"control bits {tuple(int_to_bits(cb, CB_WIDTH))} at shift {j}")
     sb = (window >> (tail - CB_WIDTH - SB_WIDTH)) & ((1 << SB_WIDTH) - 1)
     return data, sb, inverted
+
+
+def _stream_int(stream: list[int], start: int, stop: int) -> int:
+    """Bits start .. stop - 1 of the stream as an int, with FormatError
+    for an element that is not 0 or 1."""
+    try:
+        return bits_to_int(stream[start:stop])
+    except ValueError as exc:
+        raise FormatError(f"stream bits {start} .. {stop - 1}: {exc}") from None
 
 
 # The scan strides six bits, one base64 character of the stream.
@@ -450,7 +491,8 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
     the scan first needs it: the first n + r + 5 bits, which windows 0
     .. 5 need; up to 2n + r + 5 bits, which cover every shift below
     n + 6, where a repeated telegram with a clean copy aligns; and the
-    rest, for corrupted or garbage streams.
+    rest, for corrupted or garbage streams.  An element that is not 0 or
+    1 in a stage that is converted raises FormatError.
     """
     n, r = fmt.n, fmt.r_init
     length = len(stream)
@@ -466,7 +508,7 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
     # whose bits are within width.
     width = min(length, n + r + _STRIDE - 1)
     second = min(length, 2 * n + r + _STRIDE - 1)
-    value = bits_to_int(stream[:width])
+    value = _stream_int(stream, 0, width)
     rem = _mod_g(value >> (width - n))
     outs = ins = b""
     cb_error = None
@@ -476,7 +518,7 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
         if (j // _STRIDE >= len(outs) if scan
                 else j + n + r + _STRIDE - 1 > width < length):
             grown = second if width < second else length
-            value = (value << (grown - width)) | bits_to_int(stream[width:grown])
+            value = (value << (grown - width)) | _stream_int(stream, width, grown)
             width = grown
             lim = min(strides, (width - n) // _STRIDE)
             count = lim - len(outs)

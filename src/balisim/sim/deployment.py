@@ -7,6 +7,11 @@ trackside adversary would: tampering re-encodes modified user data in
 legacy mode (the attacker holds no keys), cloning copies a valid
 telegram bit-for-bit onto another balise, and an availability attack
 suppresses transmission entirely.
+
+The user data is one int of fmt.user_bits bits, first bit most
+significant, as codec.encode takes it and auth.verify_and_decode
+returns it: pack_payload builds it and parse_payload reads it with
+shifts and masks.  A deployed telegram stays a list of 0/1.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .. import auth, codec
-from ..bits import bits_to_int, bits_to_str, int_to_bits, str_to_bits
+from ..bits import bits_to_int, bits_to_str, str_to_bits
 
 KIND_FIXED = "fixed"
 KIND_CONTROLLED = "controlled"
@@ -24,6 +29,8 @@ _KIND_CODE = {KIND_FIXED: 0, KIND_CONTROLLED: 1}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 _LOC_BITS = 48  # reported location in signed millimeters
+_KIND_BITS = 2
+_FIELD_BITS = auth.ID_BITS + _KIND_BITS + _LOC_BITS  # the rest is zero pad
 
 
 @dataclass(frozen=True)
@@ -54,28 +61,32 @@ def location_mm(loc: float) -> int:
 
 
 def pack_payload(balise_id: int, kind: str, loc: float,
-                 fmt: codec.TelegramFormat) -> list[int]:
-    """User bits: id (14) | kind (2) | loc in signed mm (48) | zero pad."""
+                 fmt: codec.TelegramFormat) -> int:
+    """User data: id (14) | kind (2) | loc in signed mm (48) | zero pad."""
     if not 0 <= balise_id < (1 << auth.ID_BITS):
         raise ValueError("balise id must be a 14-bit integer")
     loc_mm = location_mm(loc)
-    fields = (balise_id << 2 | _KIND_CODE[kind]) << _LOC_BITS
+    fields = (balise_id << _KIND_BITS | _KIND_CODE[kind]) << _LOC_BITS
     fields |= loc_mm & ((1 << _LOC_BITS) - 1)
-    pad = fmt.user_bits - auth.ID_BITS - 2 - _LOC_BITS
-    return int_to_bits(fields << pad, fmt.user_bits)
+    return fields << (fmt.user_bits - _FIELD_BITS)
 
 
-def parse_payload(user_bits: list[int]) -> tuple[int, str, float]:
-    """Inverse of pack_payload; returns (id, kind, loc)."""
-    balise_id = bits_to_int(user_bits[:14])
-    kind_code = bits_to_int(user_bits[14:16])
-    raw = bits_to_int(user_bits[16 : 16 + _LOC_BITS])
-    if raw >= 1 << (_LOC_BITS - 1):
+def parse_payload(user: int, fmt: codec.TelegramFormat) -> tuple[int, str, float]:
+    """Inverse of pack_payload; returns (id, kind, loc).
+
+    Raises codec.FormatError, a ValueError, unless user is an int of
+    fmt.user_bits bits, and ValueError for an unknown kind code.
+    """
+    codec.check_user(user, fmt)
+    fields = user >> (fmt.user_bits - _FIELD_BITS)
+    raw = fields & ((1 << _LOC_BITS) - 1)
+    if raw >> (_LOC_BITS - 1):
         raw -= 1 << _LOC_BITS
+    kind_code = (fields >> _LOC_BITS) & ((1 << _KIND_BITS) - 1)
     kind = _CODE_KIND.get(kind_code)
     if kind is None:
         raise ValueError(f"unknown kind code {kind_code}")
-    return balise_id, kind, raw / 1000.0
+    return fields >> (_KIND_BITS + _LOC_BITS), kind, raw / 1000.0
 
 
 AUTH_LEGACY = "legacy"

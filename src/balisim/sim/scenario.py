@@ -257,7 +257,7 @@ def _read_balise(
     if auth_mode == AUTH_LEGACY:
         try:
             result = codec.decode_stream(stream, fmt)
-            return parse_payload(result.user_bits)
+            return parse_payload(result.user, fmt)
         except (codec.CodecError, ValueError):
             return None
     try:
@@ -267,7 +267,7 @@ def _read_balise(
     for balise_id in track_ids:
         try:
             user = auth.verify_and_decode(aligned, keystore.keys_for(balise_id), fmt)
-            fields = parse_payload(user)
+            fields = parse_payload(user, fmt)
         except (auth.AuthFailure, ValueError):
             continue
         if fields[0] == balise_id:  # a wrong key's tag pass names another id

@@ -36,7 +36,7 @@ def report(num, ok, detail):
 
 
 def random_user(rng, fmt):
-    return int_to_bits(rng.getrandbits(fmt.user_bits), fmt.user_bits)
+    return rng.getrandbits(fmt.user_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_criterion_01_codec_round_trip():
             sb = rng.randrange(1 << codec.SB_WIDTH)
             result = codec.decode_stream(
                 codec.encode_legacy(user, sb, fmt) * 3, fmt)
-            if result.user_bits != user or result.sb != sb:
+            if result.user != user or result.sb != sb:
                 failures += 1
     elapsed = time.perf_counter() - start
     report(1, failures == 0 and elapsed < 10.0,
@@ -72,7 +72,7 @@ def test_criterion_02_rotation_transparency():
         for _ in range(50):
             k = rng.randrange(fmt.n)
             result = codec.decode_stream(stream[k:] + stream[:k], fmt)
-            if result.user_bits != user or result.sb != sb:
+            if result.user != user or result.sb != sb:
                 failures += 1
     report(2, failures == 0,
            f"20 payloads x 50 rotations, {failures} failures")
@@ -149,7 +149,7 @@ def test_criterion_05_tag_latency():
         auth.generate_tag(user, keys, LONG)
     gen_ms = (time.perf_counter() - start) / n * 1e3
 
-    user_int = bits_to_int(user)
+    user_int = user
     start = time.perf_counter()
     for _ in range(n):
         assert auth.tag_sb(keys.k0, user_int, LONG) == sb
@@ -266,7 +266,7 @@ def test_criterion_11_property_suites():
     alphabet = set(codec.ALPHABET)
     closure = 0
     for _ in range(1000):
-        data = bits_to_int(random_user(rng, SHORT)) \
+        data = random_user(rng, SHORT) \
             ^ codec.keystream(rng.getrandbits(32), SHORT.user_bits)
         shaped = codec.substitute(data, SHORT.user_bits // codec.GROUP_WIDTH)
         for i in range(0, SHORT.shaped_bits, codec.WORD_WIDTH):

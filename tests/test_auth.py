@@ -133,7 +133,7 @@ def test_tag_and_prf_match_oracle():
         user = [rng.randrange(2) for _ in range(fmt.user_bits)]
         digest = hmac_oracle(keys.k0, fmt_byte + pack_bits(user))
         expected_sb = (digest[0] << 4) | (digest[1] >> 4)
-        sb, s = auth.generate_tag(user, keys, fmt)
+        sb, s = auth.generate_tag(bits_to_int(user), keys, fmt)
         assert sb == expected_sb
         assert 0 <= sb < (1 << 12)
         prf_digest = hmac_oracle(keys.k1, b"\x53" + (sb << 4).to_bytes(2, "big"))
@@ -168,15 +168,14 @@ def test_tag_on_int_matches_oracle_at_pad_edges(fmt, fmt_byte):
         PAD_EDGE_TAGS[fmt.name]
 
 
-def test_decode_result_user_bits_expand_user():
+def test_decode_result_user_is_the_encoded_int():
     rng = random.Random(32)
     for fmt in (LONG, SHORT):
         for user_int in pad_edge_users(fmt) + (rng.getrandbits(fmt.user_bits),):
-            user = int_to_bits(user_int, fmt.user_bits)
-            stream = codec.encode_legacy(user, 0x3C5, fmt) * 3
+            stream = codec.encode_legacy(user_int, 0x3C5, fmt) * 3
             result = codec.decode_stream(stream, fmt)
             assert (result.user, result.width) == (user_int, fmt.user_bits)
-            assert result.user_bits == int_to_bits(result.user, fmt.user_bits) == user
+            assert not hasattr(result, "user_bits")
 
 
 @pytest.mark.parametrize("field", ["k0", "k1", "id", "ver"])
@@ -188,15 +187,14 @@ def test_balise_key_pair_is_immutable(field):
 
 @pytest.mark.parametrize("field", ["user", "width", "sb", "shift", "inverted"])
 def test_decode_result_is_immutable(field):
-    user = int_to_bits(0x2A, LONG.user_bits)
-    result = codec.decode_stream(codec.encode_legacy(user, 0x3C5) * 3)
+    result = codec.decode_stream(codec.encode_legacy(0x2A, 0x3C5) * 3)
     with pytest.raises(AttributeError):
         setattr(result, field, getattr(result, field))
 
 
 def test_tag_is_deterministic():
     keys = auth.derive_keys(MK, 7)
-    user = [1, 0] * (LONG.user_bits // 2)
+    user = bits_to_int([1, 0] * (LONG.user_bits // 2))
     assert auth.generate_tag(user, keys) == auth.generate_tag(user, keys)
 
 
@@ -223,7 +221,7 @@ def test_round_trip_both_formats():
     rng = random.Random(22)
     keys = auth.derive_keys(MK, 123)
     for fmt in (LONG, SHORT):
-        user = [rng.randrange(2) for _ in range(fmt.user_bits)]
+        user = bits_to_int([rng.randrange(2) for _ in range(fmt.user_bits)])
         telegram = auth.encode_authenticated(user, keys, fmt)
         assert len(telegram) == fmt.n
         assert auth.verify_and_decode(telegram * 3, keys, fmt) == user
@@ -232,7 +230,7 @@ def test_round_trip_both_formats():
 def test_round_trip_survives_rotation():
     rng = random.Random(23)
     keys = auth.derive_keys(MK, 124)
-    user = [rng.randrange(2) for _ in range(SHORT.user_bits)]
+    user = bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)])
     stream = auth.encode_authenticated(user, keys, SHORT) * 3
     for _ in range(5):
         k = rng.randrange(SHORT.n)
@@ -243,7 +241,7 @@ def test_wrong_id_fails():
     rng = random.Random(24)
     keys = auth.derive_keys(MK, 50)
     other = auth.derive_keys(MK, 51)
-    user = [rng.randrange(2) for _ in range(SHORT.user_bits)]
+    user = bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)])
     stream = auth.encode_authenticated(user, keys, SHORT) * 3
     with pytest.raises(auth.AuthFailure):
         auth.verify_and_decode(stream, other, SHORT)
@@ -254,14 +252,14 @@ def test_aligned_stream_verifies_under_right_key_only():
     keys = auth.derive_keys(MK, 70)
     other = auth.derive_keys(MK, 71)
     for fmt in (LONG, SHORT):
-        users = [[rng.randrange(2) for _ in range(fmt.user_bits)]]
-        users += [int_to_bits(u, fmt.user_bits) for u in pad_edge_users(fmt)]
+        users = [bits_to_int([rng.randrange(2) for _ in range(fmt.user_bits)])]
+        users += pad_edge_users(fmt)
         for user in users:
             stream = auth.encode_authenticated(user, keys, fmt) * 3
             k = rng.randrange(fmt.n)
             aligned = codec.align(stream[k:] + stream[:k], fmt)
             got = auth.verify_and_decode(aligned, keys, fmt)
-            assert type(got) is list and got == user
+            assert type(got) is int and got == user
             with pytest.raises(auth.AuthFailure):
                 auth.verify_and_decode(aligned, other, fmt)
 
@@ -270,7 +268,7 @@ def test_wrong_version_fails():
     rng = random.Random(25)
     k0 = auth.derive_keys(MK, 50, ver=0)
     k1 = auth.derive_keys(MK, 50, ver=1)
-    user = [rng.randrange(2) for _ in range(SHORT.user_bits)]
+    user = bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)])
     stream = auth.encode_authenticated(user, k0, SHORT) * 3
     with pytest.raises(auth.AuthFailure):
         auth.verify_and_decode(stream, k1, SHORT)
@@ -279,7 +277,7 @@ def test_wrong_version_fails():
 def test_legacy_telegram_fails_authentication():
     rng = random.Random(26)
     keys = auth.derive_keys(MK, 60)
-    user = [rng.randrange(2) for _ in range(SHORT.user_bits)]
+    user = bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)])
     stream = codec.encode_legacy(user, 0x555, SHORT) * 3
     with pytest.raises(auth.AuthFailure):
         auth.verify_and_decode(stream, keys, SHORT)
@@ -289,14 +287,37 @@ def test_altered_user_data_with_reused_sb_fails():
     # content-swap attack: rewrite user data, keep sb, re-encode publicly
     rng = random.Random(27)
     keys = auth.derive_keys(MK, 61)
-    user = [rng.randrange(2) for _ in range(SHORT.user_bits)]
+    user = bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)])
     telegram = auth.encode_authenticated(user, keys, SHORT)
-    sb = auth.tag_sb(keys.k0, bits_to_int(user), SHORT)
-    altered = list(user)
+    sb = auth.tag_sb(keys.k0, user, SHORT)
+    altered = int_to_bits(user, SHORT.user_bits)
     altered[17] ^= 1
-    forged = codec.encode(altered, sb, auth.prf_s(keys.k1, sb), SHORT)
+    forged = codec.encode(bits_to_int(altered), sb, auth.prf_s(keys.k1, sb), SHORT)
     with pytest.raises(auth.AuthFailure):
         auth.verify_and_decode(forged * 3, keys, SHORT)
+
+
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+def test_tag_and_encoding_take_the_user_data_as_an_int_of_user_bits(fmt):
+    keys = auth.derive_keys(MK, 63)
+    for user in ([0] * fmt.user_bits, -1, 1 << fmt.user_bits):
+        with pytest.raises(codec.FormatError):
+            auth.generate_tag(user, keys, fmt)
+        with pytest.raises(codec.FormatError):
+            auth.encode_authenticated(user, keys, fmt)
+
+
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+def test_stream_of_character_codes_fails_to_verify(fmt):
+    # The telegram sent as the codes of '0' and '1'.  Before non-bits were
+    # rejected it verified at shift 0 and ended in NoTelegramFound
+    # rotated by 100, as the per-bit roll ORed 48 and 49 into the remainder.
+    keys = auth.derive_keys(MK, 64)
+    user = random.Random(64).getrandbits(fmt.user_bits)
+    stream = [48 + b for b in auth.encode_authenticated(user, keys, fmt)] * 3
+    for bits in (stream, stream[100:] + stream[:100]):
+        with pytest.raises(codec.FormatError):
+            auth.verify_and_decode(bits, keys, fmt)
 
 
 def test_garbage_stream_raises_no_telegram():
@@ -337,10 +358,9 @@ def test_key_separation_sampled():
 @given(st.integers(min_value=0, max_value=2**210 - 1),
        st.integers(min_value=0, max_value=(1 << auth.ID_BITS) - 1))
 def test_round_trip_property(user_int, balise_id):
-    user = int_to_bits(user_int, SHORT.user_bits)
     keys = auth.derive_keys(MK, balise_id)
-    stream = auth.encode_authenticated(user, keys, SHORT) * 3
-    assert auth.verify_and_decode(stream, keys, SHORT) == user
+    stream = auth.encode_authenticated(user_int, keys, SHORT) * 3
+    assert auth.verify_and_decode(stream, keys, SHORT) == user_int
 
 
 # ---------------------------------------------------------------------------

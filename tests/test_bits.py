@@ -37,3 +37,31 @@ def test_int_round_trip(value):
 @given(st.lists(st.integers(0, 1), max_size=200))
 def test_str_bits_round_trip(bits):
     assert str_to_bits(bits_to_str(bits)) == bits
+
+
+# Lists whose elements are not all 0 or 1.  Before the translation table
+# sent every other byte to 0xFF, the character codes of '0' and '1', and
+# '-', '_' and ' ', went through to int() and read as digits or signs.
+@pytest.mark.parametrize("bits", [
+    [49, 48, 49],  # read as 0b101
+    [45, 1],       # read as -1
+    [1, 95, 0],    # read as 0b10
+    [32, 1],       # read as 1
+    [2], [0, 1, 255], [-1], [256],
+])
+def test_bits_to_int_rejects_elements_that_are_not_bits(bits):
+    with pytest.raises(ValueError):
+        bits_to_int(bits)
+
+
+@pytest.mark.parametrize("bits", [[49, 48, 2], [48], [0, 1, 7], [-1]])
+def test_bits_to_str_rejects_elements_that_are_not_bits(bits):
+    with pytest.raises(ValueError):
+        bits_to_str(bits)
+
+
+def test_not_a_bit_message_names_the_first_bad_element():
+    with pytest.raises(ValueError, match="element 2 is not 0 or 1"):
+        bits_to_int([1, 0, 49, 0, 7])
+    with pytest.raises(ValueError, match="element 2 is not 0 or 1"):
+        bits_to_str([1, 0, 2])

@@ -14,7 +14,6 @@ streams and wrong control bits.
 import random
 
 from balisim import auth, codec
-from balisim.bits import int_to_bits
 
 import channel_model
 
@@ -28,7 +27,7 @@ def test_bit_flip_channel_2000_streams_no_undetected_error():
     for trial in range(N):
         fmt = codec.SHORT if trial % 2 else codec.LONG
         authenticated = trial % 4 >= 2
-        user = int_to_bits(rng.getrandbits(fmt.user_bits), fmt.user_bits)
+        user = rng.getrandbits(fmt.user_bits)
         if authenticated:
             telegram = auth.encode_authenticated(user, keys, fmt)
         else:
@@ -44,7 +43,7 @@ def test_bit_flip_channel_2000_streams_no_undetected_error():
             if authenticated:
                 got = auth.verify_and_decode(stream, keys, fmt)
             else:
-                got = codec.decode_stream(stream, fmt).user_bits
+                got = codec.decode_stream(stream, fmt).user
         except (codec.CodecError, auth.AuthFailure):
             detected += 1
             continue
@@ -60,7 +59,7 @@ def test_channel_model_v2_returns_no_payload_that_was_not_sent():
     keys = auth.derive_keys(bytes(range(32)), balise_id=9)
     tally = {}
     for fmt, impairment, inverted, rng in channel_model.corpus(seed=2027, per_case=100):
-        user = int_to_bits(rng.getrandbits(fmt.user_bits), fmt.user_bits)
+        user = rng.getrandbits(fmt.user_bits)
         legacy = codec.encode_legacy(user, rng.randrange(1 << codec.SB_WIDTH), fmt)
         channel = rng.getstate()
         for path, telegram in (("legacy", legacy),
@@ -69,7 +68,7 @@ def test_channel_model_v2_returns_no_payload_that_was_not_sent():
             stream = channel_model.receive(telegram, fmt, impairment, inverted, rng)
             try:
                 if path == "legacy":
-                    got = codec.decode_stream(stream, fmt).user_bits
+                    got = codec.decode_stream(stream, fmt).user
                 else:
                     got = auth.verify_and_decode(stream, keys, fmt)
                 outcome = "sent" if got == user else "wrong"

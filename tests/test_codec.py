@@ -160,6 +160,107 @@ def test_desubstitute_rejects_non_alphabet_words():
         codec.desubstitute(0x7FF, 1)  # popcount 11
 
 
+def oracle_substitute(groups: int, count: int) -> int:
+    """codec.substitute as the per-group loop, verbatim."""
+    words = 0
+    for shift in range(codec.GROUP_WIDTH * (count - 1), -1, -codec.GROUP_WIDTH):
+        words = (words << codec.WORD_WIDTH) | codec.ALPHABET[(groups >> shift) & 0x3FF]
+    return words
+
+
+_ORACLE_GROUP_OF = {w: i for i, w in enumerate(codec.ALPHABET)}
+
+
+def oracle_desubstitute(words: int, count: int) -> int:
+    """codec.desubstitute as the per-word loop, verbatim."""
+    groups = 0
+    for shift in range(codec.WORD_WIDTH * (count - 1), -1, -codec.WORD_WIDTH):
+        word = (words >> shift) & 0x7FF
+        group = _ORACLE_GROUP_OF.get(word)
+        if group is None:
+            raise codec.AlphabetError(f"word {word:#05x} is not in the alphabet")
+        groups = (groups << codec.GROUP_WIDTH) | group
+    return groups
+
+
+# The smallest word with 4..7 ones that is not among the 1024 in ALPHABET.
+FIRST_WORD_PAST_THE_ALPHABET = next(
+    w for w in range(codec.ALPHABET[-1] + 1, 1 << codec.WORD_WIDTH)
+    if 4 <= bin(w).count("1") <= 7)
+
+
+def desubstitute_outcome(desubstitute, words, count):
+    try:
+        return desubstitute(words, count)
+    except codec.AlphabetError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("count", [0, 1, 21, 83])
+def test_substitution_matches_per_word_loops_on_random_ints(count):
+    rng = random.Random(700 + count)
+    for _ in range(50):
+        groups = rng.getrandbits(codec.GROUP_WIDTH * count)
+        words = codec.substitute(groups, count)
+        assert words == oracle_substitute(groups, count)
+        assert codec.desubstitute(words, count) == oracle_desubstitute(words, count) == groups
+        # Random words: about half are outside the alphabet.
+        junk = rng.getrandbits(codec.WORD_WIDTH * count)
+        assert desubstitute_outcome(codec.desubstitute, junk, count) == \
+            desubstitute_outcome(oracle_desubstitute, junk, count)
+
+
+@pytest.mark.parametrize("count", [1, 21, 83])
+def test_desubstitute_reports_the_first_invalid_word_at_every_position(count):
+    # Every word position made invalid once, by a word with too few or
+    # too many ones or the first word past the alphabet, and then with a
+    # second invalid word after the first.
+    rng = random.Random(710 + count)
+    words = codec.substitute(rng.getrandbits(codec.GROUP_WIDTH * count), count)
+    for k in range(count):
+        shift = codec.WORD_WIDTH * (count - 1 - k)
+        for bad in (0x000, 0x7FF, 0x001, 0x7FE, FIRST_WORD_PAST_THE_ALPHABET):
+            broken = words & ~(0x7FF << shift) | bad << shift
+            expected = f"word {bad:#05x} is not in the alphabet"
+            with pytest.raises(codec.AlphabetError) as exc:
+                codec.desubstitute(broken, count)
+            assert str(exc.value) == expected
+            assert desubstitute_outcome(oracle_desubstitute, broken, count) == expected
+            if k + 1 < count:
+                later = broken & ~(0x7FF << (shift - codec.WORD_WIDTH))
+                assert desubstitute_outcome(codec.desubstitute, later, count) == expected
+
+
+def test_substitution_matches_per_word_loops_at_the_alphabet_ends():
+    # Groups 0 and 1023, the alphabet's first and last words, alone and
+    # alternating.
+    for count in (1, 21, 83):
+        for pattern in ((0,), (1023,), (0, 1023), (1023, 0)):
+            groups = words = 0
+            for i in range(count):
+                group = pattern[i % len(pattern)]
+                groups = groups << codec.GROUP_WIDTH | group
+                words = words << codec.WORD_WIDTH | codec.ALPHABET[group]
+            assert codec.substitute(groups, count) == oracle_substitute(groups, count) == words
+            assert codec.desubstitute(words, count) == oracle_desubstitute(words, count) == groups
+
+
+def test_substitution_keeps_only_the_low_fields_as_the_loops_do():
+    # Bits above the count fields are ignored, as the per-word loops
+    # ignore them; a negative int is read in two's complement.
+    rng = random.Random(720)
+    for count in (1, 21, 83):
+        groups = rng.getrandbits(codec.GROUP_WIDTH * count)
+        words = codec.substitute(groups, count)
+        for high in (1, rng.getrandbits(40) | 1):
+            above = high << (codec.GROUP_WIDTH * count)
+            assert codec.substitute(groups | above, count) == words
+            assert codec.desubstitute(words | high << (codec.WORD_WIDTH * count), count) == groups
+        assert codec.substitute(-1, count) == oracle_substitute(-1, count)
+        assert desubstitute_outcome(codec.desubstitute, -1, count) == \
+            desubstitute_outcome(oracle_desubstitute, -1, count)
+
+
 # ---------------------------------------------------------------------------
 # Check bits / polynomial arithmetic
 # ---------------------------------------------------------------------------
@@ -227,7 +328,7 @@ def test_gen_poly_structure():
 # ---------------------------------------------------------------------------
 
 def random_user(rng, fmt):
-    return [rng.randrange(2) for _ in range(fmt.user_bits)]
+    return bits_to_int([rng.randrange(2) for _ in range(fmt.user_bits)])
 
 
 def test_encode_lengths():
@@ -251,11 +352,23 @@ def test_encode_layout():
 def test_encode_rejects_bad_inputs():
     with pytest.raises(codec.FormatError):
         codec.encode([0] * 100, 0, 0, LONG)
-    user = [0] * LONG.user_bits
+    user = bits_to_int([0] * LONG.user_bits)
     with pytest.raises(codec.FormatError):
         codec.encode(user, 1 << 12, 0, LONG)
     with pytest.raises(codec.FormatError):
         codec.encode(user, 0, 1 << 32, LONG)
+
+
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+def test_encode_takes_the_user_data_as_an_int_of_user_bits(fmt):
+    # A list, a negative int and an int one bit too wide.
+    for user in ([0] * fmt.user_bits, -1, 1 << fmt.user_bits):
+        with pytest.raises(codec.FormatError):
+            codec.encode(user, 0x123, 7, fmt)
+        with pytest.raises(codec.FormatError):
+            codec.encode_legacy(user, 0x123, fmt)
+    for user in (0, (1 << fmt.user_bits) - 1):
+        assert codec.decode_stream(codec.encode_legacy(user, 0x123, fmt) * 3, fmt).user == user
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +381,7 @@ def test_decode_aligned_round_trip():
         user = random_user(rng, fmt)
         telegram = codec.encode_legacy(user, 0x2F1, fmt)
         result = codec.decode_stream(telegram * 3, fmt)
-        assert result.user_bits == user
+        assert result.user == user
         assert result.sb == 0x2F1
         assert result.shift == 0
         assert not result.inverted
@@ -284,7 +397,7 @@ def test_decode_rotation_transparency_sampled():
             k = rng.randrange(fmt.n)
             rotated = stream[k:] + stream[:k]
             result = codec.decode_stream(rotated, fmt)
-            assert result.user_bits == user
+            assert result.user == user
             assert result.sb == 0x0A5
 
 
@@ -294,7 +407,7 @@ def test_decode_inverted_stream():
     telegram = codec.encode_legacy(user, 0x333, LONG)
     inverted = [1 - b for b in telegram * 3]
     result = codec.decode_stream(inverted, LONG)
-    assert result.user_bits == user
+    assert result.user == user
     assert result.inverted
 
 
@@ -325,7 +438,7 @@ def test_decode_skips_window_that_fails_only_on_control_bits():
     rotated = stream[k:] + stream[:k]
     for inverted, bits in ((False, rotated), (True, [1 - b for b in rotated])):
         result = codec.decode_stream(bits, SHORT)
-        assert result.user_bits == user
+        assert result.user == user
         assert result.sb == sb
         assert result.shift == 1
         assert result.inverted == inverted
@@ -356,6 +469,37 @@ def test_decode_short_stream():
         codec.decode_stream([0, 1] * 100, SHORT)
 
 
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+def test_stream_of_character_codes_is_a_format_error(fmt):
+    # The telegram sent as the codes of '0' and '1'.  Before non-bits were
+    # rejected it decoded at shift 0 and ended in NoTelegramFound rotated.
+    telegram = codec.encode_legacy(random_user(random.Random(19), fmt), 0x1D2, fmt)
+    stream = [48 + b for b in telegram] * 3
+    for bits in (stream, stream[100:] + stream[:100]):
+        with pytest.raises(codec.FormatError, match="is not 0 or 1"):
+            codec.align(bits, fmt)
+        with pytest.raises(codec.FormatError):
+            codec.decode_stream(bits, fmt)
+
+
+def test_align_converts_elements_that_are_not_bits_to_format_errors():
+    # A non-bit in the first stage, and one past the first stage of a
+    # stream whose first copy is broken, so the scan converts it.
+    rng = random.Random(20)
+    n, r = SHORT.n, SHORT.r_init
+    telegram = codec.encode_legacy(random_user(rng, SHORT), 0x0F0, SHORT)
+    stream = telegram * 3
+    first = list(stream)
+    first[5] = 2
+    with pytest.raises(codec.FormatError, match=r"stream bits 0 \.\. \d+: element 5 is not 0 or 1"):
+        codec.align(first, SHORT)
+    later = list(stream)
+    later[3] ^= 1  # breaks the copy at shift 0
+    later[n + r + 10] = -1
+    with pytest.raises(codec.FormatError, match=rf"stream bits {n + r + 5} \.\. "):
+        codec.align(later, SHORT)
+
+
 def test_align_single_window_passes_aligned_window():
     rng = random.Random(12)
     for fmt in (LONG, SHORT):
@@ -380,11 +524,11 @@ def test_align_single_window_rejects_random_windows():
        st.integers(min_value=0, max_value=2**12 - 1),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_round_trip_property_short(user_int, sb, s):
-    user = int_to_bits(user_int, SHORT.user_bits)
+    user = user_int
     telegram = codec.encode(user, sb, s, SHORT)
     result = codec.decode_stream(telegram * 3, SHORT,
                                  s_from_sb=lambda _sb: s)
-    assert result.user_bits == user
+    assert result.user == user
     assert result.sb == sb
 
 
@@ -392,10 +536,10 @@ def test_round_trip_property_short(user_int, sb, s):
 @given(st.integers(min_value=0, max_value=2**830 - 1),
        st.integers(min_value=0, max_value=2**12 - 1))
 def test_round_trip_property_long(user_int, sb):
-    user = int_to_bits(user_int, LONG.user_bits)
+    user = user_int
     telegram = codec.encode_legacy(user, sb, LONG)
     result = codec.decode_stream(telegram * 3, LONG)
-    assert result.user_bits == user
+    assert result.user == user
     assert result.sb == sb
 
 
@@ -429,7 +573,7 @@ def test_decode_of_aligned_stream_equals_decode_of_stream():
         assert codec.decode_stream(aligned, fmt, s_from_sb) == result
         assert (aligned.sb, aligned.shift, aligned.inverted) == \
             (result.sb, result.shift, result.inverted)
-        assert result.user_bits == user
+        assert result.user == user
         assert result.inverted == (i % 4 >= 2)
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from balisim import auth, codec
-from balisim.bits import bits_to_int
+from balisim.bits import bits_to_int, int_to_bits
 from balisim.codec import LONG, SHORT
 from balisim.sim import deployment as dep
 from balisim.sim.deployment import (
@@ -42,8 +42,8 @@ def test_payload_round_trip():
             kind = rng.choice([KIND_FIXED, KIND_CONTROLLED])
             loc = rng.uniform(-5000.0, 5000.0)
             user = pack_payload(bid, kind, loc, fmt)
-            assert len(user) == fmt.user_bits
-            got_id, got_kind, got_loc = parse_payload(user)
+            assert type(user) is int and 0 <= user < 1 << fmt.user_bits
+            got_id, got_kind, got_loc = parse_payload(user, fmt)
             assert got_id == bid
             assert got_kind == kind
             assert abs(got_loc - loc) <= 0.0005  # mm quantization
@@ -51,12 +51,12 @@ def test_payload_round_trip():
 
 def test_payload_negative_location():
     user = pack_payload(7, KIND_FIXED, -100.0, SHORT)
-    _, _, loc = parse_payload(user)
+    _, _, loc = parse_payload(user, SHORT)
     assert loc == -100.0
 
 
 def test_payload_zero_padding():
-    user = pack_payload(1, KIND_FIXED, 0.0, LONG)
+    user = int_to_bits(pack_payload(1, KIND_FIXED, 0.0, LONG), LONG.user_bits)
     assert all(b == 0 for b in user[14 + 2 + 48 :])
 
 
@@ -78,10 +78,36 @@ def test_payload_rejects_out_of_range_location():
 
 
 def test_parse_rejects_unknown_kind_code():
-    user = pack_payload(1, KIND_FIXED, 0.0, SHORT)
+    user = int_to_bits(pack_payload(1, KIND_FIXED, 0.0, SHORT), SHORT.user_bits)
     user[14], user[15] = 1, 1  # kind code 3 is unassigned
     with pytest.raises(ValueError):
-        parse_payload(user)
+        parse_payload(bits_to_int(user), SHORT)
+
+
+EDGE_LOC = ((1 << 47) - 1) / 1000.0  # the largest location in signed 48-bit mm
+
+
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+@pytest.mark.parametrize("bid", [0, (1 << auth.ID_BITS) - 1])
+@pytest.mark.parametrize("loc", [EDGE_LOC, -EDGE_LOC, -0.0])
+def test_payload_round_trips_at_the_field_edges(fmt, bid, loc):
+    for kind in (KIND_FIXED, KIND_CONTROLLED):
+        user = pack_payload(bid, kind, loc, fmt)
+        assert type(user) is int and 0 <= user < 1 << fmt.user_bits
+        assert parse_payload(user, fmt) == (bid, kind, loc)
+
+
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+def test_parse_rejects_user_data_that_is_not_an_int_of_user_bits(fmt):
+    user = pack_payload(1, KIND_FIXED, 0.0, fmt)
+    for bad in (-1, 1 << fmt.user_bits, user | 1 << fmt.user_bits,
+                int_to_bits(user, fmt.user_bits)):
+        with pytest.raises(codec.FormatError):
+            parse_payload(bad, fmt)
+    # A long-format payload is one short-format payload too wide.
+    if fmt is LONG:
+        with pytest.raises(ValueError):
+            parse_payload(user, SHORT)
 
 
 def test_balise_spec_validation():
@@ -103,7 +129,7 @@ def test_program_legacy_round_trips():
     telegram = program_telegram(spec, AUTH_LEGACY, None, SHORT)
     result = codec.decode_stream(telegram * 3, SHORT)
     assert result.sb == LEGACY_SB
-    assert parse_payload(result.user_bits) == (42, KIND_FIXED, -64.0)
+    assert parse_payload(result.user, SHORT) == (42, KIND_FIXED, -64.0)
 
 
 def test_program_authenticated_round_trips():
@@ -111,7 +137,7 @@ def test_program_authenticated_round_trips():
     spec = BaliseSpec(id=42, loc=0.0, kind=KIND_CONTROLLED)
     telegram = program_telegram(spec, AUTH_AUTHENTICATED, ks, LONG)
     user = auth.verify_and_decode(telegram * 3, ks.keys_for(42), LONG)
-    assert parse_payload(user) == (42, KIND_CONTROLLED, 0.0)
+    assert parse_payload(user, LONG) == (42, KIND_CONTROLLED, 0.0)
 
 
 def test_program_authenticated_requires_keystore():
@@ -125,7 +151,7 @@ def test_program_reported_location_override():
     telegram = program_telegram(spec, AUTH_LEGACY, None, SHORT,
                                 loc_reported=-1.0)
     result = codec.decode_stream(telegram * 3, SHORT)
-    assert parse_payload(result.user_bits) == (9, KIND_FIXED, -1.0)
+    assert parse_payload(result.user, SHORT) == (9, KIND_FIXED, -1.0)
 
 
 def test_build_deployment():
@@ -140,7 +166,7 @@ def test_build_deployment():
     for d in deployed:
         user = auth.verify_and_decode(d.telegram * 3, ks.keys_for(d.spec.id),
                                       SHORT)
-        assert parse_payload(user)[0] == d.spec.id
+        assert parse_payload(user, SHORT)[0] == d.spec.id
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +189,7 @@ def test_tamper_rewrites_location_and_reuses_sb():
 
     result = codec.decode_stream(deployed[0].telegram * 3, SHORT)
     assert result.sb == original_sb  # attacker replays the observed sb
-    assert parse_payload(result.user_bits) == (1, KIND_FIXED, -1.0)
+    assert parse_payload(result.user, SHORT) == (1, KIND_FIXED, -1.0)
     # ...but the forged content no longer verifies under the real keys.
     with pytest.raises(auth.AuthFailure):
         auth.verify_and_decode(deployed[0].telegram * 3, ks.keys_for(1), SHORT)
@@ -174,7 +200,7 @@ def test_tamper_on_legacy_telegram_passes_legacy_decode():
     apply_attacks(deployed, [Tamper(balise=1, new_loc=-1.0)], SHORT)
     result = codec.decode_stream(deployed[0].telegram * 3, SHORT)
     assert result.sb == LEGACY_SB
-    assert parse_payload(result.user_bits) == (1, KIND_FIXED, -1.0)
+    assert parse_payload(result.user, SHORT) == (1, KIND_FIXED, -1.0)
 
 
 def test_tamper_on_suppressed_balise_uses_default_sb():
@@ -183,7 +209,7 @@ def test_tamper_on_suppressed_balise_uses_default_sb():
     apply_attacks(deployed, [Tamper(balise=1, new_loc=-2.0)], SHORT)
     result = codec.decode_stream(deployed[0].telegram * 3, SHORT)
     assert result.sb == LEGACY_SB
-    assert parse_payload(result.user_bits)[2] == -2.0
+    assert parse_payload(result.user, SHORT)[2] == -2.0
 
 
 def test_clone_copies_bits():
