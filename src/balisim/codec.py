@@ -29,7 +29,8 @@ divisibility check.  A codeword rotated by k <= 85 bits is divisible by
 g exactly when the k bits carried round are all 0, so a codeword whose
 last bit is 0, read one bit early, is the codeword divided by x and
 still divisible.  The control bits 001 read differently one or two bits
-either side of alignment, which is why they are an alignment check.
+either side of alignment, which is why they are an alignment check, and
+align reads them before it desubstitutes a window (see align).
 
 Inside the codec a bit string is an int, first bit most significant.
 The user data is one too: encode and encode_legacy take it as an int of
@@ -359,7 +360,6 @@ def encode_legacy(user: int, sb: int,
 
 class DecodeResult(NamedTuple):
     user: int        # descrambled user data, first bit MSB
-    width: int       # number of user bits in user
     sb: int
     shift: int       # window offset at which alignment was found
     inverted: bool   # stream polarity was inverted
@@ -374,7 +374,9 @@ class Aligned:
 
 
 def _telegram_at(value: int, width: int, j: int, rem: int,
-                 fmt: TelegramFormat) -> tuple[int, int, bool] | None:
+                 fmt: TelegramFormat,
+                 pending: list[tuple[int, int]] | None = None,
+                 ) -> tuple[int, int, bool] | None:
     """The telegram in the window at shift j as (data, sb, inverted), or None.
 
     value holds the first width >= j + n + r bits of the stream, first
@@ -386,6 +388,10 @@ def _telegram_at(value: int, width: int, j: int, rem: int,
     g, the r = fmt.r_init extra bits repeat the first r bits, every
     shaped word is in the alphabet, and the control bits equal CB_BITS.
     A window that fails only on its control bits raises ControlBitError.
+    With a pending list, a window that passes the first two checks but
+    not the control bits is appended to it as (j, rem) and gives None,
+    without being desubstituted: it cannot hold a telegram, and whether
+    it raises matters only when no window does.
     """
     n, r = fmt.n, fmt.r_init
     if rem not in (0, _ONES[n]):
@@ -398,11 +404,14 @@ def _telegram_at(value: int, width: int, j: int, rem: int,
     inverted = rem != 0
     window ^= ((1 << n) - 1) * inverted
     tail = n - fmt.shaped_bits
+    cb = (window >> (tail - CB_WIDTH)) & ((1 << CB_WIDTH) - 1)
+    if cb != _CB and pending is not None:
+        pending.append((j, rem))
+        return None
     try:
         data = desubstitute(window >> tail, fmt.shaped_bits // WORD_WIDTH)
     except AlphabetError:
         return None
-    cb = (window >> (tail - CB_WIDTH)) & ((1 << CB_WIDTH) - 1)
     if cb != _CB:
         raise ControlBitError(f"control bits {tuple(int_to_bits(cb, CB_WIDTH))} at shift {j}")
     sb = (window >> (tail - CB_WIDTH - SB_WIDTH)) & ((1 << SB_WIDTH) - 1)
@@ -487,6 +496,15 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
     holds a telegram, raises ControlBitError if some window failed only
     on its control bits, and NoTelegramFound otherwise.
 
+    A window whose control bits are wrong cannot hold a telegram, so the
+    scan sets it aside unread and desubstitutes it only when no window
+    holds one; the windows set aside are then tried in scan order, and
+    the first that passes the alphabet raises the same ControlBitError
+    as a per-bit scan.  A false candidate is typically a codeword read
+    one bit early, which stays divisible when its last bit is 0 and
+    reads control bits (?, 0, 0), so a clean stream desubstitutes only
+    the window it returns.
+
     The stream is converted to an int in up to three stages, each when
     the scan first needs it: the first n + r + 5 bits, which windows 0
     .. 5 need; up to 2n + r + 5 bits, which cover every shift below
@@ -511,7 +529,7 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
     value = _stream_int(stream, 0, width)
     rem = _mod_g(value >> (width - n))
     outs = ins = b""
-    cb_error = None
+    pending: list[tuple[int, int]] = []
     j = 0
     while j < windows:
         scan = rem not in cand
@@ -539,11 +557,7 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
             continue
         for j in range(j, min(j + _STRIDE, windows)):
             if rem == 0 or rem == ones:  # as _telegram_at does; spares a call
-                try:
-                    hit = _telegram_at(value, width, j, rem, fmt)
-                except ControlBitError as exc:
-                    cb_error = cb_error or exc
-                    hit = None
+                hit = _telegram_at(value, width, j, rem, fmt, pending)
                 if hit is not None:
                     data, sb, inverted = hit
                     return Aligned(data, sb, j, inverted)
@@ -554,8 +568,10 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
             if rem >> CHECK_WIDTH:
                 rem ^= GEN_POLY
         j += 1
-    if cb_error is not None:
-        raise cb_error
+    # Windows that failed on their control bits, in scan order: the first
+    # that passes the alphabet raises its ControlBitError.
+    for j, rem in pending:
+        _telegram_at(value, width, j, rem, fmt)
     raise NoTelegramFound(f"no aligned window in {windows} windows")
 
 
@@ -573,5 +589,4 @@ def decode_stream(
     """
     aligned = stream if isinstance(stream, Aligned) else align(stream, fmt)
     user = aligned.data ^ keystream(s_from_sb(aligned.sb), fmt.user_bits)
-    return DecodeResult(user, fmt.user_bits, aligned.sb, aligned.shift,
-                        aligned.inverted)
+    return DecodeResult(user, aligned.sb, aligned.shift, aligned.inverted)

@@ -5,15 +5,16 @@ them, and integrates the train from p0 until standstill.  Balise
 crossings are processed at the step in which the train position passes
 the balise; the onboard reader decodes the transmitted stream through
 the real codec.  In authenticated deployments it aligns the stream once
-per crossing and then verifies the tag under the key of every balise id
-in the track map in turn.  It accepts the first payload that verifies
-and names the id of its key: a wrong key passes the 12-bit tag once in
-4,096 trials and descrambles a random payload.  A cloned telegram still
-verifies under its source key and names its source id.  The controller
-is either the plain online braking controller, which consumes reports
-as-is, or the resilient hybrid, which filters every encounter through
-derive_trustworthy_info and falls back to the conservative controller
-when balise_missing fires.
+per crossing and then tries the key of every balise id in the track map
+in turn.  It accepts the first payload that names the id of its key and
+verifies under it (auth.verify_and_decode with bind_id): a wrong key
+passes the 12-bit tag once in 4,096 trials and descrambles a random
+payload, and the id, checked first, rejects a wrong key's trial before
+its tag MAC.  A cloned telegram still verifies under its source key and
+names its source id.  The controller is either the plain online braking
+controller, which consumes reports as-is, or the resilient hybrid, which
+filters every encounter through derive_trustworthy_info and falls back
+to the conservative controller when balise_missing fires.
 """
 
 from __future__ import annotations
@@ -266,12 +267,10 @@ def _read_balise(
         return None  # no key can verify a stream that does not align
     for balise_id in track_ids:
         try:
-            user = auth.verify_and_decode(aligned, keystore.keys_for(balise_id), fmt)
-            fields = parse_payload(user, fmt)
+            return parse_payload(auth.verify_and_decode(
+                aligned, keystore.keys_for(balise_id), fmt, bind_id=True), fmt)
         except (auth.AuthFailure, ValueError):
             continue
-        if fields[0] == balise_id:  # a wrong key's tag pass names another id
-            return fields
     return None
 
 

@@ -174,7 +174,7 @@ def test_decode_result_user_is_the_encoded_int():
         for user_int in pad_edge_users(fmt) + (rng.getrandbits(fmt.user_bits),):
             stream = codec.encode_legacy(user_int, 0x3C5, fmt) * 3
             result = codec.decode_stream(stream, fmt)
-            assert (result.user, result.width) == (user_int, fmt.user_bits)
+            assert result.user == user_int
             assert not hasattr(result, "user_bits")
 
 
@@ -185,7 +185,7 @@ def test_balise_key_pair_is_immutable(field):
         setattr(keys, field, getattr(keys, field))
 
 
-@pytest.mark.parametrize("field", ["user", "width", "sb", "shift", "inverted"])
+@pytest.mark.parametrize("field", ["user", "sb", "shift", "inverted"])
 def test_decode_result_is_immutable(field):
     result = codec.decode_stream(codec.encode_legacy(0x2A, 0x3C5) * 3)
     with pytest.raises(AttributeError):
@@ -262,6 +262,67 @@ def test_aligned_stream_verifies_under_right_key_only():
             assert type(got) is int and got == user
             with pytest.raises(auth.AuthFailure):
                 auth.verify_and_decode(aligned, other, fmt)
+
+
+def verify_outcome(stream, keys, fmt, **kwargs):
+    """The user data verify_and_decode returns, or None on AuthFailure."""
+    try:
+        return auth.verify_and_decode(stream, keys, fmt, **kwargs)
+    except auth.AuthFailure:
+        return None
+
+
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+def test_bound_verify_accepts_exactly_unbound_passes_that_name_the_key(fmt):
+    # Telegrams written under the key of one id, whose payload names that
+    # id, another id or random bits; some carry a sb that is not their
+    # tag but the S of that sb, so they descramble and fail the tag.
+    # Each is verified under the keys of every id, bound and unbound.
+    rng = random.Random(151)
+    ids = (3, 4, (1 << auth.ID_BITS) - 1)
+    keys = {i: auth.derive_keys(MK, i) for i in ids}
+    low = fmt.user_bits - auth.ID_BITS
+    seen = set()
+    for _ in range(40):
+        writer = rng.choice(ids)
+        named = rng.choice((writer, rng.choice(ids), rng.getrandbits(auth.ID_BITS)))
+        user = named << low | rng.getrandbits(low)
+        if rng.randrange(2):
+            telegram = auth.encode_authenticated(user, keys[writer], fmt)
+        else:
+            sb = auth.tag_sb(keys[writer].k0, user, fmt) ^ rng.randrange(1, 1 << 12)
+            telegram = codec.encode(user, sb, auth.prf_s(keys[writer].k1, sb), fmt)
+        aligned = codec.align(telegram * 3, fmt)
+        for reader in ids:
+            unbound = verify_outcome(aligned, keys[reader], fmt)
+            bound = verify_outcome(aligned, keys[reader], fmt, bind_id=True)
+            names_key = (unbound is not None and unbound >> low == reader)
+            assert bound == (unbound if names_key else None)
+            seen.add((unbound is not None, writer == reader and named == reader))
+    # Tag passes that name the key and that do not, and, under the right
+    # key, payloads that name it but fail the tag.
+    assert seen >= {(True, True), (True, False), (False, True)}
+
+
+def test_bound_trial_under_a_key_the_payload_does_not_name_computes_no_tag(monkeypatch):
+    tags = []
+    tag_sb = auth.tag_sb
+    monkeypatch.setattr(auth, "tag_sb", lambda *args: tags.append(args) or tag_sb(*args))
+    keys, other = auth.derive_keys(MK, 5), auth.derive_keys(MK, 6)
+    low = SHORT.user_bits - auth.ID_BITS
+    for named, reader in ((5, other), (7, keys)):
+        aligned = codec.align(
+            auth.encode_authenticated(named << low | 0x2A, keys, SHORT) * 3, SHORT)
+        tags.clear()
+        with pytest.raises(auth.AuthFailure):
+            auth.verify_and_decode(aligned, reader, SHORT, bind_id=True)
+        assert tags == []
+        verify_outcome(aligned, reader, SHORT)  # unbound: one tag
+        assert len(tags) == 1
+    aligned = codec.align(auth.encode_authenticated(5 << low, keys, SHORT) * 3, SHORT)
+    tags.clear()
+    assert auth.verify_and_decode(aligned, keys, SHORT, bind_id=True) == 5 << low
+    assert len(tags) == 1
 
 
 def test_wrong_version_fails():

@@ -444,6 +444,44 @@ def test_decode_skips_window_that_fails_only_on_control_bits():
         assert result.inverted == inverted
 
 
+def test_clean_stream_desubstitutes_only_the_window_it_returns(monkeypatch):
+    # The window one bit before the telegram is divisible, as the
+    # telegram ends in 0, and reads control bits (?, 0, 0): align sets it
+    # aside unread and desubstitutes the telegram's window alone.
+    rng = random.Random(2024)
+    user = random_user(rng, SHORT)
+    telegram = next(t for t in (codec.encode_legacy(user, sb, SHORT) for sb in range(4096))
+                    if t[-1] == 0)
+    k = SHORT.n - 1
+    rotated = (telegram * 3)[k:] + (telegram * 3)[:k]
+    calls = []
+    desubstitute = codec.desubstitute
+    monkeypatch.setattr(codec, "desubstitute",
+                        lambda *args: calls.append(args) or desubstitute(*args))
+    for bits in (rotated, [1 - b for b in rotated]):
+        calls.clear()
+        assert codec.decode_stream(bits, SHORT).shift == 1
+        assert len(calls) == 1
+
+
+def test_control_bit_error_comes_from_the_first_set_aside_window_in_the_alphabet():
+    # A codeword with bad control bits that ends in 0, read from one bit
+    # before it: both windows fail on their control bits, the first also
+    # on the alphabet, so the error names shift 1, as the per-bit scan's.
+    rng = random.Random(152)
+    for fmt in (LONG, SHORT):
+        bad = next(b for b in (channel_model.with_control_bits(
+            codec.encode_legacy(random_user(rng, fmt), 0x1F0, fmt), fmt, rng)
+            for _ in range(64)) if b[-1] == 0)
+        stream = [bad[-1]] + bad * 3
+        early = bits_to_int(stream[: fmt.n]) >> (fmt.n - fmt.shaped_bits)
+        with pytest.raises(codec.AlphabetError):
+            codec.desubstitute(early, fmt.shaped_bits // codec.WORD_WIDTH)
+        got = align_outcome(codec.align, stream, fmt)
+        assert got == align_outcome(oracle_align, stream, fmt)
+        assert got[0] is codec.ControlBitError and got[1].endswith("at shift 1")
+
+
 def test_decode_reports_control_bit_error_only_when_nothing_aligns():
     rng = random.Random(15)
     telegram = codec.encode_legacy(random_user(rng, SHORT), 0x2A5, SHORT)
