@@ -26,10 +26,9 @@ must therefore accept a payload only under the key of the id the
 payload names; a keyless forgery then passes about m * 2^-27 of its
 crossings on an m-balise map (m * 2^-12 tags, half the kind codes,
 2^-14 for the id).  The id is the payload's leading ID_BITS bits, and
-verify_and_decode(..., bind_id=True), which sim.scenario's reader and
-`balisim verify` call, checks it before the tag: a wrong key's trial
-then costs no tag MAC, and a payload is accepted exactly when it would
-be by the tag check followed by an id check.
+verify_and_decode checks it before the tag: a wrong key's trial then
+costs no tag MAC, and a payload is accepted exactly when it would be by
+the tag check followed by an id check.
 
 HMAC-SHA256 follows RFC 2104 in two forms.  The master key signs every
 key derivation, so its pad states, two hashes that have already
@@ -170,23 +169,20 @@ def verify_and_decode(
     stream: list[int] | codec.Aligned,
     keys: BaliseKeyPair,
     fmt: codec.TelegramFormat = codec.LONG,
-    *,
-    bind_id: bool = False,
 ) -> int:
     """Decode a stream and verify its tag under one key pair.
 
     The stream may be raw bits or the codec.Aligned of codec.align, so a
     reader that tries several keys aligns once.  Returns the user data
     as an int, first bit MSB.  Raises codec.NoTelegramFound when no
-    window aligns, codec.FormatError for a stream element that is not a
-    bit, and AuthFailure when the recomputed tag differs from the
-    received sb.  With bind_id, the payload must also name keys.id in
-    its leading ID_BITS bits; that is checked after descrambling and
-    before the tag, and a payload naming another id raises AuthFailure
-    without a tag MAC.
+    window aligns and codec.FormatError for a stream element that is not
+    a bit.  Raises AuthFailure when the payload does not name keys.id in
+    its leading ID_BITS bits, which is checked after descrambling and
+    before the tag, so a payload naming another id costs no tag MAC, and
+    when the recomputed tag differs from the received sb.
     """
     result = codec.decode_stream(stream, fmt, s_from_sb=lambda sb: prf_s(keys.k1, sb))
-    if bind_id and result.user >> (fmt.user_bits - ID_BITS) != keys.id:
+    if result.user >> (fmt.user_bits - ID_BITS) != keys.id:
         raise AuthFailure(f"payload does not name balise id {keys.id}")
     if tag_sb(keys.k0, result.user, fmt) != result.sb:
         raise AuthFailure(f"tag mismatch for balise id {keys.id}")

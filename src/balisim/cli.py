@@ -70,7 +70,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = {"decode": "fail", "auth": "fail", "fields": None}
     code = EXIT_VERIFY_FAIL
     try:
-        user = auth.verify_and_decode(bits * 3, keys, fmt, bind_id=True)
+        user = auth.verify_and_decode(bits * 3, keys, fmt)
         balise_id, kind, loc = deployment.parse_payload(user, fmt)
         report = {
             "decode": "ok",

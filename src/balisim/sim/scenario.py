@@ -6,15 +6,16 @@ crossings are processed at the step in which the train position passes
 the balise; the onboard reader decodes the transmitted stream through
 the real codec.  In authenticated deployments it aligns the stream once
 per crossing and then tries the key of every balise id in the track map
-in turn.  It accepts the first payload that names the id of its key and
-verifies under it (auth.verify_and_decode with bind_id): a wrong key
-passes the 12-bit tag once in 4,096 trials and descrambles a random
-payload, and the id, checked first, rejects a wrong key's trial before
-its tag MAC.  A cloned telegram still verifies under its source key and
-names its source id.  The controller is either the plain online braking
-controller, which consumes reports as-is, or the resilient hybrid, which
-filters every encounter through derive_trustworthy_info and falls back
-to the conservative controller when balise_missing fires.
+in turn.  It accepts the first payload that verifies under a key, which
+auth.verify_and_decode allows only for a payload that names the id of
+that key: a wrong key passes the 12-bit tag once in 4,096 trials and
+descrambles a random payload, and the id, checked first, rejects a
+wrong key's trial before its tag MAC.  A cloned telegram still
+verifies under its source key and names its source id.  The controller
+is either the plain online braking controller, which consumes reports
+as-is, or the resilient hybrid, which filters every encounter through
+derive_trustworthy_info and falls back to the conservative controller
+when balise_missing fires.
 """
 
 from __future__ import annotations
@@ -268,7 +269,7 @@ def _read_balise(
     for balise_id in track_ids:
         try:
             return parse_payload(auth.verify_and_decode(
-                aligned, keystore.keys_for(balise_id), fmt, bind_id=True), fmt)
+                aligned, keystore.keys_for(balise_id), fmt), fmt)
         except (auth.AuthFailure, ValueError):
             continue
     return None

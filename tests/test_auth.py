@@ -217,11 +217,18 @@ def test_single_bit_flip_changes_tag_mostly():
 # Authenticated round trip
 # ---------------------------------------------------------------------------
 
+def naming(keys, user, fmt):
+    """user with its leading ID_BITS bits replaced by the id of keys."""
+    low = fmt.user_bits - auth.ID_BITS
+    return keys.id << low | user & ((1 << low) - 1)
+
+
 def test_round_trip_both_formats():
     rng = random.Random(22)
     keys = auth.derive_keys(MK, 123)
     for fmt in (LONG, SHORT):
-        user = bits_to_int([rng.randrange(2) for _ in range(fmt.user_bits)])
+        user = naming(keys, bits_to_int([rng.randrange(2) for _ in range(fmt.user_bits)]),
+                      fmt)
         telegram = auth.encode_authenticated(user, keys, fmt)
         assert len(telegram) == fmt.n
         assert auth.verify_and_decode(telegram * 3, keys, fmt) == user
@@ -230,7 +237,8 @@ def test_round_trip_both_formats():
 def test_round_trip_survives_rotation():
     rng = random.Random(23)
     keys = auth.derive_keys(MK, 124)
-    user = bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)])
+    user = naming(keys, bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)]),
+                  SHORT)
     stream = auth.encode_authenticated(user, keys, SHORT) * 3
     for _ in range(5):
         k = rng.randrange(SHORT.n)
@@ -238,23 +246,29 @@ def test_round_trip_survives_rotation():
 
 
 def test_wrong_id_fails():
+    # The payload names the writing key's id, which the other key's
+    # trial rejects, or the other key's id, whose tag it fails.
     rng = random.Random(24)
     keys = auth.derive_keys(MK, 50)
     other = auth.derive_keys(MK, 51)
     user = bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)])
-    stream = auth.encode_authenticated(user, keys, SHORT) * 3
-    with pytest.raises(auth.AuthFailure):
-        auth.verify_and_decode(stream, other, SHORT)
+    for named in (keys, other):
+        stream = auth.encode_authenticated(naming(named, user, SHORT), keys, SHORT) * 3
+        with pytest.raises(auth.AuthFailure):
+            auth.verify_and_decode(stream, other, SHORT)
 
 
 def test_aligned_stream_verifies_under_right_key_only():
+    # Each payload is written under the key of the id it names, and read
+    # under that key and under the key of a neighbouring id.
     rng = random.Random(29)
-    keys = auth.derive_keys(MK, 70)
-    other = auth.derive_keys(MK, 71)
     for fmt in (LONG, SHORT):
+        low = fmt.user_bits - auth.ID_BITS
         users = [bits_to_int([rng.randrange(2) for _ in range(fmt.user_bits)])]
         users += pad_edge_users(fmt)
         for user in users:
+            keys = auth.derive_keys(MK, user >> low)
+            other = auth.derive_keys(MK, user >> low ^ 1)
             stream = auth.encode_authenticated(user, keys, fmt) * 3
             k = rng.randrange(fmt.n)
             aligned = codec.align(stream[k:] + stream[:k], fmt)
@@ -264,20 +278,27 @@ def test_aligned_stream_verifies_under_right_key_only():
                 auth.verify_and_decode(aligned, other, fmt)
 
 
-def verify_outcome(stream, keys, fmt, **kwargs):
+def verify_outcome(stream, keys, fmt):
     """The user data verify_and_decode returns, or None on AuthFailure."""
     try:
-        return auth.verify_and_decode(stream, keys, fmt, **kwargs)
+        return auth.verify_and_decode(stream, keys, fmt)
     except auth.AuthFailure:
         return None
 
 
+def tag_outcome(aligned, keys, fmt):
+    """The user data whose tag under keys is the received sb, else None."""
+    result = codec.decode_stream(aligned, fmt, s_from_sb=lambda sb: auth.prf_s(keys.k1, sb))
+    return result.user if auth.tag_sb(keys.k0, result.user, fmt) == result.sb else None
+
+
 @pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
-def test_bound_verify_accepts_exactly_unbound_passes_that_name_the_key(fmt):
+def test_verify_accepts_exactly_the_tag_passes_that_name_the_key(fmt):
     # Telegrams written under the key of one id, whose payload names that
     # id, another id or random bits; some carry a sb that is not their
     # tag but the S of that sb, so they descramble and fail the tag.
-    # Each is verified under the keys of every id, bound and unbound.
+    # Each is verified under the keys of every id and compared with a
+    # tag check that ignores the id.
     rng = random.Random(151)
     ids = (3, 4, (1 << auth.ID_BITS) - 1)
     keys = {i: auth.derive_keys(MK, i) for i in ids}
@@ -294,17 +315,17 @@ def test_bound_verify_accepts_exactly_unbound_passes_that_name_the_key(fmt):
             telegram = codec.encode(user, sb, auth.prf_s(keys[writer].k1, sb), fmt)
         aligned = codec.align(telegram * 3, fmt)
         for reader in ids:
-            unbound = verify_outcome(aligned, keys[reader], fmt)
-            bound = verify_outcome(aligned, keys[reader], fmt, bind_id=True)
-            names_key = (unbound is not None and unbound >> low == reader)
-            assert bound == (unbound if names_key else None)
-            seen.add((unbound is not None, writer == reader and named == reader))
+            tagged = tag_outcome(aligned, keys[reader], fmt)
+            names_key = (tagged is not None and tagged >> low == reader)
+            assert verify_outcome(aligned, keys[reader], fmt) == \
+                (tagged if names_key else None)
+            seen.add((tagged is not None, writer == reader and named == reader))
     # Tag passes that name the key and that do not, and, under the right
     # key, payloads that name it but fail the tag.
     assert seen >= {(True, True), (True, False), (False, True)}
 
 
-def test_bound_trial_under_a_key_the_payload_does_not_name_computes_no_tag(monkeypatch):
+def test_trial_under_a_key_the_payload_does_not_name_computes_no_tag(monkeypatch):
     tags = []
     tag_sb = auth.tag_sb
     monkeypatch.setattr(auth, "tag_sb", lambda *args: tags.append(args) or tag_sb(*args))
@@ -315,13 +336,11 @@ def test_bound_trial_under_a_key_the_payload_does_not_name_computes_no_tag(monke
             auth.encode_authenticated(named << low | 0x2A, keys, SHORT) * 3, SHORT)
         tags.clear()
         with pytest.raises(auth.AuthFailure):
-            auth.verify_and_decode(aligned, reader, SHORT, bind_id=True)
+            auth.verify_and_decode(aligned, reader, SHORT)
         assert tags == []
-        verify_outcome(aligned, reader, SHORT)  # unbound: one tag
-        assert len(tags) == 1
     aligned = codec.align(auth.encode_authenticated(5 << low, keys, SHORT) * 3, SHORT)
     tags.clear()
-    assert auth.verify_and_decode(aligned, keys, SHORT, bind_id=True) == 5 << low
+    assert auth.verify_and_decode(aligned, keys, SHORT) == 5 << low
     assert len(tags) == 1
 
 
@@ -329,7 +348,8 @@ def test_wrong_version_fails():
     rng = random.Random(25)
     k0 = auth.derive_keys(MK, 50, ver=0)
     k1 = auth.derive_keys(MK, 50, ver=1)
-    user = bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)])
+    user = naming(k0, bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)]),
+                  SHORT)
     stream = auth.encode_authenticated(user, k0, SHORT) * 3
     with pytest.raises(auth.AuthFailure):
         auth.verify_and_decode(stream, k1, SHORT)
@@ -338,7 +358,8 @@ def test_wrong_version_fails():
 def test_legacy_telegram_fails_authentication():
     rng = random.Random(26)
     keys = auth.derive_keys(MK, 60)
-    user = bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)])
+    user = naming(keys, bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)]),
+                  SHORT)
     stream = codec.encode_legacy(user, 0x555, SHORT) * 3
     with pytest.raises(auth.AuthFailure):
         auth.verify_and_decode(stream, keys, SHORT)
@@ -348,7 +369,8 @@ def test_altered_user_data_with_reused_sb_fails():
     # content-swap attack: rewrite user data, keep sb, re-encode publicly
     rng = random.Random(27)
     keys = auth.derive_keys(MK, 61)
-    user = bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)])
+    user = naming(keys, bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)]),
+                  SHORT)
     telegram = auth.encode_authenticated(user, keys, SHORT)
     sb = auth.tag_sb(keys.k0, user, SHORT)
     altered = int_to_bits(user, SHORT.user_bits)
@@ -420,6 +442,7 @@ def test_key_separation_sampled():
        st.integers(min_value=0, max_value=(1 << auth.ID_BITS) - 1))
 def test_round_trip_property(user_int, balise_id):
     keys = auth.derive_keys(MK, balise_id)
+    user_int = naming(keys, user_int, SHORT)
     stream = auth.encode_authenticated(user_int, keys, SHORT) * 3
     assert auth.verify_and_decode(stream, keys, SHORT) == user_int
 
@@ -519,5 +542,6 @@ def test_keyless_forgery_script_counts_are_consistent():
     assert 0 <= accepted <= tag_passes <= n * m
     # The exact counts of this seeded run.  One of the three tag passes
     # parsed to a payload under a key whose id it does not name; the
-    # reader that binds the key to the payload id accepts none of them.
+    # reader, which accepts a payload only under its own id's key,
+    # accepts none of them.
     assert (m, tag_passes, accepted) == (50, 3, 0)

@@ -20,6 +20,13 @@ import channel_model
 N = 2000
 
 
+def named_by(keys, user, fmt):
+    """user with its leading id bits replaced by the id of keys, which
+    verify_and_decode requires of a payload it accepts."""
+    low = fmt.user_bits - auth.ID_BITS
+    return keys.id << low | user & ((1 << low) - 1)
+
+
 def test_bit_flip_channel_2000_streams_no_undetected_error():
     rng = random.Random(2026)
     keys = auth.derive_keys(bytes(range(32)), balise_id=7)
@@ -29,6 +36,7 @@ def test_bit_flip_channel_2000_streams_no_undetected_error():
         authenticated = trial % 4 >= 2
         user = rng.getrandbits(fmt.user_bits)
         if authenticated:
+            user = named_by(keys, user, fmt)
             telegram = auth.encode_authenticated(user, keys, fmt)
         else:
             telegram = codec.encode_legacy(user, rng.randrange(1 << codec.SB_WIDTH), fmt)
@@ -59,7 +67,7 @@ def test_channel_model_v2_returns_no_payload_that_was_not_sent():
     keys = auth.derive_keys(bytes(range(32)), balise_id=9)
     tally = {}
     for fmt, impairment, inverted, rng in channel_model.corpus(seed=2027, per_case=100):
-        user = rng.getrandbits(fmt.user_bits)
+        user = named_by(keys, rng.getrandbits(fmt.user_bits), fmt)
         legacy = codec.encode_legacy(user, rng.randrange(1 << codec.SB_WIDTH), fmt)
         channel = rng.getstate()
         for path, telegram in (("legacy", legacy),
