@@ -44,8 +44,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import secrets
-from dataclasses import dataclass
+import os
 from typing import NamedTuple
 
 from . import codec
@@ -193,8 +192,7 @@ def verify_and_decode(
 # Keystore
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Keystore:
+class Keystore(NamedTuple):
     mk: bytes
     ver: int
 
@@ -205,7 +203,7 @@ class Keystore:
 def new_keystore(seed: int | None = None, ver: int = 0) -> Keystore:
     """Fresh keystore; a seed makes mk reproducible for tests."""
     if seed is None:
-        mk = secrets.token_bytes(32)
+        mk = os.urandom(32)
     elif not 0 <= seed < (1 << 64):
         raise ValueError("keystore seed must be in 0..2^64-1")
     else:

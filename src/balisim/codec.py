@@ -74,7 +74,6 @@ from __future__ import annotations
 import binascii
 import functools
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bits import bits_to_int, int_to_bits
@@ -104,8 +103,7 @@ class AlphabetError(CodecError):
 # Formats and field constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TelegramFormat:
+class TelegramFormat(NamedTuple):
     name: str
     n: int           # total telegram length in bits
     shaped_bits: int # scrambled + substituted user region
@@ -365,8 +363,7 @@ class DecodeResult(NamedTuple):
     inverted: bool   # stream polarity was inverted
 
 
-@dataclass(frozen=True)
-class Aligned:
+class Aligned(NamedTuple):
     data: int        # desubstituted, still scrambled user bits, first bit MSB
     sb: int
     shift: int       # window offset at which alignment was found

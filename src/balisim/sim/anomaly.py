@@ -26,7 +26,7 @@ untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Tolerance when matching inter-record distances against map distances;
 # covers the one-step position quantization of crossing detection.
@@ -60,27 +60,22 @@ class PositionEstimate:
         self.dist_since_ref = 0.0
 
 
-@dataclass
-class Record:
+class Record(NamedTuple):
     local: float               # p_est at the unattributed encounter
     candidates: list[float]    # map locations within delta at that time
 
 
-@dataclass
 class AnomalyState:
-    known_locs: list[float]     # fixed balise locations, ascending
-    received: set[int] = field(default_factory=set)   # only ever grows
-    records: list[Record] = field(default_factory=list)
-    # Every index below first_open is in received.
-    first_open: int = field(default=0, init=False, repr=False,
-                            compare=False)
-    # max(|loc_k| for k >= i), padded with -inf at len and len + 1, so
-    # suffix_abs[i + 1] is also the largest |loc_{k+1}| for k >= i.
-    suffix_abs: list[float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, known_locs: list[float]):
+        self.known_locs = known_locs    # fixed balise locations, ascending
+        self.received: set[int] = set()  # only ever grows
+        self.records: list[Record] = []
+        # Every index below first_open is in received.
+        self.first_open = 0
+        # max(|loc_k| for k >= i), padded with -inf at len and len + 1, so
+        # suffix_abs[i + 1] is also the largest |loc_{k+1}| for k >= i.
         suffix = [-math.inf, -math.inf]
-        for loc in reversed(self.known_locs):
+        for loc in reversed(known_locs):
             suffix.append(max(abs(loc), suffix[-1]))
         suffix.reverse()
         self.suffix_abs = suffix
@@ -128,8 +123,7 @@ def balise_missing(est: PositionEstimate, state: AnomalyState) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class TrustResult:
+class TrustResult(NamedTuple):
     loc: float | None   # location handed to the braking controller
     event: str
 

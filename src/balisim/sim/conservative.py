@@ -10,7 +10,9 @@ The PIDs run in positional form on the error e = v - v_con with
 rectangular integration and a backward-difference derivative; output is
 clamped to [alpha_max, 0] and the integral only accumulates while the
 output is unsaturated (conditional-integration anti-windup).  The
-integral resets when the mode switches.
+integral resets when the mode switches.  The gains of the current mode
+are copied out of their PidGains when the mode is entered, so a step
+reads them as instance attributes.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ class ConservativeController:
             raise ValueError("v_con must be positive")
         self.v_con = v_con
         self.alpha_max = alpha_max
-        self._gains = {MODE_PID1: gains1, MODE_PID2: gains2}
+        self._gains2 = gains2
         self.mode = MODE_PID1
+        self._kp, self._ki, self._kd = gains1
         self._integral = 0.0
         self._prev_error: float | None = None
 
@@ -43,9 +46,9 @@ class ConservativeController:
             return self.alpha_max
         if self.mode == MODE_PID1 and v <= self.v_con:
             self.mode = MODE_PID2
+            self._kp, self._ki, self._kd = self._gains2
             self._integral = 0.0
             self._prev_error = None
-        gains = self._gains[self.mode]
         error = v - self.v_con
         if self._prev_error is None:
             derivative = 0.0
@@ -53,7 +56,7 @@ class ConservativeController:
             derivative = (error - self._prev_error) / dt
         self._prev_error = error
         integral = self._integral + error * dt
-        raw = -(gains.kp * error + gains.ki * integral + gains.kd * derivative)
+        raw = -(self._kp * error + self._ki * integral + self._kd * derivative)
         if self.alpha_max <= raw <= 0.0:
             self._integral = integral
             return raw

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .. import auth, codec
 from ..bits import bits_to_int, bits_to_str, str_to_bits
@@ -33,18 +33,30 @@ _KIND_BITS = 2
 _FIELD_BITS = auth.ID_BITS + _KIND_BITS + _LOC_BITS  # the rest is zero pad
 
 
-@dataclass(frozen=True)
-class BaliseSpec:
+class _BaliseFields(NamedTuple):
     id: int
     loc: float
     kind: str
 
-    def __post_init__(self):
+
+class BaliseSpec(_BaliseFields):
+    """One balise of the track, checked when it is made."""
+
+    __slots__ = ()
+
+    def __new__(cls, id, loc, kind):
+        self = super().__new__(cls, id, loc, kind)
         if type(self.id) is not int or not 0 <= self.id < (1 << auth.ID_BITS):
             raise ValueError("balise id must be a 14-bit integer")
         location_mm(self.loc)
         if self.kind not in _KIND_CODE:
             raise ValueError(f"unknown balise kind {self.kind!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it runs the checks too.
+        return cls(*iterable)
 
 
 def location_mm(loc: float) -> int:
@@ -96,10 +108,10 @@ AUTH_AUTHENTICATED = "authenticated"
 LEGACY_SB = 0x555
 
 
-@dataclass
 class DeployedBalise:
-    spec: BaliseSpec
-    telegram: list[int] | None  # None: transmission suppressed
+    def __init__(self, spec: BaliseSpec, telegram: list[int] | None):
+        self.spec = spec
+        self.telegram = telegram  # None: transmission suppressed
 
 
 def program_telegram(
@@ -157,20 +169,17 @@ def load_telegram(path: str) -> tuple[codec.TelegramFormat, list[int]]:
 # Attacks (balise numbers are 1-based, matching B_1 .. B_m)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Tamper:
+class Tamper(NamedTuple):
     balise: int
     new_loc: float
 
 
-@dataclass(frozen=True)
-class Clone:
+class Clone(NamedTuple):
     src: int
     dst: int
 
 
-@dataclass(frozen=True)
-class Unavailable:
+class Unavailable(NamedTuple):
     balise: int
 
 

@@ -3,21 +3,28 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class TrainParams:
-    p0: float = -100.0      # initial position, meters (stop point at 0)
-    v0: float = 10.0        # initial speed, m/s
-    alpha_max: float = -1.0 # strongest achievable braking, m/s^2
-    gamma: float = 0.3      # allowable stop error, meters
-    Td: float = 0.6         # actuation dead time, seconds
-    Tp: float = 0.4         # first-order lag constant, seconds
-    dt: float = 0.01        # integration step, seconds
+class _TrainFields(NamedTuple):
+    p0: float         # initial position, meters (stop point at 0)
+    v0: float         # initial speed, m/s
+    alpha_max: float  # strongest achievable braking, m/s^2
+    gamma: float      # allowable stop error, meters
+    Td: float         # actuation dead time, seconds
+    Tp: float         # first-order lag constant, seconds
+    dt: float         # integration step, seconds
 
-    def __post_init__(self):
-        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+
+class TrainParams(_TrainFields):
+    """The train's physical parameters, checked when they are made."""
+
+    __slots__ = ()
+
+    def __new__(cls, p0=-100.0, v0=10.0, alpha_max=-1.0, gamma=0.3, Td=0.6,
+                Tp=0.4, dt=0.01):
+        self = super().__new__(cls, p0, v0, alpha_max, gamma, Td, Tp, dt)
+        if not all(math.isfinite(value) for value in self):
             raise ValueError("train parameters must be finite")
         if self.alpha_max >= 0:
             raise ValueError("alpha_max must be negative")
@@ -27,10 +34,15 @@ class TrainParams:
             raise ValueError("Td and Tp must be non-negative")
         if self.v0 < 0:
             raise ValueError("v0 must be non-negative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it runs the checks too.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PidGains:
+class PidGains(NamedTuple):
     kp: float
     ki: float
     kd: float

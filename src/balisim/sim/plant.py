@@ -7,6 +7,10 @@ after the lag: the controller may command any value (it does during an
 early-stop attack), but the train can neither brake harder than
 alpha_max nor propel itself during the approach.  Velocity clamps at
 zero; a stopped train stays stopped.
+
+The plant copies dt, Tp and alpha_max out of its TrainParams when it is
+built: step reads them every step, and an instance attribute reads
+faster than a NamedTuple field.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from .params import TrainParams
 class BrakePlant:
     def __init__(self, params: TrainParams):
         self.params = params
+        self.dt = params.dt
+        self.Tp = params.Tp
+        self.alpha_max = params.alpha_max
         self.p = params.p0
         self.v = params.v0
         self.alpha = 0.0
@@ -26,8 +33,7 @@ class BrakePlant:
 
     def step(self, alpha_cmd: float) -> None:
         """Advance one dt with the given commanded acceleration."""
-        par = self.params
-        dt = par.dt
+        dt = self.dt
         delay = self._delay
         if delay:
             delay.append(alpha_cmd)
@@ -35,13 +41,14 @@ class BrakePlant:
         else:
             delayed = alpha_cmd
         alpha = self.alpha
-        if par.Tp > 0:
-            alpha += dt * (delayed - alpha) / par.Tp
+        Tp = self.Tp
+        if Tp > 0:
+            alpha += dt * (delayed - alpha) / Tp
         else:
             alpha = delayed
         # Each comparison returns the operand min/max would, -0.0 included:
         # min(0.0, max(alpha_max, alpha)) and max(0.0, v).
-        alpha_max = par.alpha_max
+        alpha_max = self.alpha_max
         alpha = alpha if alpha > alpha_max else alpha_max
         alpha = alpha if alpha < 0.0 else 0.0
         self.alpha = alpha

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .. import auth, codec
@@ -69,26 +68,51 @@ DEFAULT_BALISES = [
 ]
 
 
-@dataclass
 class ScenarioConfig:
-    train: TrainParams = field(default_factory=TrainParams)
-    balises: list[BaliseSpec] = field(default_factory=lambda: list(DEFAULT_BALISES))
-    attacks: list[AttackSpec] = field(default_factory=list)
-    controller: str = CONTROLLER_HOA
-    dbz_strategy: str = FULL_BRAKE
-    auth_mode: str = AUTH_LEGACY
-    p_est0: float | None = None   # None: start from the true position
-    delta0: float = 15.0
-    growth_k: float = 0.02
-    eta0: float = params.ETA0
-    v_con: float = params.V_CREEP
-    seed: int = 1
-    max_time_s: float = 600.0
-    telegram_format: str = "long"
-    keystore_path: str | None = None
-    telegram_files: dict[int, str] = field(default_factory=dict)
+    """One scenario, checked when it is made; ConfigError if malformed.
 
-    def __post_init__(self):
+    train, balises, attacks and telegram_files left as None are
+    TrainParams(), DEFAULT_BALISES, no attacks and no telegram files.
+    """
+
+    def __init__(
+        self,
+        train: TrainParams | None = None,
+        balises: list[BaliseSpec] | None = None,
+        attacks: list[AttackSpec] | None = None,
+        controller: str = CONTROLLER_HOA,
+        dbz_strategy: str = FULL_BRAKE,
+        auth_mode: str = AUTH_LEGACY,
+        p_est0: float | None = None,   # None: start from the true position
+        delta0: float = 15.0,
+        growth_k: float = 0.02,
+        eta0: float = params.ETA0,
+        v_con: float = params.V_CREEP,
+        seed: int = 1,
+        max_time_s: float = 600.0,
+        telegram_format: str = "long",
+        keystore_path: str | None = None,
+        telegram_files: dict[int, str] | None = None,
+    ):
+        self.train = TrainParams() if train is None else train
+        self.balises = list(DEFAULT_BALISES) if balises is None else balises
+        self.attacks = [] if attacks is None else attacks
+        self.controller = controller
+        self.dbz_strategy = dbz_strategy
+        self.auth_mode = auth_mode
+        self.p_est0 = p_est0
+        self.delta0 = delta0
+        self.growth_k = growth_k
+        self.eta0 = eta0
+        self.v_con = v_con
+        self.seed = seed
+        self.max_time_s = max_time_s
+        self.telegram_format = telegram_format
+        self.keystore_path = keystore_path
+        self.telegram_files = {} if telegram_files is None else telegram_files
+        self._check()
+
+    def _check(self) -> None:
         if self.controller not in (CONTROLLER_HOA, CONTROLLER_RESILIENT):
             raise ConfigError(f"unknown controller {self.controller!r}")
         if self.dbz_strategy not in (FULL_BRAKE, IGNORE):
@@ -237,8 +261,7 @@ class TrajectoryRow(NamedTuple):
     event: str
 
 
-@dataclass
-class SimResult:
+class SimResult(NamedTuple):
     stop_error: float
     stop_time: float
     trajectory: list[TrajectoryRow]
@@ -332,6 +355,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     next_loc = deployment[0].spec.loc
     mode = MODE_HOA
     dt = train.dt
+    alpha_max = train.alpha_max
     rows = [TrajectoryRow(0.0, plant.p, plant.v, cmd, plant.alpha, mode, "")]
     append_row = rows.append
     # tuple.__new__ builds the same TrajectoryRow without the NamedTuple's
@@ -373,7 +397,10 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
                     True, loc_reported, est, state,
                     allow_ordering=not conservative_active)
                 events.append(f"{label}:{res.event}")
-                if kind == KIND_CONTROLLED:
+                # A stop marker that ordering placed at a fixed balise is
+                # a clone: the controller brakes for that balise instead.
+                if kind == KIND_CONTROLLED \
+                        and res.event != "ordering_corrected":
                     marker_seen = True
                     events.append(f"{label}:marker")
                 elif res.loc is not None and not conservative_active \
@@ -400,7 +427,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
             cmd = conservative.step(plant.v, marker_seen, dt)
             new_mode = conservative.mode
         elif marker_seen:
-            cmd = train.alpha_max
+            cmd = alpha_max
             new_mode = MODE_MAX_BRAKE
         else:
             new_mode = MODE_HOA

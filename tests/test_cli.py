@@ -268,6 +268,19 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     assert out.strip() == "[]"
 
 
+def test_importing_balisim_leaves_dataclasses_unloaded():
+    # The records are NamedTuples and plain classes, so start-up does not
+    # import dataclasses, nor the inspect and ast modules that it imports.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(balisim.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, balisim.cli, balisim.sim; print('dataclasses' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "False"
+
+
 def test_simulate_batch_uses_csv_and_summary_names(tmp_path, capsys):
     batch = _batch_dir(tmp_path, ("no_attack",))
     out = tmp_path / "results"

@@ -120,6 +120,17 @@ def test_balise_spec_validation():
         BaliseSpec(id=1, loc=0.0, kind="marker")
 
 
+def test_balise_spec_is_immutable_and_checked_on_replace():
+    spec = BaliseSpec(id=3, loc=-16.0, kind=KIND_FIXED)
+    with pytest.raises(AttributeError):
+        spec.loc = -4.0
+    assert spec._replace(loc=-4.0) == BaliseSpec(3, -4.0, KIND_FIXED)
+    with pytest.raises(ValueError):
+        spec._replace(id=-1)
+    with pytest.raises(TypeError, match=r"^BaliseSpec\."):
+        BaliseSpec(id=3, loc=-16.0, kind=KIND_FIXED, telegram="b3.json")
+
+
 # ---------------------------------------------------------------------------
 # Programming
 # ---------------------------------------------------------------------------

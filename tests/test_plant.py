@@ -12,6 +12,17 @@ def make_plant(**kw):
     return BrakePlant(TrainParams(**kw))
 
 
+def test_train_params_are_immutable_and_checked_on_replace():
+    par = TrainParams()
+    with pytest.raises(AttributeError):
+        par.dt = 0.02
+    assert par._replace(dt=0.02).dt == 0.02
+    with pytest.raises(ValueError, match="dt must be positive"):
+        par._replace(dt=0.0)
+    with pytest.raises(TypeError, match=r"^TrainParams\."):
+        TrainParams(dT=0.02)
+
+
 def test_delay_line_length():
     plant = make_plant(Td=0.6, dt=0.01)
     assert len(plant._delay) == 60
