@@ -12,10 +12,12 @@ reader rejects a payload whose 14-bit id is not the id of the key.  It
 goes on to the next key after either, so about m * 2**-27 of the forged
 crossings are accepted, 3.7e-7 at m = 50.
 
-verify_and_decode checks the id before the tag, so the reader's trials
-do not show the tag passes.  They are counted beside it: under every
-track key the aligned forged stream is descrambled and the tag of the
-data compared with its sb.
+verify_and_decode reads the id off the scrambled data and the leading
+bits of the key's scrambling key, and descrambles and computes the tag
+only under the key whose id it names, so the reader's trials do not show
+the tag passes.  They are counted beside it: under every track key the
+aligned forged stream is descrambled (codec.decode_stream) and the tag
+of the data compared with its sb.
 
 The map is 50 balises evenly spaced from -100 m to 0 m, as in the
 auth_track_50 benchmark, with the scenario's default keystore (seed 1).

@@ -25,10 +25,13 @@ data that key descrambles is random.  A reader that tries several keys
 must therefore accept a payload only under the key of the id the
 payload names; a keyless forgery then passes about m * 2^-27 of its
 crossings on an m-balise map (m * 2^-12 tags, half the kind codes,
-2^-14 for the id).  The id is the payload's leading ID_BITS bits, and
-verify_and_decode checks it before the tag: a wrong key's trial then
-costs no tag MAC, and a payload is accepted exactly when it would be by
-the tag check followed by an id check.
+2^-14 for the id).  The id is the payload's leading ID_BITS bits.  The
+keystream's leading 32 bits are S itself (see codec.keystream), so the
+descrambled id is the leading ID_BITS of the scrambled data XOR those of
+S, and verify_and_decode checks it before it descrambles and before the
+tag: a wrong key's trial then costs its two KDF MACs and its PRF MAC,
+and no keystream expansion and no tag MAC.  A payload is accepted
+exactly when it would be by the tag check followed by an id check.
 
 HMAC-SHA256 follows RFC 2104 in two forms.  The master key signs every
 key derivation, so its pad states, two hashes that have already
@@ -176,16 +179,20 @@ def verify_and_decode(
     as an int, first bit MSB.  Raises codec.NoTelegramFound when no
     window aligns and codec.FormatError for a stream element that is not
     a bit.  Raises AuthFailure when the payload does not name keys.id in
-    its leading ID_BITS bits, which is checked after descrambling and
-    before the tag, so a payload naming another id costs no tag MAC, and
-    when the recomputed tag differs from the received sb.
+    its leading ID_BITS bits, and when the recomputed tag differs from
+    the received sb.  The id is read from the scrambled data and the
+    leading bits of S, before the data is descrambled and before the
+    tag, so a payload naming another id costs no keystream expansion
+    and no tag MAC.
     """
-    result = codec.decode_stream(stream, fmt, s_from_sb=lambda sb: prf_s(keys.k1, sb))
-    if result.user >> (fmt.user_bits - ID_BITS) != keys.id:
+    aligned = stream if isinstance(stream, codec.Aligned) else codec.align(stream, fmt)
+    s = prf_s(keys.k1, aligned.sb)
+    if (aligned.data >> (fmt.user_bits - ID_BITS)) ^ codec.keystream(s, ID_BITS) != keys.id:
         raise AuthFailure(f"payload does not name balise id {keys.id}")
-    if tag_sb(keys.k0, result.user, fmt) != result.sb:
+    user = aligned.data ^ codec.keystream(s, fmt.user_bits)
+    if tag_sb(keys.k0, user, fmt) != aligned.sb:
         raise AuthFailure(f"tag mismatch for balise id {keys.id}")
-    return result.user
+    return user
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@ window of n + r bits over a repeated stream and returns, from the first
 window that passes the divisibility, extra-bit coincidence,
 word-validity and control-bit checks, the desubstituted, still scrambled
 user data with sb; it needs no key.  decode_stream then descrambles with
-the S that a hook derives from sb, so a reader that tries several keys
-aligns a stream once and descrambles it once per key.
+the S that a hook derives from sb.  A reader that tries several keys
+aligns a stream once.  The keystream starts with S itself, so under any
+key the leading user bits are those of the data XOR those of S, with no
+table lookup, and auth.verify_and_decode descrambles only under a key
+whose id those bits name.
 
 The standard owns two constants that are not public, and this module
 fixes documented surrogates for them: ALPHABET, the 11-bit substitution
@@ -251,9 +254,13 @@ def keystream(seed: int, nbits: int) -> int:
 
     Returns the first nbits, the first bit most significant.  Output
     bit = register MSB; feedback enters at the LSB.  A zero seed is
-    replaced by 1 so the register never locks up.
+    replaced by 1 so the register never locks up.  The register shifts
+    out MSB-first, so the first 32 bits are the register itself,
+    (seed & 0xFFFFFFFF) or 1, and up to 32 bits need no table.
     """
     state = (seed & _LFSR_MASK) or 1
+    if nbits <= 32:
+        return state >> (32 - nbits)
     out = have = 0
     while have < nbits:
         block = (_KS0[state & 0xFF] ^ _KS1[(state >> 8) & 0xFF]

@@ -313,11 +313,14 @@ def test_verify_accepts_exactly_the_tag_passes_that_name_the_key(fmt):
         else:
             sb = auth.tag_sb(keys[writer].k0, user, fmt) ^ rng.randrange(1, 1 << 12)
             telegram = codec.encode(user, sb, auth.prf_s(keys[writer].k1, sb), fmt)
-        aligned = codec.align(telegram * 3, fmt)
+        stream = telegram * 3
+        aligned = codec.align(stream, fmt)
         for reader in ids:
             tagged = tag_outcome(aligned, keys[reader], fmt)
             names_key = (tagged is not None and tagged >> low == reader)
+            # A raw stream is aligned inside verify_and_decode.
             assert verify_outcome(aligned, keys[reader], fmt) == \
+                verify_outcome(stream, keys[reader], fmt) == \
                 (tagged if names_key else None)
             seen.add((tagged is not None, writer == reader and named == reader))
     # Tag passes that name the key and that do not, and, under the right
@@ -326,22 +329,28 @@ def test_verify_accepts_exactly_the_tag_passes_that_name_the_key(fmt):
 
 
 def test_trial_under_a_key_the_payload_does_not_name_computes_no_tag(monkeypatch):
-    tags = []
-    tag_sb = auth.tag_sb
+    # The id is read off the leading bits of S, so only a trial under the
+    # key the payload names expands the keystream over the user data and
+    # computes a tag, whether it is given the stream or its Aligned.
+    tags, lengths = [], []
+    tag_sb, keystream = auth.tag_sb, codec.keystream
     monkeypatch.setattr(auth, "tag_sb", lambda *args: tags.append(args) or tag_sb(*args))
+    monkeypatch.setattr(codec, "keystream",
+                        lambda seed, nbits: lengths.append(nbits) or keystream(seed, nbits))
     keys, other = auth.derive_keys(MK, 5), auth.derive_keys(MK, 6)
     low = SHORT.user_bits - auth.ID_BITS
-    for named, reader in ((5, other), (7, keys)):
-        aligned = codec.align(
-            auth.encode_authenticated(named << low | 0x2A, keys, SHORT) * 3, SHORT)
-        tags.clear()
-        with pytest.raises(auth.AuthFailure):
-            auth.verify_and_decode(aligned, reader, SHORT)
-        assert tags == []
-    aligned = codec.align(auth.encode_authenticated(5 << low, keys, SHORT) * 3, SHORT)
-    tags.clear()
-    assert auth.verify_and_decode(aligned, keys, SHORT) == 5 << low
-    assert len(tags) == 1
+    for named, reader in ((5, other), (7, keys), (5, keys)):
+        stream = auth.encode_authenticated(named << low | 0x2A, keys, SHORT) * 3
+        for received in (stream, codec.align(stream, SHORT)):
+            tags.clear()
+            lengths.clear()
+            if named == reader.id:
+                assert auth.verify_and_decode(received, reader, SHORT) == named << low | 0x2A
+                assert len(tags) == lengths.count(SHORT.user_bits) == 1
+            else:
+                with pytest.raises(auth.AuthFailure):
+                    auth.verify_and_decode(received, reader, SHORT)
+                assert tags == [] and SHORT.user_bits not in lengths
 
 
 def test_wrong_version_fails():

@@ -73,8 +73,19 @@ def test_keystream_frozen_vectors():
 
 
 def test_keystream_first_32_bits_replay_seed():
-    # the Fibonacci register shifts the seed out MSB-first
+    # the Fibonacci register shifts the seed out MSB-first, so up to 32
+    # bits the keystream is read off the register; past that it comes
+    # from the tables, which the list LFSR checks.
     assert codec.keystream(0xDEADBEEF, 32) == 0xDEADBEEF
+    rng = random.Random(17)
+    seeds = [0, 1, 1 << 31, (1 << 32) - 1, 1 << 32]
+    seeds += [rng.randrange(1 << 32) for _ in range(1000)]
+    for seed in seeds:
+        register = (seed & 0xFFFFFFFF) or 1
+        full = codec.keystream(seed, 830)
+        assert int_to_bits(full >> (830 - 64), 64) == lfsr_reference(seed & 0xFFFFFFFF, 64)
+        for k in range(33):
+            assert codec.keystream(seed, k) == register >> (32 - k) == full >> (830 - k)
 
 
 def test_keystream_zero_seed_guard():
@@ -87,12 +98,13 @@ def test_keystream_matches_reference_lfsr(seed):
 
 
 def test_keystream_matches_reference_across_block_boundaries():
+    # Up to 32 bits are the register, 33 is the first from the tables;
     # 830 bits is one table block; 831 and 2000 chain blocks.
     rng = random.Random(16)
     seeds = [0, 1, 0xFFFFFFFF] + [rng.randrange(1 << 32) for _ in range(8)]
     for seed in seeds:
         reference = lfsr_reference(seed, 2000)
-        for nbits in (0, 1, 32, 210, 830, 831, 2000):
+        for nbits in (0, 1, 32, 33, 210, 830, 831, 2000):
             assert int_to_bits(codec.keystream(seed, nbits), nbits) == reference[:nbits]
 
 
