@@ -17,8 +17,9 @@ user data is an int of fmt.user_bits bits, first bit most significant,
 as codec.encode takes it and codec.DecodeResult.user holds it:
 generate_tag, tag_sb and encode_authenticated take it, and
 verify_and_decode returns it, so neither a write nor a key trial builds
-a bit list.  Per-balise keys are re-derived from the master key on
-demand and never persisted; the keystore holds only mk and a version.
+a bit list.  Per-balise keys are derived from the master key and held
+in memory only, never persisted; the keystore holds only mk and a
+version.
 
 A 12-bit tag passes under a wrong key once in 4,096 trials, and the user
 data that key descrambles is random.  A reader that tries several keys
@@ -29,17 +30,29 @@ crossings on an m-balise map (m * 2^-12 tags, half the kind codes,
 keystream's leading 32 bits are S itself (see codec.keystream), so the
 descrambled id is the leading ID_BITS of the scrambled data XOR those of
 S, and verify_and_decode checks it before it descrambles and before the
-tag: a wrong key's trial then costs its two KDF MACs and its PRF MAC,
-and no keystream expansion and no tag MAC.  A payload is accepted
-exactly when it would be by the tag check followed by an id check.
+tag: a wrong key's trial then costs one PRF MAC, the dict lookup of its
+memoised key pair, a shift and a compare, and no keystream expansion
+and no tag MAC.  A payload is accepted exactly when it would be by the
+tag check followed by an id check.
+
+derive_keys memoises per master key.  One cached entry per process
+holds the master key's HMAC pad states and a dict of the key pair of
+each (id, ver) requested under it, so a pair costs its two KDF MACs on
+its first request only and a dict lookup after that.  Loading another
+master key replaces the entry and drops the old pairs with it.  Memory
+is bounded by the (id, ver) pairs requested under the current master
+key, in a simulation the ids of its track map.  The memo exposes no
+more than was exposed before it: whoever can read the cached pairs can
+read the pad states beside them, which derive every key.
 
 HMAC-SHA256 follows RFC 2104 in two forms.  The master key signs every
 key derivation, so its pad states, two hashes that have already
-absorbed K^ipad and K^opad (section 4 of the RFC), are cached, one
-entry per process, and each MAC copies them instead of hashing the
-padded key again.  A tag or PRF key is derived afresh for each trial
-and used once, so its MAC is one-shot: sha256(K^ipad | msg), then
-sha256(K^opad | inner), with no hash state built or copied.
+absorbed K^ipad and K^opad (section 4 of the RFC), are kept in the
+master entry, and each KDF MAC copies them instead of hashing the
+padded key again.  A tag or PRF key signs one message per trial, and
+consecutive trials use different keys, so its MAC is one-shot:
+sha256(K^ipad | msg), then sha256(K^opad | inner), with no hash state
+built or copied.
 """
 
 from __future__ import annotations
@@ -91,7 +104,10 @@ def _pads(key: bytes) -> tuple:
             hashlib.sha256(key.translate(_OPAD)))
 
 
-_master_pads = functools.lru_cache(maxsize=1)(_pads)
+@functools.lru_cache(maxsize=1)
+def _master(mk: bytes) -> tuple:
+    """The master entry: mk's pad states and its derived pairs by (id, ver)."""
+    return _pads(mk), {}
 
 
 def _hmac256(pads: tuple, msg: bytes) -> bytes:
@@ -110,19 +126,32 @@ def _hmac256_once(key: bytes, msg: bytes) -> bytes:
     return hashlib.sha256(key.translate(_OPAD) + inner).digest()
 
 
+def _check_uint(value: int, bits: int, what: str) -> None:
+    """ValueError unless value is an int, not a bool, of at most bits bits."""
+    if type(value) is not int or not 0 <= value < (1 << bits):
+        raise ValueError(f"{what} must be an integer in 0..2^{bits}-1")
+
+
 def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
-    """Derive the per-balise key pair from the 256-bit master key."""
-    if len(mk) != 32:
+    """The per-balise key pair under the 256-bit master key.
+
+    Every argument is checked on every call; the pair's two KDF MACs are
+    computed on its first request under mk only (see the module notes).
+    Threads that miss together compute the same pair, so either store
+    leaves the memo right and it needs no lock.
+    """
+    if type(mk) is not bytes or len(mk) != 32:
         raise ValueError("master key must be 32 bytes")
-    if not 0 <= balise_id < (1 << ID_BITS):
-        raise ValueError("balise id must be a 14-bit value")
-    if not 0 <= ver < (1 << VER_BITS):
-        raise ValueError("ver must be a 16-bit value")
-    base = _KDF_PREFIX + balise_id.to_bytes(2, "big") + ver.to_bytes(2, "big")
-    pads = _master_pads(mk)
-    k0 = _hmac256(pads, base + b"\x00")[:KEY_BYTES]
-    k1 = _hmac256(pads, base + b"\x01")[:KEY_BYTES]
-    return BaliseKeyPair(k0, k1, balise_id, ver)
+    _check_uint(balise_id, ID_BITS, "balise id")
+    _check_uint(ver, VER_BITS, "ver")
+    pads, derived = _master(mk)
+    keys = derived.get((balise_id, ver))
+    if keys is None:
+        base = _KDF_PREFIX + balise_id.to_bytes(2, "big") + ver.to_bytes(2, "big")
+        keys = derived[balise_id, ver] = BaliseKeyPair(
+            _hmac256(pads, base + b"\x00")[:KEY_BYTES],
+            _hmac256(pads, base + b"\x01")[:KEY_BYTES], balise_id, ver)
+    return keys
 
 
 def tag_sb(k0: bytes, user: int, fmt: codec.TelegramFormat) -> int:
@@ -182,8 +211,9 @@ def verify_and_decode(
     its leading ID_BITS bits, and when the recomputed tag differs from
     the received sb.  The id is read from the scrambled data and the
     leading bits of S, before the data is descrambled and before the
-    tag, so a payload naming another id costs no keystream expansion
-    and no tag MAC.
+    tag, so a payload naming another id costs one PRF MAC, a shift and
+    a compare, with no keystream expansion and no tag MAC; its key pair
+    is a lookup in derive_keys' memo.
     """
     aligned = stream if isinstance(stream, codec.Aligned) else codec.align(stream, fmt)
     s = prf_s(keys.k1, aligned.sb)
@@ -208,12 +238,16 @@ class Keystore(NamedTuple):
 
 
 def new_keystore(seed: int | None = None, ver: int = 0) -> Keystore:
-    """Fresh keystore; a seed makes mk reproducible for tests."""
+    """Fresh keystore; a seed makes mk reproducible for tests.
+
+    ValueError unless seed (when given) is an int in 0..2^64-1 and ver
+    one in 0..2^16-1, neither a bool.
+    """
+    _check_uint(ver, VER_BITS, "ver")
     if seed is None:
         mk = os.urandom(32)
-    elif not 0 <= seed < (1 << 64):
-        raise ValueError("keystore seed must be in 0..2^64-1")
     else:
+        _check_uint(seed, 64, "keystore seed")
         mk = hashlib.sha256(b"balisim-keygen" + seed.to_bytes(8, "big")).digest()
     return Keystore(mk=mk, ver=ver)
 
@@ -230,11 +264,9 @@ def load_keystore(path: str) -> Keystore:
             raw = json.load(f)
             mk = bytes.fromhex(raw["mk_hex"])
             ver = raw["ver"]
+            _check_uint(ver, VER_BITS, "ver")
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"malformed keystore file {path}: {exc}") from exc
     if len(mk) != 32:
         raise ValueError(f"malformed keystore file {path}: mk_hex must encode 32 bytes")
-    if type(ver) is not int or not 0 <= ver < (1 << VER_BITS):
-        raise ValueError(
-            f"malformed keystore file {path}: ver must be an integer in 0..65535")
     return Keystore(mk=mk, ver=ver)

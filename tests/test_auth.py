@@ -92,15 +92,35 @@ def test_derive_keys_matches_oracle():
     assert keys.k1 == hmac_oracle(MK, base + b"\x01")[:16]
 
 
-def test_derive_keys_follows_a_changing_master_key():
-    # The master key's pad states are cached; switching keys back and
-    # forth must never derive under the previous key's pads.
+def count_kdf_macs(monkeypatch):
+    """Empty the key memo and count the KDF MACs from now on.
+
+    _hmac256 computes the key-derivation MACs and nothing else; tags and
+    PRFs use _hmac256_once.
+    """
+    auth._master.cache_clear()
+    macs = []
+    hmac256 = auth._hmac256
+    monkeypatch.setattr(auth, "_hmac256",
+                        lambda pads, msg: macs.append(msg) or hmac256(pads, msg))
+    return macs
+
+
+def test_derive_keys_follows_a_changing_master_key(monkeypatch):
+    # One master entry is cached with the pairs derived under it;
+    # switching keys back and forth must never return a pair, or derive
+    # under pad states, of the previous key.
+    macs = count_kdf_macs(monkeypatch)
     mk_b = bytes(range(100, 132))
-    base = b"\x4b" + (0x15).to_bytes(2, "big") + (2).to_bytes(2, "big")
+    base = b"\x4b" + (0x2A7).to_bytes(2, "big") + (3).to_bytes(2, "big")
     for mk in (MK, mk_b, MK, mk_b):
-        keys = auth.derive_keys(mk, balise_id=0x15, ver=2)
+        macs.clear()
+        keys = auth.derive_keys(mk, balise_id=0x2A7, ver=3)
         assert keys.k0 == hmac_oracle(mk, base + b"\x00")[:16]
         assert keys.k1 == hmac_oracle(mk, base + b"\x01")[:16]
+        assert len(macs) == 2
+        assert auth.derive_keys(mk, balise_id=0x2A7, ver=3) is keys
+        assert len(macs) == 2
 
 
 def test_derive_keys_deterministic_and_separated():
@@ -113,13 +133,25 @@ def test_derive_keys_deterministic_and_separated():
     assert len({a.k0, a.k1, c.k0, c.k1, d.k0, d.k1}) == 6
 
 
-def test_derive_keys_validates_ranges():
+@pytest.mark.parametrize("args", [
+    (b"short", 1, 0),
+    (MK.hex()[:32], 1, 0),
+    (bytearray(MK), 1, 0),
+    (MK, 1 << 14, 0),
+    (MK, -1, 0),
+    (MK, True, 0),
+    (MK, 1.0, 0),
+    (MK, 1, 1 << 16),
+    (MK, 1, -1),
+    (MK, 1, False),
+    (MK, 1, 0.0),
+])
+def test_derive_keys_validates_its_inputs_over_a_cached_pair(args):
+    # (MK, 1, 0) is cached first; True == 1 and 0.0 == 0 hash alike, so
+    # only the type check keeps them from returning its pair.
+    auth.derive_keys(MK, 1, 0)
     with pytest.raises(ValueError):
-        auth.derive_keys(b"short", 1, 0)
-    with pytest.raises(ValueError):
-        auth.derive_keys(MK, 1 << 14, 0)
-    with pytest.raises(ValueError):
-        auth.derive_keys(MK, 1, 1 << 16)
+        auth.derive_keys(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +503,21 @@ def test_keystore_rejects_out_of_range_seed():
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError):
             auth.new_keystore(seed=seed)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"seed": True},
+    {"seed": 1.5},
+    {"seed": 1, "ver": -1},
+    {"seed": 1, "ver": 1 << 16},
+    {"seed": 1, "ver": True},
+    {"seed": 1, "ver": 1.5},
+    {"ver": -1},
+])
+def test_keystore_rejects_a_bool_or_non_int_seed_or_ver(kwargs):
+    # load_keystore refuses each of these vers, so no keystore may hold one.
+    with pytest.raises(ValueError):
+        auth.new_keystore(**kwargs)
 
 
 def test_keystore_unseeded_distinct():

@@ -137,6 +137,30 @@ def test_reader_tries_no_key_on_a_stream_that_does_not_align(monkeypatch):
     assert trials == []
 
 
+def test_authenticated_run_derives_each_track_key_once(monkeypatch):
+    # Deployment and reader ask keys_for once per write and per trial;
+    # only the first request of an id computes its two KDF MACs, and a
+    # second run under the same master key computes none.
+    auth._master.cache_clear()
+    macs, trials = [], []
+    hmac256, keys_for = auth._hmac256, auth.Keystore.keys_for
+    monkeypatch.setattr(auth, "_hmac256",
+                        lambda pads, msg: macs.append(msg) or hmac256(pads, msg))
+    monkeypatch.setattr(auth.Keystore, "keys_for",
+                        lambda self, i: trials.append(i) or keys_for(self, i))
+    cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED, seed=18)
+    ids = [b.id for b in cfg.balises]
+    expected_trials = ids + [i for n in range(1, len(ids) + 1) for i in ids[:n]]
+    stop = run_scenario(cfg).stop_error
+    assert len(macs) == 2 * len(set(ids))
+    assert trials == expected_trials
+    macs.clear()
+    trials.clear()
+    assert run_scenario(cfg).stop_error == stop
+    assert macs == []
+    assert trials == expected_trials
+
+
 def test_reader_accepts_a_payload_only_under_the_key_of_its_id():
     # With keystore seed 45 on a 50-balise track, an honest telegram
     # passes the 12-bit tag under a wrong key, and the payload that key
