@@ -3,8 +3,8 @@
 eta0 scales every correction of the online braking controller and so
 shifts all legacy-mode trajectories together; v_con sets the crawl
 speed of the conservative fallback and with it the post-marker
-overshoot.  The shipped defaults (params.ETA0, params.V_CREEP) were
-chosen from these grids.
+overshoot.  The shipped defaults (params.ETA0, params.V_CREEP) lie on
+ETA0_GRID and V_CON_GRID.
 
 Usage, from a checkout (or drop PYTHONPATH=src with balisim installed):
 
@@ -13,6 +13,9 @@ Usage, from a checkout (or drop PYTHONPATH=src with balisim installed):
 
 from balisim.sim import Clone, Tamper, Unavailable
 from balisim.sim.scenario import ScenarioConfig, run_scenario
+
+ETA0_GRID = tuple(i / 100 for i in range(70, 101))
+V_CON_GRID = tuple(i / 100 for i in range(28, 41, 2))
 
 
 def err(**kw):
@@ -23,8 +26,7 @@ def main():
     print("eta0 sweep (legacy-mode scenarios)")
     print(f"{'eta0':>5s} {'no_attack':>10s} {'clone_fb':>10s} "
           f"{'clone_ig':>10s} {'tamper':>10s} {'avail':>10s}")
-    for i in range(70, 101, 2):
-        eta0 = i / 100
+    for eta0 in ETA0_GRID:
         row = (
             err(eta0=eta0),
             err(eta0=eta0, attacks=[Clone(1, 2)], dbz_strategy="full_brake"),
@@ -38,8 +40,7 @@ def main():
     print()
     print("v_con sweep (conservative-path scenarios)")
     print(f"{'v_con':>5s} {'tamper_pest80':>14s} {'availability':>13s}")
-    for i in range(28, 41, 2):
-        v_con = i / 100
+    for v_con in V_CON_GRID:
         tamper = err(controller="resilient", auth_mode="authenticated",
                      attacks=[Tamper(1, -1.0)], p_est0=-80.0, delta0=15.0,
                      v_con=v_con)

@@ -30,7 +30,7 @@ crossings on an m-balise map (m * 2^-12 tags, half the kind codes,
 keystream's leading 32 bits are S itself (see codec.keystream), so the
 descrambled id is the leading ID_BITS of the scrambled data XOR those of
 S, and verify_and_decode checks it before it descrambles and before the
-tag: a wrong key's trial then costs one PRF MAC, the dict lookup of its
+tag: a wrong key's trial costs one PRF MAC, the dict lookup of its
 memoised key pair, a shift and a compare, and no keystream expansion
 and no tag MAC.  A payload is accepted exactly when it would be by the
 tag check followed by an id check.
@@ -41,9 +41,9 @@ each (id, ver) requested under it, so a pair costs its two KDF MACs on
 its first request only and a dict lookup after that.  Loading another
 master key replaces the entry and drops the old pairs with it.  Memory
 is bounded by the (id, ver) pairs requested under the current master
-key, in a simulation the ids of its track map.  The memo exposes no
-more than was exposed before it: whoever can read the cached pairs can
-read the pad states beside them, which derive every key.
+key, in a simulation the ids of its track map.  Whoever can read the
+cached pairs can read the pad states beside them, which derive every
+key, so the memo exposes nothing the pad states do not.
 
 HMAC-SHA256 follows RFC 2104 in two forms.  The master key signs every
 key derivation, so its pad states, two hashes that have already
@@ -98,7 +98,7 @@ def _block(key: bytes) -> bytes:
 
 
 def _pads(key: bytes) -> tuple:
-    """The key's pad states: SHA-256 after K^ipad and after K^opad."""
+    """SHA-256 after K^ipad and after K^opad, for _hmac256 to copy."""
     key = _block(key)
     return (hashlib.sha256(key.translate(_IPAD)),
             hashlib.sha256(key.translate(_OPAD)))
@@ -106,12 +106,12 @@ def _pads(key: bytes) -> tuple:
 
 @functools.lru_cache(maxsize=1)
 def _master(mk: bytes) -> tuple:
-    """The master entry: mk's pad states and its derived pairs by (id, ver)."""
+    """The master entry: mk's _pads and its derived pairs by (id, ver)."""
     return _pads(mk), {}
 
 
 def _hmac256(pads: tuple, msg: bytes) -> bytes:
-    """HMAC-SHA256 of msg from a key's pad states, which stay unchanged."""
+    """HMAC-SHA256 of msg from a key's _pads, which stay unchanged."""
     inner = pads[0].copy()
     inner.update(msg)
     outer = pads[1].copy()
@@ -208,12 +208,8 @@ def verify_and_decode(
     as an int, first bit MSB.  Raises codec.NoTelegramFound when no
     window aligns and codec.FormatError for a stream element that is not
     a bit.  Raises AuthFailure when the payload does not name keys.id in
-    its leading ID_BITS bits, and when the recomputed tag differs from
-    the received sb.  The id is read from the scrambled data and the
-    leading bits of S, before the data is descrambled and before the
-    tag, so a payload naming another id costs one PRF MAC, a shift and
-    a compare, with no keystream expansion and no tag MAC; its key pair
-    is a lookup in derive_keys' memo.
+    its leading ID_BITS bits, which is checked first (see the module
+    notes), and when the recomputed tag differs from the received sb.
     """
     aligned = stream if isinstance(stream, codec.Aligned) else codec.align(stream, fmt)
     s = prf_s(keys.k1, aligned.sb)

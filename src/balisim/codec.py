@@ -8,16 +8,12 @@ with n = 1023 (long, 913 shaped / 830 user bits) or n = 341 (short,
 231 shaped / 210 user bits).  Encoding scrambles the user bits with an
 additive LFSR keystream seeded by S, substitutes 10-bit groups with
 11-bit alphabet words, and appends the 85-bit polynomial remainder of
-the prefix as check bits.  Decoding is two steps.  align slides a
-window of n + r bits over a repeated stream and returns, from the first
-window that passes the divisibility, extra-bit coincidence,
-word-validity and control-bit checks, the desubstituted, still scrambled
-user data with sb; it needs no key.  decode_stream then descrambles with
-the S that a hook derives from sb.  A reader that tries several keys
-aligns a stream once.  The keystream starts with S itself, so under any
-key the leading user bits are those of the data XOR those of S, with no
-table lookup, and auth.verify_and_decode descrambles only under a key
-whose id those bits name.
+the prefix as check bits.  Decoding is two steps.  align finds the
+first window of a repeated stream that holds a telegram and returns
+its desubstituted, still scrambled user data with sb; it needs no key.
+decode_stream then descrambles a legacy telegram with the S of
+legacy_s_from_sb, and auth.verify_and_decode an authenticated one with
+the S of its key, so a reader that tries several keys aligns once.
 
 The standard owns two constants that are not public, and this module
 fixes documented surrogates for them: ALPHABET, the 11-bit substitution
@@ -26,14 +22,6 @@ ascending), and GEN_POLY, the degree-85 generator polynomial (an
 arbitrary fixed polynomial with constant term 1, coprime to x^1023 + 1
 and x^341 + 1).  Neither is a parameter: conformance with real
 telegrams means replacing ALPHABET and GEN_POLY here.
-
-Coprimality does not keep misaligned windows from passing the
-divisibility check.  A codeword rotated by k <= 85 bits is divisible by
-g exactly when the k bits carried round are all 0, so a codeword whose
-last bit is 0, read one bit early, is the codeword divided by x and
-still divisible.  The control bits 001 read differently one or two bits
-either side of alignment, which is why they are an alignment check, and
-align reads them before it desubstitutes a window (see align).
 
 Inside the codec a bit string is an int, first bit most significant.
 The user data is one too: encode and encode_legacy take it as an int of
@@ -47,11 +35,9 @@ compute_check_bits, take and return ints, as poly_mod does.
 substitute and desubstitute map all of a telegram's 83 (or 21) groups
 or words in C: the int's binary text is cut into fields by one struct
 format, each field is looked up in a dict from the field's text to its
-image's text, and the joined text is read back as an int.
-desubstitute looks the first word up on its own first, so a false
-candidate window whose first word is invalid is rejected without
-splitting the rest; one that fails later is rejected at the first
-invalid field of the split.
+image's text, and the joined text is read back as an int.  A word
+outside the alphabet fails the lookup, so desubstitute rejects a
+window at its first invalid word.
 
 The keystream is linear in the seed over GF(2): four 256-entry tables,
 one per seed byte, hold blocks of keystream, and a seed's block is the
@@ -60,16 +46,8 @@ state that seeds the next block.  Check bits and the decoder's first
 remainder are the table reduction of Sarwate ("Computation of Cyclic
 Redundancy Checks via Table Look-Up", CACM 31(8), 1988) widened to
 eight 256-entry tables, one per byte of a 64-bit word ("slicing-by-8",
-Kounavis and Berry, ISCC 2005): a 1,023-bit value takes 15 Python steps.
-align carries the table idea over to a sliding window: it rolls the
-window's remainder six shifts per step, by table, with the six bits
-that leave and the six that enter cut from the stream in C (base64).
-Only from the 2,048 remainders per format from which one of the next
-six windows can be divisible does it roll bit by bit and test each
-window, so it tests the same windows in the same order as a per-bit
-scan, in about a sixth of the Python steps.  It converts the stream
-from a list in three stages, so a read whose clean copy aligns early
-converts only the first n + r + 5 or 2n + r + 5 bits.
+Kounavis and Berry, ISCC 2005), and align rolls a window's remainder
+along the stream by table too.
 """
 
 from __future__ import annotations
@@ -147,7 +125,6 @@ GROUP_WIDTH = 10
 ALPHABET: tuple[int, ...] = tuple(
     w for w in range(1 << WORD_WIDTH) if 4 <= bin(w).count("1") <= 7
 )[: 1 << GROUP_WIDTH]
-_GROUP_OF = {w: i for i, w in enumerate(ALPHABET)}
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +287,6 @@ def substitute(groups: int, count: int) -> int:
 
 def desubstitute(words: int, count: int) -> int:
     """Inverse of substitute; raises AlphabetError on the first invalid word."""
-    if count:
-        word = (words >> (WORD_WIDTH * (count - 1))) & 0x7FF
-        if word not in _GROUP_OF:  # fails before the rest is split
-            raise AlphabetError(f"word {word:#05x} is not in the alphabet")
     try:
         return _map_fields(words, WORD_WIDTH, count, _GROUP_TEXT)
     except KeyError as exc:
@@ -394,8 +367,7 @@ def _telegram_at(value: int, width: int, j: int, rem: int,
     A window that fails only on its control bits raises ControlBitError.
     With a pending list, a window that passes the first two checks but
     not the control bits is appended to it as (j, rem) and gives None,
-    without being desubstituted: it cannot hold a telegram, and whether
-    it raises matters only when no window does.
+    without being desubstituted (see align).
     """
     n, r = fmt.n, fmt.r_init
     if rem not in (0, _ONES[n]):
@@ -491,7 +463,7 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
     that of the window's leading n bits, is rolled along the stream for
     both polarities.  While it is not in _CAND[n], none of the next six
     windows can be divisible, whatever the stream holds, and it advances
-    six shifts in one step: rem' = (rem * x^6 + o * x^n + b) mod g, with
+    in a six-bit stride: rem' = (rem * x^6 + o * x^n + b) mod g, with
     o the six bits that leave the window and b the six that enter.  From
     a remainder in _CAND[n] it rolls one bit per shift and tests each
     window.  So windows are tested at the same shifts, in the same
@@ -504,10 +476,13 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
     scan sets it aside unread and desubstitutes it only when no window
     holds one; the windows set aside are then tried in scan order, and
     the first that passes the alphabet raises the same ControlBitError
-    as a per-bit scan.  A false candidate is typically a codeword read
-    one bit early, which stays divisible when its last bit is 0 and
-    reads control bits (?, 0, 0), so a clean stream desubstitutes only
-    the window it returns.
+    as a per-bit scan.  Coprimality of g with x^n + 1 does not keep
+    misaligned windows from being divisible: a codeword rotated by
+    k <= 85 bits is divisible exactly when the k bits carried round are
+    all 0.  So a false candidate is typically a codeword read one bit
+    early, which stays divisible when its last bit is 0 and reads
+    control bits (?, 0, 0), and a clean stream desubstitutes only the
+    window it returns.
 
     The stream is converted to an int in up to three stages, each when
     the scan first needs it: the first n + r + 5 bits, which windows 0
@@ -579,18 +554,13 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
     raise NoTelegramFound(f"no aligned window in {windows} windows")
 
 
-def decode_stream(
-    stream: list[int] | Aligned,
-    fmt: TelegramFormat = LONG,
-    s_from_sb=legacy_s_from_sb,
-) -> DecodeResult:
-    """Find and decode one telegram in a bit stream.
+def decode_stream(stream: list[int], fmt: TelegramFormat = LONG) -> DecodeResult:
+    """Find and decode one legacy telegram in a bit stream.
 
-    The stream is aligned (see align) unless it already is an Aligned
-    from align with the same fmt.  S is recovered from sb through
-    s_from_sb, which is the legacy rule or a key-derivation hook, and
-    descrambles the user data.  Raises what align raises.
+    The stream is aligned (see align), and the user data is descrambled
+    with the S that legacy_s_from_sb derives from sb.  Raises what align
+    raises.
     """
-    aligned = stream if isinstance(stream, Aligned) else align(stream, fmt)
-    user = aligned.data ^ keystream(s_from_sb(aligned.sb), fmt.user_bits)
+    aligned = align(stream, fmt)
+    user = aligned.data ^ keystream(legacy_s_from_sb(aligned.sb), fmt.user_bits)
     return DecodeResult(user, aligned.sb, aligned.shift, aligned.inverted)

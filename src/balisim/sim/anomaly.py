@@ -8,19 +8,18 @@ record list for encounters it could not attribute to a unique balise.
 balise_missing implements the published detection condition, including
 its second disjunct (which triggers earlier, not later, than the first;
 each evaluation that fires records which clause fired so the
-interpretation stays inspectable).  The condition is still the published
-one; it is evaluated from the first unreceived balise, behind a guard on
-the suffix maxima of |loc|, so a step on which no clause can fire costs
-O(1) instead of a walk over the map.  derive_trustworthy_info implements
-the published two-branch correction: authenticated reports are accepted
-when plausible against (p_est, delta); unauthenticated encounters are
-recovered from the track map by unique-candidate matching or by
-pairwise distance disambiguation across records.  One addition is made
-for authenticated-but-implausible reports (a cloned telegram): when the
-set of already-received balises is exactly a prefix of the track map,
-the encounter must be the next balise in order, and that map location
-is handed to the braking controller while the estimate itself is left
-untouched.
+interpretation stays inspectable).  It is evaluated from the first
+unreceived balise, behind a guard on the suffix maxima of |loc|, so a
+step on which no clause can fire costs O(1), not a walk over the map.
+derive_trustworthy_info implements the published two-branch
+correction: authenticated reports are accepted when plausible against
+(p_est, delta); unauthenticated encounters are recovered from the track
+map by unique-candidate matching or by pairwise distance disambiguation
+across records.  One addition is made for authenticated-but-implausible
+reports (a cloned telegram): when the set of already-received balises
+is exactly a prefix of the track map, the encounter must be the next
+balise in order, and that map location is handed to the braking
+controller while the estimate itself is left untouched.
 """
 
 from __future__ import annotations

@@ -8,14 +8,12 @@ the real codec.  In authenticated deployments it aligns the stream once
 per crossing and then tries the key of every balise id in the track map
 in turn.  It accepts the first payload that verifies under a key, which
 auth.verify_and_decode allows only for a payload that names the id of
-that key: a wrong key passes the 12-bit tag once in 4,096 trials and
-descrambles a random payload, and the id, checked first, rejects a
-wrong key's trial before its tag MAC.  A cloned telegram still
-verifies under its source key and names its source id.  The controller
-is either the plain online braking controller, which consumes reports
-as-is, or the resilient hybrid, which filters every encounter through
-derive_trustworthy_info and falls back to the conservative controller
-when balise_missing fires.
+that key (see auth).  A cloned telegram still verifies under its source
+key and names its source id.  The controller is either the plain online
+braking controller, which consumes reports as-is, or the resilient
+hybrid, which filters every encounter through derive_trustworthy_info
+and falls back to the conservative controller when balise_missing
+fires.
 """
 
 from __future__ import annotations

@@ -4,18 +4,21 @@ A balise repeats its telegram, and the reader records three copies that
 start at a random offset into it.  The copies pass through one
 impairment of IMPAIRMENTS, and the received stream is inverted for half
 of the streams.  corpus() draws a seeded set of cases over both formats
-and every impairment; a test encodes each case's payload the way it
-reads it (legacy or authenticated) and passes the telegram to receive().
+and every impairment; tally() reads each case twice, as a legacy
+telegram through codec.decode_stream and as an authenticated one through
+auth.verify_and_decode, and counts the outcomes.
 """
 
+import functools
 import random
 
-from balisim import codec
+from balisim import auth, codec
 from balisim.bits import bits_to_int, int_to_bits
 
 COPIES = 3
 BURST_BITS = 16
 MAX_FLIPS = 4
+PER_CASE = 100
 
 IMPAIRMENTS = (
     "clean",
@@ -98,3 +101,39 @@ def receive(telegram, fmt, impairment, inverted, rng):
         elif impairment == "random":
             stream = [rng.randrange(2) for _ in stream]
     return [1 - b for b in stream] if inverted else stream
+
+
+def named_by(keys, user, fmt):
+    """user with its leading id bits replaced by the id of keys, which
+    verify_and_decode requires of a payload it accepts."""
+    low = fmt.user_bits - auth.ID_BITS
+    return keys.id << low | user & ((1 << low) - 1)
+
+
+@functools.cache
+def tally():
+    """(impairment, format name, path, outcome) -> reads, over PER_CASE
+    streams per format and impairment.  path is "legacy" or "auth"; outcome is
+    "sent", "wrong" (a payload that was not sent) or the exception's name.
+    Both reads of a case see the same impairment."""
+    keys = auth.derive_keys(bytes(range(32)), balise_id=9)
+    counts = {}
+    for fmt, impairment, inverted, rng in corpus(seed=2027, per_case=PER_CASE):
+        user = named_by(keys, rng.getrandbits(fmt.user_bits), fmt)
+        legacy = codec.encode_legacy(user, rng.randrange(1 << codec.SB_WIDTH), fmt)
+        channel = rng.getstate()
+        for path, telegram in (("legacy", legacy),
+                               ("auth", auth.encode_authenticated(user, keys, fmt))):
+            rng.setstate(channel)
+            stream = receive(telegram, fmt, impairment, inverted, rng)
+            try:
+                if path == "legacy":
+                    got = codec.decode_stream(stream, fmt).user
+                else:
+                    got = auth.verify_and_decode(stream, keys, fmt)
+                outcome = "sent" if got == user else "wrong"
+            except (codec.CodecError, auth.AuthFailure) as exc:
+                outcome = type(exc).__name__
+            key = (impairment, fmt.name, path, outcome)
+            counts[key] = counts.get(key, 0) + 1
+    return counts

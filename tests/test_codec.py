@@ -576,10 +576,9 @@ def test_align_single_window_rejects_random_windows():
 def test_round_trip_property_short(user_int, sb, s):
     user = user_int
     telegram = codec.encode(user, sb, s, SHORT)
-    result = codec.decode_stream(telegram * 3, SHORT,
-                                 s_from_sb=lambda _sb: s)
-    assert result.user == user
-    assert result.sb == sb
+    aligned = codec.align(telegram * 3, SHORT)
+    assert aligned.data ^ codec.keystream(s, SHORT.user_bits) == user
+    assert aligned.sb == sb
 
 
 @settings(max_examples=10, deadline=None)
@@ -603,7 +602,10 @@ def test_decode_result_reports_shift():
     assert result.shift == SHORT.n - k
 
 
-def test_decode_of_aligned_stream_equals_decode_of_stream():
+def test_align_then_keystream_decodes_under_any_s_from_sb():
+    # A telegram scrambled with any S derived from sb decodes as align
+    # followed by the keystream of that S; decode_stream is that with
+    # the legacy rule.
     rng = random.Random(16)
 
     def s_from_sb(sb):
@@ -613,18 +615,18 @@ def test_decode_of_aligned_stream_equals_decode_of_stream():
         fmt = (LONG, SHORT)[i % 2]
         user = random_user(rng, fmt)
         sb = rng.randrange(1 << codec.SB_WIDTH)
-        stream = codec.encode(user, sb, s_from_sb(sb), fmt) * 3
         k = rng.randrange(fmt.n)
-        stream = stream[k:] + stream[:k]
-        if i % 4 >= 2:
-            stream = [1 - b for b in stream]
-        aligned = codec.align(stream, fmt)
-        result = codec.decode_stream(stream, fmt, s_from_sb)
-        assert codec.decode_stream(aligned, fmt, s_from_sb) == result
-        assert (aligned.sb, aligned.shift, aligned.inverted) == \
-            (result.sb, result.shift, result.inverted)
-        assert result.user == user
-        assert result.inverted == (i % 4 >= 2)
+        for derive in (s_from_sb, codec.legacy_s_from_sb):
+            stream = codec.encode(user, sb, derive(sb), fmt) * 3
+            stream = stream[k:] + stream[:k]
+            if i % 4 >= 2:
+                stream = [1 - b for b in stream]
+            aligned = codec.align(stream, fmt)
+            assert aligned.data ^ codec.keystream(derive(aligned.sb), fmt.user_bits) == user
+            assert aligned.sb == sb
+            assert aligned.inverted == (i % 4 >= 2)
+        result = codec.decode_stream(stream, fmt)
+        assert result == (user, aligned.sb, aligned.shift, aligned.inverted)
 
 
 def test_align_raises_as_decode_does():

@@ -1,10 +1,14 @@
-"""README's bundled stop-error table against the reference and the code.
+"""README's figures against the code, the references and CI.
 
-Each row of the table must equal the scenario's stop error in
-benchmarks/reference.json and the stop error of a fresh run, both
-rounded to millimetres, so the table cannot drift from either.
+The bundled stop-error table must equal benchmarks/reference.json and a
+fresh run, the channel-model and attack-sweep tables the tallies their
+tests make, the exit codes the cli constants, the forgery figures the
+counts CI checks, the track, format, install and CSV figures the
+package, and the library-use block must run.  So README cannot drift
+from any of them.
 """
 
+import importlib.util
 import json
 import os
 import re
@@ -12,29 +16,56 @@ import re
 import pytest
 
 import balisim
-from balisim.sim import load_config, run_scenario
+from balisim import auth, cli, codec
+from balisim.sim import TrainParams, load_config, run_scenario
+from balisim.sim.scenario import CSV_HEADER, DEFAULT_BALISES
+
+import attack_sweep
+import channel_model
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
 
+with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as _f:
+    README = _f.read()
+# README's prose with every run of whitespace made one space.
+PROSE = " ".join(README.split())
+
+
+def _section(title: str) -> str:
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _table(title: str) -> list[str]:
+    """The rows of the section's table, header first, separator dropped."""
+    return [line for line in _section(title).splitlines()
+            if line.startswith("|") and not line.startswith(("| ---", "|---"))]
+
+
+def load_script(name: str):
+    """scripts/<name>.py as a module, without running its main()."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "scripts", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# ---------------------------------------------------------------------------
+# Bundled stop errors
+# ---------------------------------------------------------------------------
+
 # | `no_attack` | online | none | +0.111 |
 _ROW = re.compile(r"^\| `(\w+)` \| [^|]+ \| [^|]+ \| ([+-]\d+\.\d{3}) \|$")
 
-
-def _readme_table() -> dict[str, float]:
-    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
-        section = f.read().split("\n## Bundled scenarios\n", 1)[1]
-    lines = section.split("\n## ", 1)[0].splitlines()
-    return {m[1]: float(m[2]) for m in map(_ROW.match, lines) if m}
+TABLE = {m[1]: float(m[2])
+         for m in map(_ROW.match, _table("Bundled scenarios")) if m}
 
 
 def _reference() -> dict[str, dict]:
     with open(os.path.join(ROOT, "benchmarks", "reference.json"),
               encoding="utf-8") as f:
         return json.load(f)["bundled_batch"]
-
-
-TABLE = _readme_table()
 
 
 def test_table_lists_every_bundled_scenario():
@@ -48,3 +79,119 @@ def test_table_row_matches_reference_and_a_fresh_run(name):
     reference = _reference()[name]["stop_error_m"]
     result = run_scenario(load_config(os.path.join(SCENARIO_DIR, name + ".json")))
     assert TABLE[name] == round(reference, 3) == round(result.stop_error, 3)
+
+
+def test_bundled_scenarios_run_on_the_track_and_train_readme_describes():
+    for name in TABLE:
+        cfg = load_config(os.path.join(SCENARIO_DIR, name + ".json"))
+        assert cfg.balises == DEFAULT_BALISES and cfg.train == TrainParams()
+    *fixed, marker = DEFAULT_BALISES
+    train = TrainParams()
+    assert (f"fixed reference balises at {', '.join(f'{b.loc:g}' for b in fixed)} m "
+            f"and a stop marker at {marker.loc:g}") in PROSE
+    assert f"a train starting {-train.p0:g} m out at {train.v0:g} m/s" in PROSE
+    assert f"within the {train.gamma:g} m tolerance" in PROSE
+
+
+# ---------------------------------------------------------------------------
+# Attack sweep and channel model v2
+# ---------------------------------------------------------------------------
+
+def test_attack_sweep_table_equals_the_sweep():
+    tally = attack_sweep.tally()
+    runs = {kind: tally[attack_sweep.MODES[0], None, kind][0]
+            for kind in attack_sweep.ATTACK_TYPES}
+    rows = ["| telegrams | odometry start | "
+            + " | ".join(f"{kind} ({runs[kind]})" for kind in runs) + " |"]
+    for mode in attack_sweep.MODES:
+        for start in attack_sweep.STARTS:
+            cells = []
+            for kind in attack_sweep.ATTACK_TYPES:
+                _, outside, timeouts = tally[mode, start, kind]
+                plural = "s" if timeouts > 1 else ""
+                cells.append(f"{outside} + {timeouts} timeout{plural}" if timeouts
+                             else f"{outside}")
+            where = "true" if start is None else f"{start:g} m"
+            rows.append(f"| {mode} | {where} | " + " | ".join(cells) + " |")
+    assert _table("Attack sweep") == rows
+    *fixed, last = attack_sweep.TAMPER_LOCS
+    assert (f"B{attack_sweep.FIXED[0]}–B{attack_sweep.FIXED[-1]} tampered to "
+            f"{', '.join(f'{loc:g}' for loc in fixed)} or {last:+g} m") in PROSE
+    assert f"outside the {TrainParams().gamma:g} m tolerance" in PROSE
+
+
+def test_channel_model_table_equals_the_tally():
+    tally = channel_model.tally()
+    header, *rows = _table("Channel model v2")
+    assert header == "| impairment | legacy | authenticated | rejected as |"
+    assert len(rows) == len(channel_model.IMPAIRMENTS)
+    for impairment, row in zip(channel_model.IMPAIRMENTS, rows):
+        returned = [" / ".join(str(tally.get((impairment, fmt, path, "sent"), 0))
+                               for fmt in ("long", "short"))
+                    for path in ("legacy", "auth")]
+        rejected = sorted({outcome for imp, _, _, outcome in tally
+                           if imp == impairment and outcome != "sent"})
+        label = row.split(" | ", 1)[0]
+        assert row == " | ".join([label, *returned, ", ".join(
+            f"`{name}`" for name in rejected) or "—"]) + " |"
+    per_case = channel_model.PER_CASE
+    assert f"reads {per_case} seeded streams per format and impairment" in PROSE
+    assert f"Payloads returned per {per_case} streams" in PROSE
+    assert f"1–{channel_model.MAX_FLIPS} flips" in PROSE
+    assert f"{channel_model.BURST_BITS}-bit burst" in PROSE
+
+
+# ---------------------------------------------------------------------------
+# Layers, command line and library use
+# ---------------------------------------------------------------------------
+
+def test_format_widths_equal_the_codec_constants():
+    long, short = codec.LONG, codec.SHORT
+    assert (f"{long.n}-bit long format carrying {long.user_bits} user bits, "
+            f"{short.n}-bit short format carrying {short.user_bits}") in PROSE
+    assert (f"a {codec.GROUP_WIDTH}-to-{codec.WORD_WIDTH}-bit alphabet substitution, "
+            f"and an {codec.CHECK_WIDTH}-bit cyclic check") in PROSE
+    assert f"the telegram's {codec.SB_WIDTH}-bit scrambling-base field" in PROSE
+
+
+def test_install_and_csv_figures_equal_the_package():
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as f:
+        pyproject = f.read()
+    python = re.search(r'requires-python = ">=([\d.]+)"', pyproject)[1]
+    backend = re.search(r'requires = \["(setuptools>=\d+)"\]', pyproject)[1]
+    assert f"Python {python}+." in PROSE and f"(`{backend}`)" in PROSE
+    assert f"`{','.join(CSV_HEADER)}`" in PROSE
+
+
+def test_forgery_figures_equal_the_counts_ci_checks():
+    with open(os.path.join(ROOT, ".github", "workflows", "tests.yml"),
+              encoding="utf-8") as f:
+        ci = f.read()
+    crossings = int(re.search(r"keyless_forgery\.py --crossings (\d+)", ci)[1])
+    tag_passes = int(re.search(r'grep -q "\^tag passes: (\d+) "', ci)[1])
+    accepted = int(re.search(r'grep -q "\^accepted: +(\d+) "', ci)[1])
+    m = load_script("keyless_forgery").BALISES
+    assert (f"--crossings {crossings}` forges {crossings:,} crossings at m = {m}: "
+            f"{tag_passes} pass the tag under some key, and the reader accepts "
+            f"{accepted}.") in PROSE
+    # A forgery passes the tag, a valid kind code (half of them) and the id.
+    exponent = str(codec.SB_WIDTH + 1 + auth.ID_BITS)
+    assert f"m·2⁻{exponent.translate(str.maketrans('0123456789', '⁰¹²³⁴⁵⁶⁷⁸⁹'))}" in PROSE
+
+
+def test_exit_codes_equal_the_cli_constants():
+    listed = re.search(r"Exit codes: (.+?)\.", PROSE)[1]
+    codes = {meaning: int(code) for code, meaning in re.findall(r"(\d+) ([a-z ]+)", listed)}
+    assert codes == {"success": cli.EXIT_OK,
+                     "verification failure": cli.EXIT_VERIFY_FAIL,
+                     "input error": cli.EXIT_INPUT_ERROR,
+                     "simulation timeout": cli.EXIT_TIMEOUT}
+    assert sorted(codes.values()) == sorted(
+        value for name, value in vars(cli).items() if name.startswith("EXIT_"))
+    assert f"authentication failure (exit {cli.EXIT_VERIFY_FAIL})" in PROSE
+
+
+def test_library_use_block_runs(monkeypatch):
+    block = re.search(r"```python\n(.*?)```", _section("Library use"), re.S)[1]
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
