@@ -54,13 +54,14 @@ def main():
             id=rng.choice(track_ids), loc=rng.randrange(-100000, 0) / 1000.0,
             kind=deployment.KIND_FIXED)
         user = deployment.pack_payload(spec.id, spec.kind, spec.loc, fmt)
-        telegram = codec.encode(user, rng.randrange(1 << codec.SB_WIDTH),
-                                rng.randrange(1 << 32), fmt)
+        telegram = codec.codeword(user, rng.randrange(1 << codec.SB_WIDTH),
+                                  rng.randrange(1 << 32), fmt)
         forged = deployment.DeployedBalise(spec, telegram)
         if scenario._read_balise(forged, deployment.AUTH_AUTHENTICATED,
                                  keystore, track_ids, fmt) is not None:
             accepted += 1
-        aligned = codec.align(telegram * 3, fmt)
+        aligned = codec.align(codec.Stream(
+            telegram << 2 * fmt.n | telegram << fmt.n | telegram, 3 * fmt.n), fmt)
         for key in keys:
             user = aligned.data ^ codec.keystream(auth.prf_s(key.k1, aligned.sb),
                                                   fmt.user_bits)

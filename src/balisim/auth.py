@@ -35,29 +35,33 @@ memoised key pair, a shift and a compare, and no keystream expansion
 and no tag MAC.  A payload is accepted exactly when it would be by the
 tag check followed by an id check.
 
-derive_keys memoises per master key.  One cached entry per process
-holds the master key's HMAC pad states and a dict of the key pair of
-each (id, ver) requested under it, so a pair costs its two KDF MACs on
-its first request only and a dict lookup after that.  Loading another
-master key replaces the entry and drops the old pairs with it.  Memory
-is bounded by the (id, ver) pairs requested under the current master
-key, in a simulation the ids of its track map.  Whoever can read the
-cached pairs can read the pad states beside them, which derive every
-key, so the memo exposes nothing the pad states do not.
+derive_keys memoises per master key.  One entry per process holds the
+master key's HMAC pad states, a dict of the key pair of each (id, ver)
+requested under it, and a dict from each such pair's k1 to its pad
+states, which prf_s makes on the first PRF under that k1.  So a pair
+costs its two KDF MACs on its first request only and a dict lookup
+after that, and a pair that signs no PRF costs no states.  Using another
+master key replaces the entry and drops the old pairs and their states
+with it.  Memory is bounded by the (id, ver) pairs requested under the
+current master key, in a simulation the ids of its track map.  Whoever
+can read the cached pairs can read the master key's pad states beside
+them, which derive every key, so the memo exposes nothing the pad
+states do not.
 
-HMAC-SHA256 follows RFC 2104 in two forms.  The master key signs every
-key derivation, so its pad states, two hashes that have already
-absorbed K^ipad and K^opad (section 4 of the RFC), are kept in the
-master entry, and each KDF MAC copies them instead of hashing the
-padded key again.  A tag or PRF key signs one message per trial, and
-consecutive trials use different keys, so its MAC is one-shot:
+HMAC-SHA256 follows RFC 2104 in two forms.  A key's pad states are two
+hashes that have already absorbed K^ipad and K^opad (section 4 of the
+RFC); a MAC from them copies both instead of hashing the padded key
+again.  The master key signs every key derivation and k1 the PRF of
+every key trial, so their states are kept in the master entry, and
+prf_s uses those of a k1 that derive_keys derived under the current
+master key.  Any other key, k0 included, signs with the one-shot form:
 sha256(K^ipad | msg), then sha256(K^opad | inner), with no hash state
-built or copied.
+built or copied.  k0 signs only writes and the trial whose payload
+names its id, so keeping its states would cost memory for no trial.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -104,10 +108,16 @@ def _pads(key: bytes) -> tuple:
             hashlib.sha256(key.translate(_OPAD)))
 
 
-@functools.lru_cache(maxsize=1)
-def _master(mk: bytes) -> tuple:
-    """The master entry: mk's _pads and its derived pairs by (id, ver)."""
-    return _pads(mk), {}
+class _Master(NamedTuple):
+    """What derive_keys keeps for one master key."""
+    mk: bytes
+    pads: tuple                                  # mk's _pads
+    pairs: dict[tuple[int, int], BaliseKeyPair]  # by (id, ver)
+    prf_pads: dict[bytes, tuple | None]          # each pair's k1: its _pads
+
+
+# The entry of the master key last used; b"" is no master key.
+_master = _Master(b"", (), {}, {})
 
 
 def _hmac256(pads: tuple, msg: bytes) -> bytes:
@@ -140,17 +150,22 @@ def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
     Threads that miss together compute the same pair, so either store
     leaves the memo right and it needs no lock.
     """
+    global _master
     if type(mk) is not bytes or len(mk) != 32:
         raise ValueError("master key must be 32 bytes")
     _check_uint(balise_id, ID_BITS, "balise id")
     _check_uint(ver, VER_BITS, "ver")
-    pads, derived = _master(mk)
-    keys = derived.get((balise_id, ver))
+    entry = _master
+    if entry.mk != mk:
+        entry = _master = _Master(mk, _pads(mk), {}, {})
+    keys = entry.pairs.get((balise_id, ver))
     if keys is None:
         base = _KDF_PREFIX + balise_id.to_bytes(2, "big") + ver.to_bytes(2, "big")
-        keys = derived[balise_id, ver] = BaliseKeyPair(
-            _hmac256(pads, base + b"\x00")[:KEY_BYTES],
-            _hmac256(pads, base + b"\x01")[:KEY_BYTES], balise_id, ver)
+        keys = BaliseKeyPair(_hmac256(entry.pads, base + b"\x00")[:KEY_BYTES],
+                             _hmac256(entry.pads, base + b"\x01")[:KEY_BYTES],
+                             balise_id, ver)
+        entry.prf_pads[keys.k1] = None  # prf_s makes the states
+        entry.pairs[balise_id, ver] = keys
     return keys
 
 
@@ -168,7 +183,12 @@ def tag_sb(k0: bytes, user: int, fmt: codec.TelegramFormat) -> int:
 def prf_s(k1: bytes, sb: int) -> int:
     """32-bit scrambling key: leading bits of PRF(k1, sb)."""
     msg = _PRF_PREFIX + (sb << 4).to_bytes(2, "big")
-    return int.from_bytes(_hmac256_once(k1, msg)[:4], "big")
+    kept = _master.prf_pads
+    pads = kept.get(k1)
+    if pads is None and k1 in kept:  # derived here, first PRF: keep its states
+        pads = kept[k1] = _pads(k1)
+    digest = _hmac256_once(k1, msg) if pads is None else _hmac256(pads, msg)
+    return int.from_bytes(digest[:4], "big")
 
 
 def generate_tag(
@@ -197,19 +217,20 @@ def encode_authenticated(
 
 
 def verify_and_decode(
-    stream: list[int] | codec.Aligned,
+    stream: list[int] | codec.Stream | codec.Aligned,
     keys: BaliseKeyPair,
     fmt: codec.TelegramFormat = codec.LONG,
 ) -> int:
     """Decode a stream and verify its tag under one key pair.
 
-    The stream may be raw bits or the codec.Aligned of codec.align, so a
-    reader that tries several keys aligns once.  Returns the user data
-    as an int, first bit MSB.  Raises codec.NoTelegramFound when no
-    window aligns and codec.FormatError for a stream element that is not
-    a bit.  Raises AuthFailure when the payload does not name keys.id in
-    its leading ID_BITS bits, which is checked first (see the module
-    notes), and when the recomputed tag differs from the received sb.
+    The stream may be what codec.align takes or the codec.Aligned it
+    returns, so a reader that tries several keys aligns once.  Returns
+    the user data as an int, first bit MSB.  Raises codec.NoTelegramFound
+    when no window aligns and codec.FormatError for a list element that
+    is not a bit.  Raises AuthFailure when the payload does not name
+    keys.id in its leading ID_BITS bits, which is checked first (see the
+    module notes), and when the recomputed tag differs from the received
+    sb.
     """
     aligned = stream if isinstance(stream, codec.Aligned) else codec.align(stream, fmt)
     s = prf_s(keys.k1, aligned.sb)

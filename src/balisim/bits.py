@@ -1,10 +1,11 @@
 """Bit-vector helpers shared by the codec and the authentication layer.
 
-A telegram crosses public interfaces as a list of 0/1 ints, most
-significant bit first: in telegram position notation (b_{n-1} .. b_0,
-left to right) list index k is position b_{n-1-k}.  Inside, the codec
-holds a bit string as one int; these helpers convert between the two in
-C.  An element that is not 0 or 1 is a ValueError.  Lengths such as 1023
+The list forms of a telegram, encode's output, a stream that align
+takes as a list and the bits of a telegram file, are lists of 0/1 ints,
+most significant bit first: in telegram position notation (b_{n-1} ..
+b_0, left to right) list index k is position b_{n-1-k}.  Inside, the
+codec holds a bit string as one int; these helpers convert between the
+two in C.  An element that is not 0 or 1 is a ValueError.  Lengths such as 1023
 are not byte multiples, so telegrams are serialized as explicit '0'/'1'
 character strings.
 """

@@ -24,11 +24,14 @@ and x^341 + 1).  Neither is a parameter: conformance with real
 telegrams means replacing ALPHABET and GEN_POLY here.
 
 Inside the codec a bit string is an int, first bit most significant.
-The user data is one too: encode and encode_legacy take it as an int of
-fmt.user_bits bits (check_user rejects anything else with FormatError)
-and decode_stream returns it as DecodeResult.user.  The telegram is a
-list of 0/1 at encode's output and at the input of align and
-decode_stream, and an element that is not 0 or 1 is a FormatError.  The
+The user data is one too: codeword, encode and encode_legacy take it as
+an int of fmt.user_bits bits (check_user rejects anything else with
+FormatError) and decode_stream returns it as DecodeResult.user.  The
+telegram is an int of fmt.n bits at codeword's output; encode and
+encode_legacy return it as a list of 0/1.  align and decode_stream take
+a received stream as a list of 0/1, in which an element that is not 0
+or 1 is a FormatError, or as a Stream, an int with its bit count: three
+copies of a codeword t are Stream(t << 2n | t << n | t, 3n).  The
 steps they call, keystream, substitute, desubstitute and
 compute_check_bits, take and return ints, as poly_mod does.
 
@@ -312,9 +315,9 @@ def check_user(user: int, fmt: TelegramFormat) -> None:
                           f"int of at most {fmt.user_bits} bits")
 
 
-def encode(user: int, sb: int, s: int,
-           fmt: TelegramFormat = LONG) -> list[int]:
-    """Assemble a complete n-bit telegram from the user data, sb and S."""
+def codeword(user: int, sb: int, s: int,
+             fmt: TelegramFormat = LONG) -> int:
+    """The n-bit telegram of the user data, sb and S, as an int."""
     check_user(user, fmt)
     if not 0 <= sb < (1 << SB_WIDTH):
         raise FormatError("sb must be a 12-bit value")
@@ -323,7 +326,13 @@ def encode(user: int, sb: int, s: int,
     data = user ^ keystream(s, fmt.user_bits)
     prefix = substitute(data, fmt.user_bits // GROUP_WIDTH)
     prefix = (((prefix << CB_WIDTH | _CB) << SB_WIDTH | sb) << ESB_WIDTH) | _ESB
-    return int_to_bits(prefix << CHECK_WIDTH | compute_check_bits(prefix), fmt.n)
+    return prefix << CHECK_WIDTH | compute_check_bits(prefix)
+
+
+def encode(user: int, sb: int, s: int,
+           fmt: TelegramFormat = LONG) -> list[int]:
+    """The codeword as a list of fmt.n bits."""
+    return int_to_bits(codeword(user, sb, s, fmt), fmt.n)
 
 
 def encode_legacy(user: int, sb: int,
@@ -348,6 +357,12 @@ class Aligned(NamedTuple):
     sb: int
     shift: int       # window offset at which alignment was found
     inverted: bool   # stream polarity was inverted
+
+
+class Stream(NamedTuple):
+    """A received bit stream as one int, first bit most significant."""
+    value: int
+    length: int      # bits in the stream; value's bits above them are ignored
 
 
 def _telegram_at(value: int, width: int, j: int, rem: int,
@@ -394,9 +409,12 @@ def _telegram_at(value: int, width: int, j: int, rem: int,
     return data, sb, inverted
 
 
-def _stream_int(stream: list[int], start: int, stop: int) -> int:
-    """Bits start .. stop - 1 of the stream as an int, with FormatError
-    for an element that is not 0 or 1."""
+def _stream_int(stream: list[int] | Stream, start: int, stop: int) -> int:
+    """Bits start .. stop - 1 of the stream as an int.  A list is read
+    here and nowhere else, with FormatError for an element that is not 0
+    or 1."""
+    if isinstance(stream, Stream):
+        return (stream.value >> (stream.length - stop)) & ((1 << (stop - start)) - 1)
     try:
         return bits_to_int(stream[start:stop])
     except ValueError as exc:
@@ -405,6 +423,7 @@ def _stream_int(stream: list[int], start: int, stop: int) -> int:
 
 # The scan strides six bits, one base64 character of the stream.
 _STRIDE = 6
+_STRIDE_MASK = (1 << _STRIDE) - 1
 _SEXTET = bytes.maketrans(
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
     bytes(range(64)),
@@ -455,7 +474,7 @@ _OUT = {n: _out_table(n) for n in _ROT}
 _CAND = {n: _candidates(n) for n in _ROT}
 
 
-def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
+def align(stream: list[int] | Stream, fmt: TelegramFormat = LONG) -> Aligned:
     """Find the first telegram in a bit stream, without descrambling it.
 
     The first window that holds a telegram in either polarity (see
@@ -484,15 +503,16 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
     control bits (?, 0, 0), and a clean stream desubstitutes only the
     window it returns.
 
-    The stream is converted to an int in up to three stages, each when
-    the scan first needs it: the first n + r + 5 bits, which windows 0
-    .. 5 need; up to 2n + r + 5 bits, which cover every shift below
-    n + 6, where a repeated telegram with a clean copy aligns; and the
-    rest, for corrupted or garbage streams.  An element that is not 0 or
-    1 in a stage that is converted raises FormatError.
+    The stream is a list of 0/1 or a Stream.  It is read as an int in up
+    to three stages, each when the scan first needs it: the first
+    n + r + 5 bits, which windows 0 .. 5 need; up to 2n + r + 5 bits,
+    which cover every shift below n + 6, where a repeated telegram with
+    a clean copy aligns; and the rest, for corrupted or garbage streams.
+    A list element that is not 0 or 1 in a stage that is read raises
+    FormatError.
     """
     n, r = fmt.n, fmt.r_init
-    length = len(stream)
+    length = stream.length if isinstance(stream, Stream) else len(stream)
     windows = length - n - r + 1
     if windows < 1:
         raise NoTelegramFound(f"stream of {length} bits is shorter than one window")
@@ -534,6 +554,11 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
                 if rem in cand:
                     break
             continue
+        # The six bits that leave the window from shift j on, and the six
+        # that enter it, first bit most significant; width > j + n + 5.
+        o = (value >> (width - j - _STRIDE)) & _STRIDE_MASK
+        b = (value >> (width - j - n - _STRIDE)) & _STRIDE_MASK
+        k = _STRIDE
         for j in range(j, min(j + _STRIDE, windows)):
             if rem == 0 or rem == ones:  # as _telegram_at does; spares a call
                 hit = _telegram_at(value, width, j, rem, fmt, pending)
@@ -541,9 +566,10 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
                     data, sb, inverted = hit
                     return Aligned(data, sb, j, inverted)
             # rem' = ((rem + b_out * x^{n-1}) * x + b_in) mod g, rot = x^{n-1} mod g
-            if stream[j]:
+            k -= 1
+            if (o >> k) & 1:
                 rem ^= rot
-            rem = (rem << 1) | stream[j + n]
+            rem = (rem << 1) | ((b >> k) & 1)
             if rem >> CHECK_WIDTH:
                 rem ^= GEN_POLY
         j += 1
@@ -554,7 +580,8 @@ def align(stream: list[int], fmt: TelegramFormat = LONG) -> Aligned:
     raise NoTelegramFound(f"no aligned window in {windows} windows")
 
 
-def decode_stream(stream: list[int], fmt: TelegramFormat = LONG) -> DecodeResult:
+def decode_stream(stream: list[int] | Stream,
+                  fmt: TelegramFormat = LONG) -> DecodeResult:
     """Find and decode one legacy telegram in a bit stream.
 
     The stream is aligned (see align), and the user data is descrambled

@@ -11,7 +11,9 @@ suppresses transmission entirely.
 The user data is one int of fmt.user_bits bits, first bit most
 significant, as codec.encode takes it and auth.verify_and_decode
 returns it: pack_payload builds it and parse_payload reads it with
-shifts and masks.  A deployed telegram stays a list of 0/1.
+shifts and masks.  A deployed telegram is the codec.codeword int of
+fmt.n bits, from programming to the reader; only the telegram file
+holds it as bits.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from typing import NamedTuple
 
 from .. import auth, codec
-from ..bits import bits_to_int, bits_to_str, str_to_bits
+from ..bits import bits_to_str, str_to_bits
 
 KIND_FIXED = "fixed"
 KIND_CONTROLLED = "controlled"
@@ -109,9 +111,9 @@ LEGACY_SB = 0x555
 
 
 class DeployedBalise:
-    def __init__(self, spec: BaliseSpec, telegram: list[int] | None):
+    def __init__(self, spec: BaliseSpec, telegram: int | None):
         self.spec = spec
-        self.telegram = telegram  # None: transmission suppressed
+        self.telegram = telegram  # the codeword; None: transmission suppressed
 
 
 def program_telegram(
@@ -120,15 +122,16 @@ def program_telegram(
     keystore: auth.Keystore | None,
     fmt: codec.TelegramFormat,
     loc_reported: float | None = None,
-) -> list[int]:
-    """Encode the telegram a (honest) programming tool would write."""
+) -> int:
+    """The codeword a (honest) programming tool would write."""
     loc = spec.loc if loc_reported is None else loc_reported
     user = pack_payload(spec.id, spec.kind, loc, fmt)
     if auth_mode == AUTH_AUTHENTICATED:
         if keystore is None:
             raise ValueError("authenticated deployment needs a keystore")
-        return auth.encode_authenticated(user, keystore.keys_for(spec.id), fmt)
-    return codec.encode_legacy(user, LEGACY_SB, fmt)
+        sb, s = auth.generate_tag(user, keystore.keys_for(spec.id), fmt)
+        return codec.codeword(user, sb, s, fmt)
+    return codec.codeword(user, LEGACY_SB, codec.legacy_s_from_sb(LEGACY_SB), fmt)
 
 
 def build_deployment(
@@ -200,12 +203,11 @@ def apply_attacks(deployment: list[DeployedBalise],
                                 attack.new_loc, fmt)
             sb = LEGACY_SB
             if target.telegram is not None:
-                base = fmt.shaped_bits + codec.CB_WIDTH
-                sb = bits_to_int(target.telegram[base : base + codec.SB_WIDTH])
-            target.telegram = codec.encode_legacy(user, sb, fmt)
+                low = codec.ESB_WIDTH + codec.CHECK_WIDTH
+                sb = (target.telegram >> low) & ((1 << codec.SB_WIDTH) - 1)
+            target.telegram = codec.codeword(user, sb, codec.legacy_s_from_sb(sb), fmt)
         elif isinstance(attack, Clone):
-            src = deployment[attack.src - 1].telegram
-            deployment[attack.dst - 1].telegram = None if src is None else list(src)
+            deployment[attack.dst - 1].telegram = deployment[attack.src - 1].telegram
         elif isinstance(attack, Unavailable):
             deployment[attack.balise - 1].telegram = None
         else:

@@ -24,6 +24,7 @@ import os
 from typing import NamedTuple
 
 from .. import auth, codec
+from ..bits import bits_to_int
 from .anomaly import AnomalyState, PositionEstimate, balise_missing, \
     derive_trustworthy_info
 from .conservative import ConservativeController
@@ -275,8 +276,12 @@ def _read_balise(
     track_ids: list[int],
     fmt: codec.TelegramFormat,
 ) -> tuple[int, str, float] | None:
-    """Decode (and verify) one transmission; None when unusable."""
-    stream = deployed.telegram * 3
+    """Decode (and verify) one transmission; None when unusable.
+
+    The reader receives three copies of the codeword.
+    """
+    t, n = deployed.telegram, fmt.n
+    stream = codec.Stream(t << 2 * n | t << n | t, 3 * n)
     if auth_mode == AUTH_LEGACY:
         try:
             result = codec.decode_stream(stream, fmt)
@@ -320,7 +325,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
                 raise ConfigError(
                     f"telegram file {path} is {file_fmt.name}, "
                     f"scenario uses {fmt.name}")
-            deployed.telegram = bits
+            deployed.telegram = bits_to_int(bits)
             # The reader is deterministic, so this is what every crossing
             # of the file's telegram (cloned or not) will read.
             fields = _read_balise(deployed, cfg.auth_mode, keystore,

@@ -92,17 +92,27 @@ def test_derive_keys_matches_oracle():
     assert keys.k1 == hmac_oracle(MK, base + b"\x01")[:16]
 
 
+def empty_key_memo(monkeypatch):
+    """Replace the master entry by that of no master key for this test."""
+    monkeypatch.setattr(auth, "_master", auth._Master(b"", (), {}, {}))
+
+
 def count_kdf_macs(monkeypatch):
     """Empty the key memo and count the KDF MACs from now on.
 
-    _hmac256 computes the key-derivation MACs and nothing else; tags and
-    PRFs use _hmac256_once.
+    _hmac256 computes the key-derivation MACs and the PRF MACs of derived
+    k1 keys; a KDF message starts with the 0x4B prefix.
     """
-    auth._master.cache_clear()
+    empty_key_memo(monkeypatch)
     macs = []
     hmac256 = auth._hmac256
-    monkeypatch.setattr(auth, "_hmac256",
-                        lambda pads, msg: macs.append(msg) or hmac256(pads, msg))
+
+    def counting(pads, msg):
+        if msg[:1] == b"\x4b":
+            macs.append(msg)
+        return hmac256(pads, msg)
+
+    monkeypatch.setattr(auth, "_hmac256", counting)
     return macs
 
 
@@ -121,6 +131,53 @@ def test_derive_keys_follows_a_changing_master_key(monkeypatch):
         assert len(macs) == 2
         assert auth.derive_keys(mk, balise_id=0x2A7, ver=3) is keys
         assert len(macs) == 2
+
+
+def stdlib_prf_s(key, sb):
+    import hmac as hmac_std
+    msg = b"\x53" + (sb << 4).to_bytes(2, "big")
+    return int.from_bytes(hmac_std.digest(key, msg, "sha256")[:4], "big")
+
+
+def test_prf_pad_states_live_and_die_with_their_pair(monkeypatch):
+    # The master entry keeps the pad states of each k1 derive_keys
+    # derives, made by its first PRF, and of no other key; prf_s signs
+    # with them.  Another master key's entry holds none of the old
+    # states, and a key without kept states, an old k1 or a raw key, is
+    # signed in one shot.
+    import hmac as hmac_std
+    empty_key_memo(monkeypatch)
+    once = []
+    hmac256_once = auth._hmac256_once
+    monkeypatch.setattr(auth, "_hmac256_once",
+                        lambda key, msg: once.append(key) or hmac256_once(key, msg))
+    pairs = [auth.derive_keys(MK, i) for i in (3, 4)]
+    entry = auth._master
+    assert entry.prf_pads == {p.k1: None for p in pairs}
+    for p in pairs:
+        for sb in (0, 0x5A5, 0xFFF):
+            assert auth.prf_s(p.k1, sb) == stdlib_prf_s(p.k1, sb)
+    assert once == []
+    assert set(entry.prf_pads) == {p.k1 for p in pairs}
+    assert all(type(pads) is tuple for pads in entry.prf_pads.values())
+
+    new = auth.derive_keys(bytes(range(100, 132)), 3)
+    assert set(auth._master.prf_pads) == {new.k1}
+    assert not any(value is entry for value in vars(auth).values())
+    for p in pairs:
+        assert auth.prf_s(p.k1, 0x5A5) == stdlib_prf_s(p.k1, 0x5A5)
+    assert once == [p.k1 for p in pairs]
+
+    rng = random.Random(25)
+    for key_len in KEY_LENS:
+        key = rng.randbytes(key_len)
+        assert auth.prf_s(key, 0x123) == stdlib_prf_s(key, 0x123)
+        for fmt, fmt_byte in ((LONG, b"\x01"), (SHORT, b"\x02")):
+            user = rng.getrandbits(fmt.user_bits)
+            packed = pack_bits(int_to_bits(user, fmt.user_bits))
+            digest = hmac_std.digest(key, fmt_byte + packed, "sha256")
+            assert auth.tag_sb(key, user, fmt) == (digest[0] << 4) | (digest[1] >> 4)
+    assert set(auth._master.prf_pads) == {new.k1}
 
 
 def test_derive_keys_deterministic_and_separated():
@@ -200,6 +257,16 @@ def test_tag_on_int_matches_oracle_at_pad_edges(fmt, fmt_byte):
         PAD_EDGE_TAGS[fmt.name]
 
 
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+def test_encode_authenticated_is_the_codeword_of_its_tag_as_bits(fmt):
+    keys = auth.derive_keys(MK, 98)
+    for user, tag in zip(pad_edge_users(fmt), PAD_EDGE_TAGS[fmt.name]):
+        sb, s = auth.generate_tag(user, keys, fmt)
+        assert sb == tag
+        assert auth.encode_authenticated(user, keys, fmt) == \
+            int_to_bits(codec.codeword(user, sb, s, fmt), fmt.n)
+
+
 def test_decode_result_user_is_the_encoded_int():
     rng = random.Random(32)
     for fmt in (LONG, SHORT):
@@ -264,6 +331,8 @@ def test_round_trip_both_formats():
         telegram = auth.encode_authenticated(user, keys, fmt)
         assert len(telegram) == fmt.n
         assert auth.verify_and_decode(telegram * 3, keys, fmt) == user
+        stream = codec.Stream(bits_to_int(telegram * 3), 3 * fmt.n)
+        assert auth.verify_and_decode(stream, keys, fmt) == user
 
 
 def test_round_trip_survives_rotation():

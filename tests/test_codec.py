@@ -362,13 +362,31 @@ def test_encode_layout():
 
 
 def test_encode_rejects_bad_inputs():
-    with pytest.raises(codec.FormatError):
-        codec.encode([0] * 100, 0, 0, LONG)
     user = bits_to_int([0] * LONG.user_bits)
-    with pytest.raises(codec.FormatError):
-        codec.encode(user, 1 << 12, 0, LONG)
-    with pytest.raises(codec.FormatError):
-        codec.encode(user, 0, 1 << 32, LONG)
+    for encoder in (codec.encode, codec.codeword):
+        with pytest.raises(codec.FormatError):
+            encoder([0] * 100, 0, 0, LONG)
+        with pytest.raises(codec.FormatError):
+            encoder(user, 1 << 12, 0, LONG)
+        with pytest.raises(codec.FormatError):
+            encoder(user, 0, 1 << 32, LONG)
+
+
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+def test_encode_is_the_codeword_as_bits(fmt):
+    # The seeds and sb values of the frozen keystream and legacy-S
+    # vectors, with the user data at its ends and random.
+    rng = random.Random(21)
+    users = (0, (1 << fmt.user_bits) - 1, 1 << (fmt.user_bits - 1), random_user(rng, fmt))
+    pairs = ((0x000, 0x12345678), (0xABC, 0x00000000),
+             (0xFFF, 0xFFFFFFFF), (0x001, 0x5A4A5B5B))
+    for user in users:
+        for sb, s in pairs:
+            word = codec.codeword(user, sb, s, fmt)
+            assert type(word) is int and 0 <= word < 1 << fmt.n
+            assert codec.encode(user, sb, s, fmt) == int_to_bits(word, fmt.n)
+            assert codec.encode_legacy(user, sb, fmt) == int_to_bits(
+                codec.codeword(user, sb, codec.legacy_s_from_sb(sb), fmt), fmt.n)
 
 
 @pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
@@ -878,3 +896,45 @@ def test_candidate_set_holds_exactly_the_remainders_that_can_hit(fmt):
     assert all(hit_within_stride(rem, n) for rem in before)
     for rem in before + members + near + randoms:
         assert hit_within_stride(rem, n) == (rem in cand)
+
+
+# ---------------------------------------------------------------------------
+# A stream as a list and as a Stream
+# ---------------------------------------------------------------------------
+
+def test_align_reads_a_stream_int_as_it_reads_the_list(monkeypatch):
+    # Every stream of channel model v2 that the channel table reads, both
+    # formats and every impairment, rotated and half of them inverted, as
+    # a list and as a Stream: the same Aligned, or the same exception and
+    # message.
+    outcomes = set()
+    for fmt, impairment, inverted, rng in channel_model.corpus(
+            seed=2027, per_case=channel_model.PER_CASE):
+        telegram = codec.encode_legacy(random_user(rng, fmt),
+                                       rng.randrange(1 << codec.SB_WIDTH), fmt)
+        bits = channel_model.receive(telegram, fmt, impairment, inverted, rng)
+        got = align_outcome(codec.align, bits, fmt)
+        value = bits_to_int(bits)
+        with monkeypatch.context() as patch:
+            # A Stream is read without a list conversion, and the bits of
+            # its value above its length do not count.
+            patch.setattr(codec, "bits_to_int", None)
+            for extra in (0, 0b101):
+                stream = codec.Stream(value | extra << len(bits), len(bits))
+                assert align_outcome(codec.align, stream, fmt) == got, \
+                    (fmt.name, impairment)
+        outcomes.add("ok" if isinstance(got, codec.Aligned) else got[0].__name__)
+    assert outcomes == {"ok", "NoTelegramFound", "ControlBitError"}
+
+
+def test_decode_stream_takes_three_copies_of_a_codeword_as_one_int():
+    rng = random.Random(22)
+    for fmt in (LONG, SHORT):
+        n = fmt.n
+        user = random_user(rng, fmt)
+        word = codec.codeword(user, 0x4D2, codec.legacy_s_from_sb(0x4D2), fmt)
+        stream = codec.Stream(word << 2 * n | word << n | word, 3 * n)
+        assert stream.value == bits_to_int(int_to_bits(word, n) * 3)
+        result = codec.decode_stream(stream, fmt)
+        assert result == codec.decode_stream(int_to_bits(word, n) * 3, fmt)
+        assert (result.user, result.sb, result.shift) == (user, 0x4D2, 0)

@@ -135,10 +135,16 @@ def test_balise_spec_is_immutable_and_checked_on_replace():
 # Programming
 # ---------------------------------------------------------------------------
 
+def received(telegram, fmt):
+    """Three copies of a deployed codeword as a bit list."""
+    return int_to_bits(telegram, fmt.n) * 3
+
+
 def test_program_legacy_round_trips():
     spec = BaliseSpec(id=42, loc=-64.0, kind=KIND_FIXED)
     telegram = program_telegram(spec, AUTH_LEGACY, None, SHORT)
-    result = codec.decode_stream(telegram * 3, SHORT)
+    assert type(telegram) is int and 0 <= telegram < 1 << SHORT.n
+    result = codec.decode_stream(received(telegram, SHORT), SHORT)
     assert result.sb == LEGACY_SB
     assert parse_payload(result.user, SHORT) == (42, KIND_FIXED, -64.0)
 
@@ -147,7 +153,8 @@ def test_program_authenticated_round_trips():
     ks = auth.new_keystore(seed=5)
     spec = BaliseSpec(id=42, loc=0.0, kind=KIND_CONTROLLED)
     telegram = program_telegram(spec, AUTH_AUTHENTICATED, ks, LONG)
-    user = auth.verify_and_decode(telegram * 3, ks.keys_for(42), LONG)
+    assert type(telegram) is int and 0 <= telegram < 1 << LONG.n
+    user = auth.verify_and_decode(received(telegram, LONG), ks.keys_for(42), LONG)
     assert parse_payload(user, LONG) == (42, KIND_CONTROLLED, 0.0)
 
 
@@ -161,7 +168,7 @@ def test_program_reported_location_override():
     spec = BaliseSpec(id=9, loc=-36.0, kind=KIND_FIXED)
     telegram = program_telegram(spec, AUTH_LEGACY, None, SHORT,
                                 loc_reported=-1.0)
-    result = codec.decode_stream(telegram * 3, SHORT)
+    result = codec.decode_stream(received(telegram, SHORT), SHORT)
     assert parse_payload(result.user, SHORT) == (9, KIND_FIXED, -1.0)
 
 
@@ -175,8 +182,8 @@ def test_build_deployment():
     deployed = build_deployment(specs, AUTH_AUTHENTICATED, ks, SHORT)
     assert [d.spec.id for d in deployed] == [1, 2, 3]
     for d in deployed:
-        user = auth.verify_and_decode(d.telegram * 3, ks.keys_for(d.spec.id),
-                                      SHORT)
+        user = auth.verify_and_decode(received(d.telegram, SHORT),
+                                      ks.keys_for(d.spec.id), SHORT)
         assert parse_payload(user, SHORT)[0] == d.spec.id
 
 
@@ -194,22 +201,24 @@ def test_tamper_rewrites_location_and_reuses_sb():
     ks = auth.new_keystore(seed=7)
     deployed = _single_deployment(AUTH_AUTHENTICATED, ks)
     base = SHORT.shaped_bits + codec.CB_WIDTH
-    original_sb = bits_to_int(deployed[0].telegram[base : base + codec.SB_WIDTH])
+    bits = int_to_bits(deployed[0].telegram, SHORT.n)
+    original_sb = bits_to_int(bits[base : base + codec.SB_WIDTH])
 
     apply_attacks(deployed, [Tamper(balise=1, new_loc=-1.0)], SHORT)
 
-    result = codec.decode_stream(deployed[0].telegram * 3, SHORT)
+    result = codec.decode_stream(received(deployed[0].telegram, SHORT), SHORT)
     assert result.sb == original_sb  # attacker replays the observed sb
     assert parse_payload(result.user, SHORT) == (1, KIND_FIXED, -1.0)
     # ...but the forged content no longer verifies under the real keys.
     with pytest.raises(auth.AuthFailure):
-        auth.verify_and_decode(deployed[0].telegram * 3, ks.keys_for(1), SHORT)
+        auth.verify_and_decode(received(deployed[0].telegram, SHORT),
+                               ks.keys_for(1), SHORT)
 
 
 def test_tamper_on_legacy_telegram_passes_legacy_decode():
     deployed = _single_deployment(AUTH_LEGACY, None)
     apply_attacks(deployed, [Tamper(balise=1, new_loc=-1.0)], SHORT)
-    result = codec.decode_stream(deployed[0].telegram * 3, SHORT)
+    result = codec.decode_stream(received(deployed[0].telegram, SHORT), SHORT)
     assert result.sb == LEGACY_SB
     assert parse_payload(result.user, SHORT) == (1, KIND_FIXED, -1.0)
 
@@ -218,7 +227,7 @@ def test_tamper_on_suppressed_balise_uses_default_sb():
     deployed = _single_deployment(AUTH_LEGACY, None)
     deployed[0].telegram = None
     apply_attacks(deployed, [Tamper(balise=1, new_loc=-2.0)], SHORT)
-    result = codec.decode_stream(deployed[0].telegram * 3, SHORT)
+    result = codec.decode_stream(received(deployed[0].telegram, SHORT), SHORT)
     assert result.sb == LEGACY_SB
     assert parse_payload(result.user, SHORT)[2] == -2.0
 
@@ -230,11 +239,14 @@ def test_clone_copies_bits():
         BaliseSpec(id=2, loc=-64.0, kind=KIND_FIXED),
     ]
     deployed = build_deployment(specs, AUTH_AUTHENTICATED, ks, SHORT)
-    src_bits = list(deployed[0].telegram)
+    src = deployed[0].telegram
+    assert deployed[1].telegram != src
     apply_attacks(deployed, [Clone(src=1, dst=2)], SHORT)
-    assert deployed[1].telegram == src_bits
-    assert deployed[1].telegram is not deployed[0].telegram  # independent copy
-    assert deployed[0].telegram == src_bits
+    # An int cannot change in place, so the copy is independent.
+    assert deployed[1].telegram == src
+    assert deployed[0].telegram == src
+    deployed[0].telegram ^= 1
+    assert deployed[1].telegram == src
 
 
 def test_clone_of_suppressed_source_suppresses_destination():
@@ -265,7 +277,7 @@ def test_apply_attacks_rejects_unknown_type():
 
 def test_telegram_file_round_trip(tmp_path):
     spec = BaliseSpec(id=3, loc=-16.0, kind=KIND_FIXED)
-    telegram = program_telegram(spec, AUTH_LEGACY, None, LONG)
+    telegram = int_to_bits(program_telegram(spec, AUTH_LEGACY, None, LONG), LONG.n)
     path = tmp_path / "b3.json"
     save_telegram(str(path), telegram, LONG)
     fmt, bits = load_telegram(str(path))

@@ -131,7 +131,7 @@ def test_reader_tries_no_key_on_a_stream_that_does_not_align(monkeypatch):
                         track_ids, LONG) == (2, "fixed", -64.0)
     assert trials == [1, 2]
     trials.clear()
-    deployed.telegram[100] ^= 1
+    deployed.telegram ^= 1 << (LONG.n - 1 - 100)  # flips bit 100 of the codeword
     assert _read_balise(deployed, AUTH_AUTHENTICATED, keystore,
                         track_ids, LONG) is None
     assert trials == []
@@ -140,12 +140,14 @@ def test_reader_tries_no_key_on_a_stream_that_does_not_align(monkeypatch):
 def test_authenticated_run_derives_each_track_key_once(monkeypatch):
     # Deployment and reader ask keys_for once per write and per trial;
     # only the first request of an id computes its two KDF MACs, and a
-    # second run under the same master key computes none.
-    auth._master.cache_clear()
+    # second run under the same master key computes none.  _hmac256 also
+    # signs the PRF of derived k1 keys; a KDF MAC's message starts 0x4B.
+    monkeypatch.setattr(auth, "_master", auth._Master(b"", (), {}, {}))
     macs, trials = [], []
     hmac256, keys_for = auth._hmac256, auth.Keystore.keys_for
     monkeypatch.setattr(auth, "_hmac256",
-                        lambda pads, msg: macs.append(msg) or hmac256(pads, msg))
+                        lambda pads, msg: (msg[:1] == b"\x4b" and macs.append(msg))
+                        or hmac256(pads, msg))
     monkeypatch.setattr(auth.Keystore, "keys_for",
                         lambda self, i: trials.append(i) or keys_for(self, i))
     cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED, seed=18)
