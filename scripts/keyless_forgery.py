@@ -22,6 +22,10 @@ and the tag of the data compared with its sb.
 The map is 50 balises evenly spaced from -100 m to 0 m, as in the
 auth_track_50 benchmark, with the scenario's default keystore (seed 1).
 
+Random sb values fill auth's memo of S values (see the auth module
+notes) towards its bound of 4,096 per track key, so the report ends with
+how many it keeps.
+
 Usage, from a checkout (or drop PYTHONPATH=src with balisim installed):
 
     PYTHONPATH=src python3 scripts/keyless_forgery.py [--crossings N] [--seed N]
@@ -73,6 +77,8 @@ def main():
           f"expected m * 2^-12 = {BALISES / 4096:.4%})")
     print(f"accepted:   {accepted} ({accepted / n:.4%} per crossing, "
           f"expected 1 - (1 - 2^-27)^m = {1 - (1 - 2 ** -27) ** BALISES:.6%})")
+    kept = sum(len(memo) for memo in auth._master.prf.values())
+    print(f"S values kept: {kept} (at most m * 4,096 = {BALISES * 4096:,})")
 
 
 if __name__ == "__main__":

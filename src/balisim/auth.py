@@ -30,34 +30,35 @@ crossings on an m-balise map (m * 2^-12 tags, half the kind codes,
 keystream's leading 32 bits are S itself (see codec.keystream), so the
 descrambled id is the leading ID_BITS of the scrambled data XOR those of
 S, and verify_and_decode checks it before it descrambles and before the
-tag: a wrong key's trial costs one PRF MAC, the dict lookup of its
-memoised key pair, a shift and a compare, and no keystream expansion
-and no tag MAC.  A payload is accepted exactly when it would be by the
-tag check followed by an id check.
+tag: a wrong key's trial costs the dict lookups of its memoised key pair
+and of its S, a shift and a compare, and no keystream expansion and no
+tag MAC; the first trial of an sb under a key adds its PRF MAC.  A
+payload is accepted exactly when it would be by the tag check followed
+by an id check.
 
 derive_keys memoises per master key.  One entry per process holds the
 master key's HMAC pad states, a dict of the key pair of each (id, ver)
-requested under it, and a dict from each such pair's k1 to its pad
-states, which prf_s makes on the first PRF under that k1.  So a pair
-costs its two KDF MACs on its first request only and a dict lookup
-after that, and a pair that signs no PRF costs no states.  Using another
-master key replaces the entry and drops the old pairs and their states
-with it.  Memory is bounded by the (id, ver) pairs requested under the
-current master key, in a simulation the ids of its track map.  Whoever
-can read the cached pairs can read the master key's pad states beside
-them, which derive every key, so the memo exposes nothing the pad
+requested under it, and for each such pair's k1 a dict from sb to its S,
+which prf_s fills as it computes them.  So a pair costs its two KDF MACs
+on its first request only and a dict lookup after that, and an S costs
+its PRF MAC on its first request under that k1 only.  A k1 has at most
+4,096 values of S, one per sb, so the memo is bounded by 4,096 entries
+per pair requested under the current master key, in a simulation the
+ids of its track map.  Using another master key replaces the entry and
+drops the old pairs and their S values with it.  Whoever can read the
+cached pairs can read the master key's pad states beside them, which
+derive every key and so every S, so the memo exposes nothing the pad
 states do not.
 
 HMAC-SHA256 follows RFC 2104 in two forms.  A key's pad states are two
 hashes that have already absorbed K^ipad and K^opad (section 4 of the
 RFC); a MAC from them copies both instead of hashing the padded key
-again.  The master key signs every key derivation and k1 the PRF of
-every key trial, so their states are kept in the master entry, and
-prf_s uses those of a k1 that derive_keys derived under the current
-master key.  Any other key, k0 included, signs with the one-shot form:
-sha256(K^ipad | msg), then sha256(K^opad | inner), with no hash state
-built or copied.  k0 signs only writes and the trial whose payload
-names its id, so keeping its states would cost memory for no trial.
+again.  The master key signs every key derivation, so its states are
+kept in the master entry.  Every other key, k0 and k1 included, signs
+with the one-shot form: sha256(K^ipad | msg), then sha256(K^opad |
+inner), with no hash state built or copied.  A k1 signs each sb at most
+once per master entry, and k0 only writes and the trial whose payload
+names its id, so keeping their states would cost memory for little gain.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class _Master(NamedTuple):
     mk: bytes
     pads: tuple                                  # mk's _pads
     pairs: dict[tuple[int, int], BaliseKeyPair]  # by (id, ver)
-    prf_pads: dict[bytes, tuple | None]          # each pair's k1: its _pads
+    prf: dict[bytes, dict[int, int]]             # each pair's k1: S by sb
 
 
 # The entry of the master key last used; b"" is no master key.
@@ -145,17 +146,24 @@ def _check_uint(value: int, bits: int, what: str) -> None:
 def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
     """The per-balise key pair under the 256-bit master key.
 
-    Every argument is checked on every call; the pair's two KDF MACs are
-    computed on its first request under mk only (see the module notes).
-    Threads that miss together compute the same pair, so either store
-    leaves the memo right and it needs no lock.
+    A pair requested before under this mk object is returned at once:
+    the entry's mk and its pairs' (id, ver) were checked when they were
+    stored, so only the types are checked again.  Any other call checks
+    every argument, and the pair's two KDF MACs are computed on its first
+    request under mk only (see the module notes).  Threads that miss
+    together compute the same pair, so either store leaves the memo right
+    and it needs no lock.
     """
     global _master
+    entry = _master
+    if mk is entry.mk and type(balise_id) is int and type(ver) is int:
+        keys = entry.pairs.get((balise_id, ver))
+        if keys is not None:
+            return keys
     if type(mk) is not bytes or len(mk) != 32:
         raise ValueError("master key must be 32 bytes")
     _check_uint(balise_id, ID_BITS, "balise id")
     _check_uint(ver, VER_BITS, "ver")
-    entry = _master
     if entry.mk != mk:
         entry = _master = _Master(mk, _pads(mk), {}, {})
     keys = entry.pairs.get((balise_id, ver))
@@ -164,7 +172,7 @@ def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
         keys = BaliseKeyPair(_hmac256(entry.pads, base + b"\x00")[:KEY_BYTES],
                              _hmac256(entry.pads, base + b"\x01")[:KEY_BYTES],
                              balise_id, ver)
-        entry.prf_pads[keys.k1] = None  # prf_s makes the states
+        entry.prf[keys.k1] = {}
         entry.pairs[balise_id, ver] = keys
     return keys
 
@@ -181,14 +189,22 @@ def tag_sb(k0: bytes, user: int, fmt: codec.TelegramFormat) -> int:
 
 
 def prf_s(k1: bytes, sb: int) -> int:
-    """32-bit scrambling key: leading bits of PRF(k1, sb)."""
-    msg = _PRF_PREFIX + (sb << 4).to_bytes(2, "big")
-    kept = _master.prf_pads
-    pads = kept.get(k1)
-    if pads is None and k1 in kept:  # derived here, first PRF: keep its states
-        pads = kept[k1] = _pads(k1)
-    digest = _hmac256_once(k1, msg) if pads is None else _hmac256(pads, msg)
-    return int.from_bytes(digest[:4], "big")
+    """32-bit scrambling key: leading bits of PRF(k1, sb).
+
+    An S is looked up in the memo of a k1 that derive_keys derived under
+    the current master key (see the module notes); any other key's S is
+    computed and not kept.  Threads that miss together store the same S,
+    so the memo needs no lock.
+    """
+    shifted = sb << 4  # TypeError for an sb that is not an int, 1.0 too
+    memo = _master.prf.get(k1)
+    s = None if memo is None else memo.get(sb)
+    if s is None:  # OverflowError below for an sb outside 0..4095
+        msg = _PRF_PREFIX + shifted.to_bytes(2, "big")
+        s = int.from_bytes(_hmac256_once(k1, msg)[:4], "big")
+        if memo is not None:
+            memo[sb] = s
+    return s
 
 
 def generate_tag(

@@ -19,11 +19,11 @@ holds it as bits.
 from __future__ import annotations
 
 import json
-import math
 from typing import NamedTuple
 
 from .. import auth, codec
 from ..bits import bits_to_str, str_to_bits
+from .params import is_finite_number
 
 KIND_FIXED = "fixed"
 KIND_CONTROLLED = "controlled"
@@ -63,8 +63,8 @@ class BaliseSpec(_BaliseFields):
 
 def location_mm(loc: float) -> int:
     """loc in whole millimetres; ValueError unless the payload can hold it."""
-    if not math.isfinite(loc):
-        raise ValueError(f"location {loc!r} must be finite")
+    if not is_finite_number(loc):
+        raise ValueError(f"location {loc!r} must be a finite number")
     half = 1 << (_LOC_BITS - 1)
     # loc * 1000 can overflow to inf, which round() rejects; a product that
     # large is out of range anyway.

@@ -6,6 +6,20 @@ import math
 from typing import NamedTuple
 
 
+def is_finite_number(value) -> bool:
+    """True for an int or a float that is finite as a float, not a bool.
+
+    json.load reads true as True, which math takes as 1, and an integer
+    of any size as an int, which math.isfinite may not convert.
+    """
+    if type(value) is bool or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 class _TrainFields(NamedTuple):
     p0: float         # initial position, meters (stop point at 0)
     v0: float         # initial speed, m/s
@@ -24,8 +38,8 @@ class TrainParams(_TrainFields):
     def __new__(cls, p0=-100.0, v0=10.0, alpha_max=-1.0, gamma=0.3, Td=0.6,
                 Tp=0.4, dt=0.01):
         self = super().__new__(cls, p0, v0, alpha_max, gamma, Td, Tp, dt)
-        if not all(math.isfinite(value) for value in self):
-            raise ValueError("train parameters must be finite")
+        if not all(is_finite_number(value) for value in self):
+            raise ValueError("train parameters must be finite numbers")
         if self.alpha_max >= 0:
             raise ValueError("alpha_max must be negative")
         if self.gamma <= 0 or self.dt <= 0:

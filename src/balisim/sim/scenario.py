@@ -34,7 +34,7 @@ from .deployment import AUTH_AUTHENTICATED, AUTH_LEGACY, AttackSpec, \
     parse_payload
 from .hoa import FULL_BRAKE, HoaController, IGNORE
 from . import params
-from .params import TrainParams
+from .params import TrainParams, is_finite_number
 from .plant import BrakePlant
 
 CONTROLLER_HOA = "hoa"
@@ -134,16 +134,16 @@ class ScenarioConfig:
                                   "reports the stop point")
         if len({b.id for b in self.balises}) != len(self.balises):
             raise ConfigError("balise ids must be unique")
-        if self.p_est0 is not None and not math.isfinite(self.p_est0):
-            raise ConfigError("p_est0 must be finite")
+        if self.p_est0 is not None and not is_finite_number(self.p_est0):
+            raise ConfigError("p_est0 must be a finite number")
         for name in ("delta0", "growth_k"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and non-negative")
+            if not (is_finite_number(value) and value >= 0):
+                raise ConfigError(f"{name} must be a finite non-negative number")
         for name in ("eta0", "v_con", "max_time_s"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive")
+            if not (is_finite_number(value) and value > 0):
+                raise ConfigError(f"{name} must be a finite positive number")
         if type(self.seed) is not int or not 0 <= self.seed < (1 << 64):
             raise ConfigError("seed must be an integer in 0..2^64-1")
         if self.max_time_s / self.train.dt > MAX_STEPS:
@@ -182,13 +182,13 @@ def _parse_attack(raw: dict) -> AttackSpec:
     try:
         if kind == "tamper":
             return Tamper(balise=_balise_number(raw["balise"]),
-                          new_loc=float(raw["new_loc"]))
+                          new_loc=raw["new_loc"])
         if kind == "clone":
             return Clone(src=_balise_number(raw["src"]),
                          dst=_balise_number(raw["dst"]))
         if kind == "unavailable":
             return Unavailable(balise=_balise_number(raw["balise"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad attack spec {raw!r}") from exc
     raise ConfigError(f"unknown attack type {kind!r}")
 

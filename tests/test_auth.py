@@ -100,8 +100,8 @@ def empty_key_memo(monkeypatch):
 def count_kdf_macs(monkeypatch):
     """Empty the key memo and count the KDF MACs from now on.
 
-    _hmac256 computes the key-derivation MACs and the PRF MACs of derived
-    k1 keys; a KDF message starts with the 0x4B prefix.
+    _hmac256 signs from the master key's pad states, so it computes the
+    key-derivation MACs only; a KDF message starts with the 0x4B prefix.
     """
     empty_key_memo(monkeypatch)
     macs = []
@@ -139,45 +139,96 @@ def stdlib_prf_s(key, sb):
     return int.from_bytes(hmac_std.digest(key, msg, "sha256")[:4], "big")
 
 
-def test_prf_pad_states_live_and_die_with_their_pair(monkeypatch):
-    # The master entry keeps the pad states of each k1 derive_keys
-    # derives, made by its first PRF, and of no other key; prf_s signs
-    # with them.  Another master key's entry holds none of the old
-    # states, and a key without kept states, an old k1 or a raw key, is
-    # signed in one shot.
-    import hmac as hmac_std
+def count_prf_macs(monkeypatch):
+    """Empty the key memo and list the key of every PRF MAC from now on."""
     empty_key_memo(monkeypatch)
-    once = []
+    keys = []
     hmac256_once = auth._hmac256_once
-    monkeypatch.setattr(auth, "_hmac256_once",
-                        lambda key, msg: once.append(key) or hmac256_once(key, msg))
+
+    def counting(key, msg):
+        if msg[:1] == b"\x53":
+            keys.append(key)
+        return hmac256_once(key, msg)
+
+    monkeypatch.setattr(auth, "_hmac256_once", counting)
+    return keys
+
+
+def test_prf_memo_lives_and_dies_with_its_pair(monkeypatch):
+    # The master entry keeps S by sb for each k1 derive_keys derives,
+    # and for no other key: a raw key or a k0 is signed every time and
+    # never stored.  Another master key's entry holds none of the old
+    # values, and an old k1 is then signed like a raw key.
+    import hmac as hmac_std
+    macs = count_prf_macs(monkeypatch)
     pairs = [auth.derive_keys(MK, i) for i in (3, 4)]
     entry = auth._master
-    assert entry.prf_pads == {p.k1: None for p in pairs}
-    for p in pairs:
-        for sb in (0, 0x5A5, 0xFFF):
-            assert auth.prf_s(p.k1, sb) == stdlib_prf_s(p.k1, sb)
-    assert once == []
-    assert set(entry.prf_pads) == {p.k1 for p in pairs}
-    assert all(type(pads) is tuple for pads in entry.prf_pads.values())
+    assert entry.prf == {p.k1: {} for p in pairs}
+    for _ in range(2):
+        for p in pairs:
+            for sb in (0, 0x5A5, 0xFFF):
+                assert auth.prf_s(p.k1, sb) == stdlib_prf_s(p.k1, sb)
+    assert macs == [p.k1 for p in pairs for _ in range(3)]
+    assert entry.prf == {p.k1: {sb: stdlib_prf_s(p.k1, sb)
+                                for sb in (0, 0x5A5, 0xFFF)} for p in pairs}
 
-    new = auth.derive_keys(bytes(range(100, 132)), 3)
-    assert set(auth._master.prf_pads) == {new.k1}
-    assert not any(value is entry for value in vars(auth).values())
+    macs.clear()
     for p in pairs:
-        assert auth.prf_s(p.k1, 0x5A5) == stdlib_prf_s(p.k1, 0x5A5)
-    assert once == [p.k1 for p in pairs]
-
+        assert auth.prf_s(p.k0, 0x5A5) == stdlib_prf_s(p.k0, 0x5A5)
+        assert auth.prf_s(p.k0, 0x5A5) == stdlib_prf_s(p.k0, 0x5A5)
     rng = random.Random(25)
-    for key_len in KEY_LENS:
-        key = rng.randbytes(key_len)
+    raw = [rng.randbytes(key_len) for key_len in KEY_LENS]
+    for key in raw:
         assert auth.prf_s(key, 0x123) == stdlib_prf_s(key, 0x123)
         for fmt, fmt_byte in ((LONG, b"\x01"), (SHORT, b"\x02")):
             user = rng.getrandbits(fmt.user_bits)
             packed = pack_bits(int_to_bits(user, fmt.user_bits))
             digest = hmac_std.digest(key, fmt_byte + packed, "sha256")
             assert auth.tag_sb(key, user, fmt) == (digest[0] << 4) | (digest[1] >> 4)
-    assert set(auth._master.prf_pads) == {new.k1}
+    assert macs == [p.k0 for p in pairs for _ in range(2)] + raw
+    assert set(entry.prf) == {p.k1 for p in pairs}
+    assert all(len(memo) == 3 for memo in entry.prf.values())
+
+    macs.clear()
+    new = auth.derive_keys(bytes(range(100, 132)), 3)
+    assert auth._master.prf == {new.k1: {}}
+    assert not any(value is entry for value in vars(auth).values())
+    for p in pairs:
+        assert auth.prf_s(p.k1, 0x5A5) == stdlib_prf_s(p.k1, 0x5A5)
+        assert auth.prf_s(p.k1, 0x5A5) == stdlib_prf_s(p.k1, 0x5A5)
+    assert macs == [p.k1 for p in pairs for _ in range(2)]
+    assert auth._master.prf == {new.k1: {}}
+
+
+def test_prf_memo_matches_stdlib_for_every_sb(monkeypatch):
+    # All 4,096 S values of a kept k1, computed cold and then read back
+    # warm, and the memo holds one entry per sb: its bound.
+    macs = count_prf_macs(monkeypatch)
+    k1 = auth.derive_keys(MK, 7).k1
+    expected = [stdlib_prf_s(k1, sb) for sb in range(1 << codec.SB_WIDTH)]
+    for _ in range(2):
+        assert [auth.prf_s(k1, sb) for sb in range(1 << codec.SB_WIDTH)] == expected
+    assert len(macs) == len(auth._master.prf[k1]) == 4096
+
+
+@pytest.mark.parametrize("sb, error", [
+    (1.0, TypeError), ("1", TypeError),
+    (1 << codec.SB_WIDTH, OverflowError), (-1, OverflowError),
+    (-(1 << 12), OverflowError),
+])
+def test_a_prf_memo_hit_lets_no_invalid_sb_through(monkeypatch, sb, error):
+    # 1.0 == 1 and hashes alike, so only the shift in prf_s keeps it from
+    # the S of sb 1; the memo never holds an sb outside 0..4095.
+    empty_key_memo(monkeypatch)
+    k1 = auth.derive_keys(MK, 7).k1
+    for good in (0, 1, 0xFFF):
+        auth.prf_s(k1, good)
+    memo = dict(auth._master.prf[k1])
+    with pytest.raises(error):
+        auth.prf_s(k1, sb)
+    assert auth._master.prf[k1] == memo
+    with pytest.raises(error):  # and a key that is not kept raises the same
+        auth.prf_s(bytes(16), sb)
 
 
 def test_derive_keys_deterministic_and_separated():
@@ -663,10 +714,14 @@ def test_keyless_forgery_script_counts_are_consistent():
                               out).groups())
     tag_passes = int(re.search(r"^tag passes: (\d+) \(", out, re.M).group(1))
     accepted = int(re.search(r"^accepted: +(\d+) \(", out, re.M).group(1))
+    kept, bound = re.search(r"^S values kept: (\d+) \(at most m \* 4,096 = ([\d,]+)\)$",
+                            out, re.M).groups()
     assert n == 200
     assert 0 <= accepted <= tag_passes <= n * m
+    assert int(bound.replace(",", "")) == m << codec.SB_WIDTH
     # The exact counts of this seeded run.  One of the three tag passes
     # parsed to a payload under a key whose id it does not name; the
     # reader, which accepts a payload only under its own id's key,
-    # accepts none of them.
-    assert (m, tag_passes, accepted) == (50, 3, 0)
+    # accepts none of them.  Each key keeps the S of the 190 distinct
+    # forged sb values.
+    assert (m, tag_passes, accepted, int(kept)) == (50, 3, 0, 50 * 190)

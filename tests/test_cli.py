@@ -391,6 +391,18 @@ def test_simulate_non_finite_config_exit_code(tmp_path):
     assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("value, token", [(True, "true"), (10**400, "1" + "0" * 400)],
+                         ids=["true", "10**400"])
+def test_simulate_bool_or_huge_int_as_number_exit_code(tmp_path, capsys, value, token):
+    raw = json.loads(Path(SCENARIO_DIR, "no_attack.json").read_text())
+    raw["p_est0"] = value
+    config = tmp_path / "number.json"
+    config.write_text(json.dumps(raw))
+    assert f'"p_est0": {token}' in config.read_text()
+    assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2
+    assert "p_est0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["legacy", "authenticated"])
 def test_simulate_zero_metre_telegram_file_exit_code(tmp_path, keystore, mode):
     # A fixed balise whose telegram reports 0 m has no braking law.

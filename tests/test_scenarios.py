@@ -33,6 +33,7 @@ from balisim.sim.conservative import MODE_PID1, MODE_PID2
 from balisim.sim.scenario import CONTROLLER_RESILIENT, CSV_HEADER, MAX_STEPS, \
     MODE_HOA, MODE_MAX_BRAKE, SimResult, TrajectoryRow, _read_balise
 from balisim import auth, codec
+from balisim.sim.params import TrainParams
 
 SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
 
@@ -139,27 +140,35 @@ def test_reader_tries_no_key_on_a_stream_that_does_not_align(monkeypatch):
 
 def test_authenticated_run_derives_each_track_key_once(monkeypatch):
     # Deployment and reader ask keys_for once per write and per trial;
-    # only the first request of an id computes its two KDF MACs, and a
-    # second run under the same master key computes none.  _hmac256 also
-    # signs the PRF of derived k1 keys; a KDF MAC's message starts 0x4B.
+    # only the first request of an id computes its two KDF MACs (_hmac256
+    # under the master key's pad states), and only the first PRF of an sb
+    # under a track key computes its MAC (message prefix 0x53).  A second
+    # run under the same master key computes neither.
     monkeypatch.setattr(auth, "_master", auth._Master(b"", (), {}, {}))
-    macs, trials = [], []
-    hmac256, keys_for = auth._hmac256, auth.Keystore.keys_for
+    kdf_macs, prf_macs, trials = [], [], []
+    hmac256, hmac256_once = auth._hmac256, auth._hmac256_once
+    keys_for = auth.Keystore.keys_for
     monkeypatch.setattr(auth, "_hmac256",
-                        lambda pads, msg: (msg[:1] == b"\x4b" and macs.append(msg))
-                        or hmac256(pads, msg))
+                        lambda pads, msg: kdf_macs.append(msg) or hmac256(pads, msg))
+    monkeypatch.setattr(auth, "_hmac256_once",
+                        lambda key, msg: (msg[:1] == b"\x53" and prf_macs.append(msg))
+                        or hmac256_once(key, msg))
     monkeypatch.setattr(auth.Keystore, "keys_for",
                         lambda self, i: trials.append(i) or keys_for(self, i))
     cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED, seed=18)
     ids = [b.id for b in cfg.balises]
     expected_trials = ids + [i for n in range(1, len(ids) + 1) for i in ids[:n]]
     stop = run_scenario(cfg).stop_error
-    assert len(macs) == 2 * len(set(ids))
+    assert len(kdf_macs) == 2 * len(set(ids))
+    # One per write and one per wrong-key trial; the trial under the
+    # right key reads the S its write memoised.
+    assert len(prf_macs) == len(ids) + len(ids) * (len(ids) - 1) // 2
     assert trials == expected_trials
-    macs.clear()
+    kdf_macs.clear()
+    prf_macs.clear()
     trials.clear()
     assert run_scenario(cfg).stop_error == stop
-    assert macs == []
+    assert kdf_macs == prf_macs == []
     assert trials == expected_trials
 
 
@@ -212,13 +221,12 @@ def test_timeout_raises():
 NAN, INF = float("nan"), float("inf")
 
 
-def _balises(**overrides):
-    specs = [
+def _balises():
+    return [
         {"id": 1, "loc": -100.0, "kind": "fixed"},
         {"id": 2, "loc": -64.0, "kind": "fixed"},
         {"id": 3, "loc": 0.0, "kind": "controlled"},
     ]
-    return [dict(s, **overrides.get(s["id"], {})) for s in specs]
 
 
 def test_config_defaults_are_valid():
@@ -238,6 +246,42 @@ def test_config_defaults_are_valid():
 def test_config_rejects_bad_scalar_fields(field, value):
     with pytest.raises(ConfigError):
         ScenarioConfig(**{field: value})
+
+
+# Every float field of a scenario as JSON sets it: ScenarioConfig's own,
+# TrainParams', a balise's loc and a tamper's new_loc.  The balise under
+# test lies beyond the marker, where 1.0 is a valid location.
+_FLOAT_FIELDS = {
+    **{name: {name: None} for name in ("p_est0", "delta0", "growth_k", "eta0",
+                                       "v_con", "max_time_s")},
+    **{f"train.{name}": {"train": {name: None}} for name in TrainParams._fields},
+    "balise.loc": {"balises": _balises() + [{"id": 4, "loc": None, "kind": "fixed"}]},
+    "tamper.new_loc": {"balises": _balises(), "attacks": [
+        {"type": "tamper", "balise": 1, "new_loc": None}]},
+}
+
+
+def _with_value(raw, value):
+    """raw with its None leaf, the field under test, set to value."""
+    if raw is None:
+        return value
+    if isinstance(raw, dict):
+        return {k: _with_value(v, value) for k, v in raw.items()}
+    if isinstance(raw, list):
+        return [_with_value(v, value) for v in raw]
+    return raw
+
+
+@pytest.mark.parametrize("value", [True, 10**400], ids=["true", "10**400"])
+@pytest.mark.parametrize("raw", _FLOAT_FIELDS.values(), ids=_FLOAT_FIELDS)
+def test_config_from_dict_rejects_a_bool_or_an_int_beyond_floats(raw, value):
+    # json.load reads true as True, which math and float() take as 1, and
+    # an integer of any size as an int, which math.isfinite cannot take.
+    # Every field but alpha_max, which must be negative, takes 1.0.
+    if raw != {"train": {"alpha_max": None}}:
+        config_from_dict(_with_value(raw, 1.0))
+    with pytest.raises(ConfigError):
+        config_from_dict(_with_value(raw, value))
 
 
 def test_config_rejects_bad_balise_layouts():
