@@ -14,10 +14,23 @@ returns it: pack_payload builds it and parse_payload reads it with
 shifts and masks.  A deployed telegram is the codec.codeword int of
 fmt.n bits, from programming to the reader; only the telegram file
 holds it as bits.
+
+build_deployment programs a track only when it differs from the track
+it built last.  A one-slot memo keeps that track's codewords, a tuple
+of ints, keyed by the balise specs compared by value (loc -100 and
+-100.0 are one key), the auth mode, the keystore and the format.
+Building another track replaces the slot, which lives as long as the
+process.  Each call wraps the kept ints in new DeployedBalise records,
+so attacks and telegram files change only that run's records.  The
+kept codewords expose nothing: a balise broadcasts its telegram in the
+clear at every crossing.  The keystore in the slot's key is the one the
+run holds, and auth's key memo keeps the master key of the last
+authenticated track as well.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import NamedTuple
 
@@ -134,16 +147,26 @@ def program_telegram(
     return codec.codeword(user, LEGACY_SB, codec.legacy_s_from_sb(LEGACY_SB), fmt)
 
 
+@functools.lru_cache(maxsize=1)
+def _track_codewords(
+    balises: tuple[BaliseSpec, ...],
+    auth_mode: str,
+    keystore: auth.Keystore | None,
+    fmt: codec.TelegramFormat,
+) -> tuple[int, ...]:
+    return tuple(program_telegram(spec, auth_mode, keystore, fmt)
+                 for spec in balises)
+
+
 def build_deployment(
     balises: list[BaliseSpec],
     auth_mode: str,
     keystore: auth.Keystore | None,
     fmt: codec.TelegramFormat,
 ) -> list[DeployedBalise]:
-    return [
-        DeployedBalise(spec, program_telegram(spec, auth_mode, keystore, fmt))
-        for spec in balises
-    ]
+    """New records of the track's kept codewords (see the module notes)."""
+    codewords = _track_codewords(tuple(balises), auth_mode, keystore, fmt)
+    return [DeployedBalise(spec, t) for spec, t in zip(balises, codewords)]
 
 
 def save_telegram(path: str, bits: list[int],

@@ -367,9 +367,12 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     max_steps = int(round(cfg.max_time_s / dt))
 
     for step in range(max_steps):
-        events: list[str] = []
+        # A step without a crossing or a missing balise builds no list.
+        events: list[str] | tuple[()] = ()
 
         # Balise crossings at the current position, in track order.
+        if plant.p >= next_loc:
+            events = []
         while plant.p >= next_loc:
             deployed = deployment[next_idx]
             next_idx += 1
@@ -423,7 +426,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
             if trigger is not None:
                 conservative_active = True
                 missing_events += 1
-                events.append(f"balise_missing({trigger})")
+                events = [*events, f"balise_missing({trigger})"]
 
         # Command selection.
         if conservative_active:

@@ -28,6 +28,7 @@ from balisim.sim.deployment import (
     program_telegram,
     save_telegram,
 )
+from balisim.sim.scenario import ScenarioConfig, run_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +186,106 @@ def test_build_deployment():
         user = auth.verify_and_decode(received(d.telegram, SHORT),
                                       ks.keys_for(d.spec.id), SHORT)
         assert parse_payload(user, SHORT)[0] == d.spec.id
+
+
+# ---------------------------------------------------------------------------
+# Programming memo
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def codewords(monkeypatch):
+    """The codec.codeword calls made from here on, with an empty memo."""
+    dep._track_codewords.cache_clear()
+    calls = []
+    codeword = codec.codeword
+    monkeypatch.setattr(codec, "codeword",
+                        lambda *args: calls.append(args) or codeword(*args))
+    yield calls
+    dep._track_codewords.cache_clear()
+
+
+def test_a_rerun_of_the_same_track_programs_nothing(codewords):
+    cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED)
+    cold = run_scenario(cfg)
+    assert len(codewords) == len(cfg.balises)
+    codewords.clear()
+    assert run_scenario(cfg) == cold
+    assert codewords == []
+
+
+def _with_telegram_file(tmp_path) -> ScenarioConfig:
+    # Balise 1 carries a telegram the attacker programmed in legacy mode.
+    path = tmp_path / "b1.json"
+    forged = program_telegram(BaliseSpec(1, -100.0, KIND_FIXED), AUTH_LEGACY,
+                              None, LONG, loc_reported=-1.0)
+    save_telegram(str(path), int_to_bits(forged, LONG.n), LONG)
+    return ScenarioConfig(auth_mode=AUTH_AUTHENTICATED,
+                          telegram_files={1: str(path)})
+
+
+@pytest.mark.parametrize("attack", [Tamper(balise=2, new_loc=-1.0),
+                                    Clone(src=6, dst=3), Unavailable(balise=4),
+                                    "telegram file"])
+def test_an_attacked_run_leaves_the_next_run_of_its_track_cold(
+        codewords, tmp_path, attack):
+    if attack == "telegram file":
+        attacked = _with_telegram_file(tmp_path)
+    else:
+        attacked = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED, attacks=[attack])
+    plain = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED)
+    cold = run_scenario(plain)
+    assert run_scenario(attacked) != cold
+    codewords.clear()
+    assert run_scenario(plain) == cold
+    assert codewords == []
+
+
+def _track(**change):
+    """A three-balise track; change replaces fields of its balise 2."""
+    return [BaliseSpec(1, -100.0, KIND_FIXED),
+            BaliseSpec(2, -64.0, KIND_FIXED)._replace(**change),
+            BaliseSpec(3, 0.0, KIND_CONTROLLED)]
+
+
+@pytest.mark.parametrize("change", ["keystore seed", "auth mode", "format",
+                                    "balise id", "balise loc", "balise kind"])
+def test_any_change_to_the_track_programs_every_telegram_again(codewords, change):
+    ks = auth.new_keystore(seed=1)
+    base = (_track(), AUTH_AUTHENTICATED, ks, LONG)
+    changed = {
+        "keystore seed": (_track(), AUTH_AUTHENTICATED, auth.new_keystore(seed=2), LONG),
+        "auth mode": (_track(), AUTH_LEGACY, ks, LONG),
+        "format": (_track(), AUTH_AUTHENTICATED, ks, SHORT),
+        "balise id": (_track(id=7), AUTH_AUTHENTICATED, ks, LONG),
+        "balise loc": (_track(loc=-63.0), AUTH_AUTHENTICATED, ks, LONG),
+        "balise kind": (_track(kind=KIND_CONTROLLED), AUTH_AUTHENTICATED, ks, LONG),
+    }[change]
+    m = len(_track())
+    first = [d.telegram for d in build_deployment(*base)]
+    assert [d.telegram for d in build_deployment(*base)] == first
+    assert len(codewords) == m
+    assert [d.telegram for d in build_deployment(*changed)] != first
+    assert len(codewords) == 2 * m
+    # One slot: the changed track replaced the first.
+    assert [d.telegram for d in build_deployment(*base)] == first
+    assert len(codewords) == 3 * m
+
+
+def test_value_equal_tracks_share_their_codewords(codewords):
+    ks = auth.new_keystore(seed=3)
+    as_float = [BaliseSpec(1, -100.0, KIND_FIXED), BaliseSpec(2, 0.0, KIND_CONTROLLED)]
+    as_int = [BaliseSpec(1, -100, KIND_FIXED), BaliseSpec(2, 0, KIND_CONTROLLED)]
+    from_float = build_deployment(as_float, AUTH_AUTHENTICATED, ks, LONG)
+    from_int = build_deployment(as_int, AUTH_AUTHENTICATED, auth.Keystore(*ks), LONG)
+    assert [d.telegram for d in from_int] == [d.telegram for d in from_float]
+    assert len(codewords) == 2
+    # Each run's records are its own, and hold the specs it was given.
+    assert [d.spec for d in from_int] == as_int
+    assert all(type(d.spec.loc) is int for d in from_int)
+    assert from_int[0] is not from_float[0]
+    dep._track_codewords.cache_clear()
+    assert [program_telegram(s, AUTH_AUTHENTICATED, ks, LONG)
+            for s in as_int] == [d.telegram for d in from_float]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 
 import balisim
 from balisim import auth, cli, codec
-from balisim.sim import TrainParams, load_config, run_scenario
+from balisim.sim import TrainParams, deployment, load_config, run_scenario
 from balisim.sim.scenario import CSV_HEADER, DEFAULT_BALISES
 
 import attack_sweep
@@ -79,6 +79,22 @@ def test_table_row_matches_reference_and_a_fresh_run(name):
     reference = _reference()[name]["stop_error_m"]
     result = run_scenario(load_config(os.path.join(SCENARIO_DIR, name + ".json")))
     assert TABLE[name] == round(reference, 3) == round(result.stop_error, 3)
+
+
+def test_bundled_scenarios_hold_their_stop_errors_run_in_either_order():
+    # One process reruns the default track from build_deployment's memo of
+    # the track it programmed last, as a simulate --batch worker does.
+    def run(name):
+        return run_scenario(load_config(os.path.join(SCENARIO_DIR, name + ".json")))
+
+    cold = {}
+    for name in sorted(TABLE):
+        deployment._track_codewords.cache_clear()
+        cold[name] = run(name)
+    for name in sorted(TABLE) + sorted(TABLE, reverse=True):
+        result = run(name)
+        assert result == cold[name], name
+        assert round(result.stop_error, 3) == TABLE[name]
 
 
 def test_bundled_scenarios_run_on_the_track_and_train_readme_describes():

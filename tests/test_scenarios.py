@@ -27,6 +27,7 @@ from balisim.sim import (
     summary_dict,
     write_trajectory_csv,
 )
+from balisim.sim import deployment
 from balisim.sim.deployment import AUTH_AUTHENTICATED, LEGACY_SB, \
     build_deployment, pack_payload
 from balisim.sim.conservative import MODE_PID1, MODE_PID2
@@ -143,33 +144,40 @@ def test_authenticated_run_derives_each_track_key_once(monkeypatch):
     # only the first request of an id computes its two KDF MACs (_hmac256
     # under the master key's pad states), and only the first PRF of an sb
     # under a track key computes its MAC (message prefix 0x53).  A second
-    # run under the same master key computes neither.
+    # run under the same master key computes neither, and programs no
+    # telegram: its only tag MACs (prefix 0x01, the long format) are those
+    # of the accepted reads.
     monkeypatch.setattr(auth, "_master", auth._Master(b"", (), {}, {}))
-    kdf_macs, prf_macs, trials = [], [], []
+    deployment._track_codewords.cache_clear()
+    kdf_macs, prf_macs, tag_macs, trials = [], [], [], []
     hmac256, hmac256_once = auth._hmac256, auth._hmac256_once
     keys_for = auth.Keystore.keys_for
     monkeypatch.setattr(auth, "_hmac256",
                         lambda pads, msg: kdf_macs.append(msg) or hmac256(pads, msg))
-    monkeypatch.setattr(auth, "_hmac256_once",
-                        lambda key, msg: (msg[:1] == b"\x53" and prf_macs.append(msg))
-                        or hmac256_once(key, msg))
+    monkeypatch.setattr(
+        auth, "_hmac256_once",
+        lambda key, msg: {b"\x53": prf_macs, b"\x01": tag_macs}[msg[:1]].append(msg)
+        or hmac256_once(key, msg))
     monkeypatch.setattr(auth.Keystore, "keys_for",
                         lambda self, i: trials.append(i) or keys_for(self, i))
     cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED, seed=18)
     ids = [b.id for b in cfg.balises]
-    expected_trials = ids + [i for n in range(1, len(ids) + 1) for i in ids[:n]]
+    read_trials = [i for n in range(1, len(ids) + 1) for i in ids[:n]]
     stop = run_scenario(cfg).stop_error
     assert len(kdf_macs) == 2 * len(set(ids))
     # One per write and one per wrong-key trial; the trial under the
     # right key reads the S its write memoised.
     assert len(prf_macs) == len(ids) + len(ids) * (len(ids) - 1) // 2
-    assert trials == expected_trials
+    assert len(tag_macs) == 2 * len(ids)
+    assert trials == ids + read_trials
     kdf_macs.clear()
     prf_macs.clear()
+    tag_macs.clear()
     trials.clear()
     assert run_scenario(cfg).stop_error == stop
     assert kdf_macs == prf_macs == []
-    assert trials == expected_trials
+    assert len(tag_macs) == len(ids)
+    assert trials == read_trials
 
 
 def test_reader_accepts_a_payload_only_under_the_key_of_its_id():
