@@ -17,14 +17,17 @@ bits of the key's scrambling key, and descrambles and computes the tag
 only under the key whose id it names, so the reader's trials do not show
 the tag passes.  They are counted beside it: under every track key the
 aligned forged stream is descrambled with the keystream of the key's S
-and the tag of the data compared with its sb.
+and the tag of the data compared with its sb.  The alignment is the one
+the reader keeps (sim.scenario._align_codeword), so each forged stream
+is aligned once.
 
 The map is 50 balises evenly spaced from -100 m to 0 m, as in the
 auth_track_50 benchmark, with the scenario's default keystore (seed 1).
 
 Random sb values fill auth's memo of S values (see the auth module
-notes) towards its bound of 4,096 per track key, so the report ends with
-how many it keeps.
+notes) towards its bound of 4,096 per track key, and the distinct forged
+codewords fill the reader's memo of alignments to its bound of 1,024, so
+the report ends with how many of each are kept.
 
 Usage, from a checkout (or drop PYTHONPATH=src with balisim installed):
 
@@ -64,8 +67,7 @@ def main():
         if scenario._read_balise(forged, deployment.AUTH_AUTHENTICATED,
                                  keystore, track_ids, fmt) is not None:
             accepted += 1
-        aligned = codec.align(codec.Stream(
-            telegram << 2 * fmt.n | telegram << fmt.n | telegram, 3 * fmt.n), fmt)
+        aligned = scenario._align_codeword(telegram, fmt)
         for key in keys:
             user = aligned.data ^ codec.keystream(auth.prf_s(key.k1, aligned.sb),
                                                   fmt.user_bits)
@@ -79,6 +81,8 @@ def main():
           f"expected 1 - (1 - 2^-27)^m = {1 - (1 - 2 ** -27) ** BALISES:.6%})")
     kept = sum(len(memo) for memo in auth._master.prf.values())
     print(f"S values kept: {kept} (at most m * 4,096 = {BALISES * 4096:,})")
+    print(f"alignments kept: {scenario._align_codeword.cache_info().currsize} "
+          "(at most 1,024)")
 
 
 if __name__ == "__main__":

@@ -29,12 +29,13 @@ crossings on an m-balise map (m * 2^-12 tags, half the kind codes,
 2^-14 for the id).  The id is the payload's leading ID_BITS bits.  The
 keystream's leading 32 bits are S itself (see codec.keystream), so the
 descrambled id is the leading ID_BITS of the scrambled data XOR those of
-S, and verify_and_decode checks it before it descrambles and before the
-tag: a wrong key's trial costs the dict lookups of its memoised key pair
-and of its S, a shift and a compare, and no keystream expansion and no
-tag MAC; the first trial of an sb under a key adds its PRF MAC.  A
-payload is accepted exactly when it would be by the tag check followed
-by an id check.
+S, S >> (32 - ID_BITS), and verify_and_decode checks it before it
+descrambles and before the tag.  So a wrong key's trial costs the dict
+lookups of its memoised key pair and of its S, two shifts, an XOR and a
+compare: no keystream call, no tag MAC, and no argument check once
+derive_keys holds the caller's mk object.  The first trial of an sb
+under a key adds its PRF MAC.  A payload is accepted exactly when it
+would be by the tag check followed by an id check.
 
 derive_keys memoises per master key.  One entry per process holds the
 master key's HMAC pad states, a dict of the key pair of each (id, ver)
@@ -44,11 +45,12 @@ on its first request only and a dict lookup after that, and an S costs
 its PRF MAC on its first request under that k1 only.  A k1 has at most
 4,096 values of S, one per sb, so the memo is bounded by 4,096 entries
 per pair requested under the current master key, in a simulation the
-ids of its track map.  Using another master key replaces the entry and
-drops the old pairs and their S values with it.  Whoever can read the
-cached pairs can read the master key's pad states beside them, which
-derive every key and so every S, so the memo exposes nothing the pad
-states do not.
+ids of its track map.  An equal master key in another bytes object
+takes the entry's place in it and keeps its pairs.  Using another
+master key replaces the entry and drops the old pairs and their S
+values with it.  Whoever can read the cached pairs can read the master
+key's pad states beside them, which derive every key and so every S, so
+the memo exposes nothing the pad states do not.
 
 HMAC-SHA256 follows RFC 2104 in two forms.  A key's pad states are two
 hashes that have already absorbed K^ipad and K^opad (section 4 of the
@@ -150,9 +152,12 @@ def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
     the entry's mk and its pairs' (id, ver) were checked when they were
     stored, so only the types are checked again.  Any other call checks
     every argument, and the pair's two KDF MACs are computed on its first
-    request under mk only (see the module notes).  Threads that miss
-    together compute the same pair, so either store leaves the memo right
-    and it needs no lock.
+    request under mk only (see the module notes).  An mk equal to the
+    entry's but another object (each loaded or seeded keystore holds its
+    own) takes the entry's place in it, pairs and S values kept, so the
+    calls after it are returned at once.  Threads that miss together
+    compute the same pair, so either store leaves the memo right and it
+    needs no lock.
     """
     global _master
     entry = _master
@@ -166,6 +171,8 @@ def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
     _check_uint(ver, VER_BITS, "ver")
     if entry.mk != mk:
         entry = _master = _Master(mk, _pads(mk), {}, {})
+    elif entry.mk is not mk:
+        entry = _master = entry._replace(mk=mk)
     keys = entry.pairs.get((balise_id, ver))
     if keys is None:
         base = _KDF_PREFIX + balise_id.to_bytes(2, "big") + ver.to_bytes(2, "big")
@@ -250,7 +257,7 @@ def verify_and_decode(
     """
     aligned = stream if isinstance(stream, codec.Aligned) else codec.align(stream, fmt)
     s = prf_s(keys.k1, aligned.sb)
-    if (aligned.data >> (fmt.user_bits - ID_BITS)) ^ codec.keystream(s, ID_BITS) != keys.id:
+    if (aligned.data >> (fmt.user_bits - ID_BITS)) ^ s >> (32 - ID_BITS) != keys.id:
         raise AuthFailure(f"payload does not name balise id {keys.id}")
     user = aligned.data ^ codec.keystream(s, fmt.user_bits)
     if tag_sb(keys.k0, user, fmt) != aligned.sb:

@@ -4,20 +4,21 @@ A scenario deploys telegrams on a balise sequence, optionally attacks
 them, and integrates the train from p0 until standstill.  Balise
 crossings are processed at the step in which the train position passes
 the balise; the onboard reader decodes the transmitted stream through
-the real codec.  In authenticated deployments it aligns the stream once
-per crossing and then tries the key of every balise id in the track map
-in turn.  It accepts the first payload that verifies under a key, which
-auth.verify_and_decode allows only for a payload that names the id of
-that key (see auth).  A cloned telegram still verifies under its source
-key and names its source id.  The controller is either the plain online
-braking controller, which consumes reports as-is, or the resilient
-hybrid, which filters every encounter through derive_trustworthy_info
-and falls back to the conservative controller when balise_missing
-fires.
+the real codec.  In authenticated deployments it aligns each distinct
+codeword once per process (see _align_codeword) and then tries the key
+of every balise id in the track map in turn.  It accepts the first
+payload that verifies under a key, which auth.verify_and_decode allows
+only for a payload that names the id of that key (see auth).  A cloned
+telegram still verifies under its source key and names its source id.
+The controller is either the plain online braking controller, which
+consumes reports as-is, or the resilient hybrid, which filters every
+encounter through derive_trustworthy_info and falls back to the
+conservative controller when balise_missing fires.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -132,8 +133,17 @@ class ScenarioConfig:
             if b.kind == KIND_FIXED and location_mm(b.loc) == 0:
                 raise ConfigError(f"fixed balise {b.id} at {b.loc} m "
                                   "reports the stop point")
-        if len({b.id for b in self.balises}) != len(self.balises):
+        track_ids = {b.id for b in self.balises}
+        if len(track_ids) != len(self.balises):
             raise ConfigError("balise ids must be unique")
+        # open() would read an int path as a file descriptor.
+        if self.keystore_path is not None and type(self.keystore_path) is not str:
+            raise ConfigError("keystore_path must be a string")
+        if type(self.telegram_files) is not dict or not all(
+                type(i) is int and i in track_ids and type(path) is str
+                for i, path in self.telegram_files.items()):
+            raise ConfigError("telegram_files must map balise ids of the "
+                              "track to path strings")
         if self.p_est0 is not None and not is_finite_number(self.p_est0):
             raise ConfigError("p_est0 must be a finite number")
         for name in ("delta0", "growth_k"):
@@ -269,6 +279,28 @@ class SimResult(NamedTuple):
     balise_missing_events: int
 
 
+def _received(t: int, fmt: codec.TelegramFormat) -> codec.Stream:
+    """The stream a crossing receives: three copies of the codeword."""
+    n = fmt.n
+    return codec.Stream(t << 2 * n | t << n | t, 3 * n)
+
+
+@functools.lru_cache(maxsize=1024)
+def _align_codeword(t: int, fmt: codec.TelegramFormat) -> codec.Aligned | None:
+    """codec.align of the stream a crossing of codeword t receives.
+
+    None when it does not align.  Kept per (t, fmt) for the life of the
+    process, 1,024 entries at most, about 0.55 KB each (0.6 MB in all);
+    the least recently read codeword goes first.  Alignment is a pure
+    function of the received bits, so a kept result is never stale, and
+    it holds only what a balise broadcasts in the clear.
+    """
+    try:
+        return codec.align(_received(t, fmt), fmt)
+    except codec.CodecError:
+        return None
+
+
 def _read_balise(
     deployed: DeployedBalise,
     auth_mode: str,
@@ -276,26 +308,20 @@ def _read_balise(
     track_ids: list[int],
     fmt: codec.TelegramFormat,
 ) -> tuple[int, str, float] | None:
-    """Decode (and verify) one transmission; None when unusable.
-
-    The reader receives three copies of the codeword.
-    """
-    t, n = deployed.telegram, fmt.n
-    stream = codec.Stream(t << 2 * n | t << n | t, 3 * n)
+    """Decode (and verify) one transmission; None when unusable."""
     if auth_mode == AUTH_LEGACY:
         try:
-            result = codec.decode_stream(stream, fmt)
+            result = codec.decode_stream(_received(deployed.telegram, fmt), fmt)
             return parse_payload(result.user, fmt)
         except (codec.CodecError, ValueError):
             return None
-    try:
-        aligned = codec.align(stream, fmt)
-    except codec.CodecError:
+    aligned = _align_codeword(deployed.telegram, fmt)
+    if aligned is None:
         return None  # no key can verify a stream that does not align
+    verify, keys_for = auth.verify_and_decode, keystore.keys_for
     for balise_id in track_ids:
         try:
-            return parse_payload(auth.verify_and_decode(
-                aligned, keystore.keys_for(balise_id), fmt), fmt)
+            return parse_payload(verify(aligned, keys_for(balise_id), fmt), fmt)
         except (auth.AuthFailure, ValueError):
             continue
     return None

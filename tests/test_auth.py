@@ -262,6 +262,55 @@ def test_derive_keys_validates_its_inputs_over_a_cached_pair(args):
         auth.derive_keys(*args)
 
 
+def test_an_equal_master_key_object_keeps_the_entry_and_its_fast_path(
+        monkeypatch):
+    # Each keystore holds its own mk bytes.  The first lookup under an
+    # equal copy checks its arguments and takes the entry over, pairs and
+    # S values kept; later lookups under the copy check nothing.
+    macs = count_kdf_macs(monkeypatch)
+    pair = auth.derive_keys(MK, 3)
+    s = auth.prf_s(pair.k1, 0x5A5)
+    copy = bytes(bytearray(MK))
+    assert copy == MK and copy is not MK
+    assert auth.Keystore(copy, 0).keys_for(3) is pair
+    assert auth._master.mk is copy
+    checks = []
+    check_uint = auth._check_uint
+    monkeypatch.setattr(auth, "_check_uint",
+                        lambda *args: checks.append(args) or check_uint(*args))
+    for _ in range(3):
+        assert auth.Keystore(copy, 0).keys_for(3) is pair
+        assert auth.derive_keys(copy, 3, 0) is pair
+    assert checks == []
+    assert len(macs) == 2
+    assert auth._master.pairs == {(3, 0): pair}
+    assert auth._master.prf == {pair.k1: {0x5A5: s}}
+
+
+def test_a_different_master_key_still_replaces_the_entry(monkeypatch):
+    macs = count_kdf_macs(monkeypatch)
+    pair = auth.derive_keys(MK, 3)
+    auth.prf_s(pair.k1, 0x5A5)
+    auth.derive_keys(bytes(bytearray(MK)), 3)
+    other = bytes(range(100, 132))
+    new = auth.derive_keys(other, 3)
+    assert new != pair
+    assert auth._master.mk is other
+    assert auth._master.pairs == {(3, 0): new}
+    assert auth._master.prf == {new.k1: {}}
+    assert len(macs) == 4
+
+
+def test_the_id_check_reads_the_leading_bits_of_s_as_the_keystream():
+    # verify_and_decode takes the id's keystream bits as S >> 18; the
+    # register maps S = 0 to 1, which shifts to the same 0.
+    rng = random.Random(23)
+    shift = 32 - auth.ID_BITS
+    for s in [0, 1, (1 << shift) - 1, 1 << shift, (1 << 32) - 1,
+              *(rng.getrandbits(32) for _ in range(1000))]:
+        assert s >> shift == codec.keystream(s, auth.ID_BITS)
+
+
 # ---------------------------------------------------------------------------
 # Tag and PRF
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ from balisim.sim import (
     summary_dict,
     write_trajectory_csv,
 )
-from balisim.sim import deployment
+from balisim.bits import bits_to_int
+from balisim.cli import main
+from balisim.sim import deployment, scenario
 from balisim.sim.deployment import AUTH_AUTHENTICATED, LEGACY_SB, \
     build_deployment, pack_payload
 from balisim.sim.conservative import MODE_PID1, MODE_PID2
@@ -137,6 +139,119 @@ def test_reader_tries_no_key_on_a_stream_that_does_not_align(monkeypatch):
     assert _read_balise(deployed, AUTH_AUTHENTICATED, keystore,
                         track_ids, LONG) is None
     assert trials == []
+
+
+def count_aligns(monkeypatch):
+    """Empty the alignment memo and list the codeword of every align call."""
+    scenario._align_codeword.cache_clear()
+    codewords = []
+    align = codec.align
+
+    def counting(stream, fmt=LONG):
+        codewords.append(stream.value & ((1 << fmt.n) - 1))
+        return align(stream, fmt)
+
+    monkeypatch.setattr(codec, "align", counting)
+    return codewords
+
+
+def cold_run(monkeypatch, cfg):
+    """run_scenario with the key, codeword and alignment memos emptied."""
+    monkeypatch.setattr(auth, "_master", auth._Master(b"", (), {}, {}))
+    deployment._track_codewords.cache_clear()
+    scenario._align_codeword.cache_clear()
+    return run_scenario(cfg)
+
+
+def test_a_rerun_of_an_authenticated_track_aligns_no_codeword(monkeypatch):
+    cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED)
+    cold = cold_run(monkeypatch, cfg)
+    aligned = count_aligns(monkeypatch)
+    assert run_scenario(cfg) == cold
+    assert sorted(aligned) == sorted(
+        d.telegram for d in build_deployment(cfg.balises, AUTH_AUTHENTICATED,
+                                             auth.new_keystore(seed=1), LONG))
+    aligned.clear()
+    assert run_scenario(ScenarioConfig(auth_mode=AUTH_AUTHENTICATED)) == cold
+    assert aligned == []
+
+
+@pytest.mark.parametrize("change", ["tamper", "clone", "telegram_file"])
+def test_an_attacked_run_aligns_only_its_new_codewords(monkeypatch, tmp_path,
+                                                       change):
+    keystore = auth.new_keystore(seed=1)
+    if change == "tamper":
+        cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED,
+                             attacks=[Tamper(balise=2, new_loc=-50.0)])
+    elif change == "clone":
+        cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED,
+                             controller=CONTROLLER_RESILIENT,
+                             attacks=[Clone(src=6, dst=3)])
+    else:
+        path = tmp_path / "b2.json"
+        bits = auth.encode_authenticated(pack_payload(2, "fixed", -60.0, LONG),
+                                         keystore.keys_for(2), LONG)
+        save_telegram(str(path), bits, LONG)
+        cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED,
+                             telegram_files={2: str(path)})
+    cold = cold_run(monkeypatch, cfg)
+    aligned = count_aligns(monkeypatch)
+    run_scenario(ScenarioConfig(auth_mode=AUTH_AUTHENTICATED))
+    known = set(aligned)
+    aligned.clear()
+    assert run_scenario(cfg) == cold
+    attacked = build_deployment(cfg.balises, AUTH_AUTHENTICATED, keystore, LONG)
+    deployment.apply_attacks(attacked, cfg.attacks, LONG)
+    if change == "telegram_file":
+        attacked[1].telegram = bits_to_int(bits)
+    new = {d.telegram for d in attacked} - known
+    assert sorted(aligned) == sorted(new)
+    assert len(new) == (0 if change == "clone" else 1)
+
+
+def test_a_stream_that_does_not_align_is_kept_and_tries_no_key(monkeypatch):
+    aligned = count_aligns(monkeypatch)
+    keystore = auth.new_keystore(seed=1)
+    spec = BaliseSpec(id=2, loc=-64.0, kind="fixed")
+    deployed = build_deployment([spec], AUTH_AUTHENTICATED, keystore, LONG)[0]
+    deployed.telegram ^= 1 << (LONG.n - 1 - 100)  # flips bit 100 of the codeword
+    trials = []
+    keys_for = auth.Keystore.keys_for
+    monkeypatch.setattr(auth.Keystore, "keys_for",
+                        lambda self, i: trials.append(i) or keys_for(self, i))
+    for _ in range(2):
+        assert _read_balise(deployed, AUTH_AUTHENTICATED, keystore,
+                            [1, 2, 3], LONG) is None
+    assert scenario._align_codeword(deployed.telegram, LONG) is None
+    assert aligned == [deployed.telegram]
+    assert trials == []
+
+
+def test_the_alignment_memo_keeps_the_last_1024_codewords():
+    scenario._align_codeword.cache_clear()
+    codewords = [codec.codeword(user, 0, 1, LONG) for user in range(1025)]
+    for t in codewords:
+        assert scenario._align_codeword(t, LONG) == codec.align(
+            scenario._received(t, LONG), LONG)
+    info = scenario._align_codeword.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (1025, 1024, 1024)
+    scenario._align_codeword(codewords[-1], LONG)
+    scenario._align_codeword(codewords[0], LONG)  # the first was dropped
+    info = scenario._align_codeword.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1026, 1024)
+
+
+def test_the_alignment_memo_keys_a_codeword_by_its_format():
+    scenario._align_codeword.cache_clear()
+    t = codec.codeword(5, 0x5A5, 7, SHORT)
+    for fmt in (SHORT, LONG, SHORT, LONG):
+        try:
+            expected = codec.align(scenario._received(t, fmt), fmt)
+        except codec.CodecError:
+            expected = None
+        assert scenario._align_codeword(t, fmt) == expected
+    assert scenario._align_codeword(t, SHORT) is not None
+    assert scenario._align_codeword.cache_info().currsize == 2
 
 
 def test_authenticated_run_derives_each_track_key_once(monkeypatch):
@@ -314,6 +429,49 @@ def test_config_rejects_bad_balise_layouts():
     with pytest.raises(ConfigError):  # fixed balise reporting 0 mm
         ScenarioConfig(balises=base[:2] + [
             BaliseSpec(id=4, loc=-0.0004, kind="fixed"), base[2]])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"keystore_path": 5},
+    {"keystore_path": True},
+    {"keystore_path": b"keys.json"},
+    {"telegram_files": {1: 7}},
+    {"telegram_files": {1: b"b1.json"}},
+    {"telegram_files": {1: None}},
+    {"telegram_files": {9: "b9.json"}},  # no balise 9 on the track
+    {"telegram_files": {"1": "b1.json"}},
+    {"telegram_files": {True: "b1.json"}},
+    {"telegram_files": [(1, "b1.json")]},
+])
+def test_config_rejects_a_path_that_is_not_a_string_or_off_the_track(kwargs):
+    # open() would read an int as a file descriptor, and a file for an id
+    # that is not on the track would be ignored, missing or not.
+    with pytest.raises(ConfigError):
+        ScenarioConfig(**kwargs)
+
+
+@pytest.mark.parametrize("raw", [
+    {"keystore": 5},
+    {"keystore": True},
+    {"keystore": ["keys.json"]},
+    {"balises": [{**b, "telegram": 7} for b in _balises()]},
+])
+def test_config_from_dict_rejects_a_path_that_is_not_a_string(raw):
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    {"auth_mode": "authenticated", "keystore": 5},
+    {"balises": [{**b, "telegram": 7} for b in _balises()]},
+])
+def test_scenario_file_with_a_path_that_is_not_a_string_exits_2(tmp_path, raw):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_from_dict_round_trip():
