@@ -18,7 +18,7 @@ only under the key whose id it names, so the reader's trials do not show
 the tag passes.  They are counted beside it: under every track key the
 aligned forged stream is descrambled with the keystream of the key's S
 and the tag of the data compared with its sb.  The alignment is the one
-the reader keeps (sim.scenario._align_codeword), so each forged stream
+the reader keeps (sim.scenario.align_codeword), so each forged stream
 is aligned once.
 
 The map is 50 balises evenly spaced from -100 m to 0 m, as in the
@@ -67,7 +67,7 @@ def main():
         if scenario._read_balise(forged, deployment.AUTH_AUTHENTICATED,
                                  keystore, track_ids, fmt) is not None:
             accepted += 1
-        aligned = scenario._align_codeword(telegram, fmt)
+        aligned = scenario.align_codeword(telegram, fmt)
         for key in keys:
             user = aligned.data ^ codec.keystream(auth.prf_s(key.k1, aligned.sb),
                                                   fmt.user_bits)
@@ -81,7 +81,7 @@ def main():
           f"expected 1 - (1 - 2^-27)^m = {1 - (1 - 2 ** -27) ** BALISES:.6%})")
     kept = sum(len(memo) for memo in auth._master.prf.values())
     print(f"S values kept: {kept} (at most m * 4,096 = {BALISES * 4096:,})")
-    print(f"alignments kept: {scenario._align_codeword.cache_info().currsize} "
+    print(f"alignments kept: {scenario.align_codeword.cache_info().currsize} "
           "(at most 1,024)")
 
 

@@ -14,10 +14,11 @@ domain-separating leading message bytes:
 read big-endian.  Packed U is the user data MSB-first, zero-padded on
 the right to whole bytes (830 bits to 104 bytes, 210 bits to 27).  The
 user data is an int of fmt.user_bits bits, first bit most significant,
-as codec.encode takes it and codec.DecodeResult.user holds it:
+as codec.codeword takes it and codec.descramble_legacy returns it:
 generate_tag, tag_sb and encode_authenticated take it, and
 verify_and_decode returns it, so neither a write nor a key trial builds
-a bit list.  Per-balise keys are derived from the master key and held
+a bit list.  A writer passes generate_tag's (sb, S) to codec.codeword;
+encode_authenticated is that telegram's list view.  Per-balise keys are derived from the master key and held
 in memory only, never persisted; the keystore holds only mk and a
 version.
 

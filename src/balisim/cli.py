@@ -48,12 +48,11 @@ def _cmd_program(args: argparse.Namespace) -> int:
             if args.keystore is None:
                 return _fail("authenticated mode requires --keystore")
             keystore = auth.load_keystore(args.keystore)
-            bits = auth.encode_authenticated(
-                user, keystore.keys_for(args.id), fmt)
+            sb, s = auth.generate_tag(user, keystore.keys_for(args.id), fmt)
         else:
             sb = int(args.sb, 0)
-            bits = codec.encode_legacy(user, sb, fmt)
-        deployment.save_telegram(args.out, bits, fmt)
+            s = codec.legacy_s_from_sb(sb)
+        deployment.save_telegram(args.out, codec.codeword(user, sb, s, fmt), fmt)
     except (codec.CodecError, ValueError, OSError) as exc:
         return _fail(str(exc))
     print(args.out)
@@ -63,27 +62,26 @@ def _cmd_program(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         keys = auth.load_keystore(args.keystore).keys_for(args.id)
-        fmt, bits = deployment.load_telegram(args.telegram)
+        fmt, t = deployment.load_telegram(args.telegram)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
 
-    report = {"decode": "fail", "auth": "fail", "fields": None}
+    # Aligned as the reader aligns a crossing of the balise.
+    aligned = scenario.align_codeword(t, fmt)
+    report = {"decode": "fail" if aligned is None else "ok",
+              "auth": "fail", "fields": None}
     code = EXIT_VERIFY_FAIL
-    try:
-        user = auth.verify_and_decode(bits * 3, keys, fmt)
-        balise_id, kind, loc = deployment.parse_payload(user, fmt)
-        report = {
-            "decode": "ok",
-            "auth": "pass",
-            "fields": {"id": balise_id, "kind": kind, "loc_m": loc},
-        }
-        code = EXIT_OK
-    except codec.CodecError:
-        pass
-    except (auth.AuthFailure, ValueError):
-        # Aligned, but the payload names another id, the tag did not
-        # match, or the payload does not parse.
-        report["decode"] = "ok"
+    if aligned is not None:
+        try:
+            user = auth.verify_and_decode(aligned, keys, fmt)
+            balise_id, kind, loc = deployment.parse_payload(user, fmt)
+            report["auth"] = "pass"
+            report["fields"] = {"id": balise_id, "kind": kind, "loc_m": loc}
+            code = EXIT_OK
+        except (auth.AuthFailure, ValueError):
+            # The payload names another id, the tag did not match, or
+            # the payload does not parse.
+            pass
     print(json.dumps(report))
     return code
 

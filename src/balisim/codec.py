@@ -11,9 +11,9 @@ additive LFSR keystream seeded by S, substitutes 10-bit groups with
 the prefix as check bits.  Decoding is two steps.  align finds the
 first window of a repeated stream that holds a telegram and returns
 its desubstituted, still scrambled user data with sb; it needs no key.
-decode_stream then descrambles a legacy telegram with the S of
-legacy_s_from_sb, and auth.verify_and_decode an authenticated one with
-the S of its key, so a reader that tries several keys aligns once.
+descramble_legacy then descrambles a legacy telegram with the S of
+legacy_s_from_sb (decode_stream does both), and auth.verify_and_decode
+an authenticated one with the S of its key, so a reader aligns once.
 
 The standard owns two constants that are not public, and this module
 fixes documented surrogates for them: ALPHABET, the 11-bit substitution
@@ -26,12 +26,12 @@ telegrams means replacing ALPHABET and GEN_POLY here.
 Inside the codec a bit string is an int, first bit most significant.
 The user data is one too: codeword, encode and encode_legacy take it as
 an int of fmt.user_bits bits (check_user rejects anything else with
-FormatError) and decode_stream returns it as DecodeResult.user.  The
-telegram is an int of fmt.n bits at codeword's output; encode and
-encode_legacy return it as a list of 0/1.  align and decode_stream take
-a received stream as a list of 0/1, in which an element that is not 0
-or 1 is a FormatError, or as a Stream, an int with its bit count: three
-copies of a codeword t are Stream(t << 2n | t << n | t, 3n).  The
+FormatError) and descramble_legacy returns it.  The telegram is an int
+of fmt.n bits, as codeword returns it; encode and encode_legacy are its
+list views, a list of 0/1.  align and decode_stream take a received
+stream as a list of 0/1, in which an element that is not 0 or 1 is a
+FormatError, or as a Stream, an int with its bit count, as the
+simulator's reader builds it from three copies of a codeword.  The
 steps they call, keystream, substitute, desubstitute and
 compute_check_bits, take and return ints, as poly_mod does.
 
@@ -580,14 +580,17 @@ def align(stream: list[int] | Stream, fmt: TelegramFormat = LONG) -> Aligned:
     raise NoTelegramFound(f"no aligned window in {windows} windows")
 
 
+def descramble_legacy(aligned: Aligned, fmt: TelegramFormat = LONG) -> int:
+    """The user data of an aligned legacy telegram, as an int."""
+    return aligned.data ^ keystream(legacy_s_from_sb(aligned.sb), fmt.user_bits)
+
+
 def decode_stream(stream: list[int] | Stream,
                   fmt: TelegramFormat = LONG) -> DecodeResult:
     """Find and decode one legacy telegram in a bit stream.
 
-    The stream is aligned (see align), and the user data is descrambled
-    with the S that legacy_s_from_sb derives from sb.  Raises what align
-    raises.
+    align, then descramble_legacy.  Raises what align raises.
     """
     aligned = align(stream, fmt)
-    user = aligned.data ^ keystream(legacy_s_from_sb(aligned.sb), fmt.user_bits)
-    return DecodeResult(user, aligned.sb, aligned.shift, aligned.inverted)
+    return DecodeResult(descramble_legacy(aligned, fmt), aligned.sb,
+                        aligned.shift, aligned.inverted)

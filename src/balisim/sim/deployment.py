@@ -9,11 +9,11 @@ telegram bit-for-bit onto another balise, and an availability attack
 suppresses transmission entirely.
 
 The user data is one int of fmt.user_bits bits, first bit most
-significant, as codec.encode takes it and auth.verify_and_decode
+significant, as codec.codeword takes it and auth.verify_and_decode
 returns it: pack_payload builds it and parse_payload reads it with
-shifts and masks.  A deployed telegram is the codec.codeword int of
-fmt.n bits, from programming to the reader; only the telegram file
-holds it as bits.
+shifts and masks.  A telegram is the codec.codeword int of fmt.n bits
+from programming to the reader, and in a telegram file: JSON with the
+format name and the int as fmt.n '0'/'1' characters.
 
 build_deployment programs a track only when it differs from the track
 it built last.  A one-slot memo keeps that track's codewords, a tuple
@@ -35,7 +35,6 @@ import json
 from typing import NamedTuple
 
 from .. import auth, codec
-from ..bits import bits_to_str, str_to_bits
 from .params import is_finite_number
 
 KIND_FIXED = "fixed"
@@ -134,11 +133,9 @@ def program_telegram(
     auth_mode: str,
     keystore: auth.Keystore | None,
     fmt: codec.TelegramFormat,
-    loc_reported: float | None = None,
 ) -> int:
     """The codeword a (honest) programming tool would write."""
-    loc = spec.loc if loc_reported is None else loc_reported
-    user = pack_payload(spec.id, spec.kind, loc, fmt)
+    user = pack_payload(spec.id, spec.kind, spec.loc, fmt)
     if auth_mode == AUTH_AUTHENTICATED:
         if keystore is None:
             raise ValueError("authenticated deployment needs a keystore")
@@ -169,26 +166,35 @@ def build_deployment(
     return [DeployedBalise(spec, t) for spec, t in zip(balises, codewords)]
 
 
-def save_telegram(path: str, bits: list[int],
-                  fmt: codec.TelegramFormat) -> None:
-    """Telegram file: JSON with the format name and the bits as text."""
+def save_telegram(path: str, t: int, fmt: codec.TelegramFormat) -> None:
+    """Write a telegram file; ValueError, with no file opened, unless t
+    is an int, not a bool, of at most fmt.n bits."""
+    if type(t) is not int or t < 0 or t >> fmt.n:
+        raise ValueError(f"a {fmt.name} telegram is an int of at most {fmt.n} bits")
     with open(path, "w", encoding="utf-8") as f:
-        json.dump({"format": fmt.name, "bits": bits_to_str(bits)}, f)
+        json.dump({"format": fmt.name, "bits": format(t, f"0{fmt.n}b")}, f)
         f.write("\n")
 
 
-def load_telegram(path: str) -> tuple[codec.TelegramFormat, list[int]]:
+def load_telegram(path: str) -> tuple[codec.TelegramFormat, int]:
+    """The format and the telegram int of a telegram file."""
     with open(path, encoding="utf-8") as f:
         try:
             raw = json.load(f)
             fmt = codec.FORMATS[raw["format"]]
-            bits = str_to_bits(raw["bits"])
+            text = raw["bits"]
+            if type(text) is not str:
+                raise TypeError("bits must be a string")
+            # int() would also take '_', whitespace and a sign.
+            bad = set(text) - {"0", "1"}
+            if bad:
+                raise ValueError(f"invalid bit character {min(bad)!r}")
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"malformed telegram file {path}: {exc}") from exc
-    if len(bits) != fmt.n:
+    if len(text) != fmt.n:
         raise ValueError(
-            f"telegram file {path}: {len(bits)} bits, {fmt.name} needs {fmt.n}")
-    return fmt, bits
+            f"telegram file {path}: {len(text)} bits, {fmt.name} needs {fmt.n}")
+    return fmt, int(text, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ A scenario deploys telegrams on a balise sequence, optionally attacks
 them, and integrates the train from p0 until standstill.  Balise
 crossings are processed at the step in which the train position passes
 the balise; the onboard reader decodes the transmitted stream through
-the real codec.  In authenticated deployments it aligns each distinct
-codeword once per process (see _align_codeword) and then tries the key
-of every balise id in the track map in turn.  It accepts the first
-payload that verifies under a key, which auth.verify_and_decode allows
-only for a payload that names the id of that key (see auth).  A cloned
-telegram still verifies under its source key and names its source id.
+the real codec.  In both auth modes it aligns each distinct codeword
+once per process (see align_codeword), as balisim verify does.  A
+legacy reader then descrambles with the public legacy S.  An
+authenticated one tries the key of every balise id in the track map in
+turn and accepts the first payload that verifies under a key, which
+auth.verify_and_decode allows only for a payload that names the id of
+that key (see auth).  A cloned telegram still verifies under its source
+key and names its source id.
 The controller is either the plain online braking controller, which
 consumes reports as-is, or the resilient hybrid, which filters every
 encounter through derive_trustworthy_info and falls back to the
@@ -25,7 +27,6 @@ import os
 from typing import NamedTuple
 
 from .. import auth, codec
-from ..bits import bits_to_int
 from .anomaly import AnomalyState, PositionEstimate, balise_missing, \
     derive_trustworthy_info
 from .conservative import ConservativeController
@@ -204,7 +205,10 @@ def _parse_attack(raw: dict) -> AttackSpec:
 
 
 def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
-    def resolve(path: str) -> str:
+    def resolve(field: str, path) -> str:
+        # open() would read an int path as a file descriptor.
+        if type(path) is not str:
+            raise ConfigError(f"{field} must be a path string, not {path!r}")
         if base_dir is not None and not os.path.isabs(path):
             return os.path.join(base_dir, path)
         return path
@@ -217,17 +221,18 @@ def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
             specs, files = [], {}
             for entry in raw["balises"]:
                 entry = dict(entry)
-                telegram = entry.pop("telegram", None)
-                spec = BaliseSpec(**entry)
+                spec = BaliseSpec(**{k: v for k, v in entry.items()
+                                     if k != "telegram"})
                 specs.append(spec)
-                if telegram is not None:
-                    files[spec.id] = resolve(telegram)
+                if "telegram" in entry:
+                    files[spec.id] = resolve(f"balise {spec.id} telegram",
+                                             entry["telegram"])
             kwargs["balises"] = specs
             kwargs["telegram_files"] = files
         if "attacks" in raw:
             kwargs["attacks"] = [_parse_attack(a) for a in raw["attacks"]]
         if "keystore" in raw:
-            kwargs["keystore_path"] = resolve(raw["keystore"])
+            kwargs["keystore_path"] = resolve("keystore", raw["keystore"])
         for key in ("controller", "dbz_strategy", "auth_mode", "p_est0",
                     "delta0", "growth_k", "eta0", "v_con", "seed",
                     "max_time_s", "telegram_format"):
@@ -286,14 +291,15 @@ def _received(t: int, fmt: codec.TelegramFormat) -> codec.Stream:
 
 
 @functools.lru_cache(maxsize=1024)
-def _align_codeword(t: int, fmt: codec.TelegramFormat) -> codec.Aligned | None:
+def align_codeword(t: int, fmt: codec.TelegramFormat) -> codec.Aligned | None:
     """codec.align of the stream a crossing of codeword t receives.
 
-    None when it does not align.  Kept per (t, fmt) for the life of the
-    process, 1,024 entries at most, about 0.55 KB each (0.6 MB in all);
-    the least recently read codeword goes first.  Alignment is a pure
-    function of the received bits, so a kept result is never stale, and
-    it holds only what a balise broadcasts in the clear.
+    None when it does not align.  The reader of either auth mode and
+    balisim verify align through here.  Kept per (t, fmt) for the life
+    of the process, 1,024 entries at most, about 0.55 KB each (0.6 MB in
+    all); the least recently read codeword goes first.  Alignment is a
+    pure function of the received bits, so a kept result is never stale,
+    and it holds only what a balise broadcasts in the clear.
     """
     try:
         return codec.align(_received(t, fmt), fmt)
@@ -309,15 +315,14 @@ def _read_balise(
     fmt: codec.TelegramFormat,
 ) -> tuple[int, str, float] | None:
     """Decode (and verify) one transmission; None when unusable."""
+    aligned = align_codeword(deployed.telegram, fmt)
+    if aligned is None:
+        return None  # neither mode reads a stream that does not align
     if auth_mode == AUTH_LEGACY:
         try:
-            result = codec.decode_stream(_received(deployed.telegram, fmt), fmt)
-            return parse_payload(result.user, fmt)
-        except (codec.CodecError, ValueError):
+            return parse_payload(codec.descramble_legacy(aligned, fmt), fmt)
+        except ValueError:
             return None
-    aligned = _align_codeword(deployed.telegram, fmt)
-    if aligned is None:
-        return None  # no key can verify a stream that does not align
     verify, keys_for = auth.verify_and_decode, keystore.keys_for
     for balise_id in track_ids:
         try:
@@ -346,12 +351,12 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     for deployed in deployment:
         path = cfg.telegram_files.get(deployed.spec.id)
         if path is not None:
-            file_fmt, bits = _load_file("telegram", load_telegram, path)
+            file_fmt, t = _load_file("telegram", load_telegram, path)
             if file_fmt.name != fmt.name:
                 raise ConfigError(
                     f"telegram file {path} is {file_fmt.name}, "
                     f"scenario uses {fmt.name}")
-            deployed.telegram = bits_to_int(bits)
+            deployed.telegram = t
             # The reader is deterministic, so this is what every crossing
             # of the file's telegram (cloned or not) will read.
             fields = _read_balise(deployed, cfg.auth_mode, keystore,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from balisim.bits import bits_to_int, bits_to_str, int_to_bits, str_to_bits
+from balisim.bits import bits_to_int, int_to_bits
 
 
 def test_int_to_bits_msb_first():
@@ -19,24 +19,18 @@ def test_bits_to_int_examples():
     assert bits_to_int([]) == 0
 
 
-def test_str_round_trip():
-    assert str_to_bits("0110") == [0, 1, 1, 0]
-    assert bits_to_str([0, 1, 1, 0]) == "0110"
-
-
-def test_str_to_bits_rejects_junk():
-    with pytest.raises(ValueError):
-        str_to_bits("01x0")
-
-
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_int_round_trip(value):
     assert bits_to_int(int_to_bits(value, 64)) == value
 
 
-@given(st.lists(st.integers(0, 1), max_size=200))
-def test_str_bits_round_trip(bits):
-    assert str_to_bits(bits_to_str(bits)) == bits
+# A telegram file holds a telegram as binary text, first bit first.
+@given(st.text("01", max_size=200))
+def test_a_bit_list_is_in_the_order_of_its_binary_text(text):
+    bits = [int(c) for c in text]
+    value = int(text or "0", 2)
+    assert bits_to_int(bits) == value
+    assert int_to_bits(value, len(text)) == bits
 
 
 # Lists whose elements are not all 0 or 1.  Before the translation table
@@ -54,14 +48,6 @@ def test_bits_to_int_rejects_elements_that_are_not_bits(bits):
         bits_to_int(bits)
 
 
-@pytest.mark.parametrize("bits", [[49, 48, 2], [48], [0, 1, 7], [-1]])
-def test_bits_to_str_rejects_elements_that_are_not_bits(bits):
-    with pytest.raises(ValueError):
-        bits_to_str(bits)
-
-
 def test_not_a_bit_message_names_the_first_bad_element():
     with pytest.raises(ValueError, match="element 2 is not 0 or 1"):
         bits_to_int([1, 0, 49, 0, 7])
-    with pytest.raises(ValueError, match="element 2 is not 0 or 1"):
-        bits_to_str([1, 0, 2])

@@ -4,6 +4,7 @@ Every test drives main(argv) in process and checks the exit-code
 contract: 0 success, 1 verification failure, 2 input error, 3 timeout.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -104,14 +105,26 @@ def test_verify_rejects_legacy_telegram(tmp_path, keystore, capsys):
 
 def test_verify_rejects_corrupted_telegram(tmp_path, keystore, capsys):
     telegram = _program(tmp_path, keystore)
-    fmt, bits = load_telegram(telegram)
-    bits[100] ^= 1
-    save_telegram(telegram, bits, fmt)
+    fmt, t = load_telegram(telegram)
+    save_telegram(telegram, t ^ 1 << (fmt.n - 101), fmt)  # flips bit 100
     capsys.readouterr()
     assert main(["verify", telegram, "--keystore", keystore, "--id", "3"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["decode"] == "fail"
     assert report["auth"] == "fail"
+
+
+def test_telegram_files_keep_their_bytes(tmp_path, keystore):
+    # The SHA-256 of files programmed before the telegram file held an int.
+    long_file = _program(tmp_path, keystore, id=5, loc=-50, name="b5.tlg")
+    short_file = _program(tmp_path, keystore, mode="legacy", format="short",
+                          name="s3.tlg")
+    digests = [hashlib.sha256(Path(p).read_bytes()).hexdigest()
+               for p in (long_file, short_file)]
+    assert digests == [
+        "fcc40e09baf2bf65732c7f975412d079e520cf24ccc82626c4669929ed929638",
+        "54b4ac137a281e6f3416e7058d406ce4921bf4c78d4d28ab5d62442445ac4dee",
+    ]
 
 
 def test_verify_rejects_wrong_id(tmp_path, keystore, capsys):

@@ -167,8 +167,7 @@ def test_program_authenticated_requires_keystore():
 
 def test_program_reported_location_override():
     spec = BaliseSpec(id=9, loc=-36.0, kind=KIND_FIXED)
-    telegram = program_telegram(spec, AUTH_LEGACY, None, SHORT,
-                                loc_reported=-1.0)
+    telegram = program_telegram(spec._replace(loc=-1.0), AUTH_LEGACY, None, SHORT)
     result = codec.decode_stream(received(telegram, SHORT), SHORT)
     assert parse_payload(result.user, SHORT) == (9, KIND_FIXED, -1.0)
 
@@ -216,9 +215,9 @@ def test_a_rerun_of_the_same_track_programs_nothing(codewords):
 def _with_telegram_file(tmp_path) -> ScenarioConfig:
     # Balise 1 carries a telegram the attacker programmed in legacy mode.
     path = tmp_path / "b1.json"
-    forged = program_telegram(BaliseSpec(1, -100.0, KIND_FIXED), AUTH_LEGACY,
-                              None, LONG, loc_reported=-1.0)
-    save_telegram(str(path), int_to_bits(forged, LONG.n), LONG)
+    forged = program_telegram(BaliseSpec(1, -1.0, KIND_FIXED), AUTH_LEGACY,
+                              None, LONG)
+    save_telegram(str(path), forged, LONG)
     return ScenarioConfig(auth_mode=AUTH_AUTHENTICATED,
                           telegram_files={1: str(path)})
 
@@ -378,23 +377,46 @@ def test_apply_attacks_rejects_unknown_type():
 
 def test_telegram_file_round_trip(tmp_path):
     spec = BaliseSpec(id=3, loc=-16.0, kind=KIND_FIXED)
-    telegram = int_to_bits(program_telegram(spec, AUTH_LEGACY, None, LONG), LONG.n)
     path = tmp_path / "b3.json"
-    save_telegram(str(path), telegram, LONG)
-    fmt, bits = load_telegram(str(path))
-    assert fmt is LONG
-    assert bits == telegram
+    for fmt in (LONG, SHORT):
+        for telegram in (program_telegram(spec, AUTH_LEGACY, None, fmt),
+                         0, 1, (1 << fmt.n) - 1, 1 << (fmt.n - 1)):
+            save_telegram(str(path), telegram, fmt)
+            raw = json.loads(path.read_text())
+            assert raw == {"format": fmt.name,
+                           "bits": "".join(map(str, int_to_bits(telegram, fmt.n)))}
+            assert load_telegram(str(path)) == (fmt, telegram)
 
 
 def test_load_telegram_rejects_bad_files(tmp_path):
+    text = "0" * (SHORT.n - 3)
     cases = {
-        "fmt.json": {"format": "medium", "bits": "0" * SHORT.n},
-        "chars.json": {"format": "short", "bits": "01x" + "0" * (SHORT.n - 3)},
-        "len.json": {"format": "short", "bits": "0" * (SHORT.n - 1)},
-        "keys.json": {"bits": "0" * SHORT.n},
+        "fmt.json": ({"format": "medium", "bits": "0" * SHORT.n}, "malformed"),
+        "chars.json": ({"format": "short", "bits": "01x" + text},
+                       "invalid bit character 'x'"),
+        "underscore.json": ({"format": "short", "bits": "01_" + text},
+                            "invalid bit character '_'"),
+        "space.json": ({"format": "short", "bits": "01 " + text},
+                       "invalid bit character ' '"),
+        "sign.json": ({"format": "short", "bits": "+01" + text},
+                      "invalid bit character '\\+'"),
+        "list.json": ({"format": "short", "bits": ["0"] * SHORT.n},
+                      "bits must be a string"),
+        "len.json": ({"format": "short", "bits": "0" * (SHORT.n - 1)},
+                     f"{SHORT.n - 1} bits, short needs {SHORT.n}"),
+        "keys.json": ({"bits": "0" * SHORT.n}, "malformed"),
     }
-    for name, payload in cases.items():
+    for name, (payload, message) in cases.items():
         path = tmp_path / name
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             load_telegram(str(path))
+
+
+@pytest.mark.parametrize("telegram", [True, -1, 1 << LONG.n, 1.0, [0, 1]],
+                         ids=["bool", "negative", "n_plus_1_bits", "float", "list"])
+def test_save_telegram_rejects_what_is_not_an_n_bit_int(tmp_path, telegram):
+    path = tmp_path / "t.json"
+    with pytest.raises(ValueError, match="int of at most 1023 bits"):
+        save_telegram(str(path), telegram, LONG)
+    assert not path.exists()

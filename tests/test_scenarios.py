@@ -27,11 +27,10 @@ from balisim.sim import (
     summary_dict,
     write_trajectory_csv,
 )
-from balisim.bits import bits_to_int
 from balisim.cli import main
 from balisim.sim import deployment, scenario
-from balisim.sim.deployment import AUTH_AUTHENTICATED, LEGACY_SB, \
-    build_deployment, pack_payload
+from balisim.sim.deployment import AUTH_AUTHENTICATED, AUTH_LEGACY, \
+    LEGACY_SB, build_deployment, pack_payload
 from balisim.sim.conservative import MODE_PID1, MODE_PID2
 from balisim.sim.scenario import CONTROLLER_RESILIENT, CSV_HEADER, MAX_STEPS, \
     MODE_HOA, MODE_MAX_BRAKE, SimResult, TrajectoryRow, _read_balise
@@ -143,7 +142,7 @@ def test_reader_tries_no_key_on_a_stream_that_does_not_align(monkeypatch):
 
 def count_aligns(monkeypatch):
     """Empty the alignment memo and list the codeword of every align call."""
-    scenario._align_codeword.cache_clear()
+    scenario.align_codeword.cache_clear()
     codewords = []
     align = codec.align
 
@@ -159,7 +158,7 @@ def cold_run(monkeypatch, cfg):
     """run_scenario with the key, codeword and alignment memos emptied."""
     monkeypatch.setattr(auth, "_master", auth._Master(b"", (), {}, {}))
     deployment._track_codewords.cache_clear()
-    scenario._align_codeword.cache_clear()
+    scenario.align_codeword.cache_clear()
     return run_scenario(cfg)
 
 
@@ -189,9 +188,10 @@ def test_an_attacked_run_aligns_only_its_new_codewords(monkeypatch, tmp_path,
                              attacks=[Clone(src=6, dst=3)])
     else:
         path = tmp_path / "b2.json"
-        bits = auth.encode_authenticated(pack_payload(2, "fixed", -60.0, LONG),
-                                         keystore.keys_for(2), LONG)
-        save_telegram(str(path), bits, LONG)
+        user = pack_payload(2, "fixed", -60.0, LONG)
+        t = codec.codeword(user, *auth.generate_tag(user, keystore.keys_for(2),
+                                                    LONG), LONG)
+        save_telegram(str(path), t, LONG)
         cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED,
                              telegram_files={2: str(path)})
     cold = cold_run(monkeypatch, cfg)
@@ -203,7 +203,7 @@ def test_an_attacked_run_aligns_only_its_new_codewords(monkeypatch, tmp_path,
     attacked = build_deployment(cfg.balises, AUTH_AUTHENTICATED, keystore, LONG)
     deployment.apply_attacks(attacked, cfg.attacks, LONG)
     if change == "telegram_file":
-        attacked[1].telegram = bits_to_int(bits)
+        attacked[1].telegram = t
     new = {d.telegram for d in attacked} - known
     assert sorted(aligned) == sorted(new)
     assert len(new) == (0 if change == "clone" else 1)
@@ -222,36 +222,75 @@ def test_a_stream_that_does_not_align_is_kept_and_tries_no_key(monkeypatch):
     for _ in range(2):
         assert _read_balise(deployed, AUTH_AUTHENTICATED, keystore,
                             [1, 2, 3], LONG) is None
-    assert scenario._align_codeword(deployed.telegram, LONG) is None
+    assert scenario.align_codeword(deployed.telegram, LONG) is None
     assert aligned == [deployed.telegram]
     assert trials == []
 
 
+def test_a_legacy_run_aligns_each_distinct_codeword_once(monkeypatch):
+    # B2 carries B1's telegram, so the run reads one codeword twice; the
+    # resilient controller corrects it by ordering and passes the marker.
+    cfg = ScenarioConfig(controller=CONTROLLER_RESILIENT,
+                         attacks=[Clone(src=1, dst=2)])
+    cold = cold_run(monkeypatch, cfg)
+    assert cold.stop_error > 0  # every balise, the marker at 0 m too, was read
+    read = [d.telegram for d in build_deployment(cfg.balises, AUTH_LEGACY, None,
+                                                 LONG)]
+    read[1] = read[0]
+    aligned = count_aligns(monkeypatch)
+    assert run_scenario(cfg) == cold
+    assert sorted(aligned) == sorted(set(read))
+    aligned.clear()
+    assert run_scenario(cfg) == cold
+    assert aligned == []
+
+
+def test_a_legacy_read_of_a_stream_that_does_not_align_descrambles_nothing(
+        monkeypatch):
+    aligned = count_aligns(monkeypatch)
+    spec = BaliseSpec(id=2, loc=-64.0, kind="fixed")
+    deployed = build_deployment([spec], AUTH_LEGACY, None, LONG)[0]
+    calls = []
+    keystream = codec.keystream
+    monkeypatch.setattr(codec, "keystream",
+                        lambda *args: calls.append(args) or keystream(*args))
+    assert _read_balise(deployed, AUTH_LEGACY, None, [2], LONG) == (
+        2, "fixed", -64.0)
+    assert len(calls) == 1
+    calls.clear()
+    deployed.telegram ^= 1 << (LONG.n - 1 - 100)  # flips bit 100 of the codeword
+    for _ in range(2):
+        assert _read_balise(deployed, AUTH_LEGACY, None, [2], LONG) is None
+    assert scenario.align_codeword(deployed.telegram, LONG) is None
+    assert len(aligned) == 2 and aligned[1] == deployed.telegram
+    assert calls == []
+
+
 def test_the_alignment_memo_keeps_the_last_1024_codewords():
-    scenario._align_codeword.cache_clear()
+    scenario.align_codeword.cache_clear()
     codewords = [codec.codeword(user, 0, 1, LONG) for user in range(1025)]
     for t in codewords:
-        assert scenario._align_codeword(t, LONG) == codec.align(
+        assert scenario.align_codeword(t, LONG) == codec.align(
             scenario._received(t, LONG), LONG)
-    info = scenario._align_codeword.cache_info()
+    info = scenario.align_codeword.cache_info()
     assert (info.misses, info.currsize, info.maxsize) == (1025, 1024, 1024)
-    scenario._align_codeword(codewords[-1], LONG)
-    scenario._align_codeword(codewords[0], LONG)  # the first was dropped
-    info = scenario._align_codeword.cache_info()
+    scenario.align_codeword(codewords[-1], LONG)
+    scenario.align_codeword(codewords[0], LONG)  # the first was dropped
+    info = scenario.align_codeword.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1026, 1024)
 
 
 def test_the_alignment_memo_keys_a_codeword_by_its_format():
-    scenario._align_codeword.cache_clear()
+    scenario.align_codeword.cache_clear()
     t = codec.codeword(5, 0x5A5, 7, SHORT)
     for fmt in (SHORT, LONG, SHORT, LONG):
         try:
             expected = codec.align(scenario._received(t, fmt), fmt)
         except codec.CodecError:
             expected = None
-        assert scenario._align_codeword(t, fmt) == expected
-    assert scenario._align_codeword(t, SHORT) is not None
-    assert scenario._align_codeword.cache_info().currsize == 2
+        assert scenario.align_codeword(t, fmt) == expected
+    assert scenario.align_codeword(t, SHORT) is not None
+    assert scenario.align_codeword.cache_info().currsize == 2
 
 
 def test_authenticated_run_derives_each_track_key_once(monkeypatch):
@@ -461,9 +500,26 @@ def test_config_from_dict_rejects_a_path_that_is_not_a_string(raw):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("base_dir", [None, "/scenarios"], ids=["bare", "base_dir"])
+@pytest.mark.parametrize("raw,field", [
+    ({"keystore": None}, "keystore"),
+    ({"keystore": 5}, "keystore"),
+    ({"balises": [{**b, "telegram": 7} for b in _balises()]}, "balise 1 telegram"),
+    ({"balises": [{**b, "telegram": None} for b in _balises()]}, "balise 1 telegram"),
+], ids=["keystore_null", "keystore_int", "telegram_int", "telegram_null"])
+def test_config_from_dict_names_a_path_field_that_is_not_a_string(
+        raw, field, base_dir):
+    # load_config passes base_dir; a null path is no more "no file" with
+    # it than without it.
+    with pytest.raises(ConfigError, match=f"^{field} must be a path string, not "):
+        config_from_dict(raw, base_dir=base_dir)
+
+
 @pytest.mark.parametrize("raw", [
     {"auth_mode": "authenticated", "keystore": 5},
     {"balises": [{**b, "telegram": 7} for b in _balises()]},
+    {"auth_mode": "authenticated", "keystore": None},
+    {"balises": [{**b, "telegram": None} for b in _balises()]},
 ])
 def test_scenario_file_with_a_path_that_is_not_a_string_exits_2(tmp_path, raw):
     path = tmp_path / "scenario.json"
@@ -733,7 +789,8 @@ def test_telegram_file_injection_matches_tamper_attack(tmp_path):
     # A pre-tampered telegram supplied as a file must reproduce the
     # equivalent in-config tamper attack bit for bit.
     user = pack_payload(1, "fixed", -1.0, LONG)
-    forged = codec.encode_legacy(user, LEGACY_SB, LONG)
+    forged = codec.codeword(user, LEGACY_SB, codec.legacy_s_from_sb(LEGACY_SB),
+                            LONG)
     tel_path = tmp_path / "b1_forged.json"
     save_telegram(str(tel_path), forged, LONG)
 
@@ -758,8 +815,8 @@ def test_telegram_file_injection_matches_tamper_attack(tmp_path):
 def test_telegram_file_format_mismatch_rejected(tmp_path):
     user = pack_payload(1, "fixed", -100.0, SHORT)
     tel_path = tmp_path / "b1_short.json"
-    save_telegram(str(tel_path), codec.encode_legacy(user, LEGACY_SB, SHORT),
-                  SHORT)
+    save_telegram(str(tel_path), codec.codeword(
+        user, LEGACY_SB, codec.legacy_s_from_sb(LEGACY_SB), SHORT), SHORT)
     cfg = bundled("no_attack")
     cfg.telegram_files = {1: str(tel_path)}
     with pytest.raises(ConfigError):
