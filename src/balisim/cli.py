@@ -61,29 +61,23 @@ def _cmd_program(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        keys = auth.load_keystore(args.keystore).keys_for(args.id)
+        keystore = auth.load_keystore(args.keystore)
+        keystore.keys_for(args.id)  # ValueError for an id out of range
         fmt, t = deployment.load_telegram(args.telegram)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
 
-    # Aligned as the reader aligns a crossing of the balise.
-    aligned = scenario.align_codeword(t, fmt)
-    report = {"decode": "fail" if aligned is None else "ok",
-              "auth": "fail", "fields": None}
-    code = EXIT_VERIFY_FAIL
-    if aligned is not None:
-        try:
-            user = auth.verify_and_decode(aligned, keys, fmt)
-            balise_id, kind, loc = deployment.parse_payload(user, fmt)
-            report["auth"] = "pass"
-            report["fields"] = {"id": balise_id, "kind": kind, "loc_m": loc}
-            code = EXIT_OK
-        except (auth.AuthFailure, ValueError):
-            # The payload names another id, the tag did not match, or
-            # the payload does not parse.
-            pass
+    # Read as a run reads a crossing, on a track of this one balise.
+    fields = scenario.read_telegram(t, deployment.AUTH_AUTHENTICATED,
+                                    keystore, [args.id], fmt)
+    report = {
+        "decode": "fail" if scenario.align_codeword(t, fmt) is None else "ok",
+        "auth": "fail" if fields is None else "pass",
+        "fields": None if fields is None else dict(
+            zip(("id", "kind", "loc_m"), fields)),
+    }
     print(json.dumps(report))
-    return code
+    return EXIT_VERIFY_FAIL if fields is None else EXIT_OK
 
 
 def _run_one(config_path: str, out_dir: str,

@@ -15,16 +15,18 @@ shifts and masks.  A telegram is the codec.codeword int of fmt.n bits
 from programming to the reader, and in a telegram file: JSON with the
 format name and the int as fmt.n '0'/'1' characters.
 
-build_deployment programs a track only when it differs from the track
-it built last.  A one-slot memo keeps that track's codewords, a tuple
-of ints, keyed by the balise specs compared by value (loc -100 and
--100.0 are one key), the auth mode, the keystore and the format.
-Building another track replaces the slot, which lives as long as the
-process.  Each call wraps the kept ints in new DeployedBalise records,
-so attacks and telegram files change only that run's records.  The
-kept codewords expose nothing: a balise broadcasts its telegram in the
-clear at every crossing.  The keystore in the slot's key is the one the
-run holds, and auth's key memo keeps the master key of the last
+A deployment is a list of telegrams, one per balise of the track in
+track order: the codeword int, or None where transmission is
+suppressed.  build_deployment programs a track only when it differs
+from the track it built last.  A one-slot memo keeps that track's
+codewords, a tuple of ints, keyed by the balise specs compared by value
+(loc -100 and -100.0 are one key), the auth mode, the keystore and the
+format.  Building another track replaces the slot, which lives as long
+as the process.  Each call returns a new list of the kept ints, so
+attacks and telegram files change only that run's list.  The kept
+codewords expose nothing: a balise broadcasts its telegram in the clear
+at every crossing.  The keystore in the slot's key is the one the run
+holds, and auth's key memo keeps the master key of the last
 authenticated track as well.
 """
 
@@ -122,12 +124,6 @@ AUTH_AUTHENTICATED = "authenticated"
 LEGACY_SB = 0x555
 
 
-class DeployedBalise:
-    def __init__(self, spec: BaliseSpec, telegram: int | None):
-        self.spec = spec
-        self.telegram = telegram  # the codeword; None: transmission suppressed
-
-
 def program_telegram(
     spec: BaliseSpec,
     auth_mode: str,
@@ -160,10 +156,9 @@ def build_deployment(
     auth_mode: str,
     keystore: auth.Keystore | None,
     fmt: codec.TelegramFormat,
-) -> list[DeployedBalise]:
-    """New records of the track's kept codewords (see the module notes)."""
-    codewords = _track_codewords(tuple(balises), auth_mode, keystore, fmt)
-    return [DeployedBalise(spec, t) for spec, t in zip(balises, codewords)]
+) -> list[int | None]:
+    """A new list of the track's kept codewords (see the module notes)."""
+    return list(_track_codewords(tuple(balises), auth_mode, keystore, fmt))
 
 
 def save_telegram(path: str, t: int, fmt: codec.TelegramFormat) -> None:
@@ -218,26 +213,27 @@ class Unavailable(NamedTuple):
 AttackSpec = Tamper | Clone | Unavailable
 
 
-def apply_attacks(deployment: list[DeployedBalise],
+def apply_attacks(telegrams: list[int | None],
+                  balises: list[BaliseSpec],
                   attacks: list[AttackSpec],
                   fmt: codec.TelegramFormat) -> None:
-    """Mutate the deployment in place as the adversary would."""
+    """Rewrite the telegrams of the balises in place as the adversary would."""
     for attack in attacks:
         if isinstance(attack, Tamper):
-            target = deployment[attack.balise - 1]
+            i = attack.balise - 1
+            spec, t = balises[i], telegrams[i]
             # The attacker rewrites the location and re-encodes with the
             # public legacy scrambling rule, reusing the observed sb; it
             # cannot produce a valid tag without keys.
-            user = pack_payload(target.spec.id, target.spec.kind,
-                                attack.new_loc, fmt)
+            user = pack_payload(spec.id, spec.kind, attack.new_loc, fmt)
             sb = LEGACY_SB
-            if target.telegram is not None:
+            if t is not None:
                 low = codec.ESB_WIDTH + codec.CHECK_WIDTH
-                sb = (target.telegram >> low) & ((1 << codec.SB_WIDTH) - 1)
-            target.telegram = codec.codeword(user, sb, codec.legacy_s_from_sb(sb), fmt)
+                sb = (t >> low) & ((1 << codec.SB_WIDTH) - 1)
+            telegrams[i] = codec.codeword(user, sb, codec.legacy_s_from_sb(sb), fmt)
         elif isinstance(attack, Clone):
-            deployment[attack.dst - 1].telegram = deployment[attack.src - 1].telegram
+            telegrams[attack.dst - 1] = telegrams[attack.src - 1]
         elif isinstance(attack, Unavailable):
-            deployment[attack.balise - 1].telegram = None
+            telegrams[attack.balise - 1] = None
         else:
             raise TypeError(f"unknown attack {attack!r}")

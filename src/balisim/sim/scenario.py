@@ -4,18 +4,21 @@ A scenario deploys telegrams on a balise sequence, optionally attacks
 them, and integrates the train from p0 until standstill.  Balise
 crossings are processed at the step in which the train position passes
 the balise; the onboard reader decodes the transmitted stream through
-the real codec.  In both auth modes it aligns each distinct codeword
-once per process (see align_codeword), as balisim verify does.  A
-legacy reader then descrambles with the public legacy S.  An
-authenticated one tries the key of every balise id in the track map in
-turn and accepts the first payload that verifies under a key, which
-auth.verify_and_decode allows only for a payload that names the id of
-that key (see auth).  A cloned telegram still verifies under its source
-key and names its source id.
+the real codec.  read_telegram is that reader: the run loop, the check
+of a scenario's telegram files, balisim verify and
+scripts/keyless_forgery.py all read a telegram int through it.  In both
+auth modes it aligns each distinct codeword once per process (see
+align_codeword).  A legacy reader then descrambles with the public
+legacy S.  An authenticated one tries the key of every balise id in the
+track map in turn and accepts the first payload that verifies under a
+key, which auth.verify_and_decode allows only for a payload that names
+the id of that key (see auth).  A cloned telegram still verifies under
+its source key and names its source id.
 The controller is either the plain online braking controller, which
-consumes reports as-is, or the resilient hybrid, which filters every
-encounter through derive_trustworthy_info and falls back to the
-conservative controller when balise_missing fires.
+consumes reports as-is and skips a failed read, or the resilient
+hybrid, which filters every encounter, read or failed, through one
+derive_trustworthy_info call and falls back to the conservative
+controller when balise_missing fires.
 """
 
 from __future__ import annotations
@@ -29,11 +32,10 @@ from typing import NamedTuple
 from .. import auth, codec
 from .anomaly import AnomalyState, PositionEstimate, balise_missing, \
     derive_trustworthy_info
-from .conservative import ConservativeController
+from .conservative import ConservativeController, MODE_MAX_BRAKE
 from .deployment import AUTH_AUTHENTICATED, AUTH_LEGACY, AttackSpec, \
-    BaliseSpec, Clone, DeployedBalise, KIND_CONTROLLED, KIND_FIXED, Tamper, \
-    Unavailable, apply_attacks, build_deployment, load_telegram, location_mm, \
-    parse_payload
+    BaliseSpec, Clone, KIND_CONTROLLED, KIND_FIXED, Tamper, Unavailable, \
+    apply_attacks, build_deployment, load_telegram, location_mm, parse_payload
 from .hoa import FULL_BRAKE, HoaController, IGNORE
 from . import params
 from .params import TrainParams, is_finite_number
@@ -43,7 +45,6 @@ CONTROLLER_HOA = "hoa"
 CONTROLLER_RESILIENT = "resilient"
 
 MODE_HOA = "hoa"
-MODE_MAX_BRAKE = "max_brake"
 
 
 # The run loop keeps one trajectory row per step; a longer run is refused
@@ -114,13 +115,24 @@ class ScenarioConfig:
         self._check()
 
     def _check(self) -> None:
+        if not isinstance(self.train, TrainParams):
+            raise ConfigError(f"train must be a TrainParams, not {self.train!r}")
+        if type(self.balises) is not list or not all(
+                isinstance(b, BaliseSpec) for b in self.balises):
+            raise ConfigError("balises must be a list of BaliseSpec")
+        if type(self.attacks) is not list or not all(
+                isinstance(a, AttackSpec) for a in self.attacks):
+            raise ConfigError("attacks must be a list of Tamper, Clone and "
+                              "Unavailable")
         if self.controller not in (CONTROLLER_HOA, CONTROLLER_RESILIENT):
             raise ConfigError(f"unknown controller {self.controller!r}")
         if self.dbz_strategy not in (FULL_BRAKE, IGNORE):
             raise ConfigError(f"unknown dbz_strategy {self.dbz_strategy!r}")
         if self.auth_mode not in (AUTH_LEGACY, AUTH_AUTHENTICATED):
             raise ConfigError(f"unknown auth_mode {self.auth_mode!r}")
-        if self.telegram_format not in codec.FORMATS:
+        # A list is not a dict key: FORMATS would raise TypeError.
+        if type(self.telegram_format) is not str \
+                or self.telegram_format not in codec.FORMATS:
             raise ConfigError(f"unknown telegram_format {self.telegram_format!r}")
         locs = [b.loc for b in self.balises]
         if sorted(locs) != locs or len(set(locs)) != len(locs):
@@ -175,15 +187,10 @@ class ScenarioConfig:
                     raise ConfigError(f"attack {attack!r} reports the stop point")
             indexes = ((attack.src, attack.dst) if isinstance(attack, Clone)
                        else (attack.balise,))
-            if not all(1 <= i <= m for i in indexes):
-                raise ConfigError(f"attack {attack!r} names a balise outside 1..{m}")
-
-
-def _balise_number(value) -> int:
-    # int() would turn 2.5 into balise 2 and raise OverflowError on inf.
-    if type(value) is not int:
-        raise TypeError(f"balise number {value!r} is not an integer")
-    return value
+            # A bool would index the track as an int, a float would not.
+            if not all(type(i) is int and 1 <= i <= m for i in indexes):
+                raise ConfigError(f"attack {attack!r}: balise numbers must be "
+                                  f"integers in 1..{m}")
 
 
 def _parse_attack(raw: dict) -> AttackSpec:
@@ -192,14 +199,12 @@ def _parse_attack(raw: dict) -> AttackSpec:
     kind = raw.get("type")
     try:
         if kind == "tamper":
-            return Tamper(balise=_balise_number(raw["balise"]),
-                          new_loc=raw["new_loc"])
+            return Tamper(balise=raw["balise"], new_loc=raw["new_loc"])
         if kind == "clone":
-            return Clone(src=_balise_number(raw["src"]),
-                         dst=_balise_number(raw["dst"]))
+            return Clone(src=raw["src"], dst=raw["dst"])
         if kind == "unavailable":
-            return Unavailable(balise=_balise_number(raw["balise"]))
-    except (KeyError, TypeError) as exc:
+            return Unavailable(balise=raw["balise"])
+    except KeyError as exc:
         raise ConfigError(f"bad attack spec {raw!r}") from exc
     raise ConfigError(f"unknown attack type {kind!r}")
 
@@ -307,15 +312,16 @@ def align_codeword(t: int, fmt: codec.TelegramFormat) -> codec.Aligned | None:
         return None
 
 
-def _read_balise(
-    deployed: DeployedBalise,
+def read_telegram(
+    t: int,
     auth_mode: str,
-    keystore: auth.Keystore,
+    keystore: auth.Keystore | None,
     track_ids: list[int],
     fmt: codec.TelegramFormat,
 ) -> tuple[int, str, float] | None:
-    """Decode (and verify) one transmission; None when unusable."""
-    aligned = align_codeword(deployed.telegram, fmt)
+    """(id, kind, loc) a crossing of codeword t reads, trying the keys of
+    track_ids in turn; None when unusable (see the module notes)."""
+    aligned = align_codeword(t, fmt)
     if aligned is None:
         return None  # neither mode reads a stream that does not align
     if auth_mode == AUTH_LEGACY:
@@ -346,26 +352,26 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
         keystore = _load_file("keystore", auth.load_keystore, cfg.keystore_path)
     else:
         keystore = auth.new_keystore(seed=cfg.seed)
-    track_ids = [b.id for b in cfg.balises]
-    deployment = build_deployment(cfg.balises, cfg.auth_mode, keystore, fmt)
-    for deployed in deployment:
-        path = cfg.telegram_files.get(deployed.spec.id)
+    balises = cfg.balises
+    track_ids = [b.id for b in balises]
+    telegrams = build_deployment(balises, cfg.auth_mode, keystore, fmt)
+    for i, balise_id in enumerate(track_ids):
+        path = cfg.telegram_files.get(balise_id)
         if path is not None:
             file_fmt, t = _load_file("telegram", load_telegram, path)
             if file_fmt.name != fmt.name:
                 raise ConfigError(
                     f"telegram file {path} is {file_fmt.name}, "
                     f"scenario uses {fmt.name}")
-            deployed.telegram = t
+            telegrams[i] = t
             # The reader is deterministic, so this is what every crossing
             # of the file's telegram (cloned or not) will read.
-            fields = _read_balise(deployed, cfg.auth_mode, keystore,
-                                  track_ids, fmt)
+            fields = read_telegram(t, cfg.auth_mode, keystore, track_ids, fmt)
             if fields is not None and fields[1] == KIND_FIXED \
                     and fields[2] == 0.0:
                 raise ConfigError(f"telegram file {path} reports the stop "
                                   "point from a fixed balise")
-    apply_attacks(deployment, cfg.attacks, fmt)
+    apply_attacks(telegrams, balises, cfg.attacks, fmt)
 
     train = cfg.train
     plant = BrakePlant(train)
@@ -386,7 +392,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     missing_events = 0
     mode_switches = 0
     next_idx = 0
-    next_loc = deployment[0].spec.loc
+    next_loc = balises[0].loc
     mode = MODE_HOA
     dt = train.dt
     alpha_max = train.alpha_max
@@ -405,33 +411,25 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
         if plant.p >= next_loc:
             events = []
         while plant.p >= next_loc:
-            deployed = deployment[next_idx]
+            t = telegrams[next_idx]
             next_idx += 1
             # NaN past the last balise: no position compares >= to it.
-            next_loc = (deployment[next_idx].spec.loc
-                        if next_idx < len(deployment) else math.nan)
+            next_loc = (balises[next_idx].loc
+                        if next_idx < len(balises) else math.nan)
             label = f"B{next_idx}"
-            if deployed.telegram is None:
+            if t is None:
                 events.append(f"{label}:no_telegram")
                 continue
-            fields = _read_balise(deployed, cfg.auth_mode, keystore,
-                                  track_ids, fmt)
+            fields = read_telegram(t, cfg.auth_mode, keystore, track_ids, fmt)
             if fields is None:
                 auth_failures += 1
                 events.append(f"{label}:auth_fail")
-                if resilient:
-                    res = derive_trustworthy_info(
-                        False, None, est, state,
-                        allow_ordering=not conservative_active)
-                    events.append(f"{label}:{res.event}")
-                    if res.loc is not None and not conservative_active \
-                            and not marker_seen:
-                        cmd = hoa.on_balise(plant.v, res.loc)
-                continue
-            _, kind, loc_reported = fields
+                kind = loc_reported = None
+            else:
+                _, kind, loc_reported = fields
             if resilient:
                 res = derive_trustworthy_info(
-                    True, loc_reported, est, state,
+                    fields is not None, loc_reported, est, state,
                     allow_ordering=not conservative_active)
                 events.append(f"{label}:{res.event}")
                 # A stop marker that ordering placed at a fixed balise is
@@ -443,13 +441,12 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
                 elif res.loc is not None and not conservative_active \
                         and not marker_seen:
                     cmd = hoa.on_balise(plant.v, res.loc)
-            else:
-                if kind == KIND_CONTROLLED:
-                    marker_seen = True
-                    events.append(f"{label}:marker")
-                elif not marker_seen:
-                    cmd = hoa.on_balise(plant.v, loc_reported)
-                    events.append(f"{label}:hoa_update")
+            elif kind == KIND_CONTROLLED:
+                marker_seen = True
+                events.append(f"{label}:marker")
+            elif kind == KIND_FIXED and not marker_seen:
+                cmd = hoa.on_balise(plant.v, loc_reported)
+                events.append(f"{label}:hoa_update")
 
         # Missing-balise detection, active while the default controller runs.
         if resilient and not conservative_active:

@@ -17,7 +17,6 @@ from balisim.sim.deployment import (
     LEGACY_SB,
     BaliseSpec,
     Clone,
-    DeployedBalise,
     Tamper,
     Unavailable,
     apply_attacks,
@@ -179,12 +178,12 @@ def test_build_deployment():
         BaliseSpec(id=2, loc=-64.0, kind=KIND_FIXED),
         BaliseSpec(id=3, loc=0.0, kind=KIND_CONTROLLED),
     ]
-    deployed = build_deployment(specs, AUTH_AUTHENTICATED, ks, SHORT)
-    assert [d.spec.id for d in deployed] == [1, 2, 3]
-    for d in deployed:
-        user = auth.verify_and_decode(received(d.telegram, SHORT),
-                                      ks.keys_for(d.spec.id), SHORT)
-        assert parse_payload(user, SHORT)[0] == d.spec.id
+    telegrams = build_deployment(specs, AUTH_AUTHENTICATED, ks, SHORT)
+    assert len(telegrams) == 3 and all(type(t) is int for t in telegrams)
+    for spec, t in zip(specs, telegrams):
+        user = auth.verify_and_decode(received(t, SHORT),
+                                      ks.keys_for(spec.id), SHORT)
+        assert parse_payload(user, SHORT)[0] == spec.id
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +259,13 @@ def test_any_change_to_the_track_programs_every_telegram_again(codewords, change
         "balise kind": (_track(kind=KIND_CONTROLLED), AUTH_AUTHENTICATED, ks, LONG),
     }[change]
     m = len(_track())
-    first = [d.telegram for d in build_deployment(*base)]
-    assert [d.telegram for d in build_deployment(*base)] == first
+    first = build_deployment(*base)
+    assert build_deployment(*base) == first
     assert len(codewords) == m
-    assert [d.telegram for d in build_deployment(*changed)] != first
+    assert build_deployment(*changed) != first
     assert len(codewords) == 2 * m
     # One slot: the changed track replaced the first.
-    assert [d.telegram for d in build_deployment(*base)] == first
+    assert build_deployment(*base) == first
     assert len(codewords) == 3 * m
 
 
@@ -276,99 +275,92 @@ def test_value_equal_tracks_share_their_codewords(codewords):
     as_int = [BaliseSpec(1, -100, KIND_FIXED), BaliseSpec(2, 0, KIND_CONTROLLED)]
     from_float = build_deployment(as_float, AUTH_AUTHENTICATED, ks, LONG)
     from_int = build_deployment(as_int, AUTH_AUTHENTICATED, auth.Keystore(*ks), LONG)
-    assert [d.telegram for d in from_int] == [d.telegram for d in from_float]
+    assert from_int == from_float
     assert len(codewords) == 2
-    # Each run's records are its own, and hold the specs it was given.
-    assert [d.spec for d in from_int] == as_int
-    assert all(type(d.spec.loc) is int for d in from_int)
-    assert from_int[0] is not from_float[0]
+    # Each run's list is its own: an attack on one leaves the other.
+    assert from_int is not from_float
+    from_int[0] = None
+    assert from_float[0] is not None
     dep._track_codewords.cache_clear()
     assert [program_telegram(s, AUTH_AUTHENTICATED, ks, LONG)
-            for s in as_int] == [d.telegram for d in from_float]
+            for s in as_int] == from_float
 
 
 # ---------------------------------------------------------------------------
 # Attacks
 # ---------------------------------------------------------------------------
 
+B1 = BaliseSpec(id=1, loc=-100.0, kind=KIND_FIXED)
+B2 = BaliseSpec(id=2, loc=-64.0, kind=KIND_FIXED)
+
+
 def _single_deployment(auth_mode, keystore, fmt=SHORT):
-    spec = BaliseSpec(id=1, loc=-100.0, kind=KIND_FIXED)
-    return [DeployedBalise(spec, program_telegram(spec, auth_mode, keystore,
-                                                  fmt))]
+    return [program_telegram(B1, auth_mode, keystore, fmt)]
 
 
 def test_tamper_rewrites_location_and_reuses_sb():
     ks = auth.new_keystore(seed=7)
-    deployed = _single_deployment(AUTH_AUTHENTICATED, ks)
+    telegrams = _single_deployment(AUTH_AUTHENTICATED, ks)
     base = SHORT.shaped_bits + codec.CB_WIDTH
-    bits = int_to_bits(deployed[0].telegram, SHORT.n)
+    bits = int_to_bits(telegrams[0], SHORT.n)
     original_sb = bits_to_int(bits[base : base + codec.SB_WIDTH])
 
-    apply_attacks(deployed, [Tamper(balise=1, new_loc=-1.0)], SHORT)
+    apply_attacks(telegrams, [B1], [Tamper(balise=1, new_loc=-1.0)], SHORT)
 
-    result = codec.decode_stream(received(deployed[0].telegram, SHORT), SHORT)
+    result = codec.decode_stream(received(telegrams[0], SHORT), SHORT)
     assert result.sb == original_sb  # attacker replays the observed sb
     assert parse_payload(result.user, SHORT) == (1, KIND_FIXED, -1.0)
     # ...but the forged content no longer verifies under the real keys.
     with pytest.raises(auth.AuthFailure):
-        auth.verify_and_decode(received(deployed[0].telegram, SHORT),
+        auth.verify_and_decode(received(telegrams[0], SHORT),
                                ks.keys_for(1), SHORT)
 
 
 def test_tamper_on_legacy_telegram_passes_legacy_decode():
-    deployed = _single_deployment(AUTH_LEGACY, None)
-    apply_attacks(deployed, [Tamper(balise=1, new_loc=-1.0)], SHORT)
-    result = codec.decode_stream(received(deployed[0].telegram, SHORT), SHORT)
+    telegrams = _single_deployment(AUTH_LEGACY, None)
+    apply_attacks(telegrams, [B1], [Tamper(balise=1, new_loc=-1.0)], SHORT)
+    result = codec.decode_stream(received(telegrams[0], SHORT), SHORT)
     assert result.sb == LEGACY_SB
     assert parse_payload(result.user, SHORT) == (1, KIND_FIXED, -1.0)
 
 
 def test_tamper_on_suppressed_balise_uses_default_sb():
-    deployed = _single_deployment(AUTH_LEGACY, None)
-    deployed[0].telegram = None
-    apply_attacks(deployed, [Tamper(balise=1, new_loc=-2.0)], SHORT)
-    result = codec.decode_stream(received(deployed[0].telegram, SHORT), SHORT)
+    telegrams = [None]
+    apply_attacks(telegrams, [B1], [Tamper(balise=1, new_loc=-2.0)], SHORT)
+    result = codec.decode_stream(received(telegrams[0], SHORT), SHORT)
     assert result.sb == LEGACY_SB
     assert parse_payload(result.user, SHORT)[2] == -2.0
 
 
 def test_clone_copies_bits():
     ks = auth.new_keystore(seed=8)
-    specs = [
-        BaliseSpec(id=1, loc=-100.0, kind=KIND_FIXED),
-        BaliseSpec(id=2, loc=-64.0, kind=KIND_FIXED),
-    ]
-    deployed = build_deployment(specs, AUTH_AUTHENTICATED, ks, SHORT)
-    src = deployed[0].telegram
-    assert deployed[1].telegram != src
-    apply_attacks(deployed, [Clone(src=1, dst=2)], SHORT)
+    specs = [B1, B2]
+    telegrams = build_deployment(specs, AUTH_AUTHENTICATED, ks, SHORT)
+    src = telegrams[0]
+    assert telegrams[1] != src
+    apply_attacks(telegrams, specs, [Clone(src=1, dst=2)], SHORT)
     # An int cannot change in place, so the copy is independent.
-    assert deployed[1].telegram == src
-    assert deployed[0].telegram == src
-    deployed[0].telegram ^= 1
-    assert deployed[1].telegram == src
+    assert telegrams == [src, src]
+    telegrams[0] ^= 1
+    assert telegrams[1] == src
 
 
 def test_clone_of_suppressed_source_suppresses_destination():
-    deployed = _single_deployment(AUTH_LEGACY, None)
-    deployed.append(DeployedBalise(BaliseSpec(id=2, loc=-64.0, kind=KIND_FIXED),
-                                   program_telegram(deployed[0].spec,
-                                                    AUTH_LEGACY, None, SHORT)))
-    deployed[0].telegram = None
-    apply_attacks(deployed, [Clone(src=1, dst=2)], SHORT)
-    assert deployed[1].telegram is None
+    telegrams = [None, program_telegram(B1, AUTH_LEGACY, None, SHORT)]
+    apply_attacks(telegrams, [B1, B2], [Clone(src=1, dst=2)], SHORT)
+    assert telegrams == [None, None]
 
 
 def test_unavailable_suppresses_transmission():
-    deployed = _single_deployment(AUTH_LEGACY, None)
-    apply_attacks(deployed, [Unavailable(balise=1)], SHORT)
-    assert deployed[0].telegram is None
+    telegrams = _single_deployment(AUTH_LEGACY, None)
+    apply_attacks(telegrams, [B1], [Unavailable(balise=1)], SHORT)
+    assert telegrams == [None]
 
 
 def test_apply_attacks_rejects_unknown_type():
-    deployed = _single_deployment(AUTH_LEGACY, None)
+    telegrams = _single_deployment(AUTH_LEGACY, None)
     with pytest.raises(TypeError):
-        apply_attacks(deployed, ["drop"], SHORT)
+        apply_attacks(telegrams, [B1], ["drop"], SHORT)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from balisim.sim.deployment import AUTH_AUTHENTICATED, AUTH_LEGACY, \
     LEGACY_SB, build_deployment, pack_payload
 from balisim.sim.conservative import MODE_PID1, MODE_PID2
 from balisim.sim.scenario import CONTROLLER_RESILIENT, CSV_HEADER, MAX_STEPS, \
-    MODE_HOA, MODE_MAX_BRAKE, SimResult, TrajectoryRow, _read_balise
+    MODE_HOA, MODE_MAX_BRAKE, SimResult, TrajectoryRow, read_telegram
 from balisim import auth, codec
 from balisim.sim.params import TrainParams
 
@@ -124,20 +124,31 @@ def test_conservative_overshoot_within_worst_case_bound():
 def test_reader_tries_no_key_on_a_stream_that_does_not_align(monkeypatch):
     keystore = auth.new_keystore(seed=1)
     spec = BaliseSpec(id=2, loc=-64.0, kind="fixed")
-    deployed = build_deployment([spec], AUTH_AUTHENTICATED, keystore, LONG)[0]
+    (t,) = build_deployment([spec], AUTH_AUTHENTICATED, keystore, LONG)
     trials = []
     keys_for = auth.Keystore.keys_for
     monkeypatch.setattr(auth.Keystore, "keys_for",
                         lambda self, i: trials.append(i) or keys_for(self, i))
     track_ids = [1, 2, 3]
-    assert _read_balise(deployed, AUTH_AUTHENTICATED, keystore,
-                        track_ids, LONG) == (2, "fixed", -64.0)
+    assert read_telegram(t, AUTH_AUTHENTICATED, keystore,
+                         track_ids, LONG) == (2, "fixed", -64.0)
     assert trials == [1, 2]
     trials.clear()
-    deployed.telegram ^= 1 << (LONG.n - 1 - 100)  # flips bit 100 of the codeword
-    assert _read_balise(deployed, AUTH_AUTHENTICATED, keystore,
-                        track_ids, LONG) is None
+    t ^= 1 << (LONG.n - 1 - 100)  # flips bit 100 of the codeword
+    assert read_telegram(t, AUTH_AUTHENTICATED, keystore, track_ids, LONG) is None
     assert trials == []
+
+
+def test_every_sim_export_resolves_and_the_reader_reads_an_int():
+    import balisim.sim as sim
+    assert len(set(sim.__all__)) == len(sim.__all__)
+    assert all(hasattr(sim, name) for name in sim.__all__)
+    assert "read_telegram" in sim.__all__
+    # A deployment is a list of ints, so no record class wraps a telegram,
+    # and no private reader of such a record is left beside read_telegram.
+    for module in (sim, deployment, scenario):
+        assert not [name for name in vars(module)
+                    if name.startswith("Deployed") or name.endswith("read_balise")]
 
 
 def count_aligns(monkeypatch):
@@ -167,9 +178,8 @@ def test_a_rerun_of_an_authenticated_track_aligns_no_codeword(monkeypatch):
     cold = cold_run(monkeypatch, cfg)
     aligned = count_aligns(monkeypatch)
     assert run_scenario(cfg) == cold
-    assert sorted(aligned) == sorted(
-        d.telegram for d in build_deployment(cfg.balises, AUTH_AUTHENTICATED,
-                                             auth.new_keystore(seed=1), LONG))
+    assert sorted(aligned) == sorted(build_deployment(
+        cfg.balises, AUTH_AUTHENTICATED, auth.new_keystore(seed=1), LONG))
     aligned.clear()
     assert run_scenario(ScenarioConfig(auth_mode=AUTH_AUTHENTICATED)) == cold
     assert aligned == []
@@ -201,10 +211,10 @@ def test_an_attacked_run_aligns_only_its_new_codewords(monkeypatch, tmp_path,
     aligned.clear()
     assert run_scenario(cfg) == cold
     attacked = build_deployment(cfg.balises, AUTH_AUTHENTICATED, keystore, LONG)
-    deployment.apply_attacks(attacked, cfg.attacks, LONG)
+    deployment.apply_attacks(attacked, cfg.balises, cfg.attacks, LONG)
     if change == "telegram_file":
-        attacked[1].telegram = t
-    new = {d.telegram for d in attacked} - known
+        attacked[1] = t
+    new = set(attacked) - known
     assert sorted(aligned) == sorted(new)
     assert len(new) == (0 if change == "clone" else 1)
 
@@ -213,17 +223,17 @@ def test_a_stream_that_does_not_align_is_kept_and_tries_no_key(monkeypatch):
     aligned = count_aligns(monkeypatch)
     keystore = auth.new_keystore(seed=1)
     spec = BaliseSpec(id=2, loc=-64.0, kind="fixed")
-    deployed = build_deployment([spec], AUTH_AUTHENTICATED, keystore, LONG)[0]
-    deployed.telegram ^= 1 << (LONG.n - 1 - 100)  # flips bit 100 of the codeword
+    (t,) = build_deployment([spec], AUTH_AUTHENTICATED, keystore, LONG)
+    t ^= 1 << (LONG.n - 1 - 100)  # flips bit 100 of the codeword
     trials = []
     keys_for = auth.Keystore.keys_for
     monkeypatch.setattr(auth.Keystore, "keys_for",
                         lambda self, i: trials.append(i) or keys_for(self, i))
     for _ in range(2):
-        assert _read_balise(deployed, AUTH_AUTHENTICATED, keystore,
-                            [1, 2, 3], LONG) is None
-    assert scenario.align_codeword(deployed.telegram, LONG) is None
-    assert aligned == [deployed.telegram]
+        assert read_telegram(t, AUTH_AUTHENTICATED, keystore,
+                             [1, 2, 3], LONG) is None
+    assert scenario.align_codeword(t, LONG) is None
+    assert aligned == [t]
     assert trials == []
 
 
@@ -234,8 +244,7 @@ def test_a_legacy_run_aligns_each_distinct_codeword_once(monkeypatch):
                          attacks=[Clone(src=1, dst=2)])
     cold = cold_run(monkeypatch, cfg)
     assert cold.stop_error > 0  # every balise, the marker at 0 m too, was read
-    read = [d.telegram for d in build_deployment(cfg.balises, AUTH_LEGACY, None,
-                                                 LONG)]
+    read = build_deployment(cfg.balises, AUTH_LEGACY, None, LONG)
     read[1] = read[0]
     aligned = count_aligns(monkeypatch)
     assert run_scenario(cfg) == cold
@@ -249,20 +258,19 @@ def test_a_legacy_read_of_a_stream_that_does_not_align_descrambles_nothing(
         monkeypatch):
     aligned = count_aligns(monkeypatch)
     spec = BaliseSpec(id=2, loc=-64.0, kind="fixed")
-    deployed = build_deployment([spec], AUTH_LEGACY, None, LONG)[0]
+    (t,) = build_deployment([spec], AUTH_LEGACY, None, LONG)
     calls = []
     keystream = codec.keystream
     monkeypatch.setattr(codec, "keystream",
                         lambda *args: calls.append(args) or keystream(*args))
-    assert _read_balise(deployed, AUTH_LEGACY, None, [2], LONG) == (
-        2, "fixed", -64.0)
+    assert read_telegram(t, AUTH_LEGACY, None, [2], LONG) == (2, "fixed", -64.0)
     assert len(calls) == 1
     calls.clear()
-    deployed.telegram ^= 1 << (LONG.n - 1 - 100)  # flips bit 100 of the codeword
+    t ^= 1 << (LONG.n - 1 - 100)  # flips bit 100 of the codeword
     for _ in range(2):
-        assert _read_balise(deployed, AUTH_LEGACY, None, [2], LONG) is None
-    assert scenario.align_codeword(deployed.telegram, LONG) is None
-    assert len(aligned) == 2 and aligned[1] == deployed.telegram
+        assert read_telegram(t, AUTH_LEGACY, None, [2], LONG) is None
+    assert scenario.align_codeword(t, LONG) is None
+    assert len(aligned) == 2 and aligned[1] == t
     assert calls == []
 
 
@@ -584,6 +592,45 @@ def test_config_from_dict_parses_each_attack_type(raw, expected):
 def test_config_from_dict_rejects_bad_attacks(attack):
     with pytest.raises(ConfigError):
         config_from_dict({"balises": _balises(), "attacks": [attack]})
+
+
+# A field of the wrong type, as the Python API and as a JSON scenario set
+# it.  Through the API, each of these was taken at construction and failed
+# in the run, attacked the wrong balise or raised AttributeError or
+# TypeError.
+_WRONG_TYPES = {
+    "unavailable_1.0": ([Unavailable(1.0)], {"type": "unavailable", "balise": 1.0}),
+    "clone_true_2.0": ([Clone(True, 2.0)], {"type": "clone", "src": True, "dst": 2.0}),
+    "tamper_2.5": ([Tamper(2.5, -10.0)],
+                   {"type": "tamper", "balise": 2.5, "new_loc": -10.0}),
+    "unavailable_true": ([Unavailable(True)], {"type": "unavailable", "balise": True}),
+    "attack_str": (["drop"], "drop"),
+}
+_WRONG_FIELDS = {
+    "train_dict": ({"train": {"v0": 10.0}}, {"train": [10.0]}),
+    "balises_dicts": ({"balises": _balises()}, {"balises": [[1, -100.0, "fixed"]]}),
+    "telegram_format_list": ({"telegram_format": ["long"]},
+                             {"telegram_format": ["long"]}),
+    **{name: ({"attacks": attacks}, {"attacks": [raw]})
+       for name, (attacks, raw) in _WRONG_TYPES.items()},
+}
+
+
+@pytest.mark.parametrize("kwargs,raw", _WRONG_FIELDS.values(), ids=_WRONG_FIELDS)
+def test_config_rejects_a_field_of_the_wrong_type(kwargs, raw):
+    with pytest.raises(ConfigError):
+        ScenarioConfig(**kwargs)
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("balise", [2.5, True], ids=["2.5", "true"])
+def test_scenario_file_naming_a_balise_by_a_non_int_exits_2(tmp_path, balise):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(
+        {"attacks": [{"type": "tamper", "balise": balise, "new_loc": -10.0}]}))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_from_dict_rejects_bad_train_and_balise_keys():
