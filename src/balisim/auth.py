@@ -3,7 +3,7 @@
 The 12-bit scrambling-bits field doubles as a truncated MAC over the
 user data, and the 32-bit scrambling key becomes a truncated PRF of the
 tag, so authenticated telegrams keep the exact legacy bit layout.  KDF,
-MAC and PRF are all instantiated as HMAC over SHA-256 with
+MAC and PRF are all HMAC-SHA256 (RFC 2104, computed by _hmac256) with
 domain-separating leading message bytes:
 
     0x4B | id (2 bytes BE) | ver (2 bytes BE) | i      key derivation
@@ -18,9 +18,10 @@ as codec.codeword takes it and codec.descramble_legacy returns it:
 generate_tag, tag_sb and encode_authenticated take it, and
 verify_and_decode returns it, so neither a write nor a key trial builds
 a bit list.  A writer passes generate_tag's (sb, S) to codec.codeword;
-encode_authenticated is that telegram's list view.  Per-balise keys are derived from the master key and held
-in memory only, never persisted; the keystore holds only mk and a
-version.
+encode_authenticated is that telegram's list view.
+
+Per-balise keys are derived from the master key and held in memory
+only, never persisted; the keystore holds only mk and a version.
 
 A 12-bit tag passes under a wrong key once in 4,096 trials, and the user
 data that key descrambles is random.  A reader that tries several keys
@@ -33,35 +34,24 @@ descrambled id is the leading ID_BITS of the scrambled data XOR those of
 S, S >> (32 - ID_BITS), and verify_and_decode checks it before it
 descrambles and before the tag.  So a wrong key's trial costs the dict
 lookups of its memoised key pair and of its S, two shifts, an XOR and a
-compare: no keystream call, no tag MAC, and no argument check once
-derive_keys holds the caller's mk object.  The first trial of an sb
-under a key adds its PRF MAC.  A payload is accepted exactly when it
-would be by the tag check followed by an id check.
+compare: no keystream call, no tag MAC and no range check.  The first
+trial of an sb under a key adds its PRF MAC.  A payload is accepted
+exactly when it would be by the tag check followed by an id check.
 
 derive_keys memoises per master key.  One entry per process holds the
-master key's HMAC pad states, a dict of the key pair of each (id, ver)
-requested under it, and for each such pair's k1 a dict from sb to its S,
-which prf_s fills as it computes them.  So a pair costs its two KDF MACs
-on its first request only and a dict lookup after that, and an S costs
-its PRF MAC on its first request under that k1 only.  A k1 has at most
-4,096 values of S, one per sb, so the memo is bounded by 4,096 entries
-per pair requested under the current master key, in a simulation the
-ids of its track map.  An equal master key in another bytes object
-takes the entry's place in it and keeps its pairs.  Using another
-master key replaces the entry and drops the old pairs and their S
-values with it.  Whoever can read the cached pairs can read the master
-key's pad states beside them, which derive every key and so every S, so
-the memo exposes nothing the pad states do not.
-
-HMAC-SHA256 follows RFC 2104 in two forms.  A key's pad states are two
-hashes that have already absorbed K^ipad and K^opad (section 4 of the
-RFC); a MAC from them copies both instead of hashing the padded key
-again.  The master key signs every key derivation, so its states are
-kept in the master entry.  Every other key, k0 and k1 included, signs
-with the one-shot form: sha256(K^ipad | msg), then sha256(K^opad |
-inner), with no hash state built or copied.  A k1 signs each sb at most
-once per master entry, and k0 only writes and the trial whose payload
-names its id, so keeping their states would cost memory for little gain.
+master key, a dict of the key pair of each (id, ver) requested under
+it, and for each such pair's k1 a dict from sb to its S, which prf_s
+fills as it computes them.  So a pair costs its two KDF MACs on its
+first request only and a dict lookup after that, and an S costs its PRF
+MAC on its first request under that k1 only.  The entry is found by the
+master key's value, so every keystore that holds an equal mk shares it.
+A k1 has at most 4,096 values of S, one per sb, so the memo is bounded
+by 4,096 entries per pair requested under the current master key, in a
+simulation the ids of its track map.  Using another master key replaces
+the entry and drops the old pairs and their S values with it.  Whoever
+can read the cached pairs can read the master key beside them, which
+derives every key and so every S, so the memo exposes nothing the
+master key does not.
 """
 
 from __future__ import annotations
@@ -98,44 +88,26 @@ _IPAD = bytes(x ^ 0x36 for x in range(256))  # translate tables for K^ipad
 _OPAD = bytes(x ^ 0x5C for x in range(256))  # and K^opad
 
 
-def _block(key: bytes) -> bytes:
-    """K as one SHA-256 block: hashed first if longer, then zero-padded."""
-    if len(key) > _BLOCK_BYTES:
-        key = hashlib.sha256(key).digest()
-    return key.ljust(_BLOCK_BYTES, b"\0")
-
-
-def _pads(key: bytes) -> tuple:
-    """SHA-256 after K^ipad and after K^opad, for _hmac256 to copy."""
-    key = _block(key)
-    return (hashlib.sha256(key.translate(_IPAD)),
-            hashlib.sha256(key.translate(_OPAD)))
-
-
 class _Master(NamedTuple):
     """What derive_keys keeps for one master key."""
     mk: bytes
-    pads: tuple                                  # mk's _pads
     pairs: dict[tuple[int, int], BaliseKeyPair]  # by (id, ver)
     prf: dict[bytes, dict[int, int]]             # each pair's k1: S by sb
 
 
 # The entry of the master key last used; b"" is no master key.
-_master = _Master(b"", (), {}, {})
+_master = _Master(b"", {}, {})
 
 
-def _hmac256(pads: tuple, msg: bytes) -> bytes:
-    """HMAC-SHA256 of msg from a key's _pads, which stay unchanged."""
-    inner = pads[0].copy()
-    inner.update(msg)
-    outer = pads[1].copy()
-    outer.update(inner.digest())
-    return outer.digest()
+def _hmac256(key: bytes, msg: bytes) -> bytes:
+    """HMAC-SHA256 of msg: sha256(K^opad | sha256(K^ipad | msg)).
 
-
-def _hmac256_once(key: bytes, msg: bytes) -> bytes:
-    """HMAC-SHA256 of msg under a key used once: two hashes, no states."""
-    key = _block(key)
+    K is the key as one SHA-256 block: hashed first if longer, then
+    zero-padded.
+    """
+    if len(key) > _BLOCK_BYTES:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK_BYTES, b"\0")
     inner = hashlib.sha256(key.translate(_IPAD) + msg).digest()
     return hashlib.sha256(key.translate(_OPAD) + inner).digest()
 
@@ -149,20 +121,18 @@ def _check_uint(value: int, bits: int, what: str) -> None:
 def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
     """The per-balise key pair under the 256-bit master key.
 
-    A pair requested before under this mk object is returned at once:
-    the entry's mk and its pairs' (id, ver) were checked when they were
+    A pair requested before under an equal mk is returned at once: the
+    entry's mk and its pairs' (id, ver) were checked when they were
     stored, so only the types are checked again.  Any other call checks
     every argument, and the pair's two KDF MACs are computed on its first
-    request under mk only (see the module notes).  An mk equal to the
-    entry's but another object (each loaded or seeded keystore holds its
-    own) takes the entry's place in it, pairs and S values kept, so the
-    calls after it are returned at once.  Threads that miss together
-    compute the same pair, so either store leaves the memo right and it
-    needs no lock.
+    request under mk only (see the module notes).  Threads that miss
+    together compute the same pair, so either store leaves the memo right
+    and it needs no lock.
     """
     global _master
     entry = _master
-    if mk is entry.mk and type(balise_id) is int and type(ver) is int:
+    if (type(mk) is bytes and mk == entry.mk
+            and type(balise_id) is int and type(ver) is int):
         keys = entry.pairs.get((balise_id, ver))
         if keys is not None:
             return keys
@@ -171,14 +141,12 @@ def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
     _check_uint(balise_id, ID_BITS, "balise id")
     _check_uint(ver, VER_BITS, "ver")
     if entry.mk != mk:
-        entry = _master = _Master(mk, _pads(mk), {}, {})
-    elif entry.mk is not mk:
-        entry = _master = entry._replace(mk=mk)
+        entry = _master = _Master(mk, {}, {})
     keys = entry.pairs.get((balise_id, ver))
     if keys is None:
         base = _KDF_PREFIX + balise_id.to_bytes(2, "big") + ver.to_bytes(2, "big")
-        keys = BaliseKeyPair(_hmac256(entry.pads, base + b"\x00")[:KEY_BYTES],
-                             _hmac256(entry.pads, base + b"\x01")[:KEY_BYTES],
+        keys = BaliseKeyPair(_hmac256(mk, base + b"\x00")[:KEY_BYTES],
+                             _hmac256(mk, base + b"\x01")[:KEY_BYTES],
                              balise_id, ver)
         entry.prf[keys.k1] = {}
         entry.pairs[balise_id, ver] = keys
@@ -192,7 +160,7 @@ def tag_sb(k0: bytes, user: int, fmt: codec.TelegramFormat) -> int:
     """
     pad = -fmt.user_bits % 8
     packed = (user << pad).to_bytes((fmt.user_bits + pad) // 8, "big")
-    digest = _hmac256_once(k0, _FORMAT_BYTE[fmt.name] + packed)
+    digest = _hmac256(k0, _FORMAT_BYTE[fmt.name] + packed)
     return (digest[0] << 4) | (digest[1] >> 4)
 
 
@@ -209,7 +177,7 @@ def prf_s(k1: bytes, sb: int) -> int:
     s = None if memo is None else memo.get(sb)
     if s is None:  # OverflowError below for an sb outside 0..4095
         msg = _PRF_PREFIX + shifted.to_bytes(2, "big")
-        s = int.from_bytes(_hmac256_once(k1, msg)[:4], "big")
+        s = int.from_bytes(_hmac256(k1, msg)[:4], "big")
         if memo is not None:
             memo[sb] = s
     return s

@@ -193,20 +193,26 @@ class ScenarioConfig:
                                   f"integers in 1..{m}")
 
 
+_ATTACKS = {"tamper": Tamper, "clone": Clone, "unavailable": Unavailable}
+
+
 def _parse_attack(raw: dict) -> AttackSpec:
+    """The attack an object names by its "type"; its other keys are the
+    attack's fields, so a missing or unknown one is a TypeError."""
     if not isinstance(raw, dict):
         raise ConfigError(f"attack spec must be an object, got {raw!r}")
     kind = raw.get("type")
-    try:
-        if kind == "tamper":
-            return Tamper(balise=raw["balise"], new_loc=raw["new_loc"])
-        if kind == "clone":
-            return Clone(src=raw["src"], dst=raw["dst"])
-        if kind == "unavailable":
-            return Unavailable(balise=raw["balise"])
-    except KeyError as exc:
-        raise ConfigError(f"bad attack spec {raw!r}") from exc
-    raise ConfigError(f"unknown attack type {kind!r}")
+    attack = _ATTACKS.get(kind) if isinstance(kind, str) else None
+    if attack is None:
+        raise ConfigError(f"unknown attack type {kind!r}")
+    return attack(**{k: v for k, v in raw.items() if k != "type"})
+
+
+# The scenario keys that config_from_dict copies to ScenarioConfig as
+# they are; "train", "balises", "attacks" and "keystore" it parses.
+_PLAIN_KEYS = ("controller", "dbz_strategy", "auth_mode", "p_est0", "delta0",
+               "growth_k", "eta0", "v_con", "seed", "max_time_s",
+               "telegram_format")
 
 
 def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
@@ -218,6 +224,10 @@ def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
             return os.path.join(base_dir, path)
         return path
 
+    unknown = [key for key in raw if key not in
+               ("train", "balises", "attacks", "keystore", *_PLAIN_KEYS)]
+    if unknown:
+        raise ConfigError(f"unknown scenario key {unknown[0]!r}")
     try:
         kwargs: dict = {}
         if "train" in raw:
@@ -238,9 +248,7 @@ def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
             kwargs["attacks"] = [_parse_attack(a) for a in raw["attacks"]]
         if "keystore" in raw:
             kwargs["keystore_path"] = resolve("keystore", raw["keystore"])
-        for key in ("controller", "dbz_strategy", "auth_mode", "p_est0",
-                    "delta0", "growth_k", "eta0", "v_con", "seed",
-                    "max_time_s", "telegram_format"):
+        for key in _PLAIN_KEYS:
             if key in raw:
                 kwargs[key] = raw[key]
         return ScenarioConfig(**kwargs)

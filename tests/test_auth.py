@@ -58,16 +58,26 @@ MSG_LENS = (0, 3, 55, 56, 63, 64, 65, 105, 119, 120, 200)
 
 @pytest.mark.parametrize("key_len", KEY_LENS)
 def test_hmac_from_pads_matches_stdlib(key_len):
+    # _hmac256 builds K^ipad and K^opad through its translate tables.
+    # The pads built byte by byte agree with those tables, the RFC 2104
+    # construction on them agrees with the stdlib, and _hmac256 keeps no
+    # state between calls: a second MAC agrees.
     import hmac as hmac_std
     rng = random.Random(key_len)
     key = rng.randbytes(key_len)
-    pads = auth._pads(key)
+    block = hashlib.sha256(key).digest() if key_len > 64 else key
+    block = block.ljust(64, b"\0")
+    ipad = bytes(b ^ 0x36 for b in block)
+    opad = bytes(b ^ 0x5C for b in block)
+    assert block.translate(auth._IPAD) == ipad
+    assert block.translate(auth._OPAD) == opad
     for msg_len in MSG_LENS:
         msg = rng.randbytes(msg_len)
         expected = hmac_std.digest(key, msg, "sha256")
-        assert auth._hmac256(pads, msg) == expected, msg_len
-        # The pad states are copied, never consumed: a second MAC agrees.
-        assert auth._hmac256(pads, msg) == expected, msg_len
+        inner = hashlib.sha256(ipad + msg).digest()
+        assert hashlib.sha256(opad + inner).digest() == expected, msg_len
+        assert auth._hmac256(key, msg) == expected, msg_len
+        assert auth._hmac256(key, msg) == expected, msg_len
 
 
 @pytest.mark.parametrize("key_len", KEY_LENS)
@@ -77,8 +87,17 @@ def test_one_shot_hmac_matches_stdlib(key_len):
     key = rng.randbytes(key_len)
     for msg_len in MSG_LENS:
         msg = rng.randbytes(msg_len)
-        assert auth._hmac256_once(key, msg) == \
+        assert auth._hmac256(key, msg) == \
             hmac_std.digest(key, msg, "sha256"), msg_len
+
+
+def test_auth_defines_one_hmac_function():
+    # Every KDF, tag and PRF MAC goes through _hmac256, so counting its
+    # calls by message prefix counts all of them.
+    import inspect
+    source = inspect.getsource(auth)
+    assert re.findall(r"^def (\w*hmac\w*)\(", source, re.M) == ["_hmac256"]
+    assert auth._Master._fields == ("mk", "pairs", "prf")
 
 
 # ---------------------------------------------------------------------------
@@ -92,45 +111,20 @@ def test_derive_keys_matches_oracle():
     assert keys.k1 == hmac_oracle(MK, base + b"\x01")[:16]
 
 
-def empty_key_memo(monkeypatch):
-    """Replace the master entry by that of no master key for this test."""
-    monkeypatch.setattr(auth, "_master", auth._Master(b"", (), {}, {}))
-
-
-def count_kdf_macs(monkeypatch):
-    """Empty the key memo and count the KDF MACs from now on.
-
-    _hmac256 signs from the master key's pad states, so it computes the
-    key-derivation MACs only; a KDF message starts with the 0x4B prefix.
-    """
-    empty_key_memo(monkeypatch)
-    macs = []
-    hmac256 = auth._hmac256
-
-    def counting(pads, msg):
-        if msg[:1] == b"\x4b":
-            macs.append(msg)
-        return hmac256(pads, msg)
-
-    monkeypatch.setattr(auth, "_hmac256", counting)
-    return macs
-
-
-def test_derive_keys_follows_a_changing_master_key(monkeypatch):
+def test_derive_keys_follows_a_changing_master_key(macs):
     # One master entry is cached with the pairs derived under it;
     # switching keys back and forth must never return a pair, or derive
-    # under pad states, of the previous key.
-    macs = count_kdf_macs(monkeypatch)
+    # under a key, of the previous master key.
     mk_b = bytes(range(100, 132))
     base = b"\x4b" + (0x2A7).to_bytes(2, "big") + (3).to_bytes(2, "big")
     for mk in (MK, mk_b, MK, mk_b):
-        macs.clear()
+        macs["kdf"].clear()
         keys = auth.derive_keys(mk, balise_id=0x2A7, ver=3)
         assert keys.k0 == hmac_oracle(mk, base + b"\x00")[:16]
         assert keys.k1 == hmac_oracle(mk, base + b"\x01")[:16]
-        assert len(macs) == 2
+        assert macs["kdf"] == [mk, mk]
         assert auth.derive_keys(mk, balise_id=0x2A7, ver=3) is keys
-        assert len(macs) == 2
+        assert macs["kdf"] == [mk, mk]
 
 
 def stdlib_prf_s(key, sb):
@@ -139,28 +133,13 @@ def stdlib_prf_s(key, sb):
     return int.from_bytes(hmac_std.digest(key, msg, "sha256")[:4], "big")
 
 
-def count_prf_macs(monkeypatch):
-    """Empty the key memo and list the key of every PRF MAC from now on."""
-    empty_key_memo(monkeypatch)
-    keys = []
-    hmac256_once = auth._hmac256_once
-
-    def counting(key, msg):
-        if msg[:1] == b"\x53":
-            keys.append(key)
-        return hmac256_once(key, msg)
-
-    monkeypatch.setattr(auth, "_hmac256_once", counting)
-    return keys
-
-
-def test_prf_memo_lives_and_dies_with_its_pair(monkeypatch):
+def test_prf_memo_lives_and_dies_with_its_pair(macs):
     # The master entry keeps S by sb for each k1 derive_keys derives,
     # and for no other key: a raw key or a k0 is signed every time and
     # never stored.  Another master key's entry holds none of the old
     # values, and an old k1 is then signed like a raw key.
     import hmac as hmac_std
-    macs = count_prf_macs(monkeypatch)
+    prf_macs = macs["prf"]
     pairs = [auth.derive_keys(MK, i) for i in (3, 4)]
     entry = auth._master
     assert entry.prf == {p.k1: {} for p in pairs}
@@ -168,11 +147,11 @@ def test_prf_memo_lives_and_dies_with_its_pair(monkeypatch):
         for p in pairs:
             for sb in (0, 0x5A5, 0xFFF):
                 assert auth.prf_s(p.k1, sb) == stdlib_prf_s(p.k1, sb)
-    assert macs == [p.k1 for p in pairs for _ in range(3)]
+    assert prf_macs == [p.k1 for p in pairs for _ in range(3)]
     assert entry.prf == {p.k1: {sb: stdlib_prf_s(p.k1, sb)
                                 for sb in (0, 0x5A5, 0xFFF)} for p in pairs}
 
-    macs.clear()
+    prf_macs.clear()
     for p in pairs:
         assert auth.prf_s(p.k0, 0x5A5) == stdlib_prf_s(p.k0, 0x5A5)
         assert auth.prf_s(p.k0, 0x5A5) == stdlib_prf_s(p.k0, 0x5A5)
@@ -185,30 +164,29 @@ def test_prf_memo_lives_and_dies_with_its_pair(monkeypatch):
             packed = pack_bits(int_to_bits(user, fmt.user_bits))
             digest = hmac_std.digest(key, fmt_byte + packed, "sha256")
             assert auth.tag_sb(key, user, fmt) == (digest[0] << 4) | (digest[1] >> 4)
-    assert macs == [p.k0 for p in pairs for _ in range(2)] + raw
+    assert prf_macs == [p.k0 for p in pairs for _ in range(2)] + raw
     assert set(entry.prf) == {p.k1 for p in pairs}
     assert all(len(memo) == 3 for memo in entry.prf.values())
 
-    macs.clear()
+    prf_macs.clear()
     new = auth.derive_keys(bytes(range(100, 132)), 3)
     assert auth._master.prf == {new.k1: {}}
     assert not any(value is entry for value in vars(auth).values())
     for p in pairs:
         assert auth.prf_s(p.k1, 0x5A5) == stdlib_prf_s(p.k1, 0x5A5)
         assert auth.prf_s(p.k1, 0x5A5) == stdlib_prf_s(p.k1, 0x5A5)
-    assert macs == [p.k1 for p in pairs for _ in range(2)]
+    assert prf_macs == [p.k1 for p in pairs for _ in range(2)]
     assert auth._master.prf == {new.k1: {}}
 
 
-def test_prf_memo_matches_stdlib_for_every_sb(monkeypatch):
+def test_prf_memo_matches_stdlib_for_every_sb(macs):
     # All 4,096 S values of a kept k1, computed cold and then read back
     # warm, and the memo holds one entry per sb: its bound.
-    macs = count_prf_macs(monkeypatch)
     k1 = auth.derive_keys(MK, 7).k1
     expected = [stdlib_prf_s(k1, sb) for sb in range(1 << codec.SB_WIDTH)]
     for _ in range(2):
         assert [auth.prf_s(k1, sb) for sb in range(1 << codec.SB_WIDTH)] == expected
-    assert len(macs) == len(auth._master.prf[k1]) == 4096
+    assert len(macs["prf"]) == len(auth._master.prf[k1]) == 4096
 
 
 @pytest.mark.parametrize("sb, error", [
@@ -216,10 +194,9 @@ def test_prf_memo_matches_stdlib_for_every_sb(monkeypatch):
     (1 << codec.SB_WIDTH, OverflowError), (-1, OverflowError),
     (-(1 << 12), OverflowError),
 ])
-def test_a_prf_memo_hit_lets_no_invalid_sb_through(monkeypatch, sb, error):
+def test_a_prf_memo_hit_lets_no_invalid_sb_through(empty_memos, sb, error):
     # 1.0 == 1 and hashes alike, so only the shift in prf_s keeps it from
     # the S of sb 1; the memo never holds an sb outside 0..4095.
-    empty_key_memo(monkeypatch)
     k1 = auth.derive_keys(MK, 7).k1
     for good in (0, 1, 0xFFF):
         auth.prf_s(k1, good)
@@ -255,40 +232,39 @@ def test_derive_keys_deterministic_and_separated():
     (MK, 1, 0.0),
 ])
 def test_derive_keys_validates_its_inputs_over_a_cached_pair(args):
-    # (MK, 1, 0) is cached first; True == 1 and 0.0 == 0 hash alike, so
-    # only the type check keeps them from returning its pair.
+    # (MK, 1, 0) is cached first.  bytearray(MK) == MK, and True == 1
+    # and 0.0 == 0 hash alike, so only the type checks keep them from
+    # returning its pair.
     auth.derive_keys(MK, 1, 0)
     with pytest.raises(ValueError):
         auth.derive_keys(*args)
 
 
 def test_an_equal_master_key_object_keeps_the_entry_and_its_fast_path(
-        monkeypatch):
-    # Each keystore holds its own mk bytes.  The first lookup under an
-    # equal copy checks its arguments and takes the entry over, pairs and
-    # S values kept; later lookups under the copy check nothing.
-    macs = count_kdf_macs(monkeypatch)
+        macs, monkeypatch):
+    # Each keystore holds its own mk bytes.  The entry is found by value,
+    # so a lookup under an equal copy returns the cached pair at once:
+    # no KDF MAC, no range check, and the entry stays as it was.
     pair = auth.derive_keys(MK, 3)
     s = auth.prf_s(pair.k1, 0x5A5)
-    copy = bytes(bytearray(MK))
-    assert copy == MK and copy is not MK
-    assert auth.Keystore(copy, 0).keys_for(3) is pair
-    assert auth._master.mk is copy
+    entry = auth._master
     checks = []
     check_uint = auth._check_uint
     monkeypatch.setattr(auth, "_check_uint",
                         lambda *args: checks.append(args) or check_uint(*args))
     for _ in range(3):
+        copy = bytes(bytearray(MK))
+        assert copy == MK and copy is not MK
         assert auth.Keystore(copy, 0).keys_for(3) is pair
         assert auth.derive_keys(copy, 3, 0) is pair
     assert checks == []
-    assert len(macs) == 2
-    assert auth._master.pairs == {(3, 0): pair}
-    assert auth._master.prf == {pair.k1: {0x5A5: s}}
+    assert macs["kdf"] == [MK, MK]
+    assert auth._master is entry and entry.mk is MK
+    assert entry.pairs == {(3, 0): pair}
+    assert entry.prf == {pair.k1: {0x5A5: s}}
 
 
-def test_a_different_master_key_still_replaces_the_entry(monkeypatch):
-    macs = count_kdf_macs(monkeypatch)
+def test_a_different_master_key_still_replaces_the_entry(macs):
     pair = auth.derive_keys(MK, 3)
     auth.prf_s(pair.k1, 0x5A5)
     auth.derive_keys(bytes(bytearray(MK)), 3)
@@ -298,7 +274,7 @@ def test_a_different_master_key_still_replaces_the_entry(monkeypatch):
     assert auth._master.mk is other
     assert auth._master.pairs == {(3, 0): new}
     assert auth._master.prf == {new.k1: {}}
-    assert len(macs) == 4
+    assert macs["kdf"] == [MK, MK, other, other]
 
 
 def test_the_id_check_reads_the_leading_bits_of_s_as_the_keystream():
@@ -749,6 +725,26 @@ def test_emit_tag_vectors_script_matches_auth():
         sb = auth.tag_sb(keys.k0, int(text, 2), SHORT)
         assert vec["sb_hex"] == f"{sb:03x}"
         assert vec["S_hex"] == f"{auth.prf_s(keys.k1, sb):08x}"
+
+
+# SHA-256 of emit_tag_vectors.py --seed 0 --count 16 in each format: the
+# KDF, tag and PRF outputs frozen as the codec vectors are.
+TAG_VECTOR_DIGESTS = {
+    "long": "66f49faf2e01e7324d7af7c210c4ac22be543b82f016d642965fcd2fefefd510",
+    "short": "7f0cc2a7dfe0cd5f7d867675c4e262464a53b209bbe69c24b285f33a6938b28a",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TAG_VECTOR_DIGESTS))
+def test_emit_tag_vectors_output_is_frozen(fmt):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "emit_tag_vectors.py"),
+         "--seed", "0", "--count", "16", "--format", fmt],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, check=True, timeout=60,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == TAG_VECTOR_DIGESTS[fmt]
 
 
 def test_keyless_forgery_script_counts_are_consistent():

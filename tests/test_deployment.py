@@ -8,7 +8,6 @@ import pytest
 from balisim import auth, codec
 from balisim.bits import bits_to_int, int_to_bits
 from balisim.codec import LONG, SHORT
-from balisim.sim import deployment as dep
 from balisim.sim.deployment import (
     AUTH_AUTHENTICATED,
     AUTH_LEGACY,
@@ -191,15 +190,13 @@ def test_build_deployment():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def codewords(monkeypatch):
-    """The codec.codeword calls made from here on, with an empty memo."""
-    dep._track_codewords.cache_clear()
+def codewords(monkeypatch, empty_memos):
+    """The codec.codeword calls made from here on, with empty memos."""
     calls = []
     codeword = codec.codeword
     monkeypatch.setattr(codec, "codeword",
                         lambda *args: calls.append(args) or codeword(*args))
-    yield calls
-    dep._track_codewords.cache_clear()
+    return calls
 
 
 def test_a_rerun_of_the_same_track_programs_nothing(codewords):
@@ -269,7 +266,7 @@ def test_any_change_to_the_track_programs_every_telegram_again(codewords, change
     assert len(codewords) == 3 * m
 
 
-def test_value_equal_tracks_share_their_codewords(codewords):
+def test_value_equal_tracks_share_their_codewords(codewords, empty_memos):
     ks = auth.new_keystore(seed=3)
     as_float = [BaliseSpec(1, -100.0, KIND_FIXED), BaliseSpec(2, 0.0, KIND_CONTROLLED)]
     as_int = [BaliseSpec(1, -100, KIND_FIXED), BaliseSpec(2, 0, KIND_CONTROLLED)]
@@ -281,7 +278,7 @@ def test_value_equal_tracks_share_their_codewords(codewords):
     assert from_int is not from_float
     from_int[0] = None
     assert from_float[0] is not None
-    dep._track_codewords.cache_clear()
+    empty_memos()
     assert [program_telegram(s, AUTH_AUTHENTICATED, ks, LONG)
             for s in as_int] == from_float
 

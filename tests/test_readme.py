@@ -17,7 +17,7 @@ import pytest
 
 import balisim
 from balisim import auth, cli, codec
-from balisim.sim import TrainParams, deployment, load_config, run_scenario
+from balisim.sim import TrainParams, load_config, run_scenario
 from balisim.sim.scenario import CSV_HEADER, DEFAULT_BALISES
 
 import attack_sweep
@@ -81,7 +81,8 @@ def test_table_row_matches_reference_and_a_fresh_run(name):
     assert TABLE[name] == round(reference, 3) == round(result.stop_error, 3)
 
 
-def test_bundled_scenarios_hold_their_stop_errors_run_in_either_order():
+def test_bundled_scenarios_hold_their_stop_errors_run_in_either_order(
+        empty_memos):
     # One process reruns the default track from build_deployment's memo of
     # the track it programmed last, as a simulate --batch worker does.
     def run(name):
@@ -89,7 +90,7 @@ def test_bundled_scenarios_hold_their_stop_errors_run_in_either_order():
 
     cold = {}
     for name in sorted(TABLE):
-        deployment._track_codewords.cache_clear()
+        empty_memos()
         cold[name] = run(name)
     for name in sorted(TABLE) + sorted(TABLE, reverse=True):
         result = run(name)

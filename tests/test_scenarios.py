@@ -151,9 +151,9 @@ def test_every_sim_export_resolves_and_the_reader_reads_an_int():
                     if name.startswith("Deployed") or name.endswith("read_balise")]
 
 
-def count_aligns(monkeypatch):
-    """Empty the alignment memo and list the codeword of every align call."""
-    scenario.align_codeword.cache_clear()
+@pytest.fixture
+def aligned(monkeypatch, empty_memos):
+    """With the memos emptied, list the codeword of every align call."""
     codewords = []
     align = codec.align
 
@@ -165,19 +165,9 @@ def count_aligns(monkeypatch):
     return codewords
 
 
-def cold_run(monkeypatch, cfg):
-    """run_scenario with the key, codeword and alignment memos emptied."""
-    monkeypatch.setattr(auth, "_master", auth._Master(b"", (), {}, {}))
-    deployment._track_codewords.cache_clear()
-    scenario.align_codeword.cache_clear()
-    return run_scenario(cfg)
-
-
-def test_a_rerun_of_an_authenticated_track_aligns_no_codeword(monkeypatch):
+def test_a_rerun_of_an_authenticated_track_aligns_no_codeword(aligned):
     cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED)
-    cold = cold_run(monkeypatch, cfg)
-    aligned = count_aligns(monkeypatch)
-    assert run_scenario(cfg) == cold
+    cold = run_scenario(cfg)
     assert sorted(aligned) == sorted(build_deployment(
         cfg.balises, AUTH_AUTHENTICATED, auth.new_keystore(seed=1), LONG))
     aligned.clear()
@@ -186,8 +176,8 @@ def test_a_rerun_of_an_authenticated_track_aligns_no_codeword(monkeypatch):
 
 
 @pytest.mark.parametrize("change", ["tamper", "clone", "telegram_file"])
-def test_an_attacked_run_aligns_only_its_new_codewords(monkeypatch, tmp_path,
-                                                       change):
+def test_an_attacked_run_aligns_only_its_new_codewords(aligned, empty_memos,
+                                                       tmp_path, change):
     keystore = auth.new_keystore(seed=1)
     if change == "tamper":
         cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED,
@@ -204,8 +194,9 @@ def test_an_attacked_run_aligns_only_its_new_codewords(monkeypatch, tmp_path,
         save_telegram(str(path), t, LONG)
         cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED,
                              telegram_files={2: str(path)})
-    cold = cold_run(monkeypatch, cfg)
-    aligned = count_aligns(monkeypatch)
+    cold = run_scenario(cfg)
+    empty_memos()
+    aligned.clear()
     run_scenario(ScenarioConfig(auth_mode=AUTH_AUTHENTICATED))
     known = set(aligned)
     aligned.clear()
@@ -219,8 +210,7 @@ def test_an_attacked_run_aligns_only_its_new_codewords(monkeypatch, tmp_path,
     assert len(new) == (0 if change == "clone" else 1)
 
 
-def test_a_stream_that_does_not_align_is_kept_and_tries_no_key(monkeypatch):
-    aligned = count_aligns(monkeypatch)
+def test_a_stream_that_does_not_align_is_kept_and_tries_no_key(aligned, monkeypatch):
     keystore = auth.new_keystore(seed=1)
     spec = BaliseSpec(id=2, loc=-64.0, kind="fixed")
     (t,) = build_deployment([spec], AUTH_AUTHENTICATED, keystore, LONG)
@@ -237,17 +227,15 @@ def test_a_stream_that_does_not_align_is_kept_and_tries_no_key(monkeypatch):
     assert trials == []
 
 
-def test_a_legacy_run_aligns_each_distinct_codeword_once(monkeypatch):
+def test_a_legacy_run_aligns_each_distinct_codeword_once(aligned):
     # B2 carries B1's telegram, so the run reads one codeword twice; the
     # resilient controller corrects it by ordering and passes the marker.
     cfg = ScenarioConfig(controller=CONTROLLER_RESILIENT,
                          attacks=[Clone(src=1, dst=2)])
-    cold = cold_run(monkeypatch, cfg)
+    cold = run_scenario(cfg)
     assert cold.stop_error > 0  # every balise, the marker at 0 m too, was read
     read = build_deployment(cfg.balises, AUTH_LEGACY, None, LONG)
     read[1] = read[0]
-    aligned = count_aligns(monkeypatch)
-    assert run_scenario(cfg) == cold
     assert sorted(aligned) == sorted(set(read))
     aligned.clear()
     assert run_scenario(cfg) == cold
@@ -255,8 +243,7 @@ def test_a_legacy_run_aligns_each_distinct_codeword_once(monkeypatch):
 
 
 def test_a_legacy_read_of_a_stream_that_does_not_align_descrambles_nothing(
-        monkeypatch):
-    aligned = count_aligns(monkeypatch)
+        aligned, monkeypatch):
     spec = BaliseSpec(id=2, loc=-64.0, kind="fixed")
     (t,) = build_deployment([spec], AUTH_LEGACY, None, LONG)
     calls = []
@@ -274,8 +261,7 @@ def test_a_legacy_read_of_a_stream_that_does_not_align_descrambles_nothing(
     assert calls == []
 
 
-def test_the_alignment_memo_keeps_the_last_1024_codewords():
-    scenario.align_codeword.cache_clear()
+def test_the_alignment_memo_keeps_the_last_1024_codewords(empty_memos):
     codewords = [codec.codeword(user, 0, 1, LONG) for user in range(1025)]
     for t in codewords:
         assert scenario.align_codeword(t, LONG) == codec.align(
@@ -288,8 +274,7 @@ def test_the_alignment_memo_keeps_the_last_1024_codewords():
     assert (info.hits, info.misses, info.currsize) == (1, 1026, 1024)
 
 
-def test_the_alignment_memo_keys_a_codeword_by_its_format():
-    scenario.align_codeword.cache_clear()
+def test_the_alignment_memo_keys_a_codeword_by_its_format(empty_memos):
     t = codec.codeword(5, 0x5A5, 7, SHORT)
     for fmt in (SHORT, LONG, SHORT, LONG):
         try:
@@ -301,25 +286,16 @@ def test_the_alignment_memo_keys_a_codeword_by_its_format():
     assert scenario.align_codeword.cache_info().currsize == 2
 
 
-def test_authenticated_run_derives_each_track_key_once(monkeypatch):
+def test_authenticated_run_derives_each_track_key_once(macs, monkeypatch):
     # Deployment and reader ask keys_for once per write and per trial;
-    # only the first request of an id computes its two KDF MACs (_hmac256
-    # under the master key's pad states), and only the first PRF of an sb
-    # under a track key computes its MAC (message prefix 0x53).  A second
-    # run under the same master key computes neither, and programs no
-    # telegram: its only tag MACs (prefix 0x01, the long format) are those
-    # of the accepted reads.
-    monkeypatch.setattr(auth, "_master", auth._Master(b"", (), {}, {}))
-    deployment._track_codewords.cache_clear()
-    kdf_macs, prf_macs, tag_macs, trials = [], [], [], []
-    hmac256, hmac256_once = auth._hmac256, auth._hmac256_once
+    # only the first request of an id computes its two KDF MACs (message
+    # prefix 0x4B), and only the first PRF of an sb under a track key
+    # computes its MAC (prefix 0x53).  A second run under the same master
+    # key computes neither, and programs no telegram: its only tag MACs
+    # (prefix 0x01, the long format) are those of the accepted reads.
+    kdf_macs, prf_macs, tag_macs = macs["kdf"], macs["prf"], macs["tag"]
+    trials = []
     keys_for = auth.Keystore.keys_for
-    monkeypatch.setattr(auth, "_hmac256",
-                        lambda pads, msg: kdf_macs.append(msg) or hmac256(pads, msg))
-    monkeypatch.setattr(
-        auth, "_hmac256_once",
-        lambda key, msg: {b"\x53": prf_macs, b"\x01": tag_macs}[msg[:1]].append(msg)
-        or hmac256_once(key, msg))
     monkeypatch.setattr(auth.Keystore, "keys_for",
                         lambda self, i: trials.append(i) or keys_for(self, i))
     cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED, seed=18)
@@ -638,6 +614,27 @@ def test_config_from_dict_rejects_bad_train_and_balise_keys():
         config_from_dict({"train": {"mass": 1.0}})
     with pytest.raises(ConfigError):
         config_from_dict({"balises": [{"id": 1, "loc": 0.0, "kind": "beacon"}]})
+
+
+@pytest.mark.parametrize("raw, key", [
+    # The misspelt controller was dropped and hoa ran: +0.111078 m.
+    ({"contoller": "resilient", "auth_mode": "authenticated"}, "contoller"),
+    ({"seed": 1, "attack": []}, "attack"),
+    ({"attacks": [{"type": "unavailable", "balise": 1, "new_loc": -1.0}]}, "new_loc"),
+    ({"attacks": [{"type": "clone", "src": 1, "dst": 2, "balise": 3}]}, "balise"),
+    ({"attacks": [{"type": "tamper", "balise": 1, "new_loc": -1.0, "to": 2}]}, "to"),
+])
+def test_config_from_dict_names_an_unknown_scenario_or_attack_key(raw, key):
+    with pytest.raises(ConfigError, match=f"'{key}'$"):
+        config_from_dict(raw)
+
+
+def test_scenario_file_with_a_misspelt_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"contoller": "resilient", "auth_mode": "authenticated"}')
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "'contoller'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("raw", [
