@@ -16,6 +16,9 @@ median and quartiles, how many pairs HEAD won, HEAD's median minus
 BASE's, and the median of first-run minus second-run values, where an
 effect of the order shows.  The last line is one JSON object with the
 same figures.  Only the stdlib and `git archive` are used.
+
+SIGTERM ends the script with exit code 143 and ends the run.py it is
+waiting for too.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -166,4 +170,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # SystemExit raised in subprocess.run kills the child it waits for.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     sys.exit(main())

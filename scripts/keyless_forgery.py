@@ -17,9 +17,10 @@ bits of the key's scrambling key, and descrambles and computes the tag
 only under the key whose id it names, so the reader's trials do not show
 the tag passes.  They are counted beside it: under every track key the
 aligned forged stream is descrambled with the keystream of the key's S
-and the tag of the data compared with its sb.  The alignment is the one
-the reader keeps (sim.scenario.align_codeword), so each forged stream
-is aligned once.
+and the tag of the data compared with its sb.  Each forged codeword is
+aligned once, by sim.scenario.align_codeword as a crossing aligns it,
+and that alignment is both what the reader reads and what the tag
+passes are counted on.
 
 The map is 50 balises evenly spaced from -100 m to 0 m, as in the
 auth_track_50 benchmark, with the scenario's default keystore (seed 1).
@@ -62,10 +63,10 @@ def main():
                                        rng.randrange(-100000, 0) / 1000.0, fmt)
         telegram = codec.codeword(user, rng.randrange(1 << codec.SB_WIDTH),
                                   rng.randrange(1 << 32), fmt)
-        if scenario.read_telegram(telegram, deployment.AUTH_AUTHENTICATED,
+        aligned = scenario.align_codeword(telegram, fmt)
+        if scenario.read_telegram(aligned, deployment.AUTH_AUTHENTICATED,
                                   keystore, track_ids, fmt) is not None:
             accepted += 1
-        aligned = scenario.align_codeword(telegram, fmt)
         for key in keys:
             user = aligned.data ^ codec.keystream(auth.prf_s(key.k1, aligned.sb),
                                                   fmt.user_bits)

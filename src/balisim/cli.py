@@ -68,10 +68,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _fail(str(exc))
 
     # Read as a run reads a crossing, on a track of this one balise.
-    fields = scenario.read_telegram(t, deployment.AUTH_AUTHENTICATED,
+    aligned = scenario.align_codeword(t, fmt)
+    fields = scenario.read_telegram(aligned, deployment.AUTH_AUTHENTICATED,
                                     keystore, [args.id], fmt)
     report = {
-        "decode": "fail" if scenario.align_codeword(t, fmt) is None else "ok",
+        "decode": "fail" if aligned is None else "ok",
         "auth": "fail" if fields is None else "pass",
         "fields": None if fields is None else dict(
             zip(("id", "kind", "loc_m"), fields)),

@@ -4,16 +4,16 @@ A scenario deploys telegrams on a balise sequence, optionally attacks
 them, and integrates the train from p0 until standstill.  Balise
 crossings are processed at the step in which the train position passes
 the balise; the onboard reader decodes the transmitted stream through
-the real codec.  read_telegram is that reader: the run loop, the check
-of a scenario's telegram files, balisim verify and
-scripts/keyless_forgery.py all read a telegram int through it.  In both
-auth modes it aligns each distinct codeword once per process (see
-align_codeword).  A legacy reader then descrambles with the public
-legacy S.  An authenticated one tries the key of every balise id in the
-track map in turn and accepts the first payload that verifies under a
-key, which auth.verify_and_decode allows only for a payload that names
-the id of that key (see auth).  A cloned telegram still verifies under
-its source key and names its source id.
+the real codec.  read_telegram is that reader, and it reads an
+alignment: the run loop, the check of a scenario's telegram files,
+balisim verify and scripts/keyless_forgery.py pass it align_codeword of
+a telegram int, which aligns each distinct codeword once per process.
+A legacy reader descrambles with the public legacy S.  An authenticated
+one tries the key of every balise id in the track map in turn and
+accepts the first payload that verifies under a key, which
+auth.verify_and_decode allows only for a payload that names the id of
+that key (see auth).  A cloned telegram still verifies under its source
+key and names its source id.
 The controller is either the plain online braking controller, which
 consumes reports as-is and skips a failed read, or the resilient
 hybrid, which filters every encounter, read or failed, through one
@@ -307,12 +307,13 @@ def _received(t: int, fmt: codec.TelegramFormat) -> codec.Stream:
 def align_codeword(t: int, fmt: codec.TelegramFormat) -> codec.Aligned | None:
     """codec.align of the stream a crossing of codeword t receives.
 
-    None when it does not align.  The reader of either auth mode and
-    balisim verify align through here.  Kept per (t, fmt) for the life
-    of the process, 1,024 entries at most, about 0.55 KB each (0.6 MB in
-    all); the least recently read codeword goes first.  Alignment is a
-    pure function of the received bits, so a kept result is never stale,
-    and it holds only what a balise broadcasts in the clear.
+    None when it does not align.  Every read of a telegram int aligns
+    through here and passes the result to read_telegram.  Kept per
+    (t, fmt) for the life of the process, 1,024 entries at most, about
+    0.55 KB each (0.6 MB in all); the least recently read codeword goes
+    first.  Alignment is a pure function of the received bits, so a kept
+    result is never stale, and it holds only what a balise broadcasts in
+    the clear.
     """
     try:
         return codec.align(_received(t, fmt), fmt)
@@ -321,15 +322,15 @@ def align_codeword(t: int, fmt: codec.TelegramFormat) -> codec.Aligned | None:
 
 
 def read_telegram(
-    t: int,
+    aligned: codec.Aligned | None,
     auth_mode: str,
     keystore: auth.Keystore | None,
     track_ids: list[int],
     fmt: codec.TelegramFormat,
 ) -> tuple[int, str, float] | None:
-    """(id, kind, loc) a crossing of codeword t reads, trying the keys of
-    track_ids in turn; None when unusable (see the module notes)."""
-    aligned = align_codeword(t, fmt)
+    """(id, kind, loc) the reader reads from an aligned stream, trying the
+    keys of track_ids in turn; None when unusable (see the module notes).
+    aligned is None for a stream that does not align."""
     if aligned is None:
         return None  # neither mode reads a stream that does not align
     if auth_mode == AUTH_LEGACY:
@@ -374,7 +375,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
             telegrams[i] = t
             # The reader is deterministic, so this is what every crossing
             # of the file's telegram (cloned or not) will read.
-            fields = read_telegram(t, cfg.auth_mode, keystore, track_ids, fmt)
+            fields = read_telegram(align_codeword(t, fmt), cfg.auth_mode,
+                                   keystore, track_ids, fmt)
             if fields is not None and fields[1] == KIND_FIXED \
                     and fields[2] == 0.0:
                 raise ConfigError(f"telegram file {path} reports the stop "
@@ -428,7 +430,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
             if t is None:
                 events.append(f"{label}:no_telegram")
                 continue
-            fields = read_telegram(t, cfg.auth_mode, keystore, track_ids, fmt)
+            fields = read_telegram(align_codeword(t, fmt), cfg.auth_mode,
+                                   keystore, track_ids, fmt)
             if fields is None:
                 auth_failures += 1
                 events.append(f"{label}:auth_fail")

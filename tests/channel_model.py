@@ -4,21 +4,30 @@ A balise repeats its telegram, and the reader records three copies that
 start at a random offset into it.  The copies pass through one
 impairment of IMPAIRMENTS, and the received stream is inverted for half
 of the streams.  corpus() draws a seeded set of cases over both formats
-and every impairment; tally() reads each case twice, as a legacy
-telegram through codec.decode_stream and as an authenticated one through
-auth.verify_and_decode, and counts the outcomes.
+and every impairment; tally() sends each case twice, as a legacy and as
+an authenticated telegram, and reads each received stream as the train
+does (see verdict): one codec.align, then sim.scenario.read_telegram, in
+the authenticated mode on a track of TRACK_BALISES keys that tries the
+sender's key last.  A telegram and a stream are ints, the stream a
+codec.Stream.
 """
 
 import functools
 import random
 
 from balisim import auth, codec
-from balisim.bits import bits_to_int, int_to_bits
+from balisim.sim import deployment, parse_payload, scenario
 
 COPIES = 3
 BURST_BITS = 16
 MAX_FLIPS = 4
 PER_CASE = 100
+TRACK_BALISES = 50
+
+KEYSTORE = auth.Keystore(bytes(range(32)), 0)
+SENDER = 9
+# The ids of the authenticated reader's track map, the sender's last.
+TRACK = [i for i in range(1, TRACK_BALISES + 1) if i != SENDER] + [SENDER]
 
 IMPAIRMENTS = (
     "clean",
@@ -48,92 +57,137 @@ def corpus(seed, per_case):
     return cases
 
 
+def payload(rng, fmt):
+    """Random user data that names SENDER and parses: its leading id bits
+    are SENDER's, which verify_and_decode requires of a payload it
+    accepts, and the high bit of its 2-bit kind code is 0."""
+    low = fmt.user_bits - auth.ID_BITS
+    user = SENDER << low | rng.getrandbits(fmt.user_bits) & ((1 << low) - 1)
+    return user & ~(1 << (low - 1))
+
+
+def telegram(user, fmt, auth_mode, sb=None):
+    """(codeword, sent): the telegram of user in auth_mode, with sb in
+    legacy mode, and the (fields, data, sb) a read of it must give:
+    parse_payload's fields, and the scrambled data and sb it carries."""
+    if auth_mode == deployment.AUTH_LEGACY:
+        s = codec.legacy_s_from_sb(sb)
+    else:
+        sb, s = auth.generate_tag(user, KEYSTORE.keys_for(SENDER), fmt)
+    sent = (parse_payload(user, fmt),
+            user ^ codec.keystream(s, fmt.user_bits), sb)
+    return codec.codeword(user, sb, s, fmt), sent
+
+
+def verdict(stream, fmt, auth_mode, sent):
+    """How the train's reader reads a received stream: "sent", "wrong"
+    (accepted, with fields, data or sb other than sent's), "unread"
+    (aligned, but read_telegram returns None) or the name of the
+    CodecError with which codec.align rejects it."""
+    try:
+        aligned = codec.align(stream, fmt)
+    except codec.CodecError as exc:
+        return type(exc).__name__
+    fields = scenario.read_telegram(aligned, auth_mode, KEYSTORE, TRACK, fmt)
+    if fields is None:
+        return "unread"
+    return "sent" if (fields, aligned.data, aligned.sb) == sent else "wrong"
+
+
+def rotated(t, k, n):
+    """The n-bit int t rotated left by k < n bits: list t[k:] + t[:k]."""
+    return (t << k | t >> (n - k)) & ((1 << n) - 1)
+
+
+def flipped(t, n, rng):
+    """The n-bit int t with 1 to MAX_FLIPS distinct bits flipped."""
+    for pos in rng.sample(range(n), rng.randint(1, MAX_FLIPS)):
+        t ^= 1 << (n - 1 - pos)
+    return t
+
+
+def joined(copies, n):
+    """The n-bit ints of copies one after the other, as (value, length)."""
+    value = 0
+    for copy in copies:
+        value = value << n | copy
+    return value, n * len(copies)
+
+
 def with_control_bits(telegram, fmt, rng):
     """telegram with control bits other than 001, check bits recomputed."""
     cb = rng.choice([c for c in range(8) if c != 0b001])
-    prefix = telegram[: fmt.check_prefix_bits]
-    prefix[fmt.shaped_bits : fmt.shaped_bits + codec.CB_WIDTH] = \
-        int_to_bits(cb, codec.CB_WIDTH)
-    check = codec.compute_check_bits(bits_to_int(prefix))
-    return prefix + int_to_bits(check, codec.CHECK_WIDTH)
+    shift = codec.SB_WIDTH + codec.ESB_WIDTH  # bits after cb in the prefix
+    mask = ((1 << codec.CB_WIDTH) - 1) << shift
+    prefix = telegram >> codec.CHECK_WIDTH & ~mask | cb << shift
+    return prefix << codec.CHECK_WIDTH | codec.compute_check_bits(prefix)
 
 
 def receive(telegram, fmt, impairment, inverted, rng):
-    """The stream received for telegram under impairment."""
+    """The codec.Stream received for telegram under impairment."""
     n = fmt.n
     k = rng.randrange(n)
-    start = telegram[k:] + telegram[:k]
+    start = rotated(telegram, k, n)
     if impairment in ("bad_cb", "bad_cb_then_good"):
-        bad = with_control_bits(telegram, fmt, rng)
-        bad = bad[k:] + bad[:k]
-        copies = COPIES if impairment == "bad_cb" else COPIES - 1
-        stream = bad * copies
+        bad = rotated(with_control_bits(telegram, fmt, rng), k, n)
+        copies = [bad] * (COPIES if impairment == "bad_cb" else COPIES - 1)
         if impairment == "bad_cb_then_good":
-            stream += start * COPIES
+            copies += [start] * COPIES
+        value, length = joined(copies, n)
     elif impairment == "flips_per_copy":
-        stream = []
-        for _ in range(COPIES):
-            copy = list(start)
-            for pos in rng.sample(range(n), rng.randint(1, MAX_FLIPS)):
-                copy[pos] ^= 1
-            stream += copy
+        value, length = joined([flipped(start, n, rng) for _ in range(COPIES)], n)
     else:
-        copy = list(start)
+        copy = start
         if impairment == "flips_same":
-            for pos in rng.sample(range(n), rng.randint(1, MAX_FLIPS)):
-                copy[pos] ^= 1
+            copy = flipped(copy, n, rng)
         elif impairment == "burst":
             pos = rng.randrange(n - BURST_BITS + 1)
             pattern = rng.getrandbits(BURST_BITS) | 1 | (1 << (BURST_BITS - 1))
-            for i in range(BURST_BITS):
-                copy[pos + i] ^= (pattern >> i) & 1
-        stream = copy * COPIES
-        windows = len(stream) - n - fmt.r_init + 1
+            for i in range(BURST_BITS):  # bit i of pattern onto bit pos + i
+                copy ^= (pattern >> i & 1) << (n - 1 - pos - i)
+        value, length = joined([copy] * COPIES, n)
+        windows = length - n - fmt.r_init + 1
+        drop = 0  # the bits that truncation cuts off the end
         if impairment == "delete":
-            del stream[rng.randrange(len(stream))]
+            after = length - 1 - rng.randrange(length)  # bits after the deleted
+            value = value >> (after + 1) << after | value & ((1 << after) - 1)
+            length -= 1
         elif impairment == "insert":
-            stream.insert(rng.randrange(len(stream) + 1), rng.randrange(2))
+            after = length - rng.randrange(length + 1)
+            bit = rng.randrange(2)
+            value = (value >> after << 1 | bit) << after | value & ((1 << after) - 1)
+            length += 1
         elif impairment == "truncate_short":
-            stream = stream[: len(stream) - windows + rng.randint(1, 5)]
+            drop = windows - rng.randint(1, 5)
         elif impairment == "truncate":
-            keep = 6 * rng.randrange(1, windows // 6) + rng.randrange(6)
-            stream = stream[: len(stream) - windows + keep]
+            drop = windows - 6 * rng.randrange(1, windows // 6) - rng.randrange(6)
         elif impairment == "random":
-            stream = [rng.randrange(2) for _ in stream]
-    return [1 - b for b in stream] if inverted else stream
-
-
-def named_by(keys, user, fmt):
-    """user with its leading id bits replaced by the id of keys, which
-    verify_and_decode requires of a payload it accepts."""
-    low = fmt.user_bits - auth.ID_BITS
-    return keys.id << low | user & ((1 << low) - 1)
+            value = 0
+            for _ in range(length):
+                value = value << 1 | rng.randrange(2)
+        value >>= drop
+        length -= drop
+    if inverted:
+        value ^= (1 << length) - 1
+    return codec.Stream(value, length)
 
 
 @functools.cache
 def tally():
     """(impairment, format name, path, outcome) -> reads, over PER_CASE
-    streams per format and impairment.  path is "legacy" or "auth"; outcome is
-    "sent", "wrong" (a payload that was not sent) or the exception's name.
-    Both reads of a case see the same impairment."""
-    keys = auth.derive_keys(bytes(range(32)), balise_id=9)
+    streams per format and impairment.  path is "legacy" or "auth";
+    outcome is verdict's.  Both reads of a case see the same impairment."""
     counts = {}
     for fmt, impairment, inverted, rng in corpus(seed=2027, per_case=PER_CASE):
-        user = named_by(keys, rng.getrandbits(fmt.user_bits), fmt)
-        legacy = codec.encode_legacy(user, rng.randrange(1 << codec.SB_WIDTH), fmt)
+        user = payload(rng, fmt)
+        legacy_sb = rng.randrange(1 << codec.SB_WIDTH)
         channel = rng.getstate()
-        for path, telegram in (("legacy", legacy),
-                               ("auth", auth.encode_authenticated(user, keys, fmt))):
+        for path, auth_mode, sb in (
+                ("legacy", deployment.AUTH_LEGACY, legacy_sb),
+                ("auth", deployment.AUTH_AUTHENTICATED, None)):
+            t, sent = telegram(user, fmt, auth_mode, sb)
             rng.setstate(channel)
-            stream = receive(telegram, fmt, impairment, inverted, rng)
-            try:
-                if path == "legacy":
-                    got = codec.decode_stream(stream, fmt).user
-                else:
-                    got = auth.verify_and_decode(stream, keys, fmt)
-                outcome = "sent" if got == user else "wrong"
-            except (codec.CodecError, auth.AuthFailure) as exc:
-                outcome = type(exc).__name__
-            key = (impairment, fmt.name, path, outcome)
+            stream = receive(t, fmt, impairment, inverted, rng)
+            key = (impairment, fmt.name, path, verdict(stream, fmt, auth_mode, sent))
             counts[key] = counts.get(key, 0) + 1
     return counts

@@ -1,9 +1,12 @@
-"""scripts/ab_pairs.py: its statistics, and a zero-second run of the tree against itself."""
+"""scripts/ab_pairs.py: its statistics, a zero-second run of the tree against
+itself, and a run stopped by SIGTERM."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -78,3 +81,37 @@ def test_zero_second_pairs_of_the_tree_against_itself(tmp_path):
             assert 0 < q1 <= median <= q3, name
         assert f"  {name} " in done.stdout
     assert sorted(os.listdir(tmp_path / "work")) == ["base", "head", "tree"]
+
+
+def test_sigterm_ends_the_benchmark_run_it_waits_for(tmp_path):
+    # The script and its run.py child are one process group, so the group
+    # is gone once both have ended.
+    work = tmp_path / "work"
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(ROOT, "scripts", "ab_pairs.py"), ROOT, ROOT,
+         "--workload", "auth_track_50", "--seeds", "1", "--seconds", "600",
+         "--work", str(work)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (work / "tree" / "src").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        time.sleep(1)  # run.py starts once src/ is copied
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 143
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a run.py outlived the script"
+            time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()

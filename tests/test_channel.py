@@ -3,17 +3,20 @@
 Each of N = 2000 trials encodes a random payload, legacy or
 authenticated, in the long or the short format.  It flips 1 to 4
 telegram bits, repeats the telegram three times (so every copy carries
-the same flips), rotates the stream and inverts it half the time.  A
-read that returns a payload other than the one sent is an undetected
-error, and there must be none; a rejection is a detected error.  The
-same holds over channel model v2 (channel_model.py), which adds
-independent flips per copy, bursts, slipped bits, truncation, random
-streams and wrong control bits.
+the same flips), rotates the stream and inverts it half the time.  The
+stream is read as the train reads it, through one codec.align and
+read_telegram, the authenticated one on a 50-key track (see
+channel_model.verdict).  A read that returns other fields, data or sb
+than those sent is an undetected error, and there must be none; a
+rejection is a detected error.  The same holds over channel model v2
+(channel_model.py), which adds independent flips per copy, bursts,
+slipped bits, truncation, random streams and wrong control bits.
 """
 
 import random
 
-from balisim import auth, codec
+from balisim import codec
+from balisim.sim.deployment import AUTH_AUTHENTICATED, AUTH_LEGACY
 
 import channel_model
 
@@ -22,33 +25,24 @@ N = 2000
 
 def test_bit_flip_channel_2000_streams_no_undetected_error():
     rng = random.Random(2026)
-    keys = auth.derive_keys(bytes(range(32)), balise_id=7)
     undetected = detected = 0
     for trial in range(N):
         fmt = codec.SHORT if trial % 2 else codec.LONG
-        authenticated = trial % 4 >= 2
-        user = rng.getrandbits(fmt.user_bits)
-        if authenticated:
-            user = channel_model.named_by(keys, user, fmt)
-            telegram = auth.encode_authenticated(user, keys, fmt)
-        else:
-            telegram = codec.encode_legacy(user, rng.randrange(1 << codec.SB_WIDTH), fmt)
-        for pos in rng.sample(range(fmt.n), rng.randint(1, 4)):
-            telegram[pos] ^= 1
-        stream = telegram * 3
-        k = rng.randrange(fmt.n)
-        stream = stream[k:] + stream[:k]
+        n = fmt.n
+        auth_mode = AUTH_AUTHENTICATED if trial % 4 >= 2 else AUTH_LEGACY
+        user = channel_model.payload(rng, fmt)
+        sb = None if auth_mode == AUTH_AUTHENTICATED \
+            else rng.randrange(1 << codec.SB_WIDTH)
+        telegram, sent = channel_model.telegram(user, fmt, auth_mode, sb)
+        telegram = channel_model.rotated(
+            channel_model.flipped(telegram, n, rng), rng.randrange(n), n)
+        value, length = channel_model.joined([telegram] * 3, n)
         if rng.randrange(2):
-            stream = [1 - b for b in stream]
-        try:
-            if authenticated:
-                got = auth.verify_and_decode(stream, keys, fmt)
-            else:
-                got = codec.decode_stream(stream, fmt).user
-        except (codec.CodecError, auth.AuthFailure):
-            detected += 1
-            continue
-        undetected += got != user
+            value ^= (1 << length) - 1
+        verdict = channel_model.verdict(codec.Stream(value, length), fmt,
+                                        auth_mode, sent)
+        undetected += verdict == "wrong"
+        detected += verdict not in ("sent", "wrong")
     print(f"bit-flip channel: N={N}, detected={detected}, undetected={undetected}")
     assert undetected == 0
 

@@ -15,6 +15,8 @@ import pytest
 
 import balisim
 from balisim.cli import main
+from balisim.codec import SHORT
+from balisim.sim import scenario
 from balisim.sim.deployment import load_telegram, save_telegram
 
 SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
@@ -149,6 +151,30 @@ def test_verify_fails_a_tag_pass_under_a_key_that_does_not_own_the_payload(
     captured = capsys.readouterr()
     assert json.loads(captured.out) == {"decode": "ok", "auth": "fail", "fields": None}
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("telegram, code, report", [
+    ("authenticated", 0, {"decode": "ok", "auth": "pass",
+                          "fields": {"id": 3, "kind": "fixed", "loc_m": -36.0}}),
+    ("legacy", 1, {"decode": "ok", "auth": "fail", "fields": None}),
+    ("short zeros", 1, {"decode": "fail", "auth": "fail", "fields": None}),
+])
+def test_verify_aligns_the_telegram_once(tmp_path, keystore, capsys, monkeypatch,
+                                         telegram, code, report):
+    if telegram == "short zeros":  # no window of it is in the alphabet
+        path = str(tmp_path / "zeros.json")
+        save_telegram(path, 0, SHORT)
+    else:
+        path = _program(tmp_path, keystore, mode=telegram)
+    calls = []
+    align_codeword = scenario.align_codeword
+    monkeypatch.setattr(scenario, "align_codeword",
+                        lambda *args: calls.append(args) or align_codeword(*args))
+    capsys.readouterr()
+    assert main(["verify", path, "--keystore", keystore, "--id", "3"]) == code
+    assert json.loads(capsys.readouterr().out) == report
+    fmt, t = load_telegram(path)
+    assert calls == [(t, fmt)]
 
 
 @pytest.mark.parametrize("which", ["telegram", "keystore"])

@@ -501,8 +501,9 @@ def test_control_bit_error_comes_from_the_first_set_aside_window_in_the_alphabet
     rng = random.Random(152)
     for fmt in (LONG, SHORT):
         bad = next(b for b in (channel_model.with_control_bits(
-            codec.encode_legacy(random_user(rng, fmt), 0x1F0, fmt), fmt, rng)
-            for _ in range(64)) if b[-1] == 0)
+            legacy_codeword(random_user(rng, fmt), 0x1F0, fmt), fmt, rng)
+            for _ in range(64)) if b & 1 == 0)
+        bad = int_to_bits(bad, fmt.n)
         stream = [bad[-1]] + bad * 3
         early = bits_to_int(stream[: fmt.n]) >> (fmt.n - fmt.shaped_bits)
         with pytest.raises(codec.AlphabetError):
@@ -723,6 +724,16 @@ def oracle_align(stream, fmt):
     raise codec.NoTelegramFound(f"no aligned window in {windows} windows")
 
 
+def legacy_codeword(user, sb, fmt):
+    """The legacy telegram int that codec.encode_legacy lists."""
+    return codec.codeword(user, sb, codec.legacy_s_from_sb(sb), fmt)
+
+
+def stream_bits(stream):
+    """A codec.Stream as the list of its bits."""
+    return int_to_bits(stream.value, stream.length)
+
+
 def align_outcome(align, stream, fmt):
     try:
         return align(stream, fmt)
@@ -733,9 +744,10 @@ def align_outcome(align, stream, fmt):
 def test_align_matches_per_bit_scan_under_channel_model_v2():
     outcomes = {}
     for fmt, impairment, inverted, rng in channel_model.corpus(seed=611, per_case=30):
-        telegram = codec.encode_legacy(random_user(rng, fmt),
-                                       rng.randrange(1 << codec.SB_WIDTH), fmt)
-        stream = channel_model.receive(telegram, fmt, impairment, inverted, rng)
+        telegram = legacy_codeword(random_user(rng, fmt),
+                                   rng.randrange(1 << codec.SB_WIDTH), fmt)
+        stream = stream_bits(
+            channel_model.receive(telegram, fmt, impairment, inverted, rng))
         got = align_outcome(codec.align, stream, fmt)
         assert got == align_outcome(oracle_align, stream, fmt), (fmt.name, impairment)
         kind = "ok" if isinstance(got, codec.Aligned) else got[0].__name__
@@ -749,9 +761,9 @@ def test_align_matches_per_bit_scan_on_stream_lengths_around_a_stride():
     # codeword with bad control bits: the per-bit tail takes each length.
     rng = random.Random(612)
     for fmt in (LONG, SHORT):
-        telegram = codec.encode_legacy(random_user(rng, fmt), 0x3C3, fmt)
+        telegram = legacy_codeword(random_user(rng, fmt), 0x3C3, fmt)
         bad = channel_model.with_control_bits(telegram, fmt, rng)
-        for bits in (telegram, bad):
+        for bits in (int_to_bits(telegram, fmt.n), int_to_bits(bad, fmt.n)):
             for k in (0, 1, 5, 6, 7, fmt.n - 13, fmt.n - 1):
                 rotated = (bits[k:] + bits[:k]) * 3
                 for windows in range(1, 26):
@@ -804,8 +816,9 @@ def test_align_matches_per_bit_scan_after_an_early_control_bit_error(fmt):
     # scan goes on to the telegram past it.
     n, r = fmt.n, fmt.r_init
     rng = random.Random(615)
-    telegram = codec.encode_legacy(random_user(rng, fmt), 0x2B4, fmt)
-    bad = channel_model.with_control_bits(telegram, fmt, rng)
+    telegram = legacy_codeword(random_user(rng, fmt), 0x2B4, fmt)
+    bad = int_to_bits(channel_model.with_control_bits(telegram, fmt, rng), fmt.n)
+    telegram = int_to_bits(telegram, fmt.n)
     for k in (0, 1, 6, 7, n // 2, n - 7, n - 1):
         head = (bad[k:] + bad[:k]) * 3
         head = head[: (n - k) % n + n + r]  # ends just after a whole bad window
@@ -910,11 +923,12 @@ def test_align_reads_a_stream_int_as_it_reads_the_list(monkeypatch):
     outcomes = set()
     for fmt, impairment, inverted, rng in channel_model.corpus(
             seed=2027, per_case=channel_model.PER_CASE):
-        telegram = codec.encode_legacy(random_user(rng, fmt),
-                                       rng.randrange(1 << codec.SB_WIDTH), fmt)
-        bits = channel_model.receive(telegram, fmt, impairment, inverted, rng)
+        telegram = legacy_codeword(random_user(rng, fmt),
+                                   rng.randrange(1 << codec.SB_WIDTH), fmt)
+        received = channel_model.receive(telegram, fmt, impairment, inverted, rng)
+        bits = stream_bits(received)
         got = align_outcome(codec.align, bits, fmt)
-        value = bits_to_int(bits)
+        value = received.value
         with monkeypatch.context() as patch:
             # A Stream is read without a list conversion, and the bits of
             # its value above its length do not count.

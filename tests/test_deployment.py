@@ -6,7 +6,7 @@ import random
 import pytest
 
 from balisim import auth, codec
-from balisim.bits import bits_to_int, int_to_bits
+from balisim.bits import int_to_bits
 from balisim.codec import LONG, SHORT
 from balisim.sim.deployment import (
     AUTH_AUTHENTICATED,
@@ -26,7 +26,8 @@ from balisim.sim.deployment import (
     program_telegram,
     save_telegram,
 )
-from balisim.sim.scenario import ScenarioConfig, run_scenario
+from balisim.sim.scenario import ScenarioConfig, align_codeword, \
+    read_telegram, run_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +56,8 @@ def test_payload_negative_location():
 
 
 def test_payload_zero_padding():
-    user = int_to_bits(pack_payload(1, KIND_FIXED, 0.0, LONG), LONG.user_bits)
-    assert all(b == 0 for b in user[14 + 2 + 48 :])
+    user = pack_payload(1, KIND_FIXED, 0.0, LONG)
+    assert user & ((1 << (LONG.user_bits - (14 + 2 + 48))) - 1) == 0
 
 
 @pytest.mark.parametrize("bid", [-1, 1 << auth.ID_BITS])
@@ -77,10 +78,10 @@ def test_payload_rejects_out_of_range_location():
 
 
 def test_parse_rejects_unknown_kind_code():
-    user = int_to_bits(pack_payload(1, KIND_FIXED, 0.0, SHORT), SHORT.user_bits)
-    user[14], user[15] = 1, 1  # kind code 3 is unassigned
+    user = pack_payload(1, KIND_FIXED, 0.0, SHORT)
+    user |= 0b11 << (SHORT.user_bits - 16)  # kind code 3 is unassigned
     with pytest.raises(ValueError):
-        parse_payload(bits_to_int(user), SHORT)
+        parse_payload(user, SHORT)
 
 
 EDGE_LOC = ((1 << 47) - 1) / 1000.0  # the largest location in signed 48-bit mm
@@ -134,18 +135,14 @@ def test_balise_spec_is_immutable_and_checked_on_replace():
 # Programming
 # ---------------------------------------------------------------------------
 
-def received(telegram, fmt):
-    """Three copies of a deployed codeword as a bit list."""
-    return int_to_bits(telegram, fmt.n) * 3
-
-
 def test_program_legacy_round_trips():
     spec = BaliseSpec(id=42, loc=-64.0, kind=KIND_FIXED)
     telegram = program_telegram(spec, AUTH_LEGACY, None, SHORT)
     assert type(telegram) is int and 0 <= telegram < 1 << SHORT.n
-    result = codec.decode_stream(received(telegram, SHORT), SHORT)
-    assert result.sb == LEGACY_SB
-    assert parse_payload(result.user, SHORT) == (42, KIND_FIXED, -64.0)
+    aligned = align_codeword(telegram, SHORT)
+    assert aligned.sb == LEGACY_SB
+    assert read_telegram(aligned, AUTH_LEGACY, None, [42], SHORT) == \
+        (42, KIND_FIXED, -64.0)
 
 
 def test_program_authenticated_round_trips():
@@ -153,8 +150,8 @@ def test_program_authenticated_round_trips():
     spec = BaliseSpec(id=42, loc=0.0, kind=KIND_CONTROLLED)
     telegram = program_telegram(spec, AUTH_AUTHENTICATED, ks, LONG)
     assert type(telegram) is int and 0 <= telegram < 1 << LONG.n
-    user = auth.verify_and_decode(received(telegram, LONG), ks.keys_for(42), LONG)
-    assert parse_payload(user, LONG) == (42, KIND_CONTROLLED, 0.0)
+    assert read_telegram(align_codeword(telegram, LONG), AUTH_AUTHENTICATED, ks,
+                         [42], LONG) == (42, KIND_CONTROLLED, 0.0)
 
 
 def test_program_authenticated_requires_keystore():
@@ -166,8 +163,8 @@ def test_program_authenticated_requires_keystore():
 def test_program_reported_location_override():
     spec = BaliseSpec(id=9, loc=-36.0, kind=KIND_FIXED)
     telegram = program_telegram(spec._replace(loc=-1.0), AUTH_LEGACY, None, SHORT)
-    result = codec.decode_stream(received(telegram, SHORT), SHORT)
-    assert parse_payload(result.user, SHORT) == (9, KIND_FIXED, -1.0)
+    assert read_telegram(align_codeword(telegram, SHORT), AUTH_LEGACY, None, [9],
+                         SHORT) == (9, KIND_FIXED, -1.0)
 
 
 def test_build_deployment():
@@ -180,9 +177,9 @@ def test_build_deployment():
     telegrams = build_deployment(specs, AUTH_AUTHENTICATED, ks, SHORT)
     assert len(telegrams) == 3 and all(type(t) is int for t in telegrams)
     for spec, t in zip(specs, telegrams):
-        user = auth.verify_and_decode(received(t, SHORT),
-                                      ks.keys_for(spec.id), SHORT)
-        assert parse_payload(user, SHORT)[0] == spec.id
+        fields = read_telegram(align_codeword(t, SHORT), AUTH_AUTHENTICATED, ks,
+                               [spec.id], SHORT)
+        assert fields[0] == spec.id
 
 
 # ---------------------------------------------------------------------------
@@ -298,35 +295,33 @@ def _single_deployment(auth_mode, keystore, fmt=SHORT):
 def test_tamper_rewrites_location_and_reuses_sb():
     ks = auth.new_keystore(seed=7)
     telegrams = _single_deployment(AUTH_AUTHENTICATED, ks)
-    base = SHORT.shaped_bits + codec.CB_WIDTH
-    bits = int_to_bits(telegrams[0], SHORT.n)
-    original_sb = bits_to_int(bits[base : base + codec.SB_WIDTH])
+    original_sb = align_codeword(telegrams[0], SHORT).sb
 
     apply_attacks(telegrams, [B1], [Tamper(balise=1, new_loc=-1.0)], SHORT)
 
-    result = codec.decode_stream(received(telegrams[0], SHORT), SHORT)
-    assert result.sb == original_sb  # attacker replays the observed sb
-    assert parse_payload(result.user, SHORT) == (1, KIND_FIXED, -1.0)
+    aligned = align_codeword(telegrams[0], SHORT)
+    assert aligned.sb == original_sb  # attacker replays the observed sb
+    assert read_telegram(aligned, AUTH_LEGACY, None, [1], SHORT) == \
+        (1, KIND_FIXED, -1.0)
     # ...but the forged content no longer verifies under the real keys.
-    with pytest.raises(auth.AuthFailure):
-        auth.verify_and_decode(received(telegrams[0], SHORT),
-                               ks.keys_for(1), SHORT)
+    assert read_telegram(aligned, AUTH_AUTHENTICATED, ks, [1], SHORT) is None
 
 
 def test_tamper_on_legacy_telegram_passes_legacy_decode():
     telegrams = _single_deployment(AUTH_LEGACY, None)
     apply_attacks(telegrams, [B1], [Tamper(balise=1, new_loc=-1.0)], SHORT)
-    result = codec.decode_stream(received(telegrams[0], SHORT), SHORT)
-    assert result.sb == LEGACY_SB
-    assert parse_payload(result.user, SHORT) == (1, KIND_FIXED, -1.0)
+    aligned = align_codeword(telegrams[0], SHORT)
+    assert aligned.sb == LEGACY_SB
+    assert read_telegram(aligned, AUTH_LEGACY, None, [1], SHORT) == \
+        (1, KIND_FIXED, -1.0)
 
 
 def test_tamper_on_suppressed_balise_uses_default_sb():
     telegrams = [None]
     apply_attacks(telegrams, [B1], [Tamper(balise=1, new_loc=-2.0)], SHORT)
-    result = codec.decode_stream(received(telegrams[0], SHORT), SHORT)
-    assert result.sb == LEGACY_SB
-    assert parse_payload(result.user, SHORT)[2] == -2.0
+    aligned = align_codeword(telegrams[0], SHORT)
+    assert aligned.sb == LEGACY_SB
+    assert read_telegram(aligned, AUTH_LEGACY, None, [1], SHORT)[2] == -2.0
 
 
 def test_clone_copies_bits():

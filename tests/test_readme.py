@@ -151,6 +151,10 @@ def test_channel_model_table_equals_the_tally():
         label = row.split(" | ", 1)[0]
         assert row == " | ".join([label, *returned, ", ".join(
             f"`{name}`" for name in rejected) or "—"]) + " |"
+    # Both columns are the train's reader, on the track the tally reads.
+    section = " ".join(_section("Channel model v2").split())
+    assert "then `read_telegram`" in section and "decode_stream" not in section
+    assert f"on a {len(channel_model.TRACK)}-key track" in section
     per_case = channel_model.PER_CASE
     assert f"reads {per_case} seeded streams per format and impairment" in PROSE
     assert f"Payloads returned per {per_case} streams" in PROSE

@@ -1,6 +1,7 @@
 """Tests for scenario configuration, the run loop, and result output."""
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -33,7 +34,8 @@ from balisim.sim.deployment import AUTH_AUTHENTICATED, AUTH_LEGACY, \
     LEGACY_SB, build_deployment, pack_payload
 from balisim.sim.conservative import MODE_PID1, MODE_PID2
 from balisim.sim.scenario import CONTROLLER_RESILIENT, CSV_HEADER, MAX_STEPS, \
-    MODE_HOA, MODE_MAX_BRAKE, SimResult, TrajectoryRow, read_telegram
+    MODE_HOA, MODE_MAX_BRAKE, SimResult, TrajectoryRow, align_codeword, \
+    read_telegram
 from balisim import auth, codec
 from balisim.sim.params import TrainParams
 
@@ -130,25 +132,32 @@ def test_reader_tries_no_key_on_a_stream_that_does_not_align(monkeypatch):
     monkeypatch.setattr(auth.Keystore, "keys_for",
                         lambda self, i: trials.append(i) or keys_for(self, i))
     track_ids = [1, 2, 3]
-    assert read_telegram(t, AUTH_AUTHENTICATED, keystore,
+    assert read_telegram(align_codeword(t, LONG), AUTH_AUTHENTICATED, keystore,
                          track_ids, LONG) == (2, "fixed", -64.0)
     assert trials == [1, 2]
     trials.clear()
     t ^= 1 << (LONG.n - 1 - 100)  # flips bit 100 of the codeword
-    assert read_telegram(t, AUTH_AUTHENTICATED, keystore, track_ids, LONG) is None
+    assert read_telegram(align_codeword(t, LONG), AUTH_AUTHENTICATED, keystore,
+                         track_ids, LONG) is None
     assert trials == []
 
 
-def test_every_sim_export_resolves_and_the_reader_reads_an_int():
+def test_every_sim_export_resolves_and_the_reader_reads_an_alignment():
     import balisim.sim as sim
     assert len(set(sim.__all__)) == len(sim.__all__)
     assert all(hasattr(sim, name) for name in sim.__all__)
     assert "read_telegram" in sim.__all__
+    # The reader takes what align_codeword or codec.align returns.
+    first = next(iter(inspect.signature(read_telegram).parameters.values()))
+    assert (first.name, first.annotation) == ("aligned", "codec.Aligned | None")
     # A deployment is a list of ints, so no record class wraps a telegram,
-    # and no private reader of such a record is left beside read_telegram.
+    # and no other reader, of such a record or of an int, is left beside
+    # read_telegram.
     for module in (sim, deployment, scenario):
         assert not [name for name in vars(module)
                     if name.startswith("Deployed") or name.endswith("read_balise")]
+    assert [name for name in vars(scenario) if "read" in name] == [
+        "_read_json", "read_telegram"]
 
 
 @pytest.fixture
@@ -220,9 +229,9 @@ def test_a_stream_that_does_not_align_is_kept_and_tries_no_key(aligned, monkeypa
     monkeypatch.setattr(auth.Keystore, "keys_for",
                         lambda self, i: trials.append(i) or keys_for(self, i))
     for _ in range(2):
-        assert read_telegram(t, AUTH_AUTHENTICATED, keystore,
-                             [1, 2, 3], LONG) is None
-    assert scenario.align_codeword(t, LONG) is None
+        assert read_telegram(align_codeword(t, LONG), AUTH_AUTHENTICATED,
+                             keystore, [1, 2, 3], LONG) is None
+    assert align_codeword(t, LONG) is None
     assert aligned == [t]
     assert trials == []
 
@@ -250,13 +259,15 @@ def test_a_legacy_read_of_a_stream_that_does_not_align_descrambles_nothing(
     keystream = codec.keystream
     monkeypatch.setattr(codec, "keystream",
                         lambda *args: calls.append(args) or keystream(*args))
-    assert read_telegram(t, AUTH_LEGACY, None, [2], LONG) == (2, "fixed", -64.0)
+    assert read_telegram(align_codeword(t, LONG), AUTH_LEGACY, None, [2],
+                         LONG) == (2, "fixed", -64.0)
     assert len(calls) == 1
     calls.clear()
     t ^= 1 << (LONG.n - 1 - 100)  # flips bit 100 of the codeword
     for _ in range(2):
-        assert read_telegram(t, AUTH_LEGACY, None, [2], LONG) is None
-    assert scenario.align_codeword(t, LONG) is None
+        assert read_telegram(align_codeword(t, LONG), AUTH_LEGACY, None, [2],
+                             LONG) is None
+    assert align_codeword(t, LONG) is None
     assert len(aligned) == 2 and aligned[1] == t
     assert calls == []
 
@@ -354,8 +365,7 @@ def test_resilient_controller_ignores_a_stop_marker_cloned_onto_a_fixed_balise(
 
 
 def test_timeout_raises():
-    cfg = bundled("no_attack")
-    cfg.max_time_s = 0.05
+    cfg = ScenarioConfig(max_time_s=0.05)  # no_attack, cut short
     with pytest.raises(SimTimeout):
         run_scenario(cfg)
 
@@ -819,8 +829,7 @@ def test_bad_telegram_file_is_a_config_error(tmp_path, content):
     path = tmp_path / "b1.json"
     if content is not None:
         path.write_bytes(content)
-    cfg = bundled("no_attack")
-    cfg.telegram_files = {1: str(path)}
+    cfg = ScenarioConfig(telegram_files={1: str(path)})
     with pytest.raises(ConfigError, match=re.escape(str(path))):
         run_scenario(cfg)
 
@@ -861,8 +870,7 @@ def test_telegram_file_format_mismatch_rejected(tmp_path):
     tel_path = tmp_path / "b1_short.json"
     save_telegram(str(tel_path), codec.codeword(
         user, LEGACY_SB, codec.legacy_s_from_sb(LEGACY_SB), SHORT), SHORT)
-    cfg = bundled("no_attack")
-    cfg.telegram_files = {1: str(tel_path)}
+    cfg = ScenarioConfig(telegram_files={1: str(tel_path)})
     with pytest.raises(ConfigError):
         run_scenario(cfg)
 
