@@ -13,9 +13,17 @@ first, the next HEAD first, and so on.
 
 For each end-to-end metric of BENCHMARK.json it prints each side's
 median and quartiles, how many pairs HEAD won, HEAD's median minus
-BASE's, and the median of first-run minus second-run values, where an
-effect of the order shows.  The last line is one JSON object with the
-same figures.  Only the stdlib and `git archive` are used.
+BASE's, the median of first-run minus second-run values, where an
+effect of the order shows, and a verdict:
+
+- gain: HEAD won at least 9 in 10 pairs, and its median is better than
+  BASE's by more than BASE's interquartile range;
+- worse: HEAD's median is worse than BASE's by more than the metric's
+  bound in BENCHMARK.json, a fraction of BASE's median;
+- no change: neither.
+
+The last line is one JSON object with the same figures.  Only the
+stdlib and `git archive` are used.
 
 SIGTERM ends the script with exit code 143 and ends the run.py it is
 waiting for too.
@@ -58,10 +66,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[dict], better: str) -> dict:
+def summarize(pairs: list[dict], better: str, bound: float) -> dict:
     """Figures of one metric over pairs of {"base", "head", "first"} runs.
 
-    better is "higher" or "lower"; a tie is no win.
+    better is "higher" or "lower"; a tie is no win.  bound is the
+    metric's bound, the fraction of BASE's median by which HEAD's may be
+    worse before the verdict is "worse" (see the module notes).
     """
     sign = 1 if better == "higher" else -1
     base = [p["base"] for p in pairs]
@@ -69,14 +79,23 @@ def summarize(pairs: list[dict], better: str) -> dict:
     first_minus_second = [p["base"] - p["head"] if p["first"] == "base"
                           else p["head"] - p["base"] for p in pairs]
     base_q, head_q = quartiles(base), quartiles(head)
+    head_wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    gain = sign * (head_q[1] - base_q[1])  # > 0 when HEAD's median is better
+    if 10 * head_wins >= 9 * len(pairs) and gain > base_q[2] - base_q[0]:
+        verdict = "gain"
+    elif -gain > bound * abs(base_q[1]):
+        verdict = "worse"
+    else:
+        verdict = "no change"
     return {
         "base": base_q,
         "head": head_q,
-        "head_wins": sum(sign * (h - b) > 0 for b, h in zip(base, head)),
+        "head_wins": head_wins,
         "pairs": len(pairs),
         "head_minus_base": head_q[1] - base_q[1],
         "base_iqr": base_q[2] - base_q[0],
         "first_minus_second": statistics.median(first_minus_second),
+        "verdict": verdict,
     }
 
 
@@ -154,16 +173,18 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.workload}: {args.base} (base) against {args.head} (head), "
           f"{len(runs)} pairs of {args.seconds:g} s runs")
     print(f"  {'metric':<12} {'base median [q1, q3]':>30} {'head median [q1, q3]':>30}"
-          f" {'head wins':>9} {'head-base':>10} {'base IQR':>10} {'1st-2nd':>10}")
+          f" {'head wins':>9} {'head-base':>10} {'base IQR':>10} {'1st-2nd':>10}"
+          "  verdict")
     for metric in declared["end_to_end"]:
         name = metric["name"]
         pairs = [{"base": pair["base"][name], "head": pair["head"][name],
                   "first": first} for first, pair in runs]
-        s = summary[name] = summarize(pairs, metric["better"])
+        s = summary[name] = summarize(pairs, metric["better"], metric["bound"])
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (s["base"], s["head"])]
         print(f"  {name:<12} {cells[0]:>30} {cells[1]:>30}"
               f" {s['head_wins']:>4}/{s['pairs']:<4} {s['head_minus_base']:>+10.4g}"
-              f" {s['base_iqr']:>10.4g} {s['first_minus_second']:>+10.4g}")
+              f" {s['base_iqr']:>10.4g} {s['first_minus_second']:>+10.4g}"
+              f"  {s['verdict']}")
     print(json.dumps({"workload": args.workload, "seeds": args.seeds,
                       "seconds": args.seconds, "metrics": summary}))
     return 0

@@ -8,9 +8,11 @@ record list for encounters it could not attribute to a unique balise.
 balise_missing implements the published detection condition, including
 its second disjunct (which triggers earlier, not later, than the first;
 each evaluation that fires records which clause fired so the
-interpretation stays inspectable).  It is evaluated from the first
-unreceived balise, behind a guard on the suffix maxima of |loc|, so a
-step on which no clause can fire costs O(1), not a walk over the map.
+interpretation stays inspectable).  An evaluation on which no clause can
+fire costs O(1), not a walk over the map, and records a watch point: the
+p_est below which none can fire while the train only moves on.  The run
+loop evaluates the condition again only once p_est reaches it, about
+once per reference instead of on every step.
 derive_trustworthy_info implements the published two-branch
 correction: authenticated reports are accepted when plausible against
 (p_est, delta); unauthenticated encounters are recovered from the track
@@ -27,9 +29,19 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .params import MAX_STEPS
+
 # Tolerance when matching inter-record distances against map distances;
 # covers the one-step position quantization of crossing detection.
 DISTANCE_TOL = 0.5
+
+# The watch point's margin, per metre of the largest magnitude in play
+# (see balise_missing).  p_est and dist_since_ref each take up to
+# MAX_STEPS additions of the same ds, each rounded by at most 2**-53 of a
+# result below 2 * scale, so they drift apart by at most 4 * MAX_STEPS *
+# 2**-53 * scale, and delta by growth_k times that; the 64 covers the
+# dozen other roundings of delta, the guard and the watch point itself.
+WATCH_MARGIN = (4 * MAX_STEPS + 64) * 2.0 ** -53
 
 
 class PositionEstimate:
@@ -78,6 +90,9 @@ class AnomalyState:
             suffix.append(max(abs(loc), suffix[-1]))
         suffix.reverse()
         self.suffix_abs = suffix
+        # balise_missing cannot fire while p_est stays below this and only
+        # est.advance changes the estimate; -inf when it must be evaluated.
+        self.watch = -math.inf
 
     def mark_received(self, loc: float) -> None:
         for i, known in enumerate(self.known_locs):
@@ -95,20 +110,40 @@ def balise_missing(est: PositionEstimate, state: AnomalyState) -> str | None:
     |p_est| < |loc_i| - delta or |p_est| < |loc_{i+1}| + delta.
 
     The clauses are evaluated verbatim in map order, starting at the
-    first unreceived balise j.  Before that, a guard returns None when
-    |p_est| is at least max(|loc_k|, k >= j) - delta and at least
-    max(|loc_{k+1}|, k >= j) + delta: no clause can then fire, because
-    rounding x - delta and x + delta is monotone in x.
+    first unreceived balise j, unless a guard rules them all out: with
+    hi = max(|loc_k|, k >= j) and lo = max(|loc_{k+1}|, k >= j), none can
+    fire while |p_est| >= hi - delta and |p_est| >= lo + delta, because
+    rounding x - delta and x + delta is monotone in x.  The guard asks
+    for both slacks to be at least a margin, and then returns None and
+    sets state.watch to the p_est up to which they stay non-negative
+    while only est.advance changes the estimate.
+
+    An advance by s >= 0 moves p_est and dist_since_ref by s and delta by
+    k s (k = growth_k), and lowers |p_est| by at most s, on either side
+    of 0.  So the hi slack falls by at most (1 - k) s, not at all when
+    k >= 1, and the lo slack by at most (1 + k) s.  The watch point is at
+    most scale ahead, the largest of |p_est|, dist_since_ref, delta, hi
+    and lo, so no magnitude on the way exceeds (2 + k) scale.  The
+    margin, WATCH_MARGIN * (1 + k) * scale, bounds how far float rounding
+    over MAX_STEPS additions moves the slacks from these exact rates.
     """
     received = state.received
     j = state.first_open
     while j in received:
         j += 1
     state.first_open = j
-    a_est = abs(est.p_est)
+    p_est = est.p_est
+    a_est = abs(p_est)
     delta = est.delta
-    suffix = state.suffix_abs
-    if a_est >= suffix[j] - delta and a_est >= suffix[j + 1] + delta:
+    k = est.growth_k
+    hi, lo = state.suffix_abs[j], state.suffix_abs[j + 1]
+    scale = max(a_est, est.dist_since_ref, delta, hi, lo)
+    margin = WATCH_MARGIN * (1.0 + k) * scale
+    slack_hi = a_est - (hi - delta) - margin
+    slack_lo = a_est - (lo + delta) - margin
+    if slack_hi >= 0 and slack_lo >= 0:
+        state.watch = p_est + min(scale, slack_lo / (1.0 + k),
+                                  slack_hi / (1.0 - k) if k < 1 else math.inf)
         return None
     locs = state.known_locs
     for i in range(j, len(locs)):
@@ -138,8 +173,10 @@ def derive_trustworthy_info(
 
     Mutates (est, state) per the published algorithm and returns the
     location the controller may consume, or None when the encounter
-    stays unresolved (it is then treated as unavailable).
+    stays unresolved (it is then treated as unavailable).  Resets the
+    watch point of balise_missing, which no longer holds.
     """
+    state.watch = -math.inf
     if auth_pass:
         if loc_reported is None:
             raise ValueError("authenticated encounter needs a reported location")

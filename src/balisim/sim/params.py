@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+# The run loop keeps one trajectory row per step; a longer run is refused
+# at config time rather than left to fill memory.
+MAX_STEPS = 1_000_000
+
 
 def is_finite_number(value) -> bool:
     """True for an int or a float that is finite as a float, not a bool.

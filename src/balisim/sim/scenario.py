@@ -18,7 +18,9 @@ The controller is either the plain online braking controller, which
 consumes reports as-is and skips a failed read, or the resilient
 hybrid, which filters every encounter, read or failed, through one
 derive_trustworthy_info call and falls back to the conservative
-controller when balise_missing fires.
+controller when balise_missing fires.  The run loop evaluates
+balise_missing only once p_est reaches the watch point the last
+evaluation left, which derive_trustworthy_info resets at a crossing.
 """
 
 from __future__ import annotations
@@ -38,18 +40,13 @@ from .deployment import AUTH_AUTHENTICATED, AUTH_LEGACY, AttackSpec, \
     apply_attacks, build_deployment, load_telegram, location_mm, parse_payload
 from .hoa import FULL_BRAKE, HoaController, IGNORE
 from . import params
-from .params import TrainParams, is_finite_number
+from .params import MAX_STEPS, TrainParams, is_finite_number
 from .plant import BrakePlant
 
 CONTROLLER_HOA = "hoa"
 CONTROLLER_RESILIENT = "resilient"
 
 MODE_HOA = "hoa"
-
-
-# The run loop keeps one trajectory row per step; a longer run is refused
-# at config time rather than left to fill memory.
-MAX_STEPS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -171,6 +168,10 @@ class ScenarioConfig:
             raise ConfigError("seed must be an integer in 0..2^64-1")
         if self.max_time_s / self.train.dt > MAX_STEPS:
             raise ConfigError(f"max_time_s / train.dt exceeds {MAX_STEPS} steps")
+        # run_scenario takes round(max_time_s / dt) steps; a run of none
+        # would end in SimTimeout even for a train that stands still.
+        if round(self.max_time_s / self.train.dt) < 1:
+            raise ConfigError("max_time_s / train.dt rounds to 0 steps")
         # The plant's dead-time delay line holds round(Td / dt) entries.
         if self.train.Td / self.train.dt > MAX_STEPS:
             raise ConfigError(f"train.Td / train.dt exceeds {MAX_STEPS} steps")
@@ -459,8 +460,9 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
                 cmd = hoa.on_balise(plant.v, loc_reported)
                 events.append(f"{label}:hoa_update")
 
-        # Missing-balise detection, active while the default controller runs.
-        if resilient and not conservative_active:
+        # Missing-balise detection, active while the default controller
+        # runs; below the watch point no clause can fire.
+        if resilient and not conservative_active and est.p_est >= state.watch:
             trigger = balise_missing(est, state)
             if trigger is not None:
                 conservative_active = True

@@ -5,13 +5,16 @@ start of STARTS, once with authenticated and once with legacy telegrams:
 2 x 5 x 62 runs on the default six-balise track (B1..B5 fixed at -100,
 -64, -36, -16 and -4 m, the stop marker B6 at 0 m).  tally() counts, per
 mode, start and attack type, the runs that stop outside the stop
-tolerance and the runs that end in SimTimeout.
+tolerance and the runs that end in SimTimeout, and hashes every run.
 """
 
 import functools
+import hashlib
+from array import array
 
 from balisim.sim import AUTH_AUTHENTICATED, AUTH_LEGACY, CONTROLLER_RESILIENT, \
-    Clone, ScenarioConfig, SimTimeout, Tamper, Unavailable, run_scenario
+    Clone, ScenarioConfig, SimResult, SimTimeout, Tamper, Unavailable, \
+    run_scenario
 
 MODES = (AUTH_AUTHENTICATED, AUTH_LEGACY)
 STARTS = (None, -120.0, -110.0, -90.0, -80.0)  # None: the true position
@@ -28,10 +31,23 @@ ATTACKS = (
 )
 
 
+def _hash_result(h, result: SimResult) -> None:
+    """Feed h every field of result, each trajectory float bit for bit."""
+    rows = result.trajectory
+    h.update(repr((result.stop_error, result.stop_time, len(rows),
+                   *result[3:])).encode())
+    *floats, modes, events = zip(*rows)
+    for column in floats:
+        h.update(array("d", column).tobytes())
+    h.update("\0".join(modes + events).encode())
+
+
 @functools.cache
-def tally() -> dict[tuple, tuple[int, int, int]]:
-    """(mode, start, attack type) -> (runs, outside the tolerance, SimTimeout)."""
+def tally() -> tuple[dict[tuple, tuple[int, int, int]], str]:
+    """(mode, start, attack type) -> (runs, outside the tolerance,
+    SimTimeout), and the SHA-256 of every run's result in sweep order."""
     counts = {}
+    h = hashlib.sha256()
     for mode in MODES:
         for start in STARTS:
             for kind, attack in ATTACKS:
@@ -39,10 +55,14 @@ def tally() -> dict[tuple, tuple[int, int, int]]:
                                      controller=CONTROLLER_RESILIENT,
                                      auth_mode=mode, p_est0=start)
                 try:
-                    outside = abs(run_scenario(cfg).stop_error) > cfg.train.gamma
-                    timeout = False
-                except SimTimeout:
+                    result = run_scenario(cfg)
+                except SimTimeout as exc:
+                    h.update(f"SimTimeout: {exc}".encode())
                     outside, timeout = False, True
+                else:
+                    _hash_result(h, result)
+                    outside = abs(result.stop_error) > cfg.train.gamma
+                    timeout = False
                 runs, out, stuck = counts.get((mode, start, kind), (0, 0, 0))
                 counts[mode, start, kind] = (runs + 1, out + outside, stuck + timeout)
-    return counts
+    return counts, h.hexdigest()

@@ -47,7 +47,7 @@ def test_summarize_counts_wins_by_direction_and_shows_the_order_effect():
         else:
             base += 2.0
         pairs.append({"base": base, "head": head, "first": first})
-    higher = ab.summarize(pairs, "higher")
+    higher = ab.summarize(pairs, "higher", 0.2)
     assert higher["base"] == (99.0, 101.0, 103.0)
     assert higher["head"] == (109.5, 111.0, 112.5)
     assert (higher["head_wins"], higher["pairs"]) == (4, 4)
@@ -55,11 +55,38 @@ def test_summarize_counts_wins_by_direction_and_shows_the_order_effect():
     assert higher["base_iqr"] == 4.0
     # First minus second: -12 where BASE runs first, +8 where HEAD does.
     assert higher["first_minus_second"] == -2.0
-    lower = ab.summarize(pairs, "lower")
+    lower = ab.summarize(pairs, "lower", 0.2)
     assert lower["head_wins"] == 0
     ties = [{"base": 1.0, "head": 1.0, "first": "base"}]
-    assert ab.summarize(ties, "higher")["head_wins"] == 0
-    assert ab.summarize(ties, "lower")["head_wins"] == 0
+    assert ab.summarize(ties, "higher", 0.2)["head_wins"] == 0
+    assert ab.summarize(ties, "lower", 0.2)["head_wins"] == 0
+
+
+def _pairs(base, head):
+    return [{"base": b, "head": h, "first": "base" if i % 2 == 0 else "head"}
+            for i, (b, h) in enumerate(zip(base, head))]
+
+
+BASE = [100.0, 101.0, 99.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0, 100.0]
+
+
+@pytest.mark.parametrize("head, better, bound, verdict", [
+    # +5 in every pair, against a base IQR of 1.5
+    ([b + 5 for b in BASE], "higher", 0.2, "gain"),
+    ([b + 5 for b in BASE], "lower", 0.2, "no change"),
+    ([b + 5 for b in BASE], "lower", 0.04, "worse"),
+    # 9 of 10 pairs are enough for a gain, 8 are not
+    ([b + 5 for b in BASE[:9]] + [90.0], "higher", 0.2, "gain"),
+    ([b + 5 for b in BASE[:8]] + [90.0, 90.0], "higher", 0.2, "no change"),
+    # every pair won, but the median moved less than the base IQR
+    ([b + 1 for b in BASE], "higher", 0.2, "no change"),
+    # worse by exactly the bound is not worse
+    ([b - 25 for b in BASE], "higher", 0.25, "no change"),
+    ([b - 26 for b in BASE], "higher", 0.25, "worse"),
+    ([b - 26 for b in BASE], "lower", 0.25, "gain"),
+])
+def test_summarize_verdict(head, better, bound, verdict):
+    assert ab.summarize(_pairs(BASE, head), better, bound)["verdict"] == verdict
 
 
 def test_zero_second_pairs_of_the_tree_against_itself(tmp_path):
@@ -75,6 +102,7 @@ def test_zero_second_pairs_of_the_tree_against_itself(tmp_path):
     assert list(result["metrics"]) == [m["name"] for m in declared["end_to_end"]]
     for name, figures in result["metrics"].items():
         assert figures["pairs"] == 2
+        assert figures["verdict"] in ("gain", "worse", "no change")
         assert 0 <= figures["head_wins"] <= 2
         for side in ("base", "head"):
             q1, median, q3 = figures[side]

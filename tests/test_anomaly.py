@@ -1,5 +1,7 @@
 """Missing-balise detection and trustworthy-information derivation."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -120,6 +122,61 @@ def test_missing_matches_published_loop(locs, p_est0, delta0, growth_k, steps):
         # received only grows across calls on one state
         state.received.update(i for i in newly_received if i < len(locs))
         assert balise_missing(est, state) == published_loop(est, state)
+
+
+# The largest |loc| the 48-bit signed millimetre location field holds.
+_FAR = (1 << 47) / 1000.0
+
+
+@settings(max_examples=500)
+@given(
+    # Whole metres and maps that reach past 0, as above, optionally moved
+    # out to the far end of the location range, where one ulp of p_est is
+    # tens of micrometres and a creep-speed step rounds.
+    locs=st.lists(_metres, min_size=2, max_size=8, unique=True),
+    offset=st.sampled_from([0.0, 200.0 - _FAR, _FAR - 200.0]),
+    lead=st.one_of(st.integers(-20, 60).map(float), st.floats(-20.0, 60.0)),
+    delta0=st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 30.0)),
+    growth_k=st.sampled_from([0.0, 0.02, 0.5, 1.0, 2.0]),
+    # A step goes a fraction of the way to the watch point, which probes
+    # just below it, or a distance in metres, which may pass it; 0.0034 m
+    # is one 10 ms step at the creep speed of 0.34 m/s.
+    steps=st.lists(st.tuples(
+        st.booleans(),
+        st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                  st.sampled_from([0.5, 0.99, 1 - 1e-9, 1 - 1e-15])),
+        st.one_of(st.floats(0.0, 40.0), st.just(0.0034),
+                  st.integers(0, 40).map(float))), max_size=12),
+)
+def test_watch_never_skips_a_firing_step(locs, offset, lead, delta0,
+                                         growth_k, steps):
+    # The estimate starts lead metres before the map, or past it for a map
+    # far past 0, where it is mostly quiet at first and the watch is set.
+    locs = sorted({loc + offset for loc in locs})
+    edge = locs[-1] if offset > 0 else locs[0]
+    est = PositionEstimate(edge + lead if offset > 0 else edge - lead,
+                           delta0, growth_k)
+    state = AnomalyState(known_locs=locs)
+    # As in the run loop: evaluate only from the watch point on, and only
+    # advance in between.
+    for toward, fraction, metres in [(False, 0.0, 0.0), *steps]:
+        gap = state.watch - est.p_est
+        est.advance(fraction * gap if toward and gap > 0 else metres)
+        if est.p_est < state.watch:
+            assert published_loop(est, state) is None
+        else:
+            assert balise_missing(est, state) == published_loop(est, state)
+
+
+def test_watch_lies_ahead_and_a_crossing_resets_it():
+    # |p_est| = 120 with delta 15 fixed: the first clause can fire for B1
+    # (|loc| 100) 35 m ahead, below 85, the second (B2, 64) 41 m ahead.
+    est, state = make(-120.0, 15.0)
+    assert state.watch == -math.inf
+    assert balise_missing(est, state) is None
+    assert -85.0 - 1e-6 < state.watch < -85.0
+    derive_trustworthy_info(False, None, est, state)
+    assert state.watch == -math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ FAILURES = {
 
 
 def test_attack_sweep_covers_every_single_attack_at_every_start():
-    tally = attack_sweep.tally()
+    tally, _ = attack_sweep.tally()
     assert set(tally) == {(mode, start, kind) for mode in attack_sweep.MODES
                           for start in attack_sweep.STARTS for kind in RUNS}
     assert all(runs == RUNS[kind] for (_, _, kind), (runs, _, _) in tally.items())
@@ -42,9 +42,19 @@ def test_attack_sweep_covers_every_single_attack_at_every_start():
 
 def test_attack_sweep_outcomes_are_frozen():
     failing = {key: (outside, timeouts)
-               for key, (_, outside, timeouts) in attack_sweep.tally().items()
+               for key, (_, outside, timeouts) in attack_sweep.tally()[0].items()
                if outside or timeouts}
     assert failing == FAILURES
+
+
+# SHA-256 over every sweep run's SimResult, each trajectory float bit for
+# bit: a change that moves any run at all moves it, where the counts above
+# only see a run cross the stop tolerance.
+SWEEP_DIGEST = "e6b66578e71a7168a4dd10b3ef96dfcadae0bac4e4d044e7c1a84a139887c8c8"
+
+
+def test_attack_sweep_results_are_frozen_to_the_bit():
+    assert attack_sweep.tally()[1] == SWEEP_DIGEST
 
 
 # (auth mode, attack) -> SHA-256 of trajectory.csv and the stop error,

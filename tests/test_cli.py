@@ -389,6 +389,18 @@ def test_simulate_timeout_exit_code(tmp_path):
     assert main(["simulate", str(config), "--out", str(tmp_path)]) == 3
 
 
+def test_simulate_run_of_no_step_exit_code(tmp_path, capsys):
+    # 0.001 s is a tenth of a 10 ms step: the run would take none and time
+    # out even for a train that stands still.
+    raw = json.loads(Path(SCENARIO_DIR, "no_attack.json").read_text())
+    raw["max_time_s"] = 0.001
+    raw.setdefault("train", {})["v0"] = 0.0
+    config = tmp_path / "no_step.json"
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2
+    assert "rounds to 0 steps" in capsys.readouterr().err
+
+
 def test_simulate_missing_config(tmp_path):
     assert main(["simulate", str(tmp_path / "none.json")]) == 2
     assert main(["simulate", str(tmp_path)]) == 2  # a directory

@@ -115,7 +115,7 @@ def test_bundled_scenarios_run_on_the_track_and_train_readme_describes():
 # ---------------------------------------------------------------------------
 
 def test_attack_sweep_table_equals_the_sweep():
-    tally = attack_sweep.tally()
+    tally, _ = attack_sweep.tally()
     runs = {kind: tally[attack_sweep.MODES[0], None, kind][0]
             for kind in attack_sweep.ATTACK_TYPES}
     rows = ["| telegrams | odometry start | "

@@ -346,6 +346,29 @@ def test_reader_accepts_a_payload_only_under_the_key_of_its_id():
     assert round(stops[45], 6) == -0.022299
 
 
+def test_resilient_run_evaluates_the_missing_condition_near_its_crossings(
+        monkeypatch):
+    # On the 50-balise track the run takes 1,965 steps and crosses 49
+    # fixed balises; the condition is evaluated about once per reference.
+    calls = []
+    missing = scenario.balise_missing
+
+    def counted(est, state):
+        calls.append(est.p_est)
+        return missing(est, state)
+
+    monkeypatch.setattr(scenario, "balise_missing", counted)
+    balises = [BaliseSpec(id=i, loc=round(-100.0 * (50 - i) / 49, 3),
+                          kind="fixed" if i < 50 else "controlled")
+               for i in range(1, 51)]
+    result = run_scenario(ScenarioConfig(
+        balises=balises, controller=CONTROLLER_RESILIENT,
+        auth_mode=AUTH_AUTHENTICATED, telegram_format=LONG.name))
+    assert len(result.trajectory) - 1 == 1965
+    assert result.balise_missing_events == 0
+    assert 0 < len(calls) <= 2 * 49
+
+
 @pytest.mark.parametrize("p_est0", [None, -120.0, -110.0, -90.0])
 @pytest.mark.parametrize("dst", [1, 2, 3, 4, 5])
 def test_resilient_controller_ignores_a_stop_marker_cloned_onto_a_fixed_balise(
@@ -688,6 +711,10 @@ def test_scenario_file_with_a_misspelt_key_exits_2(tmp_path, capsys):
     {"train": {"Td": 1e9}},
     {"train": {"Td": 1e306}},
     {"train": {"Td": 1.0, "dt": 1e-300}, "max_time_s": 1e-300},
+    # max_time_s / dt rounds to no step at all
+    {"max_time_s": 0.001},
+    {"max_time_s": 0.005},
+    {"train": {"v0": 0.0}, "max_time_s": 0.001},
 ])
 def test_config_from_dict_rejects_non_finite_and_out_of_range(raw):
     with pytest.raises(ConfigError):
