@@ -25,6 +25,10 @@ def main():
     parser.add_argument("--format", choices=sorted(codec.FORMATS),
                         default="long")
     args = parser.parse_args()
+    if args.count < 1:
+        parser.error("--count must be a positive integer")
+    if not 0 <= args.seed < 1 << 64:  # the keystore seed's range
+        parser.error("--seed must be an integer in 0..2^64-1")
 
     fmt = codec.FORMATS[args.format]
     rng = random.Random(args.seed)

@@ -49,6 +49,8 @@ def main():
     parser.add_argument("--crossings", type=int, default=20000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.crossings < 1:
+        parser.error("--crossings must be a positive integer")
 
     fmt = codec.LONG
     rng = random.Random(args.seed)

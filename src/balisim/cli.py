@@ -43,16 +43,14 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
 def _cmd_program(args: argparse.Namespace) -> int:
     fmt = codec.FORMATS[args.format]
     try:
-        user = deployment.pack_payload(args.id, args.kind, args.loc, fmt)
+        spec = deployment.BaliseSpec(args.id, args.loc, args.kind)
+        keystore = None
         if args.mode == deployment.AUTH_AUTHENTICATED:
             if args.keystore is None:
                 return _fail("authenticated mode requires --keystore")
             keystore = auth.load_keystore(args.keystore)
-            sb, s = auth.generate_tag(user, keystore.keys_for(args.id), fmt)
-        else:
-            sb = int(args.sb, 0)
-            s = codec.legacy_s_from_sb(sb)
-        deployment.save_telegram(args.out, codec.codeword(user, sb, s, fmt), fmt)
+        t = deployment.program_telegram(spec, args.mode, keystore, fmt)
+        deployment.save_telegram(args.out, t, fmt)
     except (codec.CodecError, ValueError, OSError) as exc:
         return _fail(str(exc))
     print(args.out)
@@ -174,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       deployment.AUTH_AUTHENTICATED],
                    default=deployment.AUTH_AUTHENTICATED)
     p.add_argument("--keystore", help="keystore path (authenticated mode)")
-    p.add_argument("--sb", default=hex(deployment.LEGACY_SB),
-                   help="12-bit scrambling base for legacy mode")
     p.add_argument("--out", required=True, help="telegram output path")
     p.set_defaults(func=_cmd_program)
 

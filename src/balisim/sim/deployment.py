@@ -37,7 +37,7 @@ import json
 from typing import NamedTuple
 
 from .. import auth, codec
-from .params import is_finite_number
+from .params import CheckedRecord, is_finite_number
 
 KIND_FIXED = "fixed"
 KIND_CONTROLLED = "controlled"
@@ -55,24 +55,17 @@ class _BaliseFields(NamedTuple):
     kind: str
 
 
-class BaliseSpec(_BaliseFields):
+class BaliseSpec(CheckedRecord, _BaliseFields):
     """One balise of the track, checked when it is made."""
 
     __slots__ = ()
 
-    def __new__(cls, id, loc, kind):
-        self = super().__new__(cls, id, loc, kind)
+    def _check(self) -> None:
         if type(self.id) is not int or not 0 <= self.id < (1 << auth.ID_BITS):
             raise ValueError("balise id must be a 14-bit integer")
         location_mm(self.loc)
         if self.kind not in _KIND_CODE:
             raise ValueError(f"unknown balise kind {self.kind!r}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, so it runs the checks too.
-        return cls(*iterable)
 
 
 def location_mm(loc: float) -> int:

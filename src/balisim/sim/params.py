@@ -24,24 +24,48 @@ def is_finite_number(value) -> bool:
         return False
 
 
+class CheckedRecord:
+    """Base of a NamedTuple record that is checked when it is made.
+
+    A record is class R(CheckedRecord, _RFields): _RFields declares the
+    fields and their defaults, and R._check raises for malformed fields.
+    _replace builds through _make, and _make through __new__, so no
+    record skips the check.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A call with an unknown field names the record, not its fields.
+        cls.__bases__[-1].__new__.__qualname__ = f"{cls.__name__}.__new__"
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _TrainFields(NamedTuple):
-    p0: float         # initial position, meters (stop point at 0)
-    v0: float         # initial speed, m/s
-    alpha_max: float  # strongest achievable braking, m/s^2
-    gamma: float      # allowable stop error, meters
-    Td: float         # actuation dead time, seconds
-    Tp: float         # first-order lag constant, seconds
-    dt: float         # integration step, seconds
+    p0: float = -100.0       # initial position, meters (stop point at 0)
+    v0: float = 10.0         # initial speed, m/s
+    alpha_max: float = -1.0  # strongest achievable braking, m/s^2
+    gamma: float = 0.3       # allowable stop error, meters
+    Td: float = 0.6          # actuation dead time, seconds
+    Tp: float = 0.4          # first-order lag constant, seconds
+    dt: float = 0.01         # integration step, seconds
 
 
-class TrainParams(_TrainFields):
+class TrainParams(CheckedRecord, _TrainFields):
     """The train's physical parameters, checked when they are made."""
 
     __slots__ = ()
 
-    def __new__(cls, p0=-100.0, v0=10.0, alpha_max=-1.0, gamma=0.3, Td=0.6,
-                Tp=0.4, dt=0.01):
-        self = super().__new__(cls, p0, v0, alpha_max, gamma, Td, Tp, dt)
+    def _check(self) -> None:
         if not all(is_finite_number(value) for value in self):
             raise ValueError("train parameters must be finite numbers")
         if self.alpha_max >= 0:
@@ -52,12 +76,6 @@ class TrainParams(_TrainFields):
             raise ValueError("Td and Tp must be non-negative")
         if self.v0 < 0:
             raise ValueError("v0 must be non-negative")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, so it runs the checks too.
-        return cls(*iterable)
 
 
 class PidGains(NamedTuple):

@@ -29,7 +29,8 @@ import functools
 import json
 import math
 import os
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .. import auth, codec
 from .anomaly import AnomalyState, PositionEstimate, balise_missing, \
@@ -40,7 +41,7 @@ from .deployment import AUTH_AUTHENTICATED, AUTH_LEGACY, AttackSpec, \
     apply_attacks, build_deployment, load_telegram, location_mm, parse_payload
 from .hoa import FULL_BRAKE, HoaController, IGNORE
 from . import params
-from .params import MAX_STEPS, TrainParams, is_finite_number
+from .params import MAX_STEPS, CheckedRecord, TrainParams, is_finite_number
 from .plant import BrakePlant
 
 CONTROLLER_HOA = "hoa"
@@ -57,80 +58,64 @@ class SimTimeout(Exception):
     """The train did not stop within max_time_s."""
 
 
-DEFAULT_BALISES = [
+DEFAULT_BALISES = (
     BaliseSpec(id=1, loc=-100.0, kind=KIND_FIXED),
     BaliseSpec(id=2, loc=-64.0, kind=KIND_FIXED),
     BaliseSpec(id=3, loc=-36.0, kind=KIND_FIXED),
     BaliseSpec(id=4, loc=-16.0, kind=KIND_FIXED),
     BaliseSpec(id=5, loc=-4.0, kind=KIND_FIXED),
     BaliseSpec(id=6, loc=0.0, kind=KIND_CONTROLLED),
-]
+)
+
+# The names each enumerated field of a scenario takes.
+_CHOICES = {
+    "controller": (CONTROLLER_HOA, CONTROLLER_RESILIENT),
+    "dbz_strategy": (FULL_BRAKE, IGNORE),
+    "auth_mode": (AUTH_LEGACY, AUTH_AUTHENTICATED),
+    "telegram_format": codec.FORMATS,
+}
 
 
-class ScenarioConfig:
-    """One scenario, checked when it is made; ConfigError if malformed.
+class _ScenarioFields(NamedTuple):
+    train: TrainParams = TrainParams()
+    balises: list[BaliseSpec] | tuple[BaliseSpec, ...] = DEFAULT_BALISES
+    attacks: list[AttackSpec] | tuple[AttackSpec, ...] = ()
+    controller: str = CONTROLLER_HOA
+    dbz_strategy: str = FULL_BRAKE
+    auth_mode: str = AUTH_LEGACY
+    p_est0: float | None = None   # None: start from the true position
+    delta0: float = 15.0
+    growth_k: float = 0.02
+    eta0: float = params.ETA0
+    v_con: float = params.V_CREEP
+    seed: int = 1
+    max_time_s: float = 600.0
+    telegram_format: str = "long"
+    keystore_path: str | None = None  # None: the keystore of the seed
+    telegram_files: Mapping[int, str] = MappingProxyType({})
 
-    train, balises, attacks and telegram_files left as None are
-    TrainParams(), DEFAULT_BALISES, no attacks and no telegram files.
-    """
 
-    def __init__(
-        self,
-        train: TrainParams | None = None,
-        balises: list[BaliseSpec] | None = None,
-        attacks: list[AttackSpec] | None = None,
-        controller: str = CONTROLLER_HOA,
-        dbz_strategy: str = FULL_BRAKE,
-        auth_mode: str = AUTH_LEGACY,
-        p_est0: float | None = None,   # None: start from the true position
-        delta0: float = 15.0,
-        growth_k: float = 0.02,
-        eta0: float = params.ETA0,
-        v_con: float = params.V_CREEP,
-        seed: int = 1,
-        max_time_s: float = 600.0,
-        telegram_format: str = "long",
-        keystore_path: str | None = None,
-        telegram_files: dict[int, str] | None = None,
-    ):
-        self.train = TrainParams() if train is None else train
-        self.balises = list(DEFAULT_BALISES) if balises is None else balises
-        self.attacks = [] if attacks is None else attacks
-        self.controller = controller
-        self.dbz_strategy = dbz_strategy
-        self.auth_mode = auth_mode
-        self.p_est0 = p_est0
-        self.delta0 = delta0
-        self.growth_k = growth_k
-        self.eta0 = eta0
-        self.v_con = v_con
-        self.seed = seed
-        self.max_time_s = max_time_s
-        self.telegram_format = telegram_format
-        self.keystore_path = keystore_path
-        self.telegram_files = {} if telegram_files is None else telegram_files
-        self._check()
+class ScenarioConfig(CheckedRecord, _ScenarioFields):
+    """One scenario, checked when it is made; ConfigError if malformed."""
+
+    __slots__ = ()
 
     def _check(self) -> None:
         if not isinstance(self.train, TrainParams):
             raise ConfigError(f"train must be a TrainParams, not {self.train!r}")
-        if type(self.balises) is not list or not all(
+        if type(self.balises) not in (list, tuple) or not all(
                 isinstance(b, BaliseSpec) for b in self.balises):
             raise ConfigError("balises must be a list of BaliseSpec")
-        if type(self.attacks) is not list or not all(
+        if type(self.attacks) not in (list, tuple) or not all(
                 isinstance(a, AttackSpec) for a in self.attacks):
             raise ConfigError("attacks must be a list of Tamper, Clone and "
                               "Unavailable")
-        if self.controller not in (CONTROLLER_HOA, CONTROLLER_RESILIENT):
-            raise ConfigError(f"unknown controller {self.controller!r}")
-        if self.dbz_strategy not in (FULL_BRAKE, IGNORE):
-            raise ConfigError(f"unknown dbz_strategy {self.dbz_strategy!r}")
-        if self.auth_mode not in (AUTH_LEGACY, AUTH_AUTHENTICATED):
-            raise ConfigError(f"unknown auth_mode {self.auth_mode!r}")
-        # A list is not a dict key: FORMATS would raise TypeError.
-        if type(self.telegram_format) is not str \
-                or self.telegram_format not in codec.FORMATS:
-            raise ConfigError(f"unknown telegram_format {self.telegram_format!r}")
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
+            # Only a str names a choice; a list `in` FORMATS would raise
+            # TypeError.
+            if type(value) is not str or value not in choices:
+                raise ConfigError(f"unknown {name} {value!r}")
         locs = [b.loc for b in self.balises]
         if sorted(locs) != locs or len(set(locs)) != len(locs):
             raise ConfigError("balise locations must be strictly increasing")
@@ -149,7 +134,7 @@ class ScenarioConfig:
         # open() would read an int path as a file descriptor.
         if self.keystore_path is not None and type(self.keystore_path) is not str:
             raise ConfigError("keystore_path must be a string")
-        if type(self.telegram_files) is not dict or not all(
+        if type(self.telegram_files) not in (dict, MappingProxyType) or not all(
                 type(i) is int and i in track_ids and type(path) is str
                 for i, path in self.telegram_files.items()):
             raise ConfigError("telegram_files must map balise ids of the "
@@ -209,11 +194,10 @@ def _parse_attack(raw: dict) -> AttackSpec:
     return attack(**{k: v for k, v in raw.items() if k != "type"})
 
 
-# The scenario keys that config_from_dict copies to ScenarioConfig as
-# they are; "train", "balises", "attacks" and "keystore" it parses.
-_PLAIN_KEYS = ("controller", "dbz_strategy", "auth_mode", "p_est0", "delta0",
-               "growth_k", "eta0", "v_con", "seed", "max_time_s",
-               "telegram_format")
+# The fields config_from_dict parses from "train", "balises" (with their
+# telegram files), "attacks" and "keystore"; it copies the others as they are.
+_PLAIN_KEYS = tuple(field for field in ScenarioConfig._fields if field not in (
+    "train", "balises", "attacks", "keystore_path", "telegram_files"))
 
 
 def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
@@ -236,22 +220,22 @@ def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
         if "balises" in raw:
             specs, files = [], {}
             for entry in raw["balises"]:
-                entry = dict(entry)
+                if not isinstance(entry, dict):
+                    raise ConfigError(
+                        f"balise spec must be an object, got {entry!r}")
                 spec = BaliseSpec(**{k: v for k, v in entry.items()
                                      if k != "telegram"})
                 specs.append(spec)
                 if "telegram" in entry:
                     files[spec.id] = resolve(f"balise {spec.id} telegram",
                                              entry["telegram"])
-            kwargs["balises"] = specs
-            kwargs["telegram_files"] = files
+            kwargs["balises"] = tuple(specs)
+            kwargs["telegram_files"] = MappingProxyType(files)
         if "attacks" in raw:
-            kwargs["attacks"] = [_parse_attack(a) for a in raw["attacks"]]
+            kwargs["attacks"] = tuple(_parse_attack(a) for a in raw["attacks"])
         if "keystore" in raw:
             kwargs["keystore_path"] = resolve("keystore", raw["keystore"])
-        for key in _PLAIN_KEYS:
-            if key in raw:
-                kwargs[key] = raw[key]
+        kwargs.update((key, raw[key]) for key in _PLAIN_KEYS if key in raw)
         return ScenarioConfig(**kwargs)
     except ConfigError:
         raise

@@ -747,6 +747,25 @@ def test_emit_tag_vectors_output_is_frozen(fmt):
     assert hashlib.sha256(out).hexdigest() == TAG_VECTOR_DIGESTS[fmt]
 
 
+@pytest.mark.parametrize("script,args", [
+    ("keyless_forgery", ["--crossings", "0"]),   # raised ZeroDivisionError
+    ("keyless_forgery", ["--crossings", "-5"]),  # printed -0.0000% per crossing
+    ("emit_tag_vectors", ["--seed", "-1"]),      # raised ValueError
+    ("emit_tag_vectors", ["--count", "-3"]),     # printed nothing, exit 0
+], ids=["crossings_0", "crossings_-5", "seed_-1", "count_-3"])
+def test_scripts_reject_out_of_range_arguments(script, args):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    run = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", script + ".py"), *args],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert f"error: {args[0]} must be " in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_keyless_forgery_script_counts_are_consistent():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     out = subprocess.run(

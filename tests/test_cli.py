@@ -14,10 +14,12 @@ from pathlib import Path
 import pytest
 
 import balisim
+from balisim import auth
 from balisim.cli import main
-from balisim.codec import SHORT
-from balisim.sim import scenario
-from balisim.sim.deployment import load_telegram, save_telegram
+from balisim.codec import LONG, SHORT
+from balisim.sim import BaliseSpec, scenario
+from balisim.sim.deployment import AUTH_AUTHENTICATED, AUTH_LEGACY, \
+    load_telegram, program_telegram, save_telegram
 
 SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
 
@@ -246,10 +248,16 @@ def test_program_authenticated_needs_keystore(tmp_path):
     assert main(argv) == 2
 
 
-def test_program_rejects_bad_sb(tmp_path):
-    argv = ["program", "--id", "1", "--loc", "0.0", "--mode", "legacy",
-            "--sb", "0x1000", "--out", str(tmp_path / "t.json")]
-    assert main(argv) == 2
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+@pytest.mark.parametrize("mode", [AUTH_LEGACY, AUTH_AUTHENTICATED])
+def test_program_writes_what_the_simulator_programs(tmp_path, keystore, mode, fmt):
+    written = _program(tmp_path, keystore, id=5, loc=-50, kind="controlled",
+                       mode=mode, format=fmt.name, name="cli.tlg")
+    spec = BaliseSpec(5, -50.0, "controlled")
+    expected = tmp_path / "expected.tlg"
+    save_telegram(str(expected), program_telegram(
+        spec, mode, auth.load_keystore(keystore), fmt), fmt)
+    assert Path(written).read_bytes() == expected.read_bytes()
 
 
 def test_unknown_flag_exits_2():
@@ -412,6 +420,18 @@ def test_simulate_bad_config_exit_code(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"controller": "mpc"}))
     assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2
+
+
+def test_simulate_balise_of_key_value_pairs_exit_code(tmp_path, capsys):
+    # The track of no_attack with each balise an array of [key, value]
+    # pairs: it ran and stopped at +0.111 m.
+    raw = json.loads(Path(SCENARIO_DIR, "no_attack.json").read_text())
+    raw["balises"] = [list(map(list, b.items())) for b in raw["balises"]]
+    config = tmp_path / "pairs.json"
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "balise spec must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_attack_on_missing_balise_exit_code(tmp_path):

@@ -408,10 +408,35 @@ def _balises():
     ]
 
 
+def each_maker(monkeypatch):
+    """ScenarioConfig, then _replace on a valid config, which must check
+    their fields alike; config_from_dict makes its config through the
+    maker just yielded."""
+    for make in (ScenarioConfig, ScenarioConfig()._replace):
+        monkeypatch.setattr(scenario, "ScenarioConfig", make)
+        yield make
+
+
 def test_config_defaults_are_valid():
     cfg = ScenarioConfig()
     assert cfg.controller == "hoa"
     assert len(cfg.balises) == 6
+    # Every config made without the field shares its default.
+    assert type(cfg.balises) is tuple and cfg.attacks == ()
+    with pytest.raises(TypeError):
+        cfg.telegram_files[1] = "b1.json"
+    assert ScenarioConfig().telegram_files == {}
+
+
+def test_config_is_immutable_and_checked_on_replace():
+    cfg = ScenarioConfig()
+    with pytest.raises(AttributeError):
+        cfg.controller = "x"
+    assert cfg._replace(controller="resilient").controller == "resilient"
+    with pytest.raises(ConfigError, match=r"^unknown controller 'x'$"):
+        cfg._replace(controller="x")
+    with pytest.raises(TypeError, match=r"^ScenarioConfig\."):
+        ScenarioConfig(contoller="resilient")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -422,9 +447,10 @@ def test_config_defaults_are_valid():
     ("max_time_s", 0.0),
     ("max_time_s", -1.0),
 ])
-def test_config_rejects_bad_scalar_fields(field, value):
-    with pytest.raises(ConfigError):
-        ScenarioConfig(**{field: value})
+def test_config_rejects_bad_scalar_fields(monkeypatch, field, value):
+    for make in each_maker(monkeypatch):
+        with pytest.raises(ConfigError):
+            make(**{field: value})
 
 
 # Every float field of a scenario as JSON sets it: ScenarioConfig's own,
@@ -463,28 +489,27 @@ def test_config_from_dict_rejects_a_bool_or_an_int_beyond_floats(raw, value):
         config_from_dict(_with_value(raw, value))
 
 
-def test_config_rejects_bad_balise_layouts():
+def test_config_rejects_bad_balise_layouts(monkeypatch):
     base = [BaliseSpec(id=1, loc=-100.0, kind="fixed"),
             BaliseSpec(id=2, loc=-64.0, kind="fixed"),
             BaliseSpec(id=3, loc=0.0, kind="controlled")]
-    with pytest.raises(ConfigError):  # out of order
-        ScenarioConfig(balises=[base[1], base[0], base[2]])
-    with pytest.raises(ConfigError):  # duplicate location
-        ScenarioConfig(balises=[base[0],
-                                BaliseSpec(id=2, loc=-100.0, kind="fixed"),
-                                base[2]])
-    with pytest.raises(ConfigError):  # no stop marker
-        ScenarioConfig(balises=base[:2])
-    with pytest.raises(ConfigError):  # marker away from the origin
-        ScenarioConfig(balises=base[:2] + [
-            BaliseSpec(id=3, loc=-1.0, kind="controlled")])
-    with pytest.raises(ConfigError):  # duplicate id
-        ScenarioConfig(balises=[base[0],
-                                BaliseSpec(id=1, loc=-64.0, kind="fixed"),
-                                base[2]])
-    with pytest.raises(ConfigError):  # fixed balise reporting 0 mm
-        ScenarioConfig(balises=base[:2] + [
-            BaliseSpec(id=4, loc=-0.0004, kind="fixed"), base[2]])
+    for make in each_maker(monkeypatch):
+        with pytest.raises(ConfigError):  # out of order
+            make(balises=[base[1], base[0], base[2]])
+        with pytest.raises(ConfigError):  # duplicate location
+            make(balises=[base[0], BaliseSpec(id=2, loc=-100.0, kind="fixed"),
+                          base[2]])
+        with pytest.raises(ConfigError):  # no stop marker
+            make(balises=base[:2])
+        with pytest.raises(ConfigError):  # marker away from the origin
+            make(balises=base[:2] + [
+                BaliseSpec(id=3, loc=-1.0, kind="controlled")])
+        with pytest.raises(ConfigError):  # duplicate id
+            make(balises=[base[0], BaliseSpec(id=1, loc=-64.0, kind="fixed"),
+                          base[2]])
+        with pytest.raises(ConfigError):  # fixed balise reporting 0 mm
+            make(balises=base[:2] + [
+                BaliseSpec(id=4, loc=-0.0004, kind="fixed"), base[2]])
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -499,11 +524,13 @@ def test_config_rejects_bad_balise_layouts():
     {"telegram_files": {True: "b1.json"}},
     {"telegram_files": [(1, "b1.json")]},
 ])
-def test_config_rejects_a_path_that_is_not_a_string_or_off_the_track(kwargs):
+def test_config_rejects_a_path_that_is_not_a_string_or_off_the_track(
+        monkeypatch, kwargs):
     # open() would read an int as a file descriptor, and a file for an id
     # that is not on the track would be ignored, missing or not.
-    with pytest.raises(ConfigError):
-        ScenarioConfig(**kwargs)
+    for make in each_maker(monkeypatch):
+        with pytest.raises(ConfigError):
+            make(**kwargs)
 
 
 @pytest.mark.parametrize("raw", [
@@ -558,7 +585,7 @@ def test_config_from_dict_round_trip():
         "seed": 3,
     }
     cfg = config_from_dict(raw)
-    assert cfg.attacks == [Tamper(balise=1, new_loc=-1.0)]
+    assert cfg.attacks == (Tamper(balise=1, new_loc=-1.0),)
     assert cfg.p_est0 == -120.0
     assert cfg.balises[2].kind == "controlled"
 
@@ -615,9 +642,12 @@ _WRONG_TYPES = {
     "unavailable_true": ([Unavailable(True)], {"type": "unavailable", "balise": True}),
     "attack_str": (["drop"], "drop"),
 }
+_BALISE_PAIRS = [list(map(list, b.items())) for b in _balises()]
 _WRONG_FIELDS = {
     "train_dict": ({"train": {"v0": 10.0}}, {"train": [10.0]}),
     "balises_dicts": ({"balises": _balises()}, {"balises": [[1, -100.0, "fixed"]]}),
+    # dict() took a balise of [key, value] pairs, and the track ran.
+    "balises_pairs": ({"balises": _BALISE_PAIRS}, {"balises": _BALISE_PAIRS}),
     "telegram_format_list": ({"telegram_format": ["long"]},
                              {"telegram_format": ["long"]}),
     **{name: ({"attacks": attacks}, {"attacks": [raw]})
@@ -626,11 +656,12 @@ _WRONG_FIELDS = {
 
 
 @pytest.mark.parametrize("kwargs,raw", _WRONG_FIELDS.values(), ids=_WRONG_FIELDS)
-def test_config_rejects_a_field_of_the_wrong_type(kwargs, raw):
-    with pytest.raises(ConfigError):
-        ScenarioConfig(**kwargs)
-    with pytest.raises(ConfigError):
-        config_from_dict(raw)
+def test_config_rejects_a_field_of_the_wrong_type(monkeypatch, kwargs, raw):
+    for make in each_maker(monkeypatch):
+        with pytest.raises(ConfigError):
+            make(**kwargs)
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
 
 
 @pytest.mark.parametrize("balise", [2.5, True], ids=["2.5", "true"])
@@ -716,9 +747,10 @@ def test_scenario_file_with_a_misspelt_key_exits_2(tmp_path, capsys):
     {"max_time_s": 0.005},
     {"train": {"v0": 0.0}, "max_time_s": 0.001},
 ])
-def test_config_from_dict_rejects_non_finite_and_out_of_range(raw):
-    with pytest.raises(ConfigError):
-        config_from_dict(raw)
+def test_config_from_dict_rejects_non_finite_and_out_of_range(monkeypatch, raw):
+    for _ in each_maker(monkeypatch):
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
 
 
 def test_config_from_dict_accepts_a_delay_line_of_max_steps():
