@@ -21,6 +21,17 @@ derive_trustworthy_info call and falls back to the conservative
 controller when balise_missing fires.  The run loop evaluates
 balise_missing only once p_est reaches the watch point the last
 evaluation left, which derive_trustworthy_info resets at a crossing.
+
+The run loop steps the train in stretches.  An event block handles the
+crossings at the current position, the balise_missing evaluation and
+the command the default controller holds (the hoa command, or
+alpha_max once the marker is seen).  A stepping loop then takes steps
+until the train reaches the next balise, p_est reaches the watch point
+while the default controller of the resilient hybrid runs, the train
+stops, or round(max_time_s / dt) steps are spent (SimTimeout).  Between
+events nothing can change the held command, so each step makes the
+same plant, estimate and conservative controller calls, in the same
+order, as a loop that tests every condition on every step.
 """
 
 from __future__ import annotations
@@ -99,6 +110,13 @@ class ScenarioConfig(CheckedRecord, _ScenarioFields):
     """One scenario, checked when it is made; ConfigError if malformed."""
 
     __slots__ = ()
+
+    def _replace(self, **kwargs) -> ScenarioConfig:
+        # NamedTuple._replace would raise a plain ValueError.
+        unknown = [name for name in kwargs if name not in self._fields]
+        if unknown:
+            raise ConfigError(f"unknown scenario field {unknown[0]!r}")
+        return super()._replace(**kwargs)
 
     def _check(self) -> None:
         if not isinstance(self.train, TrainParams):
@@ -217,6 +235,11 @@ def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
         kwargs: dict = {}
         if "train" in raw:
             kwargs["train"] = TrainParams(**raw["train"])
+        for key in ("balises", "attacks"):
+            # Iterating a string or an object would read its characters
+            # or keys as entries.
+            if key in raw and type(raw[key]) is not list:
+                raise ConfigError(f"{key} must be an array, got {raw[key]!r}")
         if "balises" in raw:
             specs, files = [], {}
             for entry in raw["balises"]:
@@ -390,16 +413,19 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     next_loc = balises[0].loc
     mode = MODE_HOA
     dt = train.dt
-    alpha_max = train.alpha_max
     rows = [TrajectoryRow(0.0, plant.p, plant.v, cmd, plant.alpha, mode, "")]
     append_row = rows.append
     # tuple.__new__ builds the same TrajectoryRow without the NamedTuple's
     # Python-level __new__, once per step.
     new_row = tuple.__new__
+    plant_step, advance = plant.step, est.advance
     max_steps = int(round(cfg.max_time_s / dt))
+    step = 0  # steps taken
 
-    for step in range(max_steps):
-        # A step without a crossing or a missing balise builds no list.
+    while step < max_steps:
+        # The event block, at the first step and where a crossing or the
+        # watch point may change the command.  A step without a crossing
+        # or a missing balise builds no list.
         events: list[str] | tuple[()] = ()
 
         # Balise crossings at the current position, in track order.
@@ -452,34 +478,47 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
                 conservative_active = True
                 missing_events += 1
                 events = [*events, f"balise_missing({trigger})"]
+        watch = (state.watch if resilient and not conservative_active
+                 else math.inf)
 
-        # Command selection.
-        if conservative_active:
-            cmd = conservative.step(plant.v, marker_seen, dt)
-            new_mode = conservative.mode
-        elif marker_seen:
-            cmd = alpha_max
-            new_mode = MODE_MAX_BRAKE
-        else:
-            new_mode = MODE_HOA
-        if new_mode != mode:
-            mode = new_mode
-            mode_switches += 1
+        # The default controller holds its command until the next event:
+        # the hoa command, or the strongest braking once the marker is seen.
+        if not conservative_active:
+            if marker_seen:
+                cmd = train.alpha_max
+            new_mode = MODE_MAX_BRAKE if marker_seen else MODE_HOA
+            if new_mode != mode:
+                mode = new_mode
+                mode_switches += 1
 
-        plant.step(cmd)
-        est.advance(plant.v * dt)
-        append_row(new_row(TrajectoryRow, ((step + 1) * dt, plant.p, plant.v,
-                                           cmd, plant.alpha, mode,
-                                           ";".join(events) if events else "")))
-        if plant.stopped:
-            return SimResult(
-                stop_error=plant.p,
-                stop_time=(step + 1) * dt,
-                trajectory=rows,
-                mode_switches=mode_switches,
-                auth_failures=auth_failures,
-                balise_missing_events=missing_events,
-            )
+        # The stepping loop: one step (step < max_steps here), then more
+        # up to the next event, the stop or the budget.
+        event = ";".join(events)
+        for step in range(step + 1, max_steps + 1):
+            if conservative_active:
+                cmd = conservative.step(plant.v, marker_seen, dt)
+                if conservative.mode != mode:
+                    mode = conservative.mode
+                    mode_switches += 1
+            plant_step(cmd)
+            p, v = plant.p, plant.v
+            advance(v * dt)
+            append_row(new_row(TrajectoryRow, (step * dt, p, v, cmd,
+                                               plant.alpha, mode, event)))
+            event = ""
+            # BrakePlant.stopped, on the speed just read: the property
+            # call took a tenth of run_scenario's time on CPython 3.11.
+            if v == 0.0:
+                return SimResult(
+                    stop_error=p,
+                    stop_time=step * dt,
+                    trajectory=rows,
+                    mode_switches=mode_switches,
+                    auth_failures=auth_failures,
+                    balise_missing_events=missing_events,
+                )
+            if p >= next_loc or est.p_est >= watch:
+                break
     raise SimTimeout(f"train still moving after {cfg.max_time_s} s")
 
 

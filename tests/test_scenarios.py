@@ -393,6 +393,20 @@ def test_timeout_raises():
         run_scenario(cfg)
 
 
+@pytest.mark.parametrize("name", ["no_attack", "availability_b1_resilient"])
+def test_the_step_budget_ends_at_exactly_round_max_time_over_dt_steps(name):
+    # The run's last step is its stop: a budget of that many steps
+    # returns the result, one step less times out.
+    cfg = bundled(name)
+    result = run_scenario(cfg)
+    steps = len(result.trajectory) - 1
+    dt = cfg.train.dt
+    assert round(result.stop_time / dt) == steps
+    assert run_scenario(cfg._replace(max_time_s=result.stop_time)) == result
+    with pytest.raises(SimTimeout):
+        run_scenario(cfg._replace(max_time_s=(steps - 1) * dt))
+
+
 # ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------
@@ -435,6 +449,8 @@ def test_config_is_immutable_and_checked_on_replace():
     assert cfg._replace(controller="resilient").controller == "resilient"
     with pytest.raises(ConfigError, match=r"^unknown controller 'x'$"):
         cfg._replace(controller="x")
+    with pytest.raises(ConfigError, match=r"^unknown scenario field 'contoller'$"):
+        cfg._replace(contoller="resilient")
     with pytest.raises(TypeError, match=r"^ScenarioConfig\."):
         ScenarioConfig(contoller="resilient")
 
@@ -643,6 +659,14 @@ _WRONG_TYPES = {
     "attack_str": (["drop"], "drop"),
 }
 _BALISE_PAIRS = [list(map(list, b.items())) for b in _balises()]
+# Iterated as entries, an attacks string or object had loaded as no
+# attacks, and a balises one failed on its first character or key.
+_NOT_ARRAYS = {
+    "attacks_str": {"attacks": ""},
+    "attacks_object": {"attacks": {}},
+    "balises_str": {"balises": "ab"},
+    "balises_object": {"balises": {"id": 1, "loc": 0.0, "kind": "controlled"}},
+}
 _WRONG_FIELDS = {
     "train_dict": ({"train": {"v0": 10.0}}, {"train": [10.0]}),
     "balises_dicts": ({"balises": _balises()}, {"balises": [[1, -100.0, "fixed"]]}),
@@ -652,6 +676,7 @@ _WRONG_FIELDS = {
                              {"telegram_format": ["long"]}),
     **{name: ({"attacks": attacks}, {"attacks": [raw]})
        for name, (attacks, raw) in _WRONG_TYPES.items()},
+    **{name: (raw, raw) for name, raw in _NOT_ARRAYS.items()},
 }
 
 
@@ -670,6 +695,17 @@ def test_scenario_file_naming_a_balise_by_a_non_int_exits_2(tmp_path, balise):
     path.write_text(json.dumps(
         {"attacks": [{"type": "tamper", "balise": balise, "new_loc": -10.0}]}))
     assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw", _NOT_ARRAYS.values(), ids=_NOT_ARRAYS)
+def test_scenario_file_whose_balises_or_attacks_are_not_an_array_exits_2(
+        tmp_path, capsys, raw):
+    [(key, value)] = raw.items()
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be an array, got {value!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
