@@ -80,23 +80,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _run_one(config_path: str, out_dir: str,
-             csv_name: str, summary_name: str) -> tuple[str, float | None, int, str]:
-    """Run one scenario; returns (name, stop_error, exit_code, message)."""
-    name = os.path.splitext(os.path.basename(config_path))[0]
+             csv_name: str, summary_name: str) -> tuple[float | None, int, str]:
+    """Run one scenario; returns (stop_error, exit_code, message)."""
     try:
         cfg = scenario.load_config(config_path)
         result = scenario.run_scenario(cfg)
     except scenario.SimTimeout as exc:
-        return name, None, EXIT_TIMEOUT, str(exc)
+        return None, EXIT_TIMEOUT, str(exc)
     except (scenario.ConfigError, OSError, ValueError) as exc:
-        return name, None, EXIT_INPUT_ERROR, str(exc)
+        return None, EXIT_INPUT_ERROR, str(exc)
     try:
         os.makedirs(out_dir, exist_ok=True)
         scenario.write_trajectory_csv(result, os.path.join(out_dir, csv_name))
         scenario.write_summary(result, os.path.join(out_dir, summary_name))
     except OSError as exc:
-        return name, None, EXIT_INPUT_ERROR, f"cannot write output: {exc}"
-    return name, result.stop_error, EXIT_OK, ""
+        return None, EXIT_INPUT_ERROR, f"cannot write output: {exc}"
+    return result.stop_error, EXIT_OK, ""
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -106,7 +105,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return _fail("--csv and --summary name the same file")
 
     if args.batch is None:
-        name, err, code, message = _run_one(
+        err, code, message = _run_one(
             args.config, args.out, args.csv, args.summary)
         if code != EXIT_OK:
             print(f"error: {message}", file=sys.stderr)
@@ -124,20 +123,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     configs = sorted(glob.glob(os.path.join(args.batch, "*.json")))
     if not configs:
         return _fail(f"no scenario configs in {args.batch}")
-    jobs = [
-        (path, os.path.join(args.out,
-                            os.path.splitext(os.path.basename(path))[0]),
-         args.csv, args.summary)
-        for path in configs
-    ]
-    # Imported here: it loads logging, which no other command needs.
-    import concurrent.futures
-
-    workers = min(len(jobs), os.cpu_count() or 1)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_run_one, *zip(*jobs)))
     worst = EXIT_OK
-    for name, err, code, message in results:
+    for path in configs:
+        name = os.path.splitext(os.path.basename(path))[0]
+        err, code, message = _run_one(path, os.path.join(args.out, name),
+                                      args.csv, args.summary)
         if code == EXIT_OK:
             print(f"{name}\t{err:.6f}")
         else:

@@ -302,17 +302,24 @@ def test_simulate_batch(tmp_path, capsys):
         assert (out / name / "summary.json").exists()
 
 
-def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    # concurrent.futures loads logging; only simulate --batch needs it.
+def test_simulate_batch_runs_in_process_in_name_order(tmp_path):
+    # A batch runs its scenarios one after another in the calling process,
+    # so neither importing the CLI nor running a batch loads a process
+    # pool, nor the logging module that concurrent.futures imports.
+    batch = _batch_dir(tmp_path, ("no_attack", "availability_b1_resilient"))
     src = os.path.dirname(os.path.dirname(os.path.abspath(balisim.__file__)))
-    out = subprocess.run(
+    lines = subprocess.run(
         [sys.executable, "-c",
-         "import sys, balisim.cli; print(sorted({'concurrent.futures', 'logging'}"
-         " & set(sys.modules)))"],
+         "import sys, balisim.cli\n"
+         "code = balisim.cli.main(sys.argv[1:])\n"
+         "print(code, sorted({'concurrent.futures', 'logging'} & set(sys.modules)))",
+         "simulate", "--batch", str(batch), "--out", str(tmp_path / "results")],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True, timeout=60,
-    ).stdout
-    assert out.strip() == "[]"
+    ).stdout.splitlines()
+    assert lines[-1] == "0 []"
+    assert [line.split("\t")[0] for line in lines[:-1]] == [
+        "availability_b1_resilient", "no_attack"]
 
 
 def test_importing_balisim_leaves_dataclasses_unloaded():

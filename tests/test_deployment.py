@@ -26,8 +26,10 @@ from balisim.sim.deployment import (
     program_telegram,
     save_telegram,
 )
-from balisim.sim.scenario import ScenarioConfig, align_codeword, \
-    read_telegram, run_scenario
+from balisim.sim.scenario import DEFAULT_BALISES, ScenarioConfig, \
+    align_codeword, read_telegram, run_scenario
+
+from test_readme import load_script
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +182,21 @@ def test_build_deployment():
         fields = read_telegram(align_codeword(t, SHORT), AUTH_AUTHENTICATED, ks,
                                [spec.id], SHORT)
         assert fields[0] == spec.id
+
+
+@pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
+@pytest.mark.parametrize("mode", [AUTH_LEGACY, AUTH_AUTHENTICATED])
+def test_every_default_track_codeword_aligns_to_itself_at_every_rotation(
+        mode, fmt):
+    # Three copies of each codeword, rotated by every k and read in both
+    # polarities: codec.align finds the unrotated (data, sb) at shift
+    # (n - k) % n.  scripts/check_rotations.py runs the same check over
+    # the 50-balise authenticated track.
+    keystore = auth.new_keystore(seed=1) if mode == AUTH_AUTHENTICATED else None
+    codewords = build_deployment(DEFAULT_BALISES, mode, keystore, fmt)
+    aligns, found = load_script("check_rotations").mismatches(codewords, fmt)
+    assert aligns == len(DEFAULT_BALISES) * fmt.n * 2
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_table_row_matches_reference_and_a_fresh_run(name):
 def test_bundled_scenarios_hold_their_stop_errors_run_in_either_order(
         empty_memos):
     # One process reruns the default track from build_deployment's memo of
-    # the track it programmed last, as a simulate --batch worker does.
+    # the track it programmed last, as simulate --batch does.
     def run(name):
         return run_scenario(load_config(os.path.join(SCENARIO_DIR, name + ".json")))
 
@@ -160,6 +160,19 @@ def test_channel_model_table_equals_the_tally():
     assert f"Payloads returned per {per_case} streams" in PROSE
     assert f"1–{channel_model.MAX_FLIPS} flips" in PROSE
     assert f"{channel_model.BURST_BITS}-bit burst" in PROSE
+
+
+def test_rotation_claim_counts_the_streams_its_checks_enumerate():
+    with open(os.path.join(ROOT, ".github", "workflows", "tests.yml"),
+              encoding="utf-8") as f:
+        assert "python3 scripts/check_rotations.py" in f.read()
+    per_track = 2 * (codec.LONG.n + codec.SHORT.n) * 2  # modes, formats, polarities
+    m = load_script("check_rotations").BALISES
+    assert (f"the default track's {len(DEFAULT_BALISES)} balises, legacy and "
+            f"authenticated, long and short format, "
+            f"{len(DEFAULT_BALISES) * per_track:,} streams in tier-1") in PROSE
+    assert (f"the {m} balises of the authenticated, long-format {m}-balise "
+            f"track, {m * codec.LONG.n * 2:,} streams in CI") in PROSE
 
 
 # ---------------------------------------------------------------------------
