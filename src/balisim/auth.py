@@ -33,10 +33,12 @@ keystream's leading 32 bits are S itself (see codec.keystream), so the
 descrambled id is the leading ID_BITS of the scrambled data XOR those of
 S, S >> (32 - ID_BITS), and verify_and_decode checks it before it
 descrambles and before the tag.  So a wrong key's trial costs the dict
-lookups of its memoised key pair and of its S, two shifts, an XOR and a
-compare: no keystream call, no tag MAC and no range check.  The first
-trial of an sb under a key adds its PRF MAC.  A payload is accepted
-exactly when it would be by the tag check followed by an id check.
+lookups of its memoised key pair and of its S, two shifts, an XOR, a
+compare and the raise of an AuthFailure whose message is the fixed
+ID_MISMATCH: no keystream call, no tag MAC, no range check and no
+message formatting.  The first trial of an sb under a key adds its PRF
+MAC.  A payload is accepted exactly when it would be by the tag check
+followed by an id check.
 
 derive_keys memoises per master key.  One entry per process holds the
 master key, a dict of the key pair of each (id, ver) requested under
@@ -73,7 +75,16 @@ _FORMAT_BYTE = {"long": b"\x01", "short": b"\x02"}
 
 
 class AuthFailure(Exception):
-    """Tag verification failed: tampered data or wrong keys."""
+    """Tag verification failed: tampered data or wrong keys.
+
+    Its message is the reason, ID_MISMATCH or TAG_MISMATCH.
+    """
+
+
+# The two reasons verify_and_decode rejects a payload for.  They are
+# fixed, since the caller holds the key pair whose id they would name.
+ID_MISMATCH = "payload does not name the balise id of the key pair"
+TAG_MISMATCH = "tag does not match the user data under the key pair"
 
 
 class BaliseKeyPair(NamedTuple):
@@ -219,18 +230,19 @@ def verify_and_decode(
     returns, so a reader that tries several keys aligns once.  Returns
     the user data as an int, first bit MSB.  Raises codec.NoTelegramFound
     when no window aligns and codec.FormatError for a list element that
-    is not a bit.  Raises AuthFailure when the payload does not name
-    keys.id in its leading ID_BITS bits, which is checked first (see the
-    module notes), and when the recomputed tag differs from the received
+    is not a bit.  Raises AuthFailure for one of two reasons, its
+    message: ID_MISMATCH when the payload does not name keys.id in its
+    leading ID_BITS bits, which is checked first (see the module notes),
+    and TAG_MISMATCH when the recomputed tag differs from the received
     sb.
     """
     aligned = stream if isinstance(stream, codec.Aligned) else codec.align(stream, fmt)
     s = prf_s(keys.k1, aligned.sb)
     if (aligned.data >> (fmt.user_bits - ID_BITS)) ^ s >> (32 - ID_BITS) != keys.id:
-        raise AuthFailure(f"payload does not name balise id {keys.id}")
+        raise AuthFailure(ID_MISMATCH)
     user = aligned.data ^ codec.keystream(s, fmt.user_bits)
     if tag_sb(keys.k0, user, fmt) != aligned.sb:
-        raise AuthFailure(f"tag mismatch for balise id {keys.id}")
+        raise AuthFailure(TAG_MISMATCH)
     return user
 
 

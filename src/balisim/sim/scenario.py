@@ -338,7 +338,9 @@ def read_telegram(
 ) -> tuple[int, str, float] | None:
     """(id, kind, loc) the reader reads from an aligned stream, trying the
     keys of track_ids in turn; None when unusable (see the module notes).
-    aligned is None for a stream that does not align."""
+    aligned is None for a stream that does not align.  Each trial derives
+    its key pair through auth.derive_keys under the keystore's mk and ver,
+    which returns the memoised pair after the first request of an id."""
     if aligned is None:
         return None  # neither mode reads a stream that does not align
     if auth_mode == AUTH_LEGACY:
@@ -346,10 +348,12 @@ def read_telegram(
             return parse_payload(codec.descramble_legacy(aligned, fmt), fmt)
         except ValueError:
             return None
-    verify, keys_for = auth.verify_and_decode, keystore.keys_for
+    verify, derive = auth.verify_and_decode, auth.derive_keys
+    mk, ver = keystore.mk, keystore.ver
     for balise_id in track_ids:
         try:
-            return parse_payload(verify(aligned, keys_for(balise_id), fmt), fmt)
+            keys = derive(mk, balise_id, ver)
+            return parse_payload(verify(aligned, keys, fmt), fmt)
         except (auth.AuthFailure, ValueError):
             continue
     return None

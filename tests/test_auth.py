@@ -435,6 +435,29 @@ def test_wrong_id_fails():
             auth.verify_and_decode(stream, other, SHORT)
 
 
+def test_each_rejection_names_its_reason():
+    # A wrong key fails the id check; the right key over user data with
+    # one flipped bit outside the id field passes it and fails the tag.
+    rng = random.Random(25)
+    assert auth.ID_MISMATCH != auth.TAG_MISMATCH
+    for fmt in (LONG, SHORT):
+        keys = auth.derive_keys(MK, 70)
+        other = auth.derive_keys(MK, 71)
+        user = naming(keys, bits_to_int([rng.randrange(2)
+                                         for _ in range(fmt.user_bits)]), fmt)
+        sb, s = auth.generate_tag(user, keys, fmt)
+        assert auth.verify_and_decode(codec.encode(user, sb, s, fmt) * 3,
+                                      keys, fmt) == user
+        with pytest.raises(auth.AuthFailure) as wrong_key:
+            auth.verify_and_decode(codec.encode(user, sb, s, fmt) * 3, other, fmt)
+        assert wrong_key.value.args == (auth.ID_MISMATCH,)
+        flip = 1 << rng.randrange(fmt.user_bits - auth.ID_BITS)
+        with pytest.raises(auth.AuthFailure) as flipped:
+            auth.verify_and_decode(codec.encode(user ^ flip, sb, s, fmt) * 3,
+                                   keys, fmt)
+        assert flipped.value.args == (auth.TAG_MISMATCH,)
+
+
 def test_aligned_stream_verifies_under_right_key_only():
     # Each payload is written under the key of the id it names, and read
     # under that key and under the key of a neighbouring id.

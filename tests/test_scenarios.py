@@ -128,9 +128,9 @@ def test_reader_tries_no_key_on_a_stream_that_does_not_align(monkeypatch):
     spec = BaliseSpec(id=2, loc=-64.0, kind="fixed")
     (t,) = build_deployment([spec], AUTH_AUTHENTICATED, keystore, LONG)
     trials = []
-    keys_for = auth.Keystore.keys_for
-    monkeypatch.setattr(auth.Keystore, "keys_for",
-                        lambda self, i: trials.append(i) or keys_for(self, i))
+    derive_keys = auth.derive_keys
+    monkeypatch.setattr(auth, "derive_keys", lambda mk, i, ver=0:
+                        trials.append(i) or derive_keys(mk, i, ver))
     track_ids = [1, 2, 3]
     assert read_telegram(align_codeword(t, LONG), AUTH_AUTHENTICATED, keystore,
                          track_ids, LONG) == (2, "fixed", -64.0)
@@ -225,9 +225,9 @@ def test_a_stream_that_does_not_align_is_kept_and_tries_no_key(aligned, monkeypa
     (t,) = build_deployment([spec], AUTH_AUTHENTICATED, keystore, LONG)
     t ^= 1 << (LONG.n - 1 - 100)  # flips bit 100 of the codeword
     trials = []
-    keys_for = auth.Keystore.keys_for
-    monkeypatch.setattr(auth.Keystore, "keys_for",
-                        lambda self, i: trials.append(i) or keys_for(self, i))
+    derive_keys = auth.derive_keys
+    monkeypatch.setattr(auth, "derive_keys", lambda mk, i, ver=0:
+                        trials.append(i) or derive_keys(mk, i, ver))
     for _ in range(2):
         assert read_telegram(align_codeword(t, LONG), AUTH_AUTHENTICATED,
                              keystore, [1, 2, 3], LONG) is None
@@ -298,17 +298,18 @@ def test_the_alignment_memo_keys_a_codeword_by_its_format(empty_memos):
 
 
 def test_authenticated_run_derives_each_track_key_once(macs, monkeypatch):
-    # Deployment and reader ask keys_for once per write and per trial;
-    # only the first request of an id computes its two KDF MACs (message
-    # prefix 0x4B), and only the first PRF of an sb under a track key
-    # computes its MAC (prefix 0x53).  A second run under the same master
-    # key computes neither, and programs no telegram: its only tag MACs
-    # (prefix 0x01, the long format) are those of the accepted reads.
+    # Deployment (through keys_for) and reader ask derive_keys once per
+    # write and per trial; only the first request of an id computes its
+    # two KDF MACs (message prefix 0x4B), and only the first PRF of an sb
+    # under a track key computes its MAC (prefix 0x53).  A second run
+    # under the same master key computes neither, and programs no
+    # telegram: its only tag MACs (prefix 0x01, the long format) are those
+    # of the accepted reads.
     kdf_macs, prf_macs, tag_macs = macs["kdf"], macs["prf"], macs["tag"]
     trials = []
-    keys_for = auth.Keystore.keys_for
-    monkeypatch.setattr(auth.Keystore, "keys_for",
-                        lambda self, i: trials.append(i) or keys_for(self, i))
+    derive_keys = auth.derive_keys
+    monkeypatch.setattr(auth, "derive_keys", lambda mk, i, ver=0:
+                        trials.append(i) or derive_keys(mk, i, ver))
     cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED, seed=18)
     ids = [b.id for b in cfg.balises]
     read_trials = [i for n in range(1, len(ids) + 1) for i in ids[:n]]
@@ -327,6 +328,44 @@ def test_authenticated_run_derives_each_track_key_once(macs, monkeypatch):
     assert kdf_macs == prf_macs == []
     assert len(tag_macs) == len(ids)
     assert trials == read_trials
+
+
+def test_a_warm_50_balise_run_makes_the_pinned_key_trials(empty_memos,
+                                                          monkeypatch):
+    # The benchmark's auth_track_50 track: 50 balises evenly spaced from
+    # -100 m to 0 m in whole millimetres, id 50 the stop marker.  The
+    # train stops before the marker, and the reader tries the keys of ids
+    # 1..n at the crossing of balise n, so a warm run makes 49 * 50 / 2
+    # trials: one accepted per crossing, every other one rejected by the
+    # id check, none by the tag.  The run programs no telegram, so every
+    # derive_keys call is a trial's.
+    balises = [BaliseSpec(id=i, loc=round(-100.0 * (50 - i) / 49, 3),
+                          kind="fixed" if i < 50 else "controlled")
+               for i in range(1, 51)]
+    cfg = ScenarioConfig(balises=balises, controller=CONTROLLER_RESILIENT,
+                         auth_mode=AUTH_AUTHENTICATED, telegram_format="long")
+    cold = run_scenario(cfg)
+    outcomes, derived = [], []
+    verify, derive_keys = auth.verify_and_decode, auth.derive_keys
+
+    def counting_verify(*args):
+        try:
+            user = verify(*args)
+        except auth.AuthFailure as exc:
+            outcomes.append(exc.args[0])
+            raise
+        outcomes.append("ok")
+        return user
+
+    monkeypatch.setattr(auth, "verify_and_decode", counting_verify)
+    monkeypatch.setattr(auth, "derive_keys", lambda mk, i, ver=0:
+                        derived.append(i) or derive_keys(mk, i, ver))
+    assert run_scenario(cfg) == cold
+    assert len(outcomes) == 1225
+    assert outcomes.count("ok") == 49
+    assert outcomes.count(auth.ID_MISMATCH) == 1176
+    assert outcomes.count(auth.TAG_MISMATCH) == 0
+    assert len(derived) == 1225
 
 
 def test_reader_accepts_a_payload_only_under_the_key_of_its_id():
@@ -1055,3 +1094,4 @@ def test_summary_dict_contents():
     assert summary["stop_error_m"] == result.stop_error
     assert summary["auth_failures"] == 0
     assert summary["balise_missing_events"] == result.balise_missing_events
+
