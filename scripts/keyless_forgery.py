@@ -25,10 +25,10 @@ passes are counted on.
 The map is 50 balises evenly spaced from -100 m to 0 m, as in the
 auth_track_50 benchmark, with the scenario's default keystore (seed 1).
 
-Random sb values fill auth's memo of S values (see the auth module
-notes) towards its bound of 4,096 per track key, and the distinct forged
-codewords fill the reader's memo of alignments to its bound of 1,024, so
-the report ends with how many of each are kept.
+The random sb values of m track keys make m * 4,096 distinct S values,
+more than auth.prf_s keeps (see the auth module notes), and the distinct
+forged codewords fill the reader's memo of alignments to its bound of
+1,024, so the report ends with how many of each are kept and the bound.
 
 Usage, from a checkout (or drop PYTHONPATH=src with balisim installed):
 
@@ -80,8 +80,8 @@ def main():
           f"expected m * 2^-12 = {BALISES / 4096:.4%})")
     print(f"accepted:   {accepted} ({accepted / n:.4%} per crossing, "
           f"expected 1 - (1 - 2^-27)^m = {1 - (1 - 2 ** -27) ** BALISES:.6%})")
-    kept = sum(len(memo) for memo in auth._master.prf.values())
-    print(f"S values kept: {kept} (at most m * 4,096 = {BALISES * 4096:,})")
+    kept = auth.prf_s.cache_info()
+    print(f"S values kept: {kept.currsize} (at most {kept.maxsize:,})")
     print(f"alignments kept: {scenario.align_codeword.cache_info().currsize} "
           "(at most 1,024)")
 

@@ -32,32 +32,28 @@ crossings on an m-balise map (m * 2^-12 tags, half the kind codes,
 keystream's leading 32 bits are S itself (see codec.keystream), so the
 descrambled id is the leading ID_BITS of the scrambled data XOR those of
 S, S >> (32 - ID_BITS), and verify_and_decode checks it before it
-descrambles and before the tag.  So a wrong key's trial costs the dict
-lookups of its memoised key pair and of its S, two shifts, an XOR, a
-compare and the raise of an AuthFailure whose message is the fixed
-ID_MISMATCH: no keystream call, no tag MAC, no range check and no
-message formatting.  The first trial of an sb under a key adds its PRF
-MAC.  A payload is accepted exactly when it would be by the tag check
-followed by an id check.
+descrambles and before the tag.  So a wrong key's trial costs the cache
+lookups of its key pair and of its S, two shifts, an XOR, a compare and
+the raise of an AuthFailure whose message is the fixed ID_MISMATCH: no
+keystream call, no tag MAC, no range check and no message formatting.
+A trial whose S is not cached adds its PRF MAC.  A payload is accepted
+exactly when it would be by the tag check followed by an id check.
 
-derive_keys memoises per master key.  One entry per process holds the
-master key, a dict of the key pair of each (id, ver) requested under
-it, and for each such pair's k1 a dict from sb to its S, which prf_s
-fills as it computes them.  So a pair costs its two KDF MACs on its
-first request only and a dict lookup after that, and an S costs its PRF
-MAC on its first request under that k1 only.  The entry is found by the
-master key's value, so every keystore that holds an equal mk shares it.
-A k1 has at most 4,096 values of S, one per sb, so the memo is bounded
-by 4,096 entries per pair requested under the current master key, in a
-simulation the ids of its track map.  Using another master key replaces
-the entry and drops the old pairs and their S values with it.  Whoever
-can read the cached pairs can read the master key beside them, which
-derives every key and so every S, so the memo exposes nothing the
-master key does not.
+derive_keys and prf_s are pure functions, each memoised by a
+functools.lru_cache: up to 2^ID_BITS key pairs and 2^16 S values per
+process, the least recently used dropped first.  A pair costs its two
+KDF MACs and an S its PRF MAC on a miss only.  The caches key each call
+by its argument values and types, and by its form, so a positional and a
+keyword call, or a call with and without ver, are distinct entries;
+every caller in balisim passes derive_keys all three arguments
+positionally.  The master key is part of every key pair's entry, so
+whoever can read the caches can read it, and it derives every pair and
+every S: the caches expose nothing the master key does not.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -99,17 +95,6 @@ _IPAD = bytes(x ^ 0x36 for x in range(256))  # translate tables for K^ipad
 _OPAD = bytes(x ^ 0x5C for x in range(256))  # and K^opad
 
 
-class _Master(NamedTuple):
-    """What derive_keys keeps for one master key."""
-    mk: bytes
-    pairs: dict[tuple[int, int], BaliseKeyPair]  # by (id, ver)
-    prf: dict[bytes, dict[int, int]]             # each pair's k1: S by sb
-
-
-# The entry of the master key last used; b"" is no master key.
-_master = _Master(b"", {}, {})
-
-
 def _hmac256(key: bytes, msg: bytes) -> bytes:
     """HMAC-SHA256 of msg: sha256(K^opad | sha256(K^ipad | msg)).
 
@@ -129,39 +114,22 @@ def _check_uint(value: int, bits: int, what: str) -> None:
         raise ValueError(f"{what} must be an integer in 0..2^{bits}-1")
 
 
+@functools.lru_cache(maxsize=1 << ID_BITS, typed=True)
 def derive_keys(mk: bytes, balise_id: int, ver: int = 0) -> BaliseKeyPair:
     """The per-balise key pair under the 256-bit master key.
 
-    A pair requested before under an equal mk is returned at once: the
-    entry's mk and its pairs' (id, ver) were checked when they were
-    stored, so only the types are checked again.  Any other call checks
-    every argument, and the pair's two KDF MACs are computed on its first
-    request under mk only (see the module notes).  Threads that miss
-    together compute the same pair, so either store leaves the memo right
-    and it needs no lock.
+    ValueError unless mk is 32 bytes and balise_id and ver are ints, not
+    bools, of at most ID_BITS and VER_BITS bits.  Memoised (see the
+    module notes); an unhashable mk is a TypeError of the cache.
     """
-    global _master
-    entry = _master
-    if (type(mk) is bytes and mk == entry.mk
-            and type(balise_id) is int and type(ver) is int):
-        keys = entry.pairs.get((balise_id, ver))
-        if keys is not None:
-            return keys
     if type(mk) is not bytes or len(mk) != 32:
         raise ValueError("master key must be 32 bytes")
     _check_uint(balise_id, ID_BITS, "balise id")
     _check_uint(ver, VER_BITS, "ver")
-    if entry.mk != mk:
-        entry = _master = _Master(mk, {}, {})
-    keys = entry.pairs.get((balise_id, ver))
-    if keys is None:
-        base = _KDF_PREFIX + balise_id.to_bytes(2, "big") + ver.to_bytes(2, "big")
-        keys = BaliseKeyPair(_hmac256(mk, base + b"\x00")[:KEY_BYTES],
-                             _hmac256(mk, base + b"\x01")[:KEY_BYTES],
-                             balise_id, ver)
-        entry.prf[keys.k1] = {}
-        entry.pairs[balise_id, ver] = keys
-    return keys
+    base = _KDF_PREFIX + balise_id.to_bytes(2, "big") + ver.to_bytes(2, "big")
+    return BaliseKeyPair(_hmac256(mk, base + b"\x00")[:KEY_BYTES],
+                         _hmac256(mk, base + b"\x01")[:KEY_BYTES],
+                         balise_id, ver)
 
 
 def tag_sb(k0: bytes, user: int, fmt: codec.TelegramFormat) -> int:
@@ -175,23 +143,15 @@ def tag_sb(k0: bytes, user: int, fmt: codec.TelegramFormat) -> int:
     return (digest[0] << 4) | (digest[1] >> 4)
 
 
+@functools.lru_cache(maxsize=1 << 16, typed=True)
 def prf_s(k1: bytes, sb: int) -> int:
     """32-bit scrambling key: leading bits of PRF(k1, sb).
 
-    An S is looked up in the memo of a k1 that derive_keys derived under
-    the current master key (see the module notes); any other key's S is
-    computed and not kept.  Threads that miss together store the same S,
-    so the memo needs no lock.
+    TypeError for an sb that is not an int and OverflowError for one
+    outside 0..4095.  Memoised (see the module notes).
     """
-    shifted = sb << 4  # TypeError for an sb that is not an int, 1.0 too
-    memo = _master.prf.get(k1)
-    s = None if memo is None else memo.get(sb)
-    if s is None:  # OverflowError below for an sb outside 0..4095
-        msg = _PRF_PREFIX + shifted.to_bytes(2, "big")
-        s = int.from_bytes(_hmac256(k1, msg)[:4], "big")
-        if memo is not None:
-            memo[sb] = s
-    return s
+    msg = _PRF_PREFIX + (sb << 4).to_bytes(2, "big")
+    return int.from_bytes(_hmac256(k1, msg)[:4], "big")
 
 
 def generate_tag(

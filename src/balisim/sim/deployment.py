@@ -26,8 +26,8 @@ as the process.  Each call returns a new list of the kept ints, so
 attacks and telegram files change only that run's list.  The kept
 codewords expose nothing: a balise broadcasts its telegram in the clear
 at every crossing.  The keystore in the slot's key is the one the run
-holds, and auth's key memo keeps the master key of the last
-authenticated track as well.
+holds, and auth's cache of key pairs keeps the master key of every pair
+it holds as well.
 """
 
 from __future__ import annotations

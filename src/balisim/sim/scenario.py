@@ -140,6 +140,11 @@ class ScenarioConfig(CheckedRecord, _ScenarioFields):
         controlled = [b for b in self.balises if b.kind == KIND_CONTROLLED]
         if len(controlled) != 1 or controlled[0].loc != 0.0:
             raise ConfigError("exactly one controlled balise at location 0 required")
+        # A train that starts past a balise would read it, behind it, at
+        # its first step.
+        if self.train.p0 > self.balises[0].loc:
+            raise ConfigError(f"train.p0 {self.train.p0} m lies past the "
+                              f"first balise at {self.balises[0].loc} m")
         # A fixed balise reporting the stop point has no braking law
         # (hoa.DegenerateReference); its telegram carries whole millimetres.
         for b in self.balises:
@@ -340,7 +345,7 @@ def read_telegram(
     keys of track_ids in turn; None when unusable (see the module notes).
     aligned is None for a stream that does not align.  Each trial derives
     its key pair through auth.derive_keys under the keystore's mk and ver,
-    which returns the memoised pair after the first request of an id."""
+    whose cache returns the pair of an id requested before."""
     if aligned is None:
         return None  # neither mode reads a stream that does not align
     if auth_mode == AUTH_LEGACY:
@@ -404,8 +409,9 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
                                           alpha_max=train.alpha_max)
     p_est0 = train.p0 if cfg.p_est0 is None else cfg.p_est0
     est = PositionEstimate(p_est0, cfg.delta0, cfg.growth_k)
-    state = AnomalyState(
-        known_locs=[b.loc for b in cfg.balises if b.kind == KIND_FIXED])
+    # The map holds each fixed balise's location as its telegram reports it.
+    state = AnomalyState(known_locs=[location_mm(b.loc) / 1000.0
+                                     for b in balises if b.kind == KIND_FIXED])
 
     cmd = 0.0
     marker_seen = False

@@ -1,28 +1,33 @@
 """Fixtures shared by the test modules: the process memos and a MAC count.
 
-balisim keeps three memos for the life of a process: auth's master
-entry (key pairs and S values), deployment._track_codewords (the track
-programmed last) and scenario.align_codeword (alignments by codeword).
-A test that counts work empties them through empty_memos.
+balisim keeps four memos for the life of a process, each a
+functools.lru_cache: auth.derive_keys (key pairs), auth.prf_s (S
+values), deployment._track_codewords (the track programmed last) and
+scenario.align_codeword (alignments by codeword).  A test that counts
+work empties them through empty_memos.
 """
 
 import pytest
 
-from balisim import auth
+from balisim import auth, codec
 from balisim.sim import deployment, scenario
+
+# Every lru_cache in balisim is a memo that empty_memos empties or a
+# pure table whose entries hold no state a test could count.
+MEMOS = (auth.derive_keys, auth.prf_s, deployment._track_codewords,
+         scenario.align_codeword)
+TABLES = (codec._fields,)
 
 
 @pytest.fixture
-def empty_memos(monkeypatch):
-    """Empty the three process memos, and return the function that does it.
+def empty_memos():
+    """Empty the process memos, and return the function that does it.
 
-    A test calls the function again to go cold mid-test.  The master
-    entry the test found is restored after it.
+    A test calls the function again to go cold mid-test.
     """
     def empty():
-        monkeypatch.setattr(auth, "_master", auth._Master(b"", {}, {}))
-        deployment._track_codewords.cache_clear()
-        scenario.align_codeword.cache_clear()
+        for memo in MEMOS:
+            memo.cache_clear()
 
     empty()
     return empty

@@ -97,7 +97,10 @@ def test_auth_defines_one_hmac_function():
     import inspect
     source = inspect.getsource(auth)
     assert re.findall(r"^def (\w*hmac\w*)\(", source, re.M) == ["_hmac256"]
-    assert auth._Master._fields == ("mk", "pairs", "prf")
+    # The two memos are the typed lru caches around the KDF and the PRF.
+    assert auth.derive_keys.cache_parameters() == {
+        "maxsize": 1 << auth.ID_BITS, "typed": True}
+    assert auth.prf_s.cache_parameters() == {"maxsize": 1 << 16, "typed": True}
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +115,34 @@ def test_derive_keys_matches_oracle():
 
 
 def test_derive_keys_follows_a_changing_master_key(macs):
-    # One master entry is cached with the pairs derived under it;
-    # switching keys back and forth must never return a pair, or derive
-    # under a key, of the previous master key.
+    # The pairs of every master key are cached side by side: switching
+    # keys back and forth derives each pair once and never returns a
+    # pair, or derives under a key, of the other master key.
     mk_b = bytes(range(100, 132))
     base = b"\x4b" + (0x2A7).to_bytes(2, "big") + (3).to_bytes(2, "big")
+    first = {}
     for mk in (MK, mk_b, MK, mk_b):
-        macs["kdf"].clear()
         keys = auth.derive_keys(mk, balise_id=0x2A7, ver=3)
         assert keys.k0 == hmac_oracle(mk, base + b"\x00")[:16]
         assert keys.k1 == hmac_oracle(mk, base + b"\x01")[:16]
-        assert macs["kdf"] == [mk, mk]
-        assert auth.derive_keys(mk, balise_id=0x2A7, ver=3) is keys
-        assert macs["kdf"] == [mk, mk]
+        assert first.setdefault(mk, keys) is keys
+    assert macs["kdf"] == [MK, MK, mk_b, mk_b]
+    assert auth.derive_keys.cache_info().currsize == 2
+
+
+def test_each_call_form_is_its_own_cache_entry(macs):
+    # A positional and a keyword call, or a call with and without ver,
+    # return equal pairs but are distinct entries, each with its own
+    # KDF MACs; the same form again is a hit.
+    forms = [((MK, 3), {}), ((MK, 3, 0), {}), ((MK,), {"balise_id": 3}),
+             ((MK, 3), {"ver": 0})]
+    pairs = [auth.derive_keys(*args, **kwargs) for args, kwargs in forms]
+    assert all(p == pairs[0] for p in pairs)
+    assert macs["kdf"] == [MK, MK] * len(forms)
+    for (args, kwargs), pair in zip(forms, pairs):
+        assert auth.derive_keys(*args, **kwargs) is pair
+    info = auth.derive_keys.cache_info()
+    assert (info.currsize, info.hits) == (len(forms), len(forms))
 
 
 def stdlib_prf_s(key, sb):
@@ -133,60 +151,65 @@ def stdlib_prf_s(key, sb):
     return int.from_bytes(hmac_std.digest(key, msg, "sha256")[:4], "big")
 
 
-def test_prf_memo_lives_and_dies_with_its_pair(macs):
-    # The master entry keeps S by sb for each k1 derive_keys derives,
-    # and for no other key: a raw key or a k0 is signed every time and
-    # never stored.  Another master key's entry holds none of the old
-    # values, and an old k1 is then signed like a raw key.
+def test_prf_memo_keeps_the_s_of_every_key_it_signs(macs):
+    # prf_s keeps S by (key, sb) for any key: a derived k1, a k0 or a raw
+    # key is signed on its first request only.  Deriving pairs under
+    # another master key drops none of the values kept before.
     import hmac as hmac_std
     prf_macs = macs["prf"]
     pairs = [auth.derive_keys(MK, i) for i in (3, 4)]
-    entry = auth._master
-    assert entry.prf == {p.k1: {} for p in pairs}
-    for _ in range(2):
-        for p in pairs:
-            for sb in (0, 0x5A5, 0xFFF):
-                assert auth.prf_s(p.k1, sb) == stdlib_prf_s(p.k1, sb)
-    assert prf_macs == [p.k1 for p in pairs for _ in range(3)]
-    assert entry.prf == {p.k1: {sb: stdlib_prf_s(p.k1, sb)
-                                for sb in (0, 0x5A5, 0xFFF)} for p in pairs}
-
-    prf_macs.clear()
-    for p in pairs:
-        assert auth.prf_s(p.k0, 0x5A5) == stdlib_prf_s(p.k0, 0x5A5)
-        assert auth.prf_s(p.k0, 0x5A5) == stdlib_prf_s(p.k0, 0x5A5)
     rng = random.Random(25)
     raw = [rng.randbytes(key_len) for key_len in KEY_LENS]
-    for key in raw:
-        assert auth.prf_s(key, 0x123) == stdlib_prf_s(key, 0x123)
+    keys = [p.k1 for p in pairs] + [p.k0 for p in pairs] + raw
+    sbs = (0, 0x5A5, 0xFFF)
+    for _ in range(2):
+        for key in keys:
+            for sb in sbs:
+                assert auth.prf_s(key, sb) == stdlib_prf_s(key, sb)
+    assert prf_macs == [key for key in keys for _ in sbs]
+    assert auth.prf_s.cache_info().currsize == len(keys) * len(sbs)
+    for key in raw:  # and a tag under a raw key matches the stdlib's
         for fmt, fmt_byte in ((LONG, b"\x01"), (SHORT, b"\x02")):
             user = rng.getrandbits(fmt.user_bits)
             packed = pack_bits(int_to_bits(user, fmt.user_bits))
             digest = hmac_std.digest(key, fmt_byte + packed, "sha256")
             assert auth.tag_sb(key, user, fmt) == (digest[0] << 4) | (digest[1] >> 4)
-    assert prf_macs == [p.k0 for p in pairs for _ in range(2)] + raw
-    assert set(entry.prf) == {p.k1 for p in pairs}
-    assert all(len(memo) == 3 for memo in entry.prf.values())
 
     prf_macs.clear()
     new = auth.derive_keys(bytes(range(100, 132)), 3)
-    assert auth._master.prf == {new.k1: {}}
-    assert not any(value is entry for value in vars(auth).values())
-    for p in pairs:
-        assert auth.prf_s(p.k1, 0x5A5) == stdlib_prf_s(p.k1, 0x5A5)
-        assert auth.prf_s(p.k1, 0x5A5) == stdlib_prf_s(p.k1, 0x5A5)
-    assert prf_macs == [p.k1 for p in pairs for _ in range(2)]
-    assert auth._master.prf == {new.k1: {}}
+    assert auth.prf_s(new.k1, 0x5A5) == stdlib_prf_s(new.k1, 0x5A5)
+    for key in keys:
+        assert auth.prf_s(key, 0x5A5) == stdlib_prf_s(key, 0x5A5)
+    assert prf_macs == [new.k1]
+    assert auth.prf_s.cache_info().currsize == len(keys) * len(sbs) + 1
 
 
 def test_prf_memo_matches_stdlib_for_every_sb(macs):
-    # All 4,096 S values of a kept k1, computed cold and then read back
-    # warm, and the memo holds one entry per sb: its bound.
+    # All 4,096 S values of a k1, computed cold and then read back warm,
+    # and the memo holds one entry per sb.
     k1 = auth.derive_keys(MK, 7).k1
     expected = [stdlib_prf_s(k1, sb) for sb in range(1 << codec.SB_WIDTH)]
     for _ in range(2):
         assert [auth.prf_s(k1, sb) for sb in range(1 << codec.SB_WIDTH)] == expected
-    assert len(macs["prf"]) == len(auth._master.prf[k1]) == 4096
+    assert len(macs["prf"]) == auth.prf_s.cache_info().currsize == 4096
+
+
+def test_the_prf_memo_drops_its_least_recent_s_at_its_bound(macs):
+    # maxsize S values are kept; one more drops the least recently read,
+    # the first, which is then signed again.
+    bound = auth.prf_s.cache_parameters()["maxsize"]
+    k1s = [auth.derive_keys(MK, i).k1 for i in range(bound // 4096 + 1)]
+    requests = [(k1, sb) for k1 in k1s for sb in range(1 << codec.SB_WIDTH)]
+    for k1, sb in requests[:bound]:
+        auth.prf_s(k1, sb)
+    assert auth.prf_s.cache_info().currsize == bound
+    auth.prf_s(*requests[bound])
+    assert auth.prf_s.cache_info().currsize == bound
+    macs["prf"].clear()
+    auth.prf_s(*requests[1])
+    assert macs["prf"] == []
+    assert auth.prf_s(*requests[0]) == stdlib_prf_s(*requests[0])
+    assert macs["prf"] == [requests[0][0]]
 
 
 @pytest.mark.parametrize("sb, error", [
@@ -195,17 +218,18 @@ def test_prf_memo_matches_stdlib_for_every_sb(macs):
     (-(1 << 12), OverflowError),
 ])
 def test_a_prf_memo_hit_lets_no_invalid_sb_through(empty_memos, sb, error):
-    # 1.0 == 1 and hashes alike, so only the shift in prf_s keeps it from
+    # 1.0 == 1 and hashes alike, so only the typed cache keeps it from
     # the S of sb 1; the memo never holds an sb outside 0..4095.
     k1 = auth.derive_keys(MK, 7).k1
     for good in (0, 1, 0xFFF):
         auth.prf_s(k1, good)
-    memo = dict(auth._master.prf[k1])
+    before = auth.prf_s.cache_info()
     with pytest.raises(error):
         auth.prf_s(k1, sb)
-    assert auth._master.prf[k1] == memo
-    with pytest.raises(error):  # and a key that is not kept raises the same
+    with pytest.raises(error):  # and a key with no S kept raises the same
         auth.prf_s(bytes(16), sb)
+    after = auth.prf_s.cache_info()
+    assert (after.hits, after.currsize) == (before.hits, before.currsize)
 
 
 def test_derive_keys_deterministic_and_separated():
@@ -232,22 +256,20 @@ def test_derive_keys_deterministic_and_separated():
     (MK, 1, 0.0),
 ])
 def test_derive_keys_validates_its_inputs_over_a_cached_pair(args):
-    # (MK, 1, 0) is cached first.  bytearray(MK) == MK, and True == 1
-    # and 0.0 == 0 hash alike, so only the type checks keep them from
-    # returning its pair.
+    # (MK, 1, 0) is cached first.  True == 1 and 0.0 == 0 hash alike, so
+    # only the typed cache and the body's checks keep them from returning
+    # its pair.  bytearray(MK) == MK is unhashable: the cache's TypeError.
     auth.derive_keys(MK, 1, 0)
-    with pytest.raises(ValueError):
+    error = TypeError if type(args[0]) is bytearray else ValueError
+    with pytest.raises(error):
         auth.derive_keys(*args)
 
 
-def test_an_equal_master_key_object_keeps_the_entry_and_its_fast_path(
-        macs, monkeypatch):
-    # Each keystore holds its own mk bytes.  The entry is found by value,
-    # so a lookup under an equal copy returns the cached pair at once:
-    # no KDF MAC, no range check, and the entry stays as it was.
-    pair = auth.derive_keys(MK, 3)
-    s = auth.prf_s(pair.k1, 0x5A5)
-    entry = auth._master
+def test_an_equal_master_key_object_hits_the_cached_pair(macs, monkeypatch):
+    # Each keystore holds its own mk bytes.  The cache finds a pair by
+    # value, so a request under an equal copy returns the cached pair at
+    # once: no KDF MAC, no range check and no new entry.
+    pair = auth.derive_keys(MK, 3, 0)
     checks = []
     check_uint = auth._check_uint
     monkeypatch.setattr(auth, "_check_uint",
@@ -259,22 +281,21 @@ def test_an_equal_master_key_object_keeps_the_entry_and_its_fast_path(
         assert auth.derive_keys(copy, 3, 0) is pair
     assert checks == []
     assert macs["kdf"] == [MK, MK]
-    assert auth._master is entry and entry.mk is MK
-    assert entry.pairs == {(3, 0): pair}
-    assert entry.prf == {pair.k1: {0x5A5: s}}
+    assert auth.derive_keys.cache_info().currsize == 1
 
 
-def test_a_different_master_key_still_replaces_the_entry(macs):
+def test_a_different_master_key_adds_its_pairs_beside_the_old(macs):
     pair = auth.derive_keys(MK, 3)
     auth.prf_s(pair.k1, 0x5A5)
     auth.derive_keys(bytes(bytearray(MK)), 3)
     other = bytes(range(100, 132))
     new = auth.derive_keys(other, 3)
     assert new != pair
-    assert auth._master.mk is other
-    assert auth._master.pairs == {(3, 0): new}
-    assert auth._master.prf == {new.k1: {}}
+    assert auth.derive_keys(MK, 3) is pair
+    assert auth.derive_keys.cache_info().currsize == 2
     assert macs["kdf"] == [MK, MK, other, other]
+    assert auth.prf_s(pair.k1, 0x5A5) == stdlib_prf_s(pair.k1, 0x5A5)
+    assert macs["prf"] == [pair.k1]
 
 
 def test_the_id_check_reads_the_leading_bits_of_s_as_the_keystream():
@@ -801,11 +822,11 @@ def test_keyless_forgery_script_counts_are_consistent():
                               out).groups())
     tag_passes = int(re.search(r"^tag passes: (\d+) \(", out, re.M).group(1))
     accepted = int(re.search(r"^accepted: +(\d+) \(", out, re.M).group(1))
-    kept, bound = re.search(r"^S values kept: (\d+) \(at most m \* 4,096 = ([\d,]+)\)$",
+    kept, bound = re.search(r"^S values kept: (\d+) \(at most ([\d,]+)\)$",
                             out, re.M).groups()
     assert n == 200
     assert 0 <= accepted <= tag_passes <= n * m
-    assert int(bound.replace(",", "")) == m << codec.SB_WIDTH
+    assert int(bound.replace(",", "")) == auth.prf_s.cache_parameters()["maxsize"]
     # The exact counts of this seeded run.  One of the three tag passes
     # parsed to a payload under a key whose id it does not name; the
     # reader, which accepts a payload only under its own id's key,

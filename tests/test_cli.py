@@ -429,6 +429,17 @@ def test_simulate_bad_config_exit_code(tmp_path):
     assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2
 
 
+def test_simulate_train_past_its_first_balise_exit_code(tmp_path, capsys):
+    # At p0 -50 it read B1 and B2, behind it, at its first step, and
+    # stopped at +8.394 m with exit 0; p0 1.0 lies past the stop point.
+    config = tmp_path / "past.json"
+    for p0 in (-50.0, 1.0):
+        config.write_text(json.dumps({"train": {"p0": p0}}))
+        assert main(["simulate", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "train.p0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_simulate_balise_of_key_value_pairs_exit_code(tmp_path, capsys):
     # The track of no_attack with each balise an array of [key, value]
     # pairs: it ran and stopped at +0.111 m.

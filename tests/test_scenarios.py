@@ -408,6 +408,23 @@ def test_resilient_run_evaluates_the_missing_condition_near_its_crossings(
     assert 0 < len(calls) <= 2 * 49
 
 
+@pytest.mark.parametrize("loc", [-36.0, -36.0004, -35.9996])
+def test_a_fixed_balise_off_the_millimetre_grid_is_received_where_it_reports(loc):
+    # B3's telegram reports its location in whole millimetres, -36.0 m,
+    # and the track map holds it the same way: the read marks B3 received,
+    # so no balise goes missing and the run stops as on the grid.  A map
+    # of the unrounded -36.0004 m reported B3 missing right after its read.
+    balises = list(scenario.DEFAULT_BALISES)
+    balises[2] = BaliseSpec(id=3, loc=loc, kind="fixed")
+    result = run_scenario(ScenarioConfig(
+        balises=balises, controller=CONTROLLER_RESILIENT,
+        auth_mode=AUTH_AUTHENTICATED))
+    events = [r.event for r in result.trajectory if "B3" in r.event]
+    assert events == ["B3:trusted"]
+    assert result.balise_missing_events == 0
+    assert round(result.stop_error, 3) == 0.111
+
+
 @pytest.mark.parametrize("p_est0", [None, -120.0, -110.0, -90.0])
 @pytest.mark.parametrize("dst", [1, 2, 3, 4, 5])
 def test_resilient_controller_ignores_a_stop_marker_cloned_onto_a_fixed_balise(
@@ -537,8 +554,11 @@ def _with_value(raw, value):
 def test_config_from_dict_rejects_a_bool_or_an_int_beyond_floats(raw, value):
     # json.load reads true as True, which math and float() take as 1, and
     # an integer of any size as an int, which math.isfinite cannot take.
-    # Every field but alpha_max, which must be negative, takes 1.0.
-    if raw != {"train": {"alpha_max": None}}:
+    # Every field but alpha_max, which must be negative, takes 1.0; the
+    # train's p0 must lie at or before the first balise, at -100 m.
+    if raw == {"train": {"p0": None}}:
+        config_from_dict(_with_value(raw, -100.0))
+    elif raw != {"train": {"alpha_max": None}}:
         config_from_dict(_with_value(raw, 1.0))
     with pytest.raises(ConfigError):
         config_from_dict(_with_value(raw, value))
@@ -821,6 +841,10 @@ def test_scenario_file_with_a_misspelt_key_exits_2(tmp_path, capsys):
     {"max_time_s": 0.001},
     {"max_time_s": 0.005},
     {"train": {"v0": 0.0}, "max_time_s": 0.001},
+    # a train that starts past the first balise, or past the stop point
+    {"train": {"p0": -50.0}},
+    {"train": {"p0": 1.0}},
+    {"train": {"p0": -99.0}, "balises": _balises()},
 ])
 def test_config_from_dict_rejects_non_finite_and_out_of_range(monkeypatch, raw):
     for _ in each_maker(monkeypatch):
