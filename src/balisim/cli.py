@@ -99,8 +99,9 @@ def _run_one(config_path: str, out_dir: str,
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.batch is None and args.config is None:
-        return _fail("either a config path or --batch is required")
+    # With both, the batch would run and the config be dropped unread.
+    if (args.batch is None) == (args.config is None):
+        return _fail("give one of a config path and --batch, not both")
     if os.path.normpath(args.csv) == os.path.normpath(args.summary):
         return _fail("--csv and --summary name the same file")
 

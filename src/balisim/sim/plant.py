@@ -11,6 +11,11 @@ zero; a stopped train stays stopped.
 The plant copies dt, Tp and alpha_max out of its TrainParams when it is
 built: step reads them every step, and an instance attribute reads
 faster than a NamedTuple field.
+
+step is the reference for the run loop's held stretches:
+sim.scenario._hold repeats its arithmetic, in the same order, on local
+copies of alpha, v and p, and tests/test_scenarios.py pins the two
+equal bit for bit.
 """
 
 from __future__ import annotations

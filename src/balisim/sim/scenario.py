@@ -25,13 +25,16 @@ evaluation left, which derive_trustworthy_info resets at a crossing.
 The run loop steps the train in stretches.  An event block handles the
 crossings at the current position, the balise_missing evaluation and
 the command the default controller holds (the hoa command, or
-alpha_max once the marker is seen).  A stepping loop then takes steps
-until the train reaches the next balise, p_est reaches the watch point
-while the default controller of the resilient hybrid runs, the train
-stops, or round(max_time_s / dt) steps are spent (SimTimeout).  Between
-events nothing can change the held command, so each step makes the
-same plant, estimate and conservative controller calls, in the same
-order, as a loop that tests every condition on every step.
+alpha_max once the marker is seen).  The steps up to the next event
+follow: until the train reaches the next balise, p_est reaches the
+watch point while the default controller of the resilient hybrid runs,
+the train stops, or round(max_time_s / dt) steps are spent
+(SimTimeout).  While the default controller runs, nothing between
+events changes the command, and _hold takes the stretch: it repeats
+BrakePlant.step's and PositionEstimate.advance's arithmetic on locals
+and calls neither.  The conservative controller commands each step
+from the speed of the step before, so its steps call it, the plant and
+the estimate in turn.
 """
 
 from __future__ import annotations
@@ -372,6 +375,52 @@ def _load_file(what: str, load, path: str):
         raise ConfigError(f"{what} file {path}: {exc}") from exc
 
 
+def _hold(plant: BrakePlant, est: PositionEstimate, cmd: float, mode: str,
+          event: str, rows: list[TrajectoryRow], step: int, max_steps: int,
+          next_loc: float, watch: float) -> int:
+    """Steps step + 1, step + 2, ... under the held command cmd; returns
+    the last step taken.
+
+    Each step is BrakePlant.step(cmd) and then est.advance(v * dt), in
+    their arithmetic and order, on locals that are written back at the
+    end; it appends the step's row, the first with event.  The stretch
+    ends at the step where the train stops, p reaches next_loc or p_est
+    reaches watch, or at max_steps.  tests/test_scenarios.py pins it to
+    the two methods bit for bit.
+    """
+    dt, Tp, alpha_max = plant.dt, plant.Tp, plant.alpha_max
+    delay = plant._delay
+    alpha, v, p = plant.alpha, plant.v, plant.p
+    p_est, dist = est.p_est, est.dist_since_ref
+    append_row, new_row = rows.append, tuple.__new__
+    for step in range(step + 1, max_steps + 1):
+        if delay:
+            delay.append(cmd)
+            delayed = delay.popleft()
+        else:
+            delayed = cmd
+        if Tp > 0:
+            alpha += dt * (delayed - alpha) / Tp
+        else:
+            alpha = delayed
+        alpha = alpha if alpha > alpha_max else alpha_max
+        alpha = alpha if alpha < 0.0 else 0.0
+        v += alpha * dt
+        v = v if v > 0.0 else 0.0
+        ds = v * dt
+        p += ds
+        p_est += ds
+        dist += ds
+        append_row(new_row(TrajectoryRow,
+                           (step * dt, p, v, cmd, alpha, mode, event)))
+        event = ""
+        if v == 0.0 or p >= next_loc or p_est >= watch:
+            break
+    plant.alpha, plant.v, plant.p = alpha, v, p
+    est.p_est, est.dist_since_ref = p_est, dist
+    return step
+
+
 def run_scenario(cfg: ScenarioConfig) -> SimResult:
     fmt = codec.FORMATS[cfg.telegram_format]
     if cfg.keystore_path is not None:
@@ -488,8 +537,6 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
                 conservative_active = True
                 missing_events += 1
                 events = [*events, f"balise_missing({trigger})"]
-        watch = (state.watch if resilient and not conservative_active
-                 else math.inf)
 
         # The default controller holds its command until the next event:
         # the hoa command, or the strongest braking once the marker is seen.
@@ -504,31 +551,33 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
         # The stepping loop: one step (step < max_steps here), then more
         # up to the next event, the stop or the budget.
         event = ";".join(events)
-        for step in range(step + 1, max_steps + 1):
-            if conservative_active:
+        if conservative_active:
+            for step in range(step + 1, max_steps + 1):
                 cmd = conservative.step(plant.v, marker_seen, dt)
                 if conservative.mode != mode:
                     mode = conservative.mode
                     mode_switches += 1
-            plant_step(cmd)
-            p, v = plant.p, plant.v
-            advance(v * dt)
-            append_row(new_row(TrajectoryRow, (step * dt, p, v, cmd,
-                                               plant.alpha, mode, event)))
-            event = ""
-            # BrakePlant.stopped, on the speed just read: the property
-            # call took a tenth of run_scenario's time on CPython 3.11.
-            if v == 0.0:
-                return SimResult(
-                    stop_error=p,
-                    stop_time=step * dt,
-                    trajectory=rows,
-                    mode_switches=mode_switches,
-                    auth_failures=auth_failures,
-                    balise_missing_events=missing_events,
-                )
-            if p >= next_loc or est.p_est >= watch:
-                break
+                plant_step(cmd)
+                p, v = plant.p, plant.v
+                advance(v * dt)
+                append_row(new_row(TrajectoryRow, (step * dt, p, v, cmd,
+                                                   plant.alpha, mode, event)))
+                event = ""
+                if v == 0.0 or p >= next_loc:
+                    break
+        else:
+            step = _hold(plant, est, cmd, mode, event, rows, step, max_steps,
+                         next_loc, state.watch if resilient else math.inf)
+        # BrakePlant.stopped, without the property call.
+        if plant.v == 0.0:
+            return SimResult(
+                stop_error=plant.p,
+                stop_time=step * dt,
+                trajectory=rows,
+                mode_switches=mode_switches,
+                auth_failures=auth_failures,
+                balise_missing_events=missing_events,
+            )
     raise SimTimeout(f"train still moving after {cfg.max_time_s} s")
 
 

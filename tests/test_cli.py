@@ -335,6 +335,18 @@ def test_importing_balisim_leaves_dataclasses_unloaded():
     assert out.strip() == "False"
 
 
+def test_simulate_config_and_batch_together_exit_2(tmp_path, capsys):
+    batch = _batch_dir(tmp_path, ("no_attack",))
+    out = tmp_path / "results"
+    assert main(["simulate", str(batch / "no_attack.json"),
+                 "--batch", str(batch), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: give one of a config path and --batch, "
+                            "not both\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_simulate_batch_uses_csv_and_summary_names(tmp_path, capsys):
     batch = _batch_dir(tmp_path, ("no_attack",))
     out = tmp_path / "results"
@@ -414,6 +426,12 @@ def test_simulate_run_of_no_step_exit_code(tmp_path, capsys):
     config.write_text(json.dumps(raw))
     assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2
     assert "rounds to 0 steps" in capsys.readouterr().err
+
+
+def test_simulate_needs_a_config_or_a_batch(capsys):
+    assert main(["simulate"]) == 2
+    assert capsys.readouterr().err == ("error: give one of a config path "
+                                       "and --batch, not both\n")
 
 
 def test_simulate_missing_config(tmp_path):

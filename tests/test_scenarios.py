@@ -32,7 +32,10 @@ from balisim.cli import main
 from balisim.sim import deployment, scenario
 from balisim.sim.deployment import AUTH_AUTHENTICATED, AUTH_LEGACY, \
     LEGACY_SB, build_deployment, pack_payload
-from balisim.sim.conservative import MODE_PID1, MODE_PID2
+from balisim.sim.anomaly import PositionEstimate
+from balisim.sim.conservative import ConservativeController, MODE_PID1, \
+    MODE_PID2
+from balisim.sim.plant import BrakePlant
 from balisim.sim.scenario import CONTROLLER_RESILIENT, CSV_HEADER, MAX_STEPS, \
     MODE_HOA, MODE_MAX_BRAKE, SimResult, TrajectoryRow, align_codeword, \
     read_telegram
@@ -461,6 +464,135 @@ def test_the_step_budget_ends_at_exactly_round_max_time_over_dt_steps(name):
     assert run_scenario(cfg._replace(max_time_s=result.stop_time)) == result
     with pytest.raises(SimTimeout):
         run_scenario(cfg._replace(max_time_s=(steps - 1) * dt))
+
+
+# ---------------------------------------------------------------------------
+# Held stretches
+# ---------------------------------------------------------------------------
+
+def _held_by_calls(plant, est, cmd, mode, event, rows, step, max_steps,
+                   next_loc, watch):
+    """scenario._hold as calls of the two methods it repeats."""
+    for step in range(step + 1, max_steps + 1):
+        plant.step(cmd)
+        est.advance(plant.v * plant.dt)
+        rows.append(TrajectoryRow(step * plant.dt, plant.p, plant.v, cmd,
+                                  plant.alpha, mode, event))
+        event = ""
+        if plant.v == 0.0 or plant.p >= next_loc or est.p_est >= watch:
+            break
+    return step
+
+
+HELD_TRAINS = {
+    "default": TrainParams(),
+    "Td=0": TrainParams(Td=0.0),
+    "Tp=0": TrainParams(Tp=0.0),
+    "Td=Tp=0": TrainParams(Td=0.0, Tp=0.0),
+    "dt=0.013,Td=0.05": TrainParams(dt=0.013, Td=0.05),
+    "v0=14": TrainParams(v0=14.0),
+}
+
+# Each stretch holds a command until p passes a balise ("loc"), until
+# p_est passes a watch point ("watch"), both metres ahead, or until the
+# stop (None).  The plant clamps a propelling command to 0 and a NaN one
+# to alpha_max; a NaN is the one command on which the order of the two
+# clamps shows.
+HELD_STRETCHES = (
+    (0.0, "loc", 5.0),
+    (-0.45, "watch", 3.0),
+    (2.0, "loc", 4.0),
+    (math.nan, "watch", 10.0),
+    (-0.2, "loc", 6.0),
+    (-50.0, None, 0.0),
+)
+
+
+def _held_run(hold, train, max_steps):
+    """hold driven through HELD_STRETCHES: every float of the rows and of
+    the final plant and estimate as hex, and each stretch's last step."""
+    plant = BrakePlant(train)
+    est = PositionEstimate(train.p0 + 2.5, 15.0, 0.02)
+    rows, step, ends = [], 0, []
+    for cmd, limit, ahead in HELD_STRETCHES:
+        next_loc = plant.p + ahead if limit == "loc" else math.nan
+        watch = est.p_est + ahead if limit == "watch" else math.inf
+        step = hold(plant, est, cmd, MODE_HOA, f"E{len(ends)}", rows, step,
+                    max_steps, next_loc, watch)
+        ends.append(step)
+        if plant.v == 0.0 or step == max_steps:
+            break
+    state = (plant.alpha, plant.v, plant.p, *plant._delay,
+             est.p_est, est.dist_since_ref, est.delta)
+    as_hex = [tuple(x.hex() if type(x) is float else x for x in values)
+              for values in (*rows, state)]
+    return as_hex, ends
+
+
+@pytest.mark.parametrize("train", HELD_TRAINS.values(), ids=HELD_TRAINS)
+def test_a_held_stretch_steps_as_the_plant_and_the_estimate_do(train):
+    # Every stretch ends where its limit says, the last at the stop, in
+    # the same rows and state, bit for bit, as a step and an advance call.
+    expected, ends = _held_run(_held_by_calls, train, MAX_STEPS)
+    assert len(ends) == len(HELD_STRETCHES)
+    assert expected[-2][2] == (0.0).hex()  # the last row: v == 0
+    assert ends[-2] < ends[-1] - 1  # the stop lies inside the last stretch
+    assert _held_run(scenario._hold, train, MAX_STEPS) == (expected, ends)
+
+
+@pytest.mark.parametrize("train", HELD_TRAINS.values(), ids=HELD_TRAINS)
+def test_a_held_stretch_ends_at_a_budget_inside_it(train):
+    _, ends = _held_run(_held_by_calls, train, MAX_STEPS)
+    budget = (ends[2] + ends[3]) // 2  # inside the NaN command's stretch
+    assert ends[2] < budget < ends[3]
+    expected, budget_ends = _held_run(_held_by_calls, train, budget)
+    assert budget_ends == [*ends[:3], budget]
+    assert _held_run(scenario._hold, train, budget) == (expected, budget_ends)
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """Calls of the methods that step the plant, the estimate and the
+    conservative controller, by method."""
+    calls = {}
+
+    def counted(name, method):
+        def call(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return call
+
+    for cls, method in ((BrakePlant, "step"), (PositionEstimate, "advance"),
+                        (ConservativeController, "step")):
+        name = f"{cls.__name__}.{method}"
+        calls[name] = 0
+        monkeypatch.setattr(cls, method, counted(name, getattr(cls, method)))
+    return calls
+
+
+def test_a_held_command_steps_without_a_plant_or_estimate_call(step_calls):
+    # The 50-balise track never leaves the default controller, so the
+    # run loop holds every one of its 1,965 steps.
+    balises = [BaliseSpec(id=i, loc=round(-100.0 * (50 - i) / 49, 3),
+                          kind="fixed" if i < 50 else "controlled")
+               for i in range(1, 51)]
+    cfg = ScenarioConfig(balises=balises, controller=CONTROLLER_RESILIENT,
+                         auth_mode=AUTH_AUTHENTICATED,
+                         telegram_format=LONG.name)
+    run_scenario(cfg)  # programs the track and derives its keys
+    result = run_scenario(cfg)
+    assert len(result.trajectory) - 1 == 1965
+    assert set(step_calls.values()) == {0}
+
+
+def test_the_conservative_controller_steps_through_the_plant_and_the_estimate(
+        step_calls):
+    # Only the steps the conservative controller commands call the plant
+    # and the estimate; the steps before balise_missing fires are held.
+    result = run_scenario(bundled("availability_b1_resilient"))
+    steps = step_calls["ConservativeController.step"]
+    assert 0 < steps < len(result.trajectory) - 1
+    assert set(step_calls.values()) == {steps}
 
 
 # ---------------------------------------------------------------------------
