@@ -1,34 +1,55 @@
-"""Attack sweep: every single attack on the default track, at five odometry starts.
+"""Evaluation grids on the default track, run and counted per cell.
 
-The resilient controller meets each attack of ATTACKS at each odometry
-start of STARTS, once with authenticated and once with legacy telegrams:
-2 x 5 x 62 runs on the default six-balise track (B1..B5 fixed at -100,
--64, -36, -16 and -4 m, the stop marker B6 at 0 m).  tally() counts, per
-mode, start and attack type, the runs that stop outside the stop
-tolerance and the runs that end in SimTimeout, and hashes every run.
+A Grid is a base dict of ScenarioConfig fields and a tuple of named
+axes, each a tuple of (label, field overrides).  A run takes one entry
+of every axis, the first axis slowest, and sets its overrides over the
+base; the runs whose entries carry the same labels make one cell.  The
+attack axis sets attacks to a tuple, so attack pairs are one more axis.
+
+SWEEP runs the resilient controller against every attack of ATTACK at
+each odometry start of STARTS, with authenticated and with legacy
+telegrams: 2 x 5 x 62 runs on the default track (B1..B5 fixed at -100,
+-64, -36, -16 and -4 m, the stop marker B6 at 0 m).  ABLATION runs the
+hoa and the resilient controller, each under both modes, against the
+same attacks at the true start: 2 x 2 x 62 runs.
 """
 
+import dataclasses
 import functools
 import hashlib
+import itertools
 from array import array
 
-from balisim.sim import AUTH_AUTHENTICATED, AUTH_LEGACY, CONTROLLER_RESILIENT, \
-    Clone, ScenarioConfig, SimResult, SimTimeout, Tamper, Unavailable, \
-    run_scenario
+from balisim.sim import AUTH_AUTHENTICATED, AUTH_LEGACY, CONTROLLER_HOA, \
+    CONTROLLER_RESILIENT, Clone, ScenarioConfig, SimResult, SimTimeout, \
+    Tamper, Unavailable, run_scenario
 
 MODES = (AUTH_AUTHENTICATED, AUTH_LEGACY)
 STARTS = (None, -120.0, -110.0, -90.0, -80.0)  # None: the true position
 FIXED = (1, 2, 3, 4, 5)
 BALISES = FIXED + (6,)
 TAMPER_LOCS = (-1.0, -30.0, -90.0, -150.0, 5.0)
-ATTACK_TYPES = ("tamper", "clone", "unavailable", "none")
 
-ATTACKS = (
-    [("tamper", Tamper(b, loc)) for b in FIXED for loc in TAMPER_LOCS]
-    + [("clone", Clone(src, dst)) for src in BALISES for dst in BALISES if src != dst]
-    + [("unavailable", Unavailable(b)) for b in BALISES]
-    + [("none", None)]
-)
+
+@dataclasses.dataclass(frozen=True, eq=False)  # tally caches it by identity
+class Grid:
+    base: dict
+    axes: tuple  # ((name, ((label, field overrides), ...)), ...)
+
+
+TELEGRAMS = ("telegrams", tuple((mode, {"auth_mode": mode}) for mode in MODES))
+START = ("odometry start", tuple((start, {"p_est0": start}) for start in STARTS))
+CONTROLLER = ("controller", tuple((name, {"controller": name}) for name in (
+    CONTROLLER_HOA, CONTROLLER_RESILIENT)))
+ATTACK = ("attack", tuple(
+    [("tamper", {"attacks": (Tamper(b, loc),)}) for b in FIXED for loc in TAMPER_LOCS]
+    + [("clone", {"attacks": (Clone(src, dst),)})
+       for src in BALISES for dst in BALISES if src != dst]
+    + [("unavailable", {"attacks": (Unavailable(b),)}) for b in BALISES]
+    + [("none", {"attacks": ()})]))
+
+SWEEP = Grid({"controller": CONTROLLER_RESILIENT}, (TELEGRAMS, START, ATTACK))
+ABLATION = Grid({}, (CONTROLLER, TELEGRAMS, ATTACK))
 
 
 def _hash_result(h, result: SimResult) -> None:
@@ -43,26 +64,26 @@ def _hash_result(h, result: SimResult) -> None:
 
 
 @functools.cache
-def tally() -> tuple[dict[tuple, tuple[int, int, int]], str]:
-    """(mode, start, attack type) -> (runs, outside the tolerance,
-    SimTimeout), and the SHA-256 of every run's result in sweep order."""
+def tally(grid: Grid) -> tuple[dict[tuple, tuple[int, int, int]], str]:
+    """Each cell's labels -> (runs, outside the tolerance, SimTimeout), and
+    the SHA-256 of every run's result, both in grid order."""
     counts = {}
     h = hashlib.sha256()
-    for mode in MODES:
-        for start in STARTS:
-            for kind, attack in ATTACKS:
-                cfg = ScenarioConfig(attacks=[] if attack is None else [attack],
-                                     controller=CONTROLLER_RESILIENT,
-                                     auth_mode=mode, p_est0=start)
-                try:
-                    result = run_scenario(cfg)
-                except SimTimeout as exc:
-                    h.update(f"SimTimeout: {exc}".encode())
-                    outside, timeout = False, True
-                else:
-                    _hash_result(h, result)
-                    outside = abs(result.stop_error) > cfg.train.gamma
-                    timeout = False
-                runs, out, stuck = counts.get((mode, start, kind), (0, 0, 0))
-                counts[mode, start, kind] = (runs + 1, out + outside, stuck + timeout)
+    for entries in itertools.product(*(axis for _, axis in grid.axes)):
+        fields = dict(grid.base)
+        for _, overrides in entries:
+            fields.update(overrides)
+        cfg = ScenarioConfig(**fields)
+        try:
+            result = run_scenario(cfg)
+        except SimTimeout as exc:
+            h.update(f"SimTimeout: {exc}".encode())
+            outside, timeout = False, True
+        else:
+            _hash_result(h, result)
+            outside = abs(result.stop_error) > cfg.train.gamma
+            timeout = False
+        cell = tuple(label for label, _ in entries)
+        runs, out, stuck = counts.get(cell, (0, 0, 0))
+        counts[cell] = (runs + 1, out + outside, stuck + timeout)
     return counts, h.hexdigest()

@@ -1,19 +1,17 @@
-"""The attack sweep's outcomes, frozen per mode, odometry start and attack type.
+"""The evaluation grids' outcomes, frozen per cell.
 
-A change that moves a count changes what the resilient controller
-withstands; README's sweep table states the same counts
-(tests/test_readme.py).  The sweep runs the resilient controller only,
-so the plain hoa controller's crossings of a tampered or cloned telegram
-that the bundled scenarios do not reach are frozen here as well.
+The sweep's cells are a telegram mode, an odometry start and an attack
+type; the ablation's are a controller, a telegram mode and an attack
+type, at the true start.  A change that moves a count changes what a
+controller withstands; README's sweep and ablation tables state the same
+counts (tests/test_readme.py).
 """
-
-import hashlib
 
 import pytest
 
 import attack_sweep
-from balisim.sim import AUTH_AUTHENTICATED, AUTH_LEGACY, Clone, \
-    ScenarioConfig, Tamper, Unavailable, run_scenario, write_trajectory_csv
+from balisim.sim import AUTH_AUTHENTICATED, CONTROLLER_HOA, \
+    CONTROLLER_RESILIENT, ScenarioConfig, Tamper, Unavailable, run_scenario
 
 RUNS = {"tamper": 25, "clone": 30, "unavailable": 6, "none": 1}
 
@@ -33,52 +31,64 @@ FAILURES = {
 }
 
 
+def _failing(grid) -> dict[tuple, tuple[int, int]]:
+    return {cell: (outside, timeouts)
+            for cell, (_, outside, timeouts) in attack_sweep.tally(grid)[0].items()
+            if outside or timeouts}
+
+
 def test_attack_sweep_covers_every_single_attack_at_every_start():
-    tally, _ = attack_sweep.tally()
+    tally, _ = attack_sweep.tally(attack_sweep.SWEEP)
     assert set(tally) == {(mode, start, kind) for mode in attack_sweep.MODES
                           for start in attack_sweep.STARTS for kind in RUNS}
     assert all(runs == RUNS[kind] for (_, _, kind), (runs, _, _) in tally.items())
 
 
 def test_attack_sweep_outcomes_are_frozen():
-    failing = {key: (outside, timeouts)
-               for key, (_, outside, timeouts) in attack_sweep.tally()[0].items()
-               if outside or timeouts}
-    assert failing == FAILURES
+    assert _failing(attack_sweep.SWEEP) == FAILURES
 
 
-# SHA-256 over every sweep run's SimResult, each trajectory float bit for
-# bit: a change that moves any run at all moves it, where the counts above
-# only see a run cross the stop tolerance.
+# SHA-256 over every run's SimResult of a grid, each trajectory float bit
+# for bit: a change that moves any run at all moves it, where the counts
+# above only see a run cross the stop tolerance.
 SWEEP_DIGEST = "e6b66578e71a7168a4dd10b3ef96dfcadae0bac4e4d044e7c1a84a139887c8c8"
 
 
 def test_attack_sweep_results_are_frozen_to_the_bit():
-    assert attack_sweep.tally()[1] == SWEEP_DIGEST
+    assert attack_sweep.tally(attack_sweep.SWEEP)[1] == SWEEP_DIGEST
 
 
-# (auth mode, attack) -> SHA-256 of trajectory.csv and the stop error,
-# under the hoa controller on the default track.
-HOA_DIGESTS = [
-    (AUTH_AUTHENTICATED, Tamper(3, -90.0),
-     "4845aedadf72db2546987cf77677d4583708e129f81363c4aa85359174122ff7", -3.878),
-    (AUTH_AUTHENTICATED, Clone(6, 3),
-     "0a0bd2448dc06d321017e495e71247179985335ea20d77f6212b15f759e57daf", -15.142),
-    (AUTH_LEGACY, Clone(6, 3),
-     "0a0bd2448dc06d321017e495e71247179985335ea20d77f6212b15f759e57daf", -15.142),
-    (AUTH_LEGACY, Tamper(3, -90.0),
-     "2bd5a523bc171c04532406e672a3c0b8ba110931b359242aaa33f1e27e3f820a", -15.595),
-]
+# (controller, mode, attack type) -> as FAILURES, at the true start.
+ABLATION_FAILURES = {
+    ("hoa", "authenticated", "tamper"): (25, 0),
+    ("hoa", "authenticated", "clone"): (25, 0),
+    ("hoa", "authenticated", "unavailable"): (5, 0),
+    ("hoa", "legacy", "tamper"): (22, 0),
+    ("hoa", "legacy", "clone"): (25, 0),
+    ("hoa", "legacy", "unavailable"): (5, 0),
+}
+ABLATION_DIGEST = "4ab8d9fc6b3b6cb69c3786ab19ec88c9ba48d520c105ecbf65162addc8f29475"
 
 
-@pytest.mark.parametrize("mode,attack,digest,stop_error", HOA_DIGESTS)
-def test_hoa_crossings_of_an_attacked_telegram_are_frozen(
-        tmp_path, mode, attack, digest, stop_error):
-    result = run_scenario(ScenarioConfig(auth_mode=mode, attacks=[attack]))
-    path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(result, str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-    assert round(result.stop_error, 3) == stop_error
+def test_ablation_covers_both_controllers_under_both_modes():
+    tally, _ = attack_sweep.tally(attack_sweep.ABLATION)
+    assert list(tally) == [(controller, mode, kind)
+                           for controller in (CONTROLLER_HOA, CONTROLLER_RESILIENT)
+                           for mode in attack_sweep.MODES for kind in RUNS]
+    assert sum(runs for runs, _, _ in tally.values()) == 248
+
+
+def test_ablation_outcomes_and_results_are_frozen():
+    assert _failing(attack_sweep.ABLATION) == ABLATION_FAILURES
+    assert attack_sweep.tally(attack_sweep.ABLATION)[1] == ABLATION_DIGEST
+
+
+def test_ablation_resilient_cells_are_the_sweep_true_start_cells():
+    ablation, _ = attack_sweep.tally(attack_sweep.ABLATION)
+    sweep, _ = attack_sweep.tally(attack_sweep.SWEEP)
+    for mode in attack_sweep.MODES:
+        for kind in RUNS:
+            assert ablation[CONTROLLER_RESILIENT, mode, kind] == sweep[mode, None, kind]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

@@ -1,13 +1,14 @@
 """README's figures against the code, the references and CI.
 
 The bundled stop-error table must equal benchmarks/reference.json and a
-fresh run, the channel-model and attack-sweep tables the tallies their
-tests make, the exit codes the cli constants, the forgery figures the
-counts CI checks, the track, format, install and CSV figures the
-package, and the library-use block must run.  So README cannot drift
+fresh run, the attack-sweep, defence-layer and channel-model tables the
+tallies their tests make, the exit codes the cli constants, the forgery
+figures the counts CI checks, the track, format, install and CSV figures
+the package, and the library-use block must run.  So README cannot drift
 from any of them.
 """
 
+import collections
 import importlib.util
 import json
 import os
@@ -17,7 +18,8 @@ import pytest
 
 import balisim
 from balisim import auth, cli, codec
-from balisim.sim import TrainParams, load_config, run_scenario
+from balisim.sim import AUTH_AUTHENTICATED, AUTH_LEGACY, CONTROLLER_HOA, \
+    CONTROLLER_RESILIENT, TrainParams, load_config, run_scenario
 from balisim.sim.scenario import CSV_HEADER, DEFAULT_BALISES
 
 import attack_sweep
@@ -111,30 +113,58 @@ def test_bundled_scenarios_run_on_the_track_and_train_readme_describes():
 
 
 # ---------------------------------------------------------------------------
-# Attack sweep and channel model v2
+# Attack sweep, defence layers and channel model v2
 # ---------------------------------------------------------------------------
 
+def _grid_table(grid) -> list[str]:
+    """A grid's counts as README rows, header first: a row per cell of all
+    axes but the last, a column per label of the last, a cell the runs
+    outside the tolerance and any timeouts; None is the true start."""
+    tally, _ = attack_sweep.tally(grid)
+    rows = list(dict.fromkeys(cell[:-1] for cell in tally))
+    columns = list(dict.fromkeys(cell[-1] for cell in tally))
+    lines = [[name for name, _ in grid.axes[:-1]]
+             + [f"{label} ({tally[rows[0] + (label,)][0]})" for label in columns]]
+    for row in rows:
+        cells = ["true" if label is None else f"{label:g} m"
+                 if isinstance(label, float) else label for label in row]
+        for label in columns:
+            _, outside, timeouts = tally[row + (label,)]
+            cells.append(f"{outside} + {timeouts} timeout{'s' * (timeouts > 1)}"
+                         if timeouts else f"{outside}")
+        lines.append(cells)
+    return ["| " + " | ".join(line) + " |" for line in lines]
+
+
 def test_attack_sweep_table_equals_the_sweep():
-    tally, _ = attack_sweep.tally()
-    runs = {kind: tally[attack_sweep.MODES[0], None, kind][0]
-            for kind in attack_sweep.ATTACK_TYPES}
-    rows = ["| telegrams | odometry start | "
-            + " | ".join(f"{kind} ({runs[kind]})" for kind in runs) + " |"]
-    for mode in attack_sweep.MODES:
-        for start in attack_sweep.STARTS:
-            cells = []
-            for kind in attack_sweep.ATTACK_TYPES:
-                _, outside, timeouts = tally[mode, start, kind]
-                plural = "s" if timeouts > 1 else ""
-                cells.append(f"{outside} + {timeouts} timeout{plural}" if timeouts
-                             else f"{outside}")
-            where = "true" if start is None else f"{start:g} m"
-            rows.append(f"| {mode} | {where} | " + " | ".join(cells) + " |")
-    assert _table("Attack sweep") == rows
+    assert _table("Attack sweep") == _grid_table(attack_sweep.SWEEP)
     *fixed, last = attack_sweep.TAMPER_LOCS
     assert (f"B{attack_sweep.FIXED[0]}–B{attack_sweep.FIXED[-1]} tampered to "
             f"{', '.join(f'{loc:g}' for loc in fixed)} or {last:+g} m") in PROSE
     assert f"outside the {TrainParams().gamma:g} m tolerance" in PROSE
+
+
+def test_defence_layer_table_and_counts_equal_the_ablation():
+    grid = attack_sweep.ABLATION
+    assert _table("Defence layers") == _grid_table(grid)
+    tally, _ = attack_sweep.tally(grid)
+    runs, outside = collections.Counter(), collections.Counter()
+    for (controller, mode, _), (count, out, _) in tally.items():
+        runs[controller, mode] += count
+        outside[controller, mode] += out
+    hoa_auth, hoa_legacy, resilient_auth, resilient_legacy = (
+        outside[controller, mode]
+        for controller in (CONTROLLER_HOA, CONTROLLER_RESILIENT)
+        for mode in (AUTH_AUTHENTICATED, AUTH_LEGACY))
+    n = runs[CONTROLLER_HOA, AUTH_LEGACY]
+    assert f"{n} runs per start ({n - 1} attacks and no attack)" in PROSE
+    assert f"{sum(runs.values())} runs." in PROSE
+    assert (f"takes the runs outside the tolerance from {hoa_auth} of {n} to "
+            f"{resilient_auth} with authenticated telegrams, and from {hoa_legacy} "
+            f"of {n} to {resilient_legacy} with legacy ones. Authentication takes "
+            f"them from {hoa_legacy} to {hoa_auth} under `hoa`, and leaves them at "
+            f"{resilient_legacy} under the resilient controller.") in PROSE
+    assert resilient_auth == resilient_legacy
 
 
 def test_channel_model_table_equals_the_tally():
