@@ -28,8 +28,12 @@ def int_to_bits(value: int, width: int) -> list[int]:
 
 def bits_to_int(bits: list[int]) -> int:
     """Interpret a big-endian list of 0/1 values as an unsigned int."""
-    chars = bytearray(bits).translate(_TO_CHARS)
     try:
-        return int(chars or b"0", 2)
-    except ValueError:
-        raise ValueError(f"element {chars.index(0xFF)} is not 0 or 1") from None
+        return int(bytearray(bits).translate(_TO_CHARS) or b"0", 2)
+    except (TypeError, ValueError):
+        # bytearray rejects a non-int and an int outside 0 .. 255, int()
+        # any other non-bit; either way, name the first one.
+        for k, bit in enumerate(bits):
+            if not (hasattr(bit, "__index__") and bit in (0, 1)):
+                raise ValueError(f"element {k} is not 0 or 1") from None
+        raise

@@ -24,16 +24,16 @@ and x^341 + 1).  Neither is a parameter: conformance with real
 telegrams means replacing ALPHABET and GEN_POLY here.
 
 Inside the codec a bit string is an int, first bit most significant.
-The user data is one too: codeword, encode and encode_legacy take it as
-an int of fmt.user_bits bits (check_user rejects anything else with
-FormatError) and descramble_legacy returns it.  The telegram is an int
-of fmt.n bits, as codeword returns it; encode and encode_legacy are its
-list views, a list of 0/1.  align and decode_stream take a received
-stream as a list of 0/1, in which an element that is not 0 or 1 is a
-FormatError, or as a Stream, an int with its bit count, as the
-simulator's reader builds it from three copies of a codeword.  The
-steps they call, keystream, substitute, desubstitute and
-compute_check_bits, take and return ints, as poly_mod does.
+The user data is one too: codeword and encode take it as an int of
+fmt.user_bits bits (check_user rejects anything else with FormatError)
+and descramble_legacy returns it.  The telegram is an int of fmt.n
+bits, as codeword returns it; encode is its list view, a list of 0/1.
+align and decode_stream take a received stream as a list of 0/1, in
+which an element that is not 0 or 1 is a FormatError, or as a Stream,
+an int with its bit count, as the simulator's reader builds it from
+three copies of a codeword.  The steps they call, keystream,
+substitute, desubstitute and compute_check_bits, take and return ints,
+as poly_mod does.
 
 substitute and desubstitute map all of a telegram's 83 (or 21) groups
 or words in C: the int's binary text is cut into fields by one struct
@@ -73,10 +73,6 @@ class FormatError(CodecError, ValueError):
 
 class NoTelegramFound(CodecError):
     """The stream was exhausted without any window passing all checks."""
-
-
-class ControlBitError(CodecError):
-    """A window passed the alignment checks but its control bits are wrong."""
 
 
 class AlphabetError(CodecError):
@@ -319,10 +315,10 @@ def codeword(user: int, sb: int, s: int,
              fmt: TelegramFormat = LONG) -> int:
     """The n-bit telegram of the user data, sb and S, as an int."""
     check_user(user, fmt)
-    if not 0 <= sb < (1 << SB_WIDTH):
-        raise FormatError("sb must be a 12-bit value")
-    if not 0 <= s < (1 << 32):
-        raise FormatError("S must be a 32-bit value")
+    if type(sb) is not int or not 0 <= sb < (1 << SB_WIDTH):
+        raise FormatError("sb must be a 12-bit int")
+    if type(s) is not int or not 0 <= s < (1 << 32):
+        raise FormatError("S must be a 32-bit int")
     data = user ^ keystream(s, fmt.user_bits)
     prefix = substitute(data, fmt.user_bits // GROUP_WIDTH)
     prefix = (((prefix << CB_WIDTH | _CB) << SB_WIDTH | sb) << ESB_WIDTH) | _ESB
@@ -333,12 +329,6 @@ def encode(user: int, sb: int, s: int,
            fmt: TelegramFormat = LONG) -> list[int]:
     """The codeword as a list of fmt.n bits."""
     return int_to_bits(codeword(user, sb, s, fmt), fmt.n)
-
-
-def encode_legacy(user: int, sb: int,
-                  fmt: TelegramFormat = LONG) -> list[int]:
-    """Encode with S derived from sb by the public legacy rule."""
-    return encode(user, sb, legacy_s_from_sb(sb), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +356,7 @@ class Stream(NamedTuple):
 
 
 def _telegram_at(value: int, width: int, j: int, rem: int,
-                 fmt: TelegramFormat,
-                 pending: list[tuple[int, int]] | None = None,
-                 ) -> tuple[int, int, bool] | None:
+                 fmt: TelegramFormat) -> tuple[int, int, bool] | None:
     """The telegram in the window at shift j as (data, sb, inverted), or None.
 
     value holds the first width >= j + n + r bits of the stream, first
@@ -377,12 +365,10 @@ def _telegram_at(value: int, width: int, j: int, rem: int,
     the remainder of the window's leading n bits modulo g; the inverted
     bits leave rem ^ ((2^n - 1) mod g).  The window holds a telegram when
     its leading n bits, read as they are or inverted, are divisible by
-    g, the r = fmt.r_init extra bits repeat the first r bits, every
-    shaped word is in the alphabet, and the control bits equal CB_BITS.
-    A window that fails only on its control bits raises ControlBitError.
-    With a pending list, a window that passes the first two checks but
-    not the control bits is appended to it as (j, rem) and gives None,
-    without being desubstituted (see align).
+    g, the r = fmt.r_init extra bits repeat the first r bits, the control
+    bits equal CB_BITS, and every shaped word is in the alphabet.  The
+    control bits are checked first, so a window that fails on them is
+    not desubstituted (see align).
     """
     n, r = fmt.n, fmt.r_init
     if rem not in (0, _ONES[n]):
@@ -396,15 +382,12 @@ def _telegram_at(value: int, width: int, j: int, rem: int,
     window ^= ((1 << n) - 1) * inverted
     tail = n - fmt.shaped_bits
     cb = (window >> (tail - CB_WIDTH)) & ((1 << CB_WIDTH) - 1)
-    if cb != _CB and pending is not None:
-        pending.append((j, rem))
+    if cb != _CB:
         return None
     try:
         data = desubstitute(window >> tail, fmt.shaped_bits // WORD_WIDTH)
     except AlphabetError:
         return None
-    if cb != _CB:
-        raise ControlBitError(f"control bits {tuple(int_to_bits(cb, CB_WIDTH))} at shift {j}")
     sb = (window >> (tail - CB_WIDTH - SB_WIDTH)) & ((1 << SB_WIDTH) - 1)
     return data, sb, inverted
 
@@ -488,20 +471,15 @@ def align(stream: list[int] | Stream, fmt: TelegramFormat = LONG) -> Aligned:
     window.  So windows are tested at the same shifts, in the same
     order, as a per-bit scan.  A stride may end past the last window;
     the bits it takes are still in the stream, as r > 5.  When no window
-    holds a telegram, raises ControlBitError if some window failed only
-    on its control bits, and NoTelegramFound otherwise.
+    holds a telegram, raises NoTelegramFound.
 
-    A window whose control bits are wrong cannot hold a telegram, so the
-    scan sets it aside unread and desubstitutes it only when no window
-    holds one; the windows set aside are then tried in scan order, and
-    the first that passes the alphabet raises the same ControlBitError
-    as a per-bit scan.  Coprimality of g with x^n + 1 does not keep
-    misaligned windows from being divisible: a codeword rotated by
-    k <= 85 bits is divisible exactly when the k bits carried round are
-    all 0.  So a false candidate is typically a codeword read one bit
-    early, which stays divisible when its last bit is 0 and reads
-    control bits (?, 0, 0), and a clean stream desubstitutes only the
-    window it returns.
+    Coprimality of g with x^n + 1 does not keep misaligned windows from
+    being divisible: a codeword rotated by k <= 85 bits is divisible
+    exactly when the k bits carried round are all 0.  So a false
+    candidate is typically a codeword read one bit early, which stays
+    divisible when its last bit is 0 and reads control bits (?, 0, 0);
+    as _telegram_at rejects it on those, a clean stream desubstitutes
+    only the window it returns.
 
     The stream is a list of 0/1 or a Stream.  It is read as an int in up
     to three stages, each when the scan first needs it: the first
@@ -528,7 +506,6 @@ def align(stream: list[int] | Stream, fmt: TelegramFormat = LONG) -> Aligned:
     value = _stream_int(stream, 0, width)
     rem = _mod_g(value >> (width - n))
     outs = ins = b""
-    pending: list[tuple[int, int]] = []
     j = 0
     while j < windows:
         scan = rem not in cand
@@ -561,7 +538,7 @@ def align(stream: list[int] | Stream, fmt: TelegramFormat = LONG) -> Aligned:
         k = _STRIDE
         for j in range(j, min(j + _STRIDE, windows)):
             if rem == 0 or rem == ones:  # as _telegram_at does; spares a call
-                hit = _telegram_at(value, width, j, rem, fmt, pending)
+                hit = _telegram_at(value, width, j, rem, fmt)
                 if hit is not None:
                     data, sb, inverted = hit
                     return Aligned(data, sb, j, inverted)
@@ -573,10 +550,6 @@ def align(stream: list[int] | Stream, fmt: TelegramFormat = LONG) -> Aligned:
             if rem >> CHECK_WIDTH:
                 rem ^= GEN_POLY
         j += 1
-    # Windows that failed on their control bits, in scan order: the first
-    # that passes the alphabet raises its ControlBitError.
-    for j, rem in pending:
-        _telegram_at(value, width, j, rem, fmt)
     raise NoTelegramFound(f"no aligned window in {windows} windows")
 
 

@@ -9,9 +9,12 @@ attack axis sets attacks to a tuple, so attack pairs are one more axis.
 SWEEP runs the resilient controller against every attack of ATTACK at
 each odometry start of STARTS, with authenticated and with legacy
 telegrams: 2 x 5 x 62 runs on the default track (B1..B5 fixed at -100,
--64, -36, -16 and -4 m, the stop marker B6 at 0 m).  ABLATION runs the
-hoa and the resilient controller, each under both modes, against the
-same attacks at the true start: 2 x 2 x 62 runs.
+-64, -36, -16 and -4 m, the stop marker B6 at 0 m).  Its odometry bound is
+the default delta0 of 15 m, and its starts -120 and -80 m are 20 m off
+the true -100 m.  IN_BOUND is SWEEP with delta0 = IN_BOUND_DELTA0 at
+every start, which bounds them all.  ABLATION runs the hoa and the
+resilient controller, each under both modes, against the same attacks
+at the true start: 2 x 2 x 62 runs.
 """
 
 import dataclasses
@@ -29,6 +32,7 @@ STARTS = (None, -120.0, -110.0, -90.0, -80.0)  # None: the true position
 FIXED = (1, 2, 3, 4, 5)
 BALISES = FIXED + (6,)
 TAMPER_LOCS = (-1.0, -30.0, -90.0, -150.0, 5.0)
+IN_BOUND_DELTA0 = 25.0
 
 
 @dataclasses.dataclass(frozen=True, eq=False)  # tally caches it by identity
@@ -39,6 +43,8 @@ class Grid:
 
 TELEGRAMS = ("telegrams", tuple((mode, {"auth_mode": mode}) for mode in MODES))
 START = ("odometry start", tuple((start, {"p_est0": start}) for start in STARTS))
+START_IN_BOUND = ("odometry start", tuple(
+    (start, {"p_est0": start, "delta0": IN_BOUND_DELTA0}) for start in STARTS))
 CONTROLLER = ("controller", tuple((name, {"controller": name}) for name in (
     CONTROLLER_HOA, CONTROLLER_RESILIENT)))
 ATTACK = ("attack", tuple(
@@ -49,6 +55,7 @@ ATTACK = ("attack", tuple(
     + [("none", {"attacks": ()})]))
 
 SWEEP = Grid({"controller": CONTROLLER_RESILIENT}, (TELEGRAMS, START, ATTACK))
+IN_BOUND = Grid({"controller": CONTROLLER_RESILIENT}, (TELEGRAMS, START_IN_BOUND, ATTACK))
 ABLATION = Grid({}, (CONTROLLER, TELEGRAMS, ATTACK))
 
 

@@ -12,7 +12,7 @@ import time
 
 import balisim
 from balisim import auth, codec
-from balisim.bits import bits_to_int, int_to_bits
+from balisim.bits import int_to_bits
 from balisim.codec import GEN_POLY, LONG, SHORT
 from balisim.sim import load_config, run_scenario
 from balisim.sim.hoa import HoaController
@@ -52,7 +52,7 @@ def test_criterion_01_codec_round_trip():
             user = random_user(rng, fmt)
             sb = rng.randrange(1 << codec.SB_WIDTH)
             result = codec.decode_stream(
-                codec.encode_legacy(user, sb, fmt) * 3, fmt)
+                codec.encode(user, sb, codec.legacy_s_from_sb(sb), fmt) * 3, fmt)
             if result.user != user or result.sb != sb:
                 failures += 1
     elapsed = time.perf_counter() - start
@@ -68,7 +68,7 @@ def test_criterion_02_rotation_transparency():
         fmt = LONG if i % 2 == 0 else SHORT
         user = random_user(rng, fmt)
         sb = rng.randrange(1 << codec.SB_WIDTH)
-        stream = codec.encode_legacy(user, sb, fmt) * 3
+        stream = codec.encode(user, sb, codec.legacy_s_from_sb(sb), fmt) * 3
         for _ in range(50):
             k = rng.randrange(fmt.n)
             result = codec.decode_stream(stream[k:] + stream[:k], fmt)
@@ -278,10 +278,10 @@ def test_criterion_11_property_suites():
     rng = random.Random(1103)
     div = 0
     for _ in range(1000):
-        telegram = codec.encode_legacy(random_user(rng, SHORT),
-                                       rng.randrange(1 << codec.SB_WIDTH),
-                                       SHORT)
-        assert codec.poly_mod(bits_to_int(telegram), GEN_POLY) == 0
+        user = random_user(rng, SHORT)
+        sb = rng.randrange(1 << codec.SB_WIDTH)
+        telegram = codec.codeword(user, sb, codec.legacy_s_from_sb(sb), SHORT)
+        assert codec.poly_mod(telegram, GEN_POLY) == 0
         div += 1
     counts["divisibility"] = div
 

@@ -1,10 +1,11 @@
 """The evaluation grids' outcomes, frozen per cell.
 
 The sweep's cells are a telegram mode, an odometry start and an attack
-type; the ablation's are a controller, a telegram mode and an attack
-type, at the true start.  A change that moves a count changes what a
-controller withstands; README's sweep and ablation tables state the same
-counts (tests/test_readme.py).
+type, and so are those of the in-bound sweep; the ablation's are a
+controller, a telegram mode and an attack type, at the true start.  A
+change that moves a count changes what a controller withstands; README's
+sweep, in-bound and ablation tables state the same counts
+(tests/test_readme.py).
 """
 
 import pytest
@@ -56,6 +57,23 @@ SWEEP_DIGEST = "e6b66578e71a7168a4dd10b3ef96dfcadae0bac4e4d044e7c1a84a139887c8c8
 
 def test_attack_sweep_results_are_frozen_to_the_bit():
     assert attack_sweep.tally(attack_sweep.SWEEP)[1] == SWEEP_DIGEST
+
+
+IN_BOUND_DIGEST = "37d78a13d54c66cd21b7a81f58e2849ef2581246bf4c4ca60af9d124f1618e8d"
+
+
+def test_no_single_attack_moves_the_stop_within_the_odometry_bound():
+    # Every start of the sweep is within IN_BOUND_DELTA0 of the truth; at
+    # that bound every run stops, and inside the tolerance.
+    grid = attack_sweep.IN_BOUND
+    p0 = ScenarioConfig().train.p0
+    assert all(abs((p0 if start is None else start) - p0) <= attack_sweep.IN_BOUND_DELTA0
+               for start in attack_sweep.STARTS)
+    tally, digest = attack_sweep.tally(grid)
+    assert list(tally) == list(attack_sweep.tally(attack_sweep.SWEEP)[0])
+    assert all(runs == RUNS[kind] for (_, _, kind), (runs, _, _) in tally.items())
+    assert _failing(grid) == {}
+    assert digest == IN_BOUND_DIGEST
 
 
 # (controller, mode, attack type) -> as FAILURES, at the true start.

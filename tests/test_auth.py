@@ -368,7 +368,7 @@ def test_decode_result_user_is_the_encoded_int():
     rng = random.Random(32)
     for fmt in (LONG, SHORT):
         for user_int in pad_edge_users(fmt) + (rng.getrandbits(fmt.user_bits),):
-            stream = codec.encode_legacy(user_int, 0x3C5, fmt) * 3
+            stream = codec.encode(user_int, 0x3C5, codec.legacy_s_from_sb(0x3C5), fmt) * 3
             result = codec.decode_stream(stream, fmt)
             assert result.user == user_int
             assert not hasattr(result, "user_bits")
@@ -383,7 +383,7 @@ def test_balise_key_pair_is_immutable(field):
 
 @pytest.mark.parametrize("field", ["user", "sb", "shift", "inverted"])
 def test_decode_result_is_immutable(field):
-    result = codec.decode_stream(codec.encode_legacy(0x2A, 0x3C5) * 3)
+    result = codec.decode_stream(codec.encode(0x2A, 0x3C5, codec.legacy_s_from_sb(0x3C5)) * 3)
     with pytest.raises(AttributeError):
         setattr(result, field, getattr(result, field))
 
@@ -590,7 +590,7 @@ def test_legacy_telegram_fails_authentication():
     keys = auth.derive_keys(MK, 60)
     user = naming(keys, bits_to_int([rng.randrange(2) for _ in range(SHORT.user_bits)]),
                   SHORT)
-    stream = codec.encode_legacy(user, 0x555, SHORT) * 3
+    stream = codec.encode(user, 0x555, codec.legacy_s_from_sb(0x555), SHORT) * 3
     with pytest.raises(auth.AuthFailure):
         auth.verify_and_decode(stream, keys, SHORT)
 

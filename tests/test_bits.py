@@ -41,10 +41,13 @@ def test_a_bit_list_is_in_the_order_of_its_binary_text(text):
     [45, 1],       # read as -1
     [1, 95, 0],    # read as 0b10
     [32, 1],       # read as 1
-    [2], [0, 1, 255], [-1], [256],
+    [2], [0, 1, 255],
+    # Not bytes, or not ints.
+    [1, -1], [0, 256], [1, None], [0, 1.0], [1, "1"],
 ])
 def test_bits_to_int_rejects_elements_that_are_not_bits(bits):
-    with pytest.raises(ValueError):
+    first = next(k for k, bit in enumerate(bits) if type(bit) is not int or bit not in (0, 1))
+    with pytest.raises(ValueError, match=f"element {first} is not 0 or 1"):
         bits_to_int(bits)
 
 

@@ -1,11 +1,11 @@
 """README's figures against the code, the references and CI.
 
 The bundled stop-error table must equal benchmarks/reference.json and a
-fresh run, the attack-sweep, defence-layer and channel-model tables the
-tallies their tests make, the exit codes the cli constants, the forgery
-figures the counts CI checks, the track, format, install and CSV figures
-the package, and the library-use block must run.  So README cannot drift
-from any of them.
+fresh run, the attack-sweep, in-bound, defence-layer and channel-model
+tables the tallies their tests make, the exit codes the cli constants,
+the forgery figures the counts CI checks, the track, format, install and
+CSV figures the package, and the library-use block must run.  So README
+cannot drift from any of them.
 """
 
 import collections
@@ -19,7 +19,7 @@ import pytest
 import balisim
 from balisim import auth, cli, codec
 from balisim.sim import AUTH_AUTHENTICATED, AUTH_LEGACY, CONTROLLER_HOA, \
-    CONTROLLER_RESILIENT, TrainParams, load_config, run_scenario
+    CONTROLLER_RESILIENT, ScenarioConfig, TrainParams, load_config, run_scenario
 from balisim.sim.scenario import CSV_HEADER, DEFAULT_BALISES
 
 import attack_sweep
@@ -144,6 +144,20 @@ def test_attack_sweep_table_equals_the_sweep():
     assert f"outside the {TrainParams().gamma:g} m tolerance" in PROSE
 
 
+def test_in_bound_table_and_claim_equal_the_in_bound_sweep():
+    grid = attack_sweep.IN_BOUND
+    assert _table("Within the odometry bound") == _grid_table(grid)
+    tally, _ = attack_sweep.tally(grid)
+    train = TrainParams()
+    assert (f"with a bound of {attack_sweep.IN_BOUND_DELTA0:g} m at every start, "
+            f"which covers them all: {sum(runs for runs, _, _ in tally.values())} "
+            "runs.") in PROSE
+    assert (f"error bound of {ScenarioConfig().delta0:g} m" in PROSE
+            and f"from the true {train.p0:g} m" in PROSE)
+    assert (f"no single attack moves the stop outside the {train.gamma:g} m "
+            "tolerance on this track, and every run stops.") in PROSE
+
+
 def test_defence_layer_table_and_counts_equal_the_ablation():
     grid = attack_sweep.ABLATION
     assert _table("Defence layers") == _grid_table(grid)
@@ -170,17 +184,17 @@ def test_defence_layer_table_and_counts_equal_the_ablation():
 def test_channel_model_table_equals_the_tally():
     tally = channel_model.tally()
     header, *rows = _table("Channel model v2")
-    assert header == "| impairment | legacy | authenticated | rejected as |"
+    assert header == "| impairment | legacy | authenticated |"
     assert len(rows) == len(channel_model.IMPAIRMENTS)
     for impairment, row in zip(channel_model.IMPAIRMENTS, rows):
         returned = [" / ".join(str(tally.get((impairment, fmt, path, "sent"), 0))
                                for fmt in ("long", "short"))
                     for path in ("legacy", "auth")]
-        rejected = sorted({outcome for imp, _, _, outcome in tally
-                           if imp == impairment and outcome != "sent"})
         label = row.split(" | ", 1)[0]
-        assert row == " | ".join([label, *returned, ", ".join(
-            f"`{name}`" for name in rejected) or "—"]) + " |"
+        assert row == " | ".join([label, *returned]) + " |"
+    assert {outcome for *_, outcome in tally} == {"sent", "NoTelegramFound"}
+    assert ("every other read is rejected by `codec.align` with "
+            "`NoTelegramFound`:") in PROSE
     # Both columns are the train's reader, on the track the tally reads.
     section = " ".join(_section("Channel model v2").split())
     assert "then `read_telegram`" in section and "decode_stream" not in section
