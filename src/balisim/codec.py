@@ -31,9 +31,9 @@ bits, as codeword returns it; encode is its list view, a list of 0/1.
 align and decode_stream take a received stream as a list of 0/1, in
 which an element that is not 0 or 1 is a FormatError, or as a Stream,
 an int with its bit count, as the simulator's reader builds it from
-three copies of a codeword.  The steps they call, keystream,
-substitute, desubstitute and compute_check_bits, take and return ints,
-as poly_mod does.
+three copies of a codeword; align reads either as one int before it
+scans.  The steps they call, keystream, substitute, desubstitute and
+compute_check_bits, take and return ints, as poly_mod does.
 
 substitute and desubstitute map all of a telegram's 83 (or 21) groups
 or words in C: the int's binary text is cut into fields by one struct
@@ -232,11 +232,9 @@ def keystream(seed: int, nbits: int) -> int:
     bit = register MSB; feedback enters at the LSB.  A zero seed is
     replaced by 1 so the register never locks up.  The register shifts
     out MSB-first, so the first 32 bits are the register itself,
-    (seed & 0xFFFFFFFF) or 1, and up to 32 bits need no table.
+    (seed & 0xFFFFFFFF) or 1.
     """
     state = (seed & _LFSR_MASK) or 1
-    if nbits <= 32:
-        return state >> (32 - nbits)
     out = have = 0
     while have < nbits:
         block = (_KS0[state & 0xFF] ^ _KS1[(state >> 8) & 0xFF]
@@ -359,10 +357,10 @@ def _telegram_at(value: int, width: int, j: int, rem: int,
                  fmt: TelegramFormat) -> tuple[int, int, bool] | None:
     """The telegram in the window at shift j as (data, sb, inverted), or None.
 
-    value holds the first width >= j + n + r bits of the stream, first
-    bit most significant, and the window is bits j .. j + n + r - 1 of
-    it.  data is the desubstituted, still scrambled user data.  rem is
-    the remainder of the window's leading n bits modulo g; the inverted
+    value holds the stream's width bits, first bit most significant, and
+    the window is bits j .. j + n + r - 1 of it.  data is the
+    desubstituted, still scrambled user data.  rem is the remainder of
+    the window's leading n bits modulo g; the inverted
     bits leave rem ^ ((2^n - 1) mod g).  The window holds a telegram when
     its leading n bits, read as they are or inverted, are divisible by
     g, the r = fmt.r_init extra bits repeat the first r bits, the control
@@ -390,18 +388,6 @@ def _telegram_at(value: int, width: int, j: int, rem: int,
         return None
     sb = (window >> (tail - CB_WIDTH - SB_WIDTH)) & ((1 << SB_WIDTH) - 1)
     return data, sb, inverted
-
-
-def _stream_int(stream: list[int] | Stream, start: int, stop: int) -> int:
-    """Bits start .. stop - 1 of the stream as an int.  A list is read
-    here and nowhere else, with FormatError for an element that is not 0
-    or 1."""
-    if isinstance(stream, Stream):
-        return (stream.value >> (stream.length - stop)) & ((1 << (stop - start)) - 1)
-    try:
-        return bits_to_int(stream[start:stop])
-    except ValueError as exc:
-        raise FormatError(f"stream bits {start} .. {stop - 1}: {exc}") from None
 
 
 # The scan strides six bits, one base64 character of the stream.
@@ -481,12 +467,9 @@ def align(stream: list[int] | Stream, fmt: TelegramFormat = LONG) -> Aligned:
     as _telegram_at rejects it on those, a clean stream desubstitutes
     only the window it returns.
 
-    The stream is a list of 0/1 or a Stream.  It is read as an int in up
-    to three stages, each when the scan first needs it: the first
-    n + r + 5 bits, which windows 0 .. 5 need; up to 2n + r + 5 bits,
-    which cover every shift below n + 6, where a repeated telegram with
-    a clean copy aligns; and the rest, for corrupted or garbage streams.
-    A list element that is not 0 or 1 in a stage that is read raises
+    The stream is a list of 0/1 or a Stream, and it is read as one int
+    before the scan: a Stream's value masked to its length, or a list
+    converted in one call, in which an element that is not 0 or 1 raises
     FormatError.
     """
     n, r = fmt.n, fmt.r_init
@@ -494,32 +477,25 @@ def align(stream: list[int] | Stream, fmt: TelegramFormat = LONG) -> Aligned:
     windows = length - n - r + 1
     if windows < 1:
         raise NoTelegramFound(f"stream of {length} bits is shorter than one window")
+    if isinstance(stream, Stream):
+        value = stream.value & ((1 << length) - 1)
+    else:
+        try:
+            value = bits_to_int(stream)
+        except ValueError as exc:
+            raise FormatError(f"stream {exc}") from None
     rot, ones = _ROT[n], _ONES[n]
     out_n, cand, fold = _OUT[n], _CAND[n], _REM_TABLES[0]
+    rem = _mod_g(value >> (length - n))
+    # outs[k] and ins[k] are the chunks that leave and enter the window in
+    # the stride from shift 6k, for every stride.
     strides = -(-windows // _STRIDE)
-    # value holds the stream's first width bits; windows j .. j + 5 need
-    # j + n + r + 5 of them.  outs[k] and ins[k] are the chunks that leave
-    # and enter the window in the stride from shift 6k, for every stride
-    # whose bits are within width.
-    width = min(length, n + r + _STRIDE - 1)
-    second = min(length, 2 * n + r + _STRIDE - 1)
-    value = _stream_int(stream, 0, width)
-    rem = _mod_g(value >> (width - n))
-    outs = ins = b""
+    cut = (1 << (_STRIDE * strides)) - 1
+    outs = _sextets((value >> (length - _STRIDE * strides)) & cut, strides)
+    ins = _sextets((value >> (length - n - _STRIDE * strides)) & cut, strides)
     j = 0
     while j < windows:
-        scan = rem not in cand
-        if (j // _STRIDE >= len(outs) if scan
-                else j + n + r + _STRIDE - 1 > width < length):
-            grown = second if width < second else length
-            value = (value << (grown - width)) | _stream_int(stream, width, grown)
-            width = grown
-            lim = min(strides, (width - n) // _STRIDE)
-            count = lim - len(outs)
-            cut = (1 << (_STRIDE * count)) - 1
-            outs += _sextets((value >> (width - _STRIDE * lim)) & cut, count)
-            ins += _sextets((value >> (width - n - _STRIDE * lim)) & cut, count)
-        if scan:
+        if rem not in cand:
             # j is a multiple of 6: chunk j // 6 leaves, n + j enters.
             k = j // _STRIDE
             for o, b in zip(outs[k:], ins[k:]):
@@ -532,13 +508,13 @@ def align(stream: list[int] | Stream, fmt: TelegramFormat = LONG) -> Aligned:
                     break
             continue
         # The six bits that leave the window from shift j on, and the six
-        # that enter it, first bit most significant; width > j + n + 5.
-        o = (value >> (width - j - _STRIDE)) & _STRIDE_MASK
-        b = (value >> (width - j - n - _STRIDE)) & _STRIDE_MASK
+        # that enter it, first bit most significant; length > j + n + 5.
+        o = (value >> (length - j - _STRIDE)) & _STRIDE_MASK
+        b = (value >> (length - j - n - _STRIDE)) & _STRIDE_MASK
         k = _STRIDE
         for j in range(j, min(j + _STRIDE, windows)):
             if rem == 0 or rem == ones:  # as _telegram_at does; spares a call
-                hit = _telegram_at(value, width, j, rem, fmt)
+                hit = _telegram_at(value, length, j, rem, fmt)
                 if hit is not None:
                     data, sb, inverted = hit
                     return Aligned(data, sb, j, inverted)

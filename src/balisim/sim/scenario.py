@@ -483,13 +483,10 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
 
     while step < max_steps:
         # The event block, at the first step and where a crossing or the
-        # watch point may change the command.  A step without a crossing
-        # or a missing balise builds no list.
-        events: list[str] | tuple[()] = ()
+        # watch point may change the command.
+        events: list[str] = []
 
         # Balise crossings at the current position, in track order.
-        if plant.p >= next_loc:
-            events = []
         while plant.p >= next_loc:
             t = telegrams[next_idx]
             next_idx += 1
@@ -536,7 +533,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
             if trigger is not None:
                 conservative_active = True
                 missing_events += 1
-                events = [*events, f"balise_missing({trigger})"]
+                events.append(f"balise_missing({trigger})")
 
         # The default controller holds its command until the next event:
         # the hoa command, or the strongest braking once the marker is seen.

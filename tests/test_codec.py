@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from balisim import codec
+from balisim import auth, codec
 from balisim.bits import bits_to_int, int_to_bits
 
 import channel_model
@@ -576,8 +576,9 @@ def test_stream_of_character_codes_is_a_format_error(fmt):
 # and "1" are not ints.
 @pytest.mark.parametrize("element", [2, None, 1.0, "1", -1, 256])
 def test_align_converts_elements_that_are_not_bits_to_format_errors(element):
-    # A non-bit in the first stage, and one past the first stage of a
-    # stream whose first copy is broken, so the scan converts it.
+    # A non-bit in the first copy; one past a broken first copy, where the
+    # scan goes on; and one in the last copy behind a clean first copy,
+    # which aligns at shift 0 before the scan would reach it.
     rng = random.Random(20)
     n, r = SHORT.n, SHORT.r_init
     telegram = legacy_bits(random_user(rng, SHORT), 0x0F0, SHORT)
@@ -585,15 +586,61 @@ def test_align_converts_elements_that_are_not_bits_to_format_errors(element):
     first = list(stream)
     first[5] = element
     for read in (codec.align, codec.decode_stream):
-        with pytest.raises(codec.FormatError,
-                           match=r"stream bits 0 \.\. \d+: element 5 is not 0 or 1"):
+        with pytest.raises(codec.FormatError, match=r"^stream element 5 is not 0 or 1$"):
             read(first, SHORT)
     later = list(stream)
     later[3] ^= 1  # breaks the copy at shift 0
     later[n + r + 10] = element
     with pytest.raises(codec.FormatError,
-                       match=rf"stream bits {n + r + 5} \.\. \d+: element 5 is not 0 or 1"):
+                       match=rf"^stream element {n + r + 10} is not 0 or 1$"):
         codec.align(later, SHORT)
+    keys = auth.derive_keys(bytes(range(32)), 20)
+    low = SHORT.user_bits - auth.ID_BITS
+    user = keys.id << low | random_user(rng, SHORT) & ((1 << low) - 1)
+    last = auth.encode_authenticated(user, keys, SHORT) * 3
+    assert auth.verify_and_decode(last, keys, SHORT) == user
+    last[-1] = element
+    for read in (codec.align, codec.decode_stream,
+                 lambda bits, fmt: auth.verify_and_decode(bits, keys, fmt)):
+        with pytest.raises(codec.FormatError,
+                           match=rf"^stream element {3 * n - 1} is not 0 or 1$"):
+            read(last, SHORT)
+
+
+# Every element that bits_to_int rejects: ints other than 0 and 1, and
+# None, floats and strings, which are not ints.
+NON_BITS = st.one_of(st.integers().filter(lambda x: x not in (0, 1)), st.none(),
+                     st.floats(), st.text(max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_non_bit_anywhere_in_a_list_is_a_format_error(data):
+    # Telegram copies, rotated, or random bits, cut to any length, with
+    # any non-bit at any index: a list shorter than one window has no
+    # window to read, and every other list names the non-bit, wherever
+    # the telegram is.
+    fmt = data.draw(st.sampled_from([LONG, SHORT]))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    n = fmt.n
+    if data.draw(st.booleans()):
+        k = rng.randrange(n)
+        telegram = legacy_bits(random_user(rng, fmt), rng.randrange(1 << 12), fmt)
+        stream = (telegram[k:] + telegram[:k]) * 3
+    else:
+        stream = [rng.randrange(2) for _ in range(3 * n)]
+    length = data.draw(st.integers(1, 3 * n))
+    index = data.draw(st.integers(0, length - 1))
+    stream = stream[:length]
+    stream[index] = data.draw(NON_BITS)
+    for read in (codec.align, codec.decode_stream):
+        if length < n + fmt.r_init:
+            with pytest.raises(codec.NoTelegramFound):
+                read(stream, fmt)
+        else:
+            with pytest.raises(codec.FormatError,
+                               match=rf"^stream element {index} is not 0 or 1$"):
+                read(stream, fmt)
 
 
 def test_align_single_window_passes_aligned_window():
@@ -798,13 +845,13 @@ def assert_aligns_as_per_bit_scan(stream, fmt):
 
 
 @pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
-def test_align_matches_per_bit_scan_around_the_conversion_stages(fmt):
-    # align converts the first n + r + 5 bits, then up to 2n + r + 5, then
-    # the rest.  Hits at shifts n - 8 .. n + 8 straddle the second
-    # boundary; a hit past n needs a broken first copy.  Stream lengths
-    # around 2n + r + 5 make the second stage the last, or not.  A
-    # telegram that ends in six 0s keeps the six windows before the hit
-    # divisible, so the scan tests them one by one across the boundary.
+def test_align_matches_per_bit_scan_around_shift_n(fmt):
+    # Hits at shifts n - 8 .. n + 8, around the last shift at which a
+    # repeated telegram with a clean first copy aligns; a hit past n needs
+    # a broken first copy.  Stream lengths around 2n + r + 5 end the
+    # stream within a stride of these windows' ends, so the last stride
+    # is short or whole.  A telegram that ends in six 0s keeps the six
+    # windows before the hit divisible, so the scan tests them one by one.
     n, r = fmt.n, fmt.r_init
     rng = random.Random(614)
     user = random_user(rng, fmt)
@@ -825,9 +872,9 @@ def test_align_matches_per_bit_scan_around_the_conversion_stages(fmt):
 
 @pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
 def test_align_matches_per_bit_scan_past_windows_with_wrong_control_bits(fmt):
-    # A codeword with bad control bits, then a clean telegram: the first
-    # window that fails on its control bits comes before the end of the
-    # second stage, and the scan goes on to the telegram past it.
+    # A codeword with bad control bits, then a clean telegram: the scan
+    # goes on past the windows that fail on their control bits to the
+    # telegram.
     n, r = fmt.n, fmt.r_init
     rng = random.Random(615)
     telegram = legacy_codeword(random_user(rng, fmt), 0x2B4, fmt)
@@ -845,10 +892,10 @@ def test_align_matches_per_bit_scan_past_windows_with_wrong_control_bits(fmt):
 
 
 @pytest.mark.parametrize("fmt", [LONG, SHORT], ids=["long", "short"])
-def test_align_matches_per_bit_scan_on_corrupted_streams_into_the_last_stage(fmt):
+def test_align_matches_per_bit_scan_on_long_corrupted_streams(fmt):
     # Four rotated copies with a bit flipped in every aligned window, or in
-    # every one but the last: the scan passes the second stage and
-    # converts the whole stream.
+    # every one but the last: the scan runs past shift n + 5, to the last
+    # copy's window or to the end of the stream.
     n, r = fmt.n, fmt.r_init
     rng = random.Random(616)
     for trial in range(8):
@@ -865,25 +912,29 @@ def test_align_matches_per_bit_scan_on_corrupted_streams_into_the_last_stage(fmt
             assert got[0] is codec.NoTelegramFound
 
 
-def test_align_converts_only_the_stages_a_read_needs(monkeypatch):
+def test_align_converts_a_list_in_one_call_on_the_whole_list(monkeypatch):
     converted = []
 
     def counting_bits_to_int(bits):
-        converted.append(len(bits))
+        converted.append(list(bits))
         return bits_to_int(bits)
 
     monkeypatch.setattr(codec, "bits_to_int", counting_bits_to_int)
     rng = random.Random(617)
     for fmt in (LONG, SHORT):
-        n, r = fmt.n, fmt.r_init
+        n = fmt.n
         stream = legacy_bits(random_user(rng, fmt), 0x1A2, fmt) * 3
         garbage = [rng.randrange(2) for _ in range(3 * n)]
-        for k, bits, expected in ((0, stream, n + r + 5), (n - 1, stream, n + r + 5),
-                                  (1, stream, 2 * n + r + 5), (n - 6, stream, 2 * n + r + 5),
-                                  (0, garbage, 3 * n)):
+        for k, bits in ((0, stream), (1, stream), (n - 6, stream), (n - 1, stream),
+                        (0, garbage)):
+            rotated = bits[k:] + bits[:k]
             converted.clear()
-            align_outcome(codec.align, bits[k:] + bits[:k], fmt)
-            assert sum(converted) == expected, (fmt.name, k)
+            got = align_outcome(codec.align, rotated, fmt)
+            assert converted == [rotated], (fmt.name, k)
+            if bits is stream:
+                assert got.shift == (n - k) % n
+            else:
+                assert got[0] is codec.NoTelegramFound
 
 
 def hit_within_stride(rem, n):
