@@ -353,30 +353,26 @@ class Stream(NamedTuple):
     length: int      # bits in the stream; value's bits above them are ignored
 
 
-def _telegram_at(value: int, width: int, j: int, rem: int,
+def _telegram_at(value: int, width: int, j: int, inverted: bool,
                  fmt: TelegramFormat) -> tuple[int, int, bool] | None:
     """The telegram in the window at shift j as (data, sb, inverted), or None.
 
     value holds the stream's width bits, first bit most significant, and
     the window is bits j .. j + n + r - 1 of it.  data is the
-    desubstituted, still scrambled user data.  rem is the remainder of
-    the window's leading n bits modulo g; the inverted
-    bits leave rem ^ ((2^n - 1) mod g).  The window holds a telegram when
-    its leading n bits, read as they are or inverted, are divisible by
-    g, the r = fmt.r_init extra bits repeat the first r bits, the control
-    bits equal CB_BITS, and every shaped word is in the alphabet.  The
+    desubstituted, still scrambled user data.  The caller has found the
+    window's leading n bits divisible by g, read inverted when inverted is
+    True.  The window holds a telegram when, in addition, the r =
+    fmt.r_init extra bits repeat the first r bits, the control bits equal
+    CB_BITS, and every shaped word is in the alphabet.  The
     control bits are checked first, so a window that fails on them is
     not desubstituted (see align).
     """
     n, r = fmt.n, fmt.r_init
-    if rem not in (0, _ONES[n]):
-        return None
     window = (value >> (width - j - n - r)) & ((1 << (n + r)) - 1)
     extra = window & ((1 << r) - 1)
     window >>= r
     if extra != window >> (n - r):
         return None
-    inverted = rem != 0
     window ^= ((1 << n) - 1) * inverted
     tail = n - fmt.shaped_bits
     cb = (window >> (tail - CB_WIDTH)) & ((1 << CB_WIDTH) - 1)
@@ -392,7 +388,6 @@ def _telegram_at(value: int, width: int, j: int, rem: int,
 
 # The scan strides six bits, one base64 character of the stream.
 _STRIDE = 6
-_STRIDE_MASK = (1 << _STRIDE) - 1
 _SEXTET = bytes.maketrans(
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
     bytes(range(64)),
@@ -508,13 +503,13 @@ def align(stream: list[int] | Stream, fmt: TelegramFormat = LONG) -> Aligned:
                     break
             continue
         # The six bits that leave the window from shift j on, and the six
-        # that enter it, first bit most significant; length > j + n + 5.
-        o = (value >> (length - j - _STRIDE)) & _STRIDE_MASK
-        b = (value >> (length - j - n - _STRIDE)) & _STRIDE_MASK
+        # that enter it: j is a multiple of 6 here, as a stride left it.
+        o, b = outs[j // _STRIDE], ins[j // _STRIDE]
         k = _STRIDE
         for j in range(j, min(j + _STRIDE, windows)):
-            if rem == 0 or rem == ones:  # as _telegram_at does; spares a call
-                hit = _telegram_at(value, length, j, rem, fmt)
+            # The leading n bits are divisible by g, as they are or inverted.
+            if rem == 0 or rem == ones:
+                hit = _telegram_at(value, length, j, rem != 0, fmt)
                 if hit is not None:
                     data, sb, inverted = hit
                     return Aligned(data, sb, j, inverted)

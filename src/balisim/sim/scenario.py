@@ -5,7 +5,7 @@ them, and integrates the train from p0 until standstill.  Balise
 crossings are processed at the step in which the train position passes
 the balise; the onboard reader decodes the transmitted stream through
 the real codec.  read_telegram is that reader, and it reads an
-alignment: the run loop, the check of a scenario's telegram files,
+alignment: the run loop, the check of a scenario's telegrams,
 balisim verify and scripts/keyless_forgery.py pass it align_codeword of
 a telegram int, which aligns each distinct codeword once per process.
 A legacy reader descrambles with the public legacy S.  An authenticated
@@ -18,7 +18,9 @@ The controller is either the plain online braking controller, which
 consumes reports as-is and skips a failed read, or the resilient
 hybrid, which filters every encounter, read or failed, through one
 derive_trustworthy_info call and falls back to the conservative
-controller when balise_missing fires.  The run loop evaluates
+controller when balise_missing fires.  A scenario's keystore and
+telegram files are read when its config is loaded, and the config holds
+what they hold, so run_scenario reads no file.  The run loop evaluates
 balise_missing only once p_est reaches the watch point the last
 evaluation left, which derive_trustworthy_info resets at a crossing.
 
@@ -102,11 +104,11 @@ class _ScenarioFields(NamedTuple):
     growth_k: float = 0.02
     eta0: float = params.ETA0
     v_con: float = params.V_CREEP
-    seed: int = 1
+    keystore: auth.Keystore = auth.new_keystore(seed=1)
     max_time_s: float = 600.0
     telegram_format: str = "long"
-    keystore_path: str | None = None  # None: the keystore of the seed
-    telegram_files: Mapping[int, str] = MappingProxyType({})
+    # A balise id's codeword, deployed in place of the one it programs.
+    telegrams: Mapping[int, int] = MappingProxyType({})
 
 
 class ScenarioConfig(CheckedRecord, _ScenarioFields):
@@ -154,17 +156,29 @@ class ScenarioConfig(CheckedRecord, _ScenarioFields):
             if b.kind == KIND_FIXED and location_mm(b.loc) == 0:
                 raise ConfigError(f"fixed balise {b.id} at {b.loc} m "
                                   "reports the stop point")
-        track_ids = {b.id for b in self.balises}
-        if len(track_ids) != len(self.balises):
+        track_ids = [b.id for b in self.balises]
+        if len(set(track_ids)) != len(track_ids):
             raise ConfigError("balise ids must be unique")
-        # open() would read an int path as a file descriptor.
-        if self.keystore_path is not None and type(self.keystore_path) is not str:
-            raise ConfigError("keystore_path must be a string")
-        if type(self.telegram_files) not in (dict, MappingProxyType) or not all(
-                type(i) is int and i in track_ids and type(path) is str
-                for i, path in self.telegram_files.items()):
-            raise ConfigError("telegram_files must map balise ids of the "
-                              "track to path strings")
+        ks = self.keystore
+        if not (isinstance(ks, auth.Keystore) and type(ks.mk) is bytes
+                and len(ks.mk) == 32 and type(ks.ver) is int
+                and 0 <= ks.ver < (1 << auth.VER_BITS)):
+            raise ConfigError("keystore must be a Keystore: 32-byte mk, 16-bit ver")
+        fmt = codec.FORMATS[self.telegram_format]
+        if type(self.telegrams) not in (dict, MappingProxyType) or not all(
+                type(i) is int and i in track_ids
+                and type(t) is int and 0 <= t < (1 << fmt.n)
+                for i, t in self.telegrams.items()):
+            raise ConfigError("telegrams must map balise ids of the track to "
+                              f"ints of at most {fmt.n} bits")
+        for balise_id, t in self.telegrams.items():
+            # The reader is deterministic, so this is what every crossing
+            # of the telegram (cloned or not) will read.
+            fields = read_telegram(align_codeword(t, fmt), self.auth_mode,
+                                   ks, track_ids, fmt)
+            if fields is not None and fields[1:] == (KIND_FIXED, 0.0):
+                raise ConfigError(f"the telegram of balise {balise_id} "
+                                  "reports the stop point from a fixed balise")
         if self.p_est0 is not None and not is_finite_number(self.p_est0):
             raise ConfigError("p_est0 must be a finite number")
         for name in ("delta0", "growth_k"):
@@ -175,8 +189,6 @@ class ScenarioConfig(CheckedRecord, _ScenarioFields):
             value = getattr(self, name)
             if not (is_finite_number(value) and value > 0):
                 raise ConfigError(f"{name} must be a finite positive number")
-        if type(self.seed) is not int or not 0 <= self.seed < (1 << 64):
-            raise ConfigError("seed must be an integer in 0..2^64-1")
         if self.max_time_s / self.train.dt > MAX_STEPS:
             raise ConfigError(f"max_time_s / train.dt exceeds {MAX_STEPS} steps")
         # run_scenario takes round(max_time_s / dt) steps; a run of none
@@ -220,25 +232,30 @@ def _parse_attack(raw: dict) -> AttackSpec:
     return attack(**{k: v for k, v in raw.items() if k != "type"})
 
 
-# The fields config_from_dict parses from "train", "balises" (with their
-# telegram files), "attacks" and "keystore"; it copies the others as they are.
+# The fields config_from_dict parses from "train", "balises" (and their
+# telegram files), "attacks", "seed" and "keystore"; it copies the others.
 _PLAIN_KEYS = tuple(field for field in ScenarioConfig._fields if field not in (
-    "train", "balises", "attacks", "keystore_path", "telegram_files"))
+    "train", "balises", "attacks", "keystore", "telegrams"))
 
 
 def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
-    def resolve(field: str, path) -> str:
+    """raw's scenario, with the files it names read (relative to base_dir)."""
+    def read_file(what: str, load, path):
         # open() would read an int path as a file descriptor.
         if type(path) is not str:
-            raise ConfigError(f"{field} must be a path string, not {path!r}")
+            raise ConfigError(f"{what} must be a path string, not {path!r}")
         if base_dir is not None and not os.path.isabs(path):
-            return os.path.join(base_dir, path)
-        return path
+            path = os.path.join(base_dir, path)
+        return _load_file(what, load, path)
 
     unknown = [key for key in raw if key not in
-               ("train", "balises", "attacks", "keystore", *_PLAIN_KEYS)]
+               ("train", "balises", "attacks", "keystore", "seed", *_PLAIN_KEYS)]
     if unknown:
         raise ConfigError(f"unknown scenario key {unknown[0]!r}")
+    if "seed" in raw and "keystore" in raw:
+        raise ConfigError("a scenario sets seed or keystore, not both")
+    fmt_name = raw.get("telegram_format",
+                       _ScenarioFields._field_defaults["telegram_format"])
     try:
         kwargs: dict = {}
         if "train" in raw:
@@ -249,7 +266,7 @@ def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
             if key in raw and type(raw[key]) is not list:
                 raise ConfigError(f"{key} must be an array, got {raw[key]!r}")
         if "balises" in raw:
-            specs, files = [], {}
+            specs, telegrams = [], {}
             for entry in raw["balises"]:
                 if not isinstance(entry, dict):
                     raise ConfigError(
@@ -258,20 +275,35 @@ def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
                                      if k != "telegram"})
                 specs.append(spec)
                 if "telegram" in entry:
-                    files[spec.id] = resolve(f"balise {spec.id} telegram",
-                                             entry["telegram"])
+                    what = f"balise {spec.id} telegram"
+                    fmt, telegrams[spec.id] = read_file(
+                        what, load_telegram, entry["telegram"])
+                    if fmt.name != fmt_name:
+                        raise ConfigError(f"{what} is {fmt.name}, scenario "
+                                          f"uses {fmt_name!r}")
             kwargs["balises"] = tuple(specs)
-            kwargs["telegram_files"] = MappingProxyType(files)
+            kwargs["telegrams"] = MappingProxyType(telegrams)
         if "attacks" in raw:
             kwargs["attacks"] = tuple(_parse_attack(a) for a in raw["attacks"])
         if "keystore" in raw:
-            kwargs["keystore_path"] = resolve("keystore", raw["keystore"])
+            kwargs["keystore"] = read_file("keystore", auth.load_keystore,
+                                           raw["keystore"])
+        if "seed" in raw:
+            kwargs["keystore"] = auth.new_keystore(seed=raw["seed"])
         kwargs.update((key, raw[key]) for key in _PLAIN_KEYS if key in raw)
         return ScenarioConfig(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _load_file(what: str, load, path: str):
+    """load(path), with a missing or malformed file as a ConfigError."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what} file {path}: {exc}") from exc
 
 
 def _read_json(path: str):
@@ -367,14 +399,6 @@ def read_telegram(
     return None
 
 
-def _load_file(what: str, load, path: str):
-    """load(path), with a missing or malformed file as a ConfigError."""
-    try:
-        return load(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{what} file {path}: {exc}") from exc
-
-
 def _hold(plant: BrakePlant, est: PositionEstimate, cmd: float, mode: str,
           event: str, rows: list[TrajectoryRow], step: int, max_steps: int,
           next_loc: float, watch: float) -> int:
@@ -423,30 +447,11 @@ def _hold(plant: BrakePlant, est: PositionEstimate, cmd: float, mode: str,
 
 def run_scenario(cfg: ScenarioConfig) -> SimResult:
     fmt = codec.FORMATS[cfg.telegram_format]
-    if cfg.keystore_path is not None:
-        keystore = _load_file("keystore", auth.load_keystore, cfg.keystore_path)
-    else:
-        keystore = auth.new_keystore(seed=cfg.seed)
     balises = cfg.balises
     track_ids = [b.id for b in balises]
-    telegrams = build_deployment(balises, cfg.auth_mode, keystore, fmt)
+    telegrams = build_deployment(balises, cfg.auth_mode, cfg.keystore, fmt)
     for i, balise_id in enumerate(track_ids):
-        path = cfg.telegram_files.get(balise_id)
-        if path is not None:
-            file_fmt, t = _load_file("telegram", load_telegram, path)
-            if file_fmt.name != fmt.name:
-                raise ConfigError(
-                    f"telegram file {path} is {file_fmt.name}, "
-                    f"scenario uses {fmt.name}")
-            telegrams[i] = t
-            # The reader is deterministic, so this is what every crossing
-            # of the file's telegram (cloned or not) will read.
-            fields = read_telegram(align_codeword(t, fmt), cfg.auth_mode,
-                                   keystore, track_ids, fmt)
-            if fields is not None and fields[1] == KIND_FIXED \
-                    and fields[2] == 0.0:
-                raise ConfigError(f"telegram file {path} reports the stop "
-                                  "point from a fixed balise")
+        telegrams[i] = cfg.telegrams.get(balise_id, telegrams[i])
     apply_attacks(telegrams, balises, cfg.attacks, fmt)
 
     train = cfg.train
@@ -498,7 +503,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
                 events.append(f"{label}:no_telegram")
                 continue
             fields = read_telegram(align_codeword(t, fmt), cfg.auth_mode,
-                                   keystore, track_ids, fmt)
+                                   cfg.keystore, track_ids, fmt)
             if fields is None:
                 auth_failures += 1
                 events.append(f"{label}:auth_fail")

@@ -749,7 +749,8 @@ def test_formats_registry():
 # ---------------------------------------------------------------------------
 
 def oracle_telegram_at(bits, j, rem, fmt):
-    """codec._telegram_at of the per-bit scan, on a bit list, verbatim."""
+    """What codec._telegram_at returns for the window at shift j, on a bit
+    list, with the remainder test align makes before it calls it."""
     n, r = fmt.n, fmt.r_init
     if rem not in (0, codec._ONES[n]) or bits[j + n : j + n + r] != bits[j : j + r]:
         return None
@@ -776,7 +777,7 @@ def oracle_align(stream, fmt):
     rot, ones = codec._ROT[n], codec._ONES[n]
     rem = codec.poly_mod(bits_to_int(stream[:n]), codec.GEN_POLY)
     for j in range(windows):
-        if rem == 0 or rem == ones:  # as _telegram_at does; spares a call
+        if rem == 0 or rem == ones:  # as oracle_telegram_at does; spares a call
             hit = oracle_telegram_at(stream, j, rem, fmt)
             if hit is not None:
                 data, sb, inverted = hit

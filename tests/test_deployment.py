@@ -222,23 +222,21 @@ def test_a_rerun_of_the_same_track_programs_nothing(codewords):
     assert codewords == []
 
 
-def _with_telegram_file(tmp_path) -> ScenarioConfig:
-    # Balise 1 carries a telegram the attacker programmed in legacy mode.
-    path = tmp_path / "b1.json"
+def _with_a_forged_telegram() -> ScenarioConfig:
+    # Balise 1 carries a telegram the attacker programmed in legacy mode,
+    # as a telegram file gives it.
     forged = program_telegram(BaliseSpec(1, -1.0, KIND_FIXED), AUTH_LEGACY,
                               None, LONG)
-    save_telegram(str(path), forged, LONG)
-    return ScenarioConfig(auth_mode=AUTH_AUTHENTICATED,
-                          telegram_files={1: str(path)})
+    return ScenarioConfig(auth_mode=AUTH_AUTHENTICATED, telegrams={1: forged})
 
 
 @pytest.mark.parametrize("attack", [Tamper(balise=2, new_loc=-1.0),
                                     Clone(src=6, dst=3), Unavailable(balise=4),
                                     "telegram file"])
 def test_an_attacked_run_leaves_the_next_run_of_its_track_cold(
-        codewords, tmp_path, attack):
+        codewords, attack):
     if attack == "telegram file":
-        attacked = _with_telegram_file(tmp_path)
+        attacked = _with_a_forged_telegram()
     else:
         attacked = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED, attacks=[attack])
     plain = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED)

@@ -20,6 +20,8 @@ import balisim
 from balisim import auth, cli, codec
 from balisim.sim import AUTH_AUTHENTICATED, AUTH_LEGACY, CONTROLLER_HOA, \
     CONTROLLER_RESILIENT, ScenarioConfig, TrainParams, load_config, run_scenario
+from balisim.sim.deployment import BaliseSpec, KIND_FIXED, program_telegram, \
+    save_telegram
 from balisim.sim.scenario import CSV_HEADER, DEFAULT_BALISES
 
 import attack_sweep
@@ -267,6 +269,35 @@ def test_exit_codes_equal_the_cli_constants():
     assert sorted(codes.values()) == sorted(
         value for name, value in vars(cli).items() if name.startswith("EXIT_"))
     assert f"authentication failure (exit {cli.EXIT_VERIFY_FAIL})" in PROSE
+
+
+def test_scenario_file_paragraph_names_the_keys_a_scenario_reads(tmp_path):
+    # tests/test_scenarios.py holds the paragraph's errors and exit codes:
+    # test_a_scenario_with_both_seed_and_keystore_exits_2,
+    # test_bad_keystore_file_is_a_config_error,
+    # test_bad_telegram_file_is_a_config_error,
+    # test_telegram_file_format_mismatch_rejected and
+    # test_run_scenario_reads_no_file.
+    paragraph = re.search(r"A scenario file is a JSON object\. .+? any output "
+                          r"is written\.", PROSE)[0]
+    assert re.findall(r"`(\w+)`", paragraph) == [
+        "seed", "keystore", "telegram", "telegram_format", "run_scenario",
+        "seed", "keystore"]
+    assert ScenarioConfig().keystore == auth.new_keystore(seed=1)
+    keystore = auth.new_keystore(seed=3)
+    t = program_telegram(BaliseSpec(1, -50.0, KIND_FIXED), AUTH_AUTHENTICATED,
+                         keystore, codec.SHORT)
+    auth.save_keystore(keystore, str(tmp_path / "keys.json"))
+    save_telegram(str(tmp_path / "b1.tlg"), t, codec.SHORT)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "keystore": "keys.json", "telegram_format": "short",
+        "balises": [{"id": 1, "loc": -100.0, "kind": "fixed",
+                     "telegram": "b1.tlg"},
+                    {"id": 2, "loc": 0.0, "kind": "controlled"}]}))
+    cfg = load_config(str(path))
+    assert cfg.keystore == keystore
+    assert cfg.telegrams == {1: t}
 
 
 def test_library_use_block_runs(monkeypatch):

@@ -189,7 +189,7 @@ def test_a_rerun_of_an_authenticated_track_aligns_no_codeword(aligned):
 
 @pytest.mark.parametrize("change", ["tamper", "clone", "telegram_file"])
 def test_an_attacked_run_aligns_only_its_new_codewords(aligned, empty_memos,
-                                                       tmp_path, change):
+                                                       change):
     keystore = auth.new_keystore(seed=1)
     if change == "tamper":
         cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED,
@@ -199,13 +199,10 @@ def test_an_attacked_run_aligns_only_its_new_codewords(aligned, empty_memos,
                              controller=CONTROLLER_RESILIENT,
                              attacks=[Clone(src=6, dst=3)])
     else:
-        path = tmp_path / "b2.json"
         user = pack_payload(2, "fixed", -60.0, LONG)
         t = codec.codeword(user, *auth.generate_tag(user, keystore.keys_for(2),
                                                     LONG), LONG)
-        save_telegram(str(path), t, LONG)
-        cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED,
-                             telegram_files={2: str(path)})
+        cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED, telegrams={2: t})
     cold = run_scenario(cfg)
     empty_memos()
     aligned.clear()
@@ -313,7 +310,8 @@ def test_authenticated_run_derives_each_track_key_once(macs, monkeypatch):
     derive_keys = auth.derive_keys
     monkeypatch.setattr(auth, "derive_keys", lambda mk, i, ver=0:
                         trials.append(i) or derive_keys(mk, i, ver))
-    cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED, seed=18)
+    cfg = ScenarioConfig(auth_mode=AUTH_AUTHENTICATED,
+                         keystore=auth.new_keystore(seed=18))
     ids = [b.id for b in cfg.balises]
     read_trials = [i for n in range(1, len(ids) + 1) for i in ids[:n]]
     stop = run_scenario(cfg).stop_error
@@ -382,7 +380,8 @@ def test_reader_accepts_a_payload_only_under_the_key_of_its_id():
     for seed in (1, 45):
         cfg = ScenarioConfig(balises=balises, controller=CONTROLLER_RESILIENT,
                              auth_mode=AUTH_AUTHENTICATED,
-                             telegram_format=LONG.name, seed=seed)
+                             telegram_format=LONG.name,
+                             keystore=auth.new_keystore(seed=seed))
         stops[seed] = run_scenario(cfg).stop_error
     assert stops[45] == stops[1]
     assert round(stops[45], 6) == -0.022299
@@ -626,8 +625,11 @@ def test_config_defaults_are_valid():
     # Every config made without the field shares its default.
     assert type(cfg.balises) is tuple and cfg.attacks == ()
     with pytest.raises(TypeError):
-        cfg.telegram_files[1] = "b1.json"
-    assert ScenarioConfig().telegram_files == {}
+        cfg.telegrams[1] = 0
+    assert ScenarioConfig().telegrams == {}
+    # The keystore of seed 1, derived once for every config.
+    assert cfg.keystore == auth.new_keystore(seed=1)
+    assert ScenarioConfig().keystore is cfg.keystore
 
 
 def test_config_is_immutable_and_checked_on_replace():
@@ -719,25 +721,46 @@ def test_config_rejects_bad_balise_layouts(monkeypatch):
                 BaliseSpec(id=4, loc=-0.0004, kind="fixed"), base[2]])
 
 
+_KEYSTORE = auth.new_keystore(seed=1)
+
+
 @pytest.mark.parametrize("kwargs", [
-    {"keystore_path": 5},
-    {"keystore_path": True},
-    {"keystore_path": b"keys.json"},
-    {"telegram_files": {1: 7}},
-    {"telegram_files": {1: b"b1.json"}},
-    {"telegram_files": {1: None}},
-    {"telegram_files": {9: "b9.json"}},  # no balise 9 on the track
-    {"telegram_files": {"1": "b1.json"}},
-    {"telegram_files": {True: "b1.json"}},
-    {"telegram_files": [(1, "b1.json")]},
+    {"keystore": None},
+    {"keystore": "keys.json"},
+    {"keystore": tuple(_KEYSTORE)},
+    {"keystore": _KEYSTORE._replace(mk=_KEYSTORE.mk[:16])},
+    {"keystore": _KEYSTORE._replace(mk=_KEYSTORE.mk.hex())},
+    {"keystore": _KEYSTORE._replace(ver=-1)},
+    {"keystore": _KEYSTORE._replace(ver=1 << 16)},
+    {"keystore": _KEYSTORE._replace(ver=True)},
+    {"telegrams": {9: 0}},  # no balise 9 on the track
+    {"telegrams": {"1": 0}},
+    {"telegrams": {True: 0}},
+    {"telegrams": {1: "b1.json"}},
+    {"telegrams": {1: None}},
+    {"telegrams": {1: True}},
+    {"telegrams": {1: 1.0}},
+    {"telegrams": {1: -1}},
+    {"telegrams": {1: 1 << LONG.n}},
+    {"telegrams": {1: 1 << SHORT.n}, "telegram_format": SHORT.name},
+    {"telegrams": [(1, 0)]},
 ])
-def test_config_rejects_a_path_that_is_not_a_string_or_off_the_track(
+def test_config_rejects_a_keystore_or_telegrams_of_the_wrong_kind(
         monkeypatch, kwargs):
-    # open() would read an int as a file descriptor, and a file for an id
-    # that is not on the track would be ignored, missing or not.
+    # A telegram for an id that is not on the track would be ignored.
     for make in each_maker(monkeypatch):
         with pytest.raises(ConfigError):
             make(**kwargs)
+
+
+def test_config_rejects_a_fixed_balise_telegram_that_reports_the_stop_point(
+        monkeypatch):
+    # Made in code as a telegram file gives it: no braking law for 0 m.
+    t = deployment.program_telegram(BaliseSpec(1, 0.0, "fixed"), AUTH_LEGACY,
+                                    None, LONG)
+    for make in each_maker(monkeypatch):
+        with pytest.raises(ConfigError, match="^the telegram of balise 2 "):
+            make(telegrams={2: t})
 
 
 @pytest.mark.parametrize("raw", [
@@ -1104,9 +1127,10 @@ def test_bad_keystore_file_is_a_config_error(tmp_path, content):
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(json.dumps({"auth_mode": "authenticated",
                                     "keystore": "keys.json"}))
-    cfg = load_config(str(cfg_path))
     with pytest.raises(ConfigError, match=re.escape(str(path))):
-        run_scenario(cfg)
+        load_config(str(cfg_path))
+    assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("content", [
@@ -1119,9 +1143,11 @@ def test_bad_telegram_file_is_a_config_error(tmp_path, content):
     path = tmp_path / "b1.json"
     if content is not None:
         path.write_bytes(content)
-    cfg = ScenarioConfig(telegram_files={1: str(path)})
+    raw = {"balises": [{"id": 1, "loc": -100.0, "kind": "fixed",
+                        "telegram": str(path)},
+                       {"id": 2, "loc": 0.0, "kind": "controlled"}]}
     with pytest.raises(ConfigError, match=re.escape(str(path))):
-        run_scenario(cfg)
+        config_from_dict(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -1160,9 +1186,54 @@ def test_telegram_file_format_mismatch_rejected(tmp_path):
     tel_path = tmp_path / "b1_short.json"
     save_telegram(str(tel_path), codec.codeword(
         user, LEGACY_SB, codec.legacy_s_from_sb(LEGACY_SB), SHORT), SHORT)
-    cfg = ScenarioConfig(telegram_files={1: str(tel_path)})
-    with pytest.raises(ConfigError):
-        run_scenario(cfg)
+    raw = {"balises": [{"id": 1, "loc": -100.0, "kind": "fixed",
+                        "telegram": "b1_short.json"},
+                       {"id": 2, "loc": 0.0, "kind": "controlled"}]}
+    with pytest.raises(ConfigError,
+                       match=r"^balise 1 telegram is short, scenario uses 'long'$"):
+        config_from_dict(raw, base_dir=str(tmp_path))
+
+
+def test_a_scenario_with_both_seed_and_keystore_exits_2(tmp_path, capsys):
+    # The keystore file used to win, and the seed was dropped unread.
+    auth.save_keystore(auth.new_keystore(seed=45), str(tmp_path / "keys.json"))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"auth_mode": "authenticated", "seed": 7,
+                                "keystore": "keys.json"}))
+    with pytest.raises(ConfigError,
+                       match="^a scenario sets seed or keystore, not both$"):
+        load_config(str(path))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "seed or keystore" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # Either alone sets the keystore.
+    assert config_from_dict({"seed": 7}).keystore == auth.new_keystore(seed=7)
+    assert config_from_dict({"keystore": "keys.json"}, base_dir=str(tmp_path)) \
+        .keystore == auth.new_keystore(seed=45)
+
+
+def test_run_scenario_reads_no_file(tmp_path):
+    # The files a scenario names are read when it is loaded, so deleting
+    # them afterwards changes none of its runs.
+    keystore = auth.new_keystore(seed=7)
+    auth.save_keystore(keystore, str(tmp_path / "keys.json"))
+    spec = BaliseSpec(2, -50.0, "fixed")
+    save_telegram(str(tmp_path / "b2.tlg"), deployment.program_telegram(
+        spec, AUTH_AUTHENTICATED, keystore, LONG), LONG)
+    raw = {"auth_mode": "authenticated", "keystore": "keys.json",
+           "balises": [{**b, "telegram": "b2.tlg"} if b["id"] == 2 else b
+                       for b in _balises()]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    cfg = load_config(str(path))
+    before = run_scenario(cfg)
+    os.remove(tmp_path / "keys.json")
+    os.remove(tmp_path / "b2.tlg")
+    assert run_scenario(cfg) == before
+    # Both files count: every crossing verifies under the file's keystore,
+    # and balise 2 reports the file's -50 m, not its map location.
+    assert before.auth_failures == 0
+    assert before != run_scenario(cfg._replace(telegrams={}))
 
 
 # ---------------------------------------------------------------------------
