@@ -289,6 +289,9 @@ def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
             kwargs["keystore"] = read_file("keystore", auth.load_keystore,
                                            raw["keystore"])
         if "seed" in raw:
+            # new_keystore would draw a random key for a null seed.
+            if raw["seed"] is None:
+                raise ConfigError("seed must be an integer in 0..2^64-1")
             kwargs["keystore"] = auth.new_keystore(seed=raw["seed"])
         kwargs.update((key, raw[key]) for key in _PLAIN_KEYS if key in raw)
         return ScenarioConfig(**kwargs)
@@ -296,14 +299,6 @@ def config_from_dict(raw: dict, base_dir: str | None = None) -> ScenarioConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _load_file(what: str, load, path: str):
-    """load(path), with a missing or malformed file as a ConfigError."""
-    try:
-        return load(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{what} file {path}: {exc}") from exc
 
 
 def _read_json(path: str):
@@ -397,6 +392,14 @@ def read_telegram(
         except (auth.AuthFailure, ValueError):
             continue
     return None
+
+
+def _load_file(what: str, load, path: str):
+    """load(path), with a missing or malformed file as a ConfigError."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what} file {path}: {exc}") from exc
 
 
 def _hold(plant: BrakePlant, est: PositionEstimate, cmd: float, mode: str,

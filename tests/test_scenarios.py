@@ -969,6 +969,8 @@ def test_scenario_file_with_a_misspelt_key_exits_2(tmp_path, capsys):
     {"seed": "x"},
     {"seed": 1.5},
     {"seed": -1},
+    # a null seed would draw a random key
+    {"seed": None},
     {"balises": [{"id": 1, "loc": NAN, "kind": "fixed"},
                  {"id": 2, "loc": 0.0, "kind": "controlled"}]},
     {"balises": _balises(),
