@@ -90,10 +90,6 @@ class TelegramFormat(NamedTuple):
     user_bits: int   # raw user payload
     r_init: int      # extra-bit window width for decoding
 
-    @property
-    def check_prefix_bits(self) -> int:
-        return self.n - CHECK_WIDTH
-
 
 LONG = TelegramFormat("long", 1023, 913, 830, 77)
 SHORT = TelegramFormat("short", 341, 231, 210, 121)

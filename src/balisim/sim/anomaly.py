@@ -47,7 +47,7 @@ WATCH_MARGIN = (4 * MAX_STEPS + 64) * 2.0 ** -53
 class PositionEstimate:
     """Onboard (p_est, delta): estimate plus growing error bound."""
 
-    def __init__(self, p_est0: float, delta0: float, growth_k: float = 0.02):
+    def __init__(self, p_est0: float, delta0: float, growth_k: float):
         if delta0 < 0 or growth_k < 0:
             raise ValueError("delta0 and growth_k must be non-negative")
         self.p_est = p_est0

@@ -11,14 +11,13 @@ rectangular integration and a backward-difference derivative; output is
 clamped to [alpha_max, 0] and the integral only accumulates while the
 output is unsaturated (conditional-integration anti-windup).  The
 integral resets when the mode switches.  The gains of the current mode
-are copied out of their PidGains when the mode is entered, so a step
+are copied out of params.PID1 or PID2 when the mode is entered, so a step
 reads them as instance attributes.
 """
 
 from __future__ import annotations
 
 from . import params
-from .params import PID1, PID2, PidGains
 
 MODE_PID1 = "pid1"
 MODE_PID2 = "pid2"
@@ -26,15 +25,13 @@ MODE_MAX_BRAKE = "max_brake"
 
 
 class ConservativeController:
-    def __init__(self, v_con: float = params.V_CREEP, alpha_max: float = -1.0,
-                 gains1: PidGains = PID1, gains2: PidGains = PID2):
+    def __init__(self, v_con: float = params.V_CREEP, *, alpha_max: float):
         if v_con <= 0:
             raise ValueError("v_con must be positive")
         self.v_con = v_con
         self.alpha_max = alpha_max
-        self._gains2 = gains2
         self.mode = MODE_PID1
-        self._kp, self._ki, self._kd = gains1
+        self._kp, self._ki, self._kd = params.PID1
         self._integral = 0.0
         self._prev_error: float | None = None
 
@@ -46,7 +43,7 @@ class ConservativeController:
             return self.alpha_max
         if self.mode == MODE_PID1 and v <= self.v_con:
             self.mode = MODE_PID2
-            self._kp, self._ki, self._kd = self._gains2
+            self._kp, self._ki, self._kd = params.PID2
             self._integral = 0.0
             self._prev_error = None
         error = v - self.v_con

@@ -46,7 +46,7 @@ IGNORE = "ignore"
 
 
 class HoaController:
-    def __init__(self, eta0: float = params.ETA0, alpha_max: float = -1.0,
+    def __init__(self, eta0: float = params.ETA0, *, alpha_max: float,
                  dbz_strategy: str = FULL_BRAKE):
         if eta0 <= 0:
             raise ValueError("eta0 must be positive")

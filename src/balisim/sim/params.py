@@ -54,14 +54,18 @@ class _TrainFields(NamedTuple):
     p0: float = -100.0       # initial position, meters (stop point at 0)
     v0: float = 10.0         # initial speed, m/s
     alpha_max: float = -1.0  # strongest achievable braking, m/s^2
-    gamma: float = 0.3       # allowable stop error, meters
     Td: float = 0.6          # actuation dead time, seconds
     Tp: float = 0.4          # first-order lag constant, seconds
     dt: float = 0.01         # integration step, seconds
 
 
 class TrainParams(CheckedRecord, _TrainFields):
-    """The train's physical parameters, checked when they are made."""
+    """The train's physical parameters, checked when they are made.
+
+    A scenario's train sets p0, v0, alpha_max, Td, Tp and dt, and each one
+    changes the run. The 0.3 m stop-error tolerance is how runs are
+    judged, not a setting, so it is no field.
+    """
 
     __slots__ = ()
 
@@ -70,8 +74,8 @@ class TrainParams(CheckedRecord, _TrainFields):
             raise ValueError("train parameters must be finite numbers")
         if self.alpha_max >= 0:
             raise ValueError("alpha_max must be negative")
-        if self.gamma <= 0 or self.dt <= 0:
-            raise ValueError("gamma and dt must be positive")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
         if self.Td < 0 or self.Tp < 0:
             raise ValueError("Td and Tp must be non-negative")
         if self.v0 < 0:

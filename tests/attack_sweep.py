@@ -33,6 +33,9 @@ FIXED = (1, 2, 3, 4, 5)
 BALISES = FIXED + (6,)
 TAMPER_LOCS = (-1.0, -30.0, -90.0, -150.0, 5.0)
 IN_BOUND_DELTA0 = 25.0
+# The evaluation's criterion: a run stops within this many metres of the
+# marker or is counted outside.
+TOLERANCE = 0.3
 
 
 @dataclasses.dataclass(frozen=True, eq=False)  # tally caches it by identity
@@ -88,7 +91,7 @@ def tally(grid: Grid) -> tuple[dict[tuple, tuple[int, int, int]], str]:
             outside, timeout = False, True
         else:
             _hash_result(h, result)
-            outside = abs(result.stop_error) > cfg.train.gamma
+            outside = abs(result.stop_error) > TOLERANCE
             timeout = False
         cell = tuple(label for label, _ in entries)
         runs, out, stuck = counts.get(cell, (0, 0, 0))

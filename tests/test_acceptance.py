@@ -94,8 +94,9 @@ def test_criterion_03_check_bit_oracle():
     mismatches = 0
     for i in range(500):
         fmt = LONG if i % 2 == 0 else SHORT
-        prefix = rng.getrandbits(fmt.check_prefix_bits)
-        expected = longdiv_check_bits(int_to_bits(prefix, fmt.check_prefix_bits))
+        width = fmt.n - codec.CHECK_WIDTH
+        prefix = rng.getrandbits(width)
+        expected = longdiv_check_bits(int_to_bits(prefix, width))
         if int_to_bits(codec.compute_check_bits(prefix), codec.CHECK_WIDTH) != expected:
             mismatches += 1
     report(3, mismatches == 0, f"500 random prefixes, {mismatches} mismatches")

@@ -43,7 +43,7 @@ def test_reference_resets_bound():
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        PositionEstimate(0.0, -1.0)
+        PositionEstimate(0.0, -1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

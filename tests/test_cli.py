@@ -458,6 +458,20 @@ def test_simulate_train_past_its_first_balise_exit_code(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_simulate_train_that_sets_gamma_exit_code(tmp_path, capsys):
+    # gamma was a train field that no run read: any value stopped the
+    # default run at +0.111 m with exit 0.
+    config = tmp_path / "gamma.json"
+    config.write_text(json.dumps({"train": {"gamma": 5.0}}))
+    capsys.readouterr()
+    assert main(["simulate", str(config), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and "gamma" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_balise_of_key_value_pairs_exit_code(tmp_path, capsys):
     # The track of no_attack with each balise an array of [key, value]
     # pairs: it ran and stopped at +0.111 m.

@@ -284,7 +284,7 @@ def test_check_bits_zero_prefix():
 def test_check_bits_match_long_division_oracle():
     rng = random.Random(3)
     for _ in range(100):
-        prefix = [rng.randrange(2) for _ in range(LONG.check_prefix_bits)]
+        prefix = [rng.randrange(2) for _ in range(LONG.n - codec.CHECK_WIDTH)]
         expected = longdiv_remainder(prefix + [0] * 85, G_BITS)
         assert check_bits(prefix) == expected
 
@@ -292,7 +292,7 @@ def test_check_bits_match_long_division_oracle():
 def test_encoded_telegram_is_divisible():
     rng = random.Random(4)
     for fmt in (LONG, SHORT):
-        prefix = [rng.randrange(2) for _ in range(fmt.check_prefix_bits)]
+        prefix = [rng.randrange(2) for _ in range(fmt.n - codec.CHECK_WIDTH)]
         telegram = prefix + check_bits(prefix)
         assert codec.poly_mod(bits_to_int(telegram), codec.GEN_POLY) == 0
         assert not any(longdiv_remainder(telegram, G_BITS))
@@ -538,7 +538,8 @@ def test_decode_rejects_a_telegram_with_wrong_control_bits():
     rng = random.Random(15)
     telegram = legacy_bits(random_user(rng, SHORT), 0x2A5, SHORT)
     base = SHORT.shaped_bits
-    bad_cb = telegram[:base] + [1, 1, 0] + telegram[base + 3 : SHORT.check_prefix_bits]
+    bad_cb = (telegram[:base] + [1, 1, 0]
+              + telegram[base + 3 : SHORT.n - codec.CHECK_WIDTH])
     bad_cb += check_bits(bad_cb)
     with pytest.raises(codec.NoTelegramFound):
         codec.decode_stream(bad_cb * 3, SHORT)
@@ -730,7 +731,8 @@ def test_align_raises_as_decode_does():
         codec.align([0, 1] * 100, SHORT)
     telegram = legacy_bits(random_user(rng, SHORT), 0x2A5, SHORT)
     base = SHORT.shaped_bits
-    bad_cb = telegram[:base] + [1, 1, 0] + telegram[base + 3 : SHORT.check_prefix_bits]
+    bad_cb = (telegram[:base] + [1, 1, 0]
+              + telegram[base + 3 : SHORT.n - codec.CHECK_WIDTH])
     bad_cb += check_bits(bad_cb)
     with pytest.raises(codec.NoTelegramFound):
         codec.align(bad_cb * 3, SHORT)

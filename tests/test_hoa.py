@@ -5,7 +5,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from balisim.sim import DegenerateReference, FULL_BRAKE, HoaController, \
-    IGNORE, expected_decel, realized_decel
+    IGNORE, TrainParams, expected_decel, realized_decel
+
+ALPHA_MAX = TrainParams().alpha_max
 
 
 def test_expected_decel_examples():
@@ -27,13 +29,13 @@ def test_realized_decel_examples():
 
 
 def test_first_balise_has_no_correction():
-    hoa = HoaController(eta0=1.0)
+    hoa = HoaController(alpha_max=ALPHA_MAX, eta0=1.0)
     assert hoa.on_balise(10.0, -100.0) == -0.5
     assert hoa.eta == 1.0
 
 
 def test_second_balise_applies_correction():
-    hoa = HoaController(eta0=1.0)
+    hoa = HoaController(alpha_max=ALPHA_MAX, eta0=1.0)
     hoa.on_balise(10.0, -100.0)
     cmd = hoa.on_balise(8.0, -64.0)
     # alpha_r = (64-100)/72 = -0.5 = previous command: zero mismatch
@@ -42,7 +44,7 @@ def test_second_balise_applies_correction():
 
 
 def test_eta_shrinks_on_large_mismatch():
-    hoa = HoaController(eta0=1.0)
+    hoa = HoaController(alpha_max=ALPHA_MAX, eta0=1.0)
     hoa.on_balise(10.0, -100.0)
     # v=7: alpha_r = (49-100)/72 ~ -0.708, mismatch ~ -0.208
     hoa.on_balise(7.0, -64.0)
@@ -50,7 +52,7 @@ def test_eta_shrinks_on_large_mismatch():
 
 
 def test_eta_grows_on_small_mismatch():
-    hoa = HoaController(eta0=0.9)
+    hoa = HoaController(alpha_max=ALPHA_MAX, eta0=0.9)
     hoa.on_balise(10.0, -100.0)
     # v=8.2: alpha_r = (67.24-100)/72 ~ -0.455, |mismatch| ~ 0.045 <= 0.05
     hoa.on_balise(8.2, -64.0)
@@ -59,7 +61,7 @@ def test_eta_grows_on_small_mismatch():
 
 def test_correction_uses_eta_before_update():
     eta0 = 0.8
-    hoa = HoaController(eta0=eta0)
+    hoa = HoaController(alpha_max=ALPHA_MAX, eta0=eta0)
     hoa.on_balise(10.0, -100.0)
     v = 7.0
     alpha_r = realized_decel(10.0, v, -100.0, -64.0)
@@ -70,20 +72,20 @@ def test_correction_uses_eta_before_update():
 def test_command_is_raw_and_unsaturated():
     # the early-stop attack: loc' = -1 yields -50; the plant, not the
     # controller, enforces the physical braking limit
-    hoa = HoaController()
+    hoa = HoaController(alpha_max=ALPHA_MAX)
     assert hoa.on_balise(10.0, -1.0) == -50.0
 
 
 def test_dbz_full_brake():
-    hoa = HoaController(eta0=1.0, dbz_strategy=FULL_BRAKE)
+    hoa = HoaController(alpha_max=ALPHA_MAX, eta0=1.0, dbz_strategy=FULL_BRAKE)
     hoa.on_balise(10.0, -100.0)
     cmd = hoa.on_balise(8.66, -100.0)  # cloned report, D = 0
-    assert cmd == -1.0
+    assert cmd == ALPHA_MAX
     assert hoa.eta == 1.0  # eta untouched by the degenerate segment
 
 
 def test_dbz_ignore_keeps_command():
-    hoa = HoaController(eta0=1.0, dbz_strategy=IGNORE)
+    hoa = HoaController(alpha_max=ALPHA_MAX, eta0=1.0, dbz_strategy=IGNORE)
     hoa.on_balise(10.0, -100.0)
     cmd = hoa.on_balise(8.66, -100.0)
     assert cmd == -0.5
@@ -93,7 +95,8 @@ def test_dbz_ignore_keeps_command():
 def test_dbz_updates_reference_point():
     # after the degenerate report, the next segment is measured from it
     for strategy in (FULL_BRAKE, IGNORE):
-        hoa = HoaController(eta0=1.0, dbz_strategy=strategy)
+        hoa = HoaController(alpha_max=ALPHA_MAX, eta0=1.0,
+                            dbz_strategy=strategy)
         hoa.on_balise(10.0, -100.0)
         prev_cmd = hoa.on_balise(8.0, -100.0)
         v = 6.0
@@ -104,9 +107,9 @@ def test_dbz_updates_reference_point():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        HoaController(eta0=0.0)
+        HoaController(alpha_max=ALPHA_MAX, eta0=0.0)
     with pytest.raises(ValueError):
-        HoaController(dbz_strategy="panic")
+        HoaController(alpha_max=ALPHA_MAX, dbz_strategy="panic")
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.1, max_value=15.0),
@@ -115,7 +118,7 @@ def test_constructor_validation():
 def test_eta_stays_positive(reports):
     # degenerate segments are absorbed by the dbz strategy, so the only
     # eta updates are the multiplicative 0.95/1.05 factors
-    hoa = HoaController(eta0=1.0)
+    hoa = HoaController(alpha_max=ALPHA_MAX, eta0=1.0)
     for v, loc in reports:
         hoa.on_balise(v, loc)
         assert hoa.eta > 0.0

@@ -111,7 +111,14 @@ def test_bundled_scenarios_run_on_the_track_and_train_readme_describes():
     assert (f"fixed reference balises at {', '.join(f'{b.loc:g}' for b in fixed)} m "
             f"and a stop marker at {marker.loc:g}") in PROSE
     assert f"a train starting {-train.p0:g} m out at {train.v0:g} m/s" in PROSE
-    assert f"within the {train.gamma:g} m tolerance" in PROSE
+    assert f"within the {attack_sweep.TOLERANCE:g} m tolerance" in PROSE
+
+
+def test_readme_names_every_train_field_and_the_tolerance():
+    fields = [f"`{name}`" for name in TrainParams._fields]
+    assert f"the train ({', '.join(fields)})" in PROSE
+    assert (f"The {attack_sweep.TOLERANCE:g} m tolerance is how the tables "
+            "above judge a run, not a setting") in PROSE
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +150,7 @@ def test_attack_sweep_table_equals_the_sweep():
     *fixed, last = attack_sweep.TAMPER_LOCS
     assert (f"B{attack_sweep.FIXED[0]}–B{attack_sweep.FIXED[-1]} tampered to "
             f"{', '.join(f'{loc:g}' for loc in fixed)} or {last:+g} m") in PROSE
-    assert f"outside the {TrainParams().gamma:g} m tolerance" in PROSE
+    assert f"outside the {attack_sweep.TOLERANCE:g} m tolerance" in PROSE
 
 
 def test_in_bound_table_and_claim_equal_the_in_bound_sweep():
@@ -156,8 +163,9 @@ def test_in_bound_table_and_claim_equal_the_in_bound_sweep():
             "runs.") in PROSE
     assert (f"error bound of {ScenarioConfig().delta0:g} m" in PROSE
             and f"from the true {train.p0:g} m" in PROSE)
-    assert (f"no single attack moves the stop outside the {train.gamma:g} m "
-            "tolerance on this track, and every run stops.") in PROSE
+    assert ("no single attack moves the stop outside the "
+            f"{attack_sweep.TOLERANCE:g} m tolerance on this track, and every "
+            "run stops.") in PROSE
 
 
 def test_defence_layer_table_and_counts_equal_the_ablation():

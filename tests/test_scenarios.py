@@ -42,6 +42,8 @@ from balisim.sim.scenario import CONTROLLER_RESILIENT, CSV_HEADER, MAX_STEPS, \
 from balisim import auth, codec
 from balisim.sim.params import TrainParams
 
+from attack_sweep import TOLERANCE
+
 SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
 
 
@@ -55,7 +57,7 @@ def bundled(name):
 
 def test_no_attack_stops_near_marker():
     result = run_scenario(bundled("no_attack"))
-    assert abs(result.stop_error) <= 0.3
+    assert abs(result.stop_error) <= TOLERANCE
 
 
 def test_runs_are_deterministic():
@@ -65,6 +67,21 @@ def test_runs_are_deterministic():
     res_b = run_scenario(cfg_b)
     assert res_a.stop_error == res_b.stop_error
     assert res_a.trajectory == res_b.trajectory
+
+
+# A changed value of each train field, valid on the default track.
+_TRAIN_CHANGES = {"p0": -101.0, "v0": 9.0, "alpha_max": -1.5, "Td": 0.5,
+                  "Tp": 0.5, "dt": 0.02}
+
+
+@pytest.mark.parametrize("name", TrainParams._fields)
+def test_each_train_field_changes_the_run(name):
+    # A train field no run reads is a setting silently ignored: gamma,
+    # the tolerance runs are judged by, stopped the default run at
+    # +0.111 m in 2,112 rows whatever its value.
+    train = TrainParams(**{name: _TRAIN_CHANGES[name]})
+    changed = run_scenario(ScenarioConfig(train=train)).trajectory
+    assert changed != run_scenario(ScenarioConfig()).trajectory
 
 
 @pytest.mark.parametrize("name", ["no_attack", "tamper_b1_legacy",
@@ -439,7 +456,7 @@ def test_resilient_controller_ignores_a_stop_marker_cloned_onto_a_fixed_balise(
                          controller=CONTROLLER_RESILIENT,
                          auth_mode=AUTH_AUTHENTICATED, p_est0=p_est0)
     result = run_scenario(cfg)
-    assert abs(result.stop_error) <= cfg.train.gamma
+    assert abs(result.stop_error) <= TOLERANCE
     clone_rows = [r for r in result.trajectory if f"B{dst}:" in r.event]
     assert clone_rows[0].event.startswith(f"B{dst}:ordering_corrected")
     assert ":marker" not in clone_rows[0].event
@@ -934,6 +951,8 @@ def test_config_from_dict_rejects_bad_train_and_balise_keys():
     # The misspelt controller was dropped and hoa ran: +0.111078 m.
     ({"contoller": "resilient", "auth_mode": "authenticated"}, "contoller"),
     ({"seed": 1, "attack": []}, "attack"),
+    # The train's gamma was read by no run: +0.111078 m at any value.
+    ({"train": {"gamma": 5.0}}, "gamma"),
     ({"attacks": [{"type": "unavailable", "balise": 1, "new_loc": -1.0}]}, "new_loc"),
     ({"attacks": [{"type": "clone", "src": 1, "dst": 2, "balise": 3}]}, "balise"),
     ({"attacks": [{"type": "tamper", "balise": 1, "new_loc": -1.0, "to": 2}]}, "to"),
@@ -1038,7 +1057,7 @@ def _config_dicts(wild):
     index = st.one_of(st.integers(-1, 8), _ODD) if wild else st.integers(1, 3)
     train = st.fixed_dictionaries({}, optional={
         "p0": num(-150, -101), "v0": num(0, 20), "alpha_max": num(-2, -0.25),
-        "gamma": num(0.25, 1), "Td": num(0, 1), "Tp": num(0, 1),
+        "Td": num(0, 1), "Tp": num(0, 1),
         "dt": pick(0.01, 0.05, extra=(-0.25, 0.0, 0.25)),
     })
     attack = st.fixed_dictionaries({
