@@ -5,8 +5,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-# The run loop keeps one trajectory row per step; a longer run is refused
-# at config time rather than left to fill memory.
+# The run loop keeps one trajectory row per step, about 50 bytes in the
+# trajectory's columns, so about 50 MB for a run of MAX_STEPS; a longer
+# run is refused at config time rather than left to fill memory.
 MAX_STEPS = 1_000_000
 
 

@@ -37,6 +37,13 @@ BrakePlant.step's and PositionEstimate.advance's arithmetic on locals
 and calls neither.  The conservative controller commands each step
 from the speed of the step before, so its steps call it, the plant and
 the estimate in turn.
+
+Every step, held or not, appends its row to the run's Trajectory, which
+holds the rows as columns: p, v, alpha_cmd and alpha_actual as arrays of
+doubles, mode and event as lists of shared str objects, about 50 bytes
+a step.  t is not stored: row i is step i, and its t is i * dt, the
+float the loop computes.  A TrajectoryRow is built only when a row is
+read; write_trajectory_csv formats the columns and builds none.
 """
 
 from __future__ import annotations
@@ -44,7 +51,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
+from array import array
+from collections.abc import Sequence
+from itertools import islice
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -331,10 +342,73 @@ class TrajectoryRow(NamedTuple):
     event: str
 
 
+# TrajectoryRow from a 7-tuple, without the NamedTuple's Python-level
+# __new__.
+_new_row = functools.partial(tuple.__new__, TrajectoryRow)
+
+
+class Trajectory(Sequence):
+    """A run's rows as columns: a read-only sequence of TrajectoryRow.
+
+    p, v, alpha_cmd and alpha_actual are each an array("d"), mode and
+    event lists of str.  t is not stored: row i is step i, so its t is
+    i * dt.  The run loop appends each step to the columns.  A row is
+    built when it is read; a slice is a list of rows.  Two trajectories
+    are equal when their rows are.
+    """
+
+    __slots__ = ("dt", "p", "v", "alpha_cmd", "alpha_actual", "mode", "event")
+
+    def __init__(self, dt: float, p, v, alpha_cmd, alpha_actual, mode, event):
+        self.dt = dt
+        self.p, self.v = array("d", p), array("d", v)
+        self.alpha_cmd = array("d", alpha_cmd)
+        self.alpha_actual = array("d", alpha_actual)
+        self.mode, self.event = list(mode), list(event)
+        if len({len(column) for column in self._columns()}) != 1:
+            raise ValueError("trajectory columns differ in length")
+
+    def _columns(self) -> tuple:
+        return (self.p, self.v, self.alpha_cmd, self.alpha_actual,
+                self.mode, self.event)
+
+    def __len__(self) -> int:
+        return len(self.mode)
+
+    def __getitem__(self, index):
+        n = len(self.mode)
+        if isinstance(index, slice):
+            # A column slices as the range of its row indexes does.
+            return list(map(_new_row, zip(
+                map(self.dt.__rmul__, range(n)[index]),
+                *(column[index] for column in self._columns()))))
+        i = operator.index(index)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trajectory index out of range")
+        return _new_row((i * self.dt, *(column[i] for column in self._columns())))
+
+    def _tuples(self):
+        """Each row as a plain 7-tuple, straight from the columns."""
+        return zip(map(self.dt.__rmul__, range(len(self.mode))),
+                   *self._columns())
+
+    def __iter__(self):
+        return map(_new_row, self._tuples())
+
+    def __eq__(self, other):
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        # Past row 0, a different dt gives a different t.
+        return ((self.dt == other.dt or len(self) <= 1)
+                and self._columns() == other._columns())
+
+
 class SimResult(NamedTuple):
     stop_error: float
     stop_time: float
-    trajectory: list[TrajectoryRow]
+    trajectory: Trajectory
     mode_switches: int
     auth_failures: int
     balise_missing_events: int
@@ -403,23 +477,26 @@ def _load_file(what: str, load, path: str):
 
 
 def _hold(plant: BrakePlant, est: PositionEstimate, cmd: float, mode: str,
-          event: str, rows: list[TrajectoryRow], step: int, max_steps: int,
+          event: str, rows: Trajectory, step: int, max_steps: int,
           next_loc: float, watch: float) -> int:
     """Steps step + 1, step + 2, ... under the held command cmd; returns
     the last step taken.
 
     Each step is BrakePlant.step(cmd) and then est.advance(v * dt), in
     their arithmetic and order, on locals that are written back at the
-    end; it appends the step's row, the first with event.  The stretch
-    ends at the step where the train stops, p reaches next_loc or p_est
-    reaches watch, or at max_steps.  tests/test_scenarios.py pins it to
-    the two methods bit for bit.
+    end.  It appends each step's row to the columns of rows, whose last
+    row on entry is step's; the first row it appends carries event.  The
+    stretch ends at the step where the train stops, p reaches next_loc or
+    p_est reaches watch, or at max_steps.  tests/test_scenarios.py pins
+    it to the two methods bit for bit.
     """
     dt, Tp, alpha_max = plant.dt, plant.Tp, plant.alpha_max
     delay = plant._delay
     alpha, v, p = plant.alpha, plant.v, plant.p
     p_est, dist = est.p_est, est.dist_since_ref
-    append_row, new_row = rows.append, tuple.__new__
+    append_p, append_v = rows.p.append, rows.v.append
+    append_cmd, append_alpha = rows.alpha_cmd.append, rows.alpha_actual.append
+    append_mode, append_event = rows.mode.append, rows.event.append
     for step in range(step + 1, max_steps + 1):
         if delay:
             delay.append(cmd)
@@ -438,8 +515,12 @@ def _hold(plant: BrakePlant, est: PositionEstimate, cmd: float, mode: str,
         p += ds
         p_est += ds
         dist += ds
-        append_row(new_row(TrajectoryRow,
-                           (step * dt, p, v, cmd, alpha, mode, event)))
+        append_p(p)
+        append_v(v)
+        append_cmd(cmd)
+        append_alpha(alpha)
+        append_mode(mode)
+        append_event(event)
         event = ""
         if v == 0.0 or p >= next_loc or p_est >= watch:
             break
@@ -480,11 +561,11 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     next_loc = balises[0].loc
     mode = MODE_HOA
     dt = train.dt
-    rows = [TrajectoryRow(0.0, plant.p, plant.v, cmd, plant.alpha, mode, "")]
-    append_row = rows.append
-    # tuple.__new__ builds the same TrajectoryRow without the NamedTuple's
-    # Python-level __new__, once per step.
-    new_row = tuple.__new__
+    rows = Trajectory(dt, [plant.p], [plant.v], [cmd], [plant.alpha], [mode],
+                      [""])
+    append_p, append_v = rows.p.append, rows.v.append
+    append_cmd, append_alpha = rows.alpha_cmd.append, rows.alpha_actual.append
+    append_mode, append_event = rows.mode.append, rows.event.append
     plant_step, advance = plant.step, est.advance
     max_steps = int(round(cfg.max_time_s / dt))
     step = 0  # steps taken
@@ -565,8 +646,12 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
                 plant_step(cmd)
                 p, v = plant.p, plant.v
                 advance(v * dt)
-                append_row(new_row(TrajectoryRow, (step * dt, p, v, cmd,
-                                                   plant.alpha, mode, event)))
+                append_p(p)
+                append_v(v)
+                append_cmd(cmd)
+                append_alpha(plant.alpha)
+                append_mode(mode)
+                append_event(event)
                 event = ""
                 if v == 0.0 or p >= next_loc:
                     break
@@ -593,9 +678,10 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
 CSV_HEADER = ["t", "p", "v", "alpha_cmd", "alpha_actual", "mode", "event"]
 
 # trajectory.csv is written byte for byte as csv.writer's default dialect
-# would: "\r\n" line ends and minimal quoting.  A TrajectoryRow is a tuple,
-# so it formats straight into this line.  The mode names contain no
-# character that needs quoting; an event is checked by _csv_text.
+# would: "\r\n" line ends and minimal quoting.  A row zipped from the
+# trajectory's columns is a tuple, so it formats straight into this line.
+# The mode names contain no character that needs quoting; an event is
+# checked by _csv_text.
 _CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\r\n"
 _CSV_ROW = "%.2f,%.6f,%.6f,%.6f,%.6f,%s,%s\r\n"
 # Rows are joined and written in blocks of this many, which bounds the
@@ -610,14 +696,15 @@ def _csv_text(text: str) -> str:
 
 
 def write_trajectory_csv(result: SimResult, path: str) -> None:
-    rows = result.trajectory
+    traj = result.trajectory
+    rows = traj._tuples()
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(_CSV_HEADER_LINE)
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        for _ in range(0, len(traj), _CSV_BLOCK_ROWS):
             f.write("".join([
-                _CSV_ROW % (row if not row.event
-                            else (*row[:6], _csv_text(row.event)))
-                for row in rows[start:start + _CSV_BLOCK_ROWS]]))
+                _CSV_ROW % (row if not row[6]
+                            else (*row[:6], _csv_text(row[6])))
+                for row in islice(rows, _CSV_BLOCK_ROWS)]))
 
 
 def summary_dict(result: SimResult) -> dict:

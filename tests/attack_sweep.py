@@ -64,13 +64,15 @@ ABLATION = Grid({}, (CONTROLLER, TELEGRAMS, ATTACK))
 
 def _hash_result(h, result: SimResult) -> None:
     """Feed h every field of result, each trajectory float bit for bit."""
-    rows = result.trajectory
-    h.update(repr((result.stop_error, result.stop_time, len(rows),
+    traj = result.trajectory
+    n = len(traj)
+    h.update(repr((result.stop_error, result.stop_time, n,
                    *result[3:])).encode())
-    *floats, modes, events = zip(*rows)
-    for column in floats:
-        h.update(array("d", column).tobytes())
-    h.update("\0".join(modes + events).encode())
+    # The column of t, then of each stored float, then the text.
+    h.update(array("d", map(traj.dt.__rmul__, range(n))).tobytes())
+    for column in (traj.p, traj.v, traj.alpha_cmd, traj.alpha_actual):
+        h.update(column.tobytes())
+    h.update("\0".join(traj.mode + traj.event).encode())
 
 
 @functools.cache

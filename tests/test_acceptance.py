@@ -221,8 +221,8 @@ def test_criterion_11_property_suites():
     counts = {}
 
     # Kinematic consistency and saturation over recorded trajectories.
-    traj = (scenario_result("no_attack").trajectory
-            + scenario_result("tamper_b1_legacy").trajectory)
+    traj = [*scenario_result("no_attack").trajectory,
+            *scenario_result("tamper_b1_legacy").trajectory]
     kin = sat = 0
     dt = 0.01
     for prev, cur in zip(traj, traj[1:]):

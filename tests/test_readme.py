@@ -251,20 +251,42 @@ def test_install_and_csv_figures_equal_the_package():
     assert f"`{','.join(CSV_HEADER)}`" in PROSE
 
 
-def test_forgery_figures_equal_the_counts_ci_checks():
+def _forgery_counts_ci_checks() -> tuple[int, int, int]:
+    """The keyless-forgery step's crossings, tag passes and accepts."""
     with open(os.path.join(ROOT, ".github", "workflows", "tests.yml"),
               encoding="utf-8") as f:
         ci = f.read()
     crossings = int(re.search(r"keyless_forgery\.py --crossings (\d+)", ci)[1])
     tag_passes = int(re.search(r'grep -q "\^tag passes: (\d+) "', ci)[1])
     accepted = int(re.search(r'grep -q "\^accepted: +(\d+) "', ci)[1])
+    return crossings, tag_passes, accepted
+
+
+# A forgery passes the tag, a valid kind code (half of them) and the id.
+FORGERY_EXPONENT = codec.SB_WIDTH + 1 + auth.ID_BITS
+FORGERY_RATE = "m·2⁻" + str(FORGERY_EXPONENT).translate(
+    str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹"))
+
+
+def test_forgery_figures_equal_the_counts_ci_checks():
+    crossings, tag_passes, accepted = _forgery_counts_ci_checks()
     m = load_script("keyless_forgery").BALISES
     assert (f"--crossings {crossings}` forges {crossings:,} crossings at m = {m}: "
             f"{tag_passes} pass the tag under some key, and the reader accepts "
             f"{accepted}.") in PROSE
-    # A forgery passes the tag, a valid kind code (half of them) and the id.
-    exponent = str(codec.SB_WIDTH + 1 + auth.ID_BITS)
-    assert f"m·2⁻{exponent.translate(str.maketrans('0123456789', '⁰¹²³⁴⁵⁶⁷⁸⁹'))}" in PROSE
+    assert FORGERY_RATE in PROSE
+
+
+def test_what_the_forgery_zero_shows_follows_from_the_counts_ci_checks():
+    # The accepts CI's crossings expect at the claimed rate, and the tag
+    # passes with a valid kind code, which a reader without the id check
+    # would accept.
+    crossings, tag_passes, _ = _forgery_counts_ci_checks()
+    m = load_script("keyless_forgery").BALISES
+    expected = crossings * m * 2.0 ** -FORGERY_EXPONENT
+    assert (f"at {FORGERY_RATE}, {crossings:,} crossings expect "
+            f"{expected:.3f} accepts") in PROSE
+    assert f"about {tag_passes // 2} of the {tag_passes}, would be accepted" in PROSE
 
 
 def test_exit_codes_equal_the_cli_constants():

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,8 +38,8 @@ from balisim.sim.conservative import ConservativeController, MODE_PID1, \
     MODE_PID2
 from balisim.sim.plant import BrakePlant
 from balisim.sim.scenario import CONTROLLER_RESILIENT, CSV_HEADER, MAX_STEPS, \
-    MODE_HOA, MODE_MAX_BRAKE, SimResult, TrajectoryRow, align_codeword, \
-    read_telegram
+    MODE_HOA, MODE_MAX_BRAKE, SimResult, Trajectory, TrajectoryRow, \
+    align_codeword, read_telegram
 from balisim import auth, codec
 from balisim.sim.params import TrainParams
 
@@ -111,6 +112,51 @@ def test_trajectory_row_count_matches_stop_time():
     assert len(result.trajectory) == round(result.stop_time / cfg.train.dt) + 1
     assert result.trajectory[0].t == 0.0
     assert result.trajectory[-1].v == 0.0
+
+
+def test_a_run_holds_at_most_64_bytes_per_row():
+    # Each step is four floats in arrays and two str slots in lists, 48
+    # bytes and the columns' spare room.  A TrajectoryRow per step held
+    # 209 bytes.
+    cfg = bundled("tamper_b1_resilient_pest80")
+    run_scenario(cfg)  # fills the process memos
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = run_scenario(cfg)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - before <= 64 * len(result.trajectory)
+
+
+def test_a_trajectory_reads_as_the_rows_it_holds():
+    cfg = bundled("tamper_b1_resilient_pest80")
+    result = run_scenario(cfg)
+    traj, dt = result.trajectory, cfg.train.dt
+    columns = (traj.p, traj.v, traj.alpha_cmd, traj.alpha_actual, traj.mode,
+               traj.event)
+    # Row by row, with t = step * dt as the run loop computes it.
+    rows = [TrajectoryRow(step * dt, *(column[step] for column in columns))
+            for step in range(len(traj.mode))]
+    assert len(traj) == len(rows) == round(result.stop_time / dt) + 1
+    assert traj[0] == rows[0] and traj[-1] == rows[-1]
+    assert traj[-1].t == result.stop_time
+    for index in (slice(1, None), slice(100, 1100), slice(-5, None),
+                  slice(None, None, -7), slice(5, 5)):
+        assert traj[index] == rows[index]
+    assert type(traj[1:3]) is list
+    assert all(type(row) is TrajectoryRow for row in traj)
+    assert list(traj) == rows
+    for index in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            traj[index]
+    # Equal rows make equal trajectories; another float or dt does not.
+    stored = [list(column) for column in zip(*rows)][1:]
+    assert Trajectory(dt, *stored) == traj
+    assert Trajectory(2 * dt, *stored) != traj
+    stored[1][-1] = 1.0
+    assert Trajectory(dt, *stored) != traj
 
 
 def test_mode_switch_counting():
@@ -492,8 +538,11 @@ def _held_by_calls(plant, est, cmd, mode, event, rows, step, max_steps,
     for step in range(step + 1, max_steps + 1):
         plant.step(cmd)
         est.advance(plant.v * plant.dt)
-        rows.append(TrajectoryRow(step * plant.dt, plant.p, plant.v, cmd,
-                                  plant.alpha, mode, event))
+        for column, value in zip(
+                (rows.p, rows.v, rows.alpha_cmd, rows.alpha_actual, rows.mode,
+                 rows.event),
+                (plant.p, plant.v, cmd, plant.alpha, mode, event)):
+            column.append(value)
         event = ""
         if plant.v == 0.0 or plant.p >= next_loc or est.p_est >= watch:
             break
@@ -529,12 +578,16 @@ def _held_run(hold, train, max_steps):
     the final plant and estimate as hex, and each stretch's last step."""
     plant = BrakePlant(train)
     est = PositionEstimate(train.p0 + 2.5, 15.0, 0.02)
-    rows, step, ends = [], 0, []
+    # Row i is step i's, as in a run.
+    rows = Trajectory(train.dt, [plant.p], [plant.v], [0.0], [plant.alpha],
+                      [MODE_HOA], [""])
+    step, ends = 0, []
     for cmd, limit, ahead in HELD_STRETCHES:
         next_loc = plant.p + ahead if limit == "loc" else math.nan
         watch = est.p_est + ahead if limit == "watch" else math.inf
         step = hold(plant, est, cmd, MODE_HOA, f"E{len(ends)}", rows, step,
                     max_steps, next_loc, watch)
+        assert len(rows) == step + 1
         ends.append(step)
         if plant.v == 0.0 or step == max_steps:
             break
@@ -1311,21 +1364,27 @@ _EDGE_EVENTS = ["", "B1:marker", "B1:x,y", 'say "go"', 'a""b', "x\ny",
 _MODES = [MODE_HOA, MODE_MAX_BRAKE, MODE_PID1, MODE_PID2]
 
 
-def _edge_row(i):
-    floats = [_EDGE_FLOATS[(i + k) % len(_EDGE_FLOATS)] for k in range(4)]
-    # p differs on every row, so a row dropped or repeated is seen.
-    return TrajectoryRow(floats[0], i * 0.01, *floats[1:],
-                         _MODES[i % len(_MODES)],
-                         _EDGE_EVENTS[i % len(_EDGE_EVENTS)])
+def _edge_trajectory(n_rows, dt):
+    # Row i's p, v, alpha_cmd and alpha_actual are the edge floats from
+    # the i-th on.
+    floats = [[_EDGE_FLOATS[(i + k) % len(_EDGE_FLOATS)] for i in range(n_rows)]
+              for k in range(4)]
+    return Trajectory(dt, *floats,
+                      [_MODES[i % len(_MODES)] for i in range(n_rows)],
+                      [_EDGE_EVENTS[i % len(_EDGE_EVENTS)] for i in range(n_rows)])
 
 
 @pytest.mark.parametrize("n_rows", [1, 1023, 1024, 1025, 2049])
 def test_trajectory_csv_matches_csv_writer_on_edge_rows(n_rows, tmp_path):
-    result = SimResult(stop_error=0.0, stop_time=0.0,
-                       trajectory=[_edge_row(i) for i in range(n_rows)],
-                       mode_switches=0, auth_failures=0,
-                       balise_missing_events=0)
-    _assert_csv_matches_oracle(result, tmp_path)
+    # t = i * dt: row 1's t is dt, so each edge float is a t too, and
+    # row 0's is nan for an infinite dt.  At dt 0.125 and 2.675, t differs
+    # on every row, so a row dropped or repeated is seen.
+    for dt in _EDGE_FLOATS:
+        result = SimResult(stop_error=0.0, stop_time=0.0,
+                           trajectory=_edge_trajectory(n_rows, dt),
+                           mode_switches=0, auth_failures=0,
+                           balise_missing_events=0)
+        _assert_csv_matches_oracle(result, tmp_path)
 
 
 def test_mode_names_need_no_csv_quoting():
