@@ -68,7 +68,8 @@ def _hash_result(h, result: SimResult) -> None:
     n = len(traj)
     h.update(repr((result.stop_error, result.stop_time, n,
                    *result[3:])).encode())
-    # The column of t, then of each stored float, then the text.
+    # The bytes of each row's fields column by column, t first, as the
+    # frozen digests were taken.
     h.update(array("d", map(traj.dt.__rmul__, range(n))).tobytes())
     for column in (traj.p, traj.v, traj.alpha_cmd, traj.alpha_actual):
         h.update(column.tobytes())

@@ -116,8 +116,7 @@ def test_trajectory_row_count_matches_stop_time():
 
 def test_a_run_holds_at_most_64_bytes_per_row():
     # Each step is four floats in arrays and two str slots in lists, 48
-    # bytes and the columns' spare room.  A TrajectoryRow per step held
-    # 209 bytes.
+    # bytes and the columns' spare room.
     cfg = bundled("tamper_b1_resilient_pest80")
     run_scenario(cfg)  # fills the process memos
     tracemalloc.start()
@@ -1367,11 +1366,11 @@ _MODES = [MODE_HOA, MODE_MAX_BRAKE, MODE_PID1, MODE_PID2]
 def _edge_trajectory(n_rows, dt):
     # Row i's p, v, alpha_cmd and alpha_actual are the edge floats from
     # the i-th on.
-    floats = [[_EDGE_FLOATS[(i + k) % len(_EDGE_FLOATS)] for i in range(n_rows)]
-              for k in range(4)]
-    return Trajectory(dt, *floats,
-                      [_MODES[i % len(_MODES)] for i in range(n_rows)],
-                      [_EDGE_EVENTS[i % len(_EDGE_EVENTS)] for i in range(n_rows)])
+    def cycle(values, shift=0):
+        return [values[(i + shift) % len(values)] for i in range(n_rows)]
+
+    return Trajectory(dt, *(cycle(_EDGE_FLOATS, k) for k in range(4)),
+                      cycle(_MODES), cycle(_EDGE_EVENTS))
 
 
 @pytest.mark.parametrize("n_rows", [1, 1023, 1024, 1025, 2049])
