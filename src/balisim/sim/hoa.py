@@ -11,7 +11,10 @@ command by the weighted mismatch, and adapts the learning weight eta:
     eta    *= 0.95 if |alpha_r - prev_cmd| > 0.05 else 1.05
 
 The command is held constant between balises and handed to the plant
-unsaturated; physical braking limits live in the plant.  Consecutive
+unsaturated; physical braking limits live in the plant.  Each correction
+can grow the command by a factor of about eta, so a large eta0 or a fast
+train can take it past the float range; on_balise raises ValueError then,
+rather than hand the plant an infinite command.  Consecutive
 balises reporting the same location make D zero; the division by zero
 is resolved by one of two strategies: "full_brake" commands alpha_max,
 "ignore" keeps the current command.  Both treat the offending report as
@@ -19,6 +22,8 @@ the new reference point for the next segment.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import params
 
@@ -75,6 +80,9 @@ class HoaController:
             mismatch = alpha_r - self.command
             self.command = alpha_e - self.eta * mismatch
             self.eta *= 0.95 if abs(mismatch) > 0.05 else 1.05
+        if not math.isfinite(self.command):
+            raise ValueError(f"the hoa braking command left the float range "
+                             f"({self.command}) at a report of {loc_reported} m")
         self._prev_loc = loc_reported
         self._prev_v = v
         return self.command

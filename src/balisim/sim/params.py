@@ -93,8 +93,10 @@ class PidGains(NamedTuple):
 PID1 = PidGains(kp=0.8423, ki=0.0648, kd=0.4082)
 PID2 = PidGains(kp=0.0377, ki=0.0002, kd=0.2205)
 
-# Calibrated controller defaults. ETA0 centers the stop errors of the
-# baseline and attack trajectories; V_CREEP sets the crawl speed of the
-# conservative controller and with it the post-marker overshoot.
+# Controller defaults: the values the bundled stop-error table was frozen
+# under, not the optimum of a criterion (README "Calibration" sweeps
+# both).  ETA0 is the online controller's initial learning weight;
+# V_CREEP sets the crawl speed of the conservative controller and with it
+# the post-marker overshoot.
 ETA0 = 0.85
 V_CREEP = 0.34

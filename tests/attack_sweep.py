@@ -15,17 +15,28 @@ the true -100 m.  IN_BOUND is SWEEP with delta0 = IN_BOUND_DELTA0 at
 every start, which bounds them all.  ABLATION runs the hoa and the
 resilient controller, each under both modes, against the same attacks
 at the true start: 2 x 2 x 62 runs.
+
+The calibration grids sweep the two controller constants over bundled
+scenarios, each loaded from its JSON file.  CALIBRATION_ETA0 runs eta0
+0.70, 0.71, ..., 1.00 against the five scenarios of the hoa controller:
+31 x 5 runs.  CALIBRATION_V_CON runs v_con 0.28, 0.30, ..., 0.40 against
+two resilient scenarios in which the conservative controller creeps to
+the marker: 7 x 2 runs.  Together they make 169 runs.
 """
 
 import dataclasses
 import functools
 import hashlib
 import itertools
+import os
 from array import array
 
+import balisim
 from balisim.sim import AUTH_AUTHENTICATED, AUTH_LEGACY, CONTROLLER_HOA, \
     CONTROLLER_RESILIENT, Clone, ScenarioConfig, SimResult, SimTimeout, \
-    Tamper, Unavailable, run_scenario
+    Tamper, Unavailable, load_config, run_scenario
+
+SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
 
 MODES = (AUTH_AUTHENTICATED, AUTH_LEGACY)
 STARTS = (None, -120.0, -110.0, -90.0, -80.0)  # None: the true position
@@ -62,6 +73,28 @@ IN_BOUND = Grid({"controller": CONTROLLER_RESILIENT}, (TELEGRAMS, START_IN_BOUND
 ABLATION = Grid({}, (CONTROLLER, TELEGRAMS, ATTACK))
 
 
+def bundled(*names: str) -> tuple:
+    """A scenario axis of bundled scenarios.  Each entry overrides only the
+    fields its file sets to other than the default, so it leaves the
+    fields of the other axes, eta0 and v_con among them, as they set them."""
+    default = ScenarioConfig()
+    configs = {name: load_config(os.path.join(SCENARIO_DIR, name + ".json"))
+               for name in names}
+    return ("scenario", tuple(
+        (name, {field: value for field, value, base
+                in zip(cfg._fields, cfg, default) if value != base})
+        for name, cfg in configs.items()))
+
+
+ETA0 = ("eta0", tuple((i / 100, {"eta0": i / 100}) for i in range(70, 101)))
+V_CON = ("v_con", tuple((i / 100, {"v_con": i / 100}) for i in range(28, 41, 2)))
+CALIBRATION_ETA0 = Grid({}, (ETA0, bundled(
+    "no_attack", "tamper_b1_legacy", "clone_b1b2_full_brake",
+    "clone_b1b2_ignore", "availability_b1_hoa")))
+CALIBRATION_V_CON = Grid({}, (V_CON, bundled(
+    "tamper_b1_resilient_pest80", "availability_b1_resilient")))
+
+
 def _hash_result(h, result: SimResult) -> None:
     """Feed h every field of result, each trajectory float bit for bit."""
     traj = result.trajectory
@@ -77,9 +110,10 @@ def _hash_result(h, result: SimResult) -> None:
 
 
 @functools.cache
-def tally(grid: Grid) -> tuple[dict[tuple, tuple[int, int, int]], str]:
-    """Each cell's labels -> (runs, outside the tolerance, SimTimeout), and
-    the SHA-256 of every run's result, both in grid order."""
+def tally(grid: Grid) -> tuple[dict[tuple, tuple[int, int, int, float | None]], str]:
+    """Each cell's labels -> (runs, outside the tolerance, SimTimeout, the
+    stop error of largest magnitude or None if no run stopped), and the
+    SHA-256 of every run's result, both in grid order."""
     counts = {}
     h = hashlib.sha256()
     for entries in itertools.product(*(axis for _, axis in grid.axes)):
@@ -91,12 +125,15 @@ def tally(grid: Grid) -> tuple[dict[tuple, tuple[int, int, int]], str]:
             result = run_scenario(cfg)
         except SimTimeout as exc:
             h.update(f"SimTimeout: {exc}".encode())
-            outside, timeout = False, True
+            error = None
         else:
             _hash_result(h, result)
-            outside = abs(result.stop_error) > TOLERANCE
-            timeout = False
+            error = result.stop_error
         cell = tuple(label for label, _ in entries)
-        runs, out, stuck = counts.get(cell, (0, 0, 0))
-        counts[cell] = (runs + 1, out + outside, stuck + timeout)
+        runs, out, stuck, worst = counts.get(cell, (0, 0, 0, None))
+        if error is not None and (worst is None or abs(error) > abs(worst)):
+            worst = error
+        counts[cell] = (runs + 1,
+                        out + (error is not None and abs(error) > TOLERANCE),
+                        stuck + (error is None), worst)
     return counts, h.hexdigest()

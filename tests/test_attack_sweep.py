@@ -5,14 +5,17 @@ type, and so are those of the in-bound sweep; the ablation's are a
 controller, a telegram mode and an attack type, at the true start.  A
 change that moves a count changes what a controller withstands; README's
 sweep, in-bound and ablation tables state the same counts
-(tests/test_readme.py).
+(tests/test_readme.py).  The calibration grids' cells are a value of a
+controller constant and a bundled scenario, one run each; README's
+calibration tables state their stop errors.
 """
 
 import pytest
 
 import attack_sweep
 from balisim.sim import AUTH_AUTHENTICATED, CONTROLLER_HOA, \
-    CONTROLLER_RESILIENT, ScenarioConfig, Tamper, Unavailable, run_scenario
+    CONTROLLER_RESILIENT, ScenarioConfig, Tamper, Unavailable, params, \
+    run_scenario
 
 RUNS = {"tamper": 25, "clone": 30, "unavailable": 6, "none": 1}
 
@@ -34,7 +37,7 @@ FAILURES = {
 
 def _failing(grid) -> dict[tuple, tuple[int, int]]:
     return {cell: (outside, timeouts)
-            for cell, (_, outside, timeouts) in attack_sweep.tally(grid)[0].items()
+            for cell, (_, outside, timeouts, _) in attack_sweep.tally(grid)[0].items()
             if outside or timeouts}
 
 
@@ -42,7 +45,7 @@ def test_attack_sweep_covers_every_single_attack_at_every_start():
     tally, _ = attack_sweep.tally(attack_sweep.SWEEP)
     assert set(tally) == {(mode, start, kind) for mode in attack_sweep.MODES
                           for start in attack_sweep.STARTS for kind in RUNS}
-    assert all(runs == RUNS[kind] for (_, _, kind), (runs, _, _) in tally.items())
+    assert all(runs == RUNS[kind] for (_, _, kind), (runs, *_) in tally.items())
 
 
 def test_attack_sweep_outcomes_are_frozen():
@@ -71,7 +74,7 @@ def test_no_single_attack_moves_the_stop_within_the_odometry_bound():
                for start in attack_sweep.STARTS)
     tally, digest = attack_sweep.tally(grid)
     assert list(tally) == list(attack_sweep.tally(attack_sweep.SWEEP)[0])
-    assert all(runs == RUNS[kind] for (_, _, kind), (runs, _, _) in tally.items())
+    assert all(runs == RUNS[kind] for (_, _, kind), (runs, *_) in tally.items())
     assert _failing(grid) == {}
     assert digest == IN_BOUND_DIGEST
 
@@ -93,7 +96,7 @@ def test_ablation_covers_both_controllers_under_both_modes():
     assert list(tally) == [(controller, mode, kind)
                            for controller in (CONTROLLER_HOA, CONTROLLER_RESILIENT)
                            for mode in attack_sweep.MODES for kind in RUNS]
-    assert sum(runs for runs, _, _ in tally.values()) == 248
+    assert sum(runs for runs, *_ in tally.values()) == 248
 
 
 def test_ablation_outcomes_and_results_are_frozen():
@@ -107,6 +110,32 @@ def test_ablation_resilient_cells_are_the_sweep_true_start_cells():
     for mode in attack_sweep.MODES:
         for kind in RUNS:
             assert ablation[CONTROLLER_RESILIENT, mode, kind] == sweep[mode, None, kind]
+
+
+CALIBRATION_DIGESTS = {
+    "CALIBRATION_ETA0":
+        "431d1b179a249f99148443f511104fe4a34b867201a67c9f626f66460816869e",
+    "CALIBRATION_V_CON":
+        "7d8685f14ff9fbe46b023651925f05473a227df741a1f4137fa90865321da288",
+}
+
+
+@pytest.mark.parametrize("name, cells", [("CALIBRATION_ETA0", 31 * 5),
+                                         ("CALIBRATION_V_CON", 7 * 2)])
+def test_calibration_grids_run_each_cell_once_and_are_frozen(name, cells):
+    tally, digest = attack_sweep.tally(getattr(attack_sweep, name))
+    assert len(tally) == cells
+    assert all(runs == 1 and timeouts == 0
+               for runs, _, timeouts, _ in tally.values())
+    assert digest == CALIBRATION_DIGESTS[name]
+
+
+def test_shipped_defaults_lie_on_the_calibration_grids():
+    eta0 = [label for label, _ in attack_sweep.ETA0[1]]
+    v_con = [label for label, _ in attack_sweep.V_CON[1]]
+    assert params.ETA0 in eta0 and params.V_CREEP in v_con
+    default = ScenarioConfig()
+    assert (default.eta0, default.v_con) == (params.ETA0, params.V_CREEP)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

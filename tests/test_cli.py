@@ -512,6 +512,21 @@ def test_simulate_non_finite_config_exit_code(tmp_path):
     assert main(["simulate", str(config), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("raw", [{"eta0": 1e300},
+                                 {"train": {"v0": 1e160, "alpha_max": -1e170}}],
+                         ids=["eta0", "train"])
+def test_simulate_finite_config_of_an_infinite_command_exit_code(tmp_path, capsys, raw):
+    # Each number is finite, but the hoa command is not: it ran, stopped
+    # (at -24.551150 m for eta0) with exit 0, and wrote -inf alpha_cmd rows.
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", str(config), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the hoa braking command left the float range")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value, token", [(True, "true"), (10**400, "1" + "0" * 400)],
                          ids=["true", "10**400"])
 def test_simulate_bool_or_huge_int_as_number_exit_code(tmp_path, capsys, value, token):

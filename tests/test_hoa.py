@@ -76,6 +76,16 @@ def test_command_is_raw_and_unsaturated():
     assert hoa.on_balise(10.0, -1.0) == -50.0
 
 
+def test_a_command_past_the_float_range_raises():
+    # Each correction scales the mismatch by eta: at eta0 1e300 the second
+    # report's command is 2e299 and the third's is inf.
+    hoa = HoaController(alpha_max=ALPHA_MAX, eta0=1e300)
+    hoa.on_balise(10.0, -100.0)
+    hoa.on_balise(7.0, -64.0)
+    with pytest.raises(ValueError, match="float range"):
+        hoa.on_balise(6.0, -36.0)
+
+
 def test_dbz_full_brake():
     hoa = HoaController(alpha_max=ALPHA_MAX, eta0=1.0, dbz_strategy=FULL_BRAKE)
     hoa.on_balise(10.0, -100.0)

@@ -6,9 +6,12 @@ balisim program and keygen write, with one to three edits: a value (a
 leaf, an array or an object) replaced from a pool of extreme values, an
 object key or array entry deleted, or a field added to an object.
 config_from_dict must raise ConfigError or return a config that runs to
-a finite stop or to SimTimeout; balisim simulate must exit 0, 2 or 3
-and balisim verify 0, 1 or 2, with nothing on stderr but one error:
-line.  The examples are derandomized, so every run tests the same ones.
+a finite stop under a finite command, to SimTimeout, or to the
+ValueError of an online-controller command past the float range (a
+finite eta0 or train can take it there); balisim simulate must exit 0,
+2 or 3 and balisim verify 0, 1 or 2, with nothing on stderr but one
+error: line.  The examples are derandomized, so every run tests the
+same ones.
 """
 
 import contextlib
@@ -116,7 +119,11 @@ def test_a_mutated_scenario_is_a_config_error_or_runs_to_a_finite_stop(raw):
         result = run_scenario(cfg)
     except SimTimeout:
         return
+    except ValueError as exc:
+        assert "float range" in str(exc)
+        return
     assert math.isfinite(result.stop_error)
+    assert all(map(math.isfinite, result.trajectory.alpha_cmd))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -2,10 +2,11 @@
 
 The bundled stop-error table must equal benchmarks/reference.json and a
 fresh run, the attack-sweep, in-bound, defence-layer and channel-model
-tables the tallies their tests make, the exit codes the cli constants,
-the forgery figures the counts CI checks, the track, format, install and
-CSV figures the package, and the library-use block must run.  So README
-cannot drift from any of them.
+tables the tallies their tests make, the calibration tables the
+calibration grids and, at the defaults, the bundled stop errors, the
+exit codes the cli constants, the forgery figures the counts CI checks,
+the track, format, install and CSV figures the package, and the
+library-use block must run.  So README cannot drift from any of them.
 """
 
 import collections
@@ -19,7 +20,8 @@ import pytest
 import balisim
 from balisim import auth, cli, codec
 from balisim.sim import AUTH_AUTHENTICATED, AUTH_LEGACY, CONTROLLER_HOA, \
-    CONTROLLER_RESILIENT, ScenarioConfig, TrainParams, load_config, run_scenario
+    CONTROLLER_RESILIENT, ScenarioConfig, TrainParams, load_config, params, \
+    run_scenario
 from balisim.sim.deployment import BaliseSpec, KIND_FIXED, program_telegram, \
     save_telegram
 from balisim.sim.scenario import CSV_HEADER, DEFAULT_BALISES
@@ -138,7 +140,7 @@ def _grid_table(grid) -> list[str]:
         cells = ["true" if label is None else f"{label:g} m"
                  if isinstance(label, float) else label for label in row]
         for label in columns:
-            _, outside, timeouts = tally[row + (label,)]
+            _, outside, timeouts, _ = tally[row + (label,)]
             cells.append(f"{outside} + {timeouts} timeout{'s' * (timeouts > 1)}"
                          if timeouts else f"{outside}")
         lines.append(cells)
@@ -159,7 +161,7 @@ def test_in_bound_table_and_claim_equal_the_in_bound_sweep():
     tally, _ = attack_sweep.tally(grid)
     train = TrainParams()
     assert (f"with a bound of {attack_sweep.IN_BOUND_DELTA0:g} m at every start, "
-            f"which covers them all: {sum(runs for runs, _, _ in tally.values())} "
+            f"which covers them all: {sum(runs for runs, *_ in tally.values())} "
             "runs.") in PROSE
     assert (f"error bound of {ScenarioConfig().delta0:g} m" in PROSE
             and f"from the true {train.p0:g} m" in PROSE)
@@ -173,7 +175,7 @@ def test_defence_layer_table_and_counts_equal_the_ablation():
     assert _table("Defence layers") == _grid_table(grid)
     tally, _ = attack_sweep.tally(grid)
     runs, outside = collections.Counter(), collections.Counter()
-    for (controller, mode, _), (count, out, _) in tally.items():
+    for (controller, mode, _), (count, out, *_) in tally.items():
         runs[controller, mode] += count
         outside[controller, mode] += out
     hoa_auth, hoa_legacy, resilient_auth, resilient_legacy = (
@@ -189,6 +191,58 @@ def test_defence_layer_table_and_counts_equal_the_ablation():
             f"them from {hoa_legacy} to {hoa_auth} under `hoa`, and leaves them at "
             f"{resilient_legacy} under the resilient controller.") in PROSE
     assert resilient_auth == resilient_legacy
+
+
+def _calibration_table(grid) -> list[str]:
+    """A calibration grid's stop errors as README rows, header first: a row
+    per value of the constant, a column per scenario."""
+    tally, _ = attack_sweep.tally(grid)
+    (constant, values), (_, scenarios) = grid.axes
+    lines = [[constant, *(f"`{name}`" for name, _ in scenarios)]]
+    for value, _ in values:
+        lines.append([f"{value:.2f}", *(f"{tally[value, name][3]:+.3f}"
+                                         for name, _ in scenarios)])
+    return ["| " + " | ".join(line) + " |" for line in lines]
+
+
+def test_calibration_tables_equal_the_grids_and_the_bundled_table():
+    eta0 = _calibration_table(attack_sweep.CALIBRATION_ETA0)
+    v_con = _calibration_table(attack_sweep.CALIBRATION_V_CON)
+    shown = _table("Calibration")
+    # Some eta0 rows, in grid order, then every v_con row.
+    shown_eta0, shown_v_con = shown[:-len(v_con)], shown[-len(v_con):]
+    assert shown_v_con == v_con
+    assert shown_eta0[0] == eta0[0]
+    rows = iter(eta0[1:])
+    assert all(row in rows for row in shown_eta0[1:])
+    # The rows at the defaults are the bundled scenarios' stop errors.
+    for grid, default, table in (
+            (attack_sweep.CALIBRATION_ETA0, params.ETA0, shown_eta0),
+            (attack_sweep.CALIBRATION_V_CON, params.V_CREEP, shown_v_con)):
+        row = f"| {default:.2f} | " + " | ".join(
+            f"{TABLE[name]:+.3f}" for name, _ in grid.axes[1][1]) + " |"
+        assert row in table
+    assert (f"`eta0` and the conservative controller's creep speed `v_con` "
+            f"default to {params.ETA0:g} and {params.V_CREEP:g}") in PROSE
+    runs = sum(len(attack_sweep.tally(grid)[0]) for grid in (
+        attack_sweep.CALIBRATION_ETA0, attack_sweep.CALIBRATION_V_CON))
+    assert f"creeps to the marker: {runs} runs." in PROSE
+
+
+def test_no_calibration_column_picks_the_defaults():
+    eta0, _ = attack_sweep.tally(attack_sweep.CALIBRATION_ETA0)
+    nearest = min((abs(error), value) for (value, name), (*_, error) in eta0.items()
+                  if name == "no_attack")[1]
+    assert nearest != params.ETA0
+    assert (f"`no_attack` stops nearest the marker at eta0 = {nearest:.2f}, "
+            f"{eta0[nearest, 'no_attack'][3]:+.3f} m against "
+            f"{eta0[params.ETA0, 'no_attack'][3]:+.3f} m at {params.ETA0:.2f}") in PROSE
+    v_con, _ = attack_sweep.tally(attack_sweep.CALIBRATION_V_CON)
+    values = [value for value, _ in attack_sweep.V_CON[1]]
+    for name, _ in attack_sweep.CALIBRATION_V_CON.axes[1][1]:
+        column = [v_con[value, name][3] for value in values]
+        assert column == sorted(column)  # falls with v_con
+        assert f"{column[0]:+.3f} m at {values[0]:.2f}" in PROSE
 
 
 def test_channel_model_table_equals_the_tally():
