@@ -43,7 +43,11 @@ holds the rows as columns: p, v, alpha_cmd and alpha_actual as arrays of
 doubles, mode and event as lists of shared str objects, about 50 bytes
 a step.  t is not stored: row i is step i, and its t is i * dt, the
 float the loop computes.  A TrajectoryRow is built only when a row is
-read; write_trajectory_csv formats the columns and builds none.
+read; write_trajectory_csv formats the columns and builds none.  It
+takes row i's t text, "%.2f" % (i * dt), from a table of texts kept for
+the process for one dt (_time_texts), as every run of a batch at the
+same dt writes the same texts from row 0; rows past the table's
+_TIME_TEXT_ROWS are formatted as they are written.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import operator
 import os
 from array import array
 from collections.abc import Sequence
-from itertools import islice
+from itertools import chain, islice
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -389,13 +393,9 @@ class Trajectory(Sequence):
             raise IndexError("trajectory index out of range")
         return _new_row((i * self.dt, *(column[i] for column in self._columns())))
 
-    def _tuples(self):
-        """Each row as a plain 7-tuple, straight from the columns."""
-        return zip(map(self.dt.__rmul__, range(len(self.mode))),
-                   *self._columns())
-
     def __iter__(self):
-        return map(_new_row, self._tuples())
+        return map(_new_row, zip(map(self.dt.__rmul__, range(len(self.mode))),
+                                 *self._columns()))
 
     def __eq__(self, other):
         if not isinstance(other, Trajectory):
@@ -678,15 +678,32 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
 CSV_HEADER = ["t", "p", "v", "alpha_cmd", "alpha_actual", "mode", "event"]
 
 # trajectory.csv is written byte for byte as csv.writer's default dialect
-# would: "\r\n" line ends and minimal quoting.  A row zipped from the
-# trajectory's columns is a tuple, so it formats straight into this line.
-# The mode names contain no character that needs quoting; an event is
-# checked by _csv_text.
+# would: "\r\n" line ends and minimal quoting.  A row zipped from row i's
+# t text and the trajectory's columns is a tuple, so it formats straight
+# into this line.  Row i's t text is "%.2f" % (i * dt): the first
+# _TIME_TEXT_ROWS of them come from _time_texts, and rows past those are
+# formatted as they are written.  The mode names contain no character
+# that needs quoting; an event is checked by _csv_text.
 _CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\r\n"
-_CSV_ROW = "%.2f,%.6f,%.6f,%.6f,%.6f,%s,%s\r\n"
+_CSV_ROW = "%s,%.6f,%.6f,%.6f,%.6f,%s,%s\r\n"
 # Rows are joined and written in blocks of this many, which bounds the
 # memory of the formatted text.
 _CSV_BLOCK_ROWS = 1024
+# The t texts kept for one dt: 2^15 rows, 327 s at the default dt, cover
+# every bundled run (17,597 rows at most) in about 2 MB.
+_TIME_TEXT_ROWS = 1 << 15
+
+
+@functools.lru_cache(maxsize=1)
+def _time_texts(dt_repr: str) -> list[str]:
+    """The t texts of rows 0, 1, ... at the dt whose repr is dt_repr.
+
+    Kept for the process, for the last dt written.  The list starts
+    empty, and write_trajectory_csv extends it in place up to
+    _TIME_TEXT_ROWS texts.  It is keyed by repr, not by the float:
+    -0.0 == 0.0, yet row 0's text is -0.00 at dt -0.0 and 0.00 at dt 0.0.
+    """
+    return []
 
 
 def _csv_text(text: str) -> str:
@@ -697,10 +714,20 @@ def _csv_text(text: str) -> str:
 
 def write_trajectory_csv(result: SimResult, path: str) -> None:
     traj = result.trajectory
-    rows = traj._tuples()
+    n, dt = len(traj), traj.dt
+    kept = min(n, _TIME_TEXT_ROWS)
+    texts = _time_texts(repr(dt))
+    start = len(texts)
+    if start < kept:
+        # One slice assignment: a write in another thread that extended
+        # the list meanwhile has put the same text at each index.
+        texts[start:kept] = ["%.2f" % (i * dt) for i in range(start, kept)]
+    times = chain(islice(texts, kept),
+                  map("%.2f".__mod__, map(dt.__rmul__, range(kept, n))))
+    rows = zip(times, *traj._columns())
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(_CSV_HEADER_LINE)
-        for _ in range(0, len(traj), _CSV_BLOCK_ROWS):
+        for _ in range(0, n, _CSV_BLOCK_ROWS):
             f.write("".join([
                 _CSV_ROW % (row if not row[6]
                             else (*row[:6], _csv_text(row[6])))

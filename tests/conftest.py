@@ -14,9 +14,11 @@ from balisim.sim import deployment, scenario
 
 # Every lru_cache in balisim is a memo that empty_memos empties or a
 # pure table whose entries hold no state a test could count.
+# scenario._time_texts holds the t texts of one dt, each a pure function
+# of the dt, so none is ever stale.
 MEMOS = (auth.derive_keys, auth.prf_s, deployment._track_codewords,
          scenario.align_codeword)
-TABLES = (codec._fields,)
+TABLES = (codec._fields, scenario._time_texts)
 
 
 @pytest.fixture

@@ -21,6 +21,8 @@ from balisim.sim import BaliseSpec, scenario
 from balisim.sim.deployment import AUTH_AUTHENTICATED, AUTH_LEGACY, \
     load_telegram, program_telegram, save_telegram
 
+from test_scenarios import _csv_writer_oracle
+
 SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
 
 
@@ -300,6 +302,23 @@ def test_simulate_batch(tmp_path, capsys):
     for name in table:
         assert (out / name / "trajectory.csv").exists()
         assert (out / name / "summary.json").exists()
+
+
+def test_simulate_batch_writes_each_csv_at_its_own_dt(tmp_path):
+    # dt_0005 runs first, so the kept t texts switch from dt 0.005 to
+    # no_attack's 0.01 within the batch.
+    batch = _batch_dir(tmp_path, ("no_attack",))
+    raw = json.loads((batch / "no_attack.json").read_text())
+    (batch / "dt_0005.json").write_text(json.dumps(
+        {**raw, "train": {"dt": 0.005}}))
+    out = tmp_path / "results"
+    assert main(["simulate", "--batch", str(batch), "--out", str(out)]) == 0
+    for name in ("dt_0005", "no_attack"):
+        result = scenario.run_scenario(
+            scenario.load_config(str(batch / (name + ".json"))))
+        _csv_writer_oracle(result, str(tmp_path / "oracle.csv"))
+        assert (out / name / "trajectory.csv").read_bytes() == \
+            (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_simulate_batch_runs_in_process_in_name_order(tmp_path):

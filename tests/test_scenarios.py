@@ -1378,12 +1378,36 @@ def test_trajectory_csv_matches_csv_writer_on_edge_rows(n_rows, tmp_path):
     # t = i * dt: row 1's t is dt, so each edge float is a t too, and
     # row 0's is nan for an infinite dt.  At dt 0.125 and 2.675, t differs
     # on every row, so a row dropped or repeated is seen.
-    for dt in _EDGE_FLOATS:
-        result = SimResult(stop_error=0.0, stop_time=0.0,
-                           trajectory=_edge_trajectory(n_rows, dt),
-                           mode_switches=0, auth_failures=0,
-                           balise_missing_events=0)
-        _assert_csv_matches_oracle(result, tmp_path)
+    # 0.0 besides -0.0, and an int dt, as JSON's "dt": 1 loads.
+    for dt in (*_EDGE_FLOATS, 0.0, 1):
+        _assert_csv_matches_oracle(_edge_result(n_rows, dt), tmp_path)
+
+
+def _edge_result(n_rows, dt):
+    return SimResult(stop_error=0.0, stop_time=0.0,
+                     trajectory=_edge_trajectory(n_rows, dt),
+                     mode_switches=0, auth_failures=0,
+                     balise_missing_events=0)
+
+
+def test_trajectory_csv_time_texts_are_kept_per_dt_repr(tmp_path):
+    # -0.0 == 0.0 and both hash alike, but every t text at dt -0.0 is
+    # -0.00; a table keyed by the float would write one dt's texts for
+    # the other.
+    for dt in (-0.0, 0.0, -0.0):
+        _assert_csv_matches_oracle(_edge_result(5, dt), tmp_path)
+
+
+def test_trajectory_csv_time_texts_grow_up_to_their_bound(tmp_path):
+    dt = 0.01
+    scenario._time_texts.cache_clear()
+    # Rows past the bound are formatted as they are written.
+    for n_rows, kept in ((10, 10), (3000, 3000), (10, 3000),
+                         (scenario._TIME_TEXT_ROWS + 3, scenario._TIME_TEXT_ROWS)):
+        _assert_csv_matches_oracle(_edge_result(n_rows, dt), tmp_path)
+        assert len(scenario._time_texts(repr(dt))) == kept
+    # One dt's texts are kept at a time.
+    assert scenario._time_texts.cache_info().maxsize == 1
 
 
 def test_mode_names_need_no_csv_quoting():
