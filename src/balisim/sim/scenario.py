@@ -38,15 +38,18 @@ and calls neither.  The conservative controller commands each step
 from the speed of the step before, so its steps call it, the plant and
 the estimate in turn.
 
-Every step, held or not, appends its row to the run's Trajectory, which
-holds the rows as columns: p, v, alpha_cmd and alpha_actual as arrays of
-doubles, mode and event as lists of shared str objects, about 50 bytes
-a step.  t is not stored: row i is step i, and its t is i * dt, the
-float the loop computes.  A TrajectoryRow is built only when a row is
-read; write_trajectory_csv formats the columns and builds none.  It
-takes row i's t text, "%.2f" % (i * dt), from a table of texts kept for
-the process for one dt (_time_texts), as every run of a batch at the
-same dt writes the same texts from row 0; rows past the table's
+Every step, held or not, appends its p, v and alpha_actual to the run's
+Trajectory, as arrays of doubles, about 25 bytes a step.  alpha_cmd,
+mode and event are held as runs of rows: a held stretch opens one run
+(two when its first row carries an event), and a conservative stretch
+opens one where the command's bits, the mode or the event change.  t is
+not stored: row i is step i, and its t is i * dt, the float the loop
+computes.  A TrajectoryRow is built only when a row is read;
+write_trajectory_csv formats the columns and the runs and builds none.
+It formats each run's command and its mode and event once.  It takes
+row i's t text, "%.2f" % (i * dt), from a table of texts kept for the
+process for one dt (_time_texts), as every run of a batch at the same
+dt writes the same texts from row 0; rows past the table's
 _TIME_TEXT_ROWS are formatted as they are written.
 """
 
@@ -58,8 +61,9 @@ import math
 import operator
 import os
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -352,50 +356,92 @@ _new_row = functools.partial(tuple.__new__, TrajectoryRow)
 
 
 class Trajectory(Sequence):
-    """A run's rows as columns: a read-only sequence of TrajectoryRow.
+    """A run's rows: a read-only sequence of TrajectoryRow.
 
-    p, v, alpha_cmd and alpha_actual are each an array("d"), mode and
-    event lists of str.  t is not stored: row i is step i, so its t is
-    i * dt.  The run loop appends each step to the columns.  A row is
-    built when it is read; a slice is a list of rows.  Two trajectories
-    are equal when their rows are.
+    p, v and alpha_actual are arrays of doubles, one value per row.
+    alpha_cmd, mode and event are held as runs: run k covers rows
+    starts[k] up to the next run's start, with command cmds[k], mode
+    modes[k] and event events[k].  A run with an event covers one row, and
+    a run holds commands of one bit pattern.  The alpha_cmd, mode and
+    event properties expand the runs to one value per row.  t is not
+    stored: row i is step i, so its t is i * dt.  A row is built when it
+    is read; a slice is a list of rows.  Two trajectories are equal when
+    their rows are.
     """
 
-    __slots__ = ("dt", "p", "v", "alpha_cmd", "alpha_actual", "mode", "event")
+    __slots__ = ("dt", "p", "v", "alpha_actual", "starts", "cmds", "modes",
+                 "events")
 
     def __init__(self, dt: float, p, v, alpha_cmd, alpha_actual, mode, event):
+        """The trajectory of these full columns, one value per row."""
         self.dt = dt
         self.p, self.v = array("d", p), array("d", v)
-        self.alpha_cmd = array("d", alpha_cmd)
         self.alpha_actual = array("d", alpha_actual)
-        self.mode, self.event = list(mode), list(event)
-        if len({len(column) for column in self._columns()}) != 1:
+        alpha_cmd, mode, event = array("d", alpha_cmd), list(mode), list(event)
+        if len({len(column) for column in (
+                self.p, self.v, self.alpha_actual, alpha_cmd, mode, event)}) != 1:
             raise ValueError("trajectory columns differ in length")
+        self.starts, self.cmds = [], array("d")
+        self.modes, self.events = [], []
+        # A row opens a run unless it repeats the bits of the row before,
+        # which carries no event.
+        bits = memoryview(alpha_cmd).cast("B").cast("Q")
+        last = None
+        for i, key in enumerate(zip(bits, mode, event)):
+            if key != last:
+                self.open_run(i, alpha_cmd[i], key[1], key[2])
+            last = key if not key[2] else None
+
+    def open_run(self, start: int, cmd: float, mode: str, event: str) -> None:
+        """Rows from start on command cmd in mode; the first carries event."""
+        self.starts.append(start)
+        self.cmds.append(cmd)
+        self.modes.append(mode)
+        self.events.append(event)
+
+    def _expand(self, values) -> chain:
+        """Each run's value in values, once per row of the run."""
+        ends = chain(islice(self.starts, 1, None), (len(self.p),))
+        return chain.from_iterable(map(repeat, values, map(
+            operator.sub, ends, self.starts)))
+
+    @property
+    def alpha_cmd(self) -> array:
+        return array("d", self._expand(self.cmds))
+
+    @property
+    def mode(self) -> list[str]:
+        return list(self._expand(self.modes))
+
+    @property
+    def event(self) -> list[str]:
+        return list(self._expand(self.events))
 
     def _columns(self) -> tuple:
         return (self.p, self.v, self.alpha_cmd, self.alpha_actual,
                 self.mode, self.event)
 
     def __len__(self) -> int:
-        return len(self.mode)
+        return len(self.p)
 
     def __getitem__(self, index):
-        n = len(self.mode)
+        n = len(self.p)
         if isinstance(index, slice):
-            # A column slices as the range of its row indexes does.
-            return list(map(_new_row, zip(
-                map(self.dt.__rmul__, range(n)[index]),
-                *(column[index] for column in self._columns()))))
+            return [self[i] for i in range(n)[index]]
         i = operator.index(index)
         if i < 0:
             i += n
         if not 0 <= i < n:
             raise IndexError("trajectory index out of range")
-        return _new_row((i * self.dt, *(column[i] for column in self._columns())))
+        k = bisect_right(self.starts, i) - 1
+        return _new_row((i * self.dt, self.p[i], self.v[i], self.cmds[k],
+                         self.alpha_actual[i], self.modes[k], self.events[k]))
 
     def __iter__(self):
-        return map(_new_row, zip(map(self.dt.__rmul__, range(len(self.mode))),
-                                 *self._columns()))
+        return map(_new_row, zip(
+            map(self.dt.__rmul__, range(len(self.p))), self.p, self.v,
+            self._expand(self.cmds), self.alpha_actual,
+            self._expand(self.modes), self._expand(self.events)))
 
     def __eq__(self, other):
         if not isinstance(other, Trajectory):
@@ -484,20 +530,23 @@ def _hold(plant: BrakePlant, est: PositionEstimate, cmd: float, mode: str,
 
     Each step is BrakePlant.step(cmd) and then est.advance(v * dt), in
     their arithmetic and order, on locals that are written back at the
-    end.  It appends each step's row to the columns of rows, whose last
-    row on entry is step's; the first row it appends carries event.  The
-    stretch ends at the step where the train stops, p reaches next_loc or
-    p_est reaches watch, or at max_steps.  tests/test_scenarios.py pins
-    it to the two methods bit for bit.
+    end.  It appends each step's p, v and alpha_actual to rows, whose
+    last row on entry is step's, and opens a run of cmd and mode at its
+    first row, which carries event; when event is not empty, a second
+    run from its second row on.  The stretch ends at the step where the
+    train stops, p reaches next_loc or p_est reaches watch, or at
+    max_steps.  tests/test_scenarios.py pins it to the two methods bit
+    for bit.
     """
     dt, Tp, alpha_max = plant.dt, plant.Tp, plant.alpha_max
     delay = plant._delay
     alpha, v, p = plant.alpha, plant.v, plant.p
     p_est, dist = est.p_est, est.dist_since_ref
     append_p, append_v = rows.p.append, rows.v.append
-    append_cmd, append_alpha = rows.alpha_cmd.append, rows.alpha_actual.append
-    append_mode, append_event = rows.mode.append, rows.event.append
-    for step in range(step + 1, max_steps + 1):
+    append_alpha = rows.alpha_actual.append
+    first = step + 1
+    rows.open_run(first, cmd, mode, event)
+    for step in range(first, max_steps + 1):
         if delay:
             delay.append(cmd)
             delayed = delay.popleft()
@@ -517,13 +566,11 @@ def _hold(plant: BrakePlant, est: PositionEstimate, cmd: float, mode: str,
         dist += ds
         append_p(p)
         append_v(v)
-        append_cmd(cmd)
         append_alpha(alpha)
-        append_mode(mode)
-        append_event(event)
-        event = ""
         if v == 0.0 or p >= next_loc or p_est >= watch:
             break
+    if event and step > first:
+        rows.open_run(first + 1, cmd, mode, "")
     plant.alpha, plant.v, plant.p = alpha, v, p
     est.p_est, est.dist_since_ref = p_est, dist
     return step
@@ -564,8 +611,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     rows = Trajectory(dt, [plant.p], [plant.v], [cmd], [plant.alpha], [mode],
                       [""])
     append_p, append_v = rows.p.append, rows.v.append
-    append_cmd, append_alpha = rows.alpha_cmd.append, rows.alpha_actual.append
-    append_mode, append_event = rows.mode.append, rows.event.append
+    append_alpha, open_run = rows.alpha_actual.append, rows.open_run
     plant_step, advance = plant.step, est.advance
     max_steps = int(round(cfg.max_time_s / dt))
     step = 0  # steps taken
@@ -638,21 +684,26 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
         # up to the next event, the stop or the budget.
         event = ";".join(events)
         if conservative_active:
+            # The last run's command, or None to open a run at the next
+            # step.  A run takes a command of the same bits: an equal one
+            # but 0 (0.0 == -0.0), or the same object, as the creep's 0.0.
+            run_cmd = None
             for step in range(step + 1, max_steps + 1):
                 cmd = conservative.step(plant.v, marker_seen, dt)
                 if conservative.mode != mode:
                     mode = conservative.mode
                     mode_switches += 1
+                    run_cmd = None
                 plant_step(cmd)
                 p, v = plant.p, plant.v
                 advance(v * dt)
                 append_p(p)
                 append_v(v)
-                append_cmd(cmd)
                 append_alpha(plant.alpha)
-                append_mode(mode)
-                append_event(event)
-                event = ""
+                if cmd is not run_cmd and (cmd != run_cmd or not cmd):
+                    open_run(step, cmd, mode, event)
+                    run_cmd = None if event else cmd
+                    event = ""
                 if v == 0.0 or p >= next_loc:
                     break
         else:
@@ -679,13 +730,15 @@ CSV_HEADER = ["t", "p", "v", "alpha_cmd", "alpha_actual", "mode", "event"]
 
 # trajectory.csv is written byte for byte as csv.writer's default dialect
 # would: "\r\n" line ends and minimal quoting.  A row zipped from row i's
-# t text and the trajectory's columns is a tuple, so it formats straight
-# into this line.  Row i's t text is "%.2f" % (i * dt): the first
-# _TIME_TEXT_ROWS of them come from _time_texts, and rows past those are
-# formatted as they are written.  The mode names contain no character
-# that needs quoting; an event is checked by _csv_text.
+# t text, the p, v and alpha_actual columns and the texts of its run is a
+# tuple, so it formats straight into this line.  Row i's t text is
+# "%.2f" % (i * dt): the first _TIME_TEXT_ROWS of them come from
+# _time_texts, and rows past those are formatted as they are written.  A
+# run's alpha_cmd text ("%.6f") and its "mode,event" text are formatted
+# once, and repeated for each row of the run.  The mode names contain no
+# character that needs quoting; an event is checked by _csv_text.
 _CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\r\n"
-_CSV_ROW = "%s,%.6f,%.6f,%.6f,%.6f,%s,%s\r\n"
+_CSV_ROW = "%s,%.6f,%.6f,%s,%.6f,%s\r\n"
 # Rows are joined and written in blocks of this many, which bounds the
 # memory of the formatted text.
 _CSV_BLOCK_ROWS = 1024
@@ -724,14 +777,15 @@ def write_trajectory_csv(result: SimResult, path: str) -> None:
         texts[start:kept] = ["%.2f" % (i * dt) for i in range(start, kept)]
     times = chain(islice(texts, kept),
                   map("%.2f".__mod__, map(dt.__rmul__, range(kept, n))))
-    rows = zip(times, *traj._columns())
+    cmds = traj._expand(map("%.6f".__mod__, traj.cmds))
+    tails = traj._expand(map("%s,%s".__mod__, zip(
+        traj.modes, map(_csv_text, traj.events))))
+    rows = zip(times, traj.p, traj.v, cmds, traj.alpha_actual, tails)
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(_CSV_HEADER_LINE)
         for _ in range(0, n, _CSV_BLOCK_ROWS):
-            f.write("".join([
-                _CSV_ROW % (row if not row[6]
-                            else (*row[:6], _csv_text(row[6])))
-                for row in islice(rows, _CSV_BLOCK_ROWS)]))
+            f.write("".join([_CSV_ROW % row
+                             for row in islice(rows, _CSV_BLOCK_ROWS)]))
 
 
 def summary_dict(result: SimResult) -> dict:

@@ -114,9 +114,11 @@ def test_trajectory_row_count_matches_stop_time():
     assert result.trajectory[-1].v == 0.0
 
 
-def test_a_run_holds_at_most_64_bytes_per_row():
-    # Each step is four floats in arrays and two str slots in lists, 48
-    # bytes and the columns' spare room.
+def test_a_run_holds_at_most_32_bytes_per_row():
+    # Each step is three floats in arrays, 24 bytes, and the arrays' spare
+    # room.  The command, mode and event are held per run of rows, of
+    # which this scenario opens 251; a run opened at every creeping step
+    # would take about 60 bytes more for each.
     cfg = bundled("tamper_b1_resilient_pest80")
     run_scenario(cfg)  # fills the process memos
     tracemalloc.start()
@@ -126,7 +128,7 @@ def test_a_run_holds_at_most_64_bytes_per_row():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held - before <= 64 * len(result.trajectory)
+    assert held - before <= 32 * len(result.trajectory)
 
 
 def test_a_trajectory_reads_as_the_rows_it_holds():
@@ -531,17 +533,35 @@ def test_the_step_budget_ends_at_exactly_round_max_time_over_dt_steps(name):
 # Held stretches
 # ---------------------------------------------------------------------------
 
+def _as_hex(rows):
+    """Each row as a tuple, with every float as its hex, so that rows
+    compare bit for bit (-0.0 apart from 0.0, a NaN equal to itself)."""
+    return [tuple(x.hex() if type(x) is float else x for x in values)
+            for values in rows]
+
+
+def _assert_runs_are_well_formed(traj):
+    """The runs of traj cover its rows in order, and an event covers only
+    the row it happened at."""
+    starts, n = traj.starts, len(traj)
+    assert len(starts) == len(traj.cmds) == len(traj.modes) == len(traj.events)
+    assert starts[0] == 0 and starts[-1] < n
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    assert all(end == start + 1 for start, end, event
+               in zip(starts, [*starts[1:], n], traj.events) if event)
+
+
 def _held_by_calls(plant, est, cmd, mode, event, rows, step, max_steps,
                    next_loc, watch):
-    """scenario._hold as calls of the two methods it repeats."""
+    """scenario._hold as calls of the two methods it repeats, with a run
+    of cmd and mode opened at every row."""
     for step in range(step + 1, max_steps + 1):
         plant.step(cmd)
         est.advance(plant.v * plant.dt)
-        for column, value in zip(
-                (rows.p, rows.v, rows.alpha_cmd, rows.alpha_actual, rows.mode,
-                 rows.event),
-                (plant.p, plant.v, cmd, plant.alpha, mode, event)):
+        for column, value in zip((rows.p, rows.v, rows.alpha_actual),
+                                 (plant.p, plant.v, plant.alpha)):
             column.append(value)
+        rows.open_run(step, cmd, mode, event)
         event = ""
         if plant.v == 0.0 or plant.p >= next_loc or est.p_est >= watch:
             break
@@ -590,11 +610,10 @@ def _held_run(hold, train, max_steps):
         ends.append(step)
         if plant.v == 0.0 or step == max_steps:
             break
+    _assert_runs_are_well_formed(rows)
     state = (plant.alpha, plant.v, plant.p, *plant._delay,
              est.p_est, est.dist_since_ref, est.delta)
-    as_hex = [tuple(x.hex() if type(x) is float else x for x in values)
-              for values in (*rows, state)]
-    return as_hex, ends
+    return _as_hex((*rows, state)), ends
 
 
 @pytest.mark.parametrize("train", HELD_TRAINS.values(), ids=HELD_TRAINS)
@@ -661,6 +680,45 @@ def test_the_conservative_controller_steps_through_the_plant_and_the_estimate(
     steps = step_calls["ConservativeController.step"]
     assert 0 < steps < len(result.trajectory) - 1
     assert set(step_calls.values()) == {steps}
+
+
+# The first commands of a conservative stretch, scripted: zeros of both
+# signs, which compare equal, and one NaN object twice, which compares
+# unequal to itself, across a mode switch.
+SCRIPTED = ((0.0, MODE_PID1), (-0.0, MODE_PID1), (0.0, MODE_PID1),
+            (math.nan, MODE_PID1), (math.nan, MODE_PID2), (-0.45, MODE_PID2),
+            (-0.45, MODE_PID2))
+
+
+def test_runs_keep_each_rows_own_command_bits(monkeypatch, tmp_path):
+    step = ConservativeController.step
+    script = iter(SCRIPTED)
+
+    def scripted(self, v, marker_seen, dt):
+        for cmd, mode in script:
+            self.mode = mode
+            return cmd
+        return step(self, v, marker_seen, dt)
+
+    monkeypatch.setattr(ConservativeController, "step", scripted)
+    result = run_scenario(bundled("availability_b1_resilient"))
+    traj = result.trajectory
+    # The stretch starts at the row of the balise_missing event.
+    first = next(i for i, event in enumerate(traj.event)
+                 if event.startswith("balise_missing"))
+    rows = traj[first:first + len(SCRIPTED)]
+    assert _as_hex((row.alpha_cmd, row.mode) for row in rows) == \
+        _as_hex(SCRIPTED)
+    _assert_runs_are_well_formed(traj)
+    # A run opens at each change of bits or mode, and after the event
+    # row; the two -0.45 share one.
+    assert [start - first for start in traj.starts
+            if first <= start < first + len(SCRIPTED)] == [0, 1, 2, 3, 4, 5]
+    _assert_csv_matches_oracle(result, tmp_path)
+    # A NaN row is unequal to itself, so the rows are compared as hex.
+    columns = (traj.p, traj.v, traj.alpha_cmd, traj.alpha_actual, traj.mode,
+               traj.event)
+    assert _as_hex(Trajectory(traj.dt, *columns)) == _as_hex(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -1353,7 +1411,9 @@ BUNDLED = sorted(os.path.splitext(name)[0] for name in os.listdir(SCENARIO_DIR)
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_trajectory_csv_matches_csv_writer_on_bundled(name, tmp_path):
-    _assert_csv_matches_oracle(run_scenario(bundled(name)), tmp_path)
+    result = run_scenario(bundled(name))
+    _assert_runs_are_well_formed(result.trajectory)
+    _assert_csv_matches_oracle(result, tmp_path)
 
 
 _EDGE_FLOATS = [-0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
