@@ -40,16 +40,18 @@ the estimate in turn.
 
 Every step, held or not, appends its p, v and alpha_actual to the run's
 Trajectory, as arrays of doubles, about 25 bytes a step.  alpha_cmd,
-mode and event are held as runs of rows: a held stretch opens one run
-(two when its first row carries an event), and a conservative stretch
-opens one where the command's bits, the mode or the event change.  t is
-not stored: row i is step i, and its t is i * dt, the float the loop
-computes.  A TrajectoryRow is built only when a row is read;
-write_trajectory_csv formats the columns and the runs and builds none.
-It formats each run's command and its mode and event once.  It takes
-row i's t text, "%.2f" % (i * dt), from a table of texts kept for the
-process for one dt (_time_texts), as every run of a batch at the same
-dt writes the same texts from row 0; rows past the table's
+mode and event are held as runs of rows, and a row opens a run where
+the command's bits, the mode or the event change: a held stretch opens
+at most one run (two when its first row carries an event), and a
+conservative stretch opens one at each such change.  t is not stored:
+row i is step i, and its t is i * dt, the float the loop computes.  A
+TrajectoryRow is built only when a row is read; write_trajectory_csv
+formats the columns and the runs and builds none.  It builds each line
+as bytes, with one bytes % per row, and writes the file in binary mode,
+as UTF-8.  It formats each run's command and its mode and event once.
+It takes row i's t text, b"%.2f" % (i * dt), from a table of texts kept
+for the process for one dt (_time_texts), as every run of a batch at the
+same dt writes the same texts from row 0; rows past the table's
 _TIME_TEXT_ROWS are formatted as they are written.
 """
 
@@ -60,6 +62,7 @@ import json
 import math
 import operator
 import os
+import struct
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -361,12 +364,14 @@ class Trajectory(Sequence):
     p, v and alpha_actual are arrays of doubles, one value per row.
     alpha_cmd, mode and event are held as runs: run k covers rows
     starts[k] up to the next run's start, with command cmds[k], mode
-    modes[k] and event events[k].  A run with an event covers one row, and
-    a run holds commands of one bit pattern.  The alpha_cmd, mode and
+    modes[k] and event events[k].  A row opens a run when its command's
+    bits or its mode differ from the row before's, or when it or the row
+    before carries an event: a run with an event covers one row, and a
+    run holds commands of one bit pattern.  The alpha_cmd, mode and
     event properties expand the runs to one value per row.  t is not
     stored: row i is step i, so its t is i * dt.  A row is built when it
     is read; a slice is a list of rows.  Two trajectories are equal when
-    their rows are.
+    their rows hold the same bits.
     """
 
     __slots__ = ("dt", "p", "v", "alpha_actual", "starts", "cmds", "modes",
@@ -383,8 +388,8 @@ class Trajectory(Sequence):
             raise ValueError("trajectory columns differ in length")
         self.starts, self.cmds = [], array("d")
         self.modes, self.events = [], []
-        # A row opens a run unless it repeats the bits of the row before,
-        # which carries no event.
+        # A row opens a run unless it and the row before carry no event
+        # and the same command bits and mode.
         bits = memoryview(alpha_cmd).cast("B").cast("Q")
         last = None
         for i, key in enumerate(zip(bits, mode, event)):
@@ -418,8 +423,10 @@ class Trajectory(Sequence):
         return list(self._expand(self.events))
 
     def _columns(self) -> tuple:
-        return (self.p, self.v, self.alpha_cmd, self.alpha_actual,
-                self.mode, self.event)
+        # The floats as their bytes: a NaN equals its copy, and -0.0,
+        # which writes other CSV text, differs from 0.0.
+        return (self.p.tobytes(), self.v.tobytes(), self.alpha_cmd.tobytes(),
+                self.alpha_actual.tobytes(), self.mode, self.event)
 
     def __len__(self) -> int:
         return len(self.p)
@@ -522,6 +529,11 @@ def _load_file(what: str, load, path: str):
         raise ConfigError(f"{what} file {path}: {exc}") from exc
 
 
+# A float's (or an int's) IEEE 754 double as bytes: compares bits, so that
+# -0.0 differs from 0.0 and a NaN equals its copy.
+_double_bits = struct.Struct("d").pack
+
+
 def _hold(plant: BrakePlant, est: PositionEstimate, cmd: float, mode: str,
           event: str, rows: Trajectory, step: int, max_steps: int,
           next_loc: float, watch: float) -> int:
@@ -531,9 +543,11 @@ def _hold(plant: BrakePlant, est: PositionEstimate, cmd: float, mode: str,
     Each step is BrakePlant.step(cmd) and then est.advance(v * dt), in
     their arithmetic and order, on locals that are written back at the
     end.  It appends each step's p, v and alpha_actual to rows, whose
-    last row on entry is step's, and opens a run of cmd and mode at its
-    first row, which carries event; when event is not empty, a second
-    run from its second row on.  The stretch ends at the step where the
+    last row on entry is step's.  Its first row, which carries event,
+    opens a run of cmd and mode, unless Trajectory's rule puts it in the
+    last run: the same command bits and mode, and no event at it or at
+    the row before.  When event is not empty, a second run opens from
+    its second row on.  The stretch ends at the step where the
     train stops, p reaches next_loc or p_est reaches watch, or at
     max_steps.  tests/test_scenarios.py pins it to the two methods bit
     for bit.
@@ -545,7 +559,11 @@ def _hold(plant: BrakePlant, est: PositionEstimate, cmd: float, mode: str,
     append_p, append_v = rows.p.append, rows.v.append
     append_alpha = rows.alpha_actual.append
     first = step + 1
-    rows.open_run(first, cmd, mode, event)
+    # The row before carries an event only if the last run has one, as
+    # such a run covers that row alone.
+    if event or rows.events[-1] or rows.modes[-1] != mode \
+            or _double_bits(rows.cmds[-1]) != _double_bits(cmd):
+        rows.open_run(first, cmd, mode, event)
     for step in range(first, max_steps + 1):
         if delay:
             delay.append(cmd)
@@ -729,32 +747,35 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
 CSV_HEADER = ["t", "p", "v", "alpha_cmd", "alpha_actual", "mode", "event"]
 
 # trajectory.csv is written byte for byte as csv.writer's default dialect
-# would: "\r\n" line ends and minimal quoting.  A row zipped from row i's
-# t text, the p, v and alpha_actual columns and the texts of its run is a
-# tuple, so it formats straight into this line.  Row i's t text is
-# "%.2f" % (i * dt): the first _TIME_TEXT_ROWS of them come from
-# _time_texts, and rows past those are formatted as they are written.  A
-# run's alpha_cmd text ("%.6f") and its "mode,event" text are formatted
-# once, and repeated for each row of the run.  The mode names contain no
-# character that needs quoting; an event is checked by _csv_text.
-_CSV_HEADER_LINE = ",".join(CSV_HEADER) + "\r\n"
-_CSV_ROW = "%s,%.6f,%.6f,%s,%.6f,%s\r\n"
+# would, in UTF-8: "\r\n" line ends and minimal quoting.  Each line is
+# built as bytes and the file is written in binary mode.  A row zipped
+# from row i's t text, the p, v and alpha_actual columns and the texts of
+# its run is a tuple, so it formats straight into this line with one
+# bytes %.  Row i's t text is b"%.2f" % (i * dt): the first
+# _TIME_TEXT_ROWS of them come from _time_texts, and rows past those are
+# formatted as they are written.  A run's alpha_cmd text (b"%.6f") and its
+# "mode,event" text, encoded as strict UTF-8, are built once, and repeated
+# for each row of the run.  The mode names contain no character that
+# needs quoting; an event is checked by _csv_text.
+_CSV_HEADER_LINE = (",".join(CSV_HEADER) + "\r\n").encode()
+_CSV_ROW = b"%s,%.6f,%.6f,%s,%.6f,%s\r\n"
 # Rows are joined and written in blocks of this many, which bounds the
 # memory of the formatted text.
 _CSV_BLOCK_ROWS = 1024
 # The t texts kept for one dt: 2^15 rows, 327 s at the default dt, cover
-# every bundled run (17,597 rows at most) in about 2 MB.
+# every bundled run (17,597 rows at most) in about 1.5 MB.
 _TIME_TEXT_ROWS = 1 << 15
 
 
 @functools.lru_cache(maxsize=1)
-def _time_texts(dt_repr: str) -> list[str]:
+def _time_texts(dt_repr: str) -> list[bytes]:
     """The t texts of rows 0, 1, ... at the dt whose repr is dt_repr.
 
     Kept for the process, for the last dt written.  The list starts
     empty, and write_trajectory_csv extends it in place up to
-    _TIME_TEXT_ROWS texts.  It is keyed by repr, not by the float:
-    -0.0 == 0.0, yet row 0's text is -0.00 at dt -0.0 and 0.00 at dt 0.0.
+    _TIME_TEXT_ROWS texts, 40 bytes each.  It is keyed by repr, not by the
+    float: -0.0 == 0.0, yet row 0's text is -0.00 at dt -0.0 and 0.00 at
+    dt 0.0.
     """
     return []
 
@@ -774,18 +795,18 @@ def write_trajectory_csv(result: SimResult, path: str) -> None:
     if start < kept:
         # One slice assignment: a write in another thread that extended
         # the list meanwhile has put the same text at each index.
-        texts[start:kept] = ["%.2f" % (i * dt) for i in range(start, kept)]
+        texts[start:kept] = [b"%.2f" % (i * dt) for i in range(start, kept)]
     times = chain(islice(texts, kept),
-                  map("%.2f".__mod__, map(dt.__rmul__, range(kept, n))))
-    cmds = traj._expand(map("%.6f".__mod__, traj.cmds))
-    tails = traj._expand(map("%s,%s".__mod__, zip(
-        traj.modes, map(_csv_text, traj.events))))
+                  map(b"%.2f".__mod__, map(dt.__rmul__, range(kept, n))))
+    cmds = traj._expand(map(b"%.6f".__mod__, traj.cmds))
+    tails = traj._expand(map(str.encode, map("%s,%s".__mod__, zip(
+        traj.modes, map(_csv_text, traj.events)))))
     rows = zip(times, traj.p, traj.v, cmds, traj.alpha_actual, tails)
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with open(path, "wb") as f:
         f.write(_CSV_HEADER_LINE)
         for _ in range(0, n, _CSV_BLOCK_ROWS):
-            f.write("".join([_CSV_ROW % row
-                             for row in islice(rows, _CSV_BLOCK_ROWS)]))
+            f.write(b"".join([_CSV_ROW % row
+                              for row in islice(rows, _CSV_BLOCK_ROWS)]))
 
 
 def summary_dict(result: SimResult) -> dict:

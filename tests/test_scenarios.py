@@ -7,6 +7,7 @@ import math
 import os
 import re
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -50,6 +51,10 @@ SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
 
 def bundled(name):
     return load_config(os.path.join(SCENARIO_DIR, name + ".json"))
+
+
+BUNDLED = sorted(os.path.splitext(name)[0] for name in os.listdir(SCENARIO_DIR)
+                 if name.endswith(".json"))
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +163,19 @@ def test_a_trajectory_reads_as_the_rows_it_holds():
     assert Trajectory(2 * dt, *stored) != traj
     stored[1][-1] = 1.0
     assert Trajectory(dt, *stored) != traj
+
+
+def _one_row(p, event=""):
+    return Trajectory(0.01, [p], [1.0], [-0.45], [-0.2], [MODE_HOA], [event])
+
+
+def test_a_trajectory_with_a_nan_equals_its_copy():
+    assert _one_row(math.nan) == _one_row(math.nan)
+
+
+def test_trajectories_that_differ_in_the_sign_of_a_zero_differ():
+    # 0.0 == -0.0, but the two write 0.000000 and -0.000000.
+    assert _one_row(0.0) != _one_row(-0.0)
 
 
 def test_mode_switch_counting():
@@ -715,10 +733,56 @@ def test_runs_keep_each_rows_own_command_bits(monkeypatch, tmp_path):
     assert [start - first for start in traj.starts
             if first <= start < first + len(SCRIPTED)] == [0, 1, 2, 3, 4, 5]
     _assert_csv_matches_oracle(result, tmp_path)
-    # A NaN row is unequal to itself, so the rows are compared as hex.
     columns = (traj.p, traj.v, traj.alpha_cmd, traj.alpha_actual, traj.mode,
                traj.event)
-    assert _as_hex(Trajectory(traj.dt, *columns)) == _as_hex(traj)
+    assert Trajectory(traj.dt, *columns) == traj
+
+
+def _assert_runs_are_grouped(traj):
+    """traj holds the runs its constructor groups its rows into: one rule
+    for runs, a row opens one where the command's bits, the mode or an
+    event at it or at the row before change."""
+    grouped = Trajectory(traj.dt, traj.p, traj.v, traj.alpha_cmd,
+                         traj.alpha_actual, traj.mode, traj.event)
+    assert (traj.starts, traj.cmds.tobytes(), traj.modes, traj.events) == \
+        (grouped.starts, grouped.cmds.tobytes(), grouped.modes,
+         grouped.events)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_the_run_loop_opens_runs_as_the_constructor_does(name):
+    _assert_runs_are_grouped(run_scenario(bundled(name)).trajectory)
+
+
+# The last row before a held stretch (command, mode, event), and the
+# stretch's command and event; the stretch runs in MODE_HOA.
+HELD_AFTER = (
+    ((-0.2, MODE_HOA, ""), -0.2, ""),
+    ((-0.2, MODE_HOA, ""), -0.2, "E"),
+    ((-0.2, MODE_HOA, "E"), -0.2, ""),
+    ((-0.2, MODE_MAX_BRAKE, ""), -0.2, ""),
+    ((-0.2, MODE_HOA, ""), -0.3, ""),
+    ((0.0, MODE_HOA, ""), -0.0, ""),
+    ((math.nan, MODE_HOA, ""), math.nan, ""),
+)
+
+
+@pytest.mark.parametrize("last, cmd, event", HELD_AFTER)
+def test_a_held_stretch_opens_runs_as_the_constructor_does(last, cmd, event):
+    train = TrainParams()
+    plant = BrakePlant(train)
+    est = PositionEstimate(train.p0, 15.0, 0.02)
+    last_cmd, last_mode, last_event = last
+    rows = Trajectory(train.dt, [plant.p], [plant.v], [last_cmd],
+                      [plant.alpha], [last_mode], [last_event])
+    assert scenario._hold(plant, est, cmd, MODE_HOA, event, rows, 0, 3,
+                          math.nan, math.inf) == 3
+    # Each row keeps its own command bits, mode and event.
+    assert rows.alpha_cmd.tobytes() == \
+        array("d", [last_cmd, cmd, cmd, cmd]).tobytes()
+    assert rows.mode == [last_mode, *[MODE_HOA] * 3]
+    assert rows.event == [last_event, event, "", ""]
+    _assert_runs_are_grouped(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1405,10 +1469,6 @@ def _assert_csv_matches_oracle(result, tmp_path):
         (tmp_path / "oracle.csv").read_bytes()
 
 
-BUNDLED = sorted(os.path.splitext(name)[0] for name in os.listdir(SCENARIO_DIR)
-                 if name.endswith(".json"))
-
-
 @pytest.mark.parametrize("name", BUNDLED)
 def test_trajectory_csv_matches_csv_writer_on_bundled(name, tmp_path):
     result = run_scenario(bundled(name))
@@ -1418,8 +1478,10 @@ def test_trajectory_csv_matches_csv_writer_on_bundled(name, tmp_path):
 
 _EDGE_FLOATS = [-0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
                 1e300, 2.675, 0.125]
+# The last is not ASCII: the writer's own UTF-8 against the oracle's text
+# file.
 _EDGE_EVENTS = ["", "B1:marker", "B1:x,y", 'say "go"', 'a""b', "x\ny",
-                "x\rz", "B2:auth_fail;balise_missing(order)"]
+                "x\rz", "B2:auth_fail;balise_missing(order)", "B1:µ→"]
 _MODES = [MODE_HOA, MODE_MAX_BRAKE, MODE_PID1, MODE_PID2]
 
 
@@ -1468,6 +1530,14 @@ def test_trajectory_csv_time_texts_grow_up_to_their_bound(tmp_path):
         assert len(scenario._time_texts(repr(dt))) == kept
     # One dt's texts are kept at a time.
     assert scenario._time_texts.cache_info().maxsize == 1
+
+
+def test_trajectory_csv_refuses_an_event_that_utf_8_cannot_encode(tmp_path):
+    # A lone surrogate, as the text file the oracle writes refuses it.
+    result = SimResult(0.0, 0.0, _one_row(0.0, "B1:\ud800"), 0, 0, 0)
+    for write in (write_trajectory_csv, _csv_writer_oracle):
+        with pytest.raises(UnicodeEncodeError):
+            write(result, str(tmp_path / "traj.csv"))
 
 
 def test_mode_names_need_no_csv_quoting():
