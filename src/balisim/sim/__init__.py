@@ -13,9 +13,9 @@ from .hoa import DegenerateReference, FULL_BRAKE, HoaController, IGNORE, \
 from .params import PID1, PID2, PidGains, TrainParams
 from .plant import BrakePlant
 from .scenario import CONTROLLER_HOA, CONTROLLER_RESILIENT, ConfigError, \
-    ScenarioConfig, SimResult, SimTimeout, Trajectory, TrajectoryRow, \
-    config_from_dict, load_config, read_telegram, run_scenario, summary_dict, \
-    write_summary, write_trajectory_csv
+    ScenarioConfig, SimResult, SimTimeout, Trajectory, config_from_dict, \
+    load_config, read_telegram, run_scenario, summary_dict, write_summary, \
+    write_trajectory_csv
 
 __all__ = [
     "AnomalyState", "PositionEstimate", "Record", "TrustResult",
@@ -29,7 +29,7 @@ __all__ = [
     "expected_decel", "realized_decel",
     "PID1", "PID2", "PidGains", "TrainParams", "BrakePlant",
     "CONTROLLER_HOA", "CONTROLLER_RESILIENT", "ConfigError",
-    "ScenarioConfig", "SimResult", "SimTimeout", "Trajectory", "TrajectoryRow",
+    "ScenarioConfig", "SimResult", "SimTimeout", "Trajectory",
     "config_from_dict", "load_config", "read_telegram", "run_scenario",
     "summary_dict", "write_summary", "write_trajectory_csv",
 ]

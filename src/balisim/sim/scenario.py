@@ -44,11 +44,11 @@ mode and event are held as runs of rows, and a row opens a run where
 the command's bits, the mode or the event change: a held stretch opens
 at most one run (two when its first row carries an event), and a
 conservative stretch opens one at each such change.  t is not stored:
-row i is step i, and its t is i * dt, the float the loop computes.  A
-TrajectoryRow is built only when a row is read; write_trajectory_csv
-formats the columns and the runs and builds none.  It builds each line
-as bytes, with one bytes % per row, and writes the file in binary mode,
-as UTF-8.  It formats each run's command and its mode and event once.
+row i is step i, and its t is i * dt, the float the loop computes.
+write_trajectory_csv formats the columns and the runs.  It builds each
+line as bytes, with one bytes % per row, and writes the file in binary
+mode, as UTF-8.  It formats each run's command and its mode and event
+once.
 It takes row i's t text, b"%.2f" % (i * dt), from a table of texts kept
 for the process for one dt (_time_texts), as every run of a batch at the
 same dt writes the same texts from row 0; rows past the table's
@@ -64,8 +64,6 @@ import operator
 import os
 import struct
 from array import array
-from bisect import bisect_right
-from collections.abc import Sequence
 from itertools import chain, islice, repeat
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -343,23 +341,8 @@ def load_config(path: str) -> ScenarioConfig:
 # Run loop
 # ---------------------------------------------------------------------------
 
-class TrajectoryRow(NamedTuple):
-    t: float
-    p: float
-    v: float
-    alpha_cmd: float
-    alpha_actual: float
-    mode: str
-    event: str
-
-
-# TrajectoryRow from a 7-tuple, without the NamedTuple's Python-level
-# __new__.
-_new_row = functools.partial(tuple.__new__, TrajectoryRow)
-
-
-class Trajectory(Sequence):
-    """A run's rows: a read-only sequence of TrajectoryRow.
+class Trajectory:
+    """A run's rows, held as columns and runs.
 
     p, v and alpha_actual are arrays of doubles, one value per row.
     alpha_cmd, mode and event are held as runs: run k covers rows
@@ -369,9 +352,8 @@ class Trajectory(Sequence):
     before carries an event: a run with an event covers one row, and a
     run holds commands of one bit pattern.  The alpha_cmd, mode and
     event properties expand the runs to one value per row.  t is not
-    stored: row i is step i, so its t is i * dt.  A row is built when it
-    is read; a slice is a list of rows.  Two trajectories are equal when
-    their rows hold the same bits.
+    stored: row i is step i, so its t is i * dt.  len is the number of
+    rows.  Two trajectories are equal when their rows hold the same bits.
     """
 
     __slots__ = ("dt", "p", "v", "alpha_actual", "starts", "cmds", "modes",
@@ -430,25 +412,6 @@ class Trajectory(Sequence):
 
     def __len__(self) -> int:
         return len(self.p)
-
-    def __getitem__(self, index):
-        n = len(self.p)
-        if isinstance(index, slice):
-            return [self[i] for i in range(n)[index]]
-        i = operator.index(index)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("trajectory index out of range")
-        k = bisect_right(self.starts, i) - 1
-        return _new_row((i * self.dt, self.p[i], self.v[i], self.cmds[k],
-                         self.alpha_actual[i], self.modes[k], self.events[k]))
-
-    def __iter__(self):
-        return map(_new_row, zip(
-            map(self.dt.__rmul__, range(len(self.p))), self.p, self.v,
-            self._expand(self.cmds), self.alpha_actual,
-            self._expand(self.modes), self._expand(self.events)))
 
     def __eq__(self, other):
         if not isinstance(other, Trajectory):

@@ -221,19 +221,19 @@ def test_criterion_11_property_suites():
     counts = {}
 
     # Kinematic consistency and saturation over recorded trajectories.
-    traj = [*scenario_result("no_attack").trajectory,
-            *scenario_result("tamper_b1_legacy").trajectory]
     kin = sat = 0
     dt = 0.01
-    for prev, cur in zip(traj, traj[1:]):
-        if cur.t == 0.0:  # seam between the two trajectories
-            continue
-        assert abs(cur.v - max(0.0, prev.v + cur.alpha_actual * dt)) < 1e-9
-        assert abs(cur.p - (prev.p + cur.v * dt)) < 1e-9
-        kin += 1
-    for row in traj:
-        assert -1.0 <= row.alpha_actual <= 0.0
-        sat += 1
+    for name in ("no_attack", "tamper_b1_legacy"):
+        traj = scenario_result(name).trajectory
+        assert traj.dt == dt
+        p, v, alpha = traj.p, traj.v, traj.alpha_actual
+        for i in range(1, len(traj)):
+            assert abs(v[i] - max(0.0, v[i - 1] + alpha[i] * dt)) < 1e-9
+            assert abs(p[i] - (p[i - 1] + v[i] * dt)) < 1e-9
+            kin += 1
+        for a in alpha:
+            assert -1.0 <= a <= 0.0
+            sat += 1
     counts["kinematic"] = kin
     counts["saturation"] = sat
 
@@ -241,12 +241,8 @@ def test_criterion_11_property_suites():
     path = os.path.join(SCENARIO_DIR, "tamper_b1_resilient_pest80.json")
     run_a = run_scenario(load_config(path))
     run_b = run_scenario(load_config(path))
-    det = 0
-    assert len(run_a.trajectory) == len(run_b.trajectory)
-    for ra, rb in zip(run_a.trajectory, run_b.trajectory):
-        assert ra == rb
-        det += 1
-    counts["determinism"] = det
+    assert run_a.trajectory == run_b.trajectory
+    counts["determinism"] = len(run_a.trajectory)
 
     # Correction-gain positivity across random encounter sequences.
     rng = random.Random(1101)

@@ -13,7 +13,7 @@ calibration tables state their stop errors.
 import pytest
 
 import attack_sweep
-from balisim.sim import AUTH_AUTHENTICATED, CONTROLLER_HOA, \
+from balisim.sim import AUTH_AUTHENTICATED, AUTH_LEGACY, CONTROLLER_HOA, \
     CONTROLLER_RESILIENT, ScenarioConfig, Tamper, Unavailable, params, \
     run_scenario
 
@@ -77,6 +77,38 @@ def test_no_single_attack_moves_the_stop_within_the_odometry_bound():
     assert all(runs == RUNS[kind] for (_, _, kind), (runs, *_) in tally.items())
     assert _failing(grid) == {}
     assert digest == IN_BOUND_DIGEST
+
+
+# Between the in-bound sweep's tamper locations, a window fails: start
+# -120 m, B1 tampered to x.  (mode, delta0, x) -> the stop error to the
+# micrometre.  With legacy telegrams and delta0 = 25 m, x from -144.9 to
+# -135.3 m is trusted, as it lies within -120 +/- 25 m, but marks no map
+# balise received, so ordering correction reads each later balise as the
+# one before it and the marker as B5.  README "Within the odometry bound"
+# states these figures.
+IN_BOUND_WINDOW = {
+    (AUTH_LEGACY, 25.0, -145.0): 0.111078,
+    (AUTH_LEGACY, 25.0, -144.9): 7.788265,
+    (AUTH_LEGACY, 25.0, -135.3): 8.272523,
+    (AUTH_LEGACY, 25.0, -135.2): 0.227812,
+    (AUTH_AUTHENTICATED, 25.0, -144.0): 0.111078,
+    (AUTH_LEGACY, 15.0, -144.0): 0.111078,
+}
+
+
+@pytest.mark.parametrize("mode, delta0, x", IN_BOUND_WINDOW)
+def test_a_legacy_tamper_between_the_in_bound_locations_moves_the_stop(
+        mode, delta0, x):
+    result = run_scenario(ScenarioConfig(
+        controller=CONTROLLER_RESILIENT, auth_mode=mode, p_est0=-120.0,
+        delta0=delta0, attacks=(Tamper(1, x),)))
+    assert round(result.stop_error, 6) == IN_BOUND_WINDOW[mode, delta0, x]
+    events = [event for event in result.trajectory.event if event]
+    in_window = abs(result.stop_error) > attack_sweep.TOLERANCE
+    assert in_window == (mode == AUTH_LEGACY and delta0 == 25.0
+                         and -144.9 <= x <= -135.3)
+    assert (events[0] == "B1:trusted"
+            and events[-1] == "B6:ordering_corrected") == in_window
 
 
 # (controller, mode, attack type) -> as FAILURES, at the true start.
@@ -145,6 +177,8 @@ def test_hoa_skips_a_tampered_authenticated_telegram_as_a_missing_one(k):
     tampered, silent = (
         run_scenario(ScenarioConfig(auth_mode=AUTH_AUTHENTICATED, attacks=[a]))
         for a in (Tamper(k, -90.0), Unavailable(k)))
-    assert [row[:6] for row in tampered.trajectory] == \
-        [row[:6] for row in silent.trajectory]
+    traj, same = tampered.trajectory, silent.trajectory
+    assert traj.dt == same.dt
+    assert [traj.p, traj.v, traj.alpha_cmd, traj.alpha_actual, traj.mode] == \
+        [same.p, same.v, same.alpha_cmd, same.alpha_actual, same.mode]
     assert tampered.auth_failures == 1 and silent.auth_failures == 0

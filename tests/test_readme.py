@@ -28,6 +28,7 @@ from balisim.sim.scenario import CSV_HEADER, DEFAULT_BALISES
 
 import attack_sweep
 import channel_model
+from test_attack_sweep import IN_BOUND_WINDOW
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
@@ -165,9 +166,22 @@ def test_in_bound_table_and_claim_equal_the_in_bound_sweep():
             "runs.") in PROSE
     assert (f"error bound of {ScenarioConfig().delta0:g} m" in PROSE
             and f"from the true {train.p0:g} m" in PROSE)
-    assert ("no single attack moves the stop outside the "
-            f"{attack_sweep.TOLERANCE:g} m tolerance on this track, and every "
-            "run stops.") in PROSE
+    assert len(attack_sweep.TAMPER_LOCS) == 5
+    assert ("At the sweep's five tamper locations, no single attack moves "
+            f"the stop outside the {attack_sweep.TOLERANCE:g} m tolerance on "
+            "this track, and every run stops.") in PROSE
+    # The window between those locations, as its test pins it.
+    legacy = {x: error for (mode, delta0, x), error in IN_BOUND_WINDOW.items()
+              if mode == AUTH_LEGACY and delta0 == attack_sweep.IN_BOUND_DELTA0}
+    below, first, last, above = sorted(legacy)
+    assert (f"B1 tampered to any location from {first:g} to {last:g} m" in PROSE
+            and f"{legacy[first]:+.3f} m at {first:g} m and "
+                f"{legacy[last]:+.3f} m at {last:g} m" in PROSE
+            and f"At {below:.1f} m the read lies outside the bound and the run "
+                f"stops at {legacy[below]:+.3f} m" in PROSE
+            and f"At {above:g} m the missing-balise check fires after the "
+                "read, and the conservative controller stops the train at "
+                f"{legacy[above]:+.3f} m" in PROSE)
 
 
 def test_defence_layer_table_and_counts_equal_the_ablation():

@@ -8,6 +8,7 @@ import os
 import re
 import tracemalloc
 from array import array
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,8 +40,8 @@ from balisim.sim.conservative import ConservativeController, MODE_PID1, \
     MODE_PID2
 from balisim.sim.plant import BrakePlant
 from balisim.sim.scenario import CONTROLLER_RESILIENT, CSV_HEADER, MAX_STEPS, \
-    MODE_HOA, MODE_MAX_BRAKE, SimResult, Trajectory, TrajectoryRow, \
-    align_codeword, read_telegram
+    MODE_HOA, MODE_MAX_BRAKE, SimResult, Trajectory, align_codeword, \
+    read_telegram
 from balisim import auth, codec
 from balisim.sim.params import TrainParams
 
@@ -55,6 +56,23 @@ def bundled(name):
 
 BUNDLED = sorted(os.path.splitext(name)[0] for name in os.listdir(SCENARIO_DIR)
                  if name.endswith(".json"))
+
+
+class Row(NamedTuple):
+    t: float
+    p: float
+    v: float
+    alpha_cmd: float
+    alpha_actual: float
+    mode: str
+    event: str
+
+
+def rows(traj):
+    """traj's rows, row i's t being i * dt as the run loop computes it."""
+    return list(map(Row._make, zip(
+        (i * traj.dt for i in range(len(traj))), traj.p, traj.v,
+        traj.alpha_cmd, traj.alpha_actual, traj.mode, traj.event)))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +114,8 @@ def test_trajectory_kinematics(name):
     cfg = bundled(name)
     result = run_scenario(cfg)
     dt = cfg.train.dt
-    for prev, cur in zip(result.trajectory, result.trajectory[1:]):
+    traj = rows(result.trajectory)
+    for prev, cur in zip(traj, traj[1:]):
         assert cur.v == pytest.approx(
             max(0.0, prev.v + cur.alpha_actual * dt), abs=1e-12)
         assert cur.p == pytest.approx(prev.p + cur.v * dt, abs=1e-12)
@@ -106,7 +125,8 @@ def test_alpha_actual_saturated_and_speed_monotone():
     cfg = bundled("tamper_b1_legacy")  # commands far exceed the brake limit
     result = run_scenario(cfg)
     alpha_max = cfg.train.alpha_max
-    for prev, cur in zip(result.trajectory, result.trajectory[1:]):
+    traj = rows(result.trajectory)
+    for prev, cur in zip(traj, traj[1:]):
         assert alpha_max <= cur.alpha_actual <= 0.0
         assert cur.v <= prev.v + 1e-12
 
@@ -114,9 +134,10 @@ def test_alpha_actual_saturated_and_speed_monotone():
 def test_trajectory_row_count_matches_stop_time():
     cfg = bundled("no_attack")
     result = run_scenario(cfg)
-    assert len(result.trajectory) == round(result.stop_time / cfg.train.dt) + 1
-    assert result.trajectory[0].t == 0.0
-    assert result.trajectory[-1].v == 0.0
+    traj = rows(result.trajectory)
+    assert len(traj) == round(result.stop_time / cfg.train.dt) + 1
+    assert traj[0].t == 0.0 and traj[-1].t == result.stop_time
+    assert traj[-1].v == 0.0
 
 
 def test_a_run_holds_at_most_32_bytes_per_row():
@@ -136,33 +157,17 @@ def test_a_run_holds_at_most_32_bytes_per_row():
     assert held - before <= 32 * len(result.trajectory)
 
 
-def test_a_trajectory_reads_as_the_rows_it_holds():
+def test_a_trajectory_equals_the_trajectory_of_its_columns():
     cfg = bundled("tamper_b1_resilient_pest80")
-    result = run_scenario(cfg)
-    traj, dt = result.trajectory, cfg.train.dt
-    columns = (traj.p, traj.v, traj.alpha_cmd, traj.alpha_actual, traj.mode,
-               traj.event)
-    # Row by row, with t = step * dt as the run loop computes it.
-    rows = [TrajectoryRow(step * dt, *(column[step] for column in columns))
-            for step in range(len(traj.mode))]
-    assert len(traj) == len(rows) == round(result.stop_time / dt) + 1
-    assert traj[0] == rows[0] and traj[-1] == rows[-1]
-    assert traj[-1].t == result.stop_time
-    for index in (slice(1, None), slice(100, 1100), slice(-5, None),
-                  slice(None, None, -7), slice(5, 5)):
-        assert traj[index] == rows[index]
-    assert type(traj[1:3]) is list
-    assert all(type(row) is TrajectoryRow for row in traj)
-    assert list(traj) == rows
-    for index in (len(rows), -len(rows) - 1):
-        with pytest.raises(IndexError):
-            traj[index]
-    # Equal rows make equal trajectories; another float or dt does not.
-    stored = [list(column) for column in zip(*rows)][1:]
-    assert Trajectory(dt, *stored) == traj
-    assert Trajectory(2 * dt, *stored) != traj
-    stored[1][-1] = 1.0
-    assert Trajectory(dt, *stored) != traj
+    traj, dt = run_scenario(cfg).trajectory, cfg.train.dt
+    columns = [list(traj.p), list(traj.v), list(traj.alpha_cmd),
+               list(traj.alpha_actual), traj.mode, traj.event]
+    # The same columns make an equal trajectory; another float or dt does
+    # not.
+    assert Trajectory(dt, *columns) == traj
+    assert Trajectory(2 * dt, *columns) != traj
+    columns[1][-1] = 1.0
+    assert Trajectory(dt, *columns) != traj
 
 
 def _one_row(p, event=""):
@@ -198,7 +203,7 @@ def test_event_counters():
 def test_conservative_overshoot_within_worst_case_bound():
     cfg = bundled("availability_b1_resilient")
     result = run_scenario(cfg)
-    marker_rows = [r for r in result.trajectory if ":marker" in r.event]
+    marker_rows = [r for r in rows(result.trajectory) if ":marker" in r.event]
     assert len(marker_rows) == 1
     travel = result.stop_error - marker_rows[0].p
     # dead time at v_con, braking distance from v_con, two steps of slack
@@ -503,7 +508,7 @@ def test_a_fixed_balise_off_the_millimetre_grid_is_received_where_it_reports(loc
     result = run_scenario(ScenarioConfig(
         balises=balises, controller=CONTROLLER_RESILIENT,
         auth_mode=AUTH_AUTHENTICATED))
-    events = [r.event for r in result.trajectory if "B3" in r.event]
+    events = [event for event in result.trajectory.event if "B3" in event]
     assert events == ["B3:trusted"]
     assert result.balise_missing_events == 0
     assert round(result.stop_error, 3) == 0.111
@@ -522,9 +527,10 @@ def test_resilient_controller_ignores_a_stop_marker_cloned_onto_a_fixed_balise(
                          auth_mode=AUTH_AUTHENTICATED, p_est0=p_est0)
     result = run_scenario(cfg)
     assert abs(result.stop_error) <= TOLERANCE
-    clone_rows = [r for r in result.trajectory if f"B{dst}:" in r.event]
-    assert clone_rows[0].event.startswith(f"B{dst}:ordering_corrected")
-    assert ":marker" not in clone_rows[0].event
+    clone_events = [event for event in result.trajectory.event
+                    if f"B{dst}:" in event]
+    assert clone_events[0].startswith(f"B{dst}:ordering_corrected")
+    assert ":marker" not in clone_events[0]
 
 
 def test_timeout_raises():
@@ -616,22 +622,22 @@ def _held_run(hold, train, max_steps):
     plant = BrakePlant(train)
     est = PositionEstimate(train.p0 + 2.5, 15.0, 0.02)
     # Row i is step i's, as in a run.
-    rows = Trajectory(train.dt, [plant.p], [plant.v], [0.0], [plant.alpha],
+    traj = Trajectory(train.dt, [plant.p], [plant.v], [0.0], [plant.alpha],
                       [MODE_HOA], [""])
     step, ends = 0, []
     for cmd, limit, ahead in HELD_STRETCHES:
         next_loc = plant.p + ahead if limit == "loc" else math.nan
         watch = est.p_est + ahead if limit == "watch" else math.inf
-        step = hold(plant, est, cmd, MODE_HOA, f"E{len(ends)}", rows, step,
+        step = hold(plant, est, cmd, MODE_HOA, f"E{len(ends)}", traj, step,
                     max_steps, next_loc, watch)
-        assert len(rows) == step + 1
+        assert len(traj) == step + 1
         ends.append(step)
         if plant.v == 0.0 or step == max_steps:
             break
-    _assert_runs_are_well_formed(rows)
+    _assert_runs_are_well_formed(traj)
     state = (plant.alpha, plant.v, plant.p, *plant._delay,
              est.p_est, est.dist_since_ref, est.delta)
-    return _as_hex((*rows, state)), ends
+    return _as_hex((*rows(traj), state)), ends
 
 
 @pytest.mark.parametrize("train", HELD_TRAINS.values(), ids=HELD_TRAINS)
@@ -724,8 +730,8 @@ def test_runs_keep_each_rows_own_command_bits(monkeypatch, tmp_path):
     # The stretch starts at the row of the balise_missing event.
     first = next(i for i, event in enumerate(traj.event)
                  if event.startswith("balise_missing"))
-    rows = traj[first:first + len(SCRIPTED)]
-    assert _as_hex((row.alpha_cmd, row.mode) for row in rows) == \
+    stretch = slice(first, first + len(SCRIPTED))
+    assert _as_hex(zip(traj.alpha_cmd[stretch], traj.mode[stretch])) == \
         _as_hex(SCRIPTED)
     _assert_runs_are_well_formed(traj)
     # A run opens at each change of bits or mode, and after the event
@@ -1454,7 +1460,7 @@ def _csv_writer_oracle(result, path):
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
-        for row in result.trajectory:
+        for row in rows(result.trajectory):
             writer.writerow([
                 f"{row.t:.2f}", f"{row.p:.6f}", f"{row.v:.6f}",
                 f"{row.alpha_cmd:.6f}", f"{row.alpha_actual:.6f}",
