@@ -163,7 +163,6 @@ class TrustResult(NamedTuple):
 
 
 def derive_trustworthy_info(
-    auth_pass: bool,
     loc_reported: float | None,
     est: PositionEstimate,
     state: AnomalyState,
@@ -171,15 +170,15 @@ def derive_trustworthy_info(
 ) -> TrustResult:
     """Resolve one balise encounter into trustworthy information.
 
-    Mutates (est, state) per the published algorithm and returns the
-    location the controller may consume, or None when the encounter
-    stays unresolved (it is then treated as unavailable).  Resets the
-    watch point of balise_missing, which no longer holds.
+    loc_reported is the location the read reports, None for a read that
+    failed (authentication included).  Mutates (est, state) per the
+    published algorithm and returns the location the controller may
+    consume, or None when the encounter stays unresolved (it is then
+    treated as unavailable).  Resets the watch point of balise_missing,
+    which no longer holds.
     """
     state.watch = -math.inf
-    if auth_pass:
-        if loc_reported is None:
-            raise ValueError("authenticated encounter needs a reported location")
+    if loc_reported is not None:
         if abs(est.p_est - loc_reported) < est.delta:
             est.set_reference(loc_reported)
             state.mark_received(loc_reported)

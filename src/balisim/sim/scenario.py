@@ -40,10 +40,10 @@ the estimate in turn.
 
 Every step, held or not, appends its p, v and alpha_actual to the run's
 Trajectory, as arrays of doubles, about 25 bytes a step.  alpha_cmd,
-mode and event are held as runs of rows, and a row opens a run where
-the command's bits, the mode or the event change: a held stretch opens
-at most one run (two when its first row carries an event), and a
-conservative stretch opens one at each such change.  t is not stored:
+mode and event are held as runs of rows, and Trajectory.open_run alone
+decides where a run opens: a held stretch offers it its first row (and
+its second, after an event), and a conservative stretch each row whose
+command is another object than the last one offered.  t is not stored:
 row i is step i, and its t is i * dt, the float the loop computes.
 write_trajectory_csv formats the columns and the runs.  It builds each
 line as bytes, with one bytes % per row, and writes the file in binary
@@ -341,50 +341,51 @@ def load_config(path: str) -> ScenarioConfig:
 # Run loop
 # ---------------------------------------------------------------------------
 
+# A float's (or an int's) IEEE 754 double as bytes: compares bits, so that
+# -0.0 differs from 0.0 and a NaN equals its copy.
+_double_bits = struct.Struct("d").pack
+
+
 class Trajectory:
     """A run's rows, held as columns and runs.
 
     p, v and alpha_actual are arrays of doubles, one value per row.
     alpha_cmd, mode and event are held as runs: run k covers rows
     starts[k] up to the next run's start, with command cmds[k], mode
-    modes[k] and event events[k].  A row opens a run when its command's
-    bits or its mode differ from the row before's, or when it or the row
-    before carries an event: a run with an event covers one row, and a
-    run holds commands of one bit pattern.  The alpha_cmd, mode and
-    event properties expand the runs to one value per row.  t is not
-    stored: row i is step i, so its t is i * dt.  len is the number of
-    rows.  Two trajectories are equal when their rows hold the same bits.
+    modes[k] and event events[k], and open_run decides where a run
+    opens.  The alpha_cmd, mode and event properties expand the runs to
+    one value per row.  t is not stored: row i is step i, so its t is
+    i * dt.  len is the number of rows.  Two trajectories are equal when
+    they hold the same bits.
     """
 
     __slots__ = ("dt", "p", "v", "alpha_actual", "starts", "cmds", "modes",
                  "events")
 
-    def __init__(self, dt: float, p, v, alpha_cmd, alpha_actual, mode, event):
-        """The trajectory of these full columns, one value per row."""
+    def __init__(self, dt: float):
+        """An empty trajectory: append each row's p, v and alpha_actual to
+        the columns, and offer its command, mode and event to open_run."""
         self.dt = dt
-        self.p, self.v = array("d", p), array("d", v)
-        self.alpha_actual = array("d", alpha_actual)
-        alpha_cmd, mode, event = array("d", alpha_cmd), list(mode), list(event)
-        if len({len(column) for column in (
-                self.p, self.v, self.alpha_actual, alpha_cmd, mode, event)}) != 1:
-            raise ValueError("trajectory columns differ in length")
+        self.p, self.v, self.alpha_actual = array("d"), array("d"), array("d")
         self.starts, self.cmds = [], array("d")
         self.modes, self.events = [], []
-        # A row opens a run unless it and the row before carry no event
-        # and the same command bits and mode.
-        bits = memoryview(alpha_cmd).cast("B").cast("Q")
-        last = None
-        for i, key in enumerate(zip(bits, mode, event)):
-            if key != last:
-                self.open_run(i, alpha_cmd[i], key[1], key[2])
-            last = key if not key[2] else None
 
     def open_run(self, start: int, cmd: float, mode: str, event: str) -> None:
-        """Rows from start on command cmd in mode; the first carries event."""
-        self.starts.append(start)
-        self.cmds.append(cmd)
-        self.modes.append(mode)
-        self.events.append(event)
+        """Row start, on command cmd in mode and carrying event, continues
+        the last run when that run has cmd's bits and mode, and neither it
+        nor row start carries an event; otherwise it opens a run.
+
+        So a run holds commands of one bit pattern (-0.0 apart from 0.0, a
+        NaN with its copy), and a run with an event covers one row.  A row
+        not offered continues the run before it.
+        """
+        events = self.events
+        if event or not events or events[-1] or self.modes[-1] != mode \
+                or _double_bits(self.cmds[-1]) != _double_bits(cmd):
+            self.starts.append(start)
+            self.cmds.append(cmd)
+            self.modes.append(mode)
+            events.append(event)
 
     def _expand(self, values) -> chain:
         """Each run's value in values, once per row of the run."""
@@ -404,21 +405,22 @@ class Trajectory:
     def event(self) -> list[str]:
         return list(self._expand(self.events))
 
-    def _columns(self) -> tuple:
-        # The floats as their bytes: a NaN equals its copy, and -0.0,
-        # which writes other CSV text, differs from 0.0.
-        return (self.p.tobytes(), self.v.tobytes(), self.alpha_cmd.tobytes(),
-                self.alpha_actual.tobytes(), self.mode, self.event)
-
     def __len__(self) -> int:
         return len(self.p)
 
     def __eq__(self, other):
         if not isinstance(other, Trajectory):
             return NotImplemented
-        # Past row 0, a different dt gives a different t.
+        # Past row 0, a different dt gives a different t.  Equal rows make
+        # equal runs, as open_run alone opens them.  The floats compare as
+        # their bytes: a NaN equals its copy, and -0.0, which writes other
+        # CSV text, differs from 0.0.
         return ((self.dt == other.dt or len(self) <= 1)
-                and self._columns() == other._columns())
+                and (self.starts, self.modes, self.events)
+                == (other.starts, other.modes, other.events)
+                and all(a.tobytes() == b.tobytes() for a, b in zip(
+                    (self.cmds, self.p, self.v, self.alpha_actual),
+                    (other.cmds, other.p, other.v, other.alpha_actual))))
 
 
 class SimResult(NamedTuple):
@@ -492,11 +494,6 @@ def _load_file(what: str, load, path: str):
         raise ConfigError(f"{what} file {path}: {exc}") from exc
 
 
-# A float's (or an int's) IEEE 754 double as bytes: compares bits, so that
-# -0.0 differs from 0.0 and a NaN equals its copy.
-_double_bits = struct.Struct("d").pack
-
-
 def _hold(plant: BrakePlant, est: PositionEstimate, cmd: float, mode: str,
           event: str, rows: Trajectory, step: int, max_steps: int,
           next_loc: float, watch: float) -> int:
@@ -506,14 +503,12 @@ def _hold(plant: BrakePlant, est: PositionEstimate, cmd: float, mode: str,
     Each step is BrakePlant.step(cmd) and then est.advance(v * dt), in
     their arithmetic and order, on locals that are written back at the
     end.  It appends each step's p, v and alpha_actual to rows, whose
-    last row on entry is step's.  Its first row, which carries event,
-    opens a run of cmd and mode, unless Trajectory's rule puts it in the
-    last run: the same command bits and mode, and no event at it or at
-    the row before.  When event is not empty, a second run opens from
-    its second row on.  The stretch ends at the step where the
-    train stops, p reaches next_loc or p_est reaches watch, or at
-    max_steps.  tests/test_scenarios.py pins it to the two methods bit
-    for bit.
+    last row on entry is step's, and offers its first row, which carries
+    event, to rows.open_run, and its second too when event is not empty;
+    the rows after those continue that row's run.  The stretch ends at
+    the step where the train stops, p reaches next_loc or p_est reaches
+    watch, or at max_steps.  tests/test_scenarios.py pins it to the two
+    methods bit for bit.
     """
     dt, Tp, alpha_max = plant.dt, plant.Tp, plant.alpha_max
     delay = plant._delay
@@ -522,11 +517,7 @@ def _hold(plant: BrakePlant, est: PositionEstimate, cmd: float, mode: str,
     append_p, append_v = rows.p.append, rows.v.append
     append_alpha = rows.alpha_actual.append
     first = step + 1
-    # The row before carries an event only if the last run has one, as
-    # such a run covers that row alone.
-    if event or rows.events[-1] or rows.modes[-1] != mode \
-            or _double_bits(rows.cmds[-1]) != _double_bits(cmd):
-        rows.open_run(first, cmd, mode, event)
+    rows.open_run(first, cmd, mode, event)
     for step in range(first, max_steps + 1):
         if delay:
             delay.append(cmd)
@@ -589,10 +580,13 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
     next_loc = balises[0].loc
     mode = MODE_HOA
     dt = train.dt
-    rows = Trajectory(dt, [plant.p], [plant.v], [cmd], [plant.alpha], [mode],
-                      [""])
+    rows = Trajectory(dt)
     append_p, append_v = rows.p.append, rows.v.append
     append_alpha, open_run = rows.alpha_actual.append, rows.open_run
+    append_p(plant.p)
+    append_v(plant.v)
+    append_alpha(plant.alpha)
+    open_run(0, cmd, mode, "")
     plant_step, advance = plant.step, est.advance
     max_steps = int(round(cfg.max_time_s / dt))
     step = 0  # steps taken
@@ -623,7 +617,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
                 _, kind, loc_reported = fields
             if resilient:
                 res = derive_trustworthy_info(
-                    fields is not None, loc_reported, est, state,
+                    loc_reported, est, state,
                     allow_ordering=not conservative_active)
                 events.append(f"{label}:{res.event}")
                 # A stop marker that ordering placed at a fixed balise is
@@ -665,9 +659,9 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
         # up to the next event, the stop or the budget.
         event = ";".join(events)
         if conservative_active:
-            # The last run's command, or None to open a run at the next
-            # step.  A run takes a command of the same bits: an equal one
-            # but 0 (0.0 == -0.0), or the same object, as the creep's 0.0.
+            # The command last offered to open_run, or None to offer the
+            # next step's: a row whose command is that object, in the same
+            # mode and after a row without an event, continues its run.
             run_cmd = None
             for step in range(step + 1, max_steps + 1):
                 cmd = conservative.step(plant.v, marker_seen, dt)
@@ -681,7 +675,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimResult:
                 append_p(p)
                 append_v(v)
                 append_alpha(plant.alpha)
-                if cmd is not run_cmd and (cmd != run_cmd or not cmd):
+                if cmd is not run_cmd:
                     open_run(step, cmd, mode, event)
                     run_cmd = None if event else cmd
                     event = ""

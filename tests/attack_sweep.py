@@ -22,6 +22,13 @@ scenarios, each loaded from its JSON file.  CALIBRATION_ETA0 runs eta0
 31 x 5 runs.  CALIBRATION_V_CON runs v_con 0.28, 0.30, ..., 0.40 against
 two resilient scenarios in which the conservative controller creeps to
 the marker: 7 x 2 runs.  Together they make 169 runs.
+
+auth_track_50 is the scenario of the benchmark's auth_track_50 workload,
+on a 50-balise track.
+
+TIME_STEP runs every bundled scenario at the default time step, 0.01 s,
+and at 0.005, 0.0025 and 0.001 s: 10 x 4 runs, which show how much of a
+stop error is the integrator's.
 """
 
 import dataclasses
@@ -32,9 +39,10 @@ import os
 from array import array
 
 import balisim
-from balisim.sim import AUTH_AUTHENTICATED, AUTH_LEGACY, CONTROLLER_HOA, \
-    CONTROLLER_RESILIENT, Clone, ScenarioConfig, SimResult, SimTimeout, \
-    Tamper, Unavailable, load_config, run_scenario
+from balisim.sim import AUTH_AUTHENTICATED, AUTH_LEGACY, BaliseSpec, \
+    CONTROLLER_HOA, CONTROLLER_RESILIENT, Clone, KIND_CONTROLLED, KIND_FIXED, \
+    ScenarioConfig, SimResult, SimTimeout, Tamper, TrainParams, Unavailable, \
+    load_config, run_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
 
@@ -73,6 +81,18 @@ IN_BOUND = Grid({"controller": CONTROLLER_RESILIENT}, (TELEGRAMS, START_IN_BOUND
 ABLATION = Grid({}, (CONTROLLER, TELEGRAMS, ATTACK))
 
 
+def auth_track_50(**fields) -> ScenarioConfig:
+    """The resilient controller reading authenticated long telegrams on 50
+    balises evenly spaced from -100 m to 0 m in whole millimetres, id 50
+    the stop marker, with fields set over it."""
+    balises = tuple(BaliseSpec(id=i, loc=round(-100.0 * (50 - i) / 49, 3),
+                               kind=KIND_FIXED if i < 50 else KIND_CONTROLLED)
+                    for i in range(1, 51))
+    return ScenarioConfig(**{
+        "balises": balises, "controller": CONTROLLER_RESILIENT,
+        "auth_mode": AUTH_AUTHENTICATED, "telegram_format": "long", **fields})
+
+
 def bundled(*names: str) -> tuple:
     """A scenario axis of bundled scenarios.  Each entry overrides only the
     fields its file sets to other than the default, so it leaves the
@@ -93,6 +113,14 @@ CALIBRATION_ETA0 = Grid({}, (ETA0, bundled(
     "clone_b1b2_ignore", "availability_b1_hoa")))
 CALIBRATION_V_CON = Grid({}, (V_CON, bundled(
     "tamper_b1_resilient_pest80", "availability_b1_resilient")))
+
+# Every bundled scenario, in name order, at the default time step and at
+# finer ones.
+BUNDLED = tuple(sorted(name[:-len(".json")] for name in os.listdir(SCENARIO_DIR)
+                       if name.endswith(".json")))
+TIME_STEPS = (0.01, 0.005, 0.0025, 0.001)
+DT = ("dt", tuple((dt, {"train": TrainParams(dt=dt)}) for dt in TIME_STEPS))
+TIME_STEP = Grid({}, (bundled(*BUNDLED), DT))
 
 
 def _hash_result(h, result: SimResult) -> None:

@@ -175,7 +175,7 @@ def test_watch_lies_ahead_and_a_crossing_resets_it():
     assert state.watch == -math.inf
     assert balise_missing(est, state) is None
     assert -85.0 - 1e-6 < state.watch < -85.0
-    derive_trustworthy_info(False, None, est, state)
+    derive_trustworthy_info(None, est, state)
     assert state.watch == -math.inf
 
 
@@ -185,7 +185,7 @@ def test_watch_lies_ahead_and_a_crossing_resets_it():
 
 def test_pass_plausible_becomes_reference():
     est, state = make(-63.8, 2.0)
-    res = derive_trustworthy_info(True, -64.0, est, state)
+    res = derive_trustworthy_info(-64.0, est, state)
     assert res.event == "trusted"
     assert res.loc == -64.0
     assert est.p_est == -64.0 and est.delta == 0.0
@@ -195,7 +195,7 @@ def test_pass_plausible_becomes_reference():
 def test_pass_trusted_clears_records():
     est, state = make(-63.8, 2.0)
     state.records.append(Record(local=-80.0, candidates=[-100.0, -64.0]))
-    derive_trustworthy_info(True, -64.0, est, state)
+    derive_trustworthy_info(-64.0, est, state)
     assert state.records == []
 
 
@@ -203,7 +203,7 @@ def test_pass_implausible_ordering_correction():
     # a cloned B1 telegram replayed at B2: received set {B1} is a prefix,
     # so the encounter must be B2 and the map location is used
     est, state = make(-63.9, 1.0, received=(0,))
-    res = derive_trustworthy_info(True, -100.0, est, state)
+    res = derive_trustworthy_info(-100.0, est, state)
     assert res.event == "ordering_corrected"
     assert res.loc == -64.0
     assert est.p_est == -63.9  # estimate itself untouched
@@ -212,22 +212,21 @@ def test_pass_implausible_ordering_correction():
 
 def test_pass_implausible_without_prefix_stays_unresolved():
     est, state = make(-35.0, 1.0, received=(0, 2))  # gap: not a prefix
-    res = derive_trustworthy_info(True, -100.0, est, state)
+    res = derive_trustworthy_info(-100.0, est, state)
     assert res.event == "implausible"
     assert res.loc is None
 
 
 def test_pass_implausible_ordering_disabled():
     est, state = make(-63.9, 1.0, received=(0,))
-    res = derive_trustworthy_info(True, -100.0, est, state,
-                                  allow_ordering=False)
+    res = derive_trustworthy_info(-100.0, est, state, allow_ordering=False)
     assert res.event == "implausible"
     assert res.loc is None
 
 
 def test_fail_unique_candidate_recovers():
     est, state = make(-120.0, 25.0)
-    res = derive_trustworthy_info(False, None, est, state)
+    res = derive_trustworthy_info(None, est, state)
     assert res.event == "recovered_unique"
     assert res.loc == -100.0
     assert est.p_est == -100.0 and est.delta == 0.0
@@ -235,7 +234,7 @@ def test_fail_unique_candidate_recovers():
 
 def test_fail_ambiguous_appends_record():
     est, state = make(-80.0, 21.0)  # candidates -100 and -64
-    res = derive_trustworthy_info(False, None, est, state)
+    res = derive_trustworthy_info(None, est, state)
     assert res.event == "unresolved"
     assert res.loc is None
     assert len(state.records) == 1
@@ -247,7 +246,7 @@ def test_fail_pairwise_distance_disambiguation():
     # that distance is (-100, -64), so the newer one is at -64
     est, state = make(-44.0, 21.0)
     state.records.append(Record(local=-80.0, candidates=[-100.0, -64.0]))
-    res = derive_trustworthy_info(False, None, est, state)
+    res = derive_trustworthy_info(None, est, state)
     assert res.event == "recovered_pair"
     assert res.loc == -64.0
     assert est.p_est == -64.0 and est.delta == 0.0
@@ -258,12 +257,6 @@ def test_fail_pairwise_no_matching_pair_stays_unresolved():
     # record distance 30 m matches no inter-balise distance on the map
     est, state = make(-50.0, 60.0)
     state.records.append(Record(local=-80.0, candidates=[-100.0, -64.0]))
-    res = derive_trustworthy_info(False, None, est, state)
+    res = derive_trustworthy_info(None, est, state)
     assert res.event == "unresolved"
     assert len(state.records) == 2
-
-
-def test_pass_requires_location():
-    est, state = make(-50.0, 5.0)
-    with pytest.raises(ValueError):
-        derive_trustworthy_info(True, None, est, state)

@@ -7,7 +7,8 @@ change that moves a count changes what a controller withstands; README's
 sweep, in-bound and ablation tables state the same counts
 (tests/test_readme.py).  The calibration grids' cells are a value of a
 controller constant and a bundled scenario, one run each; README's
-calibration tables state their stop errors.
+calibration tables state their stop errors.  So do the time-step grid's,
+a bundled scenario at a time step, and README's time-step table.
 """
 
 import pytest
@@ -160,6 +161,21 @@ def test_calibration_grids_run_each_cell_once_and_are_frozen(name, cells):
     assert all(runs == 1 and timeouts == 0
                for runs, _, timeouts, _ in tally.values())
     assert digest == CALIBRATION_DIGESTS[name]
+
+
+TIME_STEP_DIGEST = \
+    "73e0b11b52c845b277f2b61d8f12ac09908913a982caab9008c44b69ccf7f2d8"
+
+
+def test_time_step_grid_runs_every_bundled_scenario_at_each_dt_and_is_frozen():
+    tally, digest = attack_sweep.tally(attack_sweep.TIME_STEP)
+    assert len(attack_sweep.BUNDLED) == 10
+    assert attack_sweep.TIME_STEPS[0] == params.TrainParams().dt
+    assert list(tally) == [(name, dt) for name in attack_sweep.BUNDLED
+                           for dt in attack_sweep.TIME_STEPS]
+    assert all(runs == 1 and timeouts == 0
+               for runs, _, timeouts, _ in tally.values())
+    assert digest == TIME_STEP_DIGEST
 
 
 def test_shipped_defaults_lie_on_the_calibration_grids():

@@ -78,11 +78,8 @@ def test_every_error_of_weight_1_and_2_is_rejected_or_read_as_sent(auth_mode):
                          keystore, fmt)
 
     def read(codeword):
-        try:
-            aligned = codec.align(scenario._received(codeword, fmt), fmt)
-        except codec.CodecError:
-            aligned = None
-        return read_telegram(aligned, auth_mode, keystore, track_ids, fmt)
+        return read_telegram(scenario.align_codeword(codeword, fmt),
+                             auth_mode, keystore, track_ids, fmt)
 
     sent = read(t)
     assert sent == (3, KIND_FIXED, -36.0)

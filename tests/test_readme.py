@@ -4,9 +4,10 @@ The bundled stop-error table must equal benchmarks/reference.json and a
 fresh run, the attack-sweep, in-bound, defence-layer and channel-model
 tables the tallies their tests make, the calibration tables the
 calibration grids and, at the defaults, the bundled stop errors, the
-exit codes the cli constants, the forgery figures the counts CI checks,
-the track, format, install and CSV figures the package, and the
-library-use block must run.  So README cannot drift from any of them.
+time-step table the time-step grid, the exit codes the cli constants,
+the forgery figures the counts CI checks, the track, format, install
+and CSV figures the package, and the library-use block must run.  So
+README cannot drift from any of them.
 """
 
 import collections
@@ -257,6 +258,43 @@ def test_no_calibration_column_picks_the_defaults():
         column = [v_con[value, name][3] for value in values]
         assert column == sorted(column)  # falls with v_con
         assert f"{column[0]:+.3f} m at {values[0]:.2f}" in PROSE
+
+
+# A spread below one unit of the d-th decimal holds d decimals.
+_DECIMALS = {1: "one decimal, the decimetre", 2: "two decimals, the centimetre",
+             3: "three decimals, the millimetre"}
+
+
+def test_time_step_table_and_decimals_equal_the_grid():
+    grid = attack_sweep.TIME_STEP
+    tally, _ = attack_sweep.tally(grid)
+    (_, scenarios), (_, steps) = grid.axes
+    lines = [["scenario", *(f"{dt:g}" for dt, _ in steps), "spread (mm)"]]
+    spreads = {True: [], False: []}  # within the tolerance -> spreads
+    for name, _ in scenarios:
+        errors = [tally[name, dt][3] for dt, _ in steps]
+        spread = max(errors) - min(errors)
+        lines.append([f"`{name}`", *(f"{error:+.3f}" for error in errors),
+                      f"{1000 * spread:.1f}"])
+        # The default dt's column is the bundled table's.
+        assert f"{errors[0]:+.3f}" == f"{TABLE[name]:+.3f}"
+        outside = [tally[name, dt][1] for dt, _ in steps]
+        assert len(set(outside)) == 1
+        spreads[not outside[0]].append(spread)
+    assert _table("Time step") == ["| " + " | ".join(line) + " |"
+                                   for line in lines]
+    finer = [f"{dt:g}" for dt, _ in steps[1:]]
+    assert (f"again at time steps of {', '.join(finer[:-1])} and {finer[-1]} "
+            f"s: {len(tally)} runs.") in PROSE
+    for within, kind in ((True, "within the tolerance move by"),
+                         (False, "outside it, the attacked runs of the online "
+                                 "controller, move by")):
+        widest = max(spreads[within])
+        decimals = max(d for d in _DECIMALS if widest < 10.0 ** -d)
+        assert (f"The {len(spreads[within])} rows {kind} "
+                f"{1000 * min(spreads[within]):.1f} to {1000 * widest:.1f} mm, "
+                f"so they hold {_DECIMALS[decimals]}.") in PROSE
+    assert "Every run stays on its side of the tolerance at every `dt`." in PROSE
 
 
 def test_channel_model_table_equals_the_tally():

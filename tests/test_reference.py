@@ -14,11 +14,9 @@ import os
 import pytest
 
 import balisim
-from balisim.sim import BaliseSpec, ScenarioConfig, load_config, run_scenario, \
-    write_trajectory_csv
-from balisim.sim.deployment import AUTH_AUTHENTICATED, KIND_CONTROLLED, \
-    KIND_FIXED
-from balisim.sim.scenario import CONTROLLER_RESILIENT
+from balisim.sim import load_config, run_scenario, write_trajectory_csv
+
+from attack_sweep import auth_track_50
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
@@ -47,12 +45,7 @@ def test_authenticated_50_balise_track_stops_exactly_at_the_reference():
     # The track of the benchmark's auth_track_50 workload: 50 balises
     # evenly spaced from -100 m to 0 m in whole millimetres, id 50 the
     # stop marker.
-    balises = [BaliseSpec(id=i, loc=round(-100.0 * (50 - i) / 49, 3),
-                          kind=KIND_FIXED if i < 50 else KIND_CONTROLLED)
-               for i in range(1, 51)]
-    result = run_scenario(ScenarioConfig(
-        balises=balises, controller=CONTROLLER_RESILIENT,
-        auth_mode=AUTH_AUTHENTICATED, telegram_format="long"))
+    result = run_scenario(auth_track_50())
     ref = REFERENCE["auth_track_50"]
     assert result.stop_error == ref["stop_error_m"]
     assert len(result.trajectory) - 1 == ref["steps"]

@@ -45,17 +45,13 @@ from balisim.sim.scenario import CONTROLLER_RESILIENT, CSV_HEADER, MAX_STEPS, \
 from balisim import auth, codec
 from balisim.sim.params import TrainParams
 
-from attack_sweep import TOLERANCE
+from attack_sweep import BUNDLED, TOLERANCE, auth_track_50
 
 SCENARIO_DIR = os.path.join(os.path.dirname(balisim.__file__), "scenarios")
 
 
 def bundled(name):
     return load_config(os.path.join(SCENARIO_DIR, name + ".json"))
-
-
-BUNDLED = sorted(os.path.splitext(name)[0] for name in os.listdir(SCENARIO_DIR)
-                 if name.endswith(".json"))
 
 
 class Row(NamedTuple):
@@ -73,6 +69,34 @@ def rows(traj):
     return list(map(Row._make, zip(
         (i * traj.dt for i in range(len(traj))), traj.p, traj.v,
         traj.alpha_cmd, traj.alpha_actual, traj.mode, traj.event)))
+
+
+def from_columns(dt, p, v, alpha_cmd, alpha_actual, mode, event):
+    """The trajectory of these full columns, one value per row.
+
+    It groups the rows into runs itself, not through Trajectory.open_run,
+    so it is the reference the run loop's runs are checked against: a
+    row opens a run unless it and the row before carry no event and the
+    same command bits and mode.
+    """
+    traj = Trajectory(dt)
+    traj.p.extend(p)
+    traj.v.extend(v)
+    traj.alpha_actual.extend(alpha_actual)
+    alpha_cmd, mode, event = array("d", alpha_cmd), list(mode), list(event)
+    if len({len(column) for column in (
+            traj.p, traj.v, traj.alpha_actual, alpha_cmd, mode, event)}) != 1:
+        raise ValueError("trajectory columns differ in length")
+    bits = memoryview(alpha_cmd).cast("B").cast("Q")
+    last = None
+    for i, key in enumerate(zip(bits, mode, event)):
+        if key != last:
+            traj.starts.append(i)
+            traj.cmds.append(alpha_cmd[i])
+            traj.modes.append(key[1])
+            traj.events.append(key[2])
+        last = key if not key[2] else None
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +186,21 @@ def test_a_trajectory_equals_the_trajectory_of_its_columns():
     traj, dt = run_scenario(cfg).trajectory, cfg.train.dt
     columns = [list(traj.p), list(traj.v), list(traj.alpha_cmd),
                list(traj.alpha_actual), traj.mode, traj.event]
-    # The same columns make an equal trajectory; another float or dt does
-    # not.
-    assert Trajectory(dt, *columns) == traj
-    assert Trajectory(2 * dt, *columns) != traj
-    columns[1][-1] = 1.0
-    assert Trajectory(dt, *columns) != traj
+    # The same columns make an equal trajectory; another dt, float,
+    # command, mode or event does not, also where the runs start alike.
+    assert from_columns(dt, *columns) == traj
+    assert from_columns(2 * dt, *columns) != traj
+    for k, change in ((1, lambda v: v + 1.0), (2, lambda cmd: 2 * cmd),
+                      (4, str.upper), (5, lambda event: event and event + "!")):
+        changed = list(columns)
+        changed[k] = list(map(change, columns[k]))
+        other = from_columns(dt, *changed)
+        assert other.starts == traj.starts
+        assert other != traj
 
 
 def _one_row(p, event=""):
-    return Trajectory(0.01, [p], [1.0], [-0.45], [-0.2], [MODE_HOA], [event])
+    return from_columns(0.01, [p], [1.0], [-0.45], [-0.2], [MODE_HOA], [event])
 
 
 def test_a_trajectory_with_a_nan_equals_its_copy():
@@ -427,11 +456,7 @@ def test_a_warm_50_balise_run_makes_the_pinned_key_trials(empty_memos,
     # trials: one accepted per crossing, every other one rejected by the
     # id check, none by the tag.  The run programs no telegram, so every
     # derive_keys call is a trial's.
-    balises = [BaliseSpec(id=i, loc=round(-100.0 * (50 - i) / 49, 3),
-                          kind="fixed" if i < 50 else "controlled")
-               for i in range(1, 51)]
-    cfg = ScenarioConfig(balises=balises, controller=CONTROLLER_RESILIENT,
-                         auth_mode=AUTH_AUTHENTICATED, telegram_format="long")
+    cfg = auth_track_50()
     cold = run_scenario(cfg)
     outcomes, derived = [], []
     verify, derive_keys = auth.verify_and_decode, auth.derive_keys
@@ -460,16 +485,8 @@ def test_reader_accepts_a_payload_only_under_the_key_of_its_id():
     # With keystore seed 45 on a 50-balise track, an honest telegram
     # passes the 12-bit tag under a wrong key, and the payload that key
     # descrambles parses.  A reader that took it stopped at -7.835 m.
-    balises = [BaliseSpec(id=i, loc=round(-100.0 * (50 - i) / 49, 3),
-                          kind="fixed" if i < 50 else "controlled")
-               for i in range(1, 51)]
-    stops = {}
-    for seed in (1, 45):
-        cfg = ScenarioConfig(balises=balises, controller=CONTROLLER_RESILIENT,
-                             auth_mode=AUTH_AUTHENTICATED,
-                             telegram_format=LONG.name,
-                             keystore=auth.new_keystore(seed=seed))
-        stops[seed] = run_scenario(cfg).stop_error
+    stops = {seed: run_scenario(auth_track_50(
+        keystore=auth.new_keystore(seed=seed))).stop_error for seed in (1, 45)}
     assert stops[45] == stops[1]
     assert round(stops[45], 6) == -0.022299
 
@@ -486,12 +503,7 @@ def test_resilient_run_evaluates_the_missing_condition_near_its_crossings(
         return missing(est, state)
 
     monkeypatch.setattr(scenario, "balise_missing", counted)
-    balises = [BaliseSpec(id=i, loc=round(-100.0 * (50 - i) / 49, 3),
-                          kind="fixed" if i < 50 else "controlled")
-               for i in range(1, 51)]
-    result = run_scenario(ScenarioConfig(
-        balises=balises, controller=CONTROLLER_RESILIENT,
-        auth_mode=AUTH_AUTHENTICATED, telegram_format=LONG.name))
+    result = run_scenario(auth_track_50())
     assert len(result.trajectory) - 1 == 1965
     assert result.balise_missing_events == 0
     assert 0 < len(calls) <= 2 * 49
@@ -577,8 +589,8 @@ def _assert_runs_are_well_formed(traj):
 
 def _held_by_calls(plant, est, cmd, mode, event, rows, step, max_steps,
                    next_loc, watch):
-    """scenario._hold as calls of the two methods it repeats, with a run
-    of cmd and mode opened at every row."""
+    """scenario._hold as calls of the two methods it repeats, with every
+    row offered to rows.open_run."""
     for step in range(step + 1, max_steps + 1):
         plant.step(cmd)
         est.advance(plant.v * plant.dt)
@@ -622,8 +634,8 @@ def _held_run(hold, train, max_steps):
     plant = BrakePlant(train)
     est = PositionEstimate(train.p0 + 2.5, 15.0, 0.02)
     # Row i is step i's, as in a run.
-    traj = Trajectory(train.dt, [plant.p], [plant.v], [0.0], [plant.alpha],
-                      [MODE_HOA], [""])
+    traj = from_columns(train.dt, [plant.p], [plant.v], [0.0],
+                        [plant.alpha], [MODE_HOA], [""])
     step, ends = 0, []
     for cmd, limit, ahead in HELD_STRETCHES:
         next_loc = plant.p + ahead if limit == "loc" else math.nan
@@ -684,12 +696,7 @@ def step_calls(monkeypatch):
 def test_a_held_command_steps_without_a_plant_or_estimate_call(step_calls):
     # The 50-balise track never leaves the default controller, so the
     # run loop holds every one of its 1,965 steps.
-    balises = [BaliseSpec(id=i, loc=round(-100.0 * (50 - i) / 49, 3),
-                          kind="fixed" if i < 50 else "controlled")
-               for i in range(1, 51)]
-    cfg = ScenarioConfig(balises=balises, controller=CONTROLLER_RESILIENT,
-                         auth_mode=AUTH_AUTHENTICATED,
-                         telegram_format=LONG.name)
+    cfg = auth_track_50()
     run_scenario(cfg)  # programs the track and derives its keys
     result = run_scenario(cfg)
     assert len(result.trajectory) - 1 == 1965
@@ -739,17 +746,13 @@ def test_runs_keep_each_rows_own_command_bits(monkeypatch, tmp_path):
     assert [start - first for start in traj.starts
             if first <= start < first + len(SCRIPTED)] == [0, 1, 2, 3, 4, 5]
     _assert_csv_matches_oracle(result, tmp_path)
-    columns = (traj.p, traj.v, traj.alpha_cmd, traj.alpha_actual, traj.mode,
-               traj.event)
-    assert Trajectory(traj.dt, *columns) == traj
+    _assert_runs_are_grouped(traj)
 
 
 def _assert_runs_are_grouped(traj):
-    """traj holds the runs its constructor groups its rows into: one rule
-    for runs, a row opens one where the command's bits, the mode or an
-    event at it or at the row before change."""
-    grouped = Trajectory(traj.dt, traj.p, traj.v, traj.alpha_cmd,
-                         traj.alpha_actual, traj.mode, traj.event)
+    """traj holds the runs from_columns groups its rows into."""
+    grouped = from_columns(traj.dt, traj.p, traj.v, traj.alpha_cmd,
+                           traj.alpha_actual, traj.mode, traj.event)
     assert (traj.starts, traj.cmds.tobytes(), traj.modes, traj.events) == \
         (grouped.starts, grouped.cmds.tobytes(), grouped.modes,
          grouped.events)
@@ -779,8 +782,8 @@ def test_a_held_stretch_opens_runs_as_the_constructor_does(last, cmd, event):
     plant = BrakePlant(train)
     est = PositionEstimate(train.p0, 15.0, 0.02)
     last_cmd, last_mode, last_event = last
-    rows = Trajectory(train.dt, [plant.p], [plant.v], [last_cmd],
-                      [plant.alpha], [last_mode], [last_event])
+    rows = from_columns(train.dt, [plant.p], [plant.v], [last_cmd],
+                        [plant.alpha], [last_mode], [last_event])
     assert scenario._hold(plant, est, cmd, MODE_HOA, event, rows, 0, 3,
                           math.nan, math.inf) == 3
     # Each row keeps its own command bits, mode and event.
@@ -1497,8 +1500,8 @@ def _edge_trajectory(n_rows, dt):
     def cycle(values, shift=0):
         return [values[(i + shift) % len(values)] for i in range(n_rows)]
 
-    return Trajectory(dt, *(cycle(_EDGE_FLOATS, k) for k in range(4)),
-                      cycle(_MODES), cycle(_EDGE_EVENTS))
+    return from_columns(dt, *(cycle(_EDGE_FLOATS, k) for k in range(4)),
+                        cycle(_MODES), cycle(_EDGE_EVENTS))
 
 
 @pytest.mark.parametrize("n_rows", [1, 1023, 1024, 1025, 2049])
