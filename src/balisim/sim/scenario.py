@@ -53,6 +53,9 @@ It takes row i's t text, b"%.2f" % (i * dt), from a table of texts kept
 for the process for one dt (_time_texts), as every run of a batch at the
 same dt writes the same texts from row 0; rows past the table's
 _TIME_TEXT_ROWS are formatted as they are written.
+write_trajectory_csv and write_summary remove the file at their path and
+create it anew (_create), so a rewrite is never a truncate, after which
+ext4 starts writeback in close().
 """
 
 from __future__ import annotations
@@ -737,6 +740,20 @@ def _time_texts(dt_repr: str) -> list[bytes]:
     return []
 
 
+def _create(path: str, mode: str, encoding: str | None = None):
+    """Open path as a new file: remove what is there, then create it.
+
+    Only a missing file is not an error.  A symlink or a hard link at
+    path is replaced, not written through, and the new file's mode
+    follows the umask.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, mode, encoding=encoding)
+
+
 def _csv_text(text: str) -> str:
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
@@ -744,6 +761,11 @@ def _csv_text(text: str) -> str:
 
 
 def write_trajectory_csv(result: SimResult, path: str) -> None:
+    """Write result's trajectory to path as a new file (see _create).
+
+    The bytes are csv.writer's, with CSV_HEADER as the first line.  A
+    write that fails or is killed leaves a partial file or none.
+    """
     traj = result.trajectory
     n, dt = len(traj), traj.dt
     kept = min(n, _TIME_TEXT_ROWS)
@@ -759,7 +781,7 @@ def write_trajectory_csv(result: SimResult, path: str) -> None:
     tails = traj._expand(map(str.encode, map("%s,%s".__mod__, zip(
         traj.modes, map(_csv_text, traj.events)))))
     rows = zip(times, traj.p, traj.v, cmds, traj.alpha_actual, tails)
-    with open(path, "wb") as f:
+    with _create(path, "xb") as f:
         f.write(_CSV_HEADER_LINE)
         for _ in range(0, n, _CSV_BLOCK_ROWS):
             f.write(b"".join([_CSV_ROW % row
@@ -777,6 +799,8 @@ def summary_dict(result: SimResult) -> dict:
 
 
 def write_summary(result: SimResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    """Write summary_dict(result) to path as JSON in a new file (see
+    _create)."""
+    with _create(path, "x", encoding="utf-8") as f:
         json.dump(summary_dict(result), f, indent=2)
         f.write("\n")

@@ -4,6 +4,7 @@ Every test drives main(argv) in process and checks the exit-code
 contract: 0 success, 1 verification failure, 2 input error, 3 timeout.
 """
 
+import errno
 import hashlib
 import json
 import os
@@ -64,6 +65,17 @@ def test_keygen_seed_is_deterministic(tmp_path):
     main(["keygen", "--out", str(c), "--seed", "8"])
     assert a.read_text() == b.read_text()
     assert a.read_text() != c.read_text()
+
+
+def test_keygen_over_a_keystore_keeps_its_file_and_mode(tmp_path):
+    # A keystore is rewritten in place, so one made 0600 stays 0600.
+    path = tmp_path / "ks.json"
+    assert main(["keygen", "--out", str(path), "--seed", "7"]) == 0
+    path.chmod(0o600)
+    inode = path.stat().st_ino
+    assert main(["keygen", "--out", str(path), "--seed", "8"]) == 0
+    assert path.stat().st_mode & 0o777 == 0o600
+    assert path.stat().st_ino == inode
 
 
 def test_keygen_unwritable_path_fails(tmp_path):
@@ -304,6 +316,20 @@ def test_simulate_batch(tmp_path, capsys):
         assert (out / name / "summary.json").exists()
 
 
+def test_simulate_batch_run_twice_into_one_out_writes_the_same(
+        tmp_path, capsys):
+    batch = _batch_dir(tmp_path, ("no_attack", "availability_b1_resilient"))
+    out = tmp_path / "results"
+    runs = []
+    for _ in range(2):
+        assert main(["simulate", "--batch", str(batch), "--out", str(out)]) == 0
+        files = {p.relative_to(out): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        runs.append((capsys.readouterr().out, files))
+    assert len(runs[0][1]) == 4
+    assert runs[0] == runs[1]
+
+
 def test_simulate_batch_writes_each_csv_at_its_own_dt(tmp_path):
     # dt_0005 runs first, so the kept t texts switch from dt 0.005 to
     # no_attack's 0.01 within the batch.
@@ -399,19 +425,37 @@ def test_simulate_rejects_csv_and_summary_of_the_same_name(
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
-@pytest.mark.parametrize("case", ["out_is_a_file", "csv_dir_missing"])
+@pytest.mark.parametrize("case", ["out_is_a_file", "csv_dir_missing",
+                                  "csv_is_a_directory",
+                                  "summary_parent_is_a_file"])
 def test_simulate_unwritable_output_exits_2(tmp_path, capsys, batch, case):
+    # The writers remove the file at their path first, and only a missing
+    # file is not an error: a directory there or a file in place of its
+    # parent is.
     configs = _batch_dir(tmp_path, ("no_attack",))
     out = tmp_path / "results"
+    scenario_out = out / "no_attack" if batch else out
     options = ["--out", str(out)]
     if case == "out_is_a_file":
         out.write_text("")
-    else:
+    elif case == "csv_dir_missing":
         options += ["--csv", os.path.join("sub", "x.csv")]
+    elif case == "csv_is_a_directory":
+        (scenario_out / "x.csv").mkdir(parents=True)
+        options += ["--csv", "x.csv"]
+    else:
+        scenario_out.mkdir(parents=True)
+        (scenario_out / "sub").write_text("")
+        options += ["--summary", os.path.join("sub", "s.json")]
     target = (["--batch", str(configs)] if batch
               else [str(configs / "no_attack.json")])
     assert main(["simulate", *target, *options]) == 2
-    assert "error: cannot write output" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: cannot write output" in err
+    if case == "csv_is_a_directory":
+        # The error of removing the directory: had it been ignored,
+        # creating the file would have failed with "File exists".
+        assert os.strerror(errno.EISDIR) in err
 
 
 def test_simulate_batch_reports_successes_beside_an_unwritable_output(

@@ -29,6 +29,7 @@ from balisim.sim import (
     run_scenario,
     save_telegram,
     summary_dict,
+    write_summary,
     write_trajectory_csv,
 )
 from balisim.cli import main
@@ -1547,6 +1548,63 @@ def test_trajectory_csv_refuses_an_event_that_utf_8_cannot_encode(tmp_path):
     for write in (write_trajectory_csv, _csv_writer_oracle):
         with pytest.raises(UnicodeEncodeError):
             write(result, str(tmp_path / "traj.csv"))
+
+
+def _summary_bytes(result):
+    return (json.dumps(summary_dict(result), indent=2) + "\n").encode()
+
+
+def test_a_short_run_written_over_a_longer_one_leaves_only_its_bytes(
+        tmp_path):
+    csv_path, summary_path = tmp_path / "traj.csv", tmp_path / "summary.json"
+    longer = run_scenario(bundled("no_attack"))
+    write_trajectory_csv(longer, str(csv_path))
+    write_summary(longer, str(summary_path))
+    old_sizes = csv_path.stat().st_size, summary_path.stat().st_size
+    short = _edge_result(3, 0.01)
+    write_trajectory_csv(short, str(csv_path))
+    write_summary(short, str(summary_path))
+    _csv_writer_oracle(short, str(tmp_path / "oracle.csv"))
+    assert csv_path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert summary_path.read_bytes() == _summary_bytes(short)
+    new_sizes = csv_path.stat().st_size, summary_path.stat().st_size
+    assert all(new < old for new, old in zip(new_sizes, old_sizes))
+
+
+@pytest.mark.parametrize("link", [os.symlink, os.link],
+                         ids=["symlink", "hard_link"])
+def test_a_link_at_an_output_path_is_replaced_not_written_through(
+        link, tmp_path):
+    # Each writer removes what is at its path and creates a new file.
+    result = _edge_result(3, 0.01)
+    _csv_writer_oracle(result, str(tmp_path / "oracle.csv"))
+    for write, expected in (
+            (write_trajectory_csv, (tmp_path / "oracle.csv").read_bytes()),
+            (write_summary, _summary_bytes(result))):
+        target, path = tmp_path / "target", tmp_path / "out"
+        target.write_bytes(b"old bytes\n")
+        link(target, path)
+        write(result, str(path))
+        assert not path.is_symlink()
+        assert path.read_bytes() == expected
+        assert path.stat().st_ino != target.stat().st_ino
+        assert target.read_bytes() == b"old bytes\n"
+        target.unlink()
+        path.unlink()
+
+
+def test_an_output_file_is_created_with_the_umask_mode(tmp_path):
+    result = _edge_result(3, 0.01)
+    umask = os.umask(0o027)
+    try:
+        for write in (write_trajectory_csv, write_summary):
+            path = tmp_path / write.__name__
+            path.write_bytes(b"old bytes\n")
+            path.chmod(0o600)
+            write(result, str(path))
+            assert path.stat().st_mode & 0o777 == 0o640
+    finally:
+        os.umask(umask)
 
 
 def test_mode_names_need_no_csv_quoting():
