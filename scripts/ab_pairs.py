@@ -22,12 +22,8 @@ effect of the order shows, and a verdict:
   bound in BENCHMARK.json, a fraction of BASE's median;
 - no change: neither.
 
-The header names the type of the filesystem that holds --work, as
-/proc/self/mounts gives it (or "unknown"): bundled_batch writes its
-outputs there, and what a rewrite costs depends on the filesystem.
-
-The last line is one JSON object with the same figures and the
-filesystem type.  Only the stdlib and `git archive` are used.
+The last line is one JSON object with the same figures.  Only the
+stdlib and `git archive` are used.
 
 SIGTERM ends the script with exit code 143 and ends the run.py it is
 waiting for too.
@@ -39,7 +35,6 @@ import argparse
 import io
 import json
 import os
-import re
 import shutil
 import signal
 import statistics
@@ -104,31 +99,6 @@ def summarize(pairs: list[dict], better: str, bound: float) -> dict:
     }
 
 
-def filesystem_type(path: str, mounts: str = "/proc/self/mounts") -> str:
-    """The type of the filesystem that holds path, or "unknown".
-
-    It is the type of the longest mount point in mounts that contains
-    path; of equal mount points, the last one mounted.
-    """
-    path = os.path.realpath(path)
-    found, found_length = "unknown", -1
-    try:
-        with open(mounts, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except (OSError, UnicodeDecodeError):
-        return found
-    for line in lines:
-        fields = line.split()
-        if len(fields) < 3:
-            continue
-        # A space, tab, newline or backslash in a mount point is \ooo.
-        point = re.sub(r"\\([0-7]{3})", lambda m: chr(int(m[1], 8)), fields[1])
-        inside = path == point or path.startswith(point.rstrip("/") + "/")
-        if inside and len(point) >= found_length:
-            found, found_length = fields[2], len(point)
-    return found
-
-
 def export(side: str, names: list[str], dest: str) -> None:
     """Copy names, paths under a tree's root, from side into dest.
 
@@ -190,8 +160,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.workload not in [w["name"] for w in declared["workloads"]]:
         parser.error(f"BENCHMARK.json of {args.head} has no workload {args.workload!r}")
 
-    filesystem = filesystem_type(args.work)
-
     runs = []
     for i, seed in enumerate(args.seeds):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -203,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
 
     summary = {}
     print(f"{args.workload}: {args.base} (base) against {args.head} (head), "
-          f"{len(runs)} pairs of {args.seconds:g} s runs, --work on {filesystem}")
+          f"{len(runs)} pairs of {args.seconds:g} s runs")
     print(f"  {'metric':<12} {'base median [q1, q3]':>30} {'head median [q1, q3]':>30}"
           f" {'head wins':>9} {'head-base':>10} {'base IQR':>10} {'1st-2nd':>10}"
           "  verdict")
@@ -218,8 +186,7 @@ def main(argv: list[str] | None = None) -> int:
               f" {s['base_iqr']:>10.4g} {s['first_minus_second']:>+10.4g}"
               f"  {s['verdict']}")
     print(json.dumps({"workload": args.workload, "seeds": args.seeds,
-                      "seconds": args.seconds, "work_filesystem": filesystem,
-                      "metrics": summary}))
+                      "seconds": args.seconds, "metrics": summary}))
     return 0
 
 

@@ -53,18 +53,20 @@ It takes row i's t text, b"%.2f" % (i * dt), from a table of texts kept
 for the process for one dt (_time_texts), as every run of a batch at the
 same dt writes the same texts from row 0; rows past the table's
 _TIME_TEXT_ROWS are formatted as they are written.
-write_trajectory_csv and write_summary remove the file at their path and
-create it anew (_create), so a rewrite is never a truncate, after which
-ext4 starts writeback in close().
+write_trajectory_csv and write_summary replace a regular file at their
+path with a new one (_open_output), so a rewrite is never a truncate,
+after which ext4 starts writeback in close().
 """
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
 import operator
 import os
+import stat
 import struct
 from array import array
 from itertools import chain, islice, repeat
@@ -740,18 +742,39 @@ def _time_texts(dt_repr: str) -> list[bytes]:
     return []
 
 
-def _create(path: str, mode: str, encoding: str | None = None):
-    """Open path as a new file: remove what is there, then create it.
+def _open_output(path: str, kind: str, encoding: str | None = None):
+    """Open path to write a run's output, in kind "b" or "t".
 
-    Only a missing file is not an error.  A symlink or a hard link at
-    path is replaced, not written through, and the new file's mode
-    follows the umask.
+    A regular file at path, or a symlink to one, is removed and the file
+    created anew, so a rewrite is never a truncate: a symlink or a hard
+    link is replaced, not written through, and the new file's mode
+    follows the umask.  A regular file that the process may not write
+    is refused, as open refuses it.  Anything else is opened in place,
+    as by open(path, "w"): a missing path, a dangling symlink, a device
+    such as /dev/null, a FIFO, a directory (which fails), and a file
+    that is one of the process's standard streams, as /dev/stdout is.
     """
     try:
-        os.unlink(path)
+        found = os.stat(path)
     except FileNotFoundError:
-        pass
-    return open(path, mode, encoding=encoding)
+        found = None
+    replace = (found is not None and stat.S_ISREG(found.st_mode)
+               and not _is_standard_stream(found))
+    if replace:
+        if not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        os.unlink(path)
+    return open(path, ("x" if replace else "w") + kind, encoding=encoding)
+
+
+def _is_standard_stream(found: os.stat_result) -> bool:
+    for fd in (0, 1, 2):
+        try:
+            if os.path.samestat(found, os.fstat(fd)):
+                return True
+        except OSError:  # fd is closed
+            pass
+    return False
 
 
 def _csv_text(text: str) -> str:
@@ -761,7 +784,7 @@ def _csv_text(text: str) -> str:
 
 
 def write_trajectory_csv(result: SimResult, path: str) -> None:
-    """Write result's trajectory to path as a new file (see _create).
+    """Write result's trajectory to path (see _open_output).
 
     The bytes are csv.writer's, with CSV_HEADER as the first line.  A
     write that fails or is killed leaves a partial file or none.
@@ -781,7 +804,7 @@ def write_trajectory_csv(result: SimResult, path: str) -> None:
     tails = traj._expand(map(str.encode, map("%s,%s".__mod__, zip(
         traj.modes, map(_csv_text, traj.events)))))
     rows = zip(times, traj.p, traj.v, cmds, traj.alpha_actual, tails)
-    with _create(path, "xb") as f:
+    with _open_output(path, "b") as f:
         f.write(_CSV_HEADER_LINE)
         for _ in range(0, n, _CSV_BLOCK_ROWS):
             f.write(b"".join([_CSV_ROW % row
@@ -799,8 +822,7 @@ def summary_dict(result: SimResult) -> dict:
 
 
 def write_summary(result: SimResult, path: str) -> None:
-    """Write summary_dict(result) to path as JSON in a new file (see
-    _create)."""
-    with _create(path, "x", encoding="utf-8") as f:
+    """Write summary_dict(result) to path as JSON (see _open_output)."""
+    with _open_output(path, "t", encoding="utf-8") as f:
         json.dump(summary_dict(result), f, indent=2)
         f.write("\n")

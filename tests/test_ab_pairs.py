@@ -89,26 +89,6 @@ def test_summarize_verdict(head, better, bound, verdict):
     assert ab.summarize(_pairs(BASE, head), better, bound)["verdict"] == verdict
 
 
-def test_filesystem_type_takes_the_longest_mount_point_that_holds_the_path(
-        tmp_path):
-    mounts = tmp_path / "mounts"
-    mounts.write_text(
-        "/dev/vda / ext4 rw 0 0\n"
-        "tmpfs /ab-mnt tmpfs rw 0 0\n"
-        "/dev/vdb /ab-mnt/deep xfs rw 0 0\n"
-        "/dev/vdc /ab-mnt/my\\040disk btrfs rw 0 0\n"
-        "/dev/vdd /ab-mnt/deep nfs rw 0 0\n")
-    for path, fstype in [("/", "ext4"), ("/ab-mntx", "ext4"),
-                         ("/ab-mnt", "tmpfs"), ("/ab-mnt/x", "tmpfs"),
-                         ("/ab-mnt/deeper", "tmpfs"),
-                         ("/ab-mnt/deep/x", "nfs"),  # mounted over xfs
-                         ("/ab-mnt/my disk/x", "btrfs")]:
-        assert ab.filesystem_type(path, str(mounts)) == fstype, path
-    assert ab.filesystem_type("/", str(tmp_path / "none")) == "unknown"
-    mounts.write_text("tmpfs /ab-mnt tmpfs rw 0 0\n")
-    assert ab.filesystem_type("/etc", str(mounts)) == "unknown"
-
-
 def test_zero_second_pairs_of_the_tree_against_itself(tmp_path):
     done = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "ab_pairs.py"), ROOT, ROOT,
@@ -120,10 +100,6 @@ def test_zero_second_pairs_of_the_tree_against_itself(tmp_path):
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         declared = json.load(f)
     assert list(result["metrics"]) == [m["name"] for m in declared["end_to_end"]]
-    filesystem = result["work_filesystem"]
-    assert filesystem == ab.filesystem_type(str(tmp_path / "work"))
-    assert filesystem and " " not in filesystem
-    assert done.stdout.splitlines()[0].endswith(f", --work on {filesystem}")
     for name, figures in result["metrics"].items():
         assert figures["pairs"] == 2
         assert figures["verdict"] in ("gain", "worse", "no change")

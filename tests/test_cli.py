@@ -8,8 +8,10 @@ import errno
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -429,9 +431,8 @@ def test_simulate_rejects_csv_and_summary_of_the_same_name(
                                   "csv_is_a_directory",
                                   "summary_parent_is_a_file"])
 def test_simulate_unwritable_output_exits_2(tmp_path, capsys, batch, case):
-    # The writers remove the file at their path first, and only a missing
-    # file is not an error: a directory there or a file in place of its
-    # parent is.
+    # A directory at an output path, or a file in place of its parent,
+    # is an error, as it was before the writers replaced regular files.
     configs = _batch_dir(tmp_path, ("no_attack",))
     out = tmp_path / "results"
     scenario_out = out / "no_attack" if batch else out
@@ -453,9 +454,65 @@ def test_simulate_unwritable_output_exits_2(tmp_path, capsys, batch, case):
     err = capsys.readouterr().err
     assert "error: cannot write output" in err
     if case == "csv_is_a_directory":
-        # The error of removing the directory: had it been ignored,
-        # creating the file would have failed with "File exists".
+        # A directory is opened in place, as at a truncating open, and
+        # fails so; removing it and creating a file would have failed
+        # otherwise.
         assert os.strerror(errno.EISDIR) in err
+
+
+def test_simulate_writes_through_a_fifo_at_the_csv_path(tmp_path):
+    # Only a regular file is removed and created anew; a FIFO, like
+    # /dev/null or a terminal, is opened in place.
+    config = os.path.join(SCENARIO_DIR, "no_attack.json")
+    _csv_writer_oracle(scenario.run_scenario(scenario.load_config(config)),
+                       str(tmp_path / "oracle.csv"))
+    expected = (tmp_path / "oracle.csv").read_bytes()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # Held open for reading, so the writer's open does not wait.
+    fd = os.open(fifo, os.O_RDWR)
+    received = bytearray()
+
+    def read():
+        while len(received) < len(expected):
+            received.extend(os.read(fd, 1 << 16))
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        assert main(["simulate", config, "--out", str(tmp_path / "results"),
+                     "--csv", str(fifo)]) == 0
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        reader.join(timeout=60)
+        assert bytes(received) == expected
+    finally:
+        os.close(fd)
+
+
+def test_simulate_writes_through_a_link_to_its_own_stdout(tmp_path):
+    # As /dev/stdout is: a link that leads to the file the process writes
+    # its stdout to is opened in place, not removed.
+    config = os.path.join(SCENARIO_DIR, "no_attack.json")
+    result = scenario.run_scenario(scenario.load_config(config))
+    _csv_writer_oracle(result, str(tmp_path / "oracle.csv"))
+    link, log = tmp_path / "stdout", tmp_path / "log.txt"
+    link.symlink_to("/proc/self/fd/1")
+    log.write_bytes(b"")
+    inode = log.stat().st_ino
+    src = os.path.dirname(os.path.dirname(os.path.abspath(balisim.__file__)))
+    with open(log, "ab") as stdout:  # so the stop error comes after the CSV
+        code = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, balisim.cli; sys.exit(balisim.cli.main(sys.argv[1:]))",
+             "simulate", config, "--out", str(tmp_path / "results"),
+             "--csv", str(link)],
+            env=dict(os.environ, PYTHONPATH=src), stdout=stdout,
+            timeout=60).returncode
+    assert code == 0
+    assert link.is_symlink()
+    assert log.stat().st_ino == inode
+    assert log.read_bytes() == ((tmp_path / "oracle.csv").read_bytes()
+                                + b"%.6f\n" % result.stop_error)
 
 
 def test_simulate_batch_reports_successes_beside_an_unwritable_output(

@@ -1,6 +1,7 @@
 """Tests for scenario configuration, the run loop, and result output."""
 
 import csv
+import errno
 import inspect
 import json
 import math
@@ -1605,6 +1606,39 @@ def test_an_output_file_is_created_with_the_umask_mode(tmp_path):
             assert path.stat().st_mode & 0o777 == 0o640
     finally:
         os.umask(umask)
+
+
+def test_an_output_file_the_process_may_not_write_is_refused_and_kept(
+        tmp_path, monkeypatch):
+    # As open refuses it.  A mode without write bits does not stop root,
+    # so os.access, which the writers ask, answers for such a process.
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    result = _edge_result(3, 0.01)
+    for write in (write_trajectory_csv, write_summary):
+        path = tmp_path / write.__name__
+        path.write_bytes(b"old bytes\n")
+        path.chmod(0o444)
+        inode = path.stat().st_ino
+        with pytest.raises(PermissionError) as refused:
+            write(result, str(path))
+        assert refused.value.errno == errno.EACCES
+        assert path.read_bytes() == b"old bytes\n"
+        assert path.stat().st_ino == inode
+
+
+def test_a_dangling_symlink_at_an_output_path_is_written_through(tmp_path):
+    result = _edge_result(3, 0.01)
+    _csv_writer_oracle(result, str(tmp_path / "oracle.csv"))
+    for write, expected in (
+            (write_trajectory_csv, (tmp_path / "oracle.csv").read_bytes()),
+            (write_summary, _summary_bytes(result))):
+        target, path = tmp_path / "target", tmp_path / "out"
+        path.symlink_to(target)
+        write(result, str(path))
+        assert path.is_symlink()
+        assert target.read_bytes() == expected
+        target.unlink()
+        path.unlink()
 
 
 def test_mode_names_need_no_csv_quoting():
