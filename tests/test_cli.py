@@ -484,6 +484,7 @@ def test_simulate_writes_through_a_fifo_at_the_csv_path(tmp_path):
                      "--csv", str(fifo)]) == 0
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         reader.join(timeout=60)
+        assert not reader.is_alive()
         assert bytes(received) == expected
     finally:
         os.close(fd)
