@@ -17,15 +17,17 @@ format name and the int as fmt.n '0'/'1' characters.
 
 A deployment is a list of telegrams, one per balise of the track in
 track order: the codeword int, or None where transmission is
-suppressed.  build_deployment programs a track only when it differs
-from the track it built last.  A one-slot memo keeps that track's
-codewords, a tuple of ints, keyed by the balise specs compared by value
-(loc -100 and -100.0 are one key), the auth mode, the keystore and the
-format.  Building another track replaces the slot, which lives as long
-as the process.  Each call returns a new list of the kept ints, so
+suppressed.  build_deployment programs a track only when it is not one
+of the last two tracks it deployed.  A two-slot memo (_track_codewords)
+keeps those tracks' codewords, keyed by the balise specs compared by
+value (loc -100 and -100.0 are one key), the auth mode, the keystore and
+the format.  Two slots hold the bundled scenarios' tracks: their sorted
+batch alternates between an authenticated and a legacy track.  Building a
+third track replaces the slot used least recently; the slots live as
+long as the process.  Each call returns a new list of the kept ints, so
 attacks and telegram files change only that run's list.  The kept
 codewords expose nothing: a balise broadcasts its telegram in the clear
-at every crossing.  The keystore in the slot's key is the one the run
+at every crossing.  The keystore in a slot's key is the one the run
 holds, and auth's cache of key pairs keeps the master key of every pair
 it holds as well.
 """
@@ -133,13 +135,19 @@ def program_telegram(
     return codec.codeword(user, LEGACY_SB, codec.legacy_s_from_sb(LEGACY_SB), fmt)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _track_codewords(
     balises: tuple[BaliseSpec, ...],
     auth_mode: str,
     keystore: auth.Keystore | None,
     fmt: codec.TelegramFormat,
 ) -> tuple[int, ...]:
+    """The codewords of a track, kept for the last two tracks deployed.
+
+    Each slot holds one codeword int of fmt.n bits per balise, 164 bytes
+    for a long one and 72 for a short one, and its key holds the specs
+    and the keystore.
+    """
     return tuple(program_telegram(spec, auth_mode, keystore, fmt)
                  for spec in balises)
 

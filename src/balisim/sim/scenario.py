@@ -48,7 +48,8 @@ row i is step i, and its t is i * dt, the float the loop computes.
 write_trajectory_csv formats the columns and the runs.  It builds each
 line as bytes, with one bytes % per row, and writes the file in binary
 mode, as UTF-8.  It formats each run's command and its mode and event
-once.
+once, and a v or alpha_actual text that a whole block of a run shares
+once for the block.
 It takes row i's t text, b"%.2f" % (i * dt), from a table of texts kept
 for the process for one dt (_time_texts), as every run of a batch at the
 same dt writes the same texts from row 0; rows past the table's
@@ -710,19 +711,22 @@ CSV_HEADER = ["t", "p", "v", "alpha_cmd", "alpha_actual", "mode", "event"]
 
 # trajectory.csv is written byte for byte as csv.writer's default dialect
 # would, in UTF-8: "\r\n" line ends and minimal quoting.  Each line is
-# built as bytes and the file is written in binary mode.  A row zipped
-# from row i's t text, the p, v and alpha_actual columns and the texts of
-# its run is a tuple, so it formats straight into this line with one
-# bytes %.  Row i's t text is b"%.2f" % (i * dt): the first
-# _TIME_TEXT_ROWS of them come from _time_texts, and rows past those are
-# formatted as they are written.  A run's alpha_cmd text (b"%.6f") and its
-# "mode,event" text, encoded as strict UTF-8, are built once, and repeated
-# for each row of the run.  The mode names contain no character that
-# needs quoting; an event is checked by _csv_text.
+# built as bytes and the file is written in binary mode.  Each run is
+# written in blocks of up to _CSV_BLOCK_ROWS rows, and each block in one
+# bytes % per row, into a line format built for that block: it holds the
+# run's alpha_cmd text (b"%.6f") and its "mode,event" text, encoded as
+# strict UTF-8 with each % doubled, as text.  It holds the v text too when
+# the block's v values have one bit pattern, and the alpha_actual text
+# when they all have one text (_shared_text); otherwise the column is a
+# b"%.6f" field.  A row zipped from row i's t text, p and the columns left
+# as fields is a tuple that formats straight into the line.  Row i's t
+# text is b"%.2f" % (i * dt): the first _TIME_TEXT_ROWS of them come from
+# _time_texts, and rows past those are formatted as they are written.
+# The mode names contain no character that needs quoting; an event is
+# checked by _csv_text.
 _CSV_HEADER_LINE = (",".join(CSV_HEADER) + "\r\n").encode()
-_CSV_ROW = b"%s,%.6f,%.6f,%s,%.6f,%s\r\n"
-# Rows are joined and written in blocks of this many, which bounds the
-# memory of the formatted text.
+# A block's columns are copied, joined and written at this many rows at
+# most, which bounds the memory of the formatted text.
 _CSV_BLOCK_ROWS = 1024
 # The t texts kept for one dt: 2^15 rows, 327 s at the default dt, cover
 # every bundled run (17,597 rows at most) in about 1.5 MB.
@@ -800,15 +804,53 @@ def write_trajectory_csv(result: SimResult, path: str) -> None:
         texts[start:kept] = [b"%.2f" % (i * dt) for i in range(start, kept)]
     times = chain(islice(texts, kept),
                   map(b"%.2f".__mod__, map(dt.__rmul__, range(kept, n))))
-    cmds = traj._expand(map(b"%.6f".__mod__, traj.cmds))
-    tails = traj._expand(map(str.encode, map("%s,%s".__mod__, zip(
-        traj.modes, map(_csv_text, traj.events)))))
-    rows = zip(times, traj.p, traj.v, cmds, traj.alpha_actual, tails)
+    cmds = map(b"%.6f".__mod__, traj.cmds)
+    tails = (tail.encode().replace(b"%", b"%%") for tail in map(
+        "%s,%s".__mod__, zip(traj.modes, map(_csv_text, traj.events))))
+    ends = chain(islice(traj.starts, 1, None), (n,))
+    p, v, alpha_actual = traj.p, traj.v, traj.alpha_actual
     with _open_output(path, "b") as f:
         f.write(_CSV_HEADER_LINE)
-        for _ in range(0, n, _CSV_BLOCK_ROWS):
-            f.write(b"".join([_CSV_ROW % row
-                              for row in islice(rows, _CSV_BLOCK_ROWS)]))
+        for run_start, run_end, cmd, tail in zip(traj.starts, ends, cmds,
+                                                 tails):
+            for start in range(run_start, run_end, _CSV_BLOCK_ROWS):
+                end = min(start + _CSV_BLOCK_ROWS, run_end)
+                columns = [islice(times, end - start), p[start:end]]
+                block_v = v[start:end]
+                v_bytes = block_v.tobytes()
+                if v_bytes == v_bytes[:8] * (end - start):
+                    v_text = b"%.6f" % block_v[0]
+                else:
+                    v_text = b"%.6f"
+                    columns.append(block_v)
+                block_alpha = alpha_actual[start:end]
+                alpha_text = _shared_text(block_alpha)
+                if alpha_text is None:
+                    alpha_text = b"%.6f"
+                    columns.append(block_alpha)
+                line = b"%%s,%%.6f,%s,%s,%s,%s\r\n" % (
+                    v_text, cmd, alpha_text, tail)
+                f.write(b"".join([line % row for row in zip(*columns)]))
+
+
+def _shared_text(values: array) -> bytes | None:
+    """The b"%.6f" text of every value in values, or None if they differ.
+
+    %.6f rounds correctly, so it is monotone, and when the least and the
+    greatest value have one text, every value between them has it too.
+    A NaN makes the sum NaN (as do inf and -inf together), and min and
+    max are then no bounds.  -0.0 == 0.0, so min and max may return
+    either zero: a text of zero is shared only by values all below it
+    (-0.000000) or all above it (0.000000).
+    """
+    if math.isnan(sum(values)):
+        return None
+    low, high = min(values), max(values)
+    text = b"%.6f" % low
+    if text != b"%.6f" % high or (text == b"-0.000000" and not high < 0.0) \
+            or (text == b"0.000000" and not low > 0.0):
+        return None
+    return text
 
 
 def summary_dict(result: SimResult) -> dict:

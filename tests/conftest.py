@@ -2,7 +2,7 @@
 
 balisim keeps four memos for the life of a process, each a
 functools.lru_cache: auth.derive_keys (key pairs), auth.prf_s (S
-values), deployment._track_codewords (the track programmed last) and
+values), deployment._track_codewords (the last two tracks deployed) and
 scenario.align_codeword (alignments by codeword).  A test that counts
 work empties them through empty_memos.
 """

@@ -1,6 +1,7 @@
 """Tests for balise payloads, telegram programming, and attack semantics."""
 
 import json
+import os
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from balisim import auth, codec
 from balisim.bits import int_to_bits
 from balisim.codec import LONG, SHORT
+from balisim.sim import deployment, load_config
 from balisim.sim.deployment import (
     AUTH_AUTHENTICATED,
     AUTH_LEGACY,
@@ -29,6 +31,7 @@ from balisim.sim.deployment import (
 from balisim.sim.scenario import DEFAULT_BALISES, ScenarioConfig, \
     align_codeword, read_telegram, run_scenario
 
+from attack_sweep import BUNDLED, SCENARIO_DIR
 from test_readme import load_script
 
 
@@ -273,9 +276,30 @@ def test_any_change_to_the_track_programs_every_telegram_again(codewords, change
     assert len(codewords) == m
     assert build_deployment(*changed) != first
     assert len(codewords) == 2 * m
-    # One slot: the changed track replaced the first.
+    # Two slots: the first track is kept beside the changed one.
+    assert build_deployment(*base) == first
+    assert len(codewords) == 2 * m
+    # A third track replaces the one used least recently, the changed one.
+    build_deployment(_track(loc=-1.0), AUTH_LEGACY, None, SHORT)
+    assert len(codewords) == 3 * m
     assert build_deployment(*base) == first
     assert len(codewords) == 3 * m
+    assert build_deployment(*changed) != first
+    assert len(codewords) == 4 * m
+
+
+def test_a_second_pass_over_the_bundled_scenarios_programs_nothing(
+        empty_memos):
+    # The sorted batch alternates between the authenticated and the
+    # legacy track, and the memo keeps both.
+    configs = [load_config(os.path.join(SCENARIO_DIR, name + ".json"))
+               for name in BUNDLED]
+    for cfg in configs:
+        run_scenario(cfg)
+    assert deployment._track_codewords.cache_info().misses == 2
+    for cfg in configs:
+        run_scenario(cfg)
+    assert deployment._track_codewords.cache_info().misses == 2
 
 
 def test_value_equal_tracks_share_their_codewords(codewords, empty_memos):

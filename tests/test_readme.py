@@ -92,7 +92,7 @@ def test_table_row_matches_reference_and_a_fresh_run(name):
 def test_bundled_scenarios_hold_their_stop_errors_run_in_either_order(
         empty_memos):
     # One process reruns the default track from build_deployment's memo of
-    # the track it programmed last, as simulate --batch does.
+    # the last two tracks it deployed, as simulate --batch does.
     def run(name):
         return run_scenario(load_config(os.path.join(SCENARIO_DIR, name + ".json")))
 

@@ -1543,6 +1543,143 @@ def test_trajectory_csv_time_texts_grow_up_to_their_bound(tmp_path):
     assert scenario._time_texts.cache_info().maxsize == 1
 
 
+# write_trajectory_csv builds a run's v into a block's line when the
+# block's v has one bit pattern, and its alpha_actual when every value of
+# the block has one %.6f text.  Each case below is a block where a looser
+# check would build in a text that some row does not have.
+
+def _run_of(v, alpha_actual, dt=0.01):
+    """One run of len(v) rows, whose p counts the rows."""
+    n = len(v)
+    return SimResult(0.0, 0.0, from_columns(
+        dt, [i / 8 for i in range(n)], v, [-0.45] * n, alpha_actual,
+        [MODE_PID1] * n, [""] * n), 0, 0, 0)
+
+
+def _creep(n_rows, scale, ratio):
+    """alpha_actual of a conservative creep: negative, decaying to 0."""
+    return [-scale * ratio ** i for i in range(n_rows)]
+
+
+@pytest.mark.parametrize("n_rows", [1024, 1025, 2049])
+@pytest.mark.parametrize("scale, ratio", [(0.5, 0.999), (1.6e-6, 0.9995),
+                                          (4e-7, 0.999)])
+def test_trajectory_csv_of_a_creep_matches_csv_writer(
+        n_rows, scale, ratio, tmp_path):
+    # A new alpha_actual text on every row; -0.000002 and then -0.000001,
+    # so the blocks past the first share one; and -0.000000 throughout.
+    _assert_csv_matches_oracle(
+        _run_of([0.034] * n_rows, _creep(n_rows, scale, ratio)), tmp_path)
+
+
+def test_a_block_of_one_alpha_actual_text_shares_it():
+    # The creep's blocks take the shared text, and only those.
+    for values, text in (([-1.6e-6, -1.5e-6], b"-0.000002"),
+                         ([-4e-7, -5e-324], b"-0.000000"),
+                         ([5e-324, 4e-7], b"0.000000"),
+                         ([math.inf] * 3, b"inf"),
+                         ([-0.25, math.nan], None), ([-0.0, -0.0], None),
+                         ([0.0], None), ([-0.25, -0.2500005], None)):
+        assert scenario._shared_text(array("d", values)) == text, values
+
+
+@pytest.mark.parametrize("column", ["v", "alpha_actual"])
+@pytest.mark.parametrize("at", [0, 511, 1023, 1024, 1600, 2047])
+@pytest.mark.parametrize("odd", [0.250001, math.nextafter(0.25, 1.0), -0.0])
+def test_one_odd_row_in_a_block_is_written_as_itself(column, at, odd,
+                                                     tmp_path):
+    # First, in the middle and last in each of two blocks; with another
+    # text, and with another bit pattern of the same text.
+    values = [0.25] * 2048
+    values[at] = odd
+    columns = {"v": [0.25] * 2048, "alpha_actual": [0.25] * 2048,
+               column: values}
+    _assert_csv_matches_oracle(_run_of(**columns), tmp_path)
+
+
+# Each block holds both zeros, in an order where min and max return the
+# same one of them.
+_ZERO_BLOCKS = {
+    "-0.0, 0.0": [-0.0, 0.0],
+    "0.0, -0.0": [0.0, -0.0],
+    "-5e-324, -0.0, 0.0": [-5e-324, -0.0, 0.0],
+    "tiny negative, -0.0, 0.0": [-1e-7, -0.0, 0.0],
+    "5e-324, 0.0, -0.0": [5e-324, 0.0, -0.0],
+    "tiny positive, 0.0, -0.0": [1e-7, 0.0, -0.0],
+}
+
+
+@pytest.mark.parametrize("values", _ZERO_BLOCKS.values(), ids=_ZERO_BLOCKS)
+@pytest.mark.parametrize("repeat", [1, 300])
+def test_zeros_of_both_signs_in_a_block_keep_their_signs(values, repeat,
+                                                         tmp_path):
+    column = [x for x in values for _ in range(repeat)]
+    _assert_csv_matches_oracle(_run_of(column, column), tmp_path)
+
+
+@pytest.mark.parametrize("at", [0, 500, 1023])
+def test_a_nan_in_a_block_of_one_text_is_written_as_nan(at, tmp_path):
+    column = [-0.25] * 1024
+    column[at] = math.nan
+    _assert_csv_matches_oracle(_run_of(column, column), tmp_path)
+
+
+@pytest.mark.parametrize("values", [[math.inf], [-math.inf],
+                                    [math.inf, -math.inf],
+                                    [-math.inf, math.inf]])
+def test_infinities_in_a_block_are_written_as_themselves(values, tmp_path):
+    column = [x for x in values for _ in range(300)]
+    _assert_csv_matches_oracle(_run_of(column, column), tmp_path)
+
+
+def test_values_on_either_side_of_a_rounding_step(tmp_path):
+    # 2.675 and the float below it print alike at six decimals; 5e-7 and
+    # the float above it do not.
+    for low, high, alike in ((math.nextafter(2.675, 0.0), 2.675, True),
+                             (5e-7, math.nextafter(5e-7, 1.0), False)):
+        assert (b"%.6f" % low == b"%.6f" % high) == alike
+        for column in ([low, high] * 300, [low] * 300 + [high] * 300):
+            _assert_csv_matches_oracle(_run_of(column, column), tmp_path)
+
+
+def test_an_event_with_a_percent_sign_is_written_as_itself(tmp_path):
+    # A run's mode,event text is built into its lines' bytes % format.
+    events = ["", "B1:50%", "", "%s", "%%", "%(x)s", "100%,done", "%.6f", ""]
+    n = len(events)
+    traj = from_columns(0.01, [0.5] * n, [0.25] * n, [-0.45] * n,
+                        [-0.2] * n, [MODE_HOA] * n, events)
+    _assert_csv_matches_oracle(SimResult(0.0, 0.0, traj, 0, 0, 0), tmp_path)
+
+
+def test_a_creep_past_the_kept_time_texts_matches_csv_writer(tmp_path):
+    n_rows = scenario._TIME_TEXT_ROWS + 1500
+    _assert_csv_matches_oracle(
+        _run_of([0.034] * n_rows, _creep(n_rows, 1.6e-6, 0.99995)), tmp_path)
+
+
+_REPEATED = st.sampled_from([*_EDGE_FLOATS, 0.0])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                  HealthCheck.too_slow])
+@given(runs=st.lists(st.tuples(_REPEATED, _REPEATED, st.integers(1, 1100)),
+                     min_size=1, max_size=4),
+       changes=st.lists(st.tuples(st.integers(0, 4399),
+                                  st.sampled_from(["v", "alpha_actual"]),
+                                  _REPEATED), max_size=4))
+def test_trajectory_csv_of_repeated_values_matches_csv_writer(
+        runs, changes, tmp_path):
+    # Stretches of one v and one alpha_actual, with a few rows changed.
+    columns = {"v": [], "alpha_actual": []}
+    for v, alpha_actual, length in runs:
+        columns["v"] += [v] * length
+        columns["alpha_actual"] += [alpha_actual] * length
+    for at, column, value in changes:
+        columns[column][at % len(columns[column])] = value
+    _assert_csv_matches_oracle(_run_of(**columns), tmp_path)
+
+
 def test_trajectory_csv_refuses_an_event_that_utf_8_cannot_encode(tmp_path):
     # A lone surrogate, as the text file the oracle writes refuses it.
     result = SimResult(0.0, 0.0, _one_row(0.0, "B1:\ud800"), 0, 0, 0)
